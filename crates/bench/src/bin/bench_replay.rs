@@ -13,20 +13,17 @@
 //! # record checksum and aggregates match the materializing path AND the
 //! # committed divisor-1000 pins below):
 //! cargo run --release -p livescope-bench --bin bench_replay -- --smoke
-//! # Worker scaling curve only (divisor 10, K ∈ {1,2,4,6}); add the
-//! # `parallel` feature for real threads (`just bench-replay-workers`):
-//! cargo run --release -p livescope-bench --features parallel \
-//!     --bin bench_replay -- --workers
+//! # Worker scaling curve only (divisor 10, K ∈ {1,2,4,6};
+//! # `just bench-replay-workers`):
+//! cargo run --release -p livescope-bench --bin bench_replay -- --workers
 //! # Worker smoke (divisor 1000, K ∈ {1,2,6}, asserts the K-sweep is
 //! # digest-identical to the sequential streaming path):
 //! cargo run --release -p livescope-bench --bin bench_replay -- --workers --smoke
 //! # Graph-build worker sweep only (divisor 10, K ∈ {1,2,4,6}; no file
 //! # write — `just bench-graph`):
-//! cargo run --release -p livescope-bench --features parallel \
-//!     --bin bench_replay -- --graph-only
+//! cargo run --release -p livescope-bench --bin bench_replay -- --graph-only
 //! # Graph smoke (divisor 1000, K ∈ {1,2,6}, asserts the committed
-//! # adjacency AND degree checksum pins for every K; CI runs this with
-//! # and without --features parallel):
+//! # adjacency AND degree checksum pins for every K):
 //! cargo run --release -p livescope-bench --bin bench_replay -- --graph-only --smoke
 //! ```
 //!
@@ -275,11 +272,7 @@ fn workers_json(divisor: f64, runs: &[WorkerRun]) -> String {
             )
         })
         .collect();
-    format!(
-        "{{\"divisor\":{divisor},\"parallel_feature\":{},\"runs\":[{}]}}",
-        cfg!(feature = "parallel"),
-        lines.join(",")
-    )
+    format!("{{\"divisor\":{divisor},\"runs\":[{}]}}", lines.join(","))
 }
 
 /// JSON fragment for the `graph_workers` (assembly) scaling-curve
@@ -299,9 +292,7 @@ fn graph_workers_json(divisor: f64, runs: &[GraphBuildRun]) -> String {
         })
         .collect();
     format!(
-        "{{\"divisor\":{divisor},\"parallel_feature\":{},\
-         \"host_parallelism\":{host_parallelism},\"runs\":[{}]}}",
-        cfg!(feature = "parallel"),
+        "{{\"divisor\":{divisor},\"host_parallelism\":{host_parallelism},\"runs\":[{}]}}",
         lines.join(",")
     )
 }
@@ -451,8 +442,7 @@ fn main() {
         }
         println!(
             "graph: divisor-{divisor} K-sweep {ks:?} checksum-identical across every \
-             worker count (parallel_feature={})",
-            cfg!(feature = "parallel")
+             worker count"
         );
         return;
     }
@@ -475,8 +465,7 @@ fn main() {
         sweep_workers(divisor, &graph, ks, expected);
         println!(
             "workers: divisor-{divisor} K-sweep {ks:?} digest-identical to the \
-             sequential streaming path (parallel_feature={})",
-            cfg!(feature = "parallel")
+             sequential streaming path"
         );
         return;
     }

@@ -4,19 +4,17 @@
 //! Results land in `BENCH_shards.json` (`just bench-shards`).
 //!
 //! ```sh
-//! cargo run --release -p livescope-bench --features parallel \
-//!     --bin bench_shards -- BENCH_shards.json
+//! cargo run --release -p livescope-bench --bin bench_shards -- BENCH_shards.json
 //! # CI smoke variant (tiny workload, asserts lane-count invariance):
 //! cargo run --release -p livescope-bench --bin bench_shards -- --smoke
 //! ```
 //!
 //! Every run records the workload checksum, so the file doubles as a
 //! determinism record: all lane counts must report the same checksum, and
-//! the binary exits non-zero if they don't. `host_parallelism` and
-//! `parallel_feature` are recorded because the wall-clock ratio is only
-//! meaningful when the build has worker threads (`--features parallel`)
-//! and the host has cores to run them on — on a single-core host the
-//! honest expectation is a ratio near 1.0.
+//! the binary exits non-zero if they don't. `host_parallelism` is
+//! recorded because the wall-clock ratio is only meaningful when the
+//! host has cores to run the worker threads on — on a single-core host
+//! the honest expectation is a ratio near 1.0.
 
 #![forbid(unsafe_code)]
 
@@ -85,7 +83,6 @@ fn main() {
     let checksum = runs[0].checksum;
     let invariant = runs.iter().all(|r| r.checksum == checksum);
     let host_parallelism = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let parallel_feature = cfg!(feature = "parallel");
     let speedup = runs[0].wall_us_min as f64 / runs.last().expect("runs").wall_us_min.max(1) as f64;
 
     let run_lines: Vec<String> = runs
@@ -102,7 +99,7 @@ fn main() {
         "{{\"bench\":\"sharded_fanout\",\"meta\":{},\"workload\":{{\"pops\":{},\
          \"viewers_per_pop\":{},\"stream_secs\":{},\"roam_every\":{},\
          \"iterations\":{ITERATIONS},\"smoke\":{smoke}}},\
-         \"host_parallelism\":{host_parallelism},\"parallel_feature\":{parallel_feature},\
+         \"host_parallelism\":{host_parallelism},\
          \"speedup_1_to_{}\":{speedup:.3},\"runs\":[{}]}}\n",
         run_meta_json(config.seed),
         config.pops.len(),
@@ -120,8 +117,7 @@ fn main() {
         );
     }
     println!(
-        "host_parallelism={host_parallelism} parallel_feature={parallel_feature} \
-         speedup(1→{} lanes)={speedup:.2}x",
+        "host_parallelism={host_parallelism} speedup(1→{} lanes)={speedup:.2}x",
         LANES[LANES.len() - 1]
     );
     assert!(

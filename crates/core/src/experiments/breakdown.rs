@@ -128,12 +128,6 @@ pub fn run(config: &BreakdownConfig) -> BreakdownReport {
     run_traced(config, &Telemetry::disabled())
 }
 
-/// Runs the full controlled experiment on an explicit scheduler backend
-/// (telemetry disabled). `run` is `run_on` with [`BackendChoice::Single`].
-pub fn run_on(config: &BreakdownConfig, backend: BackendChoice) -> BreakdownReport {
-    run_traced_on(config, &Telemetry::disabled(), backend)
-}
-
 /// Runs the full controlled experiment with every component instrumented
 /// through `telemetry`. The trace carries enough events
 /// (`RtmpUnitDelivered`, `ChunkCompleted`, `ChunkDelivered`,
@@ -491,9 +485,10 @@ mod tests {
     #[test]
     fn sharded_backend_reproduces_single_backend_exactly() {
         let config = quick_config();
-        let single = run_on(&config, BackendChoice::Single);
+        let off = Telemetry::disabled();
+        let single = run_traced_on(&config, &off, BackendChoice::Single);
         for lanes in [1, 3] {
-            let sharded = run_on(&config, BackendChoice::Sharded { lanes });
+            let sharded = run_traced_on(&config, &off, BackendChoice::Sharded { lanes });
             assert_eq!(single.rtmp_runs, sharded.rtmp_runs, "lanes={lanes}");
             assert_eq!(single.hls_runs, sharded.hls_runs, "lanes={lanes}");
         }

@@ -18,7 +18,7 @@ use rand::Rng;
 use livescope_analysis::{Cdf, Figure, Series};
 use livescope_client::broadcaster::{capture_schedule, UplinkClass, UplinkModel};
 use livescope_client::playback::{simulate_playback, ArrivedUnit};
-use livescope_sim::{dist, RngPool, SimDuration, SimTime};
+use livescope_sim::{dist, run_parts, RngPool, SimDuration, SimTime};
 
 /// Sweep parameters.
 #[derive(Clone, Debug)]
@@ -220,8 +220,8 @@ pub fn hls_trace(rng: &mut SmallRng, config: &BufferingConfig) -> Vec<ArrivedUni
 
 /// Runs the full sweep.
 ///
-/// Parallelized with `crossbeam::thread::scope`: each broadcast's trace
-/// is generated from an index-forked RNG stream, so the sample *multiset*
+/// Parallelized with [`run_parts`]: each broadcast's trace is generated
+/// from an index-forked RNG stream, so the sample *multiset*
 /// — and therefore every CDF — is identical regardless of thread count or
 /// scheduling. 16,013 traces drop from seconds to well under one on a
 /// multicore box.
@@ -255,33 +255,19 @@ fn sweep_parallel(
         .map(|n| n.get())
         .unwrap_or(4)
         .clamp(1, 8);
-    let shards = crossbeam::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|w| {
-                scope.spawn(move |_| {
-                    let mut local: Vec<(Vec<f64>, Vec<f64>)> =
-                        vec![(Vec::new(), Vec::new()); prebuffers.len()];
-                    let mut b = w;
-                    while b < config.broadcasts {
-                        let mut rng = pool.fork_indexed(stream_label, b as u64);
-                        let trace = trace_fn(&mut rng, config);
-                        for (slot, &p) in prebuffers.iter().enumerate() {
-                            let report = simulate_playback(&trace, SimDuration::from_secs_f64(p));
-                            local[slot].0.push(report.stall_ratio);
-                            local[slot].1.push(report.avg_buffering_s);
-                        }
-                        b += workers;
-                    }
-                    local
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("sweep worker panicked"))
-            .collect::<Vec<_>>()
-    })
-    .expect("crossbeam scope");
+    let shards = run_parts((0..workers).collect(), |w| {
+        let mut local: Vec<(Vec<f64>, Vec<f64>)> = vec![(Vec::new(), Vec::new()); prebuffers.len()];
+        for b in (w..config.broadcasts).step_by(workers) {
+            let mut rng = pool.fork_indexed(stream_label, b as u64);
+            let trace = trace_fn(&mut rng, config);
+            for (slot, &p) in prebuffers.iter().enumerate() {
+                let report = simulate_playback(&trace, SimDuration::from_secs_f64(p));
+                local[slot].0.push(report.stall_ratio);
+                local[slot].1.push(report.avg_buffering_s);
+            }
+        }
+        local
+    });
     let mut per_policy: Vec<(Vec<f64>, Vec<f64>)> =
         vec![(Vec::new(), Vec::new()); prebuffers.len()];
     for shard in shards {

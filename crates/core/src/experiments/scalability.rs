@@ -25,9 +25,7 @@ use livescope_net::datacenters::DatacenterId;
 use livescope_net::geo::GeoPoint;
 use livescope_net::{AccessLink, Link};
 use livescope_proto::rtmp::VideoFrame;
-use livescope_sim::{
-    BackendChoice, RngPool, SchedulerBackend, ShardId, ShardedScheduler, SimDuration, SimTime,
-};
+use livescope_sim::{RngPool, SimDuration, SimTime};
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -239,68 +237,6 @@ pub fn run(config: &ScalabilityConfig) -> ScalabilityReport {
     }
 }
 
-/// One `(protocol, audience)` cell as a scheduler-shard state.
-struct Cell {
-    config: ScalabilityConfig,
-    rtmp: bool,
-    viewers: usize,
-    cost: Option<FanoutCost>,
-}
-
-/// Runs the full sweep on an explicit scheduler backend.
-///
-/// [`BackendChoice::Sharded`] gives every `(protocol, audience)` cell its
-/// own shard — the cells share no state, so this is the canonical
-/// embarrassingly-parallel sharding and the result is identical to [`run`]
-/// for any lane count (each cell draws only from `config.seed`, never from
-/// its shard's pool).
-pub fn run_on(config: &ScalabilityConfig, backend: BackendChoice) -> ScalabilityReport {
-    let lanes = match backend {
-        BackendChoice::Single => return run(config),
-        BackendChoice::Sharded { lanes } => lanes,
-    };
-    let mut cells = Vec::new();
-    for &rtmp in &[true, false] {
-        for &viewers in &config.viewer_counts {
-            cells.push(Cell {
-                config: config.clone(),
-                rtmp,
-                viewers,
-                cost: None,
-            });
-        }
-    }
-    let n = cells.len();
-    let mut sched =
-        ShardedScheduler::new(RngPool::new(config.seed), cells, SimDuration::from_secs(1))
-            .with_lanes(lanes);
-    for i in 0..n {
-        sched.schedule(
-            ShardId(i as u16),
-            SimTime::ZERO,
-            Box::new(|_, cell: &mut Cell| {
-                cell.cost = Some(if cell.rtmp {
-                    run_rtmp_cell(&cell.config, cell.viewers)
-                } else {
-                    run_hls_cell(&cell.config, cell.viewers)
-                });
-            }),
-        );
-    }
-    sched.run();
-    let costs: Vec<FanoutCost> = sched
-        .into_states()
-        .into_iter()
-        .map(|cell| cell.cost.expect("every cell ran"))
-        .collect();
-    let (rtmp, hls) = costs.split_at(config.viewer_counts.len());
-    ScalabilityReport {
-        rtmp: rtmp.to_vec(),
-        hls: hls.to_vec(),
-        stream_secs: config.stream_secs,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -374,17 +310,6 @@ mod tests {
         let report = run(&quick());
         assert!(report.peak_op_ratio() > 10.0);
         assert!(report.render().contains("op ratio"));
-    }
-
-    #[test]
-    fn shard_per_cell_sweep_matches_the_plain_sweep() {
-        let config = quick();
-        let plain = run(&config);
-        for lanes in [1, 4] {
-            let sharded = run_on(&config, BackendChoice::Sharded { lanes });
-            assert_eq!(plain.rtmp, sharded.rtmp, "lanes={lanes}");
-            assert_eq!(plain.hls, sharded.hls, "lanes={lanes}");
-        }
     }
 
     #[test]

@@ -11,9 +11,12 @@
 
 use livescope_analysis::{Figure, QuantileSketch, Series, Table};
 use livescope_crawler::campaign::{run_campaign, CampaignConfig};
-use livescope_crawler::sharded::run_campaign_sharded;
+use livescope_crawler::sharded::run_campaign_sharded_with_graph;
 use livescope_crawler::streaming::{run_campaign_streaming, DatasetSummary, DEFAULT_EXEMPLARS};
-use livescope_workload::{generate, generate_streaming, ScenarioConfig};
+use livescope_graph::DiGraph;
+use livescope_workload::{
+    default_graph_seed, default_graph_spec, generate, generate_streaming, ScenarioConfig,
+};
 
 /// Which scenarios to measure.
 #[derive(Clone, Debug)]
@@ -70,26 +73,21 @@ pub fn run(config: &UsageConfig) -> UsageReport {
 }
 
 /// Runs both campaigns on the sharded data-parallel path
-/// ([`livescope_crawler::run_campaign_sharded`]): the user space is
-/// partitioned into `workers` deterministic shards that generate, crawl
-/// and fold independently (on worker threads under the `parallel`
-/// feature), then merge in fixed shard order. Byte-identical to [`run`]
-/// for every worker count — `tests/parallel_replay.rs` and the CI
-/// K-sweep smoke pin this.
+/// ([`livescope_crawler::run_campaign_sharded_with_graph`], over each
+/// scenario's default follow graph): the user space is partitioned into
+/// `workers` deterministic shards that generate, crawl and fold
+/// independently (on scoped worker threads when `workers > 1`), then
+/// merge in fixed shard order. Byte-identical to [`run`] for every
+/// worker count — `tests/parallel_replay.rs` and the CI K-sweep smoke
+/// pin this.
 pub fn run_sharded(config: &UsageConfig, workers: usize) -> UsageReport {
+    let sharded = |scenario: &ScenarioConfig, campaign: &CampaignConfig| {
+        let graph = DiGraph::generate(&default_graph_spec(scenario), default_graph_seed(scenario));
+        run_campaign_sharded_with_graph(scenario, &graph, campaign, workers, DEFAULT_EXEMPLARS).0
+    };
     UsageReport {
-        periscope: run_campaign_sharded(
-            &config.periscope,
-            &config.periscope_campaign,
-            workers,
-            DEFAULT_EXEMPLARS,
-        ),
-        meerkat: run_campaign_sharded(
-            &config.meerkat,
-            &config.meerkat_campaign,
-            workers,
-            DEFAULT_EXEMPLARS,
-        ),
+        periscope: sharded(&config.periscope, &config.periscope_campaign),
+        meerkat: sharded(&config.meerkat, &config.meerkat_campaign),
         periscope_scale: config.periscope.scale_divisor,
         meerkat_scale: config.meerkat.scale_divisor,
     }

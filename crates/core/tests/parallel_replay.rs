@@ -2,8 +2,8 @@
 //! data-parallel replay must render Table 1 and every Fig 1–6 artifact
 //! byte-for-byte identical to the single-shard streaming path, for
 //! K ∈ {1, 2, 6}, run twice each, at both the default divisor-1000
-//! scale and divisor 100. CI runs this test with and without the
-//! `parallel` feature — worker threads must not change a byte.
+//! scale and divisor 100. K = 1 folds inline on the test thread, K > 1
+//! on scoped worker threads — which must not change a byte.
 
 #![forbid(unsafe_code)]
 

@@ -2,7 +2,9 @@
 //!
 //! * same seed ⇒ same trace **bytes**, for any lane count — checked on the
 //!   single-shard breakdown workload and on the multi-shard (mailbox-
-//!   crossing) celebrity fan-out workload, each run twice per lane count;
+//!   crossing) celebrity fan-out workload, each run twice per lane count
+//!   (every lane above the first is a scoped worker thread, so the sweep
+//!   covers real thread interleaving);
 //! * a one-shard `ShardedScheduler` run equals the legacy `Scheduler`
 //!   (`BackendChoice::Single`) event for event.
 

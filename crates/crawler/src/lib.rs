@@ -19,8 +19,8 @@
 //!   (`O(users + days + bins)`) instead of materializing records, the
 //!   path the longitudinal replay uses at low scale divisors;
 //! * [`sharded`] — the data-parallel campaign: the user space split into
-//!   K deterministic shards folding independently (worker threads under
-//!   the `parallel` feature) and merging in fixed shard order,
+//!   K deterministic shards folding independently (on scoped worker
+//!   threads when K > 1) and merging in fixed shard order,
 //!   byte-identical to [`streaming`] for every K (DESIGN.md §13);
 //! * [`probe`] — the high-frequency HLS poller that measures
 //!   Wowza→Fastly chunk-transfer delay (the `⑪−⑦` of Fig 10(b)).
@@ -37,5 +37,5 @@ pub mod streaming;
 pub use campaign::{CampaignConfig, Dataset, OutageFilter};
 pub use coverage::{CoverageConfig, CoverageReport};
 pub use probe::HighFreqProbe;
-pub use sharded::{run_campaign_sharded, run_campaign_sharded_with_graph, ShardedRunStats};
+pub use sharded::{run_campaign_sharded_with_graph, ShardedRunStats};
 pub use streaming::{run_campaign_streaming, DatasetSummary, StreamingCampaign};

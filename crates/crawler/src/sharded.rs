@@ -22,18 +22,19 @@
 //!    shard order at fixed points (day barriers for the distinct-user
 //!    bitsets, end of study for everything else).
 //!
-//! With the `parallel` feature, each day's shard slates run on scoped
-//! worker threads; without it, the same K slates fold sequentially in
-//! shard order. Threads never share mutable state — each worker owns its
-//! private `ShardFold` — so the detlint shared-mutable-state rule holds
-//! by construction.
+//! One shard folds its slate inline on the caller's thread; with more,
+//! each day's shard slates run on scoped worker threads
+//! ([`livescope_sim::run_parts`]). Threads never share mutable state —
+//! each worker owns its private `ShardFold` — so the detlint
+//! shared-mutable-state rule holds by construction.
 
 use std::time::Instant;
 
 use livescope_graph::DiGraph;
+use livescope_sim::run_parts;
 use livescope_workload::{
-    default_graph_seed, default_graph_spec, DayStats, FixedBitset, RecordSampler, ScenarioConfig,
-    ScheduleStream, ScheduledBroadcast, WorkloadSummary,
+    DayStats, FixedBitset, RecordSampler, ScenarioConfig, ScheduleStream, ScheduledBroadcast,
+    WorkloadSummary,
 };
 
 use crate::campaign::{CampaignConfig, OutageFilter};
@@ -118,63 +119,26 @@ impl ShardFold {
 /// coordinator-decided follower count and outage verdict attached.
 type Slate = Vec<(ScheduledBroadcast, u64, bool)>;
 
-/// Runs each shard's slate. With the `parallel` feature and more than
-/// one shard, slates run on scoped worker threads; otherwise they run
-/// sequentially in shard order. Both orders produce identical shard
-/// states — shards are mutually independent within a day.
-#[cfg(feature = "parallel")]
+/// Runs each shard's slate, one part per shard. Shards are mutually
+/// independent within a day, so every part count folds to identical
+/// shard states.
 fn run_day(sampler: &RecordSampler, shards: &mut [ShardFold], slates: &[Slate]) {
-    if shards.len() == 1 {
-        run_day_sequential(sampler, shards, slates);
-        return;
-    }
-    crossbeam::thread::scope(|scope| {
-        for (shard, slate) in shards.iter_mut().zip(slates) {
-            scope.spawn(move |_| {
-                for &(slot, followers, observed) in slate {
-                    shard.fold_slot(sampler, slot, followers, observed);
-                }
-            });
-        }
-    })
-    .expect("sharded replay worker scope");
-}
-
-#[cfg(not(feature = "parallel"))]
-fn run_day(sampler: &RecordSampler, shards: &mut [ShardFold], slates: &[Slate]) {
-    run_day_sequential(sampler, shards, slates);
-}
-
-fn run_day_sequential(sampler: &RecordSampler, shards: &mut [ShardFold], slates: &[Slate]) {
-    for (shard, slate) in shards.iter_mut().zip(slates) {
+    run_parts(shards.iter_mut().zip(slates).collect(), |(shard, slate)| {
         for &(slot, followers, observed) in slate {
             shard.fold_slot(sampler, slot, followers, observed);
         }
-    }
-}
-
-/// Runs the measurement campaign over `workers` user-space shards,
-/// building the scenario's default follow graph internally. See
-/// [`run_campaign_sharded_with_graph`].
-pub fn run_campaign_sharded(
-    scenario: &ScenarioConfig,
-    campaign: &CampaignConfig,
-    workers: usize,
-    exemplar_capacity: usize,
-) -> DatasetSummary {
-    let graph = DiGraph::generate(&default_graph_spec(scenario), default_graph_seed(scenario));
-    run_campaign_sharded_with_graph(scenario, &graph, campaign, workers, exemplar_capacity).0
+    });
 }
 
 /// Runs the measurement campaign over `workers` user-space shards
 /// against a caller-supplied follow graph (which must have been built
-/// with [`default_graph_seed`] for output to match the owned-graph
-/// path).
+/// with [`livescope_workload::default_graph_seed`] for output to match
+/// [`run_campaign_streaming`](crate::run_campaign_streaming)).
 ///
 /// Day loop: the coordinator drains the day's [`ScheduleStream`] slots,
 /// attaches follower counts and sequential [`OutageFilter`] verdicts,
 /// and partitions them by `broadcaster % workers`; shards sample and
-/// fold their slates (threaded under the `parallel` feature); at the
+/// fold their slates (on scoped threads when `workers > 1`); at the
 /// day barrier the coordinator unions the shard bitsets in shard order
 /// into that day's [`DayStats`]. After the last day, shard accumulators
 /// merge in shard order `0..workers`.
@@ -299,7 +263,7 @@ pub fn run_campaign_sharded_with_graph(
 mod tests {
     use super::*;
     use crate::streaming::{run_campaign_streaming, DEFAULT_EXEMPLARS};
-    use livescope_workload::generate_streaming;
+    use livescope_workload::{default_graph_seed, default_graph_spec, generate_streaming};
 
     fn small_config() -> ScenarioConfig {
         ScenarioConfig {
@@ -316,6 +280,12 @@ mod tests {
             outage_loss: 0.5,
             ..CampaignConfig::periscope_study()
         }
+    }
+
+    /// Sharded campaign over the scenario's default follow graph.
+    fn sharded(scenario: &ScenarioConfig, campaign: &CampaignConfig, k: usize) -> DatasetSummary {
+        let graph = DiGraph::generate(&default_graph_spec(scenario), default_graph_seed(scenario));
+        run_campaign_sharded_with_graph(scenario, &graph, campaign, k, DEFAULT_EXEMPLARS).0
     }
 
     fn assert_summaries_identical(a: &DatasetSummary, b: &DatasetSummary, label: &str) {
@@ -384,7 +354,7 @@ mod tests {
         let reference =
             run_campaign_streaming(generate_streaming(&scenario), &campaign, DEFAULT_EXEMPLARS);
         for k in [1, 2, 3, 5, 8] {
-            let sharded = run_campaign_sharded(&scenario, &campaign, k, DEFAULT_EXEMPLARS);
+            let sharded = sharded(&scenario, &campaign, k);
             assert_summaries_identical(&sharded, &reference, &format!("K={k}"));
         }
     }
@@ -400,8 +370,11 @@ mod tests {
         let campaign = CampaignConfig::meerkat_study();
         let reference =
             run_campaign_streaming(generate_streaming(&scenario), &campaign, DEFAULT_EXEMPLARS);
-        for k in [2, 6] {
-            let sharded = run_campaign_sharded(&scenario, &campaign, k, DEFAULT_EXEMPLARS);
+        // 512 is the edge: more shards than ground-truth records, so most
+        // shards fold an empty slate every day and merge as identities.
+        assert!(reference.broadcasts() + reference.missed < 512);
+        for k in [2, 6, 512] {
+            let sharded = sharded(&scenario, &campaign, k);
             assert_summaries_identical(&sharded, &reference, &format!("meerkat K={k}"));
         }
     }
@@ -410,8 +383,8 @@ mod tests {
     fn sharded_run_is_deterministic_across_repeats() {
         let scenario = small_config();
         let campaign = outage_campaign();
-        let a = run_campaign_sharded(&scenario, &campaign, 4, DEFAULT_EXEMPLARS);
-        let b = run_campaign_sharded(&scenario, &campaign, 4, DEFAULT_EXEMPLARS);
+        let a = sharded(&scenario, &campaign, 4);
+        let b = sharded(&scenario, &campaign, 4);
         assert_summaries_identical(&a, &b, "repeat");
     }
 
@@ -441,7 +414,7 @@ mod tests {
         let campaign = CampaignConfig::meerkat_study();
         let reference =
             run_campaign_streaming(generate_streaming(&scenario), &campaign, DEFAULT_EXEMPLARS);
-        let sharded = run_campaign_sharded(&scenario, &campaign, 0, DEFAULT_EXEMPLARS);
+        let sharded = sharded(&scenario, &campaign, 0);
         assert_summaries_identical(&sharded, &reference, "K=0→1");
     }
 }

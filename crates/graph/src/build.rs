@@ -22,11 +22,13 @@
 //! out-CSR in ascending-source order and keeps only edges whose target
 //! falls in its range; within any single in-segment that is *the same
 //! stable visit order the sequential scatter uses*, so the output bytes
-//! are a pure function of the out-CSR, independent of K, of thread
-//! scheduling, and of the `parallel` feature (which only decides whether
-//! the K shards run on scoped threads or sequentially in shard order).
-//! `tests/csr_parallel.rs` property-tests this partition invariance
-//! against the sequential path and the `BTreeMap` oracle.
+//! are a pure function of the out-CSR, independent of K and of thread
+//! scheduling (one shard runs inline, more run on scoped threads via
+//! [`livescope_sim::run_parts`]). `tests/csr_parallel.rs` property-tests
+//! this partition invariance against the sequential path and the
+//! `BTreeMap` oracle.
+
+use livescope_sim::run_parts;
 
 use crate::digraph::{DiGraph, NodeId, Offsets};
 
@@ -69,34 +71,6 @@ impl PeakTracker {
     /// The high-water mark so far.
     pub(crate) fn peak(&self) -> usize {
         self.peak
-    }
-}
-
-/// Runs one closure invocation per part — on scoped worker threads with
-/// the `parallel` feature, sequentially in part order without it. Parts
-/// own disjoint mutable state (enforced by `split_at_mut` at every call
-/// site), so the two execution modes are observably identical.
-#[cfg(feature = "parallel")]
-fn run_parts<T: Send, F: Fn(T) + Sync>(parts: Vec<T>, f: F) {
-    if parts.len() <= 1 {
-        for part in parts {
-            f(part);
-        }
-        return;
-    }
-    let f = &f;
-    crossbeam::thread::scope(|scope| {
-        for part in parts {
-            scope.spawn(move |_| f(part));
-        }
-    })
-    .expect("graph assembly worker scope");
-}
-
-#[cfg(not(feature = "parallel"))]
-fn run_parts<T: Send, F: Fn(T) + Sync>(parts: Vec<T>, f: F) {
-    for part in parts {
-        f(part);
     }
 }
 
@@ -250,7 +224,7 @@ fn scatter(
 /// `workers > 1` splits every pass over disjoint target-node ranges (see
 /// the module docs); the single-worker path keeps the branch-free
 /// sequential loops. Output bytes are identical for every `workers`
-/// value, with or without the `parallel` feature.
+/// value.
 pub(crate) fn assemble(
     node_count: usize,
     out_offsets: Vec<u64>,

@@ -209,8 +209,8 @@ impl DiGraph {
 
     /// As [`DiGraph::from_edges`], sharding the phase-2 assembly across
     /// `workers` disjoint target-node ranges (DESIGN.md §12). The output
-    /// is byte-identical for every `workers` value, with or without the
-    /// `parallel` feature — property-tested in `tests/csr_parallel.rs`.
+    /// is byte-identical for every `workers` value — property-tested in
+    /// `tests/csr_parallel.rs`.
     pub fn from_edges_with(
         node_count: usize,
         edges: &[(NodeId, NodeId)],

@@ -1,9 +1,7 @@
 //! Partition invariance of the parallel phase-2 assembly (DESIGN.md §12
 //! "parallel assembly contract"): for every worker count K the K-shard
-//! counting-sort scatter must emit the *same bytes* as the sequential
-//! build — with or without the `parallel` feature, which only decides
-//! whether the K shards run on scoped threads or sequentially in shard
-//! order. `scripts/ci.sh` runs this suite under both feature configs.
+//! counting-sort scatter, run on K scoped threads, must emit the *same
+//! bytes* as the sequential (K = 1, inline) build.
 
 #![forbid(unsafe_code)]
 

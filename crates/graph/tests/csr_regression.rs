@@ -126,9 +126,7 @@ fn table2_calibration_graphs_match_old_generator() {
 /// The parallel-assembly path against the same goldens: the K-shard
 /// scatter (DESIGN.md §12 "parallel assembly contract") must reproduce
 /// every pinned checksum bit-for-bit at the divisor-1000 scale and all
-/// three Table 2 shapes. `scripts/ci.sh` runs this with and without
-/// `--features parallel`, so both the threaded and the shard-order
-/// sequential execution of the same partition are pinned.
+/// three Table 2 shapes, with the K shards on scoped worker threads.
 #[test]
 fn parallel_assembly_reproduces_pinned_checksums() {
     use livescope_graph::BuildOptions;

@@ -36,9 +36,9 @@
 //! The classic [`Scheduler`] runs everything on one lane. The
 //! [`ShardedScheduler`] partitions the world into per-datacenter shards
 //! with explicit mailboxes and epoch barriers — same determinism contract
-//! (same seed ⇒ same trace bytes, any lane count), optionally executed by
-//! worker threads behind the `parallel` feature. Workloads target the
-//! [`backend::SchedulerBackend`] trait to run on either. See the
+//! (same seed ⇒ same trace bytes, any lane count); one lane runs inline,
+//! more run on scoped worker threads ([`run_parts`]). Workloads target
+//! the [`backend::SchedulerBackend`] trait to run on either. See the
 //! [`sharded`] module docs for the lane model and merge rules.
 
 #![forbid(unsafe_code)]
@@ -47,6 +47,7 @@
 pub mod backend;
 pub mod dist;
 pub mod engine;
+pub mod parts;
 pub mod process;
 pub mod rng;
 pub mod sharded;
@@ -54,6 +55,7 @@ pub mod time;
 
 pub use backend::{BackendChoice, BackendEvent, EventCtx, SchedulerBackend, ShardId, SingleLane};
 pub use engine::{EventId, Scheduler};
+pub use parts::run_parts;
 pub use process::Ticker;
 pub use rng::RngPool;
 pub use sharded::ShardedScheduler;

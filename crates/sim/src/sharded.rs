@@ -26,17 +26,17 @@
 //! Because every observable (event order within a shard, mail delivery
 //! order, trace merge order, RNG streams) is derived from simulated time
 //! and shard identity alone, the run is a pure function of
-//! `(states, seed, epoch)`: the number of worker lanes — and, with the
-//! `parallel` feature, actual thread interleaving — cannot leak into the
-//! output. Same seed ⇒ same trace bytes, any lane count.
+//! `(states, seed, epoch)`: the number of worker lanes — and, with more
+//! than one, actual thread interleaving — cannot leak into the output.
+//! Same seed ⇒ same trace bytes, any lane count.
 //!
 //! # Worker lanes
 //!
 //! `lanes` controls how many workers execute shards within an epoch
 //! (shards are split into `lanes` contiguous chunks, one worker per
-//! chunk). Without the `parallel` feature the lanes are notional and
-//! shards run sequentially in shard order; with it, each lane gets a
-//! scoped worker thread. Both paths produce identical output — the
+//! chunk). One lane runs every shard inline on the caller's thread in
+//! shard order; more lanes get one scoped worker thread each
+//! ([`run_parts`]). Every lane count produces identical output — the
 //! determinism sweep in `tests/sharded_determinism.rs` asserts byte
 //! equality across lane counts.
 //!
@@ -62,6 +62,7 @@ use std::collections::BinaryHeap;
 use livescope_telemetry::{CounterId, GaugeId, Section, Telemetry, TraceEvent};
 
 use crate::backend::{BackendEvent, EventCtx, SchedulerBackend, ShardId};
+use crate::parts::run_parts;
 use crate::rng::RngPool;
 use crate::time::{SimDuration, SimTime};
 
@@ -220,8 +221,8 @@ fn run_shard<S>(slot: &mut ShardSlot<S>, barrier: SimTime, inclusive: bool) {
 /// See the [module docs](self) for the lane model and merge contract. The
 /// short version: shards only interact through epoch-barrier mailboxes, and
 /// every merge is ordered by `(time, shard_id, seq)` — so the trace is a
-/// pure function of `(states, seed, epoch)` regardless of `lanes` or (with
-/// the `parallel` feature) thread scheduling.
+/// pure function of `(states, seed, epoch)` regardless of `lanes` or
+/// thread scheduling.
 ///
 /// # Example
 ///
@@ -336,8 +337,7 @@ impl<S: Send + 'static> ShardedScheduler<S> {
 
     /// Sets the worker-lane count (clamped to ≥ 1). Shards are split into
     /// `lanes` contiguous chunks, one worker per chunk. Purely a
-    /// throughput knob: output is identical for any value, with or
-    /// without the `parallel` feature.
+    /// throughput knob: output is identical for any value.
     pub fn with_lanes(mut self, lanes: usize) -> Self {
         self.lanes = lanes.max(1);
         self
@@ -417,38 +417,16 @@ impl<S: Send + 'static> ShardedScheduler<S> {
         self.barrier_merge(barrier);
     }
 
-    #[cfg(feature = "parallel")]
+    /// Contiguous shard chunks, one per lane. Shards cannot observe each
+    /// other within an epoch, so chunk boundaries are unobservable.
     fn execute_lanes(&mut self, barrier: SimTime, inclusive: bool) {
-        if self.lanes == 1 || self.shards.len() == 1 {
-            for slot in &mut self.shards {
-                run_shard(slot, barrier, inclusive);
-            }
-            return;
-        }
-        // Contiguous chunks, one scoped worker per chunk: no per-epoch
-        // bucket allocation, and the scope joins every worker on exit.
         let lanes = self.lanes.min(self.shards.len());
         let chunk = self.shards.len().div_ceil(lanes);
-        crossbeam::thread::scope(|scope| {
-            for bucket in self.shards.chunks_mut(chunk) {
-                scope.spawn(move |_| {
-                    for slot in bucket {
-                        run_shard(slot, barrier, inclusive);
-                    }
-                });
+        run_parts(self.shards.chunks_mut(chunk).collect(), |bucket| {
+            for slot in bucket {
+                run_shard(slot, barrier, inclusive);
             }
-        })
-        .expect("lane scope failed");
-    }
-
-    #[cfg(not(feature = "parallel"))]
-    fn execute_lanes(&mut self, barrier: SimTime, inclusive: bool) {
-        // Lanes are notional without the `parallel` feature: shards run
-        // sequentially in shard order, which produces identical output
-        // because shards cannot observe each other within an epoch.
-        for slot in &mut self.shards {
-            run_shard(slot, barrier, inclusive);
-        }
+        });
     }
 
     /// The single-threaded barrier step: deliver mail in

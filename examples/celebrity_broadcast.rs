@@ -9,8 +9,8 @@
 //! ```sh
 //! cargo run -p livescope-examples --release --bin celebrity_broadcast
 //! # per-POP delivery on 6 worker lanes (same output as any other lane count):
-//! cargo run -p livescope-examples --release --features parallel \
-//!     --bin celebrity_broadcast -- --backend sharded --lanes 6
+//! cargo run -p livescope-examples --release --bin celebrity_broadcast -- \
+//!     --backend sharded --lanes 6
 //! ```
 
 #![forbid(unsafe_code)]

@@ -1,9 +1,10 @@
 # Development commands. `just ci` is the gate every change must pass;
-# scripts/ci.sh is the same thing for environments without `just`.
+# scripts/ci.sh is its one definition, runnable without `just`.
 
 # Run the full CI gate: format check, determinism lint, lints, tests,
-# rustdoc gate.
-ci: fmt-check lint-det clippy test doc
+# rustdoc gate, smokes, bench-regression gate.
+ci:
+    bash scripts/ci.sh
 
 fmt-check:
     cargo fmt --check
@@ -41,11 +42,6 @@ test:
 test-profile:
     cargo test -p livescope-sim --features profile -q
 
-# The determinism suite again with worker-thread lanes on: observable
-# results must be identical with or without real threads.
-test-parallel:
-    cargo test -p livescope-core --features parallel --test sharded_determinism -q
-
 # Rustdoc gate: every public item documented, no broken intra-doc links.
 # Targets the livescope crates explicitly — vendor/* members are exempt.
 doc:
@@ -60,12 +56,12 @@ doc:
 # Lane-count wall-clock sweep over the sharded fan-out workload; writes
 # BENCH_shards.json (per-lane timings, checksum invariance, speedup).
 bench-shards:
-    cargo run --release -q -p livescope-bench --features parallel --bin bench_shards
+    cargo run --release -q -p livescope-bench --bin bench_shards
 
 # The same sweep on a tiny workload: asserts the cross-lane checksum
 # invariant but writes nothing. This is the CI variant.
 bench-shards-smoke:
-    cargo run --release -q -p livescope-bench --features parallel --bin bench_shards -- --smoke
+    cargo run --release -q -p livescope-bench --bin bench_shards -- --smoke
 
 # Streaming-replay scale sweep (divisors 1000/100/10/1 of the Periscope
 # study): wall time, broadcasts/sec, and the peak tracked replay state
@@ -73,7 +69,7 @@ bench-shards-smoke:
 # 10) and the profile-feature top-5 handler histograms under the
 # celebrity fan-out. Writes BENCH_replay.json.
 bench-replay:
-    cargo run --release -q -p livescope-bench --features "profile parallel" --bin bench_replay
+    cargo run --release -q -p livescope-bench --features profile --bin bench_replay
 
 # Divisor-1000 only: asserts the streaming record checksum matches the
 # materializing path but writes nothing. This is the CI variant.
@@ -86,7 +82,7 @@ bench-replay-smoke:
 # streaming path, and prints the wall/merge/barrier curve. Pass
 # `--smoke` for the CI variant (divisor 1000, K ∈ {1,2,6}).
 bench-replay-workers *flags="":
-    cargo run --release -q -p livescope-bench --features parallel --bin bench_replay -- --workers {{flags}}
+    cargo run --release -q -p livescope-bench --bin bench_replay -- --workers {{flags}}
 
 # Graph-build worker sweep only (DESIGN.md §12): rebuilds the
 # divisor-10 follow graph with K ∈ {1,2,4,6} assembly shards on real
@@ -94,7 +90,7 @@ bench-replay-workers *flags="":
 # build, and prints the wall/peak curve. Pass `--smoke` for the CI
 # variant (divisor 1000, K ∈ {1,2,6}, asserts the committed pins).
 bench-graph *flags="":
-    cargo run --release -q -p livescope-bench --features parallel --bin bench_replay -- --graph-only {{flags}}
+    cargo run --release -q -p livescope-bench --bin bench_replay -- --graph-only {{flags}}
 
 # Capture a JSONL trace of the breakdown experiment and summarize it.
 trace out="results/trace.jsonl":

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# The CI gate, runnable anywhere with a Rust toolchain (mirrors `just ci`).
+# The CI gate, runnable anywhere with a Rust toolchain (`just ci` calls this).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -21,15 +21,6 @@ cargo test --workspace -q
 echo "==> cargo test -p livescope-sim --features profile -q"
 cargo test -p livescope-sim --features profile -q
 
-echo "==> determinism suite with worker-thread lanes (--features parallel)"
-cargo test -p livescope-core --features parallel --test sharded_determinism -q
-
-echo "==> K-shard replay byte-identity with worker threads (--features parallel)"
-cargo test -p livescope-core --features parallel --test parallel_replay -q
-
-echo "==> graph partition-invariance suite with scoped assembly workers (--features parallel)"
-cargo test -p livescope-graph --features parallel -q
-
 echo "==> rustdoc gate (-D warnings; vendor/* exempt)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q \
     -p livescope-sim -p livescope-telemetry -p livescope-net \
@@ -40,7 +31,7 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q \
     -p livescope-examples
 
 echo "==> bench_shards smoke (cross-lane checksum invariance)"
-cargo run --release -q -p livescope-bench --features parallel --bin bench_shards -- --smoke
+cargo run --release -q -p livescope-bench --bin bench_shards -- --smoke
 
 echo "==> bench_replay smoke (streaming vs materialized checksum at divisor 1000)"
 cargo run --release -q -p livescope-bench --bin bench_replay -- --smoke
@@ -48,14 +39,8 @@ cargo run --release -q -p livescope-bench --bin bench_replay -- --smoke
 echo "==> worker K-sweep smoke (sharded digest == streaming digest, K 1/2/6)"
 cargo run --release -q -p livescope-bench --bin bench_replay -- --workers --smoke
 
-echo "==> worker K-sweep smoke with worker threads (--features parallel)"
-cargo run --release -q -p livescope-bench --features parallel --bin bench_replay -- --workers --smoke
-
 echo "==> graph-build K-sweep smoke (parallel assembly checksums == committed pins, K 1/2/6)"
 cargo run --release -q -p livescope-bench --bin bench_replay -- --graph-only --smoke
-
-echo "==> graph-build K-sweep smoke with scoped worker threads (--features parallel)"
-cargo run --release -q -p livescope-bench --features parallel --bin bench_replay -- --graph-only --smoke
 
 echo "==> obs_report smoke (report bytes identical across backends, lanes 1/2/6)"
 cargo run --release -q -p livescope-bench --bin obs_report -- --smoke
