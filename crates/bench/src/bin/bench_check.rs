@@ -46,7 +46,6 @@ use std::time::Instant;
 use livescope_bench::obs;
 use livescope_bench::regress::{self, MetricSpec};
 use livescope_graph::DiGraph;
-use livescope_sim::BackendChoice;
 use livescope_workload::{default_graph_seed, default_graph_spec, ScenarioConfig};
 use serde_json::Value;
 
@@ -114,7 +113,7 @@ fn baselines_dir() -> PathBuf {
 
 /// One fresh deterministic artifact, same construction as `obs_report`.
 fn fresh_doc() -> String {
-    let breakdown = obs::breakdown_obs(BackendChoice::Single);
+    let breakdown = obs::breakdown_obs();
     let (celebrity, fanout) = obs::celebrity_obs(1);
     obs::obs_doc(&breakdown, &celebrity, &fanout)
 }
@@ -223,7 +222,16 @@ fn check_artifact(
 }
 
 fn main() -> ExitCode {
-    let write = std::env::args().any(|a| a == "--write-baselines");
+    let mut write = false;
+    for arg in std::env::args().skip(1) {
+        match arg.as_str() {
+            "--write-baselines" => write = true,
+            _ => {
+                eprintln!("usage: bench_check [--write-baselines]");
+                return ExitCode::from(2);
+            }
+        }
+    }
     let artifacts: [(&str, String, &[MetricSpec]); 3] = [
         ("OBS_report.json", fresh_doc(), GATE),
         ("GRAPH_build.json", fresh_graph_doc(), GRAPH_GATE),

@@ -402,6 +402,10 @@ fn main() {
             "--smoke" => smoke = true,
             "--workers" => workers_only = true,
             "--graph-only" => graph_only = true,
+            flag if flag.starts_with("--") => {
+                eprintln!("usage: bench_replay [--smoke] [--workers | --graph-only] [OUT.json]");
+                std::process::exit(2);
+            }
             other => out = other.to_string(),
         }
     }

@@ -74,6 +74,10 @@ fn main() {
     for arg in std::env::args().skip(1) {
         match arg.as_str() {
             "--smoke" => smoke = true,
+            flag if flag.starts_with("--") => {
+                eprintln!("usage: bench_shards [--smoke] [OUT.json]");
+                std::process::exit(2);
+            }
             other => out = other.to_string(),
         }
     }

@@ -11,15 +11,16 @@
 //!                                 capture just one workload
 //! obs_report <trace.jsonl>        fold an existing JSONL trace
 //! obs_report --json               machine-readable output instead of text
-//! obs_report --smoke              assert the report bytes are identical
-//!                                 across scheduler backends and lane
+//! obs_report --smoke              assert the celebrity fan-out's report
+//!                                 bytes are identical across lane
 //!                                 counts {1, 2, 6}, then exit
 //! ```
 //!
 //! The report is a pure function of the trace, and the canonical traces
 //! are pure functions of their seeds, so for a fixed seed the emitted
-//! JSON is byte-identical on the legacy and sharded backends at any
-//! lane count — `--smoke` is that contract, run in CI.
+//! JSON is byte-identical at any lane count — `--smoke` is that
+//! contract on the multi-shard workload, run in CI. (The breakdown
+//! workload is one shard: it has no lane count to vary.)
 
 #![forbid(unsafe_code)]
 
@@ -29,7 +30,6 @@ use std::process::ExitCode;
 use livescope_bench::obs::{self, LANE_SWEEP};
 use livescope_bench::results_dir;
 use livescope_net::datacenters;
-use livescope_sim::BackendChoice;
 use livescope_telemetry::{event, ObsReport};
 
 /// Datacenter id → display city (ids outside the registry — foreign
@@ -45,17 +45,9 @@ fn render(report: &ObsReport) -> String {
     report.render(&pop_name)
 }
 
-/// The CI determinism check: same seed ⇒ same report bytes, whatever
-/// executes the workload.
+/// The CI determinism check: same seed ⇒ same report bytes, however
+/// many lanes execute the shards.
 fn smoke() -> ExitCode {
-    let reference = obs::breakdown_obs(BackendChoice::Single).to_json();
-    for lanes in LANE_SWEEP {
-        let json = obs::breakdown_obs(BackendChoice::Sharded { lanes }).to_json();
-        if json != reference {
-            eprintln!("smoke FAILED: breakdown report diverged at lanes={lanes}");
-            return ExitCode::FAILURE;
-        }
-    }
     let (celebrity_ref, fanout_ref) = obs::celebrity_obs(1);
     let celebrity_json = celebrity_ref.to_json();
     for lanes in LANE_SWEEP {
@@ -69,9 +61,7 @@ fn smoke() -> ExitCode {
             return ExitCode::FAILURE;
         }
     }
-    println!(
-        "smoke: OBS report bytes identical across legacy + sharded backends, lanes {LANE_SWEEP:?}"
-    );
+    println!("smoke: celebrity OBS report bytes identical across lanes {LANE_SWEEP:?}");
     ExitCode::SUCCESS
 }
 
@@ -101,24 +91,39 @@ fn fold_file(path: &str, json: bool) -> ExitCode {
     ExitCode::SUCCESS
 }
 
+fn usage() -> ExitCode {
+    eprintln!(
+        "usage: obs_report [--json] [--smoke] [--workload breakdown|celebrity] [TRACE.jsonl]"
+    );
+    ExitCode::from(2)
+}
+
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let json = args.iter().any(|a| a == "--json");
-    if args.iter().any(|a| a == "--smoke") {
+    let (mut json, mut run_smoke) = (false, false);
+    let mut workload = "all".to_string();
+    let mut path = None;
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--json" => json = true,
+            "--smoke" => run_smoke = true,
+            "--workload" => match args.next() {
+                Some(name) => workload = name,
+                None => return usage(),
+            },
+            flag if flag.starts_with("--") => return usage(),
+            _ => path = Some(arg),
+        }
+    }
+    if run_smoke {
         return smoke();
     }
-    if let Some(path) = args.iter().find(|a| !a.starts_with("--")) {
-        return fold_file(path, json);
+    if let Some(path) = path {
+        return fold_file(&path, json);
     }
-    let workload = args
-        .iter()
-        .position(|a| a == "--workload")
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
-        .unwrap_or("all");
-    match workload {
+    match workload.as_str() {
         "breakdown" => {
-            let report = obs::breakdown_obs(BackendChoice::Single);
+            let report = obs::breakdown_obs();
             if json {
                 println!("{}", report.to_json());
             } else {
@@ -134,7 +139,7 @@ fn main() -> ExitCode {
             }
         }
         "all" => {
-            let breakdown = obs::breakdown_obs(BackendChoice::Single);
+            let breakdown = obs::breakdown_obs();
             let (celebrity, fanout) = obs::celebrity_obs(1);
             let doc = obs::obs_doc(&breakdown, &celebrity, &fanout);
             if json {

@@ -8,11 +8,10 @@
 
 use livescope_cdn::{run_fanout, FanoutConfig, FanoutReport};
 use livescope_core::experiments::breakdown::{self, BreakdownConfig};
-use livescope_sim::BackendChoice;
 use livescope_telemetry::{ObsReport, Telemetry};
 
-/// Lane counts the determinism contract is checked over (mirrors
-/// `crates/core/tests/sharded_determinism.rs`).
+/// Lane counts the fan-out's determinism contract is checked over
+/// (mirrors `crates/core/tests/sharded_determinism.rs`).
 pub const LANE_SWEEP: [usize; 3] = [1, 2, 6];
 
 /// Event-buffer capacity for captures; far above what either CI-sized
@@ -49,10 +48,10 @@ fn fold(telemetry: &Telemetry) -> ObsReport {
     ObsReport::derive(&telemetry.events())
 }
 
-/// Runs the breakdown workload on `backend` and folds its trace.
-pub fn breakdown_obs(backend: BackendChoice) -> ObsReport {
+/// Runs the breakdown workload and folds its trace.
+pub fn breakdown_obs() -> ObsReport {
     let telemetry = Telemetry::recording(CAPTURE_CAPACITY);
-    breakdown::run_traced_on(&breakdown_config(), &telemetry, backend);
+    breakdown::run_traced(&breakdown_config(), &telemetry);
     fold(&telemetry)
 }
 

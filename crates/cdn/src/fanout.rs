@@ -2,7 +2,7 @@
 //!
 //! The paper's introduction scenario — a heavily-followed account goes
 //! live and thousands of HLS viewers pile onto edge POPs around the world
-//! — is the workload that motivates the multi-lane scheduler backend:
+//! — is the workload that motivates the multi-lane sharded scheduler:
 //! each Fastly POP is an independent shard (its cache, work counters, and
 //! viewer poll chains touch no other POP's state), while viewers that
 //! *roam* between POPs (anycast re-routing mid-stream, §5.3) cross shards

@@ -25,10 +25,7 @@ use livescope_net::datacenters::{self, DatacenterId, Provider};
 use livescope_net::geo::GeoPoint;
 use livescope_net::AccessLink;
 use livescope_proto::rtmp::VideoFrame;
-use livescope_sim::{
-    BackendChoice, RngPool, SchedulerBackend, ShardId, ShardedScheduler, SimDuration, SimTime,
-    SingleLane,
-};
+use livescope_sim::{RngPool, SchedulerBackend, ShardId, ShardedScheduler, SimDuration, SimTime};
 use livescope_telemetry::{Protocol, Telemetry};
 
 /// Controlled-experiment parameters.
@@ -136,22 +133,6 @@ pub fn run(config: &BreakdownConfig) -> BreakdownReport {
 /// analytic report returned here. A disabled handle makes this identical
 /// to [`run`].
 pub fn run_traced(config: &BreakdownConfig, telemetry: &Telemetry) -> BreakdownReport {
-    run_traced_on(config, telemetry, BackendChoice::Single)
-}
-
-/// [`run_traced`] on an explicit scheduler backend.
-///
-/// The seed events are identical on either backend — all frame arrivals
-/// first, then probe ticks, then viewer polls, so `(time, insertion-seq)`
-/// ordering reproduces the stable `(time, priority)` merge the experiment
-/// historically used — and the workload is single-shard, so the sharded
-/// backend produces byte-identical traces to [`BackendChoice::Single`]
-/// for any lane count (asserted by `tests/sharded_determinism.rs`).
-pub fn run_traced_on(
-    config: &BreakdownConfig,
-    telemetry: &Telemetry,
-    backend: BackendChoice,
-) -> BreakdownReport {
     assert!(config.repetitions > 0, "need at least one repetition");
     let mut rtmp_runs = Vec::with_capacity(config.repetitions);
     let mut hls_runs = Vec::with_capacity(config.repetitions);
@@ -160,7 +141,6 @@ pub fn run_traced_on(
             config,
             config.seed ^ (rep as u64).wrapping_mul(0x9E37),
             telemetry,
-            backend,
         );
         rtmp_runs.push(rtmp);
         hls_runs.push(hls);
@@ -173,8 +153,8 @@ pub fn run_traced_on(
     }
 }
 
-/// Everything an in-flight run mutates, packaged as the scheduler backend's
-/// shard state. The controlled experiment is a one-room lab — a single
+/// Everything an in-flight run mutates, packaged as the scheduler's shard
+/// state. The controlled experiment is a one-room lab — a single
 /// broadcaster, two viewers, one probe — so it occupies exactly one shard.
 struct RunWorld {
     cluster: Cluster,
@@ -208,16 +188,16 @@ impl RunWorld {
 /// Seeds the three event streams. Insertion order (frames, then probe
 /// ticks, then viewer polls) is load-bearing: with `(time, seq)` queue
 /// ordering it reproduces the stable `(time, priority)` sort that defined
-/// the experiment's event order before the backend port.
-fn seed_events<B: SchedulerBackend<RunWorld>>(
-    backend: &mut B,
+/// the experiment's event order before it moved onto the scheduler.
+fn seed_events(
+    sched: &mut ShardedScheduler<RunWorld>,
     config: &BreakdownConfig,
     arrivals: &[SimTime],
     poll_phase: SimDuration,
     end: SimTime,
 ) {
     for (i, &arrival) in arrivals.iter().enumerate() {
-        backend.schedule(
+        sched.schedule(
             ShardId(0),
             arrival,
             Box::new(move |ctx, w: &mut RunWorld| w.frame_arrival(ctx.now(), i)),
@@ -226,7 +206,7 @@ fn seed_events<B: SchedulerBackend<RunWorld>>(
     if config.with_probe {
         let mut t = SimTime::ZERO;
         while t <= end {
-            backend.schedule(
+            sched.schedule(
                 ShardId(0),
                 t,
                 Box::new(|ctx, w: &mut RunWorld| {
@@ -239,7 +219,7 @@ fn seed_events<B: SchedulerBackend<RunWorld>>(
     }
     let mut t = SimTime::ZERO + poll_phase;
     while t <= end {
-        backend.schedule(
+        sched.schedule(
             ShardId(0),
             t,
             Box::new(|ctx, w: &mut RunWorld| {
@@ -255,7 +235,6 @@ fn run_once(
     config: &BreakdownConfig,
     seed: u64,
     telemetry: &Telemetry,
-    backend: BackendChoice,
 ) -> (DelayBreakdown, DelayBreakdown) {
     let pool = RngPool::new(seed);
     let mut cluster = Cluster::new(&pool, SimDuration::from_secs_f64(config.chunk_secs), 100);
@@ -312,7 +291,9 @@ fn run_once(
     let mut source = FrameSource::new(0);
     let frames: Vec<_> = (0..n_frames).map(|_| source.next_frame()).collect();
 
-    // Drive the three event streams through the chosen scheduler backend.
+    // Drive the three event streams through the scheduler. The lab is one
+    // shard, so nothing ever crosses a mailbox and the epoch length (which
+    // only paces cross-shard mail) is arbitrary: one second.
     let tail = SimDuration::from_secs_f64(config.hls_prebuffer_s + 10.0);
     let end = SimTime::ZERO + SimDuration::from_secs(config.stream_secs) + tail;
     let poll_phase = SimDuration::from_secs_f64(rng.gen_range(0.0..config.viewer_poll_s));
@@ -326,23 +307,10 @@ fn run_once(
         captures,
         broadcast: grant.id,
     };
-    let world = match backend {
-        BackendChoice::Single => {
-            let mut lane = SingleLane::new(pool, world);
-            seed_events(&mut lane, config, &arrivals, poll_phase, end);
-            lane.run();
-            lane.into_states().pop().expect("one shard")
-        }
-        BackendChoice::Sharded { lanes } => {
-            // Epoch length only matters for cross-shard mail; this workload
-            // is single-shard, so one second is as good as any.
-            let mut sharded = ShardedScheduler::new(pool, vec![world], SimDuration::from_secs(1))
-                .with_lanes(lanes);
-            seed_events(&mut sharded, config, &arrivals, poll_phase, end);
-            sharded.run();
-            sharded.into_states().pop().expect("one shard")
-        }
-    };
+    let mut sched = ShardedScheduler::new(pool, vec![world], SimDuration::from_secs(1));
+    seed_events(&mut sched, config, &arrivals, poll_phase, end);
+    sched.run();
+    let world = sched.into_states().pop().expect("one shard");
     let RunWorld {
         cluster,
         rtmp_viewer,
@@ -480,18 +448,6 @@ mod tests {
         let b = run(&quick_config());
         assert_eq!(a.rtmp, b.rtmp);
         assert_eq!(a.hls, b.hls);
-    }
-
-    #[test]
-    fn sharded_backend_reproduces_single_backend_exactly() {
-        let config = quick_config();
-        let off = Telemetry::disabled();
-        let single = run_traced_on(&config, &off, BackendChoice::Single);
-        for lanes in [1, 3] {
-            let sharded = run_traced_on(&config, &off, BackendChoice::Sharded { lanes });
-            assert_eq!(single.rtmp_runs, sharded.rtmp_runs, "lanes={lanes}");
-            assert_eq!(single.hls_runs, sharded.hls_runs, "lanes={lanes}");
-        }
     }
 
     #[test]

@@ -4,19 +4,15 @@
 //! Everything here works off the bounded-memory
 //! [`livescope_crawler::streaming::DatasetSummary`] the streaming
 //! campaign produced — including its imperfections (outage gap) — just
-//! like the paper worked off its crawl. The default [`run`] is the
-//! single-pass generate → crawl → analyze replay (DESIGN.md §10);
-//! [`run_materialized`] is the historical collect-then-scan path, kept so
-//! the byte-identity regression test can pin both to the same figures.
+//! like the paper worked off its crawl. [`run`] is the single-pass
+//! generate → crawl → analyze replay (DESIGN.md §10); the historical
+//! collect-then-scan path survives only as the oracle inside
+//! `tests/streaming_replay.rs`.
 
 use livescope_analysis::{Figure, QuantileSketch, Series, Table};
-use livescope_crawler::campaign::{run_campaign, CampaignConfig};
-use livescope_crawler::sharded::run_campaign_sharded_with_graph;
+use livescope_crawler::campaign::CampaignConfig;
 use livescope_crawler::streaming::{run_campaign_streaming, DatasetSummary, DEFAULT_EXEMPLARS};
-use livescope_graph::DiGraph;
-use livescope_workload::{
-    default_graph_seed, default_graph_spec, generate, generate_streaming, ScenarioConfig,
-};
+use livescope_workload::{generate_streaming, ScenarioConfig};
 
 /// Which scenarios to measure.
 #[derive(Clone, Debug)]
@@ -67,44 +63,6 @@ pub fn run(config: &UsageConfig) -> UsageReport {
             &config.meerkat_campaign,
             DEFAULT_EXEMPLARS,
         ),
-        periscope_scale: config.periscope.scale_divisor,
-        meerkat_scale: config.meerkat.scale_divisor,
-    }
-}
-
-/// Runs both campaigns on the sharded data-parallel path
-/// ([`livescope_crawler::run_campaign_sharded_with_graph`], over each
-/// scenario's default follow graph): the user space is partitioned into
-/// `workers` deterministic shards that generate, crawl and fold
-/// independently (on scoped worker threads when `workers > 1`), then
-/// merge in fixed shard order. Byte-identical to [`run`] for every
-/// worker count — `tests/parallel_replay.rs` and the CI K-sweep smoke
-/// pin this.
-pub fn run_sharded(config: &UsageConfig, workers: usize) -> UsageReport {
-    let sharded = |scenario: &ScenarioConfig, campaign: &CampaignConfig| {
-        let graph = DiGraph::generate(&default_graph_spec(scenario), default_graph_seed(scenario));
-        run_campaign_sharded_with_graph(scenario, &graph, campaign, workers, DEFAULT_EXEMPLARS).0
-    };
-    UsageReport {
-        periscope: sharded(&config.periscope, &config.periscope_campaign),
-        meerkat: sharded(&config.meerkat, &config.meerkat_campaign),
-        periscope_scale: config.periscope.scale_divisor,
-        meerkat_scale: config.meerkat.scale_divisor,
-    }
-}
-
-/// Runs both campaigns on the historical materializing path, then folds
-/// the full datasets through the same accumulator. Exists so regression
-/// tests can assert the two paths render byte-identical output; prefer
-/// [`run`] everywhere else.
-pub fn run_materialized(config: &UsageConfig) -> UsageReport {
-    let p = generate(&config.periscope);
-    let m = generate(&config.meerkat);
-    let p_ds = run_campaign(&p, &config.periscope_campaign);
-    let m_ds = run_campaign(&m, &config.meerkat_campaign);
-    UsageReport {
-        periscope: DatasetSummary::from_dataset(&p_ds, &config.periscope_campaign),
-        meerkat: DatasetSummary::from_dataset(&m_ds, &config.meerkat_campaign),
         periscope_scale: config.periscope.scale_divisor,
         meerkat_scale: config.meerkat.scale_divisor,
     }
@@ -391,33 +349,6 @@ mod tests {
             report.periscope.hearts_total,
             report.periscope.comments_total
         );
-    }
-
-    #[test]
-    fn streaming_and_materialized_render_identically() {
-        // The full-scale (divisor 1000) equivalence lives in
-        // `tests/streaming_replay.rs`; this pins the same byte-identity
-        // on the quick config so a regression fails fast here too.
-        let config = quick();
-        let streamed = run(&config);
-        let materialized = run_materialized(&config);
-        assert_eq!(streamed.tab1(), materialized.tab1());
-        for (s, m) in [
-            (streamed.fig1(), materialized.fig1()),
-            (streamed.fig2(), materialized.fig2()),
-            (streamed.fig3(), materialized.fig3()),
-            (streamed.fig4(), materialized.fig4()),
-            (streamed.fig5(), materialized.fig5()),
-            (streamed.fig6(), materialized.fig6()),
-        ] {
-            assert_eq!(s.to_csv(), m.to_csv(), "{}", s.title);
-            assert_eq!(
-                s.render_ascii(84, 20),
-                m.render_ascii(84, 20),
-                "{}",
-                s.title
-            );
-        }
     }
 
     #[test]

@@ -7,7 +7,7 @@
 
 #![forbid(unsafe_code)]
 
-use livescope_core::usage::{run, run_sharded, UsageConfig, UsageReport};
+use livescope_core::usage::{run, UsageConfig, UsageReport};
 use livescope_crawler::streaming::DEFAULT_EXEMPLARS;
 use livescope_crawler::{run_campaign_sharded_with_graph, run_campaign_streaming};
 use livescope_graph::DiGraph;
@@ -34,38 +34,13 @@ fn render_all(report: &UsageReport) -> Vec<String> {
     out
 }
 
-#[test]
-fn divisor_1000_sharded_output_is_byte_identical_for_every_k() {
-    let config = UsageConfig::default();
-    assert_eq!(config.periscope.scale_divisor, 1000.0);
-    let reference = render_all(&run(&config));
-    for k in [1usize, 2, 6] {
-        for rep in 0..2 {
-            let sharded = render_all(&run_sharded(&config, k));
-            assert_eq!(sharded, reference, "K={k} rep={rep} diverged");
-        }
-    }
-}
-
-#[test]
-fn divisor_100_sharded_output_is_byte_identical_for_every_k() {
-    // Periscope rescaled to divisor 100 (~10× the default record count);
-    // Meerkat's study preset is divisor 100 already. Graphs are built
-    // once and shared across all runs to keep the test honest about what
-    // it exercises (the fold, not graph construction).
-    let base = ScenarioConfig::periscope_study();
-    let rescale = base.scale_divisor / 100.0;
-    let periscope = ScenarioConfig {
-        users: (base.users as f64 * rescale) as usize,
-        base_daily_broadcasts: base.base_daily_broadcasts * rescale,
-        scale_divisor: 100.0,
-        ..base
-    };
-    let config = UsageConfig {
-        periscope,
-        ..UsageConfig::default()
-    };
-    assert_eq!(config.meerkat.scale_divisor, 100.0);
+/// Builds each scenario's default follow graph once, renders the
+/// single-shard streaming replay as the reference, then asserts the
+/// K-shard replay renders the same bytes for K ∈ {1, 2, 6}, twice each.
+/// Graphs are shared across all runs to keep the test honest about what
+/// it exercises (the fold, not graph construction). Returns the
+/// reference render.
+fn assert_sharded_matches_streaming(config: &UsageConfig) -> Vec<String> {
     let p_graph = DiGraph::generate(
         &default_graph_spec(&config.periscope),
         default_graph_seed(&config.periscope),
@@ -92,6 +67,7 @@ fn divisor_100_sharded_output_is_byte_identical_for_every_k() {
             DEFAULT_EXEMPLARS,
         ),
     ));
+    let divisor = config.periscope.scale_divisor;
     for k in [1usize, 2, 6] {
         for rep in 0..2 {
             let sharded = render_all(&report(
@@ -112,7 +88,41 @@ fn divisor_100_sharded_output_is_byte_identical_for_every_k() {
                 )
                 .0,
             ));
-            assert_eq!(sharded, reference, "divisor-100 K={k} rep={rep} diverged");
+            assert_eq!(
+                sharded, reference,
+                "divisor-{divisor} K={k} rep={rep} diverged"
+            );
         }
     }
+    reference
+}
+
+#[test]
+fn divisor_1000_sharded_output_is_byte_identical_for_every_k() {
+    let config = UsageConfig::default();
+    assert_eq!(config.periscope.scale_divisor, 1000.0);
+    let reference = assert_sharded_matches_streaming(&config);
+    // The figure bins' entry point (stream-owned graphs) renders the
+    // same bytes as the shared-graph reference.
+    assert_eq!(render_all(&run(&config)), reference);
+}
+
+#[test]
+fn divisor_100_sharded_output_is_byte_identical_for_every_k() {
+    // Periscope rescaled to divisor 100 (~10× the default record count);
+    // Meerkat's study preset is divisor 100 already.
+    let base = ScenarioConfig::periscope_study();
+    let rescale = base.scale_divisor / 100.0;
+    let periscope = ScenarioConfig {
+        users: (base.users as f64 * rescale) as usize,
+        base_daily_broadcasts: base.base_daily_broadcasts * rescale,
+        scale_divisor: 100.0,
+        ..base
+    };
+    let config = UsageConfig {
+        periscope,
+        ..UsageConfig::default()
+    };
+    assert_eq!(config.meerkat.scale_divisor, 100.0);
+    assert_sharded_matches_streaming(&config);
 }

@@ -5,7 +5,26 @@
 
 #![forbid(unsafe_code)]
 
-use livescope_core::usage::{run, run_materialized, UsageConfig};
+use livescope_core::usage::{run, UsageConfig, UsageReport};
+use livescope_crawler::campaign::run_campaign;
+use livescope_crawler::streaming::DatasetSummary;
+use livescope_workload::generate;
+
+/// The oracle: both campaigns on the historical materializing path —
+/// collect every record, crawl the full dataset, then fold it through
+/// the same accumulator the streaming path uses.
+fn run_materialized(config: &UsageConfig) -> UsageReport {
+    let p = generate(&config.periscope);
+    let m = generate(&config.meerkat);
+    let p_ds = run_campaign(&p, &config.periscope_campaign);
+    let m_ds = run_campaign(&m, &config.meerkat_campaign);
+    UsageReport {
+        periscope: DatasetSummary::from_dataset(&p_ds, &config.periscope_campaign),
+        meerkat: DatasetSummary::from_dataset(&m_ds, &config.meerkat_campaign),
+        periscope_scale: config.periscope.scale_divisor,
+        meerkat_scale: config.meerkat.scale_divisor,
+    }
+}
 
 #[test]
 fn divisor_1000_streaming_output_is_byte_identical() {

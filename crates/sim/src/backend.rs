@@ -1,27 +1,32 @@
-//! Backend abstraction over the two event-loop implementations.
+//! The event contract of the sharded kernel.
 //!
-//! Workloads that want to run on either the classic single-threaded
-//! [`Scheduler`] or the multi-lane [`ShardedScheduler`] write their events
-//! against two small traits instead of a concrete scheduler type:
+//! Everything that runs on [`ShardedScheduler`] — the delay-breakdown
+//! experiment on one shard, the celebrity fan-out on one shard per POP —
+//! writes its events against two small traits instead of the concrete
+//! scheduler type:
 //!
-//! * [`SchedulerBackend<S>`] is the *driver* view: create shards, schedule
-//!   seed events, run, read the states back out.
+//! * [`SchedulerBackend<S>`] is the *driver* view: schedule seed events,
+//!   run, read the shard states back out.
 //! * [`EventCtx<S>`] is the *event* view: what a firing event may do —
 //!   look at the clock, draw from the shard's RNG pool, schedule
 //!   follow-ups on its own shard, send mail to another shard, and emit
 //!   trace events.
 //!
-//! Both backends hand shard `i` the RNG pool
-//! `root.child_indexed("shard", i)`, so a one-shard workload produces the
-//! same draws on either backend. That alignment is what the
-//! `sharded_determinism` cross-check test relies on.
+//! Shard `i` sees the RNG pool `root.child_indexed("shard", i)`, so a
+//! shard's draws do not depend on how many other shards exist.
+//!
+//! The closure-style [`Scheduler`] (one queue, events take
+//! `&mut Scheduler`) is a separate, smaller kernel used by the crawler's
+//! coverage model and [`Ticker`]; it does not implement these traits.
+//! `tests/properties.rs` pins that both kernels fire a one-shard schedule
+//! in the same `(time, seq)` order.
 //!
 //! [`Scheduler`]: crate::Scheduler
 //! [`ShardedScheduler`]: crate::ShardedScheduler
+//! [`Ticker`]: crate::Ticker
 
-use livescope_telemetry::{Telemetry, TraceEvent};
+use livescope_telemetry::TraceEvent;
 
-use crate::engine::Scheduler;
 use crate::rng::RngPool;
 use crate::time::{SimDuration, SimTime};
 
@@ -46,14 +51,14 @@ impl std::fmt::Display for ShardId {
     }
 }
 
-/// A backend-agnostic event: fired with the context view and `&mut` access
+/// A scheduled event: fired with the context view and `&mut` access
 /// to its shard's state. `Send` so shards can run on worker threads.
 pub type BackendEvent<S> = Box<dyn FnOnce(&mut dyn EventCtx<S>, &mut S) + Send>;
 
-/// What a firing event is allowed to do, independent of backend.
+/// What a firing event is allowed to do.
 ///
 /// Everything here is shard-local except [`EventCtx::send_to`], which is
-/// the *only* way to reach another shard — the sharded backend delivers it
+/// the *only* way to reach another shard — the scheduler delivers it
 /// through a mailbox at the next epoch barrier, never by direct mutation.
 pub trait EventCtx<S> {
     /// Current simulated instant on this shard's clock.
@@ -67,7 +72,7 @@ pub trait EventCtx<S> {
     fn pool(&self) -> RngPool;
 
     /// Schedules a follow-up on this shard at absolute time `at`
-    /// (clamped to `now`, like [`Scheduler::schedule_at`]).
+    /// (clamped to `now`).
     fn schedule_at(&mut self, at: SimTime, event: BackendEvent<S>);
 
     /// Schedules a follow-up on this shard after `delay`.
@@ -84,15 +89,15 @@ pub trait EventCtx<S> {
     /// never outruns the barrier. Panics if `dest` does not exist.
     fn send_to(&mut self, dest: ShardId, at: SimTime, event: BackendEvent<S>);
 
-    /// Emits a trace event stamped with the shard clock. On the sharded
-    /// backend the event is buffered per shard and merged into the attached
+    /// Emits a trace event stamped with the shard clock. The event is
+    /// buffered per shard and merged into the attached
     /// telemetry sink in `(time, shard_id, seq)` order at the next barrier.
     fn emit(&mut self, event: TraceEvent);
 }
 
-/// Driver-side interface implemented by both schedulers.
+/// Driver-side interface of [`crate::ShardedScheduler`].
 pub trait SchedulerBackend<S> {
-    /// Number of shards (always 1 for [`SingleLane`]).
+    /// Number of shards.
     fn shard_count(&self) -> usize;
 
     /// The backend clock: the maximum time any shard has reached.
@@ -121,253 +126,4 @@ pub trait SchedulerBackend<S> {
 
     /// Total events executed across all shards.
     fn events_fired(&self) -> u64;
-}
-
-/// Which backend a workload should run on; parsed from CLI flags like
-/// `--backend sharded --lanes 6`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum BackendChoice {
-    /// The classic single-threaded [`Scheduler`] behind [`SingleLane`].
-    Single,
-    /// [`crate::ShardedScheduler`] with the given worker-lane count.
-    Sharded {
-        /// Worker lanes (≥ 1). Purely a throughput knob: observable
-        /// behaviour is identical for any value.
-        lanes: usize,
-    },
-}
-
-impl BackendChoice {
-    /// Parses a `--backend` value plus a `--lanes` count.
-    pub fn parse(backend: &str, lanes: usize) -> Result<Self, String> {
-        match backend {
-            "single" => Ok(BackendChoice::Single),
-            "sharded" => Ok(BackendChoice::Sharded {
-                lanes: lanes.max(1),
-            }),
-            other => Err(format!("unknown backend {other:?} (single|sharded)")),
-        }
-    }
-}
-
-impl std::fmt::Display for BackendChoice {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            BackendChoice::Single => write!(f, "single"),
-            BackendChoice::Sharded { lanes } => write!(f, "sharded(lanes={lanes})"),
-        }
-    }
-}
-
-/// The legacy [`Scheduler`] exposed through the backend traits: one shard,
-/// one lane, zero behaviour change.
-///
-/// Events scheduled through this wrapper fire on the inner scheduler with
-/// identical `(time, insertion-seq)` ordering, so a workload ported to
-/// [`BackendEvent`] closures reproduces its pre-port trace exactly.
-pub struct SingleLane<S> {
-    sched: Scheduler<S>,
-    state: S,
-    pool: RngPool,
-    telemetry: Telemetry,
-}
-
-impl<S: 'static> SingleLane<S> {
-    /// Wraps `state` with a fresh scheduler. `pool` is the workload's root
-    /// pool; events see `pool.child_indexed("shard", 0)`.
-    pub fn new(pool: RngPool, state: S) -> Self {
-        SingleLane {
-            sched: Scheduler::new(),
-            state,
-            pool: pool.child_indexed("shard", 0),
-            telemetry: Telemetry::disabled(),
-        }
-    }
-
-    /// Attaches telemetry: the inner scheduler's counters/queue-depth
-    /// samples plus the sink [`EventCtx::emit`] writes through.
-    pub fn set_telemetry(&mut self, telemetry: &Telemetry) {
-        self.sched.set_telemetry(telemetry);
-        self.telemetry = telemetry.clone();
-    }
-
-    /// The wrapped scheduler (e.g. to inspect `pending()`).
-    pub fn scheduler(&self) -> &Scheduler<S> {
-        &self.sched
-    }
-
-    fn wrap(&self, event: BackendEvent<S>) -> impl FnOnce(&mut Scheduler<S>, &mut S) + 'static {
-        let pool = self.pool;
-        let telemetry = self.telemetry.clone();
-        move |sched, state| {
-            let mut ctx = LegacyCtx {
-                sched,
-                pool,
-                telemetry,
-            };
-            event(&mut ctx, state);
-        }
-    }
-}
-
-impl<S: 'static> SchedulerBackend<S> for SingleLane<S> {
-    fn shard_count(&self) -> usize {
-        1
-    }
-
-    fn now(&self) -> SimTime {
-        self.sched.now()
-    }
-
-    fn schedule(&mut self, shard: ShardId, at: SimTime, event: BackendEvent<S>) {
-        assert_eq!(shard.0, 0, "SingleLane has exactly one shard");
-        let wrapped = self.wrap(event);
-        self.sched.schedule_at(at, wrapped);
-    }
-
-    fn run(&mut self) -> SimTime {
-        self.sched.run(&mut self.state)
-    }
-
-    fn run_until(&mut self, horizon: SimTime) -> SimTime {
-        self.sched.run_until(horizon, &mut self.state)
-    }
-
-    fn state(&self, shard: ShardId) -> &S {
-        assert_eq!(shard.0, 0, "SingleLane has exactly one shard");
-        &self.state
-    }
-
-    fn state_mut(&mut self, shard: ShardId) -> &mut S {
-        assert_eq!(shard.0, 0, "SingleLane has exactly one shard");
-        &mut self.state
-    }
-
-    fn into_states(self) -> Vec<S> {
-        vec![self.state]
-    }
-
-    fn events_fired(&self) -> u64 {
-        self.sched.events_fired()
-    }
-}
-
-/// [`EventCtx`] adapter handed to events firing on a [`SingleLane`].
-struct LegacyCtx<'a, S> {
-    sched: &'a mut Scheduler<S>,
-    pool: RngPool,
-    telemetry: Telemetry,
-}
-
-impl<S: 'static> EventCtx<S> for LegacyCtx<'_, S> {
-    fn now(&self) -> SimTime {
-        self.sched.now()
-    }
-
-    fn shard(&self) -> ShardId {
-        ShardId(0)
-    }
-
-    fn pool(&self) -> RngPool {
-        self.pool
-    }
-
-    fn schedule_at(&mut self, at: SimTime, event: BackendEvent<S>) {
-        let pool = self.pool;
-        let telemetry = self.telemetry.clone();
-        self.sched.schedule_at(at, move |sched, state| {
-            let mut ctx = LegacyCtx {
-                sched,
-                pool,
-                telemetry,
-            };
-            event(&mut ctx, state);
-        });
-    }
-
-    fn send_to(&mut self, dest: ShardId, at: SimTime, event: BackendEvent<S>) {
-        assert_eq!(dest.0, 0, "SingleLane has exactly one shard");
-        self.schedule_at(at, event);
-    }
-
-    fn emit(&mut self, event: TraceEvent) {
-        self.telemetry.emit(self.sched.now().as_micros(), event);
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn single_lane_runs_backend_events_in_order() {
-        let mut b = SingleLane::new(RngPool::new(1), Vec::<u64>::new());
-        b.schedule(
-            ShardId(0),
-            SimTime::from_secs(2),
-            Box::new(|ctx, log: &mut Vec<u64>| log.push(ctx.now().as_micros())),
-        );
-        b.schedule(
-            ShardId(0),
-            SimTime::from_secs(1),
-            Box::new(|ctx, log: &mut Vec<u64>| {
-                log.push(ctx.now().as_micros());
-                ctx.schedule_in(
-                    SimDuration::from_millis(500),
-                    Box::new(|ctx, log: &mut Vec<u64>| log.push(ctx.now().as_micros())),
-                );
-            }),
-        );
-        let end = b.run();
-        assert_eq!(end, SimTime::from_secs(2));
-        assert_eq!(b.into_states(), vec![vec![1_000_000, 1_500_000, 2_000_000]]);
-    }
-
-    #[test]
-    fn single_lane_send_to_self_is_local_schedule() {
-        let mut b = SingleLane::new(RngPool::new(1), 0u64);
-        b.schedule(
-            ShardId(0),
-            SimTime::ZERO,
-            Box::new(|ctx, _: &mut u64| {
-                ctx.send_to(
-                    ShardId(0),
-                    ctx.now() + SimDuration::from_secs(1),
-                    Box::new(|_, n: &mut u64| *n += 7),
-                );
-            }),
-        );
-        b.run();
-        assert_eq!(b.events_fired(), 2);
-        assert_eq!(*b.state(ShardId(0)), 7);
-    }
-
-    #[test]
-    fn backend_choice_parses_cli_flags() {
-        assert_eq!(BackendChoice::parse("single", 4), Ok(BackendChoice::Single));
-        assert_eq!(
-            BackendChoice::parse("sharded", 6),
-            Ok(BackendChoice::Sharded { lanes: 6 })
-        );
-        assert_eq!(
-            BackendChoice::parse("sharded", 0),
-            Ok(BackendChoice::Sharded { lanes: 1 })
-        );
-        assert!(BackendChoice::parse("tokio", 1).is_err());
-    }
-
-    #[test]
-    fn pool_is_the_indexed_shard_zero_child() {
-        let root = RngPool::new(99);
-        let mut b = SingleLane::new(root, 0u64);
-        b.schedule(
-            ShardId(0),
-            SimTime::ZERO,
-            Box::new(move |ctx, seen: &mut u64| {
-                *seen = ctx.pool().seed();
-            }),
-        );
-        b.run();
-        assert_eq!(*b.state(ShardId(0)), root.child_indexed("shard", 0).seed());
-    }
 }

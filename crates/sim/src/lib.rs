@@ -31,15 +31,18 @@
 //! assert_eq!(log, vec![40_000]);
 //! ```
 //!
-//! ## Two backends, one contract
+//! ## Two kernels, two jobs
 //!
-//! The classic [`Scheduler`] runs everything on one lane. The
-//! [`ShardedScheduler`] partitions the world into per-datacenter shards
-//! with explicit mailboxes and epoch barriers — same determinism contract
+//! [`Scheduler`] is the closure-style single-queue kernel: events take
+//! `&mut Scheduler`, and the crawler's coverage model and [`Ticker`] run
+//! on it. [`ShardedScheduler`] runs everything written against
+//! [`BackendEvent`] — the delay-breakdown experiment and the per-POP
+//! fan-out. It partitions the world into per-datacenter shards with explicit
+//! mailboxes and epoch barriers under the same determinism contract
 //! (same seed ⇒ same trace bytes, any lane count); one lane runs inline,
-//! more run on scoped worker threads ([`run_parts`]). Workloads target
-//! the [`backend::SchedulerBackend`] trait to run on either. See the
-//! [`sharded`] module docs for the lane model and merge rules.
+//! more run on scoped worker threads ([`run_parts`]). A one-shard run
+//! fires events in exactly the `(time, seq)` order [`Scheduler`] would.
+//! See the [`sharded`] module docs for the lane model and merge rules.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -53,7 +56,7 @@ pub mod rng;
 pub mod sharded;
 pub mod time;
 
-pub use backend::{BackendChoice, BackendEvent, EventCtx, SchedulerBackend, ShardId, SingleLane};
+pub use backend::{BackendEvent, EventCtx, SchedulerBackend, ShardId};
 pub use engine::{EventId, Scheduler};
 pub use parts::run_parts;
 pub use process::Ticker;

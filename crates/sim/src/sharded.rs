@@ -164,8 +164,8 @@ impl<S> EventCtx<S> for LaneCtx<'_, S> {
         );
         if dest.0 == self.core.id {
             // Mail to yourself is an ordinary local event: no barrier
-            // clamp, so a one-shard sharded run matches the legacy
-            // scheduler event-for-event.
+            // clamp, so a one-shard run matches `Scheduler`
+            // event-for-event (`tests/properties.rs`).
             self.core.push_local(at, event);
             return;
         }

@@ -247,7 +247,7 @@ pub enum TraceEvent {
     /// A causal span opened; `t` is the span's start time. Ids are
     /// content-addressed per [`crate::span`], so the matching
     /// [`TraceEvent::SpanClose`] and any child spans carry the same id in
-    /// every run, backend, and lane count.
+    /// every run and lane count.
     SpanOpen {
         /// Deterministic span id (never 0; see [`crate::span::span_id`]).
         id: u64,

@@ -6,9 +6,9 @@
 //!
 //! Everything here is a pure function of the trace bytes: the same trace
 //! produces the same [`ObsReport`], and because traces are byte-identical
-//! across scheduler backends and lane counts for a fixed `(config,
-//! seed)`, so is the report — including its JSON rendering, which writes
-//! fields in a fixed order ([`ObsReport::to_json`]).
+//! across lane counts for a fixed `(config, seed)`, so is the report —
+//! including its JSON rendering, which writes fields in a fixed order
+//! ([`ObsReport::to_json`]).
 
 use crate::event::{Protocol, TimedEvent, TraceEvent};
 use crate::ledger::DelayStage;

@@ -5,8 +5,8 @@
 //! the span's start time and [`crate::TraceEvent::SpanClose`] at its end
 //! — linked by a span id. Ids are **content-addressed**: they are a pure
 //! hash of `(kind, identity fields)`, never a counter, so the same span
-//! gets the same id in every run of a `(config, seed)` pair, on every
-//! scheduler backend, at every lane count. That is what lets a consumer
+//! gets the same id in every run of a `(config, seed)` pair, at every
+//! lane count. That is what lets a consumer
 //! join an open to its close (and a child to its parent) across shard
 //! boundaries without any shared id-allocation state.
 //!

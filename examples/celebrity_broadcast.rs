@@ -9,8 +9,7 @@
 //! ```sh
 //! cargo run -p livescope-examples --release --bin celebrity_broadcast
 //! # per-POP delivery on 6 worker lanes (same output as any other lane count):
-//! cargo run -p livescope-examples --release --bin celebrity_broadcast -- \
-//!     --backend sharded --lanes 6
+//! cargo run -p livescope-examples --release --bin celebrity_broadcast -- --lanes 6
 //! ```
 
 #![forbid(unsafe_code)]
@@ -21,36 +20,31 @@ use livescope_cdn::{run_fanout, Cluster, FanoutConfig};
 use livescope_net::datacenters;
 use livescope_net::geo::GeoPoint;
 use livescope_proto::message::{ChatEvent, EventKind, COMMENTER_CAP};
-use livescope_sim::{BackendChoice, RngPool, SimDuration, SimTime};
+use livescope_sim::{RngPool, SimDuration, SimTime};
 use livescope_telemetry::Telemetry;
 
-/// Parses `--backend single|sharded` and `--lanes N` (defaults: sharded, 1).
-fn parse_cli() -> BackendChoice {
+/// Parses `--lanes N` (default 1).
+fn parse_cli() -> usize {
     let args: Vec<String> = std::env::args().collect();
-    let mut backend = "sharded".to_string();
     let mut lanes = 1usize;
     let mut i = 1;
     while i < args.len() {
         match args[i].as_str() {
-            "--backend" if i + 1 < args.len() => {
-                backend = args[i + 1].clone();
-                i += 2;
-            }
             "--lanes" if i + 1 < args.len() => {
                 lanes = args[i + 1].parse().expect("--lanes takes a number");
                 i += 2;
             }
             other => {
-                eprintln!("usage: celebrity_broadcast [--backend single|sharded] [--lanes N]");
+                eprintln!("usage: celebrity_broadcast [--lanes N]");
                 panic!("unknown argument {other:?}");
             }
         }
     }
-    BackendChoice::parse(&backend, lanes).expect("valid backend")
+    lanes.max(1)
 }
 
 fn main() {
-    let choice = parse_cli();
+    let lanes = parse_cli();
     let pool = RngPool::new(7);
     let mut cluster = Cluster::new(&pool, SimDuration::from_secs(3), COMMENTER_CAP as u64);
 
@@ -148,13 +142,8 @@ fn main() {
 
     // The HLS delivery itself: every anycast POP the audience landed on
     // becomes one scheduler shard, and viewers roaming between POPs travel
-    // through the inter-lane mailboxes. `--backend single` runs the same
-    // shards on one lane; the per-seed output below is byte-identical for
-    // either backend and any `--lanes` value.
-    let lanes = match choice {
-        BackendChoice::Single => 1,
-        BackendChoice::Sharded { lanes } => lanes,
-    };
+    // through the inter-lane mailboxes. The per-seed output below is
+    // byte-identical for any `--lanes` value.
     let config = FanoutConfig {
         pops: hls_by_pop
             .keys()
@@ -168,7 +157,7 @@ fn main() {
     };
     let report = run_fanout(&config, lanes, &Telemetry::disabled());
     println!(
-        "\nHLS delivery, {} POPs as scheduler shards ({choice}):",
+        "\nHLS delivery, {} POPs as scheduler shards (sharded(lanes={lanes})):",
         config.pops.len()
     );
     print!("{}", report.render());

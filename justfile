@@ -103,8 +103,8 @@ trace out="results/trace.jsonl":
 obs:
     cargo run --release -q -p livescope-bench --bin obs_report
 
-# Determinism contract of the report itself: identical bytes across the
-# legacy and sharded backends at lanes {1, 2, 6}. This is the CI variant.
+# Determinism contract of the report itself: the celebrity fan-out's
+# report bytes are identical at lanes {1, 2, 6}. This is the CI variant.
 obs-smoke:
     cargo run --release -q -p livescope-bench --bin obs_report -- --smoke
 

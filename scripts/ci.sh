@@ -33,6 +33,11 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q \
 echo "==> bench_shards smoke (cross-lane checksum invariance)"
 cargo run --release -q -p livescope-bench --bin bench_shards -- --smoke
 
+echo "==> bench_shards rejects an unknown flag (exit 2, before any work)"
+status=0
+cargo run --release -q -p livescope-bench --bin bench_shards -- --no-such-flag 2>/dev/null || status=$?
+[ "$status" -eq 2 ] || { echo "expected exit 2, got $status"; exit 1; }
+
 echo "==> bench_replay smoke (streaming vs materialized checksum at divisor 1000)"
 cargo run --release -q -p livescope-bench --bin bench_replay -- --smoke
 
@@ -42,7 +47,7 @@ cargo run --release -q -p livescope-bench --bin bench_replay -- --workers --smok
 echo "==> graph-build K-sweep smoke (parallel assembly checksums == committed pins, K 1/2/6)"
 cargo run --release -q -p livescope-bench --bin bench_replay -- --graph-only --smoke
 
-echo "==> obs_report smoke (report bytes identical across backends, lanes 1/2/6)"
+echo "==> obs_report smoke (celebrity fan-out report bytes identical, lanes 1/2/6)"
 cargo run --release -q -p livescope-bench --bin obs_report -- --smoke
 
 echo "==> bench-regression gate (fresh artifact vs baselines/)"

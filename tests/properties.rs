@@ -319,6 +319,63 @@ proptest! {
     }
 
     #[test]
+    fn one_shard_sharded_scheduler_fires_in_the_same_order_as_scheduler(
+        // Quarter-second grid: timestamps tie often and land on the sharded
+        // kernel's one-second epoch boundaries. Each seed event carries a
+        // chain of follow-up delays (0 = a tie with the firing instant).
+        plan in proptest::collection::vec(
+            (0u64..12, proptest::collection::vec(0u64..6, 0..4)),
+            1..60,
+        ),
+    ) {
+        use std::sync::Arc;
+        use livescope_sim::{
+            EventCtx, RngPool, Scheduler, SchedulerBackend, ShardId, ShardedScheduler,
+        };
+        const STEP_US: u64 = 250_000;
+        // (fire time, seed index, depth in that seed's chain), in fire order.
+        type Log = Vec<(u64, usize, usize)>;
+        type Chains = Arc<Vec<Vec<u64>>>;
+
+        fn fire_legacy(sched: &mut Scheduler<Log>, log: &mut Log, chains: Chains, i: usize, depth: usize) {
+            log.push((sched.now().as_micros(), i, depth));
+            if let Some(&delay) = chains[i].get(depth) {
+                sched.schedule_in(SimDuration::from_micros(delay * STEP_US), move |sched, log: &mut Log| {
+                    fire_legacy(sched, log, chains, i, depth + 1)
+                });
+            }
+        }
+        fn fire_sharded(ctx: &mut dyn EventCtx<Log>, log: &mut Log, chains: Chains, i: usize, depth: usize) {
+            log.push((ctx.now().as_micros(), i, depth));
+            if let Some(&delay) = chains[i].get(depth) {
+                ctx.schedule_in(
+                    SimDuration::from_micros(delay * STEP_US),
+                    Box::new(move |ctx, log: &mut Log| fire_sharded(ctx, log, chains, i, depth + 1)),
+                );
+            }
+        }
+
+        let chains: Chains = Arc::new(plan.iter().map(|(_, chain)| chain.clone()).collect());
+        let mut legacy: Scheduler<Log> = Scheduler::new();
+        let mut sharded = ShardedScheduler::new(RngPool::new(1), vec![Log::new()], SimDuration::from_secs(1));
+        for (i, &(t, _)) in plan.iter().enumerate() {
+            let at = SimTime::from_micros(t * STEP_US);
+            let c = chains.clone();
+            legacy.schedule_at(at, move |sched, log: &mut Log| fire_legacy(sched, log, c, i, 0));
+            let c = chains.clone();
+            sharded.schedule(ShardId(0), at, Box::new(move |ctx, log: &mut Log| fire_sharded(ctx, log, c, i, 0)));
+        }
+        let mut legacy_log = Log::new();
+        let legacy_end = legacy.run(&mut legacy_log);
+        let sharded_end = sharded.run();
+        prop_assert_eq!(legacy_end, sharded_end);
+        prop_assert_eq!(legacy.events_fired(), sharded.events_fired());
+        let sharded_log = sharded.into_states().pop().expect("one shard");
+        prop_assert_eq!(sharded_log.len(), plan.iter().map(|(_, c)| 1 + c.len()).sum::<usize>());
+        prop_assert_eq!(legacy_log, sharded_log);
+    }
+
+    #[test]
     fn rtmps_channel_roundtrips_and_rejects_any_bitflip(
         payloads in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 1..64), 1..12),
         flip_at in any::<usize>(),

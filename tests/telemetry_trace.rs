@@ -16,7 +16,7 @@ use livescope_core::experiments::overlay_ext::{
     run as overlay_run, run_traced as overlay_run_traced, OverlayConfig,
 };
 use livescope_telemetry::event::parse_jsonl;
-use livescope_telemetry::{SharedBuffer, Telemetry, TraceBreakdown};
+use livescope_telemetry::{SharedBuffer, Telemetry, TraceBreakdown, TraceEvent};
 
 fn quick() -> BreakdownConfig {
     BreakdownConfig {
@@ -42,6 +42,22 @@ fn same_config_and_seed_yield_byte_identical_traces() {
     assert_eq!(
         a, b,
         "same (config, seed) must reproduce the trace bit-for-bit"
+    );
+    // The byte-compared trace must carry the causal spans — the
+    // determinism contract covers them, not just the legacy events.
+    let text = std::str::from_utf8(&a).expect("trace is UTF-8");
+    let events = parse_jsonl(text).expect("trace parses back");
+    assert!(
+        events
+            .iter()
+            .any(|e| matches!(e.event, TraceEvent::SpanOpen { .. })),
+        "breakdown trace carries no span_open events"
+    );
+    assert!(
+        events
+            .iter()
+            .any(|e| matches!(e.event, TraceEvent::SpanClose { .. })),
+        "breakdown trace carries no span_close events"
     );
 }
 
