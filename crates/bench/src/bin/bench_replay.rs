@@ -33,7 +33,10 @@
 //! adjacency checksum, and the assembly worker count (always 1 in the
 //! divisor sweep; `meta.host_parallelism` says what the host could do,
 //! so single-core curves are self-describing). `replay` is the
-//! streaming fold: wall time, broadcasts/sec, and the *peak tracked
+//! streaming fold: wall time, broadcasts/sec, the mobile views
+//! attributed (`mobile_views`, one weighted viewer pick each) with the
+//! replay wall divided by them (`ns_per_mobile_view` — the whole fold's
+//! cost per view, not the pick alone), and the *peak tracked
 //! replay state* — `BroadcastStream::tracked_bytes()` +
 //! `StreamingCampaign::tracked_bytes()`, sampled during the fold. That
 //! state is O(users + days + sketch bins); the JSON also records what
@@ -118,6 +121,9 @@ struct ReplayRun {
     users: usize,
     graph: GraphBuildRun,
     records: u64,
+    /// Mobile views attributed across all records, missed days included:
+    /// one weighted viewer pick each.
+    mobile_views: u64,
     wall_s: f64,
     broadcasts_per_sec: f64,
     peak_tracked_bytes: usize,
@@ -159,10 +165,12 @@ fn replay(divisor: f64, telemetry: &Telemetry) -> (ReplayRun, DiGraph) {
         StreamingCampaign::new(&campaign, scenario.days, scenario.users, DEFAULT_EXEMPLARS);
     let mut checksum = 0u64;
     let mut records = 0u64;
+    let mut mobile_views = 0u64;
     let mut peak = 0usize;
     while let Some(record) = stream.next() {
         checksum = checksum.wrapping_add(record_digest(&record));
         records += 1;
+        mobile_views += record.mobile_viewers;
         if filter.observes(record.day) {
             acc.observe(record);
         } else {
@@ -181,6 +189,7 @@ fn replay(divisor: f64, telemetry: &Telemetry) -> (ReplayRun, DiGraph) {
         users: scenario.users,
         graph: graph_build,
         records,
+        mobile_views,
         wall_s,
         broadcasts_per_sec: records as f64 / wall_s.max(1e-9),
         peak_tracked_bytes: peak,
@@ -573,8 +582,9 @@ fn main() {
                  \"graph_build\":{{\"wall_s\":{:.3},\"peak_bytes\":{},\"resident_bytes\":{},\
                  \"edges\":{},\"max_in_degree\":{},\"swaps_applied\":{},\
                  \"adjacency_checksum\":\"{:#018x}\",\"workers\":{}}},\
-                 \"records\":{},\"wall_s\":{:.3},\
-                 \"broadcasts_per_sec\":{:.0},\"peak_tracked_bytes\":{},\
+                 \"records\":{},\"mobile_views\":{},\"wall_s\":{:.3},\
+                 \"broadcasts_per_sec\":{:.0},\"ns_per_mobile_view\":{:.1},\
+                 \"peak_tracked_bytes\":{},\
                  \"tracked_bytes_per_record\":{:.2},\"materialized_record_bytes\":{},\
                  \"checksum\":\"{:#018x}\",\"recorded\":{},\"missed\":{},\
                  \"summary_digest\":\"{:#018x}\"}}",
@@ -589,8 +599,10 @@ fn main() {
                 r.graph.adjacency_checksum,
                 r.graph.workers,
                 r.records,
+                r.mobile_views,
                 r.wall_s,
                 r.broadcasts_per_sec,
+                r.wall_s * 1e9 / r.mobile_views.max(1) as f64,
                 r.peak_tracked_bytes,
                 r.peak_tracked_bytes as f64 / r.records.max(1) as f64,
                 r.materialized_record_bytes,

@@ -139,3 +139,46 @@ pub fn worker_sweep(
         })
         .collect()
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use livescope_crawler::run_campaign_streaming;
+    use livescope_workload::generate_streaming;
+
+    /// Absolute pins, captured on the commit before the guide-table pick
+    /// (PR 15): `streaming_replay`, `parallel_replay` and
+    /// `bench_replay --smoke` compare paths that all share the weighted
+    /// pick, so only a committed value can see the pick itself change.
+    /// Meerkat rides along because its propensity tables (σ = 1.0,
+    /// 0.70 inactive creators) have a different shape from Periscope's.
+    #[test]
+    fn small_replay_digests_match_the_committed_pins() {
+        let periscope = ScenarioConfig {
+            days: 21,
+            users: 3_000,
+            base_daily_broadcasts: 60.0,
+            ..ScenarioConfig::periscope_study()
+        };
+        let meerkat = ScenarioConfig {
+            days: 12,
+            users: 900,
+            ..ScenarioConfig::meerkat_study()
+        };
+        let digest = |scenario: &ScenarioConfig, campaign: &CampaignConfig| {
+            let summary =
+                run_campaign_streaming(generate_streaming(scenario), campaign, DEFAULT_EXEMPLARS);
+            assert!(summary.mobile_views() > 1_000, "pin must cover real picks");
+            summary_digest(&summary)
+        };
+        let got = [
+            digest(&periscope, &CampaignConfig::periscope_study()),
+            digest(&meerkat, &CampaignConfig::meerkat_study()),
+        ];
+        assert_eq!(
+            got.map(|d| format!("{d:#018x}")),
+            ["0x453b34032a897cb8", "0xf7d40d8b0818f95a"],
+            "[Periscope, Meerkat] replay digests drifted from the committed pins"
+        );
+    }
+}

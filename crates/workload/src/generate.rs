@@ -22,7 +22,6 @@
 //!   thread samples it, or in what order.
 
 use rand::rngs::SmallRng;
-use rand::Rng;
 
 use livescope_graph::{DiGraph, FollowParams, GraphKind, GraphSpec};
 use livescope_sim::{dist, RngPool};
@@ -31,6 +30,7 @@ use crate::arrivals;
 use crate::bitset::FixedBitset;
 use crate::duration::sample_duration;
 use crate::interactions::sample_interactions;
+use crate::pick::CumulativeTable;
 use crate::popularity::sample_audience;
 use crate::scenario::{App, ScenarioConfig};
 use crate::types::{BroadcastRecord, DayStats, Workload, WorkloadSummary};
@@ -132,7 +132,7 @@ pub struct ScheduledBroadcast {
 /// worker shards (DESIGN.md §13).
 pub struct ScheduleStream {
     config: ScenarioConfig,
-    creator_cum: Vec<f64>,
+    creators: CumulativeTable,
     rng: SmallRng,
     /// Day currently being emitted.
     day: u32,
@@ -148,15 +148,15 @@ impl ScheduleStream {
     pub fn new(config: &ScenarioConfig) -> ScheduleStream {
         config.validate().expect("invalid ScenarioConfig");
         let pool = RngPool::new(config.seed);
-        let creator_cum = propensity_cumulative(
+        let creators = CumulativeTable::new(
             &mut pool.fork("creator-propensity"),
             config.users,
-            CREATOR_ALPHA,
             config.creator_inactive_fraction,
+            |rng| dist::pareto(rng, 1.0, CREATOR_ALPHA),
         );
         ScheduleStream {
             config: config.clone(),
-            creator_cum,
+            creators,
             rng: pool.fork("broadcasts"),
             day: 0,
             remaining_today: 0,
@@ -171,9 +171,9 @@ impl ScheduleStream {
     }
 
     /// Bytes of heap + inline storage held by the schedule — `O(users)`
-    /// for the creator-propensity table.
+    /// for the creator-propensity table and its guide.
     pub fn tracked_bytes(&self) -> usize {
-        std::mem::size_of::<Self>() + self.creator_cum.capacity() * std::mem::size_of::<f64>()
+        std::mem::size_of::<Self>() + self.creators.heap_bytes()
     }
 }
 
@@ -193,7 +193,7 @@ impl Iterator for ScheduleStream {
                 arrivals::sample_daily_broadcasts(&mut self.rng, &self.config, self.day);
             self.day_sampled = true;
         }
-        let broadcaster = weighted_pick(&self.creator_cum, &mut self.rng);
+        let broadcaster = self.creators.pick(&mut self.rng);
         let slot = ScheduledBroadcast {
             id: self.next_id,
             day: self.day,
@@ -220,7 +220,7 @@ impl Iterator for ScheduleStream {
 /// table).
 pub struct RecordSampler {
     config: ScenarioConfig,
-    viewer_cum: Vec<f64>,
+    viewers: CumulativeTable,
     pool: RngPool,
 }
 
@@ -229,15 +229,15 @@ impl RecordSampler {
     pub fn new(config: &ScenarioConfig) -> RecordSampler {
         config.validate().expect("invalid ScenarioConfig");
         let pool = RngPool::new(config.seed);
-        let viewer_cum = lognormal_cumulative(
+        let viewers = CumulativeTable::new(
             &mut pool.fork("viewer-propensity"),
             config.users,
-            config.viewer_activity_sigma,
             config.viewer_inactive_fraction,
+            |rng| dist::log_normal(rng, 0.0, config.viewer_activity_sigma),
         );
         RecordSampler {
             config: config.clone(),
-            viewer_cum,
+            viewers,
             pool,
         }
     }
@@ -264,7 +264,7 @@ impl RecordSampler {
         let audience = sample_audience(&mut rng, &self.config, followers);
         let inter = sample_interactions(&mut rng, &self.config, audience.total, dur.as_secs_f64());
         for _ in 0..audience.mobile {
-            on_mobile_view(weighted_pick(&self.viewer_cum, &mut rng));
+            on_mobile_view(self.viewers.pick(&mut rng));
         }
         BroadcastRecord {
             id: slot.id,
@@ -282,9 +282,9 @@ impl RecordSampler {
     }
 
     /// Bytes of heap + inline storage held by the sampler — `O(users)`
-    /// for the viewer-propensity table.
+    /// for the viewer-propensity table and its guide.
     pub fn tracked_bytes(&self) -> usize {
-        std::mem::size_of::<Self>() + self.viewer_cum.capacity() * std::mem::size_of::<f64>()
+        std::mem::size_of::<Self>() + self.viewers.heap_bytes()
     }
 }
 
@@ -442,55 +442,6 @@ pub fn default_graph_seed(config: &ScenarioConfig) -> u64 {
 /// The scenario's default follow graph, built from [`default_graph_spec`].
 pub fn default_graph(config: &ScenarioConfig, pool: &RngPool) -> DiGraph {
     DiGraph::generate(&default_graph_spec(config), pool.stream_seed("graph"))
-}
-
-/// Builds a cumulative-weight table of Pareto propensities for weighted
-/// user sampling. A user is entirely inactive (zero weight — never
-/// sampled) with probability `inactive_fraction`, which is what keeps the
-/// Table 1 "unique viewers/broadcasters" counts below the registered
-/// population, as in the paper.
-fn propensity_cumulative(
-    rng: &mut SmallRng,
-    users: usize,
-    alpha: f64,
-    inactive_fraction: f64,
-) -> Vec<f64> {
-    let mut cum = Vec::with_capacity(users);
-    let mut total = 0.0;
-    for _ in 0..users {
-        if !rng.gen_bool(inactive_fraction) {
-            total += dist::pareto(rng, 1.0, alpha);
-        }
-        cum.push(total);
-    }
-    assert!(total > 0.0, "every user is inactive — population too small");
-    cum
-}
-
-/// Like [`propensity_cumulative`] but with lognormal weights.
-fn lognormal_cumulative(
-    rng: &mut SmallRng,
-    users: usize,
-    sigma: f64,
-    inactive_fraction: f64,
-) -> Vec<f64> {
-    let mut cum = Vec::with_capacity(users);
-    let mut total = 0.0;
-    for _ in 0..users {
-        if !rng.gen_bool(inactive_fraction) {
-            total += dist::log_normal(rng, 0.0, sigma);
-        }
-        cum.push(total);
-    }
-    assert!(total > 0.0, "every user is inactive — population too small");
-    cum
-}
-
-/// Samples a user id proportional to its propensity weight.
-fn weighted_pick(cumulative: &[f64], rng: &mut SmallRng) -> u32 {
-    let total = *cumulative.last().expect("non-empty propensity table");
-    let needle = rng.gen_range(0.0..total);
-    cumulative.partition_point(|&c| c <= needle) as u32
 }
 
 #[cfg(test)]

@@ -12,7 +12,7 @@
 //! | Fig 3 broadcast length CDF (85% < 10 min) | [`duration`] | lognormal, Meerkat-heavier tail |
 //! | Fig 4 viewers per broadcast (Meerkat 60% zero; Periscope ≤100K) | [`popularity`] | zero-inflated truncated power law + follower-notification joins |
 //! | Fig 5 hearts & comments per broadcast (comment cap at ~100 commenters) | [`interactions`] | per-viewer heart process; commenter cap × per-commenter comments |
-//! | Fig 6 per-user activity skew | [`generate()`](generate::generate) | power-law viewing/creation propensities |
+//! | Fig 6 per-user activity skew | [`generate()`](generate::generate) + [`pick`] | heavy-tailed viewing/creation propensities, picked through a guide table |
 //! | Fig 7 followers vs. viewers correlation | [`popularity`] + `livescope-graph` | notification joins are binomial in follower count |
 //! | Table 1 dataset totals | [`scenario`] presets + [`generate()`](generate::generate) | everything above, integrated |
 //!
@@ -28,6 +28,7 @@ pub mod bitset;
 pub mod duration;
 pub mod generate;
 pub mod interactions;
+pub mod pick;
 pub mod popularity;
 pub mod scenario;
 pub mod types;
@@ -38,5 +39,6 @@ pub use generate::{
     generate_streaming_with_graph, generate_with_graph, BroadcastStream, RecordSampler,
     ScheduleStream, ScheduledBroadcast,
 };
+pub use pick::CumulativeTable;
 pub use scenario::{App, ScenarioConfig};
 pub use types::{BroadcastRecord, DayStats, Workload, WorkloadSummary};

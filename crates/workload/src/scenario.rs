@@ -161,6 +161,9 @@ impl ScenarioConfig {
         if self.users < 2 {
             return Err("need at least two users".into());
         }
+        if self.users > u32::MAX as usize {
+            return Err(format!("users must fit a u32 user id, got {}", self.users));
+        }
         for (name, p) in [
             ("zero_viewer_fraction", self.zero_viewer_fraction),
             ("follower_join_prob", self.follower_join_prob),
@@ -177,6 +180,12 @@ impl ScenarioConfig {
         }
         if self.viewer_alpha <= 1.0 {
             return Err("viewer_alpha must exceed 1 for a normalizable tail".into());
+        }
+        if !self.viewer_activity_sigma.is_finite() || self.viewer_activity_sigma < 0.0 {
+            return Err(format!(
+                "viewer_activity_sigma must be finite and non-negative, got {}",
+                self.viewer_activity_sigma
+            ));
         }
         if self.viewer_max == 0 {
             return Err("viewer_max must be positive".into());
@@ -221,6 +230,22 @@ mod tests {
         let mut c = ScenarioConfig::periscope_study();
         c.total_growth = 0.0;
         assert!(c.validate().is_err());
+        // User ids are u32; one past the last id must be refused by name.
+        let mut c = ScenarioConfig::periscope_study();
+        c.users = u32::MAX as usize + 1;
+        assert!(c.validate().unwrap_err().contains("users"));
+        c.users = u32::MAX as usize;
+        c.validate().unwrap();
+        // A sigma that would make the viewer table's total NaN or infinite.
+        for sigma in [-0.5, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut c = ScenarioConfig::periscope_study();
+            c.viewer_activity_sigma = sigma;
+            let err = c.validate().unwrap_err();
+            assert!(err.contains("viewer_activity_sigma"), "{sigma}: {err}");
+        }
+        let mut c = ScenarioConfig::periscope_study();
+        c.viewer_activity_sigma = 0.0;
+        c.validate().unwrap();
     }
 
     #[test]

@@ -92,6 +92,12 @@ bench-replay-workers *flags="":
 bench-graph *flags="":
     cargo run --release -q -p livescope-bench --bin bench_replay -- --graph-only {{flags}}
 
+# Weighted-pick microbench (DESIGN.md §10): guide-table pick vs the
+# whole-table binary search it replaced, ns/pick at 300k / 1.2M / 12M
+# users — the paper-scale effect without a divisor-1 replay.
+bench-pick:
+    cargo bench -p livescope-bench --bench micro_weighted_pick -- --bench
+
 # Capture a JSONL trace of the breakdown experiment and summarize it.
 trace out="results/trace.jsonl":
     cargo run --release --bin trace_summary -- --capture {{out}}
