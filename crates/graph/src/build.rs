@@ -4,8 +4,8 @@
 //! flat, source-grouped target array plus a `u64` prefix-sum of per-node
 //! out-degrees (phase 1). This module owns phase 2: turning that grouped
 //! edge list into both CSR directions with counting sort in `O(V + E)`,
-//! plus the in-place rewiring scratch that replaces the old per-edge
-//! `BTreeSet` mirrors.
+//! plus the slot-to-source index (`CsrScratch`) the follow rewiring
+//! loop reads once per edge it draws.
 //!
 //! Determinism argument: counting sort is a *stable* scatter — sources are
 //! visited in ascending order, so every in-adjacency list comes out sorted
@@ -292,36 +292,32 @@ pub(crate) fn assemble(
 /// Flat edges per `source_of` hint block (`1 << BLOCK_SHIFT`).
 const BLOCK_SHIFT: usize = 8;
 
-/// The rewiring scratch: a flat CSR whose per-node segments are kept
-/// sorted under degree-preserving target swaps. Membership tests are a
-/// binary search inside one segment and updates are a bounded `memmove`
-/// within it — this replaces the old `BTreeSet<(NodeId, NodeId)>` edge
-/// mirror, whose per-edge nodes dominated both the memory and the wall
-/// time of paper-scale builds.
+/// The follow-rewiring edge-slot index: which node owns flat edge slot
+/// `i` of a source-grouped target array.
 ///
-/// Because the swaps it supports never change any node's degree, the
-/// offsets are immutable and the scratch *is* the final out-CSR once
-/// rewiring ends ([`CsrScratch::into_flat`]). Immutable offsets also
-/// mean the `block_src` hint table (source of every 256th flat edge)
-/// never goes stale: `source_of` narrows its search to the couple of
-/// nodes between two adjacent block anchors instead of binary-searching
-/// all `V + 1` offsets — the rewiring loop's hottest read at paper
-/// scale, where the offsets array alone is ~96 MiB of cache misses.
-pub(crate) struct CsrScratch {
-    offsets: Vec<u64>,
-    sorted: Vec<NodeId>,
+/// Degree-preserving swaps never change any node's out-degree, so the
+/// offsets are immutable while rewiring runs and the `block_src` hint
+/// table (source of every 256th flat edge) never goes stale: `source_of`
+/// narrows its search to the couple of nodes between two adjacent block
+/// anchors instead of binary-searching all `V + 1` offsets — the
+/// rewiring loop's hottest read at paper scale, where the offsets array
+/// alone is ~96 MiB of cache misses. The target array itself stays with
+/// the generator (`generate::build_follow` swaps it in slot order and
+/// re-sorts the segments once at the end).
+pub(crate) struct CsrScratch<'a> {
+    offsets: &'a [u64],
     /// `block_src[b]` = source node of flat edge `b << BLOCK_SHIFT`,
     /// with one trailing `node_count - 1` sentinel so every lookup has
     /// an upper anchor.
     block_src: Vec<NodeId>,
 }
 
-impl CsrScratch {
-    /// Wraps an offsets/targets pair whose segments are already sorted.
-    pub(crate) fn new(offsets: Vec<u64>, sorted: Vec<NodeId>) -> CsrScratch {
-        debug_assert_eq!(*offsets.last().unwrap_or(&0) as usize, sorted.len());
+impl CsrScratch<'_> {
+    /// Indexes the edge slots of an out-CSR prefix-sum array.
+    pub(crate) fn new(offsets: &[u64]) -> CsrScratch<'_> {
         let node_count = offsets.len().saturating_sub(1);
-        let blocks = (sorted.len() >> BLOCK_SHIFT) + 1;
+        let edge_total = *offsets.last().unwrap_or(&0) as usize;
+        let blocks = (edge_total >> BLOCK_SHIFT) + 1;
         let mut block_src = Vec::with_capacity(blocks + 1);
         let mut u = 0usize;
         for b in 0..blocks {
@@ -332,11 +328,7 @@ impl CsrScratch {
             block_src.push(u as NodeId);
         }
         block_src.push(node_count.saturating_sub(1) as NodeId);
-        CsrScratch {
-            offsets,
-            sorted,
-            block_src,
-        }
+        CsrScratch { offsets, block_src }
     }
 
     /// The node owning flat edge position `edge_idx` (positions never
@@ -351,51 +343,9 @@ impl CsrScratch {
         lo as NodeId + self.offsets[lo + 1..hi + 1].partition_point(|&e| e <= idx) as NodeId
     }
 
-    /// The sorted neighbor segment of `u`.
-    pub(crate) fn segment(&self, u: NodeId) -> &[NodeId] {
-        &self.sorted[self.offsets[u as usize] as usize..self.offsets[u as usize + 1] as usize]
-    }
-
-    /// True if `v` is in `u`'s segment.
-    pub(crate) fn contains(&self, u: NodeId, v: NodeId) -> bool {
-        self.segment(u).binary_search(&v).is_ok()
-    }
-
-    /// Swaps neighbor `old` of `u` for `new`, keeping the segment sorted
-    /// (a shift of the elements between the two positions).
-    pub(crate) fn replace(&mut self, u: NodeId, old: NodeId, new: NodeId) {
-        if old == new {
-            return;
-        }
-        let (s, e) = (
-            self.offsets[u as usize] as usize,
-            self.offsets[u as usize + 1] as usize,
-        );
-        let seg = &mut self.sorted[s..e];
-        let io = seg
-            .binary_search(&old)
-            .expect("CsrScratch::replace: old neighbor must be present");
-        if new > old {
-            let ip = io + 1 + seg[io + 1..].partition_point(|&x| x < new);
-            seg.copy_within(io + 1..ip, io);
-            seg[ip - 1] = new;
-        } else {
-            let ip = seg[..io].partition_point(|&x| x < new);
-            seg.copy_within(ip..io, ip + 1);
-            seg[ip] = new;
-        }
-    }
-
-    /// Bytes held by the scratch buffers.
+    /// Bytes held by the hint table (the offsets are borrowed).
     pub(crate) fn heap_bytes(&self) -> usize {
-        self.offsets.capacity() * 8
-            + self.sorted.capacity() * std::mem::size_of::<NodeId>()
-            + self.block_src.capacity() * std::mem::size_of::<NodeId>()
-    }
-
-    /// Consumes the scratch, yielding the (still sorted) out-CSR parts.
-    pub(crate) fn into_flat(self) -> (Vec<u64>, Vec<NodeId>) {
-        (self.offsets, self.sorted)
+        self.block_src.capacity() * std::mem::size_of::<NodeId>()
     }
 }
 
@@ -403,14 +353,10 @@ impl CsrScratch {
 mod tests {
     use super::*;
 
-    fn scratch() -> CsrScratch {
-        // Node 0: [2, 5, 9]; node 1: []; node 2: [0, 7].
-        CsrScratch::new(vec![0, 3, 3, 5], vec![2, 5, 9, 0, 7])
-    }
-
     #[test]
     fn source_of_skips_empty_segments() {
-        let s = scratch();
+        // Node 0 owns 3 edge slots, node 1 none, node 2 two.
+        let s = CsrScratch::new(&[0, 3, 3, 5]);
         assert_eq!(s.source_of(0), 0);
         assert_eq!(s.source_of(2), 0);
         assert_eq!(s.source_of(3), 2);
@@ -426,26 +372,11 @@ mod tests {
             offsets.push(offsets[u as usize] + u % 3);
         }
         let total = *offsets.last().unwrap() as usize;
-        let sorted = vec![0 as NodeId; total];
-        let s = CsrScratch::new(offsets.clone(), sorted);
+        let s = CsrScratch::new(&offsets);
         for idx in 0..total {
             let want = (offsets.partition_point(|&e| e <= idx as u64) - 1) as NodeId;
             assert_eq!(s.source_of(idx), want, "edge {idx}");
         }
-    }
-
-    #[test]
-    fn contains_and_replace_keep_segments_sorted() {
-        let mut s = scratch();
-        assert!(s.contains(0, 5));
-        assert!(!s.contains(0, 7));
-        s.replace(0, 5, 11); // upward move
-        assert_eq!(s.segment(0), &[2, 9, 11]);
-        s.replace(0, 11, 1); // downward move
-        assert_eq!(s.segment(0), &[1, 2, 9]);
-        s.replace(0, 2, 3); // in-place slot
-        assert_eq!(s.segment(0), &[1, 3, 9]);
-        assert_eq!(s.segment(2), &[0, 7]);
     }
 
     #[test]

@@ -25,12 +25,20 @@
 //! by the per-node out-degree prefix sum: during node `n`'s turn the urn
 //! is `[0]` followed, for each earlier node `m`, by `m`'s targets in
 //! insertion order and then `m` itself. Phase 1 therefore streams RNG
-//! decisions against that *implicit* urn (one `gen_range` over the same
-//! length, one binary search over the prefix sum — same draw sequence,
-//! same resulting node), emitting only the flat target array and the
-//! prefix sum. Phase 2 (`build::assemble`) counting-sorts the
-//! in-direction in O(V+E). Rewiring runs on a sorted-segment CSR scratch
-//! (`build::CsrScratch`) instead of a `BTreeSet` edge mirror.
+//! decisions against that *implicit* urn: one `gen_range` over the same
+//! length, then a lookup of the node whose segment holds that position —
+//! a jump through a `u32` guide keyed on urn position (one entry per 32
+//! positions, appended as the prefix sum grows, dropped when phase 1
+//! ends) and a one- or two-entry walk along the prefix sum. Same draw
+//! sequence, same resulting node; only the flat target array and the
+//! prefix sum are emitted. Phase 2 (`build::assemble`) counting-sorts
+//! the in-direction in O(V+E).
+//!
+//! Follow rewiring swaps targets in that same flat array, in slot order
+//! (the RNG's edge-index space): a swap is two stores, membership is a
+//! linear scan of one node's segment, `build::CsrScratch` maps a slot to
+//! its source node, and every segment is sorted once when the loop ends.
+//! There is no sorted mirror of the edges and no `BTreeSet`.
 //!
 //! Outputs are bit-identical to the retired urn/`BTreeSet` implementation
 //! for every `(spec, seed)` pair — pinned by `tests/csr_regression.rs`.
@@ -255,6 +263,10 @@ impl DiGraph {
         seed: u64,
         options: &BuildOptions,
     ) -> (DiGraph, GraphBuildStats) {
+        assert!(
+            spec.nodes <= u32::MAX as usize,
+            "too many nodes for u32 ids"
+        );
         match spec.kind {
             GraphKind::Follow(ref p) => build_follow(spec.nodes, p, seed, options),
             GraphKind::Friendship(ref p) => build_friendship(spec.nodes, p, seed, options),
@@ -262,39 +274,60 @@ impl DiGraph {
     }
 }
 
-/// How many urn entries node `m` contributes plus everything before it:
-/// during node `n`'s turn the implicit urn is `[0]` ++ for each `m < n`
-/// (targets of `m`, then `m`), so its length is `estart[n] + n` where
-/// `estart[m]` is the out-edge count of nodes below `m`.
+/// Urn positions per guide entry (`1 << GUIDE_SHIFT`). A bucket of 32
+/// positions spans 1–2 nodes at Periscope's ~20 positions per node, so
+/// the walk after the jump stays on one or two adjacent `estart` entries,
+/// and the guide is `(E + V) / 32` `u32`s — an eighth of a byte per urn
+/// position. Build time is flat from 3 to 7 at 300k and 1.2M nodes
+/// (DESIGN.md §12); 5 is the middle of that range.
+const GUIDE_SHIFT: u32 = 5;
+
+/// Appends the guide entries that node `node`'s urn segment — it ends
+/// just before urn key `seg_end` — brings into range: `guide[k]` is the
+/// first node whose segment ends past key `k << GUIDE_SHIFT`. Called once
+/// per node, right after its `estart` entry is pushed.
 #[inline]
-fn urn_pick(idx: usize, node: NodeId, estart: &[u64], targets: &[NodeId]) -> NodeId {
+fn guide_extend(guide: &mut Vec<NodeId>, node: NodeId, seg_end: u64) {
+    while ((guide.len() as u64) << GUIDE_SHIFT) < seg_end {
+        guide.push(node);
+    }
+}
+
+/// The node at position `idx` of the implicit urn: `[0]` ++ for each
+/// `m ≥ 1` (targets of `m`, then `m`), so node `m`'s segment covers urn
+/// keys (`idx - 1`) from `estart[m] + m - 1` up to, not including,
+/// `estart[m + 1] + m`, where `estart[m]` is the out-edge count of nodes
+/// below `m`. `idx` must lie inside the urn built so far.
+///
+/// This runs once per preferential draw, ~E times per build, against a
+/// prefix-sum array too large to stay cached: the guide jumps to the
+/// first node that can own the key and the walk finishes on adjacent
+/// entries — the node a lower-bound search over all of `estart` would
+/// return, for every key (`tests::urn_pick_oracle`).
+#[inline]
+fn urn_pick(idx: usize, estart: &[u64], targets: &[NodeId], guide: &[NodeId]) -> NodeId {
     if idx == 0 {
         return 0;
     }
     let key = (idx - 1) as u64;
-    // Smallest m in [1, node) whose segment end (estart[m+1] + m) exceeds
-    // key. Always exists: at m = node-1 the segment end is the urn length
-    // minus one, which is > key because key ≤ urn_len - 2. Branchless
-    // halving (conditional-move `base` bump instead of a taken/not-taken
-    // branch) — this search runs once per preferential draw, ~E times per
-    // build, on a cold prefix-sum array; the mispredicted branch was the
-    // single hottest instruction in the phase-1 profile.
-    let mut base = 1usize;
-    let mut len = node as usize - 1;
-    while len > 1 {
-        let half = len / 2;
-        let probe = base + half - 1;
-        base += usize::from(estart[probe + 1] + probe as u64 <= key) * half;
-        len -= half;
+    // Smallest m whose segment end (estart[m+1] + m) exceeds key: no
+    // node before the hint qualifies, and the last node pushed does.
+    let mut m = guide[(key >> GUIDE_SHIFT) as usize] as usize;
+    while estart[m + 1] + m as u64 <= key {
+        m += 1;
     }
-    let m = base;
-    let seg_start = estart[m] + (m - 1) as u64;
-    let off = key - seg_start;
-    let out = estart[m + 1] - estart[m];
-    if off < out {
+    let off = key - (estart[m] + (m - 1) as u64);
+    if off < estart[m + 1] - estart[m] {
         targets[(estart[m] + off) as usize]
     } else {
         m as NodeId
+    }
+}
+
+/// Sorts every node's segment of the flat target array.
+fn sort_segments(estart: &[u64], targets: &mut [NodeId]) {
+    for seg in estart.windows(2) {
+        targets[seg[0] as usize..seg[1] as usize].sort_unstable();
     }
 }
 
@@ -316,6 +349,8 @@ fn build_follow(
         (0.0..=1.0).contains(&p.triadic_closure),
         "triadic_closure must be a probability"
     );
+    assert!(!p.mean_follows.is_nan(), "mean_follows must not be NaN");
+    assert_pass_multiple("disassortative_passes", p.disassortative_passes);
     let mut rng = SmallRng::seed_from_u64(seed);
     let mut peak = PeakTracker::default();
     let decide_stamp = options.profile.decide.begin();
@@ -326,6 +361,7 @@ fn build_follow(
     // triadic-closure draws index into that order).
     let mut estart: Vec<u64> = vec![0, 0];
     let mut targets: Vec<NodeId> = Vec::new();
+    let mut guide: Vec<NodeId> = Vec::new();
     let mut chosen: Vec<NodeId> = Vec::new();
     // Sorted mirror of `chosen`, reused across nodes: dedup checks are a
     // binary search instead of a linear scan of the insertion-order list
@@ -358,7 +394,7 @@ fn build_follow(
             let target = closed.unwrap_or_else(|| {
                 if rng.gen_bool(p.preferential_bias) {
                     let urn_len = estart[node as usize] as usize + node as usize;
-                    urn_pick(rng.gen_range(0..urn_len), node, &estart, &targets)
+                    urn_pick(rng.gen_range(0..urn_len), &estart, &targets, &guide)
                 } else {
                     rng.gen_range(0..node)
                 }
@@ -368,31 +404,35 @@ fn build_follow(
             }
         }
         targets.extend_from_slice(&chosen);
-        estart.push(estart[node as usize] + chosen.len() as u64);
+        let out_end = estart[node as usize] + chosen.len() as u64;
+        estart.push(out_end);
+        guide_extend(&mut guide, node, out_end + node as u64);
         if node % 4096 == 0 {
             peak.observe(
                 estart.capacity() * 8
-                    + (targets.capacity() + chosen.capacity() + chosen_sorted.capacity()) * 4,
+                    + (targets.capacity()
+                        + guide.capacity()
+                        + chosen.capacity()
+                        + chosen_sorted.capacity())
+                        * 4,
             );
         }
     }
+    // The urn is finished: free its guide before the later phases' peaks.
+    drop(guide);
     drop(chosen);
     drop(chosen_sorted);
     let edge_total = targets.len();
 
     // Segment sort so the flat array matches CSR (and rewiring's edge
     // indexing, which walks edges in CSR order).
-    for m in 0..nodes {
-        targets[estart[m] as usize..estart[m + 1] as usize].sort_unstable();
-    }
+    sort_segments(&estart, &mut targets);
     options.profile.decide.end(decide_stamp);
 
     let rewire_stamp = options.profile.rewire.begin();
     let swaps = (edge_total as f64 * p.disassortative_passes) as usize;
     let mut swaps_applied = 0u64;
-    let (out_offsets, out_targets) = if swaps == 0 || edge_total < 2 {
-        (estart, targets)
-    } else {
+    if swaps > 0 && edge_total >= 2 {
         // Interim total degrees (out + in) drive the swap objective.
         let mut degrees: Vec<u64> = vec![0; nodes];
         for m in 0..nodes {
@@ -401,21 +441,30 @@ fn build_follow(
         for &v in &targets {
             degrees[v as usize] += 1;
         }
-        // Positional target array: `pos[i]` is the current target of flat
-        // edge slot i (slot order is the RNG's edge-index space and never
-        // moves); the scratch mirrors the same edges with sorted segments
-        // for O(log d) membership.
-        let mut pos = targets.clone();
-        let mut scratch = CsrScratch::new(estart, targets);
-        peak.observe(scratch.heap_bytes() + pos.capacity() * 4 + degrees.capacity() * 8);
+        // `targets[i]` is the current target of flat edge slot i. Slot
+        // order is the RNG's edge-index space and never moves (swaps
+        // preserve every out-degree), so a swap is two stores; segments
+        // lose their sort order meanwhile and are re-sorted once below.
+        // Membership is a linear scan of one segment: out-degrees are
+        // geometric (size-biased mean ~2 × `mean_follows`, maximum
+        // ~`mean_follows · ln V`), so that is the few cache lines the
+        // `targets[i]` read just pulled in.
+        let scratch = CsrScratch::new(&estart);
+        let segment = |u: NodeId| estart[u as usize] as usize..estart[u as usize + 1] as usize;
+        peak.observe(
+            estart.capacity() * 8
+                + targets.capacity() * 4
+                + scratch.heap_bytes()
+                + degrees.capacity() * 8,
+        );
         for _ in 0..swaps {
             let i = rng.gen_range(0..edge_total);
             let j = rng.gen_range(0..edge_total);
             if i == j {
                 continue;
             }
-            let (a, b) = (scratch.source_of(i), pos[i]);
-            let (c, d) = (scratch.source_of(j), pos[j]);
+            let (a, b) = (scratch.source_of(i), targets[i]);
+            let (c, d) = (scratch.source_of(j), targets[j]);
             if a == d || c == b {
                 continue; // swap would create a self-loop
             }
@@ -426,22 +475,20 @@ fn build_follow(
             if swapped >= current {
                 continue; // not disassortative
             }
-            if scratch.contains(a, d) || scratch.contains(c, b) {
-                continue;
+            if targets[segment(a)].contains(&d) || targets[segment(c)].contains(&b) {
+                continue; // swap would duplicate an edge
             }
-            scratch.replace(a, b, d);
-            scratch.replace(c, d, b);
-            pos[i] = d;
-            pos[j] = b;
+            targets[i] = d;
+            targets[j] = b;
             swaps_applied += 1;
         }
-        scratch.into_flat()
-    };
+        sort_segments(&estart, &mut targets);
+    }
     options.profile.rewire.end(rewire_stamp);
 
     let workers = options.workers.max(1);
     let assemble_stamp = options.profile.assemble.begin();
-    let g = build::assemble(nodes, out_offsets, out_targets, workers, &mut peak);
+    let g = build::assemble(nodes, estart, targets, workers, &mut peak);
     options.profile.assemble.end(assemble_stamp);
     let stats = GraphBuildStats {
         nodes,
@@ -451,6 +498,16 @@ fn build_follow(
         workers,
     };
     (g, stats)
+}
+
+/// Rejects a multiple-of-the-edge-count parameter that `as usize` would
+/// turn into something else: `+inf` saturates to `usize::MAX` loop
+/// iterations, a negative value or NaN silently becomes 0.
+fn assert_pass_multiple(name: &str, value: f64) {
+    assert!(
+        value.is_finite() && value >= 0.0,
+        "{name} must be finite and non-negative"
+    );
 }
 
 /// Inserts `v` into a sorted list; false if already present.
@@ -485,6 +542,9 @@ fn build_friendship(
     options: &BuildOptions,
 ) -> (DiGraph, GraphBuildStats) {
     assert!(nodes >= 3, "need at least three users");
+    assert!(!p.mean_friends.is_nan(), "mean_friends must not be NaN");
+    assert_pass_multiple("rewire_passes", p.rewire_passes);
+    assert_pass_multiple("closure_extra", p.closure_extra);
     let mut rng = SmallRng::seed_from_u64(seed);
     let mut peak = PeakTracker::default();
     let decide_stamp = options.profile.decide.begin();
@@ -844,6 +904,22 @@ mod tests {
         assert_eq!(stats.swaps_applied, stats2.swaps_applied);
     }
 
+    const SMALL_FOLLOW: FollowParams = FollowParams {
+        mean_follows: 2.0,
+        preferential_bias: 0.75,
+        triadic_closure: 0.2,
+        disassortative_passes: 1.0,
+    };
+
+    const SMALL_FRIENDSHIP: FriendshipParams = FriendshipParams {
+        mean_friends: 4.0,
+        triadic_closure: 0.4,
+        rewire_passes: 0.5,
+        closure_extra: 0.2,
+        community_size: 0,
+        community_bias: 0.0,
+    };
+
     #[test]
     #[should_panic(expected = "probability")]
     fn bad_bias_panics() {
@@ -851,13 +927,348 @@ mod tests {
             &follow_spec(
                 10,
                 FollowParams {
-                    mean_follows: 2.0,
                     preferential_bias: 1.5,
-                    triadic_closure: 0.2,
-                    disassortative_passes: 1.0,
+                    ..SMALL_FOLLOW
                 },
             ),
             0,
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "too many nodes for u32 ids")]
+    fn follow_node_count_past_u32_panics_before_allocating() {
+        DiGraph::generate(&follow_spec(u32::MAX as usize + 1, SMALL_FOLLOW), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "too many nodes for u32 ids")]
+    fn friendship_node_count_past_u32_panics_before_allocating() {
+        DiGraph::generate(&friendship_spec(u32::MAX as usize + 1, SMALL_FRIENDSHIP), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "mean_follows must not be NaN")]
+    fn nan_mean_follows_panics() {
+        DiGraph::generate(
+            &follow_spec(
+                10,
+                FollowParams {
+                    mean_follows: f64::NAN,
+                    ..SMALL_FOLLOW
+                },
+            ),
+            0,
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "mean_friends must not be NaN")]
+    fn nan_mean_friends_panics() {
+        DiGraph::generate(
+            &friendship_spec(
+                10,
+                FriendshipParams {
+                    mean_friends: f64::NAN,
+                    ..SMALL_FRIENDSHIP
+                },
+            ),
+            0,
+        );
+    }
+
+    /// Runs `build` and returns its panic message ("" if it returned).
+    fn panic_message(build: impl FnOnce() + std::panic::UnwindSafe) -> String {
+        match std::panic::catch_unwind(build) {
+            Ok(()) => String::new(),
+            Err(payload) => payload
+                .downcast_ref::<String>()
+                .cloned()
+                .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+                .unwrap_or_default(),
+        }
+    }
+
+    #[test]
+    fn pass_multiples_must_be_finite_and_non_negative() {
+        // +inf used to saturate to usize::MAX swap proposals (the build
+        // never returned); negative and NaN silently meant 0.
+        for bad in [f64::INFINITY, f64::NEG_INFINITY, -0.5, f64::NAN] {
+            let follow = follow_spec(
+                10,
+                FollowParams {
+                    disassortative_passes: bad,
+                    ..SMALL_FOLLOW
+                },
+            );
+            assert_eq!(
+                panic_message(move || drop(DiGraph::generate(&follow, 0))),
+                "disassortative_passes must be finite and non-negative",
+                "disassortative_passes = {bad}"
+            );
+            let rewire = friendship_spec(
+                10,
+                FriendshipParams {
+                    rewire_passes: bad,
+                    ..SMALL_FRIENDSHIP
+                },
+            );
+            assert_eq!(
+                panic_message(move || drop(DiGraph::generate(&rewire, 0))),
+                "rewire_passes must be finite and non-negative",
+                "rewire_passes = {bad}"
+            );
+            let closure = friendship_spec(
+                10,
+                FriendshipParams {
+                    closure_extra: bad,
+                    ..SMALL_FRIENDSHIP
+                },
+            );
+            assert_eq!(
+                panic_message(move || drop(DiGraph::generate(&closure, 0))),
+                "closure_extra must be finite and non-negative",
+                "closure_extra = {bad}"
+            );
+        }
+        // Zero stays legal: no rewiring at all.
+        let none = follow_spec(
+            10,
+            FollowParams {
+                disassortative_passes: 0.0,
+                ..SMALL_FOLLOW
+            },
+        );
+        assert_eq!(DiGraph::generate_with_stats(&none, 0).1.swaps_applied, 0);
+    }
+
+    /// The whole-array search `urn_pick` ran before the guide: a
+    /// branchless lower bound over `estart[1..node]` for the smallest `m`
+    /// whose segment end exceeds the key. Kept as the reference the
+    /// guided pick must agree with on every key.
+    fn urn_pick_oracle(idx: usize, node: NodeId, estart: &[u64], targets: &[NodeId]) -> NodeId {
+        if idx == 0 {
+            return 0;
+        }
+        let key = (idx - 1) as u64;
+        let mut base = 1usize;
+        let mut len = node as usize - 1;
+        while len > 1 {
+            let half = len / 2;
+            let probe = base + half - 1;
+            base += usize::from(estart[probe + 1] + probe as u64 <= key) * half;
+            len -= half;
+        }
+        let m = base;
+        let seg_start = estart[m] + (m - 1) as u64;
+        let off = key - seg_start;
+        let out = estart[m + 1] - estart[m];
+        if off < out {
+            targets[(estart[m] + off) as usize]
+        } else {
+            m as NodeId
+        }
+    }
+
+    /// Checks the guided pick against the oracle while an urn grows by
+    /// one node per entry of `out_degrees` (node `m ≥ 1` gets
+    /// `out_degrees[m - 1]` targets), exactly as phase 1 grows it. Every
+    /// target slot carries a distinct value that is no node id, so a
+    /// wrong segment *or* a wrong offset inside it shows. During each
+    /// node's turn the first and last urn positions are compared; at the
+    /// end, every position.
+    fn assert_urn_matches_oracle(out_degrees: &[usize]) -> Result<(), String> {
+        let mut estart: Vec<u64> = vec![0, 0];
+        let mut targets: Vec<NodeId> = Vec::new();
+        let mut guide: Vec<NodeId> = Vec::new();
+        let check =
+            |idx: usize, node: NodeId, estart: &[u64], targets: &[NodeId], guide: &[NodeId]| {
+                let got = urn_pick(idx, estart, targets, guide);
+                let want = urn_pick_oracle(idx, node, estart, targets);
+                if got == want {
+                    Ok(())
+                } else {
+                    Err(format!(
+                        "urn position {idx} at node {node}: guided {got}, oracle {want}, \
+                     out-degrees {out_degrees:?}"
+                    ))
+                }
+            };
+        for (i, &out) in out_degrees.iter().enumerate() {
+            let node = i as NodeId + 1;
+            let urn_len = estart[node as usize] as usize + node as usize;
+            check(0, node, &estart, &targets, &guide)?;
+            check(urn_len - 1, node, &estart, &targets, &guide)?;
+            let first = targets.len() as NodeId;
+            targets.extend((0..out as NodeId).map(|k| NodeId::MAX - first - k));
+            let out_end = estart[node as usize] + out as u64;
+            estart.push(out_end);
+            guide_extend(&mut guide, node, out_end + node as u64);
+        }
+        let node = out_degrees.len() as NodeId + 1;
+        let urn_len = estart[node as usize] as usize + node as usize;
+        assert_eq!(guide.len(), (urn_len - 1).div_ceil(1 << GUIDE_SHIFT));
+        for idx in 0..urn_len {
+            check(idx, node, &estart, &targets, &guide)?;
+        }
+        Ok(())
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn guided_urn_pick_equals_whole_array_search(
+            out_degrees in proptest::collection::vec(
+                // Mostly follow-sized segments, with zero-degree nodes
+                // (retry cap exhausted) and segments spanning several
+                // guide buckets mixed in.
+                proptest::prop_oneof![0usize..3, 0usize..40, 0usize..200],
+                1..120,
+            ),
+        ) {
+            assert_urn_matches_oracle(&out_degrees)?;
+        }
+    }
+
+    #[test]
+    fn urn_pick_is_exact_at_segment_and_bucket_boundaries() {
+        let bucket = 1usize << GUIDE_SHIFT;
+        // One node; zero-degree runs at the head, inside and at the tail;
+        // segments ending exactly on / one short of / one past a guide
+        // bucket edge; one segment spanning four buckets.
+        for out_degrees in [
+            vec![0],
+            vec![1],
+            vec![0, 0, 0, 0],
+            vec![0, 0, 5, 0, 0, 0, 7, 0, 0],
+            vec![bucket - 1, bucket - 1, bucket - 1],
+            vec![bucket - 2, bucket, bucket - 1, bucket + 1],
+            vec![bucket, bucket, bucket],
+            vec![3, 4 * bucket + 3, 0, 0, 2],
+            vec![1; 3 * bucket],
+            vec![0; 3 * bucket],
+        ] {
+            assert_urn_matches_oracle(&out_degrees).unwrap();
+        }
+
+        // The same, spelled out once: three nodes with 31 targets each put
+        // segment ends at keys 32, 64, 96 — the bucket edges themselves.
+        let out = bucket - 1;
+        let estart: Vec<u64> = (0..5)
+            .map(|m: u64| m.saturating_sub(1) * out as u64)
+            .collect();
+        let targets: Vec<NodeId> = (0..3 * out as NodeId)
+            .map(|slot| NodeId::MAX - slot)
+            .collect();
+        let mut guide = Vec::new();
+        for node in 1..=3 {
+            guide_extend(&mut guide, node, estart[node as usize + 1] + node as u64);
+        }
+        assert_eq!(guide, [1, 2, 3]);
+        let pick = |idx| urn_pick(idx, &estart, &targets, &guide);
+        assert_eq!(pick(0), 0, "the seed entry");
+        assert_eq!(pick(1), NodeId::MAX, "key 0: node 1's first target");
+        assert_eq!(
+            pick(bucket - 1),
+            NodeId::MAX - 30,
+            "key 30: its last target"
+        );
+        assert_eq!(pick(bucket), 1, "key 31 = (1 << S) - 1: node 1 itself");
+        assert_eq!(pick(bucket + 1), NodeId::MAX - 31, "key 32 = 1 << S");
+        assert_eq!(pick(2 * bucket), 2, "key 63 = (2 << S) - 1");
+        assert_eq!(pick(2 * bucket + 1), NodeId::MAX - 62, "key 64 = 2 << S");
+        assert_eq!(pick(3 * bucket), 3, "the last urn slot");
+    }
+
+    /// An absolute pin captured from the whole-array-search /
+    /// sorted-mirror generator (commit 72f5518) for an edge-case spec.
+    fn assert_follow_pin(
+        spec: &GraphSpec,
+        seed: u64,
+        edges: usize,
+        adjacency: u64,
+        swaps: u64,
+    ) -> DiGraph {
+        let (g, stats) = DiGraph::generate_with_stats(spec, seed);
+        assert_eq!(g.edge_count(), edges);
+        assert_eq!(g.adjacency_checksum(), adjacency);
+        assert_eq!(stats.swaps_applied, swaps);
+        for u in 0..g.node_count() as NodeId {
+            let out = g.out_neighbors(u);
+            assert!(out.windows(2).all(|w| w[0] < w[1]), "node {u}: {out:?}");
+            assert!(!out.contains(&u), "node {u} follows itself");
+        }
+        g
+    }
+
+    #[test]
+    fn two_node_follow_graph_is_the_single_edge() {
+        // The minimum population: node 1's urn is the seed entry alone.
+        for seed in [0, 1, 7] {
+            let spec = GraphSpec::periscope().with_nodes(2);
+            let g = assert_follow_pin(&spec, seed, 1, 0x9542add468f86d82, 0);
+            assert!(g.has_edge(1, 0));
+        }
+    }
+
+    #[test]
+    fn retry_cap_bounds_a_build_that_cannot_find_enough_targets() {
+        // Everyone wants to follow every earlier user through purely
+        // preferential draws; the newest users carry almost no urn
+        // weight, so from a few dozen nodes on every node exhausts its
+        // `follows * 20` attempts short of `node` targets.
+        let spec = follow_spec(
+            300,
+            FollowParams {
+                mean_follows: 1e9,
+                preferential_bias: 1.0,
+                triadic_closure: 0.0,
+                disassortative_passes: 0.5,
+            },
+        );
+        let g = assert_follow_pin(&spec, 5, 42_624, 0x10f1a9becaa49ee7, 1);
+        let capped = (0..300).filter(|&u| g.out_degree(u) < u as usize).count();
+        assert_eq!(capped, 260);
+        assert!((100..300).all(|u| g.out_degree(u) < u as usize));
+    }
+
+    #[test]
+    fn rewiring_is_exact_on_segments_longer_than_a_source_block() {
+        // Out-degrees in the hundreds: one node's segment covers several
+        // 256-edge `source_of` blocks, the membership scan reads a whole
+        // long segment, and the end-of-loop sort has real work to do.
+        for (p, edges, adjacency, swaps, max_out) in [
+            (
+                FollowParams {
+                    mean_follows: 120.0,
+                    preferential_bias: 0.75,
+                    triadic_closure: 0.28,
+                    disassortative_passes: 1.0,
+                },
+                338_582,
+                0x742acd026cb706ee,
+                70_742,
+                964,
+            ),
+            (
+                FollowParams {
+                    mean_follows: 120.0,
+                    preferential_bias: 0.85,
+                    triadic_closure: 0.5,
+                    disassortative_passes: 3.0,
+                },
+                338_014,
+                0xe47a4793feead0de,
+                120_135,
+                1_314,
+            ),
+        ] {
+            let spec = follow_spec(3_000, p);
+            let g = assert_follow_pin(&spec, 9, edges, adjacency, swaps);
+            assert_eq!(
+                (0..3_000).map(|u| g.out_degree(u)).max(),
+                Some(max_out),
+                "hub out-degree must exceed one 256-edge block"
+            );
+        }
     }
 }

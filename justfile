@@ -98,6 +98,13 @@ bench-graph *flags="":
 bench-pick:
     cargo bench -p livescope-bench --bench micro_weighted_pick -- --bench
 
+# Follow-graph build phases (DESIGN.md §12): decide + assemble alone vs
+# the full build with rewiring, Periscope at 300k / 1.2M nodes and
+# Twitter at 300k; ns/edge = 1000 / Melem/s, ns/swap-proposal from the
+# difference of the two lines over the printed proposal count.
+bench-graph-phases:
+    cargo bench -p livescope-bench --bench micro_graph_phases -- --bench
+
 # Capture a JSONL trace of the breakdown experiment and summarize it.
 trace out="results/trace.jsonl":
     cargo run --release --bin trace_summary -- --capture {{out}}

@@ -47,6 +47,16 @@ cargo run --release -q -p livescope-bench --bin bench_replay -- --workers --smok
 echo "==> graph-build K-sweep smoke (parallel assembly checksums == committed pins, K 1/2/6)"
 cargo run --release -q -p livescope-bench --bin bench_replay -- --graph-only --smoke
 
+# `cargo test` does not put `--bench` in argv, so the vendored Criterion
+# runs every bench body exactly once, untimed: what gates the PR is the
+# checksum each body asserts before it would be timed (six follow-graph
+# builds against their pinned adjacency checksums; guided weighted picks
+# against the whole-table search at 300k/1.2M/12M users). ~35 s on the
+# 2-vCPU reference host once compiled, nearly all of it the four
+# 1.2M-node builds.
+echo "==> micro benches, one untimed pass each (pre-timing checksum asserts)"
+cargo test --release -q -p livescope-bench --bench micro_graph_phases --bench micro_weighted_pick
+
 echo "==> obs_report smoke (celebrity fan-out report bytes identical, lanes 1/2/6)"
 cargo run --release -q -p livescope-bench --bin obs_report -- --smoke
 
