@@ -23,8 +23,8 @@
 //! produced it.
 //!
 //! ```text
-//! bench_check                     compare a fresh run against baselines/
-//! bench_check --write-baselines   (re)create the baseline files
+//! livescope bench_check                     compare a fresh run against baselines/
+//! livescope bench_check --write-baselines   (re)create the baseline files
 //! ```
 //!
 //! Only simulation-deterministic quantities are gated: event and span
@@ -36,10 +36,8 @@
 //! the build gets *ruinously* slower, not on host jitter. Override the
 //! baseline directory with `LIVESCOPE_BASELINES`.
 
-#![forbid(unsafe_code)]
-
 use std::fs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::Instant;
 
@@ -47,7 +45,11 @@ use livescope_bench::obs;
 use livescope_bench::regress::{self, MetricSpec};
 use livescope_graph::DiGraph;
 use livescope_workload::{default_graph_seed, default_graph_spec, ScenarioConfig};
+use serde::Serialize;
 use serde_json::Value;
+
+use crate::args::{Args, UsageError};
+use crate::{hex, json_line, round_to};
 
 /// The gated metrics. Counts and checksums are exact; sim-time delay
 /// means get a 2% allowance so a deliberate, reviewed re-tuning of a
@@ -118,11 +120,28 @@ fn fresh_doc() -> String {
     obs::obs_doc(&breakdown, &celebrity, &fanout)
 }
 
+#[derive(Serialize)]
+struct GraphBuild {
+    nodes: usize,
+    edges: usize,
+    max_in_degree: usize,
+    swaps_applied: u64,
+    adjacency_checksum: String,
+    degree_checksum: String,
+    peak_bytes: usize,
+    resident_bytes: usize,
+    wall_s: f64,
+}
+
+#[derive(Serialize)]
+struct GraphDoc {
+    bench: &'static str,
+    graph_build: GraphBuild,
+}
+
 /// Fresh `GRAPH_build.json` artifact: the divisor-1000 replay graph
 /// (`bench_replay`'s base run) rebuilt through the same
 /// spec + seed path the workload uses, with every [`GRAPH_GATE`] input.
-/// Checksums are emitted as hex strings — u64 exceeds f64's integer
-/// range, so they must not round-trip through a JSON number.
 fn fresh_graph_doc() -> String {
     let scenario = ScenarioConfig::periscope_study();
     let t0 = Instant::now();
@@ -131,21 +150,39 @@ fn fresh_graph_doc() -> String {
         default_graph_seed(&scenario),
     );
     let wall_s = t0.elapsed().as_secs_f64();
-    format!(
-        "{{\"bench\":\"graph_build\",\"graph_build\":{{\"nodes\":{},\"edges\":{},\
-         \"max_in_degree\":{},\"swaps_applied\":{},\
-         \"adjacency_checksum\":\"{:#018x}\",\"degree_checksum\":\"{:#018x}\",\
-         \"peak_bytes\":{},\"resident_bytes\":{},\"wall_s\":{:.4}}}}}\n",
-        stats.nodes,
-        stats.edges,
-        graph.degrees().max_in_degree(),
-        stats.swaps_applied,
-        graph.adjacency_checksum(),
-        graph.degree_checksum(),
-        stats.peak_bytes,
-        graph.resident_bytes(),
-        wall_s,
-    )
+    json_line(&GraphDoc {
+        bench: "graph_build",
+        graph_build: GraphBuild {
+            nodes: stats.nodes,
+            edges: stats.edges,
+            max_in_degree: graph.degrees().max_in_degree(),
+            swaps_applied: stats.swaps_applied,
+            adjacency_checksum: hex(graph.adjacency_checksum()),
+            degree_checksum: hex(graph.degree_checksum()),
+            peak_bytes: stats.peak_bytes,
+            resident_bytes: graph.resident_bytes(),
+            wall_s: round_to(wall_s, 4),
+        },
+    })
+}
+
+#[derive(Serialize)]
+struct WorkerDigest {
+    workers: usize,
+    digest: String,
+}
+
+#[derive(Serialize)]
+struct ReplayWorkers {
+    divisor: u64,
+    records: u64,
+    runs: Vec<WorkerDigest>,
+}
+
+#[derive(Serialize)]
+struct ReplayDoc {
+    bench: &'static str,
+    replay_workers: ReplayWorkers,
 }
 
 /// Fresh `REPLAY_workers.json` artifact: the divisor-1000 sharded
@@ -167,21 +204,20 @@ fn fresh_replay_doc() -> String {
             r.workers
         );
     }
-    let lines: Vec<String> = runs
-        .iter()
-        .map(|r| {
-            format!(
-                "{{\"workers\":{},\"digest\":\"{:#018x}\"}}",
-                r.workers, r.digest
-            )
-        })
-        .collect();
-    format!(
-        "{{\"bench\":\"replay_workers\",\"replay_workers\":{{\"divisor\":1000,\
-         \"records\":{},\"runs\":[{}]}}}}\n",
-        runs[0].records,
-        lines.join(",")
-    )
+    json_line(&ReplayDoc {
+        bench: "replay_workers",
+        replay_workers: ReplayWorkers {
+            divisor: 1000,
+            records: runs[0].records,
+            runs: runs
+                .iter()
+                .map(|r| WorkerDigest {
+                    workers: r.workers,
+                    digest: hex(r.digest),
+                })
+                .collect(),
+        },
+    })
 }
 
 /// Compares one fresh artifact against its committed baseline (or
@@ -221,17 +257,9 @@ fn check_artifact(
     Ok(violations)
 }
 
-fn main() -> ExitCode {
-    let mut write = false;
-    for arg in std::env::args().skip(1) {
-        match arg.as_str() {
-            "--write-baselines" => write = true,
-            _ => {
-                eprintln!("usage: bench_check [--write-baselines]");
-                return ExitCode::from(2);
-            }
-        }
-    }
+pub fn run(mut args: Args, _results: &Path) -> Result<ExitCode, UsageError> {
+    let write = args.flag("--write-baselines");
+    args.finish()?;
     let artifacts: [(&str, String, &[MetricSpec]); 3] = [
         ("OBS_report.json", fresh_doc(), GATE),
         ("GRAPH_build.json", fresh_graph_doc(), GRAPH_GATE),
@@ -243,20 +271,19 @@ fn main() -> ExitCode {
             Ok(v) => violations.extend(v),
             Err(err) => {
                 eprintln!("bench_check: {err}");
-                return ExitCode::FAILURE;
+                return Ok(ExitCode::FAILURE);
             }
         }
     }
     if violations.is_empty() {
-        ExitCode::SUCCESS
-    } else {
-        eprintln!(
-            "bench-regression gate FAILED ({} violations):",
-            violations.len()
-        );
-        for v in &violations {
-            eprintln!("  {v}");
-        }
-        ExitCode::FAILURE
+        return Ok(ExitCode::SUCCESS);
     }
+    eprintln!(
+        "bench-regression gate FAILED ({} violations):",
+        violations.len()
+    );
+    for v in &violations {
+        eprintln!("  {v}");
+    }
+    Ok(ExitCode::FAILURE)
 }

@@ -8,23 +8,23 @@
 //!
 //! ```sh
 //! cargo run --release -p livescope-bench --features profile \
-//!     --bin bench_replay -- BENCH_replay.json
+//!     -- bench_replay BENCH_replay.json
 //! # CI smoke variant (divisor 1000 only, asserts the streaming path's
 //! # record checksum and aggregates match the materializing path AND the
 //! # committed divisor-1000 pins below):
-//! cargo run --release -p livescope-bench --bin bench_replay -- --smoke
+//! cargo run --release -p livescope-bench -- bench_replay --smoke
 //! # Worker scaling curve only (divisor 10, K ∈ {1,2,4,6};
 //! # `just bench-replay-workers`):
-//! cargo run --release -p livescope-bench --bin bench_replay -- --workers
+//! cargo run --release -p livescope-bench -- bench_replay --workers
 //! # Worker smoke (divisor 1000, K ∈ {1,2,6}, asserts the K-sweep is
 //! # digest-identical to the sequential streaming path):
-//! cargo run --release -p livescope-bench --bin bench_replay -- --workers --smoke
+//! cargo run --release -p livescope-bench -- bench_replay --workers --smoke
 //! # Graph-build worker sweep only (divisor 10, K ∈ {1,2,4,6}; no file
 //! # write — `just bench-graph`):
-//! cargo run --release -p livescope-bench --bin bench_replay -- --graph-only
+//! cargo run --release -p livescope-bench -- bench_replay --graph-only
 //! # Graph smoke (divisor 1000, K ∈ {1,2,6}, asserts the committed
 //! # adjacency AND degree checksum pins for every K):
-//! cargo run --release -p livescope-bench --bin bench_replay -- --graph-only --smoke
+//! cargo run --release -p livescope-bench -- bench_replay --graph-only --smoke
 //! ```
 //!
 //! Each divisor records two phases. `graph_build` is the follow-graph
@@ -63,12 +63,12 @@
 //! (and the single-threaded scheduler's `sim.event_wall_ns` when
 //! present).
 
-#![forbid(unsafe_code)]
-
+use std::path::Path;
+use std::process::ExitCode;
 use std::time::Instant;
 
 use livescope_bench::graphbench::{graph_worker_sweep, timed_build, GraphBuildRun};
-use livescope_bench::replay::{scaled_periscope, summary_digest, worker_sweep, WorkerRun};
+use livescope_bench::replay::{scaled_periscope, summary_digest, worker_sweep};
 use livescope_bench::run_meta_json;
 use livescope_crawler::campaign::CampaignConfig;
 use livescope_crawler::streaming::DEFAULT_EXEMPLARS;
@@ -80,6 +80,11 @@ use livescope_workload::{
     default_graph_seed, default_graph_spec, generate, generate_streaming_with_graph,
     BroadcastRecord, ScenarioConfig,
 };
+use serde::{Deserialize, Serialize};
+use serde_json::Value;
+
+use crate::args::{Args, UsageError};
+use crate::{hex, round_to, write_doc};
 
 const DIVISORS: [f64; 4] = [1_000.0, 100.0, 10.0, 1.0];
 /// Sampling stride for the peak-tracked-bytes watermark.
@@ -116,24 +121,113 @@ fn record_digest(r: &BroadcastRecord) -> u64 {
     )
 }
 
+/// The `graph_build` phase of one divisor (a [`GraphBuildRun`] in the
+/// document's key order; the degree checksum rides in `graph_workers`).
+#[derive(Serialize, Deserialize)]
+struct GraphBuild {
+    wall_s: f64,
+    peak_bytes: usize,
+    resident_bytes: usize,
+    edges: usize,
+    max_in_degree: usize,
+    swaps_applied: u64,
+    adjacency_checksum: String,
+    workers: usize,
+}
+
+/// One divisor of the sweep: a `runs` row of `BENCH_replay.json`.
+#[derive(Serialize, Deserialize)]
 struct ReplayRun {
     divisor: f64,
     users: usize,
-    graph: GraphBuildRun,
+    graph_build: GraphBuild,
     records: u64,
     /// Mobile views attributed across all records, missed days included:
     /// one weighted viewer pick each.
     mobile_views: u64,
     wall_s: f64,
     broadcasts_per_sec: f64,
+    ns_per_mobile_view: f64,
     peak_tracked_bytes: usize,
+    tracked_bytes_per_record: f64,
     materialized_record_bytes: u64,
-    checksum: u64,
+    checksum: String,
     recorded: u64,
     missed: u64,
     /// Full-surface digest of the finished campaign
     /// ([`summary_digest`]); the worker sweep must reproduce it.
-    summary_digest: u64,
+    summary_digest: String,
+}
+
+/// One K of the replay scaling curve (a `replay::WorkerRun` that matched).
+#[derive(Serialize, Deserialize)]
+struct WorkerRow {
+    workers: usize,
+    wall_s: f64,
+    merge_wall_s: f64,
+    barrier_wall_s: f64,
+    records: u64,
+    peak_tracked_bytes: usize,
+    digest: String,
+    matches_streaming: bool,
+}
+
+#[derive(Serialize, Deserialize)]
+struct WorkerCurve {
+    divisor: f64,
+    runs: Vec<WorkerRow>,
+}
+
+/// One K of the assembly scaling curve (a [`GraphBuildRun`] that matched).
+#[derive(Serialize, Deserialize)]
+struct GraphWorkerRow {
+    workers: usize,
+    wall_s: f64,
+    peak_bytes: usize,
+    adjacency_checksum: String,
+    degree_checksum: String,
+    matches_sequential: bool,
+}
+
+/// `host_parallelism` rides along so a flat curve on a single-core host
+/// reads as "no cores", not "no speedup".
+#[derive(Serialize, Deserialize)]
+struct GraphWorkerCurve {
+    divisor: f64,
+    host_parallelism: usize,
+    runs: Vec<GraphWorkerRow>,
+}
+
+#[derive(Serialize, Deserialize)]
+struct ProfileRow {
+    name: String,
+    count: u64,
+    total_ns: u64,
+    mean_ns: f64,
+    p50_ns: f64,
+    p99_ns: f64,
+    max_ns: u64,
+}
+
+#[derive(Serialize, Deserialize)]
+struct Workload {
+    app: String,
+    days: u32,
+    mem_sample_every: u64,
+}
+
+/// The `BENCH_replay.json` document.
+#[derive(Serialize, Deserialize)]
+struct ReplayDoc {
+    bench: String,
+    meta: Value,
+    workload: Workload,
+    divisor_1000_matches_materialized: bool,
+    profile_feature: bool,
+    profile_top5: Vec<ProfileRow>,
+    runs: Vec<ReplayRun>,
+    workers: WorkerCurve,
+    graph_workers: GraphWorkerCurve,
 }
 
 /// One streaming replay of the Periscope campaign at `divisor`,
@@ -144,10 +238,10 @@ struct ReplayRun {
 ///
 /// The follow graph is built explicitly (same spec and seed as the
 /// stream's owned-graph path, so the workload is byte-identical) and
-/// timed as its own `graph_build` phase — and **returned**, so callers
-/// needing further replays of the same divisor (the worker sweeps)
-/// reuse it instead of rebuilding per run.
-fn replay(divisor: f64, telemetry: &Telemetry) -> (ReplayRun, DiGraph) {
+/// timed as its own `graph_build` phase — and **returned** with its
+/// build record, so callers needing further replays of the same divisor
+/// (the worker sweeps) reuse it instead of rebuilding per run.
+fn replay(divisor: f64, telemetry: &Telemetry) -> (ReplayRun, GraphBuildRun, DiGraph) {
     let scenario = scaled_periscope(divisor);
     let campaign = CampaignConfig::periscope_study();
 
@@ -183,40 +277,51 @@ fn replay(divisor: f64, telemetry: &Telemetry) -> (ReplayRun, DiGraph) {
     peak = peak.max(stream.tracked_bytes() + acc.tracked_bytes());
     let summary = acc.finish(stream.into_summary());
     let wall_s = t0.elapsed().as_secs_f64();
-    let digest = summary_digest(&summary);
     let run = ReplayRun {
         divisor,
         users: scenario.users,
-        graph: graph_build,
+        graph_build: GraphBuild {
+            wall_s: round_to(graph_build.wall_s, 3),
+            peak_bytes: graph_build.peak_bytes,
+            resident_bytes: graph_build.resident_bytes,
+            edges: graph_build.edges,
+            max_in_degree: graph_build.max_in_degree,
+            swaps_applied: graph_build.swaps_applied,
+            adjacency_checksum: hex(graph_build.adjacency_checksum),
+            workers: graph_build.workers,
+        },
         records,
         mobile_views,
-        wall_s,
-        broadcasts_per_sec: records as f64 / wall_s.max(1e-9),
+        wall_s: round_to(wall_s, 3),
+        broadcasts_per_sec: round_to(records as f64 / wall_s.max(1e-9), 0),
+        ns_per_mobile_view: round_to(wall_s * 1e9 / mobile_views.max(1) as f64, 1),
         peak_tracked_bytes: peak,
+        tracked_bytes_per_record: round_to(peak as f64 / records.max(1) as f64, 2),
         materialized_record_bytes: records * std::mem::size_of::<BroadcastRecord>() as u64,
-        checksum,
+        checksum: hex(checksum),
         recorded: summary.broadcasts(),
         missed: summary.missed,
-        summary_digest: digest,
+        summary_digest: hex(summary_digest(&summary)),
     };
-    (run, graph)
+    (run, graph_build, graph)
 }
 
 /// Runs the replay worker K-sweep at `divisor` against a shared
 /// pre-built graph, asserts every K reproduces `expected_digest`, and
-/// prints one line per K. Returns the runs for the JSON scaling curve.
+/// prints one line per K. Returns the rows of the JSON scaling curve.
 fn sweep_workers(
     divisor: f64,
     graph: &DiGraph,
     workers: &[usize],
-    expected_digest: u64,
-) -> Vec<WorkerRun> {
+    expected_digest: &str,
+) -> Vec<WorkerRow> {
     let scenario = scaled_periscope(divisor);
     let campaign = CampaignConfig::periscope_study();
     let runs = worker_sweep(&scenario, &campaign, graph, workers);
     for r in &runs {
         assert_eq!(
-            r.digest, expected_digest,
+            hex(r.digest),
+            expected_digest,
             "K={} sharded digest diverged from the sequential streaming path at divisor {divisor}",
             r.workers
         );
@@ -233,7 +338,18 @@ fn sweep_workers(
             r.digest,
         );
     }
-    runs
+    runs.iter()
+        .map(|r| WorkerRow {
+            workers: r.workers,
+            wall_s: round_to(r.wall_s, 3),
+            merge_wall_s: round_to(r.merge_wall_s, 4),
+            barrier_wall_s: round_to(r.barrier_wall_s, 4),
+            records: r.records,
+            peak_tracked_bytes: r.peak_tracked_bytes,
+            digest: hex(r.digest),
+            matches_streaming: true,
+        })
+        .collect()
 }
 
 /// The sequential streaming digest at `divisor` over a shared pre-built
@@ -262,50 +378,6 @@ fn print_graph_run(r: &GraphBuildRun) {
     );
 }
 
-/// JSON fragment for the `workers` (replay) scaling-curve section.
-fn workers_json(divisor: f64, runs: &[WorkerRun]) -> String {
-    let lines: Vec<String> = runs
-        .iter()
-        .map(|r| {
-            format!(
-                "{{\"workers\":{},\"wall_s\":{:.3},\"merge_wall_s\":{:.4},\
-                 \"barrier_wall_s\":{:.4},\"records\":{},\"peak_tracked_bytes\":{},\
-                 \"digest\":\"{:#018x}\",\"matches_streaming\":true}}",
-                r.workers,
-                r.wall_s,
-                r.merge_wall_s,
-                r.barrier_wall_s,
-                r.records,
-                r.peak_tracked_bytes,
-                r.digest,
-            )
-        })
-        .collect();
-    format!("{{\"divisor\":{divisor},\"runs\":[{}]}}", lines.join(","))
-}
-
-/// JSON fragment for the `graph_workers` (assembly) scaling-curve
-/// section. `host_parallelism` rides along so a flat curve on a
-/// single-core host reads as "no cores", not "no speedup".
-fn graph_workers_json(divisor: f64, runs: &[GraphBuildRun]) -> String {
-    let host_parallelism = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let lines: Vec<String> = runs
-        .iter()
-        .map(|r| {
-            format!(
-                "{{\"workers\":{},\"wall_s\":{:.3},\"peak_bytes\":{},\
-                 \"adjacency_checksum\":\"{:#018x}\",\"degree_checksum\":\"{:#018x}\",\
-                 \"matches_sequential\":true}}",
-                r.workers, r.wall_s, r.peak_bytes, r.adjacency_checksum, r.degree_checksum,
-            )
-        })
-        .collect();
-    format!(
-        "{{\"divisor\":{divisor},\"host_parallelism\":{host_parallelism},\"runs\":[{}]}}",
-        lines.join(",")
-    )
-}
-
 /// The materializing path at `divisor`, digested the same way; returns
 /// `(checksum, record_vec_bytes)`. Uses the stream-owned graph path, so
 /// it also cross-checks the explicit `graph_build` construction above.
@@ -319,13 +391,13 @@ fn materialized_digest(divisor: f64) -> (u64, u64) {
     (checksum, bytes)
 }
 
-/// Top-5 handler histograms by total wall time, as report lines and a
-/// JSON fragment. `telemetry` already carries the `handler.graph.*`
+/// Top-5 handler histograms by total wall time, as report lines and
+/// JSON rows. `telemetry` already carries the `handler.graph.*`
 /// sections recorded by every graph build of the run; the celebrity
 /// fan-out workload is run on the same handle so its `handler.fanout.*`
 /// sections land in the same snapshot. Empty when the build lacks the
 /// `profile` feature.
-fn profile_report(telemetry: &Telemetry) -> (Vec<String>, Vec<String>) {
+fn profile_report(telemetry: &Telemetry) -> (Vec<String>, Vec<ProfileRow>) {
     if !cfg!(feature = "profile") {
         return (
             vec![
@@ -337,13 +409,7 @@ fn profile_report(telemetry: &Telemetry) -> (Vec<String>, Vec<String>) {
     }
     // The celebrity-broadcast workload of bench_shards, single-lane so
     // the single-threaded per-event numbers are comparable run to run.
-    let config = livescope_cdn::FanoutConfig {
-        viewers_per_pop: 250,
-        stream_secs: 120,
-        roam_every: 5,
-        seed: 0xF1610,
-        ..livescope_cdn::FanoutConfig::default()
-    };
+    let config = super::bench_shards::workload(false);
     livescope_cdn::run_fanout(&config, 1, telemetry);
     let snapshot = telemetry.snapshot();
     let mut hists: Vec<_> = snapshot
@@ -369,16 +435,15 @@ fn profile_report(telemetry: &Telemetry) -> (Vec<String>, Vec<String>) {
             h.quantile(0.99),
             h.max,
         ));
-        json.push(format!(
-            "{{\"name\":\"{name}\",\"count\":{},\"total_ns\":{},\"mean_ns\":{:.0},\
-             \"p50_ns\":{:.0},\"p99_ns\":{:.0},\"max_ns\":{}}}",
-            h.count,
-            h.sum,
-            h.mean(),
-            h.quantile(0.5),
-            h.quantile(0.99),
-            h.max,
-        ));
+        json.push(ProfileRow {
+            name: name.clone(),
+            count: h.count,
+            total_ns: h.sum,
+            mean_ns: round_to(h.mean(), 0),
+            p50_ns: round_to(h.quantile(0.5), 0),
+            p99_ns: round_to(h.quantile(0.99), 0),
+            max_ns: h.max,
+        });
     }
     (lines, json)
 }
@@ -389,10 +454,10 @@ fn print_run(run: &ReplayRun) {
          {} broadcasts in {:.2}s ({:.0}/s), peak tracked {:.1} MiB \
          (materialized records would be {:.1} MiB)",
         run.divisor,
-        run.graph.edges,
-        run.graph.wall_s,
-        run.graph.peak_bytes as f64 / (1024.0 * 1024.0),
-        run.graph.resident_bytes as f64 / (1024.0 * 1024.0),
+        run.graph_build.edges,
+        run.graph_build.wall_s,
+        run.graph_build.peak_bytes as f64 / (1024.0 * 1024.0),
+        run.graph_build.resident_bytes as f64 / (1024.0 * 1024.0),
         run.records,
         run.wall_s,
         run.broadcasts_per_sec,
@@ -401,23 +466,12 @@ fn print_run(run: &ReplayRun) {
     );
 }
 
-fn main() {
-    let mut out = "BENCH_replay.json".to_string();
-    let mut smoke = false;
-    let mut workers_only = false;
-    let mut graph_only = false;
-    for arg in std::env::args().skip(1) {
-        match arg.as_str() {
-            "--smoke" => smoke = true,
-            "--workers" => workers_only = true,
-            "--graph-only" => graph_only = true,
-            flag if flag.starts_with("--") => {
-                eprintln!("usage: bench_replay [--smoke] [--workers | --graph-only] [OUT.json]");
-                std::process::exit(2);
-            }
-            other => out = other.to_string(),
-        }
-    }
+pub fn run(mut args: Args, _results: &Path) -> Result<ExitCode, UsageError> {
+    let smoke = args.flag("--smoke");
+    let workers_only = args.flag("--workers");
+    let graph_only = args.flag("--graph-only");
+    let out = args.positional();
+    args.finish()?;
 
     if graph_only {
         // Standalone graph-build scaling curve (no file write): the CI
@@ -457,7 +511,7 @@ fn main() {
             "graph: divisor-{divisor} K-sweep {ks:?} checksum-identical across every \
              worker count"
         );
-        return;
+        return Ok(ExitCode::SUCCESS);
     }
 
     if workers_only {
@@ -474,13 +528,13 @@ fn main() {
             &default_graph_spec(&scenario),
             default_graph_seed(&scenario),
         );
-        let expected = streaming_digest(divisor, &graph);
-        sweep_workers(divisor, &graph, ks, expected);
+        let expected = hex(streaming_digest(divisor, &graph));
+        sweep_workers(divisor, &graph, ks, &expected);
         println!(
             "workers: divisor-{divisor} K-sweep {ks:?} digest-identical to the \
              sequential streaming path"
         );
-        return;
+        return Ok(ExitCode::SUCCESS);
     }
 
     // One telemetry handle for the whole run: every graph build's
@@ -490,54 +544,59 @@ fn main() {
 
     // Divisor 1000 runs in both modes and is always cross-checked
     // against the materializing (stream-owned-graph) path.
-    let (base, _) = replay(1_000.0, &telemetry);
+    let (base, _, _) = replay(1_000.0, &telemetry);
     let (mat_checksum, _mat_bytes) = materialized_digest(1_000.0);
     print_run(&base);
     assert_eq!(
-        base.checksum, mat_checksum,
+        base.checksum,
+        hex(mat_checksum),
         "streaming generator diverged from the materializing path at divisor 1000"
     );
     if smoke {
         assert_eq!(
-            base.checksum, SMOKE_RECORD_CHECKSUM,
+            base.checksum,
+            hex(SMOKE_RECORD_CHECKSUM),
             "divisor-1000 record checksum drifted from the committed pin"
         );
         assert_eq!(
-            base.graph.adjacency_checksum, SMOKE_GRAPH_CHECKSUM,
+            base.graph_build.adjacency_checksum,
+            hex(SMOKE_GRAPH_CHECKSUM),
             "divisor-1000 follow-graph adjacency checksum drifted from the committed pin"
         );
         println!(
-            "smoke: divisor-1000 record checksum {:#018x} and graph checksum {:#018x} \
+            "smoke: divisor-1000 record checksum {} and graph checksum {} \
              match the committed pins ({} recorded, {} missed)",
-            base.checksum, base.graph.adjacency_checksum, base.recorded, base.missed
+            base.checksum, base.graph_build.adjacency_checksum, base.recorded, base.missed
         );
-        return;
+        return Ok(ExitCode::SUCCESS);
     }
 
     let mut runs = vec![base];
     // The worker-divisor graph is kept alive for both scaling curves —
     // the replay K-sweep reuses it outright, and the graph K-sweep uses
     // its build as the K=1 point.
-    let mut worker_graph: Option<DiGraph> = None;
+    let mut worker_graph: Option<(GraphBuildRun, DiGraph)> = None;
     for &divisor in &DIVISORS[1..] {
-        let (run, graph) = replay(divisor, &telemetry);
+        let (run, graph_build, graph) = replay(divisor, &telemetry);
         print_run(&run);
         runs.push(run);
         if divisor == WORKER_DIVISOR {
-            worker_graph = Some(graph);
+            worker_graph = Some((graph_build, graph));
         }
     }
 
     // Replay worker scaling curve at divisor 10, anchored to the
     // sequential streaming digest the divisor sweep just produced, over
     // the graph it already built.
-    let anchor = runs
+    let expected = runs
         .iter()
         .find(|r| r.divisor == WORKER_DIVISOR)
-        .expect("worker divisor is part of the sweep");
-    let expected = anchor.summary_digest;
-    let worker_graph = worker_graph.expect("worker divisor is part of the sweep");
-    let worker_runs = sweep_workers(WORKER_DIVISOR, &worker_graph, &WORKER_SWEEP, expected);
+        .expect("worker divisor is part of the sweep")
+        .summary_digest
+        .clone();
+    let (sequential_build, worker_graph) =
+        worker_graph.expect("worker divisor is part of the sweep");
+    let worker_runs = sweep_workers(WORKER_DIVISOR, &worker_graph, &WORKER_SWEEP, &expected);
     drop(worker_graph);
 
     // Graph assembly scaling curve at the same divisor: rebuilds at
@@ -545,7 +604,7 @@ fn main() {
     // divisor sweep's own K=1 build as the anchor point — asserted
     // checksum-identical before anything is written.
     let scenario = scaled_periscope(WORKER_DIVISOR);
-    let mut graph_runs = vec![anchor.graph.clone()];
+    let mut graph_runs = vec![sequential_build];
     for &k in WORKER_SWEEP.iter().filter(|&&k| k != 1) {
         let (_, r) = timed_build(
             &default_graph_spec(&scenario),
@@ -569,64 +628,53 @@ fn main() {
         graph_runs.push(r);
     }
 
-    let (profile_lines, profile_json) = profile_report(&telemetry);
+    let (profile_lines, profile_top5) = profile_report(&telemetry);
     for line in &profile_lines {
         println!("{line}");
     }
 
-    let run_lines: Vec<String> = runs
-        .iter()
-        .map(|r| {
-            format!(
-                "{{\"divisor\":{},\"users\":{},\
-                 \"graph_build\":{{\"wall_s\":{:.3},\"peak_bytes\":{},\"resident_bytes\":{},\
-                 \"edges\":{},\"max_in_degree\":{},\"swaps_applied\":{},\
-                 \"adjacency_checksum\":\"{:#018x}\",\"workers\":{}}},\
-                 \"records\":{},\"mobile_views\":{},\"wall_s\":{:.3},\
-                 \"broadcasts_per_sec\":{:.0},\"ns_per_mobile_view\":{:.1},\
-                 \"peak_tracked_bytes\":{},\
-                 \"tracked_bytes_per_record\":{:.2},\"materialized_record_bytes\":{},\
-                 \"checksum\":\"{:#018x}\",\"recorded\":{},\"missed\":{},\
-                 \"summary_digest\":\"{:#018x}\"}}",
-                r.divisor,
-                r.users,
-                r.graph.wall_s,
-                r.graph.peak_bytes,
-                r.graph.resident_bytes,
-                r.graph.edges,
-                r.graph.max_in_degree,
-                r.graph.swaps_applied,
-                r.graph.adjacency_checksum,
-                r.graph.workers,
-                r.records,
-                r.mobile_views,
-                r.wall_s,
-                r.broadcasts_per_sec,
-                r.wall_s * 1e9 / r.mobile_views.max(1) as f64,
-                r.peak_tracked_bytes,
-                r.peak_tracked_bytes as f64 / r.records.max(1) as f64,
-                r.materialized_record_bytes,
-                r.checksum,
-                r.recorded,
-                r.missed,
-                r.summary_digest,
-            )
-        })
-        .collect();
-    let doc = format!(
-        "{{\"bench\":\"streaming_replay\",\"meta\":{},\"workload\":{{\"app\":\"Periscope\",\"days\":{},\
-         \"mem_sample_every\":{MEM_SAMPLE_EVERY}}},\
-         \"divisor_1000_matches_materialized\":true,\
-         \"profile_feature\":{},\"profile_top5\":[{}],\"runs\":[{}],\
-         \"workers\":{},\"graph_workers\":{}}}\n",
-        run_meta_json(ScenarioConfig::periscope_study().seed),
-        ScenarioConfig::periscope_study().days,
-        cfg!(feature = "profile"),
-        profile_json.join(","),
-        run_lines.join(","),
-        workers_json(WORKER_DIVISOR, &worker_runs),
-        graph_workers_json(WORKER_DIVISOR, &graph_runs)
-    );
-    std::fs::write(&out, &doc).expect("write bench file");
-    println!("wrote {out}");
+    let study = ScenarioConfig::periscope_study();
+    let doc = ReplayDoc {
+        bench: "streaming_replay".into(),
+        meta: run_meta_json(study.seed),
+        workload: Workload {
+            app: "Periscope".into(),
+            days: study.days,
+            mem_sample_every: MEM_SAMPLE_EVERY,
+        },
+        divisor_1000_matches_materialized: true,
+        profile_feature: cfg!(feature = "profile"),
+        profile_top5,
+        runs,
+        workers: WorkerCurve {
+            divisor: WORKER_DIVISOR,
+            runs: worker_runs,
+        },
+        graph_workers: GraphWorkerCurve {
+            divisor: WORKER_DIVISOR,
+            host_parallelism: std::thread::available_parallelism().map_or(1, |n| n.get()),
+            runs: graph_runs
+                .iter()
+                .map(|r| GraphWorkerRow {
+                    workers: r.workers,
+                    wall_s: round_to(r.wall_s, 3),
+                    peak_bytes: r.peak_bytes,
+                    adjacency_checksum: hex(r.adjacency_checksum),
+                    degree_checksum: hex(r.degree_checksum),
+                    matches_sequential: true,
+                })
+                .collect(),
+        },
+    };
+    write_doc(out.as_deref().unwrap_or("BENCH_replay.json"), &doc);
+    Ok(ExitCode::SUCCESS)
+}
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn committed_bench_replay_fits_the_writer() {
+        let committed = include_str!("../../../../BENCH_replay.json");
+        serde_json::from_str::<super::ReplayDoc>(committed).expect("fits ReplayDoc");
+    }
 }

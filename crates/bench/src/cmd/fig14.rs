@@ -4,18 +4,22 @@
 //! measures the wall-clock busy time of actually performing the fan-out
 //! work in-process (our substitute for the paper's laptop CPU gauge).
 
-#![forbid(unsafe_code)]
-
+use std::path::Path;
 use std::time::Instant;
 
 use livescope_analysis::{Figure, Series, Table};
 use livescope_bench::{emit, emit_figure};
 use livescope_core::scalability::{run, run_hls_cell, run_rtmp_cell, ScalabilityConfig};
 
-fn main() {
+pub fn fig14(dir: &Path) {
     let config = ScalabilityConfig::default();
     let report = run(&config);
-    emit("fig14_ops", &report.render(), &[("txt", report.render())]);
+    emit(
+        dir,
+        "fig14_ops",
+        &report.render(),
+        &[("txt", report.render())],
+    );
 
     // Wall-clock measurement: redo each cell, timing the work.
     let mut table = Table::new(["viewers", "RTMP busy (ms)", "HLS busy (ms)", "CPU ratio"]);
@@ -44,7 +48,7 @@ fn main() {
     );
     fig.push_series(Series::new("RTMP", rtmp_series));
     fig.push_series(Series::new("HLS", hls_series));
-    emit_figure("fig14", &fig);
+    emit_figure(dir, "fig14", &fig);
     println!("{}", table.render());
     println!(
         "paper: RTMP CPU ≫ HLS and the gap widens with viewers \

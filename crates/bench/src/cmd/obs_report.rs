@@ -4,14 +4,14 @@
 //! chunk-journey waterfalls (DESIGN.md §11).
 //!
 //! ```text
-//! obs_report                      capture both canonical workloads,
+//! livescope obs_report            capture both canonical workloads,
 //!                                 print the reports, write
 //!                                 results/OBS_report.json
-//! obs_report --workload breakdown | celebrity
+//! … obs_report --workload breakdown | celebrity
 //!                                 capture just one workload
-//! obs_report <trace.jsonl>        fold an existing JSONL trace
-//! obs_report --json               machine-readable output instead of text
-//! obs_report --smoke              assert the celebrity fan-out's report
+//! … obs_report <trace.jsonl>      fold an existing JSONL trace
+//! … obs_report --json             machine-readable output instead of text
+//! … obs_report --smoke            assert the celebrity fan-out's report
 //!                                 bytes are identical across lane
 //!                                 counts {1, 2, 6}, then exit
 //! ```
@@ -22,15 +22,15 @@
 //! contract on the multi-shard workload, run in CI. (The breakdown
 //! workload is one shard: it has no lane count to vary.)
 
-#![forbid(unsafe_code)]
-
 use std::fs;
+use std::path::Path;
 use std::process::ExitCode;
 
 use livescope_bench::obs::{self, LANE_SWEEP};
-use livescope_bench::results_dir;
 use livescope_net::datacenters;
 use livescope_telemetry::{event, ObsReport};
+
+use crate::args::{Args, UsageError};
 
 /// Datacenter id → display city (ids outside the registry — foreign
 /// traces — fall back to `pop<N>`).
@@ -43,6 +43,14 @@ fn pop_name(pop: u16) -> String {
 
 fn render(report: &ObsReport) -> String {
     report.render(&pop_name)
+}
+
+fn print_report(report: &ObsReport, json: bool) {
+    if json {
+        println!("{}", report.to_json());
+    } else {
+        println!("{}", render(report));
+    }
 }
 
 /// The CI determinism check: same seed ⇒ same report bytes, however
@@ -76,12 +84,7 @@ fn fold_file(path: &str, json: bool) -> ExitCode {
         }
     };
     let trace = event::parse_jsonl_lossy(&text);
-    let report = ObsReport::derive(&trace.events);
-    if json {
-        println!("{}", report.to_json());
-    } else {
-        println!("{}", render(&report));
-    }
+    print_report(&ObsReport::derive(&trace.events), json);
     if trace.skipped_lines > 0 {
         eprintln!(
             "[skipped {} unparsed line(s); first: {}]",
@@ -91,54 +94,25 @@ fn fold_file(path: &str, json: bool) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-fn usage() -> ExitCode {
-    eprintln!(
-        "usage: obs_report [--json] [--smoke] [--workload breakdown|celebrity] [TRACE.jsonl]"
-    );
-    ExitCode::from(2)
-}
-
-fn main() -> ExitCode {
-    let (mut json, mut run_smoke) = (false, false);
-    let mut workload = "all".to_string();
-    let mut path = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--json" => json = true,
-            "--smoke" => run_smoke = true,
-            "--workload" => match args.next() {
-                Some(name) => workload = name,
-                None => return usage(),
-            },
-            flag if flag.starts_with("--") => return usage(),
-            _ => path = Some(arg),
-        }
+pub fn run(mut args: Args, results: &Path) -> Result<ExitCode, UsageError> {
+    let json = args.flag("--json");
+    let run_smoke = args.flag("--smoke");
+    let workload = args.value("--workload");
+    let path = args.positional();
+    args.finish()?;
+    if !matches!(workload.as_deref(), None | Some("breakdown" | "celebrity")) {
+        return Err(UsageError);
     }
     if run_smoke {
-        return smoke();
+        return Ok(smoke());
     }
     if let Some(path) = path {
-        return fold_file(&path, json);
+        return Ok(fold_file(&path, json));
     }
-    match workload.as_str() {
-        "breakdown" => {
-            let report = obs::breakdown_obs();
-            if json {
-                println!("{}", report.to_json());
-            } else {
-                println!("{}", render(&report));
-            }
-        }
-        "celebrity" => {
-            let (report, _) = obs::celebrity_obs(1);
-            if json {
-                println!("{}", report.to_json());
-            } else {
-                println!("{}", render(&report));
-            }
-        }
-        "all" => {
+    match workload.as_deref() {
+        Some("breakdown") => print_report(&obs::breakdown_obs(), json),
+        Some("celebrity") => print_report(&obs::celebrity_obs(1).0, json),
+        _ => {
             let breakdown = obs::breakdown_obs();
             let (celebrity, fanout) = obs::celebrity_obs(1);
             let doc = obs::obs_doc(&breakdown, &celebrity, &fanout);
@@ -148,14 +122,11 @@ fn main() -> ExitCode {
                 println!("== breakdown workload ==\n{}", render(&breakdown));
                 println!("== celebrity fan-out workload ==\n{}", render(&celebrity));
             }
-            let path = results_dir().join("OBS_report.json");
+            fs::create_dir_all(results).expect("can create results directory");
+            let path = results.join("OBS_report.json");
             fs::write(&path, &doc).expect("can write OBS_report.json");
             println!("[wrote {}]", path.display());
         }
-        other => {
-            eprintln!("obs_report: unknown workload {other:?} (breakdown | celebrity)");
-            return ExitCode::FAILURE;
-        }
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }

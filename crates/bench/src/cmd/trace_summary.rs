@@ -1,13 +1,11 @@
-//! trace-summary — inspect a livescope JSONL trace.
-//!
-//! Usage:
+//! `trace_summary` — inspect a livescope JSONL trace.
 //!
 //! ```text
-//! trace-summary <trace.jsonl>      summarize an existing trace
-//! trace-summary --capture <path>   run the default breakdown experiment
-//!                                  with tracing on, write the trace to
-//!                                  <path>, then summarize it
-//! trace-summary ... --format json  machine-readable summary
+//! livescope trace_summary <trace.jsonl>      summarize an existing trace
+//! livescope trace_summary --capture <path>   run the default breakdown
+//!                                  experiment with tracing on, write the
+//!                                  trace to <path>, then summarize it
+//! … trace_summary ... --format json  machine-readable summary
 //! ```
 //!
 //! The summary prints per-kind event counts (spans included), the traced
@@ -19,70 +17,59 @@
 //! Parsing is lenient: lines written by a newer event vocabulary are
 //! counted and reported, never silently dropped.
 
-#![forbid(unsafe_code)]
-
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::fs;
+use std::path::Path;
 use std::process::ExitCode;
 
 use livescope_core::experiments::breakdown::{run_traced, BreakdownConfig};
 use livescope_telemetry::event::parse_jsonl_lossy;
 use livescope_telemetry::{SharedBuffer, StageDelays, Telemetry, TimedEvent, TraceBreakdown};
+use serde::Serialize;
+use serde_json::Value;
 
-fn main() -> ExitCode {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let format = match args.iter().position(|a| a == "--format") {
-        Some(i) => {
-            if i + 1 >= args.len() {
-                eprintln!("trace-summary: --format needs a value (text | json)");
-                return ExitCode::FAILURE;
-            }
-            let value = args.remove(i + 1);
-            args.remove(i);
-            value
-        }
-        None => "text".to_string(),
+use crate::args::{Args, UsageError};
+use crate::round_to;
+
+pub fn run(mut args: Args, _results: &Path) -> Result<ExitCode, UsageError> {
+    let json = match args.value("--format").as_deref() {
+        None | Some("text") => false,
+        Some("json") => true,
+        Some(_) => return Err(UsageError),
     };
-    if format != "text" && format != "json" {
-        eprintln!("trace-summary: unknown format {format:?} (text | json)");
-        return ExitCode::FAILURE;
-    }
-    let text = match args.as_slice() {
-        [path] if path != "--capture" => match fs::read_to_string(path) {
+    let capture = args.value("--capture");
+    let path = args.positional();
+    args.finish()?;
+    let text = match (path, capture) {
+        (Some(path), None) => match fs::read_to_string(&path) {
             Ok(text) => text,
             Err(e) => {
-                eprintln!("trace-summary: cannot read {path}: {e}");
-                return ExitCode::FAILURE;
+                eprintln!("trace_summary: cannot read {path}: {e}");
+                return Ok(ExitCode::FAILURE);
             }
         },
-        [flag, path] if flag == "--capture" => {
+        (None, Some(path)) => {
             let buf = SharedBuffer::new();
             let telemetry = Telemetry::to_jsonl(Box::new(buf.clone()));
             let report = run_traced(&BreakdownConfig::default(), &telemetry);
             telemetry.flush();
             let bytes = buf.contents();
-            if let Err(e) = fs::write(path, &bytes) {
-                eprintln!("trace-summary: cannot write {path}: {e}");
-                return ExitCode::FAILURE;
+            if let Err(e) = fs::write(&path, &bytes) {
+                eprintln!("trace_summary: cannot write {path}: {e}");
+                return Ok(ExitCode::FAILURE);
             }
-            if format == "text" {
+            if !json {
                 println!("captured {} bytes of trace to {path}\n", bytes.len());
                 println!("analytic report for cross-reference:\n{}", report.render());
             }
             String::from_utf8(bytes).expect("trace is UTF-8")
         }
-        _ => {
-            eprintln!(
-                "usage: trace-summary <trace.jsonl> | trace-summary --capture <path> \
-                 [--format text|json]"
-            );
-            return ExitCode::FAILURE;
-        }
+        _ => return Err(UsageError),
     };
 
     let trace = parse_jsonl_lossy(&text);
-    if format == "json" {
+    if json {
         println!("{}", summarize_json(&trace.events, trace.skipped_lines));
     } else {
         println!("{}", summarize(&trace.events));
@@ -93,7 +80,7 @@ fn main() -> ExitCode {
             );
         }
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 fn kind_counts(events: &[TimedEvent]) -> BTreeMap<&'static str, u64> {
@@ -127,45 +114,66 @@ fn summarize(events: &[TimedEvent]) -> String {
     out
 }
 
-fn stages_json(s: &StageDelays) -> String {
-    format!(
-        "{{\"upload_s\":{:.6},\"chunking_s\":{:.6},\"wowza2fastly_s\":{:.6},\
-         \"polling_s\":{:.6},\"last_mile_s\":{:.6},\"buffering_s\":{:.6},\"total_s\":{:.6}}}",
-        s.upload_s,
-        s.chunking_s,
-        s.wowza2fastly_s,
-        s.polling_s,
-        s.last_mile_s,
-        s.buffering_s,
-        s.total_s()
-    )
+#[derive(Serialize)]
+struct Stages {
+    upload_s: f64,
+    chunking_s: f64,
+    wowza2fastly_s: f64,
+    polling_s: f64,
+    last_mile_s: f64,
+    buffering_s: f64,
+    total_s: f64,
+}
+
+impl Stages {
+    fn of(s: &StageDelays) -> Self {
+        Stages {
+            upload_s: round_to(s.upload_s, 6),
+            chunking_s: round_to(s.chunking_s, 6),
+            wowza2fastly_s: round_to(s.wowza2fastly_s, 6),
+            polling_s: round_to(s.polling_s, 6),
+            last_mile_s: round_to(s.last_mile_s, 6),
+            buffering_s: round_to(s.buffering_s, 6),
+            total_s: round_to(s.total_s(), 6),
+        }
+    }
+}
+
+#[derive(Serialize)]
+struct TraceSummary {
+    summary: &'static str,
+    events: usize,
+    skipped_lines: u64,
+    span_s: f64,
+    /// Per-kind event counts, one key per kind in name order.
+    counts: Value,
+    rtmp_units: u64,
+    hls_chunks: u64,
+    unmatched_chunks: u64,
+    rtmp: Stages,
+    hls: Stages,
 }
 
 /// Machine-readable summary with a fixed field order.
 fn summarize_json(events: &[TimedEvent], skipped_lines: u64) -> String {
     let first = events.iter().map(|e| e.t_us).min().unwrap_or(0);
     let last = events.iter().map(|e| e.t_us).max().unwrap_or(0);
-    let mut out = format!(
-        "{{\"summary\":\"trace\",\"events\":{},\"skipped_lines\":{},\"span_s\":{:.6},\"counts\":{{",
-        events.len(),
-        skipped_lines,
-        (last - first) as f64 / 1e6
-    );
-    for (i, (kind, n)) in kind_counts(events).iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "\"{kind}\":{n}");
-    }
+    let counts = kind_counts(events)
+        .into_iter()
+        .map(|(kind, n)| (kind.to_string(), n.to_value()))
+        .collect();
     let ledger = TraceBreakdown::derive(events);
-    let _ = write!(
-        out,
-        "}},\"rtmp_units\":{},\"hls_chunks\":{},\"unmatched_chunks\":{},\"rtmp\":{},\"hls\":{}}}",
-        ledger.rtmp_units,
-        ledger.hls_chunks,
-        ledger.unmatched_chunks,
-        stages_json(&ledger.rtmp),
-        stages_json(&ledger.hls),
-    );
-    out
+    let summary = TraceSummary {
+        summary: "trace",
+        events: events.len(),
+        skipped_lines,
+        span_s: (last - first) as f64 / 1e6,
+        counts: Value::Object(counts),
+        rtmp_units: ledger.rtmp_units,
+        hls_chunks: ledger.hls_chunks,
+        unmatched_chunks: ledger.unmatched_chunks,
+        rtmp: Stages::of(&ledger.rtmp),
+        hls: Stages::of(&ledger.hls),
+    };
+    serde_json::to_string(&summary).expect("summary renders")
 }

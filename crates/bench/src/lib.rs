@@ -1,12 +1,14 @@
 //! # livescope-bench — figure/table regeneration harness
 //!
-//! One binary per paper artifact (`tab1`, `tab2`, `fig1` … `fig18`,
-//! `crawler_coverage`) plus the Criterion micro-benches in `benches/`.
-//! Every binary prints the artifact to stdout and drops machine-readable
-//! copies (CSV and, for figures, JSON) under `results/`.
+//! One `livescope` binary with one subcommand per paper artifact
+//! (`tab1`, `tab2`, `fig1` … `fig18`, `crawler_coverage`, …) and per
+//! bench/observability tool, plus the Criterion micro-benches in
+//! `benches/`. Every artifact prints to stdout and drops
+//! machine-readable copies (CSV and, for figures, JSON) under `results/`.
 //!
 //! Run any of them with e.g.
-//! `cargo run -p livescope-bench --release --bin fig11`.
+//! `cargo run -p livescope-bench --release -- fig11`; `-- all`
+//! regenerates every paper artifact.
 
 #![forbid(unsafe_code)]
 
@@ -16,45 +18,46 @@ pub mod regress;
 pub mod replay;
 
 use std::fs;
-use std::path::PathBuf;
+use std::path::Path;
 
 use livescope_analysis::Figure;
+use serde::Serialize;
+use serde_json::Value;
+
+#[derive(Serialize)]
+struct RunMeta {
+    host_parallelism: usize,
+    cargo_profile: &'static str,
+    seed: u64,
+    sim_version: &'static str,
+}
 
 /// Shared run metadata stamped into every `BENCH_*.json` /
-/// `OBS_report.json` this crate writes, as one `{...}` JSON object:
+/// `OBS_report.json` this crate writes, as one JSON object:
 /// host parallelism, cargo profile, the workload seed, and the sim
 /// version. One helper so every writer agrees on the schema.
 ///
 /// These fields describe the *machine and build*, not the simulation —
 /// the bench-regression gate must never compare them across hosts
 /// (see [`regress`]).
-pub fn run_meta_json(seed: u64) -> String {
-    let host_parallelism = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let cargo_profile = if cfg!(debug_assertions) {
-        "debug"
-    } else {
-        "release"
+pub fn run_meta_json(seed: u64) -> Value {
+    let meta = RunMeta {
+        host_parallelism: std::thread::available_parallelism().map_or(1, |n| n.get()),
+        cargo_profile: if cfg!(debug_assertions) {
+            "debug"
+        } else {
+            "release"
+        },
+        seed,
+        sim_version: env!("CARGO_PKG_VERSION"),
     };
-    format!(
-        "{{\"host_parallelism\":{host_parallelism},\"cargo_profile\":\"{cargo_profile}\",\
-         \"seed\":{seed},\"sim_version\":\"{}\"}}",
-        env!("CARGO_PKG_VERSION")
-    )
+    meta.to_value()
 }
 
-/// Where artifacts land (created on demand).
-pub fn results_dir() -> PathBuf {
-    let dir = std::env::var_os("LIVESCOPE_RESULTS")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| PathBuf::from("results"));
-    fs::create_dir_all(&dir).expect("can create results directory");
-    dir
-}
-
-/// Prints the ASCII artifact and persists named sidecar files.
-pub fn emit(name: &str, ascii: &str, sidecars: &[(&str, String)]) {
+/// Prints the ASCII artifact and persists named sidecar files under `dir`.
+pub fn emit(dir: &Path, name: &str, ascii: &str, sidecars: &[(&str, String)]) {
     println!("{ascii}");
-    let dir = results_dir();
+    fs::create_dir_all(dir).expect("can create results directory");
     for (ext, content) in sidecars {
         let path = dir.join(format!("{name}.{ext}"));
         fs::write(&path, content).expect("can write artifact");
@@ -63,8 +66,9 @@ pub fn emit(name: &str, ascii: &str, sidecars: &[(&str, String)]) {
 }
 
 /// Emits a figure: ASCII chart + CSV + JSON.
-pub fn emit_figure(name: &str, fig: &Figure) {
+pub fn emit_figure(dir: &Path, name: &str, fig: &Figure) {
     emit(
+        dir,
         name,
         &fig.render_ascii(84, 20),
         &[("csv", fig.to_csv()), ("json", fig.to_json())],
@@ -79,13 +83,11 @@ mod tests {
     #[test]
     fn emit_writes_sidecars() {
         let dir = std::env::temp_dir().join(format!("livescope-bench-{}", std::process::id()));
-        std::env::set_var("LIVESCOPE_RESULTS", &dir);
         let mut fig = Figure::new("t", "x", "y");
         fig.push_series(Series::new("s", vec![(0.0, 0.0), (1.0, 1.0)]));
-        emit_figure("unit_test_fig", &fig);
+        emit_figure(&dir, "unit_test_fig", &fig);
         assert!(dir.join("unit_test_fig.csv").exists());
         assert!(dir.join("unit_test_fig.json").exists());
         std::fs::remove_dir_all(&dir).ok();
-        std::env::remove_var("LIVESCOPE_RESULTS");
     }
 }

@@ -71,7 +71,8 @@ pub fn obs_doc(breakdown: &ObsReport, celebrity: &ObsReport, fanout: &FanoutRepo
     format!(
         "{{\"report\":\"obs_report\",\"meta\":{},\"breakdown\":{},\"celebrity\":{},\
          \"fanout\":{{\"checksum\":\"{:#018x}\",\"chunks_served\":{},\"events_fired\":{}}}}}",
-        crate::run_meta_json(breakdown_config().seed),
+        serde_json::to_string(&crate::run_meta_json(breakdown_config().seed))
+            .expect("meta renders"),
         breakdown.to_json(),
         celebrity.to_json(),
         fanout.checksum,

@@ -7,7 +7,7 @@
 //! ```toml
 //! [allow]
 //! "vendor/" = "*"
-//! "crates/bench/src/bin/" = ["wall-clock"]
+//! "crates/bench/src/cmd/fig14.rs" = ["wall-clock"]
 //! ```
 //!
 //! A finding is dropped when its path starts with an allowed prefix and

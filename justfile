@@ -53,15 +53,21 @@ doc:
         -p livescope-core -p livescope-bench -p livescope-detlint \
         -p livescope-examples
 
+# Regenerate all 25 paper artifacts (tab1, tab2, fig1…fig18 and the five
+# companion studies) under results/ — ~11 s in release. Any one of them:
+# `cargo run --release -p livescope-bench -- fig11`.
+artifacts:
+    cargo run --release -q -p livescope-bench -- all
+
 # Lane-count wall-clock sweep over the sharded fan-out workload; writes
 # BENCH_shards.json (per-lane timings, checksum invariance, speedup).
 bench-shards:
-    cargo run --release -q -p livescope-bench --bin bench_shards
+    cargo run --release -q -p livescope-bench -- bench_shards
 
 # The same sweep on a tiny workload: asserts the cross-lane checksum
 # invariant but writes nothing. This is the CI variant.
 bench-shards-smoke:
-    cargo run --release -q -p livescope-bench --bin bench_shards -- --smoke
+    cargo run --release -q -p livescope-bench -- bench_shards --smoke
 
 # Streaming-replay scale sweep (divisors 1000/100/10/1 of the Periscope
 # study): wall time, broadcasts/sec, and the peak tracked replay state
@@ -69,12 +75,12 @@ bench-shards-smoke:
 # 10) and the profile-feature top-5 handler histograms under the
 # celebrity fan-out. Writes BENCH_replay.json.
 bench-replay:
-    cargo run --release -q -p livescope-bench --features profile --bin bench_replay
+    cargo run --release -q -p livescope-bench --features profile -- bench_replay
 
 # Divisor-1000 only: asserts the streaming record checksum matches the
 # materializing path but writes nothing. This is the CI variant.
 bench-replay-smoke:
-    cargo run --release -q -p livescope-bench --bin bench_replay -- --smoke
+    cargo run --release -q -p livescope-bench -- bench_replay --smoke
 
 # Data-parallel worker sweep only (DESIGN.md §13): replays the
 # divisor-10 campaign through K ∈ {1,2,4,6} worker shards on real
@@ -82,7 +88,7 @@ bench-replay-smoke:
 # streaming path, and prints the wall/merge/barrier curve. Pass
 # `--smoke` for the CI variant (divisor 1000, K ∈ {1,2,6}).
 bench-replay-workers *flags="":
-    cargo run --release -q -p livescope-bench --bin bench_replay -- --workers {{flags}}
+    cargo run --release -q -p livescope-bench -- bench_replay --workers {{flags}}
 
 # Graph-build worker sweep only (DESIGN.md §12): rebuilds the
 # divisor-10 follow graph with K ∈ {1,2,4,6} assembly shards on real
@@ -90,7 +96,7 @@ bench-replay-workers *flags="":
 # build, and prints the wall/peak curve. Pass `--smoke` for the CI
 # variant (divisor 1000, K ∈ {1,2,6}, asserts the committed pins).
 bench-graph *flags="":
-    cargo run --release -q -p livescope-bench --bin bench_replay -- --graph-only {{flags}}
+    cargo run --release -q -p livescope-bench -- bench_replay --graph-only {{flags}}
 
 # Weighted-pick microbench (DESIGN.md §10): guide-table pick vs the
 # whole-table binary search it replaced, ns/pick at 300k / 1.2M / 12M
@@ -107,33 +113,32 @@ bench-graph-phases:
 
 # Capture a JSONL trace of the breakdown experiment and summarize it.
 trace out="results/trace.jsonl":
-    cargo run --release --bin trace_summary -- --capture {{out}}
+    cargo run --release -q -p livescope-bench -- trace_summary --capture {{out}}
 
 # The causal observability report (DESIGN.md §11): per-POP six-component
 # delay distributions, QoE session metrics, and the top-5 slowest
 # chunk-journey waterfalls over the breakdown + celebrity workloads.
 # Writes results/OBS_report.json.
 obs:
-    cargo run --release -q -p livescope-bench --bin obs_report
+    cargo run --release -q -p livescope-bench -- obs_report
 
 # Determinism contract of the report itself: the celebrity fan-out's
 # report bytes are identical at lanes {1, 2, 6}. This is the CI variant.
 obs-smoke:
-    cargo run --release -q -p livescope-bench --bin obs_report -- --smoke
+    cargo run --release -q -p livescope-bench -- obs_report --smoke
 
 # Bench-regression gate: regenerate the deterministic observability
 # artifact and compare it metric-by-metric against baselines/.
 bench-check:
-    cargo run --release -q -p livescope-bench --bin bench_check
+    cargo run --release -q -p livescope-bench -- bench_check
 
 # Refresh the committed baseline after a reviewed, intentional change.
 bench-check-write:
-    cargo run --release -q -p livescope-bench --bin bench_check -- --write-baselines
+    cargo run --release -q -p livescope-bench -- bench_check --write-baselines
 
-# Hot-path perf baseline: the fanout/poll criterion benches plus the
-# celebrity-fan-out wall-clock run recorded in BENCH_hotpath.json
-# (label defaults to "current"; pass one to keep before/after pairs).
-bench-hotpath label="current":
+# Hot-path Criterion benches (fan-out CPU, poll interval). The
+# end-to-end number for this path is the repo benchmark's `edge_fanout`
+# workload (`cdn.poll_ns.*` / `cdn.download_ns.*` at 9,000 viewers).
+bench-hotpath:
     cargo bench -p livescope-bench --bench fanout_cpu -- --bench
     cargo bench -p livescope-bench --bench poll_interval -- --bench
-    cargo run --release -p livescope-bench --bin hotpath_baseline -- BENCH_hotpath.json {{label}}

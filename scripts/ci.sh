@@ -30,22 +30,35 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q \
     -p livescope-core -p livescope-bench -p livescope-detlint \
     -p livescope-examples
 
-echo "==> bench_shards smoke (cross-lane checksum invariance)"
-cargo run --release -q -p livescope-bench --bin bench_shards -- --smoke
+# Every paper artifact and bench tool is a subcommand of this one binary.
+livescope() { cargo run --release -q -p livescope-bench -- "$@"; }
 
-echo "==> bench_shards rejects an unknown flag (exit 2, before any work)"
-status=0
-cargo run --release -q -p livescope-bench --bin bench_shards -- --no-such-flag 2>/dev/null || status=$?
-[ "$status" -eq 2 ] || { echo "expected exit 2, got $status"; exit 1; }
+echo "==> livescope all (the 25 paper artifacts regenerate and leave their 43 sidecar files)"
+artifacts_dir=$(mktemp -d)
+LIVESCOPE_RESULTS="$artifacts_dir" livescope all >/dev/null
+sidecars=$(find "$artifacts_dir" -type f | wc -l)
+rm -rf "$artifacts_dir"
+[ "$sidecars" -eq 43 ] || { echo "expected 43 sidecar files, got $sidecars"; exit 1; }
+
+echo "==> usage errors exit 2 before any work (unknown subcommand, unknown flag on an artifact, on bench_replay)"
+for probe in "no_such_command" "fig11 --no-such-flag" "bench_replay --no-such-flag"; do
+    status=0
+    # shellcheck disable=SC2086  # the probe is a command line, split on purpose
+    livescope $probe >/dev/null 2>&1 || status=$?
+    [ "$status" -eq 2 ] || { echo "livescope $probe: expected exit 2, got $status"; exit 1; }
+done
+
+echo "==> bench_shards smoke (cross-lane checksum invariance)"
+livescope bench_shards --smoke
 
 echo "==> bench_replay smoke (streaming vs materialized checksum at divisor 1000)"
-cargo run --release -q -p livescope-bench --bin bench_replay -- --smoke
+livescope bench_replay --smoke
 
 echo "==> worker K-sweep smoke (sharded digest == streaming digest, K 1/2/6)"
-cargo run --release -q -p livescope-bench --bin bench_replay -- --workers --smoke
+livescope bench_replay --workers --smoke
 
 echo "==> graph-build K-sweep smoke (parallel assembly checksums == committed pins, K 1/2/6)"
-cargo run --release -q -p livescope-bench --bin bench_replay -- --graph-only --smoke
+livescope bench_replay --graph-only --smoke
 
 # `cargo test` does not put `--bench` in argv, so the vendored Criterion
 # runs every bench body exactly once, untimed: what gates the PR is the
@@ -58,9 +71,9 @@ echo "==> micro benches, one untimed pass each (pre-timing checksum asserts)"
 cargo test --release -q -p livescope-bench --bench micro_graph_phases --bench micro_weighted_pick
 
 echo "==> obs_report smoke (celebrity fan-out report bytes identical, lanes 1/2/6)"
-cargo run --release -q -p livescope-bench --bin obs_report -- --smoke
+livescope obs_report --smoke
 
 echo "==> bench-regression gate (fresh artifact vs baselines/)"
-cargo run --release -q -p livescope-bench --bin bench_check
+livescope bench_check
 
 echo "CI gate passed."
