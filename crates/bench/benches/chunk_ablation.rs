@@ -39,7 +39,7 @@ fn chunk_and_serve(chunk_secs: f64, viewers: usize) -> u64 {
             let now = SimTime::from_secs_f64(poll as f64 * 2.8 + v as f64 * 0.01);
             let resp = pop.poll(now, b, &origin, fetch);
             for e in &resp.chunklist.entries {
-                if have.is_none_or(|h| e.seq > h) && pop.get_chunk(now, b, e.seq).is_some() {
+                if have.is_none_or(|h| e.seq > h) && pop.serve_chunk(now, b, e.seq).is_some() {
                     have = Some(e.seq);
                 }
             }

@@ -6,10 +6,24 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use livescope_core::polling::{run, PollingConfig};
+use livescope_core::scalability::{run_hls_cell, ScalabilityConfig};
+
+/// `(interval, operations)`: chunklist polls plus chunk serves a real edge
+/// POP performs for 100 viewers of the 30 s Fig 14 stream at each poll
+/// interval. The chunk serves are the same 900 every time, so the spread
+/// is polls served — the request-rate consequence, exact. Asserted
+/// before anything is timed (and by CI's untimed pass), so a poll-path
+/// change that alters what the edge serves fails here.
+const PINNED_EDGE_OPS: [(f64, u64); 4] = [(1.0, 4_200), (2.0, 2_550), (3.0, 2_000), (4.0, 1_721)];
 
 fn bench_poll_interval(c: &mut Criterion) {
     let mut group = c.benchmark_group("poll_interval");
-    for interval in [1.0f64, 2.0, 3.0, 4.0] {
+    for (interval, edge_ops) in PINNED_EDGE_OPS {
+        let edge = ScalabilityConfig {
+            poll_interval_s: interval,
+            ..ScalabilityConfig::default()
+        };
+        assert_eq!(run_hls_cell(&edge, 100).operations, edge_ops);
         let config = PollingConfig {
             broadcasts: 1_000,
             intervals_s: vec![interval],

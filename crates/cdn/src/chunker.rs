@@ -29,8 +29,10 @@ pub struct Chunker {
 ///
 /// The chunk body is refcounted: cloning a `ReadyChunk` bumps two
 /// reference counts, never copies frame payloads. `encoded` is the wire
-/// form produced exactly once when the chunk closed; every edge cache and
-/// client download shares that one allocation.
+/// form, encoded once when the chunk closed — into a builder buffer that
+/// the vendored `BytesMut::freeze` then copies into the shared block, so
+/// a seal makes two chunk-sized (~190 KB) allocations and keeps one.
+/// Every edge cache and client download shares that one.
 #[derive(Clone, Debug)]
 pub struct ReadyChunk {
     pub chunk: Arc<Chunk>,

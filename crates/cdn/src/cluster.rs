@@ -289,9 +289,6 @@ impl Cluster {
         } = self;
         let origin = wowza[Self::wowza_index(wowza_dc)].origin_chunks(broadcast);
         let coordination = *gateway_coordination_s;
-        let gateway = datacenters::co_located_fastly(datacenters::datacenter(wowza_dc))
-            .map(|gw| gw.id)
-            .filter(|gw| *gw != pop_dc);
         let fetch = |plan: &FetchPlan| {
             // One gateway-routed transfer per poll: the whole batch rides
             // a single sampled path, so the §5.3 coordination overhead is
@@ -307,6 +304,9 @@ impl Cluster {
             );
             // A fetch by a non-gateway POP rides the §5.3 replication
             // detour through the co-located gateway.
+            let gateway = datacenters::co_located_fastly(datacenters::datacenter(wowza_dc))
+                .map(|gw| gw.id)
+                .filter(|gw| *gw != pop_dc);
             if let Some(gw) = gateway {
                 telemetry.add(*c_gateway_repl, 1);
                 telemetry.emit(
@@ -335,7 +335,9 @@ impl Cluster {
         pop_dc: DatacenterId,
         seq: u64,
     ) -> Option<Arc<Chunk>> {
-        self.fastly[Self::fastly_index(pop_dc)].get_chunk(now, broadcast, seq)
+        self.fastly[Self::fastly_index(pop_dc)]
+            .serve_chunk(now, broadcast, seq)
+            .map(|served| Arc::clone(&served.chunk))
     }
 
     /// Publishes a chat event on the message bus.

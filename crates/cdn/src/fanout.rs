@@ -129,6 +129,10 @@ pub struct PopStats {
     pub dc: DatacenterId,
     /// Chunklist polls served.
     pub polls_served: u64,
+    /// Origin fetches initiated (one per chunk, whatever the audience).
+    pub origin_fetches: u64,
+    /// Chunklists built; every other poll shared the cached copy.
+    pub playlist_rebuilds: u64,
     /// Chunk downloads served.
     pub chunks_served: u64,
     /// Bytes moved to viewers.
@@ -232,25 +236,17 @@ fn poll_event(mut viewer: Viewer) -> BackendEvent<PopShard> {
             if viewer.have.is_some_and(|h| entry.seq <= h) {
                 continue;
             }
-            if shard
-                .pop
-                .serve_chunk(now, shard.broadcast, entry.seq)
-                .is_some()
-            {
+            if let Some(served) = shard.pop.serve_chunk(now, shard.broadcast, entry.seq) {
                 viewer.have = Some(entry.seq);
                 shard.checksum = shard.checksum.wrapping_add(splitmix64(
                     splitmix64(viewer.id) ^ splitmix64(entry.seq) ^ now.as_micros(),
                 ));
-                let available = shard
-                    .pop
-                    .availability(shard.broadcast, entry.seq)
-                    .unwrap_or(now);
                 ctx.emit(TraceEvent::ChunkDelivered {
                     broadcast: shard.broadcast.0,
                     viewer: viewer.id,
                     seq: entry.seq,
                     pop: pop_dc.0,
-                    available_at_pop_us: available.as_micros(),
+                    available_at_pop_us: served.available_at.as_micros(),
                     discovered_us: now.as_micros(),
                     arrival_us: now.as_micros(),
                     duration_us: (entry.duration_s * 1e6) as u64,
@@ -353,6 +349,8 @@ pub fn run_fanout(config: &FanoutConfig, lanes: usize, telemetry: &Telemetry) ->
         .map(|s| PopStats {
             dc: s.pop.datacenter(),
             polls_served: s.pop.work.polls_served,
+            origin_fetches: s.pop.work.origin_fetches,
+            playlist_rebuilds: s.pop.work.playlist_rebuilds,
             chunks_served: s.pop.work.chunks_served,
             bytes_served: s.pop.work.bytes_served,
             viewers_done: s.viewers_done,
@@ -426,6 +424,33 @@ mod tests {
             .per_pop
             .iter()
             .all(|p| p.viewers_done == config.viewers_per_pop as u64));
+    }
+
+    #[test]
+    fn edge_work_follows_the_chunks_not_the_audience() {
+        // One origin fetch per (chunk, POP) however many viewers poll, and
+        // a chunklist build only when a fetch starts or lands.
+        let chunks = build_origin(quick().stream_secs, quick().chunk_secs).len() as u64;
+        for viewers_per_pop in [8, 64] {
+            let config = FanoutConfig {
+                viewers_per_pop,
+                ..quick()
+            };
+            let report = run_fanout(&config, 1, &Telemetry::disabled());
+            for p in &report.per_pop {
+                assert!(p.polls_served > 5 * viewers_per_pop as u64);
+                assert!(
+                    p.origin_fetches <= chunks,
+                    "{viewers_per_pop} viewers: {} fetches of {chunks} chunks",
+                    p.origin_fetches
+                );
+                assert!(
+                    p.playlist_rebuilds <= 2 * chunks + 1,
+                    "{viewers_per_pop} viewers: {} rebuilds for {chunks} chunks",
+                    p.playlist_rebuilds
+                );
+            }
+        }
     }
 
     #[test]

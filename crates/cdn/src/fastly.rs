@@ -30,6 +30,10 @@ pub struct EdgeWork {
     pub polls_served: u64,
     /// Origin fetches initiated.
     pub origin_fetches: u64,
+    /// Chunklists built (every other poll was answered from the cached
+    /// copy). Like `origin_fetches`, this follows the chunks, never the
+    /// audience.
+    pub playlist_rebuilds: u64,
     /// Chunks served to viewers.
     pub chunks_served: u64,
     /// Chunk bytes served to viewers.
@@ -49,14 +53,30 @@ pub struct FetchPlan {
     pub total_bytes: usize,
 }
 
-struct CachedChunk {
-    available_at: SimTime,
+/// One chunk as a POP holds it.
+pub struct CachedChunk {
+    /// When the fetch that pulled it lands here — the `⑪` timestamp of the
+    /// Wowza2Fastly measurement. Polls and downloads before this instant
+    /// do not see the chunk.
+    pub available_at: SimTime,
     /// The origin's wire encoding, shared by refcount: the same `Bytes`
     /// allocation travels Wowza → every POP → every viewer download, so a
     /// serve is a pointer bump — the cheapness that makes HLS scale
     /// (Fig 14).
-    encoded: bytes::Bytes,
-    chunk: Arc<Chunk>,
+    pub encoded: bytes::Bytes,
+    /// The origin's decoded chunk, shared the same way.
+    pub chunk: Arc<Chunk>,
+}
+
+/// The chunklist as last built, with the poll times it is exact for. The
+/// paper's edge does the same (§5.2): Fastly caches the chunklist and only
+/// a newly replicated chunk expires it.
+struct CachedPlaylist {
+    list: Arc<ChunkList>,
+    /// Newest `available_at` at or before the building poll.
+    valid_from: SimTime,
+    /// Earliest `available_at` after the building poll.
+    valid_until: SimTime,
 }
 
 #[derive(Default)]
@@ -64,6 +84,43 @@ struct EdgeCache {
     chunks: BTreeMap<u64, CachedChunk>,
     /// Highest origin seq for which a fetch was already initiated.
     fetched_through: Option<u64>,
+    /// Rebuilt by the first poll outside its validity window and by every
+    /// poll that starts a fetch; gone with the cache on eviction.
+    playlist: Option<CachedPlaylist>,
+}
+
+impl EdgeCache {
+    /// Builds the chunklist a poll at `now` is served: the newest
+    /// [`LIVE_WINDOW`] chunks already landed here.
+    ///
+    /// The walk runs from the newest seq and stops once the window is
+    /// full, visiting ~`LIVE_WINDOW` entries plus any still-in-flight
+    /// stragglers instead of the whole cache (which grows with stream
+    /// length). Whether each walked entry has landed is the same for every
+    /// `t` in `[valid_from, valid_until)` as it is at `now`, and entries
+    /// the walk never reached are older than a full window of landed
+    /// ones, so any poll in that span — before or after `now` — would
+    /// build this very list.
+    fn build_playlist(&self, now: SimTime) -> CachedPlaylist {
+        let mut servable: Vec<&Chunk> = Vec::with_capacity(LIVE_WINDOW);
+        let (mut valid_from, mut valid_until) = (SimTime::ZERO, SimTime::MAX);
+        for c in self.chunks.values().rev() {
+            if c.available_at <= now {
+                valid_from = valid_from.max(c.available_at);
+                servable.push(c.chunk.as_ref());
+                if servable.len() == LIVE_WINDOW {
+                    break;
+                }
+            } else {
+                valid_until = valid_until.min(c.available_at);
+            }
+        }
+        CachedPlaylist {
+            list: Arc::new(ChunkList::from_chunks(servable, LIVE_WINDOW)),
+            valid_from,
+            valid_until,
+        }
+    }
 }
 
 /// One edge POP.
@@ -77,6 +134,7 @@ pub struct FastlyPop {
     c_poll_hits: CounterId,
     c_poll_misses: CounterId,
     c_origin_fetches: CounterId,
+    c_playlist_rebuilds: CounterId,
     c_chunks_served: CounterId,
     h_fetch_delay_us: HistogramId,
 }
@@ -84,8 +142,10 @@ pub struct FastlyPop {
 /// Result of a chunklist poll.
 #[derive(Clone, Debug)]
 pub struct PollResponse {
-    /// The chunklist as served (only chunks already cached locally).
-    pub chunklist: ChunkList,
+    /// The chunklist as served (only chunks already cached locally): the
+    /// POP's cached copy, shared by refcount with every other poll it
+    /// answers until a chunk lands.
+    pub chunklist: Arc<ChunkList>,
     /// Number of origin fetches this poll triggered (0 on a pure cache
     /// hit; the paper's crawler uses high-frequency polls precisely to be
     /// the poll that triggers the fetch).
@@ -104,6 +164,7 @@ impl FastlyPop {
             c_poll_hits: CounterId::INERT,
             c_poll_misses: CounterId::INERT,
             c_origin_fetches: CounterId::INERT,
+            c_playlist_rebuilds: CounterId::INERT,
             c_chunks_served: CounterId::INERT,
             h_fetch_delay_us: HistogramId::INERT,
         }
@@ -116,6 +177,7 @@ impl FastlyPop {
         self.c_poll_hits = telemetry.counter("fastly.poll_hits");
         self.c_poll_misses = telemetry.counter("fastly.poll_misses");
         self.c_origin_fetches = telemetry.counter("fastly.origin_fetches");
+        self.c_playlist_rebuilds = telemetry.counter("fastly.playlist_rebuilds");
         self.c_chunks_served = telemetry.counter("fastly.chunks_served");
         self.h_fetch_delay_us = telemetry.histogram("fastly.fetch_delay_us");
         self.telemetry = telemetry.clone();
@@ -222,21 +284,19 @@ impl FastlyPop {
             self.telemetry
                 .record(self.h_fetch_delay_us, delay.as_micros());
         }
-        // The chunklist advertises the newest LIVE_WINDOW available
-        // chunks, so walk the cache from the newest seq and stop once
-        // the window is full — visiting ~LIVE_WINDOW entries plus any
-        // still-in-flight stragglers, instead of the whole cache (which
-        // grows with stream length) on every poll.
-        let mut servable: Vec<&Chunk> = Vec::with_capacity(LIVE_WINDOW);
-        for c in cache.chunks.values().rev() {
-            if c.available_at <= now {
-                servable.push(c.chunk.as_ref());
-                if servable.len() == LIVE_WINDOW {
-                    break;
-                }
+        let chunklist = match &cache.playlist {
+            Some(cached)
+                if fetches_started == 0 && cached.valid_from <= now && now < cached.valid_until =>
+            {
+                Arc::clone(&cached.list)
             }
-        }
-        let chunklist = ChunkList::from_chunks(servable, LIVE_WINDOW);
+            _ => {
+                self.work.playlist_rebuilds += 1;
+                self.telemetry.add(self.c_playlist_rebuilds, 1);
+                let built = cache.build_playlist(now);
+                Arc::clone(&cache.playlist.insert(built).list)
+            }
+        };
         if chunklist.entries.is_empty() {
             self.telemetry.add(self.c_poll_misses, 1);
             self.telemetry.emit(
@@ -263,44 +323,24 @@ impl FastlyPop {
         }
     }
 
-    /// Serves one chunk download as wire bytes (None if not yet available
-    /// here). The serve is a refcount bump on the shared container — the
-    /// same allocation the origin encoded at chunk close.
+    /// Serves one chunk download (None if not yet available here) in one
+    /// cache lookup. Nothing is copied: the caller clones whichever shared
+    /// handle it wants — `encoded`, the allocation the origin sealed, or
+    /// `chunk`, the origin's decoded view — or just reads `available_at`.
     pub fn serve_chunk(
         &mut self,
         now: SimTime,
         broadcast: BroadcastId,
         seq: u64,
-    ) -> Option<bytes::Bytes> {
+    ) -> Option<&CachedChunk> {
         let cached = self.caches.get(&broadcast)?.chunks.get(&seq)?;
         if cached.available_at > now {
             return None;
         }
-        let wire = cached.encoded.clone();
-        self.work.chunks_served += 1;
-        self.work.bytes_served += wire.len() as u64;
-        self.telemetry.add(self.c_chunks_served, 1);
-        Some(wire)
-    }
-
-    /// Serves one chunk download as a shared decoded chunk (convenience
-    /// for clients). Like [`FastlyPop::serve_chunk`], this never copies:
-    /// the returned `Arc` points at the origin's chunk.
-    pub fn get_chunk(
-        &mut self,
-        now: SimTime,
-        broadcast: BroadcastId,
-        seq: u64,
-    ) -> Option<Arc<Chunk>> {
-        let cached = self.caches.get(&broadcast)?.chunks.get(&seq)?;
-        if cached.available_at > now {
-            return None;
-        }
-        let chunk = Arc::clone(&cached.chunk);
         self.work.chunks_served += 1;
         self.work.bytes_served += cached.encoded.len() as u64;
         self.telemetry.add(self.c_chunks_served, 1);
-        Some(chunk)
+        Some(cached)
     }
 
     /// When `seq` became (or becomes) available at this POP — the `⑪`
@@ -393,12 +433,13 @@ mod tests {
         let mut pop = FastlyPop::new(DatacenterId(8));
         let origin = vec![ready_chunk(0, 3)];
         pop.poll(SimTime::from_secs(4), B, &origin, fixed_delay(500));
-        assert!(pop.get_chunk(SimTime::from_millis(4_200), B, 0).is_none());
-        let chunk = pop.get_chunk(SimTime::from_millis(4_500), B, 0).unwrap();
-        assert_eq!(chunk.seq, 0);
+        assert!(pop.serve_chunk(SimTime::from_millis(4_200), B, 0).is_none());
+        let served = pop.serve_chunk(SimTime::from_millis(4_500), B, 0).unwrap();
+        assert_eq!(served.chunk.seq, 0);
+        assert_eq!(served.available_at, SimTime::from_millis(4_500));
         assert_eq!(pop.work.chunks_served, 1);
         assert!(pop.work.bytes_served >= 100);
-        assert!(pop.get_chunk(SimTime::from_secs(5), B, 99).is_none());
+        assert!(pop.serve_chunk(SimTime::from_secs(5), B, 99).is_none());
     }
 
     #[test]
@@ -445,17 +486,75 @@ mod tests {
         let mut pop = FastlyPop::new(DatacenterId(8));
         let origin = vec![ready_chunk(0, 3)];
         pop.poll(SimTime::from_secs(4), B, &origin, fixed_delay(1));
-        let wire = pop.serve_chunk(SimTime::from_secs(5), B, 0).unwrap();
+        let served = pop.serve_chunk(SimTime::from_secs(5), B, 0).unwrap();
         assert_eq!(
-            wire.as_ref().as_ptr(),
+            served.encoded.as_ref().as_ptr(),
             origin[0].encoded.as_ref().as_ptr(),
             "served bytes must alias the origin encoding"
         );
-        let chunk = pop.get_chunk(SimTime::from_secs(5), B, 0).unwrap();
         assert!(
-            Arc::ptr_eq(&chunk, &origin[0].chunk),
+            Arc::ptr_eq(&served.chunk, &origin[0].chunk),
             "decoded view must alias the origin chunk"
         );
+    }
+
+    #[test]
+    fn fetch_free_polls_inside_one_window_share_the_playlist() {
+        let mut pop = FastlyPop::new(DatacenterId(8));
+        let origin = vec![ready_chunk(0, 3), ready_chunk(1, 6)];
+        let d = fixed_delay(200);
+        pop.poll(SimTime::from_secs(4), B, &origin, d);
+        let first = pop.poll(SimTime::from_secs(5), B, &origin, d);
+        let second = pop.poll(SimTime::from_millis(5_900), B, &origin, d);
+        assert!(
+            Arc::ptr_eq(&first.chunklist, &second.chunklist),
+            "a poll between two landings is a refcount bump"
+        );
+        assert_eq!(pop.work.playlist_rebuilds, 2, "fetch poll + first hit");
+        // The poll that pulls chunk 1 rebuilds (same content, chunk 1 is
+        // in flight), and so does the first poll after it lands.
+        let fetching = pop.poll(SimTime::from_secs(7), B, &origin, d);
+        assert_eq!(fetching.fetches_started, 1);
+        assert_eq!(fetching.chunklist, first.chunklist);
+        let landed = pop.poll(SimTime::from_millis(7_200), B, &origin, d);
+        assert_eq!(landed.chunklist.latest_seq(), Some(1));
+        assert_eq!(pop.work.playlist_rebuilds, 4);
+        // Time running backwards leaves the window: rebuilt, still exact.
+        let earlier = pop.poll(SimTime::from_secs(5), B, &origin, d);
+        assert_eq!(earlier.chunklist, first.chunklist);
+        assert_eq!(pop.work.playlist_rebuilds, 5);
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn served_playlist_equals_the_brute_force_build(
+            ops in proptest::collection::vec((0u8..12, 0u64..100, 0u64..12), 1..120),
+        ) {
+            // Polls at arbitrary (non-monotone) times with arbitrary
+            // per-plan delays, interleaved with evictions, on a half-second
+            // grid so polls land exactly on window edges. Whatever the
+            // cache holds, the list served must be the one built from
+            // scratch over every chunk landed by `now`.
+            let origin: Vec<ReadyChunk> = (0..14).map(|s| ready_chunk(s, 3 * (s + 1))).collect();
+            let mut pop = FastlyPop::new(DatacenterId(8));
+            for (kind, t, delay) in ops {
+                if kind == 0 {
+                    pop.evict(B);
+                    continue;
+                }
+                let now = SimTime::from_millis(t * 500);
+                let resp = pop.poll(now, B, &origin, fixed_delay(delay * 500));
+                let landed = origin
+                    .iter()
+                    .filter(|r| pop.availability(B, r.chunk.seq).is_some_and(|at| at <= now))
+                    .map(|r| r.chunk.as_ref());
+                proptest::prop_assert_eq!(
+                    &*resp.chunklist,
+                    &ChunkList::from_chunks(landed, LIVE_WINDOW)
+                );
+            }
+            proptest::prop_assert!(pop.work.playlist_rebuilds <= pop.work.polls_served);
+        }
     }
 
     #[test]

@@ -104,7 +104,9 @@ impl MeerkatServer {
 
     /// Downloads a chunk's wire bytes.
     pub fn serve_chunk(&mut self, now: SimTime, broadcast: BroadcastId, seq: u64) -> Option<Bytes> {
-        self.edge.serve_chunk(now, broadcast, seq)
+        self.edge
+            .serve_chunk(now, broadcast, seq)
+            .map(|served| served.encoded.clone())
     }
 
     /// Ends a broadcast, flushing the open chunk.

@@ -186,13 +186,15 @@ impl HlsViewer {
             if self.have_seq.is_some_and(|have| entry.seq <= have) {
                 continue;
             }
-            let Some(chunk) = cluster.download_chunk(now, self.broadcast, self.pop, entry.seq)
-            else {
+            let Some(served) = cluster.fastly[(self.pop.0 - 8) as usize].serve_chunk(
+                now,
+                self.broadcast,
+                entry.seq,
+            ) else {
                 continue;
             };
-            let available_at_pop = cluster.fastly[(self.pop.0 - 8) as usize]
-                .availability(self.broadcast, entry.seq)
-                .expect("downloaded chunk must have an availability record");
+            let available_at_pop = served.available_at;
+            let chunk = &served.chunk;
             let transfer = self
                 .link
                 .transmit(rng, now, chunk.payload_bytes())

@@ -179,9 +179,12 @@ pub fn run_hls_cell(config: &ScalabilityConfig, viewers: usize) -> FanoutCost {
     let pool = RngPool::new(config.seed ^ 0xA5);
     let mut phase_rng = pool.fork("phases");
     use rand::Rng;
-    let phases: Vec<f64> = (0..viewers)
+    let mut phases: Vec<f64> = (0..viewers)
         .map(|_| phase_rng.gen_range(0.0..config.poll_interval_s))
         .collect();
+    // Number the viewers in phase order: a step spans one poll interval,
+    // so the loop below then reaches the POP in `(t, viewer)` order.
+    phases.sort_by(f64::total_cmp);
     let mut have: Vec<Option<u64>> = vec![None; viewers];
     // Time-ordered polling by all viewers; chunk downloads when new.
     let end = config.stream_secs as f64 + config.chunk_secs;

@@ -96,33 +96,28 @@ impl HighFreqProbe {
     pub fn poll_once(&mut self, cluster: &mut Cluster, now: SimTime) {
         self.polls += 1;
         self.telemetry.add(self.c_polls, 1);
-        let Ok(resp) = cluster.poll_hls(now, self.broadcast, self.pop) else {
+        if cluster.poll_hls(now, self.broadcast, self.pop).is_err() {
             return;
-        };
+        }
         // Record availability for every chunk the POP now knows about
         // (including in-flight fetches this poll just triggered: their
-        // availability timestamp is already determined).
-        let origin_ready: Vec<(u64, SimTime)> = {
-            let state = cluster
-                .control
-                .broadcast(self.broadcast)
-                .expect("probed broadcast exists");
-            let widx = state.wowza_dc.0 as usize;
-            cluster.wowza[widx]
-                .origin_chunks(self.broadcast)
-                .iter()
-                .map(|rc| (rc.chunk.seq, rc.ready_at))
-                .collect()
-        };
-        let pop_idx = (self.pop.0 - 8) as usize;
-        for (seq, ready) in origin_ready {
-            if self.seen_through.is_some_and(|s| seq <= s) {
-                continue;
-            }
-            if let Some(available) = cluster.fastly[pop_idx].availability(self.broadcast, seq) {
+        // availability timestamp is already determined). The origin store
+        // is seq-ascending, so the chunks not yet observed are a suffix.
+        let state = cluster
+            .control
+            .broadcast(self.broadcast)
+            .expect("probed broadcast exists");
+        let origin = cluster.wowza[state.wowza_dc.0 as usize].origin_chunks(self.broadcast);
+        let pop = &cluster.fastly[(self.pop.0 - 8) as usize];
+        let unseen_from = self.seen_through.map_or(0, |seen| {
+            origin.partition_point(|ready| ready.chunk.seq <= seen)
+        });
+        for ready in &origin[unseen_from..] {
+            let seq = ready.chunk.seq;
+            if let Some(available) = pop.availability(self.broadcast, seq) {
                 self.observations.push(ChunkObservation {
                     seq,
-                    origin_ready: ready,
+                    origin_ready: ready.ready_at,
                     pop_available: available,
                 });
                 self.telemetry.add(self.c_observations, 1);
@@ -132,14 +127,13 @@ impl HighFreqProbe {
                         broadcast: self.broadcast.0,
                         pop: self.pop.0,
                         seq,
-                        origin_ready_us: ready.as_micros(),
+                        origin_ready_us: ready.ready_at.as_micros(),
                         pop_available_us: available.as_micros(),
                     },
                 );
                 self.seen_through = Some(seq);
             }
         }
-        let _ = resp;
     }
 
     /// All observations so far.

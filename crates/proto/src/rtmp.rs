@@ -172,7 +172,13 @@ pub enum RtmpMessage {
 impl RtmpMessage {
     /// Encodes the message, header included.
     pub fn encode(&self) -> Bytes {
-        let mut out = BytesMut::with_capacity(64);
+        // A frame message is sized up front (6 header bytes + body), so
+        // the builder for a 2.5 KB frame is allocated once instead of
+        // growing through six doublings from 64; control messages fit 64.
+        let mut out = BytesMut::with_capacity(match self {
+            RtmpMessage::Frame(frame) => 6 + frame.encoded_len(),
+            _ => 64,
+        });
         out.put_u32(RTMP_MAGIC);
         out.put_u8(RTMP_VERSION);
         match self {

@@ -136,9 +136,13 @@ bench-check:
 bench-check-write:
     cargo run --release -q -p livescope-bench -- bench_check --write-baselines
 
-# Hot-path Criterion benches (fan-out CPU, poll interval). The
-# end-to-end number for this path is the repo benchmark's `edge_fanout`
-# workload (`cdn.poll_ns.*` / `cdn.download_ns.*` at 9,000 viewers).
+# Hot-path Criterion benches (fan-out CPU, poll interval); both assert
+# their exact operation counts before timing. The end-to-end number for
+# this path is the repo benchmark's `edge_fanout` workload
+# (`cdn.poll_ns.*` / `cdn.download_ns.*` at 9,000 viewers), and the
+# exact counter that says whether a poll was a refcount bump or a
+# chunklist build is `fastly.playlist_rebuilds` (next to
+# `fastly.origin_fetches`; both follow the chunks, not the audience).
 bench-hotpath:
     cargo bench -p livescope-bench --bench fanout_cpu -- --bench
     cargo bench -p livescope-bench --bench poll_interval -- --bench

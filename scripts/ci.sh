@@ -62,13 +62,17 @@ livescope bench_replay --graph-only --smoke
 
 # `cargo test` does not put `--bench` in argv, so the vendored Criterion
 # runs every bench body exactly once, untimed: what gates the PR is the
-# checksum each body asserts before it would be timed (six follow-graph
-# builds against their pinned adjacency checksums; guided weighted picks
-# against the whole-table search at 300k/1.2M/12M users). ~35 s on the
-# 2-vCPU reference host once compiled, nearly all of it the four
-# 1.2M-node builds.
-echo "==> micro benches, one untimed pass each (pre-timing checksum asserts)"
-cargo test --release -q -p livescope-bench --bench micro_graph_phases --bench micro_weighted_pick
+# checksum or count each body asserts before it would be timed (six
+# follow-graph builds against their pinned adjacency checksums; guided
+# weighted picks
+# against the whole-table search at 300k/1.2M/12M users; the Fig 14
+# RTMP/HLS operation counts and the edge operations served per poll
+# interval, so a poll-path change that alters behaviour fails here).
+# ~35 s on the 2-vCPU reference host once compiled, nearly all of it the
+# four 1.2M-node builds.
+echo "==> micro and hot-path benches, one untimed pass each (pre-timing checksum / op-count asserts)"
+cargo test --release -q -p livescope-bench --bench micro_graph_phases --bench micro_weighted_pick \
+    --bench fanout_cpu --bench poll_interval
 
 echo "==> obs_report smoke (celebrity fan-out report bytes identical, lanes 1/2/6)"
 livescope obs_report --smoke
