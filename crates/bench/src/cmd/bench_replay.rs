@@ -75,6 +75,7 @@ use livescope_crawler::streaming::DEFAULT_EXEMPLARS;
 use livescope_crawler::{OutageFilter, StreamingCampaign};
 use livescope_graph::DiGraph;
 use livescope_sim::rng::splitmix64;
+use livescope_telemetry::profile::SECTION_PREFIX;
 use livescope_telemetry::Telemetry;
 use livescope_workload::{
     default_graph_seed, default_graph_spec, generate, generate_streaming_with_graph,
@@ -415,7 +416,7 @@ fn profile_report(telemetry: &Telemetry) -> (Vec<String>, Vec<ProfileRow>) {
     let mut hists: Vec<_> = snapshot
         .histograms
         .iter()
-        .filter(|(name, _)| name.starts_with("handler.") || name == "sim.event_wall_ns")
+        .filter(|(name, _)| name.starts_with(SECTION_PREFIX) || name == "sim.event_wall_ns")
         .collect();
     hists.sort_by(|a, b| b.1.sum.cmp(&a.1.sum).then_with(|| a.0.cmp(&b.0)));
     let mut lines = vec![format!(

@@ -2,8 +2,7 @@
 //! `detlint` — the determinism & safety lint CLI.
 //!
 //! ```text
-//! detlint [--root <dir>] [--format text|json|sarif] [--sarif-out <file>]
-//!         [--no-cache] [--no-audit-allowlist] [paths…]
+//! detlint [--root <dir>] [paths…]
 //! detlint --explain <rule>
 //! detlint --list-rules
 //! detlint --list-scopes <file>
@@ -12,52 +11,35 @@
 //! Exit status: 0 clean, 1 findings, 2 usage/IO error. Without explicit
 //! paths the whole workspace under `--root` (default: the nearest
 //! ancestor containing `detlint.toml`, else the current directory) is
-//! scanned, the `detlint.toml` allowlist applies (and is audited for
-//! stale entries), and an incremental cache under `target/` skips
-//! unchanged files; explicit paths bypass the allowlist and cache so
-//! e.g. the fixture corpus can be linted.
+//! scanned and the `detlint.toml` allowlist applies (and is audited for
+//! stale entries); explicit paths bypass the allowlist so e.g. the
+//! fixture corpus can be linted. Every run analyzes every file and
+//! writes nothing but its report: findings on stdout, one
+//! `path:line: [rule] message` per line, and a summary on stderr.
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use livescope_detlint::{
-    lexer, render_json, render_sarif, render_text, rule_info, scan_with, scope::ScopeTree, Config,
-    ScanOptions, RULES,
-};
+use livescope_detlint::{lexer, render_text, rule_info, scan, scope::ScopeTree, Config, RULES};
 
 struct Args {
     root: Option<PathBuf>,
-    format: Format,
     explain: Option<String>,
     list_rules: bool,
     list_scopes: Option<PathBuf>,
-    sarif_out: Option<PathBuf>,
-    no_cache: bool,
-    audit_allowlist: bool,
     paths: Vec<PathBuf>,
 }
 
-#[derive(PartialEq)]
-enum Format {
-    Text,
-    Json,
-    Sarif,
-}
-
 fn usage() -> &'static str {
-    "usage: detlint [--root <dir>] [--format text|json|sarif] [--sarif-out <file>]\n               [--no-cache] [--no-audit-allowlist] [paths…]\n       detlint --explain <rule>\n       detlint --list-rules\n       detlint --list-scopes <file>"
+    "usage: detlint [--root <dir>] [paths…]\n       detlint --explain <rule>\n       detlint --list-rules\n       detlint --list-scopes <file>"
 }
 
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         root: None,
-        format: Format::Text,
         explain: None,
         list_rules: false,
         list_scopes: None,
-        sarif_out: None,
-        no_cache: false,
-        audit_allowlist: true,
         paths: Vec::new(),
     };
     let mut iter = std::env::args().skip(1);
@@ -67,23 +49,6 @@ fn parse_args() -> Result<Args, String> {
                 let dir = iter.next().ok_or("--root needs a directory")?;
                 args.root = Some(PathBuf::from(dir));
             }
-            "--format" => match iter.next().as_deref() {
-                Some("text") => args.format = Format::Text,
-                Some("json") => args.format = Format::Json,
-                Some("sarif") => args.format = Format::Sarif,
-                other => {
-                    return Err(format!(
-                        "--format must be text, json, or sarif, got {other:?}"
-                    ))
-                }
-            },
-            "--sarif-out" => {
-                let file = iter.next().ok_or("--sarif-out needs a file path")?;
-                args.sarif_out = Some(PathBuf::from(file));
-            }
-            "--no-cache" => args.no_cache = true,
-            "--audit-allowlist" => args.audit_allowlist = true,
-            "--no-audit-allowlist" => args.audit_allowlist = false,
             "--explain" => {
                 args.explain = Some(iter.next().ok_or("--explain needs a rule name")?);
             }
@@ -179,11 +144,7 @@ fn main() -> ExitCode {
     } else {
         Some(args.paths.as_slice())
     };
-    let options = ScanOptions {
-        cache_path: (!args.no_cache).then(|| root.join("target/detlint-cache.json")),
-        audit_allowlist: args.audit_allowlist,
-    };
-    let outcome = match scan_with(&root, &config, paths, &options) {
+    let outcome = match scan(&root, &config, paths) {
         Ok(outcome) => outcome,
         Err(msg) => {
             eprintln!("detlint: {msg}");
@@ -191,43 +152,19 @@ fn main() -> ExitCode {
         }
     };
 
-    if let Some(out) = &args.sarif_out {
-        if let Some(dir) = out.parent() {
-            let _ = std::fs::create_dir_all(dir);
-        }
-        if let Err(e) = std::fs::write(out, render_sarif(&outcome.findings)) {
-            eprintln!("detlint: {}: {e}", out.display());
-            return ExitCode::from(2);
-        }
-    }
-
-    match args.format {
-        Format::Json => println!("{}", render_json(&outcome.findings)),
-        Format::Sarif => println!("{}", render_sarif(&outcome.findings)),
-        Format::Text => {
-            print!("{}", render_text(&outcome.findings));
-            let cached = if outcome.cache_hits > 0 {
-                format!(" ({} from cache)", outcome.cache_hits)
-            } else {
-                String::new()
-            };
-            if outcome.findings.is_empty() {
-                eprintln!(
-                    "detlint: {} files scanned{cached}, no findings",
-                    outcome.files_scanned
-                );
-            } else {
-                eprintln!(
-                    "detlint: {} finding(s) in {} files scanned{cached}",
-                    outcome.findings.len(),
-                    outcome.files_scanned
-                );
-            }
-        }
-    }
+    print!("{}", render_text(&outcome.findings));
     if outcome.findings.is_empty() {
+        eprintln!(
+            "detlint: {} files scanned, no findings",
+            outcome.files_scanned
+        );
         ExitCode::SUCCESS
     } else {
+        eprintln!(
+            "detlint: {} finding(s) in {} files scanned",
+            outcome.findings.len(),
+            outcome.files_scanned
+        );
         ExitCode::FAILURE
     }
 }

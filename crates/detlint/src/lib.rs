@@ -4,7 +4,8 @@
 //! The telemetry layer (DESIGN.md §8) promises byte-reproducible JSONL
 //! traces per `(config, seed)`. This crate *enforces* the constructs
 //! that promise depends on, as a workspace lint wired into `just ci` /
-//! `scripts/ci.sh`. Two phases:
+//! `scripts/ci.sh` (design notes: `crates/detlint/DESIGN.md`). Two
+//! phases:
 //!
 //! * [`lexer`] — a small Rust lexer (nested block comments, raw/byte
 //!   strings, char literals vs lifetimes) so rules match real tokens,
@@ -18,24 +19,21 @@
 //!   merge-contract rules: `shared-mutable-state`, `direct-trace-emit`,
 //!   `section-discipline`, `unordered-float-merge`, and `span-balance`
 //!   (per-site registry checks here; the cross-file open/close pairing
-//!   is assembled in [`scan_with`] from every file's span inventory);
+//!   is assembled in [`scan`] from every file's span inventory);
 //! * [`config`] — the `detlint.toml` path-scoped allowlist
 //!   (`vendor/`, bench binaries, the fixture corpus), audited for
 //!   stale entries (`stale-allowlist`) on workspace scans;
-//! * [`cache`] — a per-file content-hash cache so unchanged files skip
-//!   re-analysis; [`sarif`] — SARIF 2.1.0 output for CI annotations;
 //! * per-line suppression: `// detlint::allow(<rule>) — <reason>`,
 //!   where the reason is mandatory.
 //!
-//! The `detlint` binary drives [`scan`] and exits nonzero on findings;
-//! `detlint --explain <rule>` documents each rule.
+//! Every run analyzes every file: there is no cache and one output
+//! format (`path:line: [rule] message`). The `detlint` binary drives
+//! [`scan`] and exits nonzero on findings; `detlint --explain <rule>`
+//! documents each rule.
 
-pub mod cache;
 pub mod config;
-pub mod json;
 pub mod lexer;
 pub mod rules;
-pub mod sarif;
 pub mod scope;
 pub mod structural;
 
@@ -45,7 +43,6 @@ use std::path::{Path, PathBuf};
 
 pub use config::{AllowEntry, Config};
 pub use rules::{rule_info, Finding, RULES};
-pub use sarif::render_sarif;
 
 /// Directories never scanned, wherever they appear.
 const SKIP_DIRS: &[&str] = &["target", ".git", "results"];
@@ -55,29 +52,6 @@ const SKIP_DIRS: &[&str] = &["target", ".git", "results"];
 pub struct ScanOutcome {
     pub findings: Vec<Finding>,
     pub files_scanned: usize,
-    /// Files replayed from the incremental cache instead of re-analyzed.
-    pub cache_hits: usize,
-}
-
-/// Knobs for [`scan_with`].
-#[derive(Clone, Debug)]
-pub struct ScanOptions {
-    /// Where to load/store the incremental cache. `None` disables it.
-    /// Only honored for workspace scans (explicit paths always run hot —
-    /// they bypass the allowlist, so their results must not be shared
-    /// with workspace runs either).
-    pub cache_path: Option<PathBuf>,
-    /// Audit `detlint.toml` for stale entries (workspace scans only).
-    pub audit_allowlist: bool,
-}
-
-impl Default for ScanOptions {
-    fn default() -> Self {
-        ScanOptions {
-            cache_path: None,
-            audit_allowlist: true,
-        }
-    }
 }
 
 /// A suppression directive parsed from a `// detlint::allow(...)` comment.
@@ -91,27 +65,17 @@ struct Suppression {
     problem: Option<String>,
 }
 
-/// Scans `.rs` files and returns findings, with default options (no
-/// cache, allowlist audit on).
+/// Scans `.rs` files and returns findings. Every file is analyzed on
+/// every call.
 ///
-/// With `paths = None` the whole tree under `root` is walked and the
-/// config allowlist applies. With explicit `paths` (files or
-/// directories, as given on the CLI), the allowlist is bypassed — that
-/// is how the fixture corpus is linted deliberately.
+/// With `paths = None` the whole tree under `root` is walked, the config
+/// allowlist applies and is audited for stale entries. With explicit
+/// `paths` (files or directories, as given on the CLI), the allowlist is
+/// bypassed — that is how the fixture corpus is linted deliberately.
 pub fn scan(
     root: &Path,
     config: &Config,
     paths: Option<&[PathBuf]>,
-) -> Result<ScanOutcome, String> {
-    scan_with(root, config, paths, &ScanOptions::default())
-}
-
-/// [`scan`] with explicit [`ScanOptions`].
-pub fn scan_with(
-    root: &Path,
-    config: &Config,
-    paths: Option<&[PathBuf]>,
-    options: &ScanOptions,
 ) -> Result<ScanOutcome, String> {
     let explicit = paths.is_some();
     let mut files = Vec::new();
@@ -136,12 +100,6 @@ pub fn scan_with(
     files.dedup();
 
     let forbid_roots = crate_roots(root)?;
-    let cache_path = if explicit {
-        None
-    } else {
-        options.cache_path.as_deref()
-    };
-    let mut file_cache = cache_path.map(cache::Cache::load);
 
     let mut outcome = ScanOutcome::default();
     let mut span_sites: Vec<(String, structural::SpanSite)> = Vec::new();
@@ -154,26 +112,9 @@ pub fn scan_with(
             .replace('\\', "/");
         let text = fs::read_to_string(file).map_err(|e| format!("{}: {e}", file.display()))?;
         outcome.files_scanned += 1;
-        let requires_forbid = forbid_roots.contains(file);
-        let hash = cache::content_hash(&text);
-        let record = match file_cache
-            .as_ref()
-            .and_then(|c| c.lookup(&rel, hash, requires_forbid))
-        {
-            Some(hit) => {
-                outcome.cache_hits += 1;
-                hit.clone()
-            }
-            None => {
-                let record = analyze_file(&rel, &text, requires_forbid);
-                if let Some(c) = file_cache.as_mut() {
-                    c.insert(&rel, hash, record.clone());
-                }
-                record
-            }
-        };
-        span_sites.extend(record.span_sites.into_iter().map(|s| (rel.clone(), s)));
-        outcome.findings.extend(record.findings);
+        let (findings, sites) = analyze_file(&rel, &text, forbid_roots.contains(file));
+        span_sites.extend(sites.into_iter().map(|s| (rel.clone(), s)));
+        outcome.findings.extend(findings);
         scanned_rels.push(rel);
     }
 
@@ -201,35 +142,33 @@ pub fn scan_with(
             }
             !dropped
         });
-        if options.audit_allowlist {
-            for (ei, entry) in config.allow.iter().enumerate() {
-                let prefix_hit = scanned_rels
-                    .iter()
-                    .any(|r| r.starts_with(entry.prefix.as_str()));
-                if !prefix_hit {
+        for (ei, entry) in config.allow.iter().enumerate() {
+            let prefix_hit = scanned_rels
+                .iter()
+                .any(|r| r.starts_with(entry.prefix.as_str()));
+            if !prefix_hit {
+                outcome.findings.push(Finding {
+                    rule: "stale-allowlist",
+                    path: "detlint.toml".to_string(),
+                    line: entry.line,
+                    message: format!(
+                        "allowlist entry `\"{}\"` matches no scanned file — delete it",
+                        entry.prefix
+                    ),
+                });
+                continue;
+            }
+            for (ri, rule) in entry.rules.iter().enumerate() {
+                if !credited.contains(&(ei, ri)) {
                     outcome.findings.push(Finding {
                         rule: "stale-allowlist",
                         path: "detlint.toml".to_string(),
                         line: entry.line,
                         message: format!(
-                            "allowlist entry `\"{}\"` matches no scanned file — delete it",
+                            "allowlist entry `\"{}\" = \"{rule}\"` suppresses zero findings — delete it (re-add with a reason if the hazard returns)",
                             entry.prefix
                         ),
                     });
-                    continue;
-                }
-                for (ri, rule) in entry.rules.iter().enumerate() {
-                    if !credited.contains(&(ei, ri)) {
-                        outcome.findings.push(Finding {
-                            rule: "stale-allowlist",
-                            path: "detlint.toml".to_string(),
-                            line: entry.line,
-                            message: format!(
-                                "allowlist entry `\"{}\" = \"{rule}\"` suppresses zero findings — delete it (re-add with a reason if the hazard returns)",
-                                entry.prefix
-                            ),
-                        });
-                    }
                 }
             }
         }
@@ -237,18 +176,18 @@ pub fn scan_with(
     outcome
         .findings
         .sort_by(|a, b| (&a.path, a.line, a.rule).cmp(&(&b.path, b.line, b.rule)));
-
-    if let (Some(path), Some(mut c)) = (cache_path, file_cache) {
-        c.retain_paths(&|p: &str| scanned_rels.iter().any(|r| r == p));
-        c.save(path);
-    }
     Ok(outcome)
 }
 
 /// Runs the full per-file pipeline: lex → token rules → scope tree →
-/// structural rules → suppression directives. Returns the cacheable
-/// per-file record (findings are post-suppression, pre-allowlist).
-pub fn analyze_file(path: &str, text: &str, requires_forbid: bool) -> cache::FileRecord {
+/// structural rules → suppression directives. Returns the file's findings
+/// (post-suppression, pre-allowlist) and its span open/close inventory
+/// for the cross-file balance pass.
+pub fn analyze_file(
+    path: &str,
+    text: &str,
+    requires_forbid: bool,
+) -> (Vec<Finding>, Vec<structural::SpanSite>) {
     let lexed = lexer::lex(text);
     let mut findings = rules::check_file(&rules::FileContext {
         path,
@@ -296,11 +235,7 @@ pub fn analyze_file(path: &str, text: &str, requires_forbid: bool) -> cache::Fil
         }
     }
     findings.sort_by(|a, b| (a.line, a.rule).cmp(&(b.line, b.rule)));
-    cache::FileRecord {
-        findings,
-        span_sites: structural_out.span_sites,
-        requires_forbid,
-    }
+    (findings, structural_out.span_sites)
 }
 
 /// The cross-file span-balance check over every file's emission
@@ -531,46 +466,13 @@ pub fn render_text(findings: &[Finding]) -> String {
     s
 }
 
-/// Renders findings as a JSON array (machine-readable `--format json`).
-pub fn render_json(findings: &[Finding]) -> String {
-    fn esc(s: &str) -> String {
-        let mut out = String::with_capacity(s.len() + 2);
-        for c in s.chars() {
-            match c {
-                '"' => out.push_str("\\\""),
-                '\\' => out.push_str("\\\\"),
-                '\n' => out.push_str("\\n"),
-                '\t' => out.push_str("\\t"),
-                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-                c => out.push(c),
-            }
-        }
-        out
-    }
-    let mut s = String::from("[");
-    for (i, f) in findings.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        s.push_str(&format!(
-            "{{\"rule\":\"{}\",\"path\":\"{}\",\"line\":{},\"message\":\"{}\"}}",
-            esc(f.rule),
-            esc(&f.path),
-            f.line,
-            esc(&f.message)
-        ));
-    }
-    s.push(']');
-    s
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn scan_source(src: &str) -> Vec<Finding> {
         // Drive the per-file pipeline without touching the filesystem.
-        analyze_file("src/x.rs", src, false).findings
+        analyze_file("src/x.rs", src, false).0
     }
 
     #[test]
@@ -613,19 +515,6 @@ mod tests {
     }
 
     #[test]
-    fn json_rendering_escapes_content() {
-        let findings = vec![Finding {
-            rule: "wall-clock",
-            path: "a\"b.rs".to_string(),
-            line: 3,
-            message: "uses `Instant::now()`".to_string(),
-        }];
-        let json = render_json(&findings);
-        assert!(json.contains("\\\"b.rs"));
-        assert!(json.starts_with('[') && json.ends_with(']'));
-    }
-
-    #[test]
     fn structural_merge_finding_supersedes_token_findings_on_its_line() {
         let src = "struct ObsReport { w: HashMap<u64, f64>, t: f64 }\n\
                    impl ObsReport { fn merge(&mut self, o: &Self) {\n\
@@ -637,37 +526,28 @@ mod tests {
 
     #[test]
     fn cross_file_span_balance_pairs_across_files() {
-        let opener = analyze_file(
+        let (open_findings, open_sites) = analyze_file(
             "src/a.rs",
             "fn f() { t.emit(n, TraceEvent::SpanOpen { id: overlay_frame_span(a, s), parent: 0, kind: SpanKind::OverlayFrame, broadcast: a, subject: s, site: 0 }); }",
             false,
         );
-        let closer = analyze_file(
+        let (close_findings, close_sites) = analyze_file(
             "src/b.rs",
             "fn g() { t.emit(n, TraceEvent::SpanClose { id: overlay_frame_span(a, s), kind: SpanKind::OverlayFrame }); }",
             false,
         );
-        assert!(opener.findings.is_empty() && closer.findings.is_empty());
-        let balanced: Vec<(String, structural::SpanSite)> = opener
-            .span_sites
-            .iter()
-            .cloned()
-            .map(|s| ("src/a.rs".to_string(), s))
-            .chain(
-                closer
-                    .span_sites
-                    .iter()
-                    .cloned()
-                    .map(|s| ("src/b.rs".to_string(), s)),
-            )
-            .collect();
-        assert!(span_balance_findings(&balanced).is_empty());
-
-        let unbalanced: Vec<(String, structural::SpanSite)> = opener
-            .span_sites
+        assert!(open_findings.is_empty() && close_findings.is_empty());
+        let unbalanced: Vec<(String, structural::SpanSite)> = open_sites
             .into_iter()
             .map(|s| ("src/a.rs".to_string(), s))
             .collect();
+        let balanced: Vec<(String, structural::SpanSite)> = unbalanced
+            .iter()
+            .cloned()
+            .chain(close_sites.into_iter().map(|s| ("src/b.rs".to_string(), s)))
+            .collect();
+        assert!(span_balance_findings(&balanced).is_empty());
+
         let findings = span_balance_findings(&unbalanced);
         assert_eq!(findings.len(), 1);
         assert_eq!(findings[0].rule, "span-balance");

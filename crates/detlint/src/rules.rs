@@ -228,16 +228,16 @@ Suppress (needs a reason):
 Every detlint.toml entry is a standing hole in the gate, so entries must
 pay rent: an entry whose path prefix matches no scanned file, or that
 names a rule it never actually suppresses a finding for, is dead weight
-that will silently excuse future regressions. The allowlist audit (on by
-default for workspace scans; `--no-audit-allowlist` to skip) reports
-each such entry as a finding at its line in detlint.toml.
+that will silently excuse future regressions. The allowlist audit (part
+of every workspace scan; explicit paths bypass the allowlist and with it
+the audit) reports each such entry as a finding at its line in
+detlint.toml.
 
-Fix: delete the stale entry (or the stale rule name inside it). If the
-entry is deliberately pre-emptive, suppress the audit instead of keeping
-it unexplained.
+Fix: delete the stale entry (or the stale rule name inside it), and
+re-add it with a reason when the hazard it excused returns.
 
-Suppress: stale-allowlist findings point at detlint.toml, which has no
-code comments — fix by pruning, or scan with --no-audit-allowlist.",
+Suppress: not possible — stale-allowlist findings point at detlint.toml,
+which has no code comments. The only remedy is pruning.",
     },
     RuleInfo {
         name: "missing-reason",

@@ -1,8 +1,8 @@
 //! The brace-matched scope tree — detlint's second phase.
 //!
 //! The token rules in [`crate::rules`] are deliberately flat: they see a
-//! token stream and a line number. The merge-contract rules (DESIGN.md
-//! §8.5) need more: *where* a token sits — inside which `fn`, which
+//! token stream and a line number. The merge-contract rules
+//! (`crates/detlint/DESIGN.md`) need more: *where* a token sits — inside which `fn`, which
 //! `impl`, which closure. This module builds just enough structure to
 //! answer that: a tree of brace-delimited scopes with classified
 //! headers (modules, fns, impls, type declarations, closures), no full

@@ -1,9 +1,9 @@
 //! Structural (scope-aware) rules — detlint's second phase, over the
 //! [`crate::scope::ScopeTree`].
 //!
-//! These are the merge-contract rules (DESIGN.md §8.5): each one defends
-//! an invariant of the §9 shard merge contract or the §11 causal span
-//! model that a flat token scan cannot express, because the hazard is a
+//! These are the merge-contract rules (`crates/detlint/DESIGN.md`): each one
+//! defends an invariant of the shard merge contract (DESIGN.md §9) or the
+//! causal span model (DESIGN.md §11) that a flat token scan cannot express, because the hazard is a
 //! property of *where* a construct sits (inside a scheduler handler,
 //! inside a `merge` impl) or of the *whole scan set* (a span kind opened
 //! in one crate and closed in another).

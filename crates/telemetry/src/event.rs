@@ -548,8 +548,9 @@ fn parse_line(line: &str) -> Result<TimedEvent, String> {
     let u = |k: &str| -> Result<u64, String> {
         v[k].as_u64().ok_or_else(|| format!("{kind}: missing {k}"))
     };
-    let u16f = |k: &str| -> Result<u16, String> { u(k).map(|x| x as u16) };
-    let u32f = |k: &str| -> Result<u32, String> { u(k).map(|x| x as u32) };
+    let range = |k: &str| format!("{kind}: {k} out of range");
+    let u16f = |k: &str| u16::try_from(u(k)?).map_err(|_| range(k));
+    let u32f = |k: &str| u32::try_from(u(k)?).map_err(|_| range(k));
     let event = match kind {
         "rtmp_frame_pushed" => TraceEvent::RtmpFramePushed {
             broadcast: u("broadcast")?,
@@ -782,6 +783,16 @@ mod tests {
     #[test]
     fn unknown_type_is_rejected() {
         assert!(parse_jsonl(r#"{"t":0,"type":"mystery"}"#).is_err());
+        // A value that does not fit its field is malformed, not narrowed.
+        let pop = parse_jsonl(r#"{"t":0,"type":"poll_miss","broadcast":1,"pop":70000}"#);
+        assert_eq!(pop.unwrap_err(), "poll_miss: pop out of range");
+        let subs = parse_jsonl(
+            r#"{"t":0,"type":"rtmp_frame_pushed","broadcast":1,"seq":0,"capture_us":0,"subscribers":4294967297}"#,
+        );
+        assert_eq!(
+            subs.unwrap_err(),
+            "rtmp_frame_pushed: subscribers out of range"
+        );
     }
 
     #[test]
@@ -789,9 +800,13 @@ mod tests {
         let mut text: String = samples().iter().map(|e| e.to_json_line() + "\n").collect();
         text.push_str("{\"t\":0,\"type\":\"mystery\"}\n");
         text.push_str("not json at all\n");
+        text.push_str("{\"t\":0,\"type\":\"poll_miss\",\"broadcast\":1,\"pop\":70000}\n");
+        text.push_str(
+            "{\"t\":0,\"type\":\"comment_fanout\",\"broadcast\":1,\"from_user\":2,\"receivers\":4294967297}\n",
+        );
         let lossy = parse_jsonl_lossy(&text);
         assert_eq!(lossy.events, samples());
-        assert_eq!(lossy.skipped_lines, 2);
+        assert_eq!(lossy.skipped_lines, 4);
         assert!(lossy.first_skip.contains("mystery"), "{}", lossy.first_skip);
     }
 }

@@ -1,6 +1,5 @@
 //! The workspace-wide `profile` convention: wall-clock section
-//! histograms named `handler.<area>.<name>_ns`, plus their deterministic
-//! export schema.
+//! histograms named `handler.<area>.<name>_ns`.
 //!
 //! Every crate that wants hot-path timing declares a [`Section`] per code
 //! region and brackets the region with [`Section::begin`] /
@@ -13,10 +12,9 @@
 //! Downstream crates forward their own `profile` feature to
 //! `livescope-telemetry/profile`, so one `--features profile` anywhere
 //! lights up every section in the dependency closure under a single
-//! naming scheme and a single export format ([`profile_report_json`]).
-
-use crate::registry::MetricsSnapshot;
-use std::fmt::Write as _;
+//! naming scheme ([`SECTION_PREFIX`] … [`SECTION_SUFFIX`]); a reader
+//! picks the sections out of a
+//! [`MetricsSnapshot`](crate::registry::MetricsSnapshot) by that name.
 
 /// Prefix shared by every profile-section histogram.
 pub const SECTION_PREFIX: &str = "handler.";
@@ -110,91 +108,10 @@ mod imp {
 
 pub use imp::{Section, SectionStamp};
 
-/// One section's aggregate statistics, as exported.
-#[derive(Clone, Debug, PartialEq)]
-pub struct SectionStats {
-    /// Full histogram name (`handler.<area>.<name>_ns`).
-    pub name: String,
-    /// Samples recorded.
-    pub count: u64,
-    /// Saturating sum of all samples, nanoseconds.
-    pub sum_ns: u64,
-    /// Mean nanoseconds per sample.
-    pub mean_ns: f64,
-    /// Approximate p99, nanoseconds.
-    pub p99_ns: f64,
-    /// Largest sample, nanoseconds.
-    pub max_ns: u64,
-}
-
-/// Extracts every `handler.*_ns` section from a snapshot, sorted by
-/// descending total time (ties broken by name, so the export order is
-/// deterministic for a given set of samples).
-pub fn profile_sections(snapshot: &MetricsSnapshot) -> Vec<SectionStats> {
-    let mut out: Vec<SectionStats> = snapshot
-        .histograms
-        .iter()
-        .filter(|(name, _)| name.starts_with(SECTION_PREFIX) && name.ends_with(SECTION_SUFFIX))
-        .map(|(name, h)| SectionStats {
-            name: name.clone(),
-            count: h.count,
-            sum_ns: h.sum,
-            mean_ns: h.mean(),
-            p99_ns: h.quantile(0.99),
-            max_ns: if h.count == 0 { 0 } else { h.max },
-        })
-        .collect();
-    out.sort_by(|a, b| b.sum_ns.cmp(&a.sum_ns).then_with(|| a.name.cmp(&b.name)));
-    out
-}
-
-/// The one export schema for profile sections: a JSON array of
-/// `{"name","count","sum_ns","mean_ns","p99_ns","max_ns"}` objects in
-/// [`profile_sections`] order. Every bench that reports profile data
-/// embeds this shape.
-pub fn profile_report_json(snapshot: &MetricsSnapshot) -> String {
-    let mut s = String::from("[");
-    for (i, sec) in profile_sections(snapshot).iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        let _ = write!(
-            s,
-            "{{\"name\":\"{}\",\"count\":{},\"sum_ns\":{},\"mean_ns\":{:.1},\"p99_ns\":{:.0},\"max_ns\":{}}}",
-            sec.name, sec.count, sec.sum_ns, sec.mean_ns, sec.p99_ns, sec.max_ns
-        );
-    }
-    s.push(']');
-    s
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::Telemetry;
-
-    #[test]
-    fn sections_export_sorted_by_total_time() {
-        let t = Telemetry::recording(16);
-        let a = t.histogram("handler.alpha.walk_ns");
-        let b = t.histogram("handler.beta.merge_ns");
-        let other = t.histogram("sim.event_wall_ns.unrelated");
-        t.record(a, 10);
-        t.record(b, 500);
-        t.record(b, 500);
-        t.record(other, 9_999);
-        let secs = profile_sections(&t.snapshot());
-        assert_eq!(secs.len(), 2);
-        assert_eq!(secs[0].name, "handler.beta.merge_ns");
-        assert_eq!(secs[0].count, 2);
-        assert_eq!(secs[0].sum_ns, 1000);
-        assert_eq!(secs[1].name, "handler.alpha.walk_ns");
-        let json = profile_report_json(&t.snapshot());
-        assert!(
-            json.starts_with("[{\"name\":\"handler.beta.merge_ns\""),
-            "{json}"
-        );
-    }
 
     #[test]
     fn section_helper_is_inert_or_recording_but_never_panics() {
@@ -204,9 +121,12 @@ mod tests {
         sec.end(stamp);
         // With `profile` off this registered nothing; with it on, exactly
         // one sample landed in the section histogram.
-        let recorded: u64 = profile_sections(&t.snapshot())
+        let recorded: u64 = t
+            .snapshot()
+            .histograms
             .iter()
-            .map(|s| s.count)
+            .filter(|(name, _)| name.starts_with(SECTION_PREFIX))
+            .map(|(_, h)| h.count)
             .sum();
         assert!(recorded <= 1);
         if cfg!(feature = "profile") {

@@ -12,14 +12,14 @@ fmt-check:
 fmt:
     cargo fmt
 
-# The determinism & safety static-analysis pass (DESIGN.md §8.4): the
-# two-phase (token + structural) workspace scan must come back clean,
-# the allowlist audit must find no dead suppressions, and a SARIF 2.1.0
-# artifact lands at target/detlint.sarif for CI upload. The fixture
-# corpus must still trip every rule (detlint's own self-test enforces
-# the exact counts).
+# The determinism & safety static-analysis pass
+# (crates/detlint/DESIGN.md): the two-phase (token + structural)
+# workspace scan must come back clean and the allowlist audit must find
+# no dead suppressions. Every file is analyzed on every run; nothing is
+# written. The fixture corpus must still trip every rule (detlint's own
+# self-test enforces the exact counts).
 lint-det:
-    cargo run -q -p livescope-detlint --bin detlint -- --sarif-out target/detlint.sarif
+    cargo run -q -p livescope-detlint --bin detlint
 
 # Explain one detlint rule, e.g. `just lint-det-explain span-balance`.
 lint-det-explain rule:

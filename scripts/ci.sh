@@ -7,10 +7,10 @@ echo "==> cargo fmt --check"
 cargo fmt --check
 
 # The determinism lint runs before clippy so its findings fail fast.
-# One run gates the tree (token + structural rules + allowlist audit)
-# and leaves a SARIF 2.1.0 artifact for CI annotation upload.
+# One run gates the tree (token + structural rules + allowlist audit);
+# every file is analyzed on every run and nothing is written.
 echo "==> detlint (determinism & safety static analysis + allowlist audit)"
-cargo run -q -p livescope-detlint --bin detlint -- --sarif-out target/detlint.sarif
+cargo run -q -p livescope-detlint --bin detlint
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
