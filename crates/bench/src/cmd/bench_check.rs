@@ -1,4 +1,5 @@
-//! `bench_check` — the bench-regression gate (DESIGN.md §11).
+//! `bench_check` — the bench-regression gate (DESIGN.md §11; report
+//! schema in `crates/telemetry/DESIGN.md`).
 //!
 //! Regenerates the deterministic observability artifact (the
 //! `OBS_report.json` document: breakdown + celebrity reports plus the
@@ -59,6 +60,8 @@ const GATE: &[MetricSpec] = &[
     MetricSpec::exact("breakdown.events"),
     MetricSpec::exact("breakdown.spans.opens"),
     MetricSpec::exact("breakdown.spans.closes"),
+    MetricSpec::exact("breakdown.spans.unclosed"),
+    MetricSpec::exact("breakdown.spans.unmatched_closes"),
     MetricSpec::rel("breakdown.qoe.rtmp.join_mean_s", 0.02),
     MetricSpec::rel("breakdown.qoe.hls.join_mean_s", 0.02),
     MetricSpec::rel("breakdown.qoe.hls.stall_mean_s", 0.02),
@@ -67,6 +70,8 @@ const GATE: &[MetricSpec] = &[
     MetricSpec::exact("celebrity.events"),
     MetricSpec::exact("celebrity.spans.opens"),
     MetricSpec::exact("celebrity.spans.closes"),
+    MetricSpec::exact("celebrity.spans.unclosed"),
+    MetricSpec::exact("celebrity.spans.unmatched_closes"),
     MetricSpec::exact("fanout.checksum"),
     MetricSpec::exact("fanout.chunks_served"),
     MetricSpec::exact("fanout.events_fired"),
@@ -115,8 +120,7 @@ fn baselines_dir() -> PathBuf {
 
 /// One fresh deterministic artifact, same construction as `obs_report`.
 fn fresh_doc() -> String {
-    let breakdown = obs::breakdown_obs();
-    let (celebrity, fanout) = obs::celebrity_obs(1);
+    let (breakdown, celebrity, fanout) = obs::canonical_reports();
     obs::obs_doc(&breakdown, &celebrity, &fanout)
 }
 
@@ -220,6 +224,19 @@ fn fresh_replay_doc() -> String {
     })
 }
 
+/// Span leaks no baseline may enshrine: one line per workload whose
+/// `spans.unclosed` is not 0 in the fresh `doc`.
+fn leaks(doc: &Value) -> Vec<String> {
+    let leak = |path| match regress::lookup(doc, path).and_then(Value::as_u64) {
+        Some(0) => None,
+        found => Some(format!("{path}: {found:?}, a baseline must hold 0")),
+    };
+    ["breakdown.spans.unclosed", "celebrity.spans.unclosed"]
+        .into_iter()
+        .filter_map(leak)
+        .collect()
+}
+
 /// Compares one fresh artifact against its committed baseline (or
 /// rewrites the baseline). Returns the violation lines, or an error
 /// string when the baseline is missing/unparseable.
@@ -260,8 +277,19 @@ fn check_artifact(
 pub fn run(mut args: Args, _results: &Path) -> Result<ExitCode, UsageError> {
     let write = args.flag("--write-baselines");
     args.finish()?;
+    let obs_doc = fresh_doc();
+    if write {
+        let leaks = leaks(&serde_json::from_str(&obs_doc).expect("fresh artifact is JSON"));
+        if !leaks.is_empty() {
+            eprintln!("bench_check: refusing to write baselines:");
+            for leak in &leaks {
+                eprintln!("  {leak}");
+            }
+            return Ok(ExitCode::FAILURE);
+        }
+    }
     let artifacts: [(&str, String, &[MetricSpec]); 3] = [
-        ("OBS_report.json", fresh_doc(), GATE),
+        ("OBS_report.json", obs_doc, GATE),
         ("GRAPH_build.json", fresh_graph_doc(), GRAPH_GATE),
         ("REPLAY_workers.json", fresh_replay_doc(), REPLAY_GATE),
     ];
@@ -286,4 +314,25 @@ pub fn run(mut args: Args, _results: &Path) -> Result<ExitCode, UsageError> {
         eprintln!("  {v}");
     }
     Ok(ExitCode::FAILURE)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_leaking_document_is_refused_by_name() {
+        let doc = |unclosed: u64| -> Value {
+            let spans = format!("{{\"spans\":{{\"unclosed\":{unclosed}}}}}");
+            let text =
+                format!("{{\"breakdown\":{spans},\"celebrity\":{{\"spans\":{{\"unclosed\":0}}}}}}");
+            serde_json::from_str(&text).expect("test doc is JSON")
+        };
+        assert!(leaks(&doc(0)).is_empty());
+        let refused = leaks(&doc(2));
+        assert_eq!(refused.len(), 1, "{refused:?}");
+        assert!(refused[0].starts_with("breakdown.spans.unclosed: Some(2)"));
+        // A document without the audit cannot vouch for it either.
+        assert_eq!(leaks(&Value::Null).len(), 2);
+    }
 }

@@ -1,7 +1,7 @@
-//! `obs_report` — folds a simulation trace into the causal
-//! observability report: per-POP six-component delay distributions
-//! (Fig 15-style), QoE session metrics, and the top-k slowest
-//! chunk-journey waterfalls (DESIGN.md §11).
+//! `obs_report` — the one reader of a simulation trace: per-kind event
+//! counts, the six-component delay ledger, per-POP delay distributions
+//! (Fig 15-style), QoE session metrics, the top-k slowest chunk-journey
+//! waterfalls and the span audit (`crates/telemetry/DESIGN.md`).
 //!
 //! ```text
 //! livescope obs_report            capture both canonical workloads,
@@ -9,28 +9,28 @@
 //!                                 results/OBS_report.json
 //! … obs_report --workload breakdown | celebrity
 //!                                 capture just one workload
+//! … obs_report --capture <path>   capture one workload (breakdown unless
+//!                                 --workload says otherwise) and also
+//!                                 write its JSONL trace to <path>
 //! … obs_report <trace.jsonl>      fold an existing JSONL trace
 //! … obs_report --json             machine-readable output instead of text
-//! … obs_report --smoke            assert the celebrity fan-out's report
-//!                                 bytes are identical across lane
-//!                                 counts {1, 2, 6}, then exit
 //! ```
 //!
 //! The report is a pure function of the trace, and the canonical traces
-//! are pure functions of their seeds, so for a fixed seed the emitted
-//! JSON is byte-identical at any lane count — `--smoke` is that
-//! contract on the multi-shard workload, run in CI. (The breakdown
-//! workload is one shard: it has no lane count to vary.)
+//! are pure functions of their seeds (at any lane count:
+//! `crates/core/tests/sharded_determinism.rs`), so for a fixed seed the
+//! emitted JSON is byte-identical from run to run.
 
 use std::fs;
 use std::path::Path;
 use std::process::ExitCode;
 
-use livescope_bench::obs::{self, LANE_SWEEP};
+use livescope_bench::obs::{self, ReportDoc};
 use livescope_net::datacenters;
-use livescope_telemetry::{event, ObsReport};
+use livescope_telemetry::{event, ObsReport, TimedEvent};
 
 use crate::args::{Args, UsageError};
+use crate::json_line;
 
 /// Datacenter id → display city (ids outside the registry — foreign
 /// traces — fall back to `pop<N>`).
@@ -45,32 +45,13 @@ fn render(report: &ObsReport) -> String {
     report.render(&pop_name)
 }
 
-fn print_report(report: &ObsReport, json: bool) {
+fn print_report(events: &[TimedEvent], json: bool) {
+    let report = ObsReport::derive(events);
     if json {
-        println!("{}", report.to_json());
+        print!("{}", json_line(&ReportDoc::of(&report)));
     } else {
-        println!("{}", render(report));
+        println!("{}", render(&report));
     }
-}
-
-/// The CI determinism check: same seed ⇒ same report bytes, however
-/// many lanes execute the shards.
-fn smoke() -> ExitCode {
-    let (celebrity_ref, fanout_ref) = obs::celebrity_obs(1);
-    let celebrity_json = celebrity_ref.to_json();
-    for lanes in LANE_SWEEP {
-        let (report, fanout) = obs::celebrity_obs(lanes);
-        if report.to_json() != celebrity_json {
-            eprintln!("smoke FAILED: celebrity report diverged at lanes={lanes}");
-            return ExitCode::FAILURE;
-        }
-        if fanout.checksum != fanout_ref.checksum {
-            eprintln!("smoke FAILED: celebrity checksum diverged at lanes={lanes}");
-            return ExitCode::FAILURE;
-        }
-    }
-    println!("smoke: celebrity OBS report bytes identical across lanes {LANE_SWEEP:?}");
-    ExitCode::SUCCESS
 }
 
 /// Folds an on-disk JSONL trace (leniently: unknown lines are counted,
@@ -84,7 +65,7 @@ fn fold_file(path: &str, json: bool) -> ExitCode {
         }
     };
     let trace = event::parse_jsonl_lossy(&text);
-    print_report(&ObsReport::derive(&trace.events), json);
+    print_report(&trace.events, json);
     if trace.skipped_lines > 0 {
         eprintln!(
             "[skipped {} unparsed line(s); first: {}]",
@@ -94,39 +75,58 @@ fn fold_file(path: &str, json: bool) -> ExitCode {
     ExitCode::SUCCESS
 }
 
+/// Captures one canonical workload, writes its trace to `capture` if
+/// asked, and folds exactly the events it wrote.
+fn fold_workload(celebrity: bool, capture: Option<&str>, json: bool) -> ExitCode {
+    let events = if celebrity {
+        obs::celebrity_trace().0
+    } else {
+        obs::breakdown_trace()
+    };
+    if let Some(path) = capture {
+        let jsonl: String = events.iter().map(|e| e.to_json_line() + "\n").collect();
+        if let Err(err) = fs::write(path, &jsonl) {
+            eprintln!("obs_report: cannot write {path}: {err}");
+            return ExitCode::FAILURE;
+        }
+        eprintln!("[captured {} bytes of trace to {path}]", jsonl.len());
+    }
+    print_report(&events, json);
+    ExitCode::SUCCESS
+}
+
 pub fn run(mut args: Args, results: &Path) -> Result<ExitCode, UsageError> {
     let json = args.flag("--json");
-    let run_smoke = args.flag("--smoke");
     let workload = args.value("--workload");
+    let capture = args.value("--capture");
     let path = args.positional();
     args.finish()?;
-    if !matches!(workload.as_deref(), None | Some("breakdown" | "celebrity")) {
-        return Err(UsageError);
-    }
-    if run_smoke {
-        return Ok(smoke());
-    }
+    let celebrity = match workload.as_deref() {
+        None | Some("breakdown") => false,
+        Some("celebrity") => true,
+        Some(_) => return Err(UsageError),
+    };
+    let captures = workload.is_some() || capture.is_some();
     if let Some(path) = path {
+        if captures {
+            return Err(UsageError);
+        }
         return Ok(fold_file(&path, json));
     }
-    match workload.as_deref() {
-        Some("breakdown") => print_report(&obs::breakdown_obs(), json),
-        Some("celebrity") => print_report(&obs::celebrity_obs(1).0, json),
-        _ => {
-            let breakdown = obs::breakdown_obs();
-            let (celebrity, fanout) = obs::celebrity_obs(1);
-            let doc = obs::obs_doc(&breakdown, &celebrity, &fanout);
-            if json {
-                println!("{doc}");
-            } else {
-                println!("== breakdown workload ==\n{}", render(&breakdown));
-                println!("== celebrity fan-out workload ==\n{}", render(&celebrity));
-            }
-            fs::create_dir_all(results).expect("can create results directory");
-            let path = results.join("OBS_report.json");
-            fs::write(&path, &doc).expect("can write OBS_report.json");
-            println!("[wrote {}]", path.display());
-        }
+    if captures {
+        return Ok(fold_workload(celebrity, capture.as_deref(), json));
     }
+    let (breakdown, celebrity, fanout) = obs::canonical_reports();
+    let doc = obs::obs_doc(&breakdown, &celebrity, &fanout);
+    if json {
+        println!("{doc}");
+    } else {
+        println!("== breakdown workload ==\n{}", render(&breakdown));
+        println!("== celebrity fan-out workload ==\n{}", render(&celebrity));
+    }
+    fs::create_dir_all(results).expect("can create results directory");
+    let path = results.join("OBS_report.json");
+    fs::write(&path, &doc).expect("can write OBS_report.json");
+    println!("[wrote {}]", path.display());
     Ok(ExitCode::SUCCESS)
 }

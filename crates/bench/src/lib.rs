@@ -54,6 +54,18 @@ pub fn run_meta_json(seed: u64) -> Value {
     meta.to_value()
 }
 
+/// A `u64` digest as the `"0x…"` string every JSON document here holds:
+/// u64 exceeds f64's integer range, so it must not travel as a number.
+pub fn hex(digest: u64) -> String {
+    format!("{digest:#018x}")
+}
+
+/// `x` at the fixed number of decimals its JSON field has always had.
+pub fn round_to(x: f64, decimals: i32) -> f64 {
+    let scale = 10f64.powi(decimals);
+    (x * scale).round() / scale
+}
+
 /// Prints the ASCII artifact and persists named sidecar files under `dir`.
 pub fn emit(dir: &Path, name: &str, ascii: &str, sidecars: &[(&str, String)]) {
     println!("{ascii}");

@@ -23,7 +23,6 @@ mod cmd {
     pub mod bench_shards;
     pub mod fig14;
     pub mod obs_report;
-    pub mod trace_summary;
 }
 
 use std::path::{Path, PathBuf};
@@ -31,6 +30,7 @@ use std::process::ExitCode;
 
 use args::{Args, UsageError};
 use cmd::artifacts as a;
+use livescope_bench::{hex, round_to};
 use Run::{All, Artifact, Tool};
 
 enum Run {
@@ -83,22 +83,8 @@ const COMMANDS: &[(&str, &str, Run)] = &[
     ("bench_check", "bench-regression gate: fresh artifacts vs baselines/",
         Tool("[--write-baselines]", cmd::bench_check::run)),
     ("obs_report", "causal observability report over the canonical workloads or a trace",
-        Tool("[--json] [--smoke] [--workload breakdown|celebrity] [TRACE.jsonl]", cmd::obs_report::run)),
-    ("trace_summary", "event counts and the delay ledger of a JSONL trace",
-        Tool("(TRACE.jsonl | --capture PATH) [--format text|json]", cmd::trace_summary::run)),
+        Tool("[--json] ([--workload breakdown|celebrity] [--capture PATH] | TRACE.jsonl)", cmd::obs_report::run)),
 ];
-
-/// A `u64` digest as the `"0x…"` string every JSON document here holds:
-/// u64 exceeds f64's integer range, so it must not travel as a number.
-pub fn hex(digest: u64) -> String {
-    format!("{digest:#018x}")
-}
-
-/// `x` at the fixed number of decimals its JSON field has always had.
-pub fn round_to(x: f64, decimals: i32) -> f64 {
-    let scale = 10f64.powi(decimals);
-    (x * scale).round() / scale
-}
 
 /// One bench document as a line of JSON.
 pub fn json_line(doc: &impl serde::Serialize) -> String {
@@ -166,14 +152,14 @@ mod tests {
         let former = "bench_check bench_replay bench_shards chunk_tradeoff crawler_coverage \
                       ext_overlay fig1 fig2 fig3 fig4 fig5 fig6 fig7 fig8 fig9 fig10 fig11 fig12 \
                       fig13 fig14 fig15 fig16 fig17 fig18 interactivity obs_report opt_polling \
-                      tab1 tab2 trace_summary";
-        assert_eq!(former.split_whitespace().count(), 30);
+                      tab1 tab2";
+        assert_eq!(former.split_whitespace().count(), 29);
         for name in former.split_whitespace().chain(["all"]) {
             assert!(is_command(name), "{name} is not one row of COMMANDS");
         }
         assert_eq!(
             COMMANDS.len(),
-            31,
+            30,
             "a row beyond the former binaries and `all`"
         );
         let artifacts = COMMANDS.iter().filter(|c| matches!(c.2, Artifact(_)));

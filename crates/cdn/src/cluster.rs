@@ -354,10 +354,13 @@ impl Cluster {
         token: &str,
     ) -> Result<(), CdnError> {
         let dc = self.control.end_broadcast(now, broadcast, token)?;
-        self.wowza[Self::wowza_index(dc)].end_broadcast(now, broadcast);
+        // Edge copies go first: they share the origin's chunk buffers, so
+        // the ingest flush below can seal its tail chunk into the memory
+        // they free instead of raising the process's peak.
         for pop in &mut self.fastly {
             pop.evict(broadcast);
         }
+        self.wowza[Self::wowza_index(dc)].end_broadcast(now, broadcast);
         self.pubnub.close_channel(broadcast);
         self.telemetry.emit(
             now.as_micros(),

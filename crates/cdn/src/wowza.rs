@@ -330,6 +330,9 @@ impl WowzaServer {
     /// Ends a broadcast: flushes the open chunk and drops the session.
     pub fn end_broadcast(&mut self, now: SimTime, broadcast: BroadcastId) -> Option<ReadyChunk> {
         let mut session = self.sessions.remove(&broadcast)?;
+        // The origin store is gone with the session; release it before the
+        // tail chunk is sealed rather than after.
+        drop(std::mem::take(&mut session.origin));
         let last = session.chunker.flush(now);
         if let Some(ready) = &last {
             self.work.chunks_built += 1;

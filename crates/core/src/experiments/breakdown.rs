@@ -128,10 +128,10 @@ pub fn run(config: &BreakdownConfig) -> BreakdownReport {
 /// Runs the full controlled experiment with every component instrumented
 /// through `telemetry`. The trace carries enough events
 /// (`RtmpUnitDelivered`, `ChunkCompleted`, `ChunkDelivered`,
-/// `JoinPlayout`, …) for [`livescope_telemetry::TraceBreakdown`] to
-/// re-derive the six-component Fig 10 breakdown independently of the
-/// analytic report returned here. A disabled handle makes this identical
-/// to [`run`].
+/// `JoinPlayout`, …) for [`livescope_telemetry::ObsReport::derive`] to
+/// re-derive the six-component Fig 10 breakdown (the report's `ledger`)
+/// independently of the analytic report returned here. A disabled handle
+/// makes this identical to [`run`].
 pub fn run_traced(config: &BreakdownConfig, telemetry: &Telemetry) -> BreakdownReport {
     assert!(config.repetitions > 0, "need at least one repetition");
     let mut rtmp_runs = Vec::with_capacity(config.repetitions);
@@ -312,7 +312,7 @@ fn run_once(
     sched.run();
     let world = sched.into_states().pop().expect("one shard");
     let RunWorld {
-        cluster,
+        mut cluster,
         rtmp_viewer,
         hls_viewer,
         ..
@@ -374,6 +374,11 @@ fn run_once(
         last_mile_s: mean(&|r| r.arrival.saturating_since(r.discovered_at).as_secs_f64()),
         buffering_s: hls_playback.avg_buffering_s,
     };
+    // The lab hangs up last, once the origin has been read: the broadcast
+    // span closes in every repetition and nothing measured above moves.
+    cluster
+        .end_broadcast(end, grant.id, &grant.token)
+        .expect("live broadcast ends with its own token");
     (rtmp, hls)
 }
 

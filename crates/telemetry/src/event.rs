@@ -4,8 +4,14 @@
 //! emitting component; wall-clock never appears in a trace, which is what
 //! makes traces byte-identical for a fixed `(config, seed)`. The JSONL
 //! encoding writes fields in a fixed order for the same reason.
+//!
+//! The vocabulary is declared once, in the `trace_events!` table below:
+//! variant, wire name, and fields in wire order. The [`TraceEvent`] enum,
+//! [`TraceEvent::kind`], the line writer and the line reader are all
+//! generated from that table, so a new field is one edit.
 
 use crate::span::SpanKind;
+use serde_json::Value;
 use std::fmt::Write as _;
 
 /// Which delivery protocol a viewer is on.
@@ -27,14 +33,132 @@ impl Protocol {
     }
 }
 
-/// A structured event from one of the instrumented components.
-///
-/// All `*_us` fields are sim-time microseconds (`livescope_sim::SimTime`
-/// values at the emitting site); durations are microsecond spans.
-#[derive(Clone, Debug, PartialEq)]
-pub enum TraceEvent {
+/// A type a trace-event field can have: how its value is written after
+/// `"name":` in a JSONL line, and read back from the parsed line (`v` is
+/// the value under `key`, `Null` when absent).
+trait WireField: Sized {
+    fn write(&self, out: &mut String);
+    fn read(v: &Value, kind: &str, key: &str) -> Result<Self, String>;
+}
+
+impl WireField for u64 {
+    fn write(&self, out: &mut String) {
+        let _ = write!(out, "{self}");
+    }
+    fn read(v: &Value, kind: &str, key: &str) -> Result<Self, String> {
+        v.as_u64().ok_or_else(|| format!("{kind}: missing {key}"))
+    }
+}
+
+/// A value that does not fit its field is malformed, not narrowed.
+macro_rules! narrow_wire_field {
+    ($($t:ty),*) => {$(
+        impl WireField for $t {
+            fn write(&self, out: &mut String) {
+                let _ = write!(out, "{self}");
+            }
+            fn read(v: &Value, kind: &str, key: &str) -> Result<Self, String> {
+                <$t>::try_from(u64::read(v, kind, key)?)
+                    .map_err(|_| format!("{kind}: {key} out of range"))
+            }
+        }
+    )*};
+}
+narrow_wire_field!(u32, u16);
+
+impl WireField for bool {
+    fn write(&self, out: &mut String) {
+        let _ = write!(out, "{self}");
+    }
+    fn read(v: &Value, kind: &str, key: &str) -> Result<Self, String> {
+        v.as_bool().ok_or_else(|| format!("{kind}: missing {key}"))
+    }
+}
+
+impl WireField for Protocol {
+    fn write(&self, out: &mut String) {
+        let _ = write!(out, "\"{}\"", self.label());
+    }
+    fn read(v: &Value, kind: &str, key: &str) -> Result<Self, String> {
+        match v.as_str() {
+            Some("rtmp") => Ok(Protocol::Rtmp),
+            Some("hls") => Ok(Protocol::Hls),
+            other => Err(format!("{kind}: bad {key} {other:?}")),
+        }
+    }
+}
+
+impl WireField for SpanKind {
+    fn write(&self, out: &mut String) {
+        let _ = write!(out, "\"{}\"", self.label());
+    }
+    fn read(v: &Value, kind: &str, key: &str) -> Result<Self, String> {
+        v.as_str()
+            .and_then(SpanKind::parse)
+            .ok_or_else(|| format!("{kind}: bad {key} {v:?}"))
+    }
+}
+
+/// Generates [`TraceEvent`], its wire names, and both directions of the
+/// JSONL codec from one table: each row is a variant, its wire name, and
+/// its fields in wire order.
+macro_rules! trace_events {
+    ($(
+        $(#[$variant_doc:meta])*
+        $variant:ident = $wire:literal {
+            $($(#[$field_doc:meta])* $field:ident: $ty:ty,)*
+        },
+    )*) => {
+        /// A structured event from one of the instrumented components.
+        ///
+        /// All `*_us` fields are sim-time microseconds (`livescope_sim::SimTime`
+        /// values at the emitting site); durations are microsecond spans.
+        #[derive(Clone, Debug, PartialEq)]
+        pub enum TraceEvent {$(
+            $(#[$variant_doc])*
+            $variant {
+                $($(#[$field_doc])* $field: $ty,)*
+            },
+        )*}
+
+        impl TraceEvent {
+            /// Stable type tag used in the JSONL encoding and summaries.
+            pub fn kind(&self) -> &'static str {
+                match self {
+                    $(TraceEvent::$variant { .. } => $wire,)*
+                }
+            }
+
+            /// Appends `,"field":value` for every field, in wire order.
+            fn write_fields(&self, out: &mut String) {
+                match self {$(
+                    TraceEvent::$variant { $($field,)* } => {$(
+                        out.push_str(concat!(",\"", stringify!($field), "\":"));
+                        $field.write(out);
+                    )*}
+                )*}
+            }
+
+            /// Reads the fields of a `kind` event out of one parsed line.
+            fn read_fields(kind: &str, line: &Value) -> Result<TraceEvent, String> {
+                match kind {
+                    $($wire => Ok(TraceEvent::$variant {
+                        $($field: WireField::read(
+                            &line[stringify!($field)],
+                            kind,
+                            stringify!($field),
+                        )?,)*
+                    }),)*
+                    other => Err(format!("unknown event type {other:?}")),
+                }
+            }
+        }
+    };
+}
+
+trace_events! {
     /// Wowza re-encoded and pushed a frame to its RTMP subscribers.
-    RtmpFramePushed {
+    RtmpFramePushed = "rtmp_frame_pushed" {
         /// Broadcast (stream) id.
         broadcast: u64,
         /// Sequence number within the broadcast.
@@ -45,7 +169,7 @@ pub enum TraceEvent {
         subscribers: u32,
     },
     /// Wowza's chunker sealed a chunk and appended it to the origin.
-    ChunkCompleted {
+    ChunkCompleted = "chunk_completed" {
         /// Broadcast (stream) id.
         broadcast: u64,
         /// Sequence number within the broadcast.
@@ -58,7 +182,7 @@ pub enum TraceEvent {
         frames: u32,
     },
     /// A Fastly POP served a chunklist with at least one entry.
-    PollHit {
+    PollHit = "poll_hit" {
         /// Broadcast (stream) id.
         broadcast: u64,
         /// Fastly POP datacenter id.
@@ -67,7 +191,7 @@ pub enum TraceEvent {
         entries: u32,
     },
     /// A Fastly POP had nothing servable for a poll.
-    PollMiss {
+    PollMiss = "poll_miss" {
         /// Broadcast (stream) id.
         broadcast: u64,
         /// Fastly POP datacenter id.
@@ -76,7 +200,7 @@ pub enum TraceEvent {
     /// A Fastly POP fetched a chunk from the Wowza origin; `origin_ready_us`
     /// is when the chunk was sealed, `available_at_us` when the edge copy
     /// becomes servable.
-    OriginPull {
+    OriginPull = "origin_pull" {
         /// Broadcast (stream) id.
         broadcast: u64,
         /// Fastly POP datacenter id.
@@ -94,7 +218,7 @@ pub enum TraceEvent {
     },
     /// An origin fetch was routed through a co-located gateway POP
     /// (the paper's §4.4 replication detour).
-    GatewayReplicated {
+    GatewayReplicated = "gateway_replicated" {
         /// Broadcast (stream) id.
         broadcast: u64,
         /// Wowza ingest datacenter id.
@@ -107,7 +231,7 @@ pub enum TraceEvent {
         transfer_us: u64,
     },
     /// A publisher connected to its Wowza ingest server.
-    PublisherConnected {
+    PublisherConnected = "publisher_connected" {
         /// Broadcast (stream) id.
         broadcast: u64,
         /// Wowza ingest datacenter id.
@@ -115,7 +239,7 @@ pub enum TraceEvent {
     },
     /// An admitted viewer opened its RTMP subscription at the ingest
     /// server.
-    RtmpSubscribed {
+    RtmpSubscribed = "rtmp_subscribed" {
         /// Broadcast (stream) id.
         broadcast: u64,
         /// Viewer (user) id.
@@ -124,7 +248,7 @@ pub enum TraceEvent {
         wowza: u16,
     },
     /// The control server ran out of RTMP slots and put a viewer on HLS.
-    HandoffToHls {
+    HandoffToHls = "handoff_to_hls" {
         /// Broadcast (stream) id.
         broadcast: u64,
         /// Viewer (user) id.
@@ -133,7 +257,7 @@ pub enum TraceEvent {
         rtmp_viewers: u64,
     },
     /// PubNub fanned a chat event out to subscribers.
-    CommentFanout {
+    CommentFanout = "comment_fanout" {
         /// Broadcast (stream) id.
         broadcast: u64,
         /// User who posted the chat event.
@@ -142,7 +266,7 @@ pub enum TraceEvent {
         receivers: u32,
     },
     /// The control server admitted a viewer.
-    JoinStarted {
+    JoinStarted = "join_started" {
         /// Broadcast (stream) id.
         broadcast: u64,
         /// Viewer (user) id.
@@ -152,7 +276,7 @@ pub enum TraceEvent {
     },
     /// A viewer's playback simulation produced its report — the end of the
     /// join span. `avg_buffering_us` is the Fig 10 buffering component.
-    JoinPlayout {
+    JoinPlayout = "join_playout" {
         /// Broadcast (stream) id.
         broadcast: u64,
         /// Viewer (user) id.
@@ -171,7 +295,7 @@ pub enum TraceEvent {
     },
     /// An RTMP push reached the viewer: upload (capture→Wowza) and
     /// last-mile (Wowza→viewer) spans for one media unit.
-    RtmpUnitDelivered {
+    RtmpUnitDelivered = "rtmp_unit_delivered" {
         /// Broadcast (stream) id.
         broadcast: u64,
         /// Viewer (user) id.
@@ -185,7 +309,7 @@ pub enum TraceEvent {
     },
     /// An HLS viewer finished downloading a chunk; carries the full
     /// receipt timeline for the delay ledger.
-    ChunkDelivered {
+    ChunkDelivered = "chunk_delivered" {
         /// Broadcast (stream) id.
         broadcast: u64,
         /// Viewer (user) id.
@@ -204,21 +328,21 @@ pub enum TraceEvent {
         duration_us: u64,
     },
     /// Scheduler queue-depth sample (every N fired events).
-    QueueDepth {
+    QueueDepth = "queue_depth" {
         /// Events pending in the queue.
         depth: u64,
         /// Total events fired so far.
         fired: u64,
     },
     /// The crawler's global-list sweep saw a broadcast for the first time.
-    BroadcastDiscovered {
+    BroadcastDiscovered = "broadcast_discovered" {
         /// Broadcast (stream) id.
         broadcast: u64,
         /// When the broadcast actually started.
         started_us: u64,
     },
     /// The high-frequency probe observed a chunk at origin and POP.
-    ProbeSample {
+    ProbeSample = "probe_sample" {
         /// Broadcast (stream) id.
         broadcast: u64,
         /// Fastly POP datacenter id.
@@ -232,7 +356,7 @@ pub enum TraceEvent {
     },
     /// The §8 overlay experiment pushed one frame down the multicast
     /// tree: origin cost and the slowest viewer's delivery delay.
-    OverlayFrameDelivered {
+    OverlayFrameDelivered = "overlay_frame_delivered" {
         /// Audience size of the overlay run.
         audience: u64,
         /// Sequence number within the broadcast.
@@ -248,7 +372,7 @@ pub enum TraceEvent {
     /// content-addressed per [`crate::span`], so the matching
     /// [`TraceEvent::SpanClose`] and any child spans carry the same id in
     /// every run and lane count.
-    SpanOpen {
+    SpanOpen = "span_open" {
         /// Deterministic span id (never 0; see [`crate::span::span_id`]).
         id: u64,
         /// Parent span id (0 = root).
@@ -266,40 +390,12 @@ pub enum TraceEvent {
         site: u16,
     },
     /// A causal span closed; `t` is the span's end time.
-    SpanClose {
+    SpanClose = "span_close" {
         /// Span id being closed (matches a prior [`TraceEvent::SpanOpen`]).
         id: u64,
         /// Span kind, denormalized so closes are greppable on their own.
         kind: SpanKind,
     },
-}
-
-impl TraceEvent {
-    /// Stable type tag used in the JSONL encoding and summaries.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            TraceEvent::RtmpFramePushed { .. } => "rtmp_frame_pushed",
-            TraceEvent::ChunkCompleted { .. } => "chunk_completed",
-            TraceEvent::PollHit { .. } => "poll_hit",
-            TraceEvent::PollMiss { .. } => "poll_miss",
-            TraceEvent::OriginPull { .. } => "origin_pull",
-            TraceEvent::GatewayReplicated { .. } => "gateway_replicated",
-            TraceEvent::PublisherConnected { .. } => "publisher_connected",
-            TraceEvent::RtmpSubscribed { .. } => "rtmp_subscribed",
-            TraceEvent::HandoffToHls { .. } => "handoff_to_hls",
-            TraceEvent::CommentFanout { .. } => "comment_fanout",
-            TraceEvent::JoinStarted { .. } => "join_started",
-            TraceEvent::JoinPlayout { .. } => "join_playout",
-            TraceEvent::RtmpUnitDelivered { .. } => "rtmp_unit_delivered",
-            TraceEvent::ChunkDelivered { .. } => "chunk_delivered",
-            TraceEvent::QueueDepth { .. } => "queue_depth",
-            TraceEvent::BroadcastDiscovered { .. } => "broadcast_discovered",
-            TraceEvent::ProbeSample { .. } => "probe_sample",
-            TraceEvent::OverlayFrameDelivered { .. } => "overlay_frame_delivered",
-            TraceEvent::SpanOpen { .. } => "span_open",
-            TraceEvent::SpanClose { .. } => "span_close",
-        }
-    }
 }
 
 /// An event plus its sim-time stamp.
@@ -322,179 +418,7 @@ impl TimedEvent {
             self.t_us,
             self.event.kind()
         );
-        macro_rules! fields {
-            ($($name:literal: $value:expr),* $(,)?) => {
-                { $(let _ = write!(s, ",\"{}\":{}", $name, $value);)* }
-            };
-        }
-        match &self.event {
-            TraceEvent::RtmpFramePushed {
-                broadcast,
-                seq,
-                capture_us,
-                subscribers,
-            } => {
-                fields!("broadcast": broadcast, "seq": seq, "capture_us": capture_us,
-                        "subscribers": subscribers)
-            }
-            TraceEvent::ChunkCompleted {
-                broadcast,
-                seq,
-                start_ts_us,
-                duration_us,
-                frames,
-            } => {
-                fields!("broadcast": broadcast, "seq": seq, "start_ts_us": start_ts_us,
-                        "duration_us": duration_us, "frames": frames)
-            }
-            TraceEvent::PollHit {
-                broadcast,
-                pop,
-                entries,
-            } => {
-                fields!("broadcast": broadcast, "pop": pop, "entries": entries)
-            }
-            TraceEvent::PollMiss { broadcast, pop } => {
-                fields!("broadcast": broadcast, "pop": pop)
-            }
-            TraceEvent::OriginPull {
-                broadcast,
-                pop,
-                seq,
-                origin_ready_us,
-                available_at_us,
-                batch,
-            } => {
-                fields!("broadcast": broadcast, "pop": pop, "seq": seq,
-                        "origin_ready_us": origin_ready_us, "available_at_us": available_at_us,
-                        "batch": batch)
-            }
-            TraceEvent::GatewayReplicated {
-                broadcast,
-                wowza,
-                gateway,
-                pop,
-                transfer_us,
-            } => {
-                fields!("broadcast": broadcast, "wowza": wowza, "gateway": gateway,
-                        "pop": pop, "transfer_us": transfer_us)
-            }
-            TraceEvent::PublisherConnected { broadcast, wowza } => {
-                fields!("broadcast": broadcast, "wowza": wowza)
-            }
-            TraceEvent::RtmpSubscribed {
-                broadcast,
-                viewer,
-                wowza,
-            } => {
-                fields!("broadcast": broadcast, "viewer": viewer, "wowza": wowza)
-            }
-            TraceEvent::HandoffToHls {
-                broadcast,
-                viewer,
-                rtmp_viewers,
-            } => {
-                fields!("broadcast": broadcast, "viewer": viewer, "rtmp_viewers": rtmp_viewers)
-            }
-            TraceEvent::CommentFanout {
-                broadcast,
-                from_user,
-                receivers,
-            } => {
-                fields!("broadcast": broadcast, "from_user": from_user, "receivers": receivers)
-            }
-            TraceEvent::JoinStarted {
-                broadcast,
-                viewer,
-                rtmp,
-            } => {
-                fields!("broadcast": broadcast, "viewer": viewer, "rtmp": rtmp)
-            }
-            TraceEvent::JoinPlayout {
-                broadcast,
-                viewer,
-                protocol,
-                playback_start_us,
-                avg_buffering_us,
-                stall_us,
-                stall_ratio_ppm,
-            } => {
-                fields!("broadcast": broadcast, "viewer": viewer);
-                let _ = write!(s, ",\"protocol\":\"{}\"", protocol.label());
-                fields!("playback_start_us": playback_start_us,
-                        "avg_buffering_us": avg_buffering_us,
-                        "stall_us": stall_us, "stall_ratio_ppm": stall_ratio_ppm)
-            }
-            TraceEvent::RtmpUnitDelivered {
-                broadcast,
-                viewer,
-                seq,
-                upload_us,
-                last_mile_us,
-            } => {
-                fields!("broadcast": broadcast, "viewer": viewer, "seq": seq,
-                        "upload_us": upload_us, "last_mile_us": last_mile_us)
-            }
-            TraceEvent::ChunkDelivered {
-                broadcast,
-                viewer,
-                seq,
-                pop,
-                available_at_pop_us,
-                discovered_us,
-                arrival_us,
-                duration_us,
-            } => {
-                fields!("broadcast": broadcast, "viewer": viewer, "seq": seq, "pop": pop,
-                        "available_at_pop_us": available_at_pop_us, "discovered_us": discovered_us,
-                        "arrival_us": arrival_us, "duration_us": duration_us)
-            }
-            TraceEvent::QueueDepth { depth, fired } => {
-                fields!("depth": depth, "fired": fired)
-            }
-            TraceEvent::BroadcastDiscovered {
-                broadcast,
-                started_us,
-            } => {
-                fields!("broadcast": broadcast, "started_us": started_us)
-            }
-            TraceEvent::ProbeSample {
-                broadcast,
-                pop,
-                seq,
-                origin_ready_us,
-                pop_available_us,
-            } => {
-                fields!("broadcast": broadcast, "pop": pop, "seq": seq,
-                        "origin_ready_us": origin_ready_us, "pop_available_us": pop_available_us)
-            }
-            TraceEvent::OverlayFrameDelivered {
-                audience,
-                seq,
-                root_sends,
-                viewers,
-                max_delay_us,
-            } => {
-                fields!("audience": audience, "seq": seq, "root_sends": root_sends,
-                        "viewers": viewers, "max_delay_us": max_delay_us)
-            }
-            TraceEvent::SpanOpen {
-                id,
-                parent,
-                kind,
-                broadcast,
-                subject,
-                site,
-            } => {
-                fields!("id": id, "parent": parent);
-                let _ = write!(s, ",\"kind\":\"{}\"", kind.label());
-                fields!("broadcast": broadcast, "subject": subject, "site": site)
-            }
-            TraceEvent::SpanClose { id, kind } => {
-                fields!("id": id);
-                let _ = write!(s, ",\"kind\":\"{}\"", kind.label());
-            }
-        }
+        self.event.write_fields(&mut s);
         s.push('}');
         s
     }
@@ -541,227 +465,85 @@ pub fn parse_jsonl_lossy(text: &str) -> LossyTrace {
 }
 
 fn parse_line(line: &str) -> Result<TimedEvent, String> {
-    let v: serde_json::Value =
-        serde_json::from_str(line).map_err(|e| format!("bad trace line: {e}"))?;
+    let v: Value = serde_json::from_str(line).map_err(|e| format!("bad trace line: {e}"))?;
     let t_us = v["t"].as_u64().ok_or("missing t")?;
     let kind = v["type"].as_str().ok_or("missing type")?;
-    let u = |k: &str| -> Result<u64, String> {
-        v[k].as_u64().ok_or_else(|| format!("{kind}: missing {k}"))
-    };
-    let range = |k: &str| format!("{kind}: {k} out of range");
-    let u16f = |k: &str| u16::try_from(u(k)?).map_err(|_| range(k));
-    let u32f = |k: &str| u32::try_from(u(k)?).map_err(|_| range(k));
-    let event = match kind {
-        "rtmp_frame_pushed" => TraceEvent::RtmpFramePushed {
-            broadcast: u("broadcast")?,
-            seq: u("seq")?,
-            capture_us: u("capture_us")?,
-            subscribers: u32f("subscribers")?,
-        },
-        "chunk_completed" => TraceEvent::ChunkCompleted {
-            broadcast: u("broadcast")?,
-            seq: u("seq")?,
-            start_ts_us: u("start_ts_us")?,
-            duration_us: u("duration_us")?,
-            frames: u32f("frames")?,
-        },
-        "poll_hit" => TraceEvent::PollHit {
-            broadcast: u("broadcast")?,
-            pop: u16f("pop")?,
-            entries: u32f("entries")?,
-        },
-        "poll_miss" => TraceEvent::PollMiss {
-            broadcast: u("broadcast")?,
-            pop: u16f("pop")?,
-        },
-        "origin_pull" => TraceEvent::OriginPull {
-            broadcast: u("broadcast")?,
-            pop: u16f("pop")?,
-            seq: u("seq")?,
-            origin_ready_us: u("origin_ready_us")?,
-            available_at_us: u("available_at_us")?,
-            batch: u32f("batch")?,
-        },
-        "gateway_replicated" => TraceEvent::GatewayReplicated {
-            broadcast: u("broadcast")?,
-            wowza: u16f("wowza")?,
-            gateway: u16f("gateway")?,
-            pop: u16f("pop")?,
-            transfer_us: u("transfer_us")?,
-        },
-        "publisher_connected" => TraceEvent::PublisherConnected {
-            broadcast: u("broadcast")?,
-            wowza: u16f("wowza")?,
-        },
-        "rtmp_subscribed" => TraceEvent::RtmpSubscribed {
-            broadcast: u("broadcast")?,
-            viewer: u("viewer")?,
-            wowza: u16f("wowza")?,
-        },
-        "handoff_to_hls" => TraceEvent::HandoffToHls {
-            broadcast: u("broadcast")?,
-            viewer: u("viewer")?,
-            rtmp_viewers: u("rtmp_viewers")?,
-        },
-        "comment_fanout" => TraceEvent::CommentFanout {
-            broadcast: u("broadcast")?,
-            from_user: u("from_user")?,
-            receivers: u32f("receivers")?,
-        },
-        "join_started" => TraceEvent::JoinStarted {
-            broadcast: u("broadcast")?,
-            viewer: u("viewer")?,
-            rtmp: v["rtmp"].as_bool().ok_or("join_started: missing rtmp")?,
-        },
-        "join_playout" => TraceEvent::JoinPlayout {
-            broadcast: u("broadcast")?,
-            viewer: u("viewer")?,
-            protocol: match v["protocol"].as_str() {
-                Some("rtmp") => Protocol::Rtmp,
-                Some("hls") => Protocol::Hls,
-                other => return Err(format!("join_playout: bad protocol {other:?}")),
-            },
-            playback_start_us: u("playback_start_us")?,
-            avg_buffering_us: u("avg_buffering_us")?,
-            stall_us: u("stall_us")?,
-            stall_ratio_ppm: u("stall_ratio_ppm")?,
-        },
-        "rtmp_unit_delivered" => TraceEvent::RtmpUnitDelivered {
-            broadcast: u("broadcast")?,
-            viewer: u("viewer")?,
-            seq: u("seq")?,
-            upload_us: u("upload_us")?,
-            last_mile_us: u("last_mile_us")?,
-        },
-        "chunk_delivered" => TraceEvent::ChunkDelivered {
-            broadcast: u("broadcast")?,
-            viewer: u("viewer")?,
-            seq: u("seq")?,
-            pop: u16f("pop")?,
-            available_at_pop_us: u("available_at_pop_us")?,
-            discovered_us: u("discovered_us")?,
-            arrival_us: u("arrival_us")?,
-            duration_us: u("duration_us")?,
-        },
-        "queue_depth" => TraceEvent::QueueDepth {
-            depth: u("depth")?,
-            fired: u("fired")?,
-        },
-        "broadcast_discovered" => TraceEvent::BroadcastDiscovered {
-            broadcast: u("broadcast")?,
-            started_us: u("started_us")?,
-        },
-        "probe_sample" => TraceEvent::ProbeSample {
-            broadcast: u("broadcast")?,
-            pop: u16f("pop")?,
-            seq: u("seq")?,
-            origin_ready_us: u("origin_ready_us")?,
-            pop_available_us: u("pop_available_us")?,
-        },
-        "overlay_frame_delivered" => TraceEvent::OverlayFrameDelivered {
-            audience: u("audience")?,
-            seq: u("seq")?,
-            root_sends: u("root_sends")?,
-            viewers: u("viewers")?,
-            max_delay_us: u("max_delay_us")?,
-        },
-        "span_open" => TraceEvent::SpanOpen {
-            id: u("id")?,
-            parent: u("parent")?,
-            kind: match v["kind"].as_str().and_then(SpanKind::parse) {
-                Some(k) => k,
-                None => return Err(format!("span_open: bad kind {:?}", v["kind"])),
-            },
-            broadcast: u("broadcast")?,
-            subject: u("subject")?,
-            site: u16f("site")?,
-        },
-        "span_close" => TraceEvent::SpanClose {
-            id: u("id")?,
-            kind: match v["kind"].as_str().and_then(SpanKind::parse) {
-                Some(k) => k,
-                None => return Err(format!("span_close: bad kind {:?}", v["kind"])),
-            },
-        },
-        other => return Err(format!("unknown event type {other:?}")),
-    };
+    let event = TraceEvent::read_fields(kind, &v)?;
     Ok(TimedEvent { t_us, event })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::span;
+
+    /// One row per variant: a sample and the exact line the parent's
+    /// hand-written encoder produced for it, so the table-generated
+    /// writer is checked against bytes, not against itself.
+    #[rustfmt::skip]
+    fn golden() -> Vec<(&'static str, u64, TraceEvent)> {
+        use TraceEvent::*;
+        let seal = span::chunk_seal_span(1, 0);
+        vec![
+            (r#"{"t":0,"type":"join_started","broadcast":1,"viewer":2,"rtmp":true}"#,
+                0, JoinStarted { broadcast: 1, viewer: 2, rtmp: true }),
+            (r#"{"t":40000,"type":"rtmp_frame_pushed","broadcast":1,"seq":0,"capture_us":0,"subscribers":1}"#,
+                40_000, RtmpFramePushed { broadcast: 1, seq: 0, capture_us: 0, subscribers: 1 }),
+            (r#"{"t":3000000,"type":"chunk_delivered","broadcast":1,"viewer":3,"seq":0,"pop":9,"available_at_pop_us":3100000,"discovered_us":3400000,"arrival_us":3450000,"duration_us":3000000}"#,
+                3_000_000, ChunkDelivered { broadcast: 1, viewer: 3, seq: 0, pop: 9, available_at_pop_us: 3_100_000, discovered_us: 3_400_000, arrival_us: 3_450_000, duration_us: 3_000_000 }),
+            (r#"{"t":9000000,"type":"join_playout","broadcast":1,"viewer":3,"protocol":"hls","playback_start_us":12000000,"avg_buffering_us":6900000,"stall_us":250000,"stall_ratio_ppm":4200}"#,
+                9_000_000, JoinPlayout { broadcast: 1, viewer: 3, protocol: Protocol::Hls, playback_start_us: 12_000_000, avg_buffering_us: 6_900_000, stall_us: 250_000, stall_ratio_ppm: 4_200 }),
+            (r#"{"t":10,"type":"queue_depth","depth":12,"fired":1024}"#,
+                10, QueueDepth { depth: 12, fired: 1024 }),
+            (r#"{"t":500000,"type":"span_open","id":6153317894576023040,"parent":16860738450190168606,"kind":"chunk_seal","broadcast":1,"subject":0,"site":3}"#,
+                500_000, SpanOpen { id: seal, parent: span::broadcast_span(1), kind: SpanKind::ChunkSeal, broadcast: 1, subject: 0, site: 3 }),
+            (r#"{"t":3000000,"type":"span_close","id":6153317894576023040,"kind":"chunk_seal"}"#,
+                3_000_000, SpanClose { id: seal, kind: SpanKind::ChunkSeal }),
+            (r#"{"t":3000001,"type":"chunk_completed","broadcast":1,"seq":2,"start_ts_us":6000000,"duration_us":3000000,"frames":75}"#,
+                3_000_001, ChunkCompleted { broadcast: 1, seq: 2, start_ts_us: 6_000_000, duration_us: 3_000_000, frames: 75 }),
+            (r#"{"t":11,"type":"poll_hit","broadcast":1,"pop":16,"entries":4}"#,
+                11, PollHit { broadcast: 1, pop: 16, entries: 4 }),
+            (r#"{"t":12,"type":"poll_miss","broadcast":1,"pop":65535}"#,
+                12, PollMiss { broadcast: 1, pop: u16::MAX }),
+            (r#"{"t":13,"type":"origin_pull","broadcast":1,"pop":16,"seq":2,"origin_ready_us":3000001,"available_at_us":3240000,"batch":4294967295}"#,
+                13, OriginPull { broadcast: 1, pop: 16, seq: 2, origin_ready_us: 3_000_001, available_at_us: 3_240_000, batch: u32::MAX }),
+            (r#"{"t":14,"type":"gateway_replicated","broadcast":1,"wowza":2,"gateway":5,"pop":16,"transfer_us":240000}"#,
+                14, GatewayReplicated { broadcast: 1, wowza: 2, gateway: 5, pop: 16, transfer_us: 240_000 }),
+            (r#"{"t":15,"type":"publisher_connected","broadcast":1,"wowza":2}"#,
+                15, PublisherConnected { broadcast: 1, wowza: 2 }),
+            (r#"{"t":16,"type":"rtmp_subscribed","broadcast":1,"viewer":2,"wowza":7}"#,
+                16, RtmpSubscribed { broadcast: 1, viewer: 2, wowza: 7 }),
+            (r#"{"t":17,"type":"handoff_to_hls","broadcast":1,"viewer":101,"rtmp_viewers":100}"#,
+                17, HandoffToHls { broadcast: 1, viewer: 101, rtmp_viewers: 100 }),
+            (r#"{"t":18,"type":"comment_fanout","broadcast":1,"from_user":8,"receivers":99}"#,
+                18, CommentFanout { broadcast: 1, from_user: 8, receivers: 99 }),
+            (r#"{"t":19,"type":"rtmp_unit_delivered","broadcast":1,"viewer":2,"seq":6,"upload_us":24000,"last_mile_us":41000}"#,
+                19, RtmpUnitDelivered { broadcast: 1, viewer: 2, seq: 6, upload_us: 24_000, last_mile_us: 41_000 }),
+            (r#"{"t":20,"type":"broadcast_discovered","broadcast":18446744073709551615,"started_us":5}"#,
+                20, BroadcastDiscovered { broadcast: u64::MAX, started_us: 5 }),
+            (r#"{"t":21,"type":"probe_sample","broadcast":1,"pop":16,"seq":2,"origin_ready_us":3000001,"pop_available_us":3240000}"#,
+                21, ProbeSample { broadcast: 1, pop: 16, seq: 2, origin_ready_us: 3_000_001, pop_available_us: 3_240_000 }),
+            (r#"{"t":22,"type":"overlay_frame_delivered","audience":500,"seq":6,"root_sends":8,"viewers":499,"max_delay_us":310000}"#,
+                22, OverlayFrameDelivered { audience: 500, seq: 6, root_sends: 8, viewers: 499, max_delay_us: 310_000 }),
+        ]
+    }
 
     fn samples() -> Vec<TimedEvent> {
-        vec![
-            TimedEvent {
-                t_us: 0,
-                event: TraceEvent::JoinStarted {
-                    broadcast: 1,
-                    viewer: 2,
-                    rtmp: true,
-                },
-            },
-            TimedEvent {
-                t_us: 40_000,
-                event: TraceEvent::RtmpFramePushed {
-                    broadcast: 1,
-                    seq: 0,
-                    capture_us: 0,
-                    subscribers: 1,
-                },
-            },
-            TimedEvent {
-                t_us: 3_000_000,
-                event: TraceEvent::ChunkDelivered {
-                    broadcast: 1,
-                    viewer: 3,
-                    seq: 0,
-                    pop: 9,
-                    available_at_pop_us: 3_100_000,
-                    discovered_us: 3_400_000,
-                    arrival_us: 3_450_000,
-                    duration_us: 3_000_000,
-                },
-            },
-            TimedEvent {
-                t_us: 9_000_000,
-                event: TraceEvent::JoinPlayout {
-                    broadcast: 1,
-                    viewer: 3,
-                    protocol: Protocol::Hls,
-                    playback_start_us: 12_000_000,
-                    avg_buffering_us: 6_900_000,
-                    stall_us: 250_000,
-                    stall_ratio_ppm: 4_200,
-                },
-            },
-            TimedEvent {
-                t_us: 10,
-                event: TraceEvent::QueueDepth {
-                    depth: 12,
-                    fired: 1024,
-                },
-            },
-            TimedEvent {
-                t_us: 500_000,
-                event: TraceEvent::SpanOpen {
-                    id: crate::span::chunk_seal_span(1, 0),
-                    parent: crate::span::broadcast_span(1),
-                    kind: SpanKind::ChunkSeal,
-                    broadcast: 1,
-                    subject: 0,
-                    site: 3,
-                },
-            },
-            TimedEvent {
-                t_us: 3_000_000,
-                event: TraceEvent::SpanClose {
-                    id: crate::span::chunk_seal_span(1, 0),
-                    kind: SpanKind::ChunkSeal,
-                },
-            },
-        ]
+        golden()
+            .into_iter()
+            .map(|(_, t_us, event)| TimedEvent { t_us, event })
+            .collect()
+    }
+
+    #[test]
+    fn json_lines_have_fixed_field_order() {
+        let mut kinds: Vec<&str> = samples().iter().map(|e| e.event.kind()).collect();
+        kinds.sort_unstable();
+        kinds.dedup();
+        assert_eq!(kinds.len(), 20, "one sample per variant: {kinds:?}");
+        for ((line, ..), sample) in golden().iter().zip(samples()) {
+            assert_eq!(sample.to_json_line(), *line);
+        }
     }
 
     #[test]
@@ -771,13 +553,19 @@ mod tests {
         assert_eq!(back, samples());
     }
 
+    /// A line cut anywhere (a crashed writer, a truncated file) is an
+    /// error or a counted skip, never a panic and never a narrower event.
     #[test]
-    fn json_lines_have_fixed_field_order() {
-        let line = samples()[0].to_json_line();
-        assert_eq!(
-            line,
-            r#"{"t":0,"type":"join_started","broadcast":1,"viewer":2,"rtmp":true}"#
-        );
+    fn every_truncated_line_is_rejected_and_counted() {
+        for (line, ..) in golden() {
+            for cut in 1..line.len() {
+                let prefix = &line[..cut];
+                assert!(parse_jsonl(prefix).is_err(), "accepted {prefix:?}");
+                let lossy = parse_jsonl_lossy(prefix);
+                assert!(lossy.events.is_empty(), "decoded {prefix:?}");
+                assert_eq!(lossy.skipped_lines, 1, "{prefix:?}");
+            }
+        }
     }
 
     #[test]

@@ -1,26 +1,14 @@
-//! Trace-derived delay ledger: reconstructs the paper's six-component
-//! end-to-end delay breakdown (Figs 10–11) from a structured trace.
+//! The delay ledger's vocabulary: the paper's six-component end-to-end
+//! delay breakdown (Figs 10–11) as plain types.
 //!
-//! The analytic experiment (`experiments::breakdown`) computes the same
-//! six numbers from in-memory viewer state; this module computes them
-//! purely from [`TimedEvent`]s, so the two can be cross-checked: if the
-//! instrumented state machines and the analytic formulas disagree, one of
-//! them is lying.
+//! The analytic experiment (`experiments::breakdown`) computes the six
+//! numbers from in-memory viewer state; [`ObsReport::derive`] recovers
+//! them purely from [`TimedEvent`](crate::TimedEvent)s into a
+//! [`DelayLedger`], so the two can be cross-checked: if the instrumented
+//! state machines and the analytic formulas disagree, one of them is
+//! lying.
 //!
-//! Join logic (single pass, in trace order):
-//! - `upload` / RTMP `last-mile` — means of `RtmpUnitDelivered` spans.
-//! - `chunking` — mean `ChunkDelivered.duration_us`.
-//! - `wowza2fastly` — `ChunkDelivered.available_at_pop_us` minus the
-//!   matching `ChunkCompleted` time (joined by broadcast + seq). The map
-//!   is maintained streamingly so traces holding several repetitions
-//!   (which restart seq numbering) still join each delivery against its
-//!   own run's chunk.
-//! - `polling` — `discovered_us − available_at_pop_us`.
-//! - HLS `last-mile` — `arrival_us − discovered_us`.
-//! - `buffering` — mean `JoinPlayout.avg_buffering_us` per protocol.
-
-use crate::event::{Protocol, TimedEvent, TraceEvent};
-use std::collections::HashMap;
+//! [`ObsReport::derive`]: crate::ObsReport::derive
 
 /// The six delay components of the paper's Fig 10 pipeline.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -101,33 +89,12 @@ impl StageDelays {
     }
 }
 
-/// Running mean without storing samples.
-#[derive(Clone, Copy, Debug, Default)]
-struct Mean {
-    sum: f64,
-    n: u64,
-}
-
-impl Mean {
-    fn push(&mut self, v: f64) {
-        self.sum += v;
-        self.n += 1;
-    }
-
-    fn get(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.sum / self.n as f64
-        }
-    }
-}
-
-/// Breakdown derived from a trace, one [`StageDelays`] per protocol, plus
-/// the sample counts behind each mean (zero counts mean the trace lacked
-/// the corresponding events, not that the delay was zero).
-#[derive(Clone, Debug, Default)]
-pub struct TraceBreakdown {
+/// The protocol-level section of an [`ObsReport`](crate::ObsReport): one
+/// [`StageDelays`] per protocol, plus the sample counts behind each mean
+/// (zero counts mean the trace lacked the corresponding events, not that
+/// the delay was zero).
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct DelayLedger {
     /// Per-stage means for RTMP viewers.
     pub rtmp: StageDelays,
     /// Per-stage means for HLS viewers.
@@ -137,122 +104,16 @@ pub struct TraceBreakdown {
     /// `ChunkDelivered` events folded in.
     pub hls_chunks: u64,
     /// `ChunkDelivered` events whose seq had no preceding `ChunkCompleted`
-    /// (a truncated trace, e.g. a ring buffer that dropped the start).
+    /// (a truncated trace, e.g. a ring buffer that dropped the start);
+    /// they are in every HLS mean except `wowza2fastly`.
     pub unmatched_chunks: u64,
-}
-
-impl TraceBreakdown {
-    /// Folds a trace (in emission order) into the six-component ledger.
-    pub fn derive(events: &[TimedEvent]) -> TraceBreakdown {
-        let mut upload = Mean::default();
-        let mut rtmp_last_mile = Mean::default();
-        let mut rtmp_buffering = Mean::default();
-        let mut chunking = Mean::default();
-        let mut w2f = Mean::default();
-        let mut polling = Mean::default();
-        let mut hls_last_mile = Mean::default();
-        let mut hls_buffering = Mean::default();
-        let mut unmatched = 0u64;
-        // (broadcast, seq) -> time the chunk was sealed at origin. Updated
-        // streamingly so repeated runs (which reuse seqs) stay correct.
-        let mut origin_ready: HashMap<(u64, u64), u64> = HashMap::new();
-
-        for TimedEvent { t_us, event } in events {
-            match event {
-                TraceEvent::ChunkCompleted { broadcast, seq, .. } => {
-                    origin_ready.insert((*broadcast, *seq), *t_us);
-                }
-                TraceEvent::RtmpUnitDelivered {
-                    upload_us,
-                    last_mile_us,
-                    ..
-                } => {
-                    upload.push(*upload_us as f64 / 1e6);
-                    rtmp_last_mile.push(*last_mile_us as f64 / 1e6);
-                }
-                TraceEvent::ChunkDelivered {
-                    broadcast,
-                    seq,
-                    available_at_pop_us,
-                    discovered_us,
-                    arrival_us,
-                    duration_us,
-                    ..
-                } => {
-                    chunking.push(*duration_us as f64 / 1e6);
-                    match origin_ready.get(&(*broadcast, *seq)) {
-                        Some(ready_us) => {
-                            w2f.push(available_at_pop_us.saturating_sub(*ready_us) as f64 / 1e6)
-                        }
-                        None => unmatched += 1,
-                    }
-                    polling.push(discovered_us.saturating_sub(*available_at_pop_us) as f64 / 1e6);
-                    hls_last_mile.push(arrival_us.saturating_sub(*discovered_us) as f64 / 1e6);
-                }
-                TraceEvent::JoinPlayout {
-                    protocol,
-                    avg_buffering_us,
-                    ..
-                } => match protocol {
-                    Protocol::Rtmp => rtmp_buffering.push(*avg_buffering_us as f64 / 1e6),
-                    Protocol::Hls => hls_buffering.push(*avg_buffering_us as f64 / 1e6),
-                },
-                _ => {}
-            }
-        }
-
-        TraceBreakdown {
-            rtmp: StageDelays {
-                upload_s: upload.get(),
-                chunking_s: 0.0,
-                wowza2fastly_s: 0.0,
-                polling_s: 0.0,
-                last_mile_s: rtmp_last_mile.get(),
-                buffering_s: rtmp_buffering.get(),
-            },
-            hls: StageDelays {
-                upload_s: upload.get(),
-                chunking_s: chunking.get(),
-                wowza2fastly_s: w2f.get(),
-                polling_s: polling.get(),
-                last_mile_s: hls_last_mile.get(),
-                buffering_s: hls_buffering.get(),
-            },
-            rtmp_units: upload.n,
-            hls_chunks: chunking.n,
-            unmatched_chunks: unmatched,
-        }
-    }
-
-    /// Fig 11-style two-row table.
-    pub fn render(&self) -> String {
-        let mut out = String::from(
-            "trace-derived delay breakdown (s)\n\
-             protocol  upload  chunking  wowza2fastly  polling  last-mile  buffering  total\n",
-        );
-        for (name, d) in [("RTMP", &self.rtmp), ("HLS", &self.hls)] {
-            out.push_str(&format!(
-                "{name:<9} {:>6.3}  {:>8.3}  {:>12.3}  {:>7.3}  {:>9.3}  {:>9.3}  {:>5.3}\n",
-                d.upload_s,
-                d.chunking_s,
-                d.wowza2fastly_s,
-                d.polling_s,
-                d.last_mile_s,
-                d.buffering_s,
-                d.total_s(),
-            ));
-        }
-        out.push_str(&format!(
-            "samples: {} rtmp units, {} hls chunks ({} unmatched)\n",
-            self.rtmp_units, self.hls_chunks, self.unmatched_chunks
-        ));
-        out
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::{Protocol, TimedEvent, TraceEvent};
+    use crate::ObsReport;
 
     fn t(t_us: u64, event: TraceEvent) -> TimedEvent {
         TimedEvent { t_us, event }
@@ -332,7 +193,7 @@ mod tests {
 
     #[test]
     fn derives_all_six_components() {
-        let b = TraceBreakdown::derive(&synthetic_trace());
+        let b = ObsReport::derive(&synthetic_trace()).ledger;
         assert!((b.rtmp.upload_s - 0.3).abs() < 1e-9);
         assert!((b.rtmp.last_mile_s - 0.1).abs() < 1e-9);
         assert!((b.rtmp.buffering_s - 1.0).abs() < 1e-9);
@@ -377,7 +238,7 @@ mod tests {
                 },
             ));
         }
-        let b = TraceBreakdown::derive(&events);
+        let b = ObsReport::derive(&events).ledger;
         // run 1: 0.1 s, run 2: 0.5 s -> mean 0.3 s.
         assert!((b.hls.wowza2fastly_s - 0.3).abs() < 1e-9, "{b:?}");
         assert_eq!(b.unmatched_chunks, 0);
@@ -398,7 +259,7 @@ mod tests {
                 duration_us: 3_000_000,
             },
         )];
-        let b = TraceBreakdown::derive(&events);
+        let b = ObsReport::derive(&events).ledger;
         assert_eq!(b.unmatched_chunks, 1);
         assert_eq!(b.hls.wowza2fastly_s, 0.0);
         assert!(b.hls.polling_s > 0.0);

@@ -10,10 +10,12 @@
 //!    typed events ([`TraceEvent`]) emitted into a bounded in-memory ring or
 //!    a streaming JSONL writer. All timestamps are `SimTime` microseconds,
 //!    never wall clock, so a trace is bit-reproducible in `(config, seed)`.
-//! 3. **Delay ledger** ([`ledger`]) — derives the paper's six-component
-//!    delay breakdown (Fig 10/11) for a viewer join straight from the
-//!    trace, so analytic numbers can be cross-checked against what the
-//!    state machines actually did.
+//! 3. **One fold** ([`report`]) — [`ObsReport::derive`] is the only reader
+//!    of a trace: per-kind counts, the paper's six-component delay
+//!    breakdown (Fig 10/11, the [`ledger`] types) so analytic numbers can
+//!    be cross-checked against what the state machines actually did,
+//!    per-POP distributions, QoE cohorts, chunk-journey waterfalls and
+//!    the span audit.
 //!
 //! The crate is foundation-level: it depends only on `serde_json` (for
 //! trace parsing), so `sim`, `cdn`, `client`, and `crawler` can all
@@ -31,7 +33,7 @@ pub mod sink;
 pub mod span;
 
 pub use event::{Protocol, TimedEvent, TraceEvent};
-pub use ledger::{DelayStage, StageDelays, TraceBreakdown};
+pub use ledger::{DelayLedger, DelayStage, StageDelays};
 pub use profile::{Section, SectionStamp};
 pub use registry::{CounterId, GaugeId, HistogramId, MetricsSnapshot};
 pub use report::ObsReport;

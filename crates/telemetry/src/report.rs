@@ -1,17 +1,17 @@
-//! The causal observability report: folds one trace into per-POP
-//! six-component delay distributions (the paper's Fig-15-style regional
-//! breakdown), QoE session metrics (join time and stall ratio, after the
-//! Periscope QoE study), and top-k slowest chunk-journey waterfalls built
-//! from the causal spans.
+//! The observability report: the one fold of a trace. A single pass
+//! yields per-kind event counts and the traced sim-time span, the
+//! protocol-level delay ledger (Figs 10–11), per-POP six-component delay
+//! distributions (the paper's Fig-15-style regional breakdown), QoE
+//! session metrics (join time and stall ratio, after the Periscope QoE
+//! study), and top-k slowest chunk-journey waterfalls built from the
+//! causal spans.
 //!
 //! Everything here is a pure function of the trace bytes: the same trace
 //! produces the same [`ObsReport`], and because traces are byte-identical
-//! across lane counts for a fixed `(config, seed)`, so is the report —
-//! including its JSON rendering, which writes fields in a fixed order
-//! ([`ObsReport::to_json`]).
+//! across lane counts for a fixed `(config, seed)`, so is the report.
 
 use crate::event::{Protocol, TimedEvent, TraceEvent};
-use crate::ledger::DelayStage;
+use crate::ledger::{DelayLedger, DelayStage, StageDelays};
 use crate::registry::Histogram;
 use crate::span::SpanKind;
 use std::collections::{BTreeMap, HashMap};
@@ -111,9 +111,10 @@ pub struct SpanAudit {
     pub opens: u64,
     /// `span_close` events seen.
     pub closes: u64,
-    /// Opens with no matching close (truncated trace or a bug).
+    /// Spans that never closed before the trace ended or their id was
+    /// opened again (truncated trace or a bug).
     pub unclosed: u64,
-    /// Closes with no matching open.
+    /// Closes whose id has no open span.
     pub unmatched_closes: u64,
 }
 
@@ -122,6 +123,12 @@ pub struct SpanAudit {
 pub struct ObsReport {
     /// Events in the trace.
     pub events: u64,
+    /// Events per kind ([`TraceEvent::kind`]), ascending name order.
+    pub counts: BTreeMap<&'static str, u64>,
+    /// Sim time between the earliest and the latest stamp, µs.
+    pub span_us: u64,
+    /// Protocol-level six-component delay means.
+    pub ledger: DelayLedger,
     /// Span open/close accounting.
     pub spans: SpanAudit,
     /// Per-POP six-component breakdown, ascending POP id.
@@ -134,9 +141,12 @@ pub struct ObsReport {
     pub waterfalls: Vec<Waterfall>,
 }
 
-#[derive(Clone, Copy)]
-struct OpenSpan {
-    parent: u64,
+/// One open→close occurrence of a span id. Ids are content addresses,
+/// so a trace holding several repetitions opens the same id again; every
+/// `SpanOpen` is its own occurrence, bound to the occurrence of its
+/// parent id that was current when it opened.
+struct SpanRecord {
+    parent: Option<usize>,
     broadcast: u64,
     subject: u64,
     site: u16,
@@ -158,30 +168,31 @@ struct QoeAcc {
     join_max_s: f64,
     stall_sum_s: f64,
     ratio_sum: f64,
+    buffering_sum_us: u64,
 }
 
 impl QoeAcc {
+    /// `sum` per session, 0 for an empty cohort.
+    fn per_session(&self, sum: f64) -> f64 {
+        if self.sessions == 0 {
+            0.0
+        } else {
+            sum / self.sessions as f64
+        }
+    }
+
     fn finish(&self) -> QoeCohort {
-        let n = self.sessions.max(1) as f64;
         QoeCohort {
             sessions: self.sessions,
-            join_mean_s: if self.sessions == 0 {
-                0.0
-            } else {
-                self.join_sum_s / n
-            },
+            join_mean_s: self.per_session(self.join_sum_s),
             join_max_s: self.join_max_s,
-            stall_mean_s: if self.sessions == 0 {
-                0.0
-            } else {
-                self.stall_sum_s / n
-            },
-            stall_ratio_mean: if self.sessions == 0 {
-                0.0
-            } else {
-                self.ratio_sum / n
-            },
+            stall_mean_s: self.per_session(self.stall_sum_s),
+            stall_ratio_mean: self.per_session(self.ratio_sum),
         }
+    }
+
+    fn buffering_mean_s(&self) -> f64 {
+        self.per_session(self.buffering_sum_us as f64 / 1e6)
     }
 }
 
@@ -192,9 +203,30 @@ fn stage_index(stage: DelayStage) -> usize {
         .expect("stage is one of the six")
 }
 
+/// Mean of the samples pooled over `hists`, seconds (0 when empty).
+fn pooled_mean_s<'a>(hists: impl Iterator<Item = &'a Histogram>) -> f64 {
+    let (sum, count) = hists.fold((0u64, 0u64), |(sum, count), h| {
+        (sum.saturating_add(h.sum), count + h.count)
+    });
+    if count == 0 {
+        0.0
+    } else {
+        sum as f64 / count as f64 / 1e6
+    }
+}
+
 impl ObsReport {
-    /// Folds a trace (in emission order) into the report.
+    /// Folds a trace (in emission order) into the report. The delay
+    /// components are, per `ChunkDelivered`: chunking = `duration_us`,
+    /// wowza2fastly = `available_at_pop_us` − the matching
+    /// `ChunkCompleted` stamp, polling = `discovered_us` −
+    /// `available_at_pop_us`, last-mile = `arrival_us` − `discovered_us`;
+    /// upload and RTMP last-mile come from `RtmpUnitDelivered`, buffering
+    /// from `JoinPlayout`. The per-POP histograms hold them once; the
+    /// ledger's means are those histograms pooled.
     pub fn derive(events: &[TimedEvent]) -> ObsReport {
+        let mut counts: BTreeMap<&'static str, u64> = BTreeMap::new();
+        let (mut first_us, mut last_us) = (u64::MAX, 0u64);
         // (broadcast, seq) -> seal time, maintained streamingly so traces
         // holding several repetitions (which restart seq) join correctly.
         let mut origin_ready: HashMap<(u64, u64), u64> = HashMap::new();
@@ -202,11 +234,14 @@ impl ObsReport {
         let mut join_started: HashMap<(u64, u64), u64> = HashMap::new();
         // viewer -> last POP that served it (for buffering attribution).
         let mut viewer_pop: HashMap<u64, u16> = HashMap::new();
-        // Span table (lookup only — never iterated, so hash order is inert)
-        // plus the deliver-span ids in trace order for the waterfalls.
-        let mut spans: HashMap<u64, OpenSpan> = HashMap::new();
-        let mut deliver_ids: Vec<u64> = Vec::new();
+        // Every span occurrence in open order, the current occurrence of
+        // each id (lookup only — never iterated, so hash order is inert),
+        // and which occurrences are deliveries, for the waterfalls.
+        let mut spans: Vec<SpanRecord> = Vec::new();
+        let mut current: HashMap<u64, usize> = HashMap::new();
+        let mut delivers: Vec<usize> = Vec::new();
         let mut upload_hist = Histogram::default();
+        let mut rtmp_last_mile_hist = Histogram::default();
         let mut pops: BTreeMap<u16, PopAcc> = BTreeMap::new();
         let mut qoe_rtmp = QoeAcc::default();
         let mut qoe_hls = QoeAcc::default();
@@ -215,6 +250,9 @@ impl ObsReport {
         let mut hls_buffering: Vec<(u64, u64)> = Vec::new(); // (viewer, avg_buffering_us)
 
         for TimedEvent { t_us, event } in events {
+            *counts.entry(event.kind()).or_default() += 1;
+            first_us = first_us.min(*t_us);
+            last_us = last_us.max(*t_us);
             match event {
                 TraceEvent::ChunkCompleted { broadcast, seq, .. } => {
                     origin_ready.insert((*broadcast, *seq), *t_us);
@@ -224,8 +262,13 @@ impl ObsReport {
                 } => {
                     join_started.insert((*broadcast, *viewer), *t_us);
                 }
-                TraceEvent::RtmpUnitDelivered { upload_us, .. } => {
+                TraceEvent::RtmpUnitDelivered {
+                    upload_us,
+                    last_mile_us,
+                    ..
+                } => {
                     upload_hist.record(*upload_us);
+                    rtmp_last_mile_hist.record(*last_mile_us);
                 }
                 TraceEvent::ChunkDelivered {
                     broadcast,
@@ -242,6 +285,8 @@ impl ObsReport {
                     acc.chunks += 1;
                     acc.viewers.insert(*viewer, ());
                     acc.hists[stage_index(DelayStage::Chunking)].record(*duration_us);
+                    // No seal in the trace: the sample is left out here
+                    // and surfaces as `DelayLedger::unmatched_chunks`.
                     if let Some(ready_us) = origin_ready.get(&(*broadcast, *seq)) {
                         acc.hists[stage_index(DelayStage::Wowza2Fastly)]
                             .record(available_at_pop_us.saturating_sub(*ready_us));
@@ -273,6 +318,7 @@ impl ObsReport {
                     acc.join_max_s = acc.join_max_s.max(join_s);
                     acc.stall_sum_s += *stall_us as f64 / 1e6;
                     acc.ratio_sum += *stall_ratio_ppm as f64 / 1e6;
+                    acc.buffering_sum_us = acc.buffering_sum_us.saturating_add(*avg_buffering_us);
                     if *protocol == Protocol::Hls {
                         hls_buffering.push((*viewer, *avg_buffering_us));
                     }
@@ -287,33 +333,30 @@ impl ObsReport {
                 } => {
                     audit.opens += 1;
                     if *kind == SpanKind::ViewerDeliver {
-                        deliver_ids.push(*id);
+                        delivers.push(spans.len());
                     }
-                    spans.insert(
-                        *id,
-                        OpenSpan {
-                            parent: *parent,
-                            broadcast: *broadcast,
-                            subject: *subject,
-                            site: *site,
-                            open_us: *t_us,
-                            close_us: None,
-                        },
-                    );
+                    let parent = current.get(parent).copied();
+                    current.insert(*id, spans.len());
+                    spans.push(SpanRecord {
+                        parent,
+                        broadcast: *broadcast,
+                        subject: *subject,
+                        site: *site,
+                        open_us: *t_us,
+                        close_us: None,
+                    });
                 }
                 TraceEvent::SpanClose { id, .. } => {
                     audit.closes += 1;
-                    match spans.get_mut(id) {
-                        Some(span) => span.close_us = Some(*t_us),
-                        None => audit.unmatched_closes += 1,
+                    match current.get(id).map(|&i| &mut spans[i]) {
+                        Some(span) if span.close_us.is_none() => span.close_us = Some(*t_us),
+                        _ => audit.unmatched_closes += 1,
                     }
                 }
                 _ => {}
             }
         }
-        audit.unclosed = audit
-            .opens
-            .saturating_sub(audit.closes - audit.unmatched_closes);
+        audit.unclosed = spans.iter().filter(|s| s.close_us.is_none()).count() as u64;
 
         // Attribute buffering (and the global upload mean) per POP.
         for (viewer, buffering_us) in &hls_buffering {
@@ -323,7 +366,33 @@ impl ObsReport {
                 }
             }
         }
+        let hls_mean_s =
+            |stage| pooled_mean_s(pops.values().map(|acc| &acc.hists[stage_index(stage)]));
         let upload_dist = StageDist::from_hist(&upload_hist);
+        let hls_chunks: u64 = pops.values().map(|acc| acc.chunks).sum();
+        let matched_chunks: u64 = pops
+            .values()
+            .map(|acc| acc.hists[stage_index(DelayStage::Wowza2Fastly)].count)
+            .sum();
+        let ledger = DelayLedger {
+            rtmp: StageDelays {
+                upload_s: upload_dist.mean_s,
+                last_mile_s: rtmp_last_mile_hist.mean() / 1e6,
+                buffering_s: qoe_rtmp.buffering_mean_s(),
+                ..StageDelays::default()
+            },
+            hls: StageDelays {
+                upload_s: upload_dist.mean_s,
+                chunking_s: hls_mean_s(DelayStage::Chunking),
+                wowza2fastly_s: hls_mean_s(DelayStage::Wowza2Fastly),
+                polling_s: hls_mean_s(DelayStage::Polling),
+                last_mile_s: hls_mean_s(DelayStage::LastMile),
+                buffering_s: qoe_hls.buffering_mean_s(),
+            },
+            rtmp_units: upload_hist.count,
+            hls_chunks,
+            unmatched_chunks: hls_chunks - matched_chunks,
+        };
         let pops: Vec<PopBreakdown> = pops
             .iter()
             .map(|(pop, acc)| {
@@ -342,14 +411,14 @@ impl ObsReport {
             .collect();
 
         // Waterfalls: walk each complete viewer_deliver chain upward.
-        let mut falls: Vec<Waterfall> = deliver_ids
+        let mut falls: Vec<Waterfall> = delivers
             .iter()
-            .filter_map(|id| {
-                let deliver = spans.get(id)?;
+            .filter_map(|&i| {
+                let deliver = &spans[i];
                 let deliver_close = deliver.close_us?;
-                let fetch = spans.get(&deliver.parent)?;
+                let fetch = &spans[deliver.parent?];
                 let fetch_close = fetch.close_us?;
-                let seal = spans.get(&fetch.parent)?;
+                let seal = &spans[fetch.parent?];
                 let seal_close = seal.close_us?;
                 Some(Waterfall {
                     broadcast: deliver.broadcast,
@@ -375,6 +444,9 @@ impl ObsReport {
 
         ObsReport {
             events: events.len() as u64,
+            counts,
+            span_us: last_us.saturating_sub(first_us),
+            ledger,
             spans: audit,
             pops,
             qoe_rtmp: qoe_rtmp.finish(),
@@ -390,12 +462,39 @@ impl ObsReport {
         let mut out = String::from("causal observability report\n");
         let _ = writeln!(
             out,
-            "events: {}   spans: {} opened, {} closed ({} unclosed, {} unmatched closes)\n",
+            "{} events spanning {:.3} s of sim time   spans: {} opened, {} closed ({} unclosed, {} unmatched closes)\n",
             self.events,
+            self.span_us as f64 / 1e6,
             self.spans.opens,
             self.spans.closes,
             self.spans.unclosed,
             self.spans.unmatched_closes
+        );
+        out.push_str("event counts:\n");
+        for (kind, n) in &self.counts {
+            let _ = writeln!(out, "  {kind:<22} {n}");
+        }
+        out.push_str(
+            "\ntrace-derived delay breakdown (s)\n\
+             protocol  upload  chunking  wowza2fastly  polling  last-mile  buffering  total\n",
+        );
+        for (name, d) in [("RTMP", &self.ledger.rtmp), ("HLS", &self.ledger.hls)] {
+            let _ = writeln!(
+                out,
+                "{name:<9} {:>6.3}  {:>8.3}  {:>12.3}  {:>7.3}  {:>9.3}  {:>9.3}  {:>5.3}",
+                d.upload_s,
+                d.chunking_s,
+                d.wowza2fastly_s,
+                d.polling_s,
+                d.last_mile_s,
+                d.buffering_s,
+                d.total_s(),
+            );
+        }
+        let _ = writeln!(
+            out,
+            "samples: {} rtmp units, {} hls chunks ({} unmatched)\n",
+            self.ledger.rtmp_units, self.ledger.hls_chunks, self.ledger.unmatched_chunks
         );
         out.push_str(
             "per-POP six-component delay means, HLS path (s)\n\
@@ -449,82 +548,6 @@ impl ObsReport {
         }
         out
     }
-
-    /// Machine-readable rendering with a fixed field order, so the bytes
-    /// are identical whenever the report is (the `OBS_report.json`
-    /// schema; see DESIGN.md §11).
-    pub fn to_json(&self) -> String {
-        let mut s = String::from("{\"report\":\"obs\"");
-        let _ = write!(s, ",\"events\":{}", self.events);
-        let _ = write!(
-            s,
-            ",\"spans\":{{\"opens\":{},\"closes\":{},\"unclosed\":{},\"unmatched_closes\":{}}}",
-            self.spans.opens, self.spans.closes, self.spans.unclosed, self.spans.unmatched_closes
-        );
-        s.push_str(",\"pops\":[");
-        for (i, p) in self.pops.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(
-                s,
-                "{{\"pop\":{},\"chunks\":{},\"viewers\":{},\"stages\":{{",
-                p.pop, p.chunks, p.viewers
-            );
-            for (k, stage) in DelayStage::all().iter().enumerate() {
-                if k > 0 {
-                    s.push(',');
-                }
-                let d = &p.stages[k];
-                let _ = write!(
-                    s,
-                    "\"{}\":{{\"count\":{},\"mean_s\":{:.6},\"p95_s\":{:.6}}}",
-                    stage.label(),
-                    d.count,
-                    d.mean_s,
-                    d.p95_s
-                );
-            }
-            let _ = write!(s, "}},\"total_mean_s\":{:.6}}}", p.total_mean_s());
-        }
-        s.push_str("],\"qoe\":{");
-        for (i, (label, q)) in [("rtmp", &self.qoe_rtmp), ("hls", &self.qoe_hls)]
-            .iter()
-            .enumerate()
-        {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(
-                s,
-                "\"{label}\":{{\"sessions\":{},\"join_mean_s\":{:.6},\"join_max_s\":{:.6},\"stall_mean_s\":{:.6},\"stall_ratio_mean\":{:.6}}}",
-                q.sessions, q.join_mean_s, q.join_max_s, q.stall_mean_s, q.stall_ratio_mean
-            );
-        }
-        s.push_str("},\"waterfalls\":[");
-        for (i, w) in self.waterfalls.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(
-                s,
-                "{{\"broadcast\":{},\"seq\":{},\"viewer\":{},\"pop\":{},\"start_us\":{},\"seal_us\":{},\"origin_wait_us\":{},\"fetch_us\":{},\"poll_wait_us\":{},\"download_us\":{},\"total_us\":{}}}",
-                w.broadcast,
-                w.seq,
-                w.viewer,
-                w.pop,
-                w.start_us,
-                w.seal_us,
-                w.origin_wait_us,
-                w.fetch_us,
-                w.poll_wait_us,
-                w.download_us,
-                w.total_us
-            );
-        }
-        s.push_str("]}");
-        s
-    }
 }
 
 #[cfg(test)]
@@ -542,6 +565,15 @@ mod tests {
         let seal = span::chunk_seal_span(1, 0);
         let fetch = span::origin_fetch_span(1, 0, 9);
         let deliver = span::viewer_deliver_span(1, 0, 3);
+        let open = |id, parent, kind, subject, site| TraceEvent::SpanOpen {
+            id,
+            parent,
+            kind,
+            broadcast: 1,
+            subject,
+            site,
+        };
+        let close = |id, kind| TraceEvent::SpanClose { id, kind };
         vec![
             t(
                 0,
@@ -553,22 +585,9 @@ mod tests {
             ),
             t(
                 0,
-                TraceEvent::SpanOpen {
-                    id: seal,
-                    parent: span::broadcast_span(1),
-                    kind: SpanKind::ChunkSeal,
-                    broadcast: 1,
-                    subject: 0,
-                    site: 2,
-                },
+                open(seal, span::broadcast_span(1), SpanKind::ChunkSeal, 0, 2),
             ),
-            t(
-                3_000_000,
-                TraceEvent::SpanClose {
-                    id: seal,
-                    kind: SpanKind::ChunkSeal,
-                },
-            ),
+            t(3_000_000, close(seal, SpanKind::ChunkSeal)),
             t(
                 3_000_000,
                 TraceEvent::ChunkCompleted {
@@ -579,42 +598,13 @@ mod tests {
                     frames: 75,
                 },
             ),
-            t(
-                3_200_000,
-                TraceEvent::SpanOpen {
-                    id: fetch,
-                    parent: seal,
-                    kind: SpanKind::OriginFetch,
-                    broadcast: 1,
-                    subject: 0,
-                    site: 9,
-                },
-            ),
-            t(
-                3_500_000,
-                TraceEvent::SpanClose {
-                    id: fetch,
-                    kind: SpanKind::OriginFetch,
-                },
-            ),
+            t(3_200_000, open(fetch, seal, SpanKind::OriginFetch, 0, 9)),
+            t(3_500_000, close(fetch, SpanKind::OriginFetch)),
             t(
                 3_800_000,
-                TraceEvent::SpanOpen {
-                    id: deliver,
-                    parent: fetch,
-                    kind: SpanKind::ViewerDeliver,
-                    broadcast: 1,
-                    subject: 3,
-                    site: 9,
-                },
+                open(deliver, fetch, SpanKind::ViewerDeliver, 3, 9),
             ),
-            t(
-                4_000_000,
-                TraceEvent::SpanClose {
-                    id: deliver,
-                    kind: SpanKind::ViewerDeliver,
-                },
-            ),
+            t(4_000_000, close(deliver, SpanKind::ViewerDeliver)),
             t(
                 4_000_000,
                 TraceEvent::ChunkDelivered {
@@ -679,18 +669,48 @@ mod tests {
         assert_eq!(r.spans.unclosed, 0);
     }
 
+    /// Span ids are content addresses, so a second repetition reopens
+    /// the first one's ids: each repetition's journey must stay its own
+    /// waterfall row, and a reopened, properly closed span is not a leak.
     #[test]
-    fn json_rendering_is_stable_and_self_consistent() {
-        let r = ObsReport::derive(&journey_trace());
-        let a = r.to_json();
-        let b = ObsReport::derive(&journey_trace()).to_json();
-        assert_eq!(a, b);
-        assert!(a.starts_with("{\"report\":\"obs\",\"events\":10,"), "{a}");
-        assert!(a.contains("\"pop\":9"), "{a}");
-        assert!(a.contains("\"total_us\":4000000"), "{a}");
-        let text = r.render(&|pop| format!("pop{pop}"));
-        assert!(text.contains("9 pop9"), "{text}");
-        assert!(text.contains("top-5 slowest chunk journeys"), "{text}");
+    fn repetitions_keep_their_own_journeys() {
+        let mut events = journey_trace();
+        // Repetition 2 restarts sim time; its viewer polls 0.5 s later.
+        events.extend(journey_trace().into_iter().map(|mut e| {
+            if let TraceEvent::SpanOpen { kind, .. } | TraceEvent::SpanClose { kind, .. } = e.event
+            {
+                if kind == SpanKind::ViewerDeliver {
+                    e.t_us += 500_000;
+                }
+            }
+            e
+        }));
+        let r = ObsReport::derive(&events);
+        assert_eq!((r.spans.opens, r.spans.closes), (6, 6));
+        assert_eq!((r.spans.unclosed, r.spans.unmatched_closes), (0, 0));
+        let totals: Vec<u64> = r.waterfalls.iter().map(|w| w.total_us).collect();
+        assert_eq!(totals, [4_500_000, 4_000_000]);
+        assert_eq!(r.waterfalls[0].poll_wait_us, 800_000);
+        assert_eq!(r.waterfalls[1].poll_wait_us, 300_000);
+        assert_eq!(r.ledger.unmatched_chunks, 0);
+        assert_eq!(r.counts["span_open"], 6);
+        assert_eq!(r.span_us, 4_500_000);
+    }
+
+    /// One fold, one verdict: a delivery whose seal fell off the trace is
+    /// reported unmatched by the same report that leaves it out of
+    /// `wowza2fastly` (and keeps it everywhere else).
+    #[test]
+    fn unsealed_delivery_is_counted_where_it_is_dropped() {
+        let mut events = journey_trace();
+        events.retain(|e| !matches!(e.event, TraceEvent::ChunkCompleted { .. }));
+        let r = ObsReport::derive(&events);
+        let p = &r.pops[0];
+        assert_eq!(p.stages[stage_index(DelayStage::Wowza2Fastly)].count, 0);
+        assert_eq!(p.stages[stage_index(DelayStage::Polling)].count, 1);
+        assert_eq!((r.ledger.hls_chunks, r.ledger.unmatched_chunks), (1, 1));
+        assert_eq!(r.ledger.hls.wowza2fastly_s, 0.0);
+        assert!((r.ledger.hls.polling_s - 0.3).abs() < 1e-9);
     }
 
     #[test]

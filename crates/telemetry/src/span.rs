@@ -10,7 +10,7 @@
 //! join an open to its close (and a child to its parent) across shard
 //! boundaries without any shared id-allocation state.
 //!
-//! The id determinism contract (DESIGN.md §11):
+//! The id determinism contract (`crates/telemetry/DESIGN.md`):
 //!
 //! | kind             | identity fields                  | parent          |
 //! |------------------|----------------------------------|-----------------|

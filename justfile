@@ -111,21 +111,17 @@ bench-pick:
 bench-graph-phases:
     cargo bench -p livescope-bench --bench micro_graph_phases -- --bench
 
-# Capture a JSONL trace of the breakdown experiment and summarize it.
+# Capture a JSONL trace of the breakdown experiment and fold it.
 trace out="results/trace.jsonl":
-    cargo run --release -q -p livescope-bench -- trace_summary --capture {{out}}
+    cargo run --release -q -p livescope-bench -- obs_report --capture {{out}}
 
-# The causal observability report (DESIGN.md §11): per-POP six-component
-# delay distributions, QoE session metrics, and the top-5 slowest
-# chunk-journey waterfalls over the breakdown + celebrity workloads.
+# The observability report (crates/telemetry/DESIGN.md): event counts,
+# the delay ledger, per-POP six-component delay distributions, QoE
+# session metrics, and the top-5 slowest chunk-journey waterfalls over
+# the breakdown + celebrity workloads.
 # Writes results/OBS_report.json.
 obs:
     cargo run --release -q -p livescope-bench -- obs_report
-
-# Determinism contract of the report itself: the celebrity fan-out's
-# report bytes are identical at lanes {1, 2, 6}. This is the CI variant.
-obs-smoke:
-    cargo run --release -q -p livescope-bench -- obs_report --smoke
 
 # Bench-regression gate: regenerate the deterministic observability
 # artifact and compare it metric-by-metric against baselines/.

@@ -40,8 +40,8 @@ sidecars=$(find "$artifacts_dir" -type f | wc -l)
 rm -rf "$artifacts_dir"
 [ "$sidecars" -eq 43 ] || { echo "expected 43 sidecar files, got $sidecars"; exit 1; }
 
-echo "==> usage errors exit 2 before any work (unknown subcommand, unknown flag on an artifact, on bench_replay)"
-for probe in "no_such_command" "fig11 --no-such-flag" "bench_replay --no-such-flag"; do
+echo "==> usage errors exit 2 before any work (unknown or retired subcommand, unknown flag on an artifact, on bench_replay)"
+for probe in "no_such_command" "trace_summary" "fig11 --no-such-flag" "bench_replay --no-such-flag"; do
     status=0
     # shellcheck disable=SC2086  # the probe is a command line, split on purpose
     livescope $probe >/dev/null 2>&1 || status=$?
@@ -73,9 +73,6 @@ livescope bench_replay --graph-only --smoke
 echo "==> micro and hot-path benches, one untimed pass each (pre-timing checksum / op-count asserts)"
 cargo test --release -q -p livescope-bench --bench micro_graph_phases --bench micro_weighted_pick \
     --bench fanout_cpu --bench poll_interval
-
-echo "==> obs_report smoke (celebrity fan-out report bytes identical, lanes 1/2/6)"
-livescope obs_report --smoke
 
 echo "==> bench-regression gate (fresh artifact vs baselines/)"
 livescope bench_check

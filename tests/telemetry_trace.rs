@@ -6,7 +6,7 @@
 //!    produce byte-identical output, and tracing never perturbs the
 //!    simulation itself (the NullSink run returns the same report).
 //! 2. The six-component Fig 10 breakdown derived from the trace by
-//!    [`TraceBreakdown`] agrees with the analytic numbers
+//!    [`ObsReport::derive`] (its `ledger`) agrees with the analytic numbers
 //!    `experiments::breakdown` computes from its own in-memory state.
 
 #![forbid(unsafe_code)]
@@ -16,7 +16,7 @@ use livescope_core::experiments::overlay_ext::{
     run as overlay_run, run_traced as overlay_run_traced, OverlayConfig,
 };
 use livescope_telemetry::event::parse_jsonl;
-use livescope_telemetry::{SharedBuffer, Telemetry, TraceBreakdown, TraceEvent};
+use livescope_telemetry::{ObsReport, SharedBuffer, Telemetry, TraceEvent};
 
 fn quick() -> BreakdownConfig {
     BreakdownConfig {
@@ -84,7 +84,7 @@ fn trace_derived_breakdown_matches_analytic_report() {
     let (bytes, report) = capture_trace(&quick());
     let text = std::str::from_utf8(&bytes).expect("trace is UTF-8");
     let events = parse_jsonl(text).expect("trace parses back");
-    let derived = TraceBreakdown::derive(&events);
+    let derived = ObsReport::derive(&events).ledger;
 
     assert_eq!(
         derived.unmatched_chunks, 0,
