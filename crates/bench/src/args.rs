@@ -70,30 +70,36 @@ mod tests {
 
     #[test]
     fn flags_and_values_are_taken_from_anywhere_and_positionals_in_order() {
-        let mut a = args(&["--smoke", "out.json", "--format", "json", "--workers"]);
-        assert!(a.flag("--workers") && a.flag("--smoke") && !a.flag("--graph-only"));
-        assert_eq!(a.value("--format").as_deref(), Some("json"));
+        let mut a = args(&[
+            "--json",
+            "out.json",
+            "--workload",
+            "celebrity",
+            "--write-baselines",
+        ]);
+        assert!(a.flag("--write-baselines") && a.flag("--json") && !a.flag("--capture"));
+        assert_eq!(a.value("--workload").as_deref(), Some("celebrity"));
         assert_eq!(a.positional().as_deref(), Some("out.json"));
         assert_eq!(a.positional(), None);
         assert!(a.finish().is_ok());
     }
 
-    /// Each line fails `finish` for a command that knows `--smoke`,
-    /// `--format VALUE` and one positional — and never by mistaking a
+    /// Each line fails `finish` for a command that knows `--json`,
+    /// `--workload VALUE` and one positional — and never by mistaking a
     /// `--flag` for the positional.
     #[test]
     fn leftovers_and_missing_values_are_usage_errors() {
         for line in [
-            &["--help"][..],          // unknown flag
-            &["out.json", "--bogus"], // unknown flag after the positional
-            &["--format"],            // missing value
-            &["--format", "--smoke"], // missing value, flag next
-            &["out.json", "label"],   // stray positional
-            &["--smoke", "--smoke"],  // flag given twice
+            &["--help"][..],           // unknown flag
+            &["out.json", "--bogus"],  // unknown flag after the positional
+            &["--workload"],           // missing value
+            &["--workload", "--json"], // missing value, flag next
+            &["out.json", "label"],    // stray positional
+            &["--json", "--json"],     // flag given twice
         ] {
             let mut a = args(line);
-            a.flag("--smoke");
-            a.value("--format");
+            a.flag("--json");
+            a.value("--workload");
             let positional = a.positional();
             assert!(!positional.is_some_and(|p| p.starts_with("--")), "{line:?}");
             assert!(a.finish().is_err(), "{line:?}");

@@ -9,23 +9,12 @@
 //! ```sh
 //! cargo run --release -p livescope-bench --features profile \
 //!     -- bench_replay BENCH_replay.json
-//! # CI smoke variant (divisor 1000 only, asserts the streaming path's
-//! # record checksum and aggregates match the materializing path AND the
-//! # committed divisor-1000 pins below):
-//! cargo run --release -p livescope-bench -- bench_replay --smoke
-//! # Worker scaling curve only (divisor 10, K ∈ {1,2,4,6};
-//! # `just bench-replay-workers`):
-//! cargo run --release -p livescope-bench -- bench_replay --workers
-//! # Worker smoke (divisor 1000, K ∈ {1,2,6}, asserts the K-sweep is
-//! # digest-identical to the sequential streaming path):
-//! cargo run --release -p livescope-bench -- bench_replay --workers --smoke
-//! # Graph-build worker sweep only (divisor 10, K ∈ {1,2,4,6}; no file
-//! # write — `just bench-graph`):
-//! cargo run --release -p livescope-bench -- bench_replay --graph-only
-//! # Graph smoke (divisor 1000, K ∈ {1,2,6}, asserts the committed
-//! # adjacency AND degree checksum pins for every K):
-//! cargo run --release -p livescope-bench -- bench_replay --graph-only --smoke
 //! ```
+//!
+//! This is the tool's one shape: it measures and writes. What gates a
+//! change is `cargo test` (this file's divisor-1000 pin below,
+//! `streaming_replay`, `parallel_replay`, `csr_regression`) and
+//! `bench_check` against `baselines/`.
 //!
 //! Each divisor records two phases. `graph_build` is the follow-graph
 //! construction: wall time, the generator's deterministic peak
@@ -67,7 +56,7 @@ use std::path::Path;
 use std::process::ExitCode;
 use std::time::Instant;
 
-use livescope_bench::graphbench::{graph_worker_sweep, timed_build, GraphBuildRun};
+use livescope_bench::graphbench::{timed_build, GraphBuildRun};
 use livescope_bench::replay::{scaled_periscope, summary_digest, worker_sweep};
 use livescope_bench::run_meta_json;
 use livescope_crawler::campaign::CampaignConfig;
@@ -97,19 +86,6 @@ const WORKER_SWEEP: [usize; 4] = [1, 2, 4, 6];
 /// Divisor of the worker scaling curves: large enough (~2M broadcasts,
 /// ~23M edges) that per-record / per-edge work dominates the barriers.
 const WORKER_DIVISOR: f64 = 10.0;
-/// Worker shard counts of the `--workers`/`--graph-only` smoke checks.
-const WORKER_SMOKE_SWEEP: [usize; 3] = [1, 2, 6];
-
-/// Committed divisor-1000 pins: the streaming record checksum and the
-/// follow graph's adjacency + degree checksums. `--smoke` asserts the
-/// first two; `--graph-only --smoke` asserts the graph pair for every
-/// swept worker count, so any change to the parallel assembly that
-/// shifts the emitted graph fails CI before it can silently move every
-/// figure. `crates/graph/tests/csr_regression.rs` pins the same values
-/// against the retired pre-redesign generator.
-const SMOKE_RECORD_CHECKSUM: u64 = 0x364b4c5590d94b2b;
-const SMOKE_GRAPH_CHECKSUM: u64 = 0xd3d5723ae01c845b;
-const SMOKE_GRAPH_DEGREE_CHECKSUM: u64 = 0x04e34b169564bc8c;
 
 /// Order-insensitive digest of one generated record (the campaign's
 /// outage filter never sees it — the checksum pins the *generator*).
@@ -353,18 +329,6 @@ fn sweep_workers(
         .collect()
 }
 
-/// The sequential streaming digest at `divisor` over a shared pre-built
-/// graph, the identity anchor for [`sweep_workers`].
-fn streaming_digest(divisor: f64, graph: &DiGraph) -> u64 {
-    use livescope_crawler::run_campaign_streaming;
-    let scenario = scaled_periscope(divisor);
-    summary_digest(&run_campaign_streaming(
-        generate_streaming_with_graph(&scenario, graph),
-        &CampaignConfig::periscope_study(),
-        DEFAULT_EXEMPLARS,
-    ))
-}
-
 fn print_graph_run(r: &GraphBuildRun) {
     println!(
         "graph workers={}: {} edges in {:.2}s (peak build {:.1} MiB, resident {:.1} MiB), \
@@ -379,17 +343,14 @@ fn print_graph_run(r: &GraphBuildRun) {
     );
 }
 
-/// The materializing path at `divisor`, digested the same way; returns
-/// `(checksum, record_vec_bytes)`. Uses the stream-owned graph path, so
-/// it also cross-checks the explicit `graph_build` construction above.
-fn materialized_digest(divisor: f64) -> (u64, u64) {
-    let workload = generate(&scaled_periscope(divisor));
-    let checksum = workload
+/// The materializing path at `divisor`, digested the same way. Uses the
+/// stream-owned graph path, so it also cross-checks the explicit
+/// `graph_build` construction above.
+fn materialized_digest(divisor: f64) -> u64 {
+    generate(&scaled_periscope(divisor))
         .broadcasts
         .iter()
-        .fold(0u64, |acc, r| acc.wrapping_add(record_digest(r)));
-    let bytes = (workload.broadcasts.capacity() * std::mem::size_of::<BroadcastRecord>()) as u64;
-    (checksum, bytes)
+        .fold(0u64, |acc, r| acc.wrapping_add(record_digest(r)))
 }
 
 /// Top-5 handler histograms by total wall time, as report lines and
@@ -410,7 +371,7 @@ fn profile_report(telemetry: &Telemetry) -> (Vec<String>, Vec<ProfileRow>) {
     }
     // The celebrity-broadcast workload of bench_shards, single-lane so
     // the single-threaded per-event numbers are comparable run to run.
-    let config = super::bench_shards::workload(false);
+    let config = super::bench_shards::workload();
     livescope_cdn::run_fanout(&config, 1, telemetry);
     let snapshot = telemetry.snapshot();
     let mut hists: Vec<_> = snapshot
@@ -468,109 +429,23 @@ fn print_run(run: &ReplayRun) {
 }
 
 pub fn run(mut args: Args, _results: &Path) -> Result<ExitCode, UsageError> {
-    let smoke = args.flag("--smoke");
-    let workers_only = args.flag("--workers");
-    let graph_only = args.flag("--graph-only");
     let out = args.positional();
     args.finish()?;
-
-    if graph_only {
-        // Standalone graph-build scaling curve (no file write): the CI
-        // smoke sweeps divisor 1000 and asserts the committed checksum
-        // pins per K; the full variant times the divisor-10 curve.
-        let (divisor, ks): (f64, &[usize]) = if smoke {
-            (1_000.0, &WORKER_SMOKE_SWEEP)
-        } else {
-            (WORKER_DIVISOR, &WORKER_SWEEP)
-        };
-        let scenario = scaled_periscope(divisor);
-        let telemetry = Telemetry::recording(1024);
-        let runs = graph_worker_sweep(
-            &default_graph_spec(&scenario),
-            default_graph_seed(&scenario),
-            ks,
-            &telemetry,
-        );
-        for r in &runs {
-            print_graph_run(r);
-        }
-        if smoke {
-            for r in &runs {
-                assert_eq!(
-                    r.adjacency_checksum, SMOKE_GRAPH_CHECKSUM,
-                    "K={} divisor-1000 adjacency checksum drifted from the committed pin",
-                    r.workers
-                );
-                assert_eq!(
-                    r.degree_checksum, SMOKE_GRAPH_DEGREE_CHECKSUM,
-                    "K={} divisor-1000 degree checksum drifted from the committed pin",
-                    r.workers
-                );
-            }
-        }
-        println!(
-            "graph: divisor-{divisor} K-sweep {ks:?} checksum-identical across every \
-             worker count"
-        );
-        return Ok(ExitCode::SUCCESS);
-    }
-
-    if workers_only {
-        // Standalone replay scaling curve (no file write): the CI smoke
-        // sweeps divisor 1000, the full variant the divisor-10 curve.
-        // One graph build serves the anchor digest and the whole sweep.
-        let (divisor, ks): (f64, &[usize]) = if smoke {
-            (1_000.0, &WORKER_SMOKE_SWEEP)
-        } else {
-            (WORKER_DIVISOR, &WORKER_SWEEP)
-        };
-        let scenario = scaled_periscope(divisor);
-        let graph = DiGraph::generate(
-            &default_graph_spec(&scenario),
-            default_graph_seed(&scenario),
-        );
-        let expected = hex(streaming_digest(divisor, &graph));
-        sweep_workers(divisor, &graph, ks, &expected);
-        println!(
-            "workers: divisor-{divisor} K-sweep {ks:?} digest-identical to the \
-             sequential streaming path"
-        );
-        return Ok(ExitCode::SUCCESS);
-    }
 
     // One telemetry handle for the whole run: every graph build's
     // `handler.graph.*` sections accumulate here, and the profile
     // report's fan-out workload lands on the same handle.
     let telemetry = Telemetry::recording(1024);
 
-    // Divisor 1000 runs in both modes and is always cross-checked
-    // against the materializing (stream-owned-graph) path.
+    // Divisor 1000 is cross-checked against the materializing
+    // (stream-owned-graph) path.
     let (base, _, _) = replay(1_000.0, &telemetry);
-    let (mat_checksum, _mat_bytes) = materialized_digest(1_000.0);
     print_run(&base);
     assert_eq!(
         base.checksum,
-        hex(mat_checksum),
+        hex(materialized_digest(1_000.0)),
         "streaming generator diverged from the materializing path at divisor 1000"
     );
-    if smoke {
-        assert_eq!(
-            base.checksum,
-            hex(SMOKE_RECORD_CHECKSUM),
-            "divisor-1000 record checksum drifted from the committed pin"
-        );
-        assert_eq!(
-            base.graph_build.adjacency_checksum,
-            hex(SMOKE_GRAPH_CHECKSUM),
-            "divisor-1000 follow-graph adjacency checksum drifted from the committed pin"
-        );
-        println!(
-            "smoke: divisor-1000 record checksum {} and graph checksum {} \
-             match the committed pins ({} recorded, {} missed)",
-            base.checksum, base.graph_build.adjacency_checksum, base.recorded, base.missed
-        );
-        return Ok(ExitCode::SUCCESS);
-    }
 
     let mut runs = vec![base];
     // The worker-divisor graph is kept alive for both scaling curves —
@@ -673,9 +548,23 @@ pub fn run(mut args: Args, _results: &Path) -> Result<ExitCode, UsageError> {
 
 #[cfg(test)]
 mod tests {
+    use super::*;
+
     #[test]
     fn committed_bench_replay_fits_the_writer() {
         let committed = include_str!("../../../../BENCH_replay.json");
         serde_json::from_str::<super::ReplayDoc>(committed).expect("fits ReplayDoc");
+    }
+
+    /// The divisor-1000 record checksum: the streaming generator equals
+    /// the materializing path **and** the committed value, so a change
+    /// that moves both paths together is still seen. The same divisor's
+    /// graph checksums are pinned in `csr_regression` (K = 1, 2, 6) and
+    /// `baselines/GRAPH_build.json`.
+    #[test]
+    fn divisor_1000_record_checksum_matches_the_materialized_path_and_the_pin() {
+        let (run, _, _) = replay(1_000.0, &Telemetry::disabled());
+        assert_eq!(run.checksum, hex(materialized_digest(1_000.0)));
+        assert_eq!(run.checksum, hex(0x364b4c5590d94b2b));
     }
 }

@@ -5,8 +5,6 @@
 //!
 //! ```sh
 //! cargo run --release -p livescope-bench -- bench_shards BENCH_shards.json
-//! # CI smoke variant (tiny workload, asserts lane-count invariance):
-//! cargo run --release -p livescope-bench -- bench_shards --smoke
 //! ```
 //!
 //! Every run records the workload checksum, so the file doubles as a
@@ -32,13 +30,10 @@ use crate::{hex, round_to, write_doc};
 const ITERATIONS: usize = 3;
 const LANES: [usize; 3] = [1, 2, 6];
 
-pub fn workload(smoke: bool) -> FanoutConfig {
-    // The divisor shrinks the stream and audience for the CI smoke run
-    // while keeping every mechanism (polls, serves, roams) exercised.
-    let div = if smoke { 10 } else { 1 };
+pub fn workload() -> FanoutConfig {
     FanoutConfig {
-        viewers_per_pop: 250 / div,
-        stream_secs: 120 / div as u64,
+        viewers_per_pop: 250,
+        stream_secs: 120,
         roam_every: 5,
         seed: 0xF1610,
         ..FanoutConfig::default()
@@ -62,6 +57,7 @@ struct Workload {
     stream_secs: u64,
     roam_every: u32,
     iterations: usize,
+    /// Always `false`; the key stays so `BENCH_shards.json` keeps its schema.
     smoke: bool,
 }
 
@@ -96,10 +92,9 @@ fn bench_lanes(config: &FanoutConfig, lanes: usize) -> LaneRun {
 }
 
 pub fn run(mut args: Args, _results: &Path) -> Result<ExitCode, UsageError> {
-    let smoke = args.flag("--smoke");
     let out = args.positional();
     args.finish()?;
-    let config = workload(smoke);
+    let config = workload();
     let runs: Vec<LaneRun> = LANES.iter().map(|&l| bench_lanes(&config, l)).collect();
 
     let invariant = runs.iter().all(|r| r.checksum == runs[0].checksum);
@@ -120,10 +115,6 @@ pub fn run(mut args: Args, _results: &Path) -> Result<ExitCode, UsageError> {
         invariant,
         "checksum differs across lane counts — determinism contract broken"
     );
-    if smoke {
-        println!("smoke: checksum invariant across lanes {LANES:?} holds");
-        return Ok(ExitCode::SUCCESS);
-    }
     let doc = ShardsDoc {
         bench: "sharded_fanout".into(),
         meta: run_meta_json(config.seed),
@@ -133,7 +124,7 @@ pub fn run(mut args: Args, _results: &Path) -> Result<ExitCode, UsageError> {
             stream_secs: config.stream_secs,
             roam_every: config.roam_every,
             iterations: ITERATIONS,
-            smoke,
+            smoke: false,
         },
         host_parallelism,
         speedup_1_to_6: round_to(speedup, 3),

@@ -1,14 +1,12 @@
-//! Shared helpers for the graph-build benches: one timed build and the
-//! assembly worker K-sweep behind `bench_replay --graph-only` and the
-//! `graph_workers` section of `BENCH_replay.json`.
+//! The one timed graph build behind every `graph_build` row and the
+//! `graph_workers` curve of `BENCH_replay.json`.
 //!
 //! Everything except `wall_s` in a [`GraphBuildRun`] is deterministic in
 //! `(spec, seed)` — and, by the parallel assembly contract (DESIGN.md
-//! §12), *worker-invariant*: the sweep asserts every K reproduces the
-//! K=1 checksums before any caller may report a scaling curve. Wall
-//! clocks live here (not in the graph crate) so the generator itself
-//! stays clock-free; detlint allowlists this module's reads for exactly
-//! that reason.
+//! §12), *worker-invariant*: `bench_replay` asserts every K reproduces
+//! the K=1 checksums before it writes the curve. Wall clocks live here
+//! (not in the graph crate) so the generator itself stays clock-free;
+//! detlint allowlists this module's reads for exactly that reason.
 
 use std::time::Instant;
 
@@ -65,59 +63,4 @@ pub fn timed_build(
         degree_checksum: graph.degree_checksum(),
     };
     (graph, run)
-}
-
-/// Builds `spec` once per `K` in `workers`, asserting every run
-/// reproduces the first run's checksums and deterministic stats (the
-/// parallel assembly contract) before returning the scaling curve.
-pub fn graph_worker_sweep(
-    spec: &GraphSpec,
-    seed: u64,
-    workers: &[usize],
-    telemetry: &Telemetry,
-) -> Vec<GraphBuildRun> {
-    let mut runs: Vec<GraphBuildRun> = Vec::with_capacity(workers.len());
-    for &k in workers {
-        let (_, run) = timed_build(spec, seed, k, telemetry);
-        if let Some(first) = runs.first() {
-            assert_eq!(
-                run.adjacency_checksum, first.adjacency_checksum,
-                "K={k} assembly diverged from K={} (adjacency)",
-                first.workers
-            );
-            assert_eq!(
-                run.degree_checksum, first.degree_checksum,
-                "K={k} assembly diverged from K={} (degree)",
-                first.workers
-            );
-            assert_eq!(
-                run.peak_bytes, first.peak_bytes,
-                "K={k} peak_bytes diverged — per-worker state must be carved \
-                 from shared arrays, never allocated per shard"
-            );
-        }
-        runs.push(run);
-    }
-    runs
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn sweep_asserts_and_reports_worker_invariant_checksums() {
-        let spec = GraphSpec::twitter().with_nodes(400);
-        let telemetry = Telemetry::disabled();
-        let runs = graph_worker_sweep(&spec, 7, &[1, 2, 6], &telemetry);
-        assert_eq!(runs.len(), 3);
-        assert_eq!(runs[0].workers, 1);
-        assert_eq!(runs[2].workers, 6);
-        let direct = DiGraph::generate(&spec, 7);
-        for r in &runs {
-            assert_eq!(r.adjacency_checksum, direct.adjacency_checksum());
-            assert_eq!(r.degree_checksum, direct.degree_checksum());
-            assert_eq!(r.edges, direct.edge_count());
-        }
-    }
 }

@@ -4,7 +4,7 @@
 //! ```sh
 //! cargo run --release -p livescope-bench -- fig11        # one artifact
 //! cargo run --release -p livescope-bench -- all          # all 25 of them
-//! cargo run --release -p livescope-bench -- bench_replay --smoke
+//! cargo run --release -p livescope-bench -- bench_check   # the regression gate
 //! ```
 //!
 //! [`COMMANDS`] is the whole interface: a subcommand is a row of that
@@ -77,9 +77,9 @@ const COMMANDS: &[(&str, &str, Run)] = &[
     ("ext_overlay", "Extension (§8) — overlay multicast vs RTMP and HLS on origin cost and delay", Artifact(a::ext_overlay)),
     ("opt_polling", "Optimization study — adaptive chunk-cadence polling vs the fixed intervals of Figs 12–13", Artifact(a::opt_polling)),
     ("bench_replay", "streaming-replay scale sweep and worker curves (BENCH_replay.json)",
-        Tool("[--smoke] [--workers | --graph-only] [OUT.json]", cmd::bench_replay::run)),
+        Tool("[OUT.json]", cmd::bench_replay::run)),
     ("bench_shards", "sharded fan-out lane-count sweep (BENCH_shards.json)",
-        Tool("[--smoke] [OUT.json]", cmd::bench_shards::run)),
+        Tool("[OUT.json]", cmd::bench_shards::run)),
     ("bench_check", "bench-regression gate: fresh artifacts vs baselines/",
         Tool("[--write-baselines]", cmd::bench_check::run)),
     ("obs_report", "causal observability report over the canonical workloads or a trace",
@@ -199,6 +199,17 @@ mod tests {
             ] {
                 assert!(dispatch(name, Args::new(line), &dir).is_err(), "{name} ran");
             }
+        }
+        // The retired run shapes are unknown flags like any other.
+        for (name, flag) in [
+            ("bench_replay", "--smoke"),
+            ("bench_replay", "--workers"),
+            ("bench_replay", "--graph-only"),
+            ("bench_shards", "--smoke"),
+        ] {
+            let line = vec![flag.to_string(), out.clone()];
+            let usage = dispatch(name, Args::new(line), &dir).expect_err("retired flag ran");
+            assert_eq!(usage, format!("{name} [OUT.json]"));
         }
         assert!(!dir.exists(), "a rejected command line left files behind");
     }

@@ -1,6 +1,6 @@
 //! Shared helpers for the streaming-replay benches: the scaled Periscope
 //! scenario, a full-surface [`DatasetSummary`] digest, and the worker
-//! K-sweep behind `bench_replay --workers` and the
+//! K-sweep behind the `workers` curve of `BENCH_replay.json` and the
 //! `REPLAY_workers.json` regression baseline.
 //!
 //! The digest deliberately folds *everything the figures can render* —
@@ -147,9 +147,10 @@ mod tests {
     use livescope_workload::generate_streaming;
 
     /// Absolute pins, captured on the commit before the guide-table pick
-    /// (PR 15): `streaming_replay`, `parallel_replay` and
-    /// `bench_replay --smoke` compare paths that all share the weighted
-    /// pick, so only a committed value can see the pick itself change.
+    /// (PR 15): `streaming_replay` and `parallel_replay` compare paths
+    /// that all share the weighted pick, so only a committed value (here,
+    /// and `bench_replay`'s divisor-1000 record checksum) can see the pick
+    /// itself change.
     /// Meerkat rides along because its propensity tables (σ = 1.0,
     /// 0.70 inactive creators) have a different shape from Periscope's.
     #[test]

@@ -41,7 +41,7 @@ use crate::campaign::{CampaignConfig, OutageFilter};
 use crate::streaming::{DatasetSummary, StreamingCampaign};
 
 /// Wall-clock and memory facts from one sharded run, for the
-/// `bench_replay --workers` scaling curve.
+/// `workers` scaling curve of `BENCH_replay.json`.
 #[derive(Clone, Copy, Debug)]
 pub struct ShardedRunStats {
     /// Worker shard count the campaign ran with.
@@ -145,8 +145,9 @@ fn run_day(sampler: &RecordSampler, shards: &mut [ShardFold], slates: &[Slate]) 
 ///
 /// Output is byte-identical to
 /// [`run_campaign_streaming`](crate::run_campaign_streaming) for every
-/// worker count (the module docs say why; `tests/` and the CI K-sweep
-/// smoke pin it).
+/// worker count (the module docs say why; `tests/`,
+/// `core/tests/parallel_replay.rs` and `baselines/REPLAY_workers.json`
+/// pin it).
 pub fn run_campaign_sharded_with_graph(
     scenario: &ScenarioConfig,
     graph: &DiGraph,

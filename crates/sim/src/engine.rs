@@ -7,7 +7,7 @@
 //! makes runs reproducible bit-for-bit.
 
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, HashSet};
+use std::collections::BinaryHeap;
 
 use livescope_telemetry::{CounterId, GaugeId, Telemetry, TraceEvent};
 
@@ -16,10 +16,6 @@ use crate::time::{SimDuration, SimTime};
 /// How often (in fired events) the scheduler samples its queue depth into
 /// telemetry. A power of two so the check is a mask.
 const QUEUE_SAMPLE_EVERY: u64 = 1024;
-
-/// Identifies a scheduled event so it can be cancelled before it fires.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
-pub struct EventId(u64);
 
 type EventFn<S> = Box<dyn FnOnce(&mut Scheduler<S>, &mut S)>;
 
@@ -57,12 +53,9 @@ pub struct Scheduler<S> {
     now: SimTime,
     next_seq: u64,
     queue: BinaryHeap<Scheduled<S>>,
-    cancelled: HashSet<EventId>,
     fired: u64,
     telemetry: Telemetry,
     c_fired: CounterId,
-    c_cancelled: CounterId,
-    c_cancel_reaped: CounterId,
     g_queue_depth: GaugeId,
     #[cfg(feature = "profile")]
     h_event_wall_ns: livescope_telemetry::HistogramId,
@@ -89,26 +82,20 @@ impl<S> Scheduler<S> {
             now: SimTime::ZERO,
             next_seq: 0,
             queue: BinaryHeap::new(),
-            cancelled: HashSet::new(),
             fired: 0,
             telemetry: Telemetry::disabled(),
             c_fired: CounterId::INERT,
-            c_cancelled: CounterId::INERT,
-            c_cancel_reaped: CounterId::INERT,
             g_queue_depth: GaugeId::INERT,
             #[cfg(feature = "profile")]
             h_event_wall_ns: livescope_telemetry::HistogramId::INERT,
         }
     }
 
-    /// Attaches a telemetry handle. The scheduler counts fired/cancelled
-    /// events, samples queue depth every `QUEUE_SAMPLE_EVERY` (1024)
-    /// fires, and (with the `profile` feature) histograms wall-clock ns
-    /// per event.
+    /// Attaches a telemetry handle. The scheduler counts fired events,
+    /// samples queue depth every `QUEUE_SAMPLE_EVERY` (1024) fires, and
+    /// (with the `profile` feature) histograms wall-clock ns per event.
     pub fn set_telemetry(&mut self, telemetry: &Telemetry) {
         self.c_fired = telemetry.counter("sim.events_fired");
-        self.c_cancelled = telemetry.counter("sim.events_cancelled");
-        self.c_cancel_reaped = telemetry.counter("sim.cancel_set_reaped");
         self.g_queue_depth = telemetry.gauge("sim.queue_depth");
         #[cfg(feature = "profile")]
         {
@@ -127,8 +114,7 @@ impl<S> Scheduler<S> {
         self.fired
     }
 
-    /// Number of events still pending (including cancelled ones not yet
-    /// reaped).
+    /// Number of events still pending.
     pub fn pending(&self) -> usize {
         self.queue.len()
     }
@@ -138,7 +124,7 @@ impl<S> Scheduler<S> {
     /// Scheduling in the past is a logic error; the event is clamped to fire
     /// "now" rather than silently travelling backwards, because a backwards
     /// queue would corrupt every delay measurement downstream.
-    pub fn schedule_at<F>(&mut self, at: SimTime, event: F) -> EventId
+    pub fn schedule_at<F>(&mut self, at: SimTime, event: F)
     where
         F: FnOnce(&mut Scheduler<S>, &mut S) + 'static,
     {
@@ -150,34 +136,14 @@ impl<S> Scheduler<S> {
             seq,
             run: Box::new(event),
         });
-        EventId(seq)
     }
 
     /// Schedules `event` to fire `delay` after the current instant.
-    pub fn schedule_in<F>(&mut self, delay: SimDuration, event: F) -> EventId
+    pub fn schedule_in<F>(&mut self, delay: SimDuration, event: F)
     where
         F: FnOnce(&mut Scheduler<S>, &mut S) + 'static,
     {
-        self.schedule_at(self.now + delay, event)
-    }
-
-    /// Cancels a pending event. Cancelling an event that already fired (or
-    /// was already cancelled) is a no-op; this mirrors timer APIs where
-    /// cancellation races are benign.
-    ///
-    /// Ids for events that already fired never match anything in the queue,
-    /// so they would sit in the cancelled set forever; [`Scheduler::run_until`]
-    /// reaps the whole set whenever the queue drains, keeping it bounded by
-    /// the number of genuinely pending events across run/cancel cycles.
-    pub fn cancel(&mut self, id: EventId) {
-        self.cancelled.insert(id);
-        self.telemetry.add(self.c_cancelled, 1);
-    }
-
-    /// Number of cancellation tombstones currently held (test/diagnostic
-    /// hook for the reaping guarantee documented on [`Scheduler::cancel`]).
-    pub fn cancelled_pending(&self) -> usize {
-        self.cancelled.len()
+        self.schedule_at(self.now + delay, event);
     }
 
     /// Runs events until the queue is empty. Returns the final instant.
@@ -194,9 +160,6 @@ impl<S> Scheduler<S> {
                 break;
             }
             let ev = self.queue.pop().expect("peeked element vanished");
-            if self.cancelled.remove(&EventId(ev.seq)) {
-                continue;
-            }
             debug_assert!(ev.at >= self.now, "event queue went backwards");
             self.now = ev.at;
             self.fired += 1;
@@ -219,24 +182,6 @@ impl<S> Scheduler<S> {
                 );
             }
         }
-        // The queue is empty (or only the future remains). Once nothing is
-        // pending, every tombstone in `cancelled` refers to an event that
-        // already fired or was reaped — without this clear, each
-        // cancel-after-fire would leak one entry permanently.
-        if self.queue.is_empty() && !self.cancelled.is_empty() {
-            self.telemetry
-                .add(self.c_cancel_reaped, self.cancelled.len() as u64);
-            self.cancelled.clear();
-        }
-        self.now
-    }
-
-    /// Advances the clock to `horizon` after draining all events up to it.
-    /// Use this when a scenario needs the clock parked at a known boundary
-    /// (e.g. "end of day 30") even if the last event fired earlier.
-    pub fn advance_to(&mut self, horizon: SimTime, state: &mut S) -> SimTime {
-        self.run_until(horizon, state);
-        self.now = self.now.max(horizon);
         self.now
     }
 }
@@ -285,33 +230,19 @@ mod tests {
     }
 
     #[test]
-    fn cancelled_events_do_not_fire() {
-        let mut s: Scheduler<Vec<u32>> = Scheduler::new();
-        let id = s.schedule_at(SimTime::from_secs(1), |_, log| log.push(1));
-        s.schedule_at(SimTime::from_secs(2), |_, log| log.push(2));
-        s.cancel(id);
-        let mut log = Vec::new();
-        s.run(&mut log);
-        assert_eq!(log, vec![2]);
-    }
-
-    #[test]
     fn inert_defaults_are_noops() {
         // `Scheduler::new()` (and `Default`) must leave telemetry fully
         // inert: with debug assertions on (as in this test build), every
-        // counter add, gauge set — including the queue-depth sample fired
-        // past QUEUE_SAMPLE_EVERY — and cancel-reap count must hit the
-        // INERT ids as silent no-ops.
+        // counter add and gauge set — including the queue-depth sample
+        // fired past QUEUE_SAMPLE_EVERY — must hit the INERT ids as silent
+        // no-ops.
         let mut s: Scheduler<u64> = Scheduler::default();
         for i in 0..(QUEUE_SAMPLE_EVERY + 8) {
-            let id = s.schedule_at(SimTime::from_micros(i), |_, n| *n += 1);
-            if i % 7 == 0 {
-                s.cancel(id);
-            }
+            s.schedule_at(SimTime::from_micros(i), |_, n| *n += 1);
         }
         let mut fired = 0u64;
         s.run(&mut fired);
-        assert!(fired > QUEUE_SAMPLE_EVERY - QUEUE_SAMPLE_EVERY / 7);
+        assert_eq!(fired, QUEUE_SAMPLE_EVERY + 8);
         // Nothing was recorded anywhere: attaching a real registry now
         // starts all scheduler metrics from zero.
         let telemetry = Telemetry::recording(16);
@@ -321,58 +252,14 @@ mod tests {
     }
 
     #[test]
-    fn cancel_after_fire_is_noop() {
-        let mut s: Scheduler<()> = Scheduler::new();
-        let id = s.schedule_at(SimTime::from_secs(1), |_, _| {});
-        s.run(&mut ());
-        s.cancel(id); // must not panic or poison later runs
-        s.schedule_at(SimTime::from_secs(2), |_, _| {});
-        s.run(&mut ());
-        assert_eq!(s.events_fired(), 2);
-    }
-
-    #[test]
-    fn cancel_after_fire_does_not_leak_tombstones() {
-        // Regression: cancelling an already-fired EventId used to leave a
-        // permanent entry in the cancelled set, growing without bound in
-        // long-lived schedulers that run/cancel repeatedly.
-        let mut s: Scheduler<()> = Scheduler::new();
-        for cycle in 0..100 {
-            let id = s.schedule_in(SimDuration::from_secs(1), |_, _| {});
-            s.run(&mut ());
-            s.cancel(id); // id already fired: pure tombstone
-            s.run(&mut ()); // queue drains -> tombstones reaped
-            assert_eq!(
-                s.cancelled_pending(),
-                0,
-                "tombstones leaked after cycle {cycle}"
-            );
-        }
-        // A cancellation for a genuinely pending future event survives a
-        // horizon-limited run (it is still needed)...
-        let id = s.schedule_at(s.now() + SimDuration::from_secs(10), |_, _| {});
-        s.cancel(id);
-        s.run_until(s.now() + SimDuration::from_secs(1), &mut ());
-        assert_eq!(s.cancelled_pending(), 1);
-        // ...and is consumed (not leaked) when the event comes due.
-        s.run(&mut ());
-        assert_eq!(s.cancelled_pending(), 0);
-        assert_eq!(s.events_fired(), 100);
-    }
-
-    #[test]
-    fn telemetry_counts_fired_and_cancelled() {
+    fn telemetry_counts_fired_events() {
         let t = Telemetry::recording(64);
         let mut s: Scheduler<()> = Scheduler::new();
         s.set_telemetry(&t);
-        let keep = s.schedule_at(SimTime::from_secs(1), |_, _| {});
-        let drop_ = s.schedule_at(SimTime::from_secs(2), |_, _| {});
-        let _ = keep;
-        s.cancel(drop_);
+        s.schedule_at(SimTime::from_secs(1), |_, _| {});
+        s.schedule_at(SimTime::from_secs(2), |_, _| {});
         s.run(&mut ());
-        let snap = t.snapshot();
-        assert_eq!(snap.counter("sim.events_fired"), Some(1));
-        assert_eq!(snap.counter("sim.events_cancelled"), Some(1));
+        assert_eq!(t.snapshot().counter("sim.events_fired"), Some(2));
     }
 
     #[test]
@@ -425,13 +312,5 @@ mod tests {
         let mut log = Vec::new();
         s.run(&mut log);
         assert_eq!(log, vec![5_000_000]);
-    }
-
-    #[test]
-    fn advance_to_parks_the_clock() {
-        let mut s: Scheduler<()> = Scheduler::new();
-        s.schedule_at(SimTime::from_secs(1), |_, _| {});
-        let end = s.advance_to(SimTime::from_secs(30), &mut ());
-        assert_eq!(end, SimTime::from_secs(30));
     }
 }

@@ -57,7 +57,7 @@ pub mod sharded;
 pub mod time;
 
 pub use backend::{BackendEvent, EventCtx, SchedulerBackend, ShardId};
-pub use engine::{EventId, Scheduler};
+pub use engine::Scheduler;
 pub use parts::run_parts;
 pub use process::Ticker;
 pub use rng::RngPool;

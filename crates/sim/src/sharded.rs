@@ -567,17 +567,6 @@ impl<S: Send + 'static> ShardedScheduler<S> {
         self.sec_lane_exec.end(stamp);
         self.barrier_merge(barrier);
     }
-
-    /// Drains events up to `horizon` then parks the clock there, like
-    /// [`crate::Scheduler::advance_to`].
-    pub fn advance_to(&mut self, horizon: SimTime) -> SimTime {
-        SchedulerBackend::run_until(self, horizon);
-        self.now = self.now.max(horizon);
-        for slot in &mut self.shards {
-            slot.core.now = slot.core.now.max(horizon);
-        }
-        self.now
-    }
 }
 
 impl<S: Send + 'static> SchedulerBackend<S> for ShardedScheduler<S> {
@@ -894,18 +883,6 @@ mod tests {
         assert_eq!(snap.counter("sim.shard.0.mail_out"), Some(1));
         assert_eq!(snap.counter("sim.sharded.mail_delivered"), Some(1));
         assert!(snap.counter("sim.sharded.epochs").unwrap() >= 1);
-    }
-
-    #[test]
-    fn advance_to_parks_all_clocks() {
-        let mut s = two_shards(1);
-        s.schedule(ShardId(0), SimTime::from_secs(1), Box::new(|_, _| {}));
-        let end = s.advance_to(SimTime::from_secs(30));
-        assert_eq!(end, SimTime::from_secs(30));
-        assert_eq!(
-            SchedulerBackend::<Vec<(u64, String)>>::now(&s),
-            SimTime::from_secs(30)
-        );
     }
 
     #[test]

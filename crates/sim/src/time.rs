@@ -33,14 +33,14 @@ impl SimTime {
         SimTime(us)
     }
 
-    /// Builds an instant from whole milliseconds.
+    /// Builds an instant from whole milliseconds, saturating at `MAX`.
     pub const fn from_millis(ms: u64) -> Self {
-        SimTime(ms * MICROS_PER_MILLI)
+        SimTime(ms.saturating_mul(MICROS_PER_MILLI))
     }
 
-    /// Builds an instant from whole seconds.
+    /// Builds an instant from whole seconds, saturating at `MAX`.
     pub const fn from_secs(s: u64) -> Self {
-        SimTime(s * MICROS_PER_SEC)
+        SimTime(s.saturating_mul(MICROS_PER_SEC))
     }
 
     /// Builds an instant from fractional seconds, rounding to the nearest
@@ -91,14 +91,14 @@ impl SimDuration {
         SimDuration(us)
     }
 
-    /// Builds a span from whole milliseconds.
+    /// Builds a span from whole milliseconds, saturating at `MAX`.
     pub const fn from_millis(ms: u64) -> Self {
-        SimDuration(ms * MICROS_PER_MILLI)
+        SimDuration(ms.saturating_mul(MICROS_PER_MILLI))
     }
 
-    /// Builds a span from whole seconds.
+    /// Builds a span from whole seconds, saturating at `MAX`.
     pub const fn from_secs(s: u64) -> Self {
-        SimDuration(s * MICROS_PER_SEC)
+        SimDuration(s.saturating_mul(MICROS_PER_SEC))
     }
 
     /// Builds a span from fractional seconds, rounding to the nearest
@@ -274,6 +274,16 @@ mod tests {
     #[test]
     fn add_saturates_at_max() {
         assert_eq!(SimTime::MAX + SimDuration::from_secs(1), SimTime::MAX);
+    }
+
+    #[test]
+    fn constructors_saturate_at_max() {
+        assert_eq!(SimTime::from_secs(u64::MAX), SimTime::MAX);
+        assert_eq!(SimTime::from_millis(u64::MAX), SimTime::MAX);
+        assert_eq!(SimDuration::from_secs(u64::MAX), SimDuration::MAX);
+        assert_eq!(SimDuration::from_millis(u64::MAX), SimDuration::MAX);
+        // Unchecked, this one wrapped to an *earlier* instant in release.
+        assert_eq!(SimTime::from_secs(u64::MAX / 10), SimTime::MAX);
     }
 
     #[test]

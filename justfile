@@ -2,7 +2,8 @@
 # scripts/ci.sh is its one definition, runnable without `just`.
 
 # Run the full CI gate: format check, determinism lint, lints, tests,
-# rustdoc gate, smokes, bench-regression gate.
+# rustdoc gate, `livescope all`, usage-error probes, one untimed pass of
+# the micro and hot-path benches, bench-regression gate.
 ci:
     bash scripts/ci.sh
 
@@ -27,7 +28,7 @@ lint-det-explain rule:
 
 # Dump the brace-matched scope tree detlint builds for one file — the
 # debugging view for the structural rules, e.g.
-# `just lint-det-scopes crates/core/src/scheduler.rs`.
+# `just lint-det-scopes crates/sim/src/engine.rs`.
 lint-det-scopes file:
     cargo run -q -p livescope-detlint --bin detlint -- --list-scopes {{file}}
 
@@ -64,39 +65,15 @@ artifacts:
 bench-shards:
     cargo run --release -q -p livescope-bench -- bench_shards
 
-# The same sweep on a tiny workload: asserts the cross-lane checksum
-# invariant but writes nothing. This is the CI variant.
-bench-shards-smoke:
-    cargo run --release -q -p livescope-bench -- bench_shards --smoke
-
 # Streaming-replay scale sweep (divisors 1000/100/10/1 of the Periscope
 # study): wall time, broadcasts/sec, and the peak tracked replay state
-# per divisor, plus the worker scaling curve (K ∈ {1,2,4,6} at divisor
-# 10) and the profile-feature top-5 handler histograms under the
-# celebrity fan-out. Writes BENCH_replay.json.
+# per divisor, plus the two worker scaling curves at divisor 10 (replay
+# shards and graph assembly shards, K ∈ {1,2,4,6} on real threads, each
+# asserted identical to K = 1 before the write) and the profile-feature
+# top-5 handler histograms under the celebrity fan-out. Writes
+# BENCH_replay.json.
 bench-replay:
     cargo run --release -q -p livescope-bench --features profile -- bench_replay
-
-# Divisor-1000 only: asserts the streaming record checksum matches the
-# materializing path but writes nothing. This is the CI variant.
-bench-replay-smoke:
-    cargo run --release -q -p livescope-bench -- bench_replay --smoke
-
-# Data-parallel worker sweep only (DESIGN.md §13): replays the
-# divisor-10 campaign through K ∈ {1,2,4,6} worker shards on real
-# threads, asserts every K is digest-identical to the sequential
-# streaming path, and prints the wall/merge/barrier curve. Pass
-# `--smoke` for the CI variant (divisor 1000, K ∈ {1,2,6}).
-bench-replay-workers *flags="":
-    cargo run --release -q -p livescope-bench -- bench_replay --workers {{flags}}
-
-# Graph-build worker sweep only (DESIGN.md §12): rebuilds the
-# divisor-10 follow graph with K ∈ {1,2,4,6} assembly shards on real
-# threads, asserts every K is checksum-identical to the sequential
-# build, and prints the wall/peak curve. Pass `--smoke` for the CI
-# variant (divisor 1000, K ∈ {1,2,6}, asserts the committed pins).
-bench-graph *flags="":
-    cargo run --release -q -p livescope-bench -- bench_replay --graph-only {{flags}}
 
 # Weighted-pick microbench (DESIGN.md §10): guide-table pick vs the
 # whole-table binary search it replaced, ns/pick at 300k / 1.2M / 12M
