@@ -27,12 +27,13 @@ pub struct Chunker {
 
 /// A chunk plus the server-side instant it became ready.
 ///
-/// The chunk body is refcounted: cloning a `ReadyChunk` bumps two
-/// reference counts, never copies frame payloads. `encoded` is the wire
-/// form, encoded once when the chunk closed — into a builder buffer that
-/// the vendored `BytesMut::freeze` then copies into the shared block, so
-/// a seal makes two chunk-sized (~190 KB) allocations and keeps one.
-/// Every edge cache and client download shares that one.
+/// One allocation seen two ways: `encoded` is the wire form, written once
+/// when the chunk closed, straight into an exactly-sized (~190 KB) shared
+/// block; `chunk` is that block decoded, so every frame payload and
+/// signature in it is a view of `encoded`, not a copy. Cloning a
+/// `ReadyChunk` bumps two reference counts, and every edge cache and
+/// client download shares the same block — which lives until the last
+/// view of it, a single retained frame payload included, is dropped.
 #[derive(Clone, Debug)]
 pub struct ReadyChunk {
     pub chunk: Arc<Chunk>,
@@ -116,15 +117,18 @@ impl Chunker {
     }
 
     fn seal(&mut self, opened: SimTime, now: SimTime) -> ReadyChunk {
-        let frames = std::mem::take(&mut self.pending);
-        let chunk = Chunk {
+        let ingested = Chunk {
             seq: self.next_seq,
             start_ts_us: self.open_start_ts_us,
             duration_us: now.saturating_since(opened).as_micros(),
-            frames,
+            frames: std::mem::take(&mut self.pending),
         };
         self.next_seq += 1;
-        let encoded = chunk.encode();
+        let encoded = ingested.encode();
+        // The ingest-side payload blocks are released here: what is
+        // published is the encoded block read back, whose frames view it.
+        drop(ingested);
+        let chunk = Chunk::decode(encoded.clone()).expect("a chunk's own encoding decodes");
         ReadyChunk {
             chunk: Arc::new(chunk),
             encoded,
@@ -252,5 +256,44 @@ mod tests {
             rc.encoded.as_ref().as_ptr(),
             "encoded bytes are shared, not copied"
         );
+    }
+
+    #[test]
+    fn sealed_frames_are_views_of_the_encoded_block() {
+        let mut ch = Chunker::new(SimDuration::from_secs(3));
+        for i in 0..76u64 {
+            let mut f = frame(i);
+            if i % 2 == 0 {
+                f.meta.signature = Some(Bytes::from(vec![i as u8; 32]));
+            }
+            let t = SimTime::from_millis(i * FRAME_INTERVAL_MS);
+            if let Some(rc) = ch.push(t, f) {
+                let block = rc.encoded.as_ptr_range();
+                assert_eq!(rc.chunk.frames.len(), 75);
+                for f in &rc.chunk.frames {
+                    assert!(block.contains(&f.payload.as_ptr()), "payload copied");
+                    if let Some(sig) = &f.meta.signature {
+                        assert!(block.contains(&sig.as_ptr()), "signature copied");
+                    }
+                }
+                return;
+            }
+        }
+        panic!("no chunk sealed");
+    }
+
+    #[test]
+    fn seal_releases_the_ingested_payload_blocks() {
+        // A caller that kept a clone of what it ingested owns that block
+        // alone once the chunk seals: the chunker keeps no second copy of
+        // the video, and the clone pins 8 bytes, not the chunk.
+        let mut ch = Chunker::new(SimDuration::from_secs(3));
+        let first = frame(0);
+        let held = first.payload.clone();
+        assert!(ch.push(SimTime::ZERO, first).is_none());
+        assert!(!held.is_unique(), "pending frame shares the block");
+        let rc = ch.flush(SimTime::from_secs(1)).expect("one frame pending");
+        assert!(held.is_unique());
+        assert_eq!(rc.chunk.frames[0].payload, held);
     }
 }

@@ -280,7 +280,7 @@ impl WowzaServer {
         // frames (and on RTMPS, encrypts) each socket's stream separately.
         let mut deliveries = Vec::with_capacity(session.subscribers.len());
         for (viewer, link) in session.subscribers.iter_mut() {
-            let push_wire = RtmpMessage::Frame(frame.clone()).encode();
+            let push_wire = RtmpMessage::encode_frame(&frame);
             self.work.frame_pushes += 1;
             self.work.bytes_pushed += push_wire.len() as u64;
             let delay = link.transmit(rng, now, push_wire.len()).delay();

@@ -52,7 +52,7 @@ impl FrameSource {
             seq,
             self.device_epoch_us + seq * FRAME_INTERVAL_MS * 1_000,
             keyframe,
-            Bytes::from(vec![fill; size]),
+            std::iter::repeat_n(fill, size).collect::<Bytes>(),
         )
     }
 

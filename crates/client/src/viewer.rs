@@ -11,7 +11,7 @@ use livescope_cdn::Cluster;
 use livescope_net::datacenters::{self, DatacenterId};
 use livescope_net::geo::GeoPoint;
 use livescope_net::{AccessLink, Link};
-use livescope_proto::rtmp::VideoFrame;
+use livescope_proto::rtmp::FrameMeta;
 use livescope_sim::{SimDuration, SimTime};
 use livescope_telemetry::span::{origin_fetch_span, viewer_deliver_span};
 use livescope_telemetry::{CounterId, HistogramId, SpanKind, Telemetry, TraceEvent};
@@ -64,14 +64,14 @@ impl RtmpViewer {
     /// * `push_delay` — sampled server→viewer delivery time (③−②).
     pub fn record_push(
         &mut self,
-        frame: &VideoFrame,
+        frame: &FrameMeta,
         capture: SimTime,
         server_arrival: SimTime,
         push_delay: SimDuration,
     ) {
         let arrival = server_arrival + push_delay;
         self.units.push(ArrivedUnit {
-            media_ts_us: frame.meta.capture_ts_us,
+            media_ts_us: frame.capture_ts_us,
             duration_us: livescope_proto::rtmp::FRAME_INTERVAL_MS * 1_000,
             arrival,
         });
@@ -87,7 +87,7 @@ impl RtmpViewer {
             TraceEvent::RtmpUnitDelivered {
                 broadcast: self.broadcast,
                 viewer: self.user.0,
-                seq: frame.meta.sequence,
+                seq: frame.sequence,
                 upload_us: server_arrival.saturating_since(capture).as_micros(),
                 last_mile_us: push_delay.as_micros(),
             },
@@ -274,6 +274,7 @@ impl HlsViewer {
 mod tests {
     use super::*;
     use bytes::Bytes;
+    use livescope_proto::rtmp::VideoFrame;
     use livescope_sim::RngPool;
     use rand::SeedableRng;
 
@@ -296,7 +297,12 @@ mod tests {
         for i in 0..10u64 {
             let capture = SimTime::from_millis(i * 40);
             let server = capture + SimDuration::from_millis(30);
-            v.record_push(&frame(i), capture, server, SimDuration::from_millis(25));
+            v.record_push(
+                &frame(i).meta,
+                capture,
+                server,
+                SimDuration::from_millis(25),
+            );
         }
         assert_eq!(v.units().len(), 10);
         let (up, lm) = v.mean_delays();

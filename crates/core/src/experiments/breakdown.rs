@@ -24,7 +24,6 @@ use livescope_crawler::probe::HighFreqProbe;
 use livescope_net::datacenters::{self, DatacenterId, Provider};
 use livescope_net::geo::GeoPoint;
 use livescope_net::AccessLink;
-use livescope_proto::rtmp::VideoFrame;
 use livescope_sim::{RngPool, SchedulerBackend, ShardId, ShardedScheduler, SimDuration, SimTime};
 use livescope_telemetry::{Protocol, Telemetry};
 
@@ -162,23 +161,27 @@ struct RunWorld {
     rtmp_viewer: RtmpViewer,
     hls_viewer: HlsViewer,
     probe: HighFreqProbe,
-    frames: Vec<VideoFrame>,
+    /// Frames are drawn as they arrive, not materialised up front: the
+    /// uplink delivers in order, so the `i`th arrival is the `i`th frame.
+    source: FrameSource,
     captures: Vec<SimTime>,
     broadcast: BroadcastId,
 }
 
 impl RunWorld {
     fn frame_arrival(&mut self, now: SimTime, i: usize) {
-        let frame = self.frames[i].clone();
+        let frame = self.source.next_frame();
+        assert_eq!(frame.meta.sequence, i as u64, "frames arrive in order");
+        let meta = frame.meta.clone();
         let capture = self.captures[i];
         let outcome = self
             .cluster
-            .ingest_decoded(now, self.broadcast, frame.clone())
+            .ingest_decoded(now, self.broadcast, frame)
             .expect("publisher session is live");
         for delivery in outcome.deliveries {
             if delivery.viewer == UserId(2) {
                 if let Some(delay) = delivery.delay {
-                    self.rtmp_viewer.record_push(&frame, capture, now, delay);
+                    self.rtmp_viewer.record_push(&meta, capture, now, delay);
                 }
             }
         }
@@ -288,8 +291,6 @@ fn run_once(
         livescope_client::broadcaster::DELTA_FRAME_BYTES,
         &mut rng,
     );
-    let mut source = FrameSource::new(0);
-    let frames: Vec<_> = (0..n_frames).map(|_| source.next_frame()).collect();
 
     // Drive the three event streams through the scheduler. The lab is one
     // shard, so nothing ever crosses a mailbox and the epoch length (which
@@ -303,7 +304,7 @@ fn run_once(
         rtmp_viewer,
         hls_viewer,
         probe,
-        frames,
+        source: FrameSource::new(0),
         captures,
         broadcast: grant.id,
     };

@@ -6,13 +6,17 @@
 //! 2–2.8 s and fetch chunks they have not seen. This module provides the
 //! binary chunk container and the m3u8-flavoured chunklist codec.
 
-use bytes::{BufMut, Bytes, BytesMut};
+use std::fmt::Write as _;
+
+use bytes::{BufMut, Bytes};
 
 use crate::rtmp::VideoFrame;
 use crate::wire::{expect_eof, get_u16, get_u32, get_u64, WireError};
 
 /// Magic prefix of a chunk container ("LSC1").
 pub const CHUNK_MAGIC: u32 = 0x4C53_4331;
+/// Bytes before a chunk's frames: magic, seq, start, duration, count.
+const CHUNK_HEADER_LEN: usize = 4 + 8 + 8 + 8 + 2;
 /// Default chunk duration used by Periscope and Facebook Live (seconds).
 pub const DEFAULT_CHUNK_SECS: f64 = 3.0;
 /// Meerkat's observed chunk duration (seconds).
@@ -42,22 +46,25 @@ impl Chunk {
         self.frames.iter().map(|f| f.payload.len()).sum()
     }
 
-    /// Encodes the chunk container.
+    /// Encodes the chunk container: sized exactly and written in the
+    /// block it is shared from, so [`Chunk::decode`] of the result yields
+    /// frames whose payloads are views of that one block.
     pub fn encode(&self) -> Bytes {
         assert!(
             self.frames.len() <= MAX_FRAMES_PER_CHUNK,
             "chunk has too many frames to encode"
         );
-        let mut out = BytesMut::with_capacity(32 + self.payload_bytes());
-        out.put_u32(CHUNK_MAGIC);
-        out.put_u64(self.seq);
-        out.put_u64(self.start_ts_us);
-        out.put_u64(self.duration_us);
-        out.put_u16(self.frames.len() as u16);
-        for frame in &self.frames {
-            frame.encode_body(&mut out);
-        }
-        out.freeze()
+        let body: usize = self.frames.iter().map(VideoFrame::encoded_len).sum();
+        Bytes::build_exact(CHUNK_HEADER_LEN + body, |out| {
+            out.put_u32(CHUNK_MAGIC);
+            out.put_u64(self.seq);
+            out.put_u64(self.start_ts_us);
+            out.put_u64(self.duration_us);
+            out.put_u16(self.frames.len() as u16);
+            for frame in &self.frames {
+                frame.encode_body(out);
+            }
+        })
     }
 
     /// Decodes a chunk container, rejecting trailing bytes.
@@ -160,14 +167,14 @@ impl ChunkList {
     /// Renders the playlist text.
     pub fn serialize(&self) -> String {
         let mut s = String::with_capacity(64 + self.entries.len() * 32);
-        s.push_str("#EXTM3U\n#EXT-X-VERSION:3\n");
-        s.push_str(&format!(
-            "#EXT-X-TARGETDURATION:{}\n",
-            self.target_duration_s
-        ));
-        s.push_str(&format!("#EXT-X-MEDIA-SEQUENCE:{}\n", self.media_sequence));
+        // Writing to a `String` cannot fail.
+        let _ = write!(
+            s,
+            "#EXTM3U\n#EXT-X-VERSION:3\n#EXT-X-TARGETDURATION:{}\n#EXT-X-MEDIA-SEQUENCE:{}\n",
+            self.target_duration_s, self.media_sequence
+        );
         for e in &self.entries {
-            s.push_str(&format!("#EXTINF:{:.3},\n{}\n", e.duration_s, e.uri));
+            let _ = write!(s, "#EXTINF:{:.3},\n{}\n", e.duration_s, e.uri);
         }
         s
     }
@@ -234,6 +241,7 @@ impl ChunkList {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytes::BytesMut;
 
     fn frame(seq: u64, ts: u64) -> VideoFrame {
         VideoFrame::new(
@@ -305,6 +313,60 @@ mod tests {
             Chunk::decode(out.freeze()),
             Err(WireError::OversizedField { .. })
         ));
+    }
+
+    #[test]
+    fn chunk_wire_format_and_exact_size_are_pinned() {
+        let mut signed = VideoFrame::new(2, 40_000, false, Bytes::from_static(b"bb"));
+        signed.meta.signature = Some(Bytes::from_static(&[0xEE; 3]));
+        let c = Chunk {
+            seq: 7,
+            start_ts_us: 21_000_000,
+            duration_us: 80_000,
+            frames: vec![
+                VideoFrame::new(1, 0, true, Bytes::from_static(b"a")),
+                signed,
+            ],
+        };
+        let wire = c.encode();
+        let hex: String = wire.iter().map(|b| format!("{b:02x}")).collect();
+        // magic | seq | start | duration | count | frame bodies.
+        assert_eq!(
+            hex,
+            "4c534331_0000000000000007_0000000001406f40_0000000000013880_0002\
+             _0000000000000001_0000000000000000_01_00000001_61\
+             _0000000000000002_0000000000009c40_02_0003_eeeeee_00000002_6262"
+                .replace('_', "")
+        );
+        let bodies: usize = c.frames.iter().map(VideoFrame::encoded_len).sum();
+        assert_eq!(wire.len(), 30 + bodies);
+        assert_eq!(chunk(17, 75).encode().len(), 30 + 75 * (21 + 16));
+    }
+
+    #[test]
+    fn full_chunk_of_empty_frames_roundtrips() {
+        let c = Chunk {
+            seq: 1,
+            start_ts_us: 0,
+            duration_us: 0,
+            frames: (0..MAX_FRAMES_PER_CHUNK as u64)
+                .map(|i| VideoFrame::new(i, i, false, Bytes::new()))
+                .collect(),
+        };
+        assert_eq!(Chunk::decode(c.encode()).unwrap(), c);
+    }
+
+    #[test]
+    fn chunklist_text_is_pinned() {
+        let chunks: Vec<Chunk> = (17..20).map(|s| chunk(s, 75)).collect();
+        assert_eq!(
+            ChunkList::from_chunks(&chunks, 10).serialize(),
+            "#EXTM3U\n#EXT-X-VERSION:3\n#EXT-X-TARGETDURATION:3\n\
+             #EXT-X-MEDIA-SEQUENCE:17\n\
+             #EXTINF:3.000,\nchunk_17.lsc\n\
+             #EXTINF:3.000,\nchunk_18.lsc\n\
+             #EXTINF:3.000,\nchunk_19.lsc\n"
+        );
     }
 
     #[test]

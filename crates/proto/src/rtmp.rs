@@ -31,6 +31,9 @@ pub const RTMP_VERSION: u8 = 1;
 /// Nominal frame spacing: the paper reports ≈40 ms frames (25 fps).
 pub const FRAME_INTERVAL_MS: u64 = 40;
 
+/// Bytes before a message's body: magic, version, tag.
+const HEADER_LEN: usize = 4 + 1 + 1;
+
 const TAG_HANDSHAKE: u8 = 0x01;
 const TAG_CONNECT: u8 = 0x02;
 const TAG_FRAME: u8 = 0x03;
@@ -104,7 +107,7 @@ impl VideoFrame {
         8 + 8 + 1 + sig + 4 + self.payload.len()
     }
 
-    pub(crate) fn encode_body(&self, out: &mut BytesMut) {
+    pub(crate) fn encode_body(&self, out: &mut impl BufMut) {
         out.put_u64(self.meta.sequence);
         out.put_u64(self.meta.capture_ts_us);
         let mut flags = 0u8;
@@ -150,6 +153,13 @@ impl VideoFrame {
     }
 }
 
+/// Writes what every message starts with: magic, version, `tag`.
+fn put_header(out: &mut impl BufMut, tag: u8) {
+    out.put_u32(RTMP_MAGIC);
+    out.put_u8(RTMP_VERSION);
+    out.put_u8(tag);
+}
+
 /// A complete RTMP-shaped message.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum RtmpMessage {
@@ -170,47 +180,52 @@ pub enum RtmpMessage {
 }
 
 impl RtmpMessage {
+    /// Encodes a frame message, header included, from a borrowed frame:
+    /// what a server pushing one frame to many sockets calls per socket.
+    /// Sized exactly and written in the block it is shared from.
+    pub fn encode_frame(frame: &VideoFrame) -> Bytes {
+        Bytes::build_exact(HEADER_LEN + frame.encoded_len(), |out| {
+            put_header(out, TAG_FRAME);
+            frame.encode_body(out);
+        })
+    }
+
     /// Encodes the message, header included.
     pub fn encode(&self) -> Bytes {
-        // A frame message is sized up front (6 header bytes + body), so
-        // the builder for a 2.5 KB frame is allocated once instead of
-        // growing through six doublings from 64; control messages fit 64.
-        let mut out = BytesMut::with_capacity(match self {
-            RtmpMessage::Frame(frame) => 6 + frame.encoded_len(),
-            _ => 64,
-        });
-        out.put_u32(RTMP_MAGIC);
-        out.put_u8(RTMP_VERSION);
-        match self {
+        // Control messages are small: they grow a 64-byte builder.
+        let control = |tag| {
+            let mut out = BytesMut::with_capacity(64);
+            put_header(&mut out, tag);
+            out
+        };
+        let out = match self {
+            RtmpMessage::Frame(frame) => return Self::encode_frame(frame),
             RtmpMessage::Handshake { nonce } => {
-                out.put_u8(TAG_HANDSHAKE);
+                let mut out = control(TAG_HANDSHAKE);
                 out.put_u64(*nonce);
+                out
             }
             RtmpMessage::Connect {
                 token,
                 role,
                 user_id,
             } => {
-                out.put_u8(TAG_CONNECT);
+                let mut out = control(TAG_CONNECT);
                 put_string(&mut out, token);
                 out.put_u8(match role {
                     Role::Publisher => 0,
                     Role::Subscriber => 1,
                 });
                 out.put_u64(*user_id);
-            }
-            RtmpMessage::Frame(frame) => {
-                out.put_u8(TAG_FRAME);
-                frame.encode_body(&mut out);
+                out
             }
             RtmpMessage::Ack { sequence } => {
-                out.put_u8(TAG_ACK);
+                let mut out = control(TAG_ACK);
                 out.put_u64(*sequence);
+                out
             }
-            RtmpMessage::Close => {
-                out.put_u8(TAG_CLOSE);
-            }
-        }
+            RtmpMessage::Close => control(TAG_CLOSE),
+        };
         out.freeze()
     }
 
@@ -427,9 +442,34 @@ mod tests {
     fn encoded_len_matches_actual_body_size() {
         for signed in [false, true] {
             let frame = sample_frame(signed);
-            let header_len = 4 + 1 + 1; // magic + version + tag
-            let wire = RtmpMessage::Frame(frame.clone()).encode();
-            assert_eq!(wire.len(), header_len + frame.encoded_len());
+            let wire = RtmpMessage::encode_frame(&frame);
+            assert_eq!(wire.len(), 6 + frame.encoded_len());
+            assert_eq!(wire, RtmpMessage::Frame(frame).encode(), "one encoder");
         }
+    }
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    #[test]
+    fn frame_message_wire_format_is_pinned() {
+        // magic, version, tag | sequence | capture ts | flags |
+        // [sig len, sig] | payload len, payload.
+        assert_eq!(
+            hex(&RtmpMessage::encode_frame(&sample_frame(false))),
+            "4c535231_01_03_000000000000002a_000000000012d687_01\
+             _0000000b_6672616d652d6279746573"
+                .replace('_', "")
+        );
+        assert_eq!(
+            hex(&RtmpMessage::encode_frame(&sample_frame(true))),
+            format!(
+                "4c535231_01_03_000000000000002a_000000000012d687_03\
+                 _0020_{}_0000000b_6672616d652d6279746573",
+                "09".repeat(32)
+            )
+            .replace('_', "")
+        );
     }
 }

@@ -109,7 +109,7 @@ pub fn get_string(buf: &mut Bytes) -> Result<String, WireError> {
 /// # Panics
 /// Panics if `bytes` exceeds [`MAX_FIELD_LEN`]; encoders construct their
 /// own payloads, so this is a bug, not input.
-pub fn put_bytes(out: &mut BytesMut, bytes: &[u8]) {
+pub fn put_bytes(out: &mut impl BufMut, bytes: &[u8]) {
     assert!(bytes.len() <= MAX_FIELD_LEN, "field too large to encode");
     out.put_u32(bytes.len() as u32);
     out.put_slice(bytes);

@@ -68,11 +68,11 @@ fn main() {
     let mut next_poll = SimTime::ZERO;
     for (i, &arrival) in arrivals.iter().enumerate() {
         let frame = source.next_frame();
-        let wire = RtmpMessage::Frame(frame.clone()).encode();
+        let wire = RtmpMessage::encode_frame(&frame);
         let outcome = cluster.ingest_frame(arrival, grant.id, wire).unwrap();
         for delivery in outcome.deliveries {
             if let Some(delay) = delivery.delay {
-                rtmp_viewer.record_push(&frame, captures[i], arrival, delay);
+                rtmp_viewer.record_push(&frame.meta, captures[i], arrival, delay);
             }
         }
         // The HLS viewer polls its POP every 2.8 s in between frames.

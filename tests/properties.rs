@@ -12,9 +12,9 @@ use livescope_analysis::Cdf;
 use livescope_cdn::Chunker;
 use livescope_client::playback::{simulate_playback, ArrivedUnit};
 use livescope_proto::control::{ControlRequest, ControlResponse, Scheme, Sealed, StreamUrl};
-use livescope_proto::hls::{Chunk, ChunkList};
+use livescope_proto::hls::{Chunk, ChunkList, CHUNK_MAGIC};
 use livescope_proto::message::{ChatEvent, EventKind};
-use livescope_proto::rtmp::{FrameMeta, Role, RtmpMessage, VideoFrame};
+use livescope_proto::rtmp::{FrameMeta, Role, RtmpMessage, VideoFrame, RTMP_MAGIC, RTMP_VERSION};
 use livescope_sim::{SimDuration, SimTime};
 
 fn arb_frame() -> impl Strategy<Value = VideoFrame> {
@@ -66,6 +66,55 @@ proptest! {
     #[test]
     fn rtmp_decode_never_panics_on_garbage(bytes in proptest::collection::vec(any::<u8>(), 0..256)) {
         let _ = RtmpMessage::decode(Bytes::from(bytes));
+    }
+
+    #[test]
+    fn rtmp_garbage_behind_a_valid_header_is_an_error_or_canonical(
+        garbage in proptest::collection::vec(any::<u8>(), 0..200),
+        tag in 0u8..8,
+    ) {
+        // Random bytes die at the magic; these reach every per-tag body
+        // decoder. Whatever does decode is a message this codec would
+        // have sent, byte for byte.
+        let mut wire = RTMP_MAGIC.to_be_bytes().to_vec();
+        wire.extend([RTMP_VERSION, tag]);
+        wire.extend(garbage);
+        if let Ok(msg) = RtmpMessage::decode(Bytes::from(wire.clone())) {
+            prop_assert_eq!(&msg.encode()[..], &wire[..]);
+        }
+    }
+
+    #[test]
+    fn every_truncation_of_a_frame_message_is_an_error(frame in arb_frame()) {
+        let wire = RtmpMessage::encode_frame(&frame);
+        prop_assert_eq!(wire.len(), 6 + frame.encoded_len());
+        for cut in 0..wire.len() {
+            prop_assert!(RtmpMessage::decode(wire.slice(..cut)).is_err(), "cut at {cut}");
+        }
+    }
+
+    #[test]
+    fn every_truncation_of_a_chunk_is_an_error(
+        frames in proptest::collection::vec(arb_frame(), 0..6),
+    ) {
+        let wire = Chunk { seq: 1, start_ts_us: 2, duration_us: 3, frames }.encode();
+        for cut in 0..wire.len() {
+            prop_assert!(Chunk::decode(wire.slice(..cut)).is_err(), "cut at {cut}");
+        }
+    }
+
+    #[test]
+    fn chunk_garbage_behind_a_valid_header_is_an_error_or_canonical(
+        garbage in proptest::collection::vec(any::<u8>(), 0..300),
+        count in 0u16..4,
+    ) {
+        let mut wire = CHUNK_MAGIC.to_be_bytes().to_vec();
+        wire.extend([0; 24]);
+        wire.extend(count.to_be_bytes());
+        wire.extend(garbage);
+        if let Ok(chunk) = Chunk::decode(Bytes::from(wire.clone())) {
+            prop_assert_eq!(&chunk.encode()[..], &wire[..]);
+        }
     }
 
     #[test]
