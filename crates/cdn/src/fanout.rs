@@ -224,14 +224,14 @@ fn poll_event(mut viewer: Viewer) -> BackendEvent<PopShard> {
             ));
             return;
         }
-        let origin = Arc::clone(&shard.origin);
         let fetch =
             |plan: &FetchPlan| SimDuration::from_millis(30 + (plan.total_bytes / 500_000) as u64);
         let poll_stamp = shard.profile.origin_poll.begin();
-        let resp = shard.pop.poll(now, shard.broadcast, &origin, fetch);
+        let resp = shard.pop.poll(now, shard.broadcast, &shard.origin, fetch);
         shard.profile.origin_poll.end(poll_stamp);
         let serve_stamp = shard.profile.serve_loop.begin();
         let pop_dc = shard.pop.datacenter();
+        let tracing = ctx.is_tracing();
         for entry in &resp.chunklist.entries {
             if viewer.have.is_some_and(|h| entry.seq <= h) {
                 continue;
@@ -241,6 +241,9 @@ fn poll_event(mut viewer: Viewer) -> BackendEvent<PopShard> {
                 shard.checksum = shard.checksum.wrapping_add(splitmix64(
                     splitmix64(viewer.id) ^ splitmix64(entry.seq) ^ now.as_micros(),
                 ));
+                if !tracing {
+                    continue;
+                }
                 ctx.emit(TraceEvent::ChunkDelivered {
                     broadcast: shard.broadcast.0,
                     viewer: viewer.id,

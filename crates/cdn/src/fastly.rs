@@ -8,7 +8,7 @@
 //! arriving after that instant see it in the chunklist (⑭). The
 //! Wowza2Fastly delay the paper measures is exactly `⑪ − ⑦`.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use livescope_net::datacenters::DatacenterId;
@@ -81,9 +81,11 @@ struct CachedPlaylist {
 
 #[derive(Default)]
 struct EdgeCache {
-    chunks: BTreeMap<u64, CachedChunk>,
-    /// Highest origin seq for which a fetch was already initiated.
-    fetched_through: Option<u64>,
+    /// Exactly the fetched prefix of the origin store: `chunks[i]` is
+    /// origin seq `i`, because chunkers number from 0 and origins never
+    /// drop a chunk. The fetch watermark is therefore `chunks.len()`, and a
+    /// download is one index.
+    chunks: Vec<CachedChunk>,
     /// Rebuilt by the first poll outside its validity window and by every
     /// poll that starts a fetch; gone with the cache on eviction.
     playlist: Option<CachedPlaylist>,
@@ -104,7 +106,7 @@ impl EdgeCache {
     fn build_playlist(&self, now: SimTime) -> CachedPlaylist {
         let mut servable: Vec<&Chunk> = Vec::with_capacity(LIVE_WINDOW);
         let (mut valid_from, mut valid_until) = (SimTime::ZERO, SimTime::MAX);
-        for c in self.chunks.values().rev() {
+        for c in self.chunks.iter().rev() {
             if c.available_at <= now {
                 valid_from = valid_from.max(c.available_at);
                 servable.push(c.chunk.as_ref());
@@ -121,12 +123,17 @@ impl EdgeCache {
             valid_until,
         }
     }
+
+    /// The cached copy of origin seq `seq`, landed or in flight.
+    fn chunk(&self, seq: u64) -> Option<&CachedChunk> {
+        self.chunks.get(usize::try_from(seq).ok()?)
+    }
 }
 
 /// One edge POP.
 pub struct FastlyPop {
     dc: DatacenterId,
-    caches: HashMap<BroadcastId, EdgeCache>,
+    caches: BTreeMap<BroadcastId, EdgeCache>,
     /// Cumulative work counters.
     pub work: EdgeWork,
     telemetry: Telemetry,
@@ -157,7 +164,7 @@ impl FastlyPop {
     pub fn new(dc: DatacenterId) -> Self {
         FastlyPop {
             dc,
-            caches: HashMap::new(),
+            caches: BTreeMap::new(),
             work: EdgeWork::default(),
             telemetry: Telemetry::disabled(),
             c_polls: CounterId::INERT,
@@ -190,13 +197,16 @@ impl FastlyPop {
 
     /// Serves a chunklist poll at `now`.
     ///
-    /// `origin` is the broadcast's chunk store on its Wowza server. All
-    /// origin chunks that are ready but not yet requested are batched into
-    /// one [`FetchPlan`] initiated by *this* poll; `fetch_delay` samples
-    /// the origin→edge transfer time for the whole batch (the cluster
-    /// supplies the co-located-gateway routing), so every chunk in the
-    /// plan lands at the same instant. `fetch_delay` is not called on
-    /// fetch-free polls.
+    /// `origin` is the broadcast's chunk store on its Wowza server: seq
+    /// `i` at index `i` and `ready_at`-ascending, as a [`Chunker`] emits
+    /// them (both asserted as chunks are fetched). All origin chunks that
+    /// are ready but not yet requested are batched into one [`FetchPlan`]
+    /// initiated by *this* poll; `fetch_delay` samples the origin→edge
+    /// transfer time for the whole batch (the cluster supplies the
+    /// co-located-gateway routing), so every chunk in the plan lands at
+    /// the same instant. `fetch_delay` is not called on fetch-free polls.
+    ///
+    /// [`Chunker`]: crate::Chunker
     pub fn poll(
         &mut self,
         now: SimTime,
@@ -207,45 +217,44 @@ impl FastlyPop {
         self.work.polls_served += 1;
         self.telemetry.add(self.c_polls, 1);
         let cache = self.caches.entry(broadcast).or_default();
-        let mut plan = FetchPlan {
-            seqs: Vec::new(),
-            total_bytes: 0,
-        };
-        // `origin` is seq-ascending (chunkers emit in order, and
-        // `FetchPlan::seqs` documents ascending), so everything at or
-        // below the fetch watermark is a contiguous prefix — skip it
-        // instead of re-scanning the whole store every poll.
-        let unfetched_from = cache.fetched_through.map_or(0, |through| {
-            origin.partition_point(|ready| ready.chunk.seq <= through)
-        });
-        let mut picked: Vec<usize> = Vec::new();
-        for (i, ready) in origin.iter().enumerate().skip(unfetched_from) {
-            if ready.ready_at > now {
-                // Origin-side future chunks are invisible: the paper's
-                // chunklist-expiry notification tells the edge *that*
-                // something is new, never content ahead of time.
-                continue;
-            }
-            plan.seqs.push(ready.chunk.seq);
-            plan.total_bytes += ready.chunk.payload_bytes();
-            picked.push(i);
-        }
-        let fetches_started = plan.seqs.len();
+        // The cache holds `origin[..chunks.len()]`; the ready part of the
+        // rest is a prefix of it, because the origin is `ready_at`-ascending.
+        // Origin-side future chunks are invisible: the paper's
+        // chunklist-expiry notification tells the edge *that* something is
+        // new, never content ahead of time.
+        let unfetched = origin.get(cache.chunks.len()..).unwrap_or_default();
+        let due = &unfetched[..unfetched.iter().take_while(|r| r.ready_at <= now).count()];
+        let fetches_started = due.len();
         if fetches_started > 0 {
-            plan.total_bytes = plan.total_bytes.max(1);
+            let plan = FetchPlan {
+                seqs: due.iter().map(|r| r.chunk.seq).collect(),
+                total_bytes: due
+                    .iter()
+                    .map(|r| r.chunk.payload_bytes())
+                    .sum::<usize>()
+                    .max(1),
+            };
             let delay = fetch_delay(&plan);
             let available_at = now + delay;
             let batch = fetches_started as u32;
-            for &i in &picked {
-                let ready = &origin[i];
-                cache.chunks.insert(
-                    ready.chunk.seq,
-                    CachedChunk {
-                        available_at,
-                        encoded: ready.encoded.clone(),
-                        chunk: Arc::clone(&ready.chunk),
-                    },
+            for ready in due {
+                let index = cache.chunks.len();
+                assert_eq!(
+                    ready.chunk.seq, index as u64,
+                    "origin chunk at index {index} has seq {}: the edge store is indexed by seq",
+                    ready.chunk.seq
                 );
+                assert!(
+                    index == 0 || origin[index - 1].ready_at <= ready.ready_at,
+                    "origin chunk {index} is ready before chunk {}: the origin must be \
+                     ready_at-ascending",
+                    index - 1
+                );
+                cache.chunks.push(CachedChunk {
+                    available_at,
+                    encoded: ready.encoded.clone(),
+                    chunk: Arc::clone(&ready.chunk),
+                });
                 self.telemetry.emit(
                     now.as_micros(),
                     TraceEvent::OriginPull {
@@ -277,7 +286,6 @@ impl FastlyPop {
                     },
                 );
             }
-            cache.fetched_through = plan.seqs.last().copied();
             self.work.origin_fetches += fetches_started as u64;
             self.telemetry
                 .add(self.c_origin_fetches, fetches_started as u64);
@@ -333,7 +341,7 @@ impl FastlyPop {
         broadcast: BroadcastId,
         seq: u64,
     ) -> Option<&CachedChunk> {
-        let cached = self.caches.get(&broadcast)?.chunks.get(&seq)?;
+        let cached = self.caches.get(&broadcast)?.chunk(seq)?;
         if cached.available_at > now {
             return None;
         }
@@ -347,11 +355,7 @@ impl FastlyPop {
     /// timestamp of the Wowza2Fastly measurement. `None` if no fetch was
     /// ever triggered.
     pub fn availability(&self, broadcast: BroadcastId, seq: u64) -> Option<SimTime> {
-        self.caches
-            .get(&broadcast)?
-            .chunks
-            .get(&seq)
-            .map(|c| c.available_at)
+        Some(self.caches.get(&broadcast)?.chunk(seq)?.available_at)
     }
 
     /// Drops a broadcast's cache (broadcast ended, TTL expiry).
@@ -528,33 +532,98 @@ mod tests {
     proptest::proptest! {
         #[test]
         fn served_playlist_equals_the_brute_force_build(
-            ops in proptest::collection::vec((0u8..12, 0u64..100, 0u64..12), 1..120),
+            ops in proptest::collection::vec((0u8..12, 0u64..100, 0u64..12, 0u64..100), 1..120),
         ) {
             // Polls at arbitrary (non-monotone) times with arbitrary
             // per-plan delays, interleaved with evictions, on a half-second
-            // grid so polls land exactly on window edges. Whatever the
-            // cache holds, the list served must be the one built from
-            // scratch over every chunk landed by `now`.
+            // grid so polls land exactly on window edges. The reference is
+            // a map from every seq fetched since the last eviction to the
+            // instant it lands: each poll must fetch exactly the ready
+            // chunks it lacks, in one plan, and the list served, every
+            // `availability` answer and every download (at an arbitrary
+            // probe time) must agree with the map.
             let origin: Vec<ReadyChunk> = (0..14).map(|s| ready_chunk(s, 3 * (s + 1))).collect();
             let mut pop = FastlyPop::new(DatacenterId(8));
-            for (kind, t, delay) in ops {
+            let mut landing: BTreeMap<u64, SimTime> = BTreeMap::new();
+            let (mut served, mut bytes) = (0u64, 0u64);
+            for (kind, t, delay, probe) in ops {
                 if kind == 0 {
                     pop.evict(B);
+                    landing.clear();
                     continue;
                 }
                 let now = SimTime::from_millis(t * 500);
-                let resp = pop.poll(now, B, &origin, fixed_delay(delay * 500));
+                let delay = SimDuration::from_millis(delay * 500);
+                let due: Vec<&ReadyChunk> = origin
+                    .iter()
+                    .filter(|r| r.ready_at <= now && !landing.contains_key(&r.chunk.seq))
+                    .collect();
+                let mut plans = Vec::new();
+                let resp = pop.poll(now, B, &origin, |plan: &FetchPlan| {
+                    plans.push(plan.clone());
+                    delay
+                });
+                let expected_plans: Vec<FetchPlan> = if due.is_empty() {
+                    Vec::new()
+                } else {
+                    vec![FetchPlan {
+                        seqs: due.iter().map(|r| r.chunk.seq).collect(),
+                        total_bytes: due.iter().map(|r| r.chunk.payload_bytes()).sum::<usize>().max(1),
+                    }]
+                };
+                proptest::prop_assert_eq!(plans, expected_plans);
+                proptest::prop_assert_eq!(resp.fetches_started, due.len());
+                for r in &due {
+                    landing.insert(r.chunk.seq, now + delay);
+                }
                 let landed = origin
                     .iter()
-                    .filter(|r| pop.availability(B, r.chunk.seq).is_some_and(|at| at <= now))
+                    .filter(|r| landing.get(&r.chunk.seq).is_some_and(|&at| at <= now))
                     .map(|r| r.chunk.as_ref());
                 proptest::prop_assert_eq!(
                     &*resp.chunklist,
                     &ChunkList::from_chunks(landed, LIVE_WINDOW)
                 );
+                let probe = SimTime::from_millis(probe * 500);
+                for seq in 0..origin.len() as u64 + 2 {
+                    let lands = landing.get(&seq).copied();
+                    proptest::prop_assert_eq!(pop.availability(B, seq), lands);
+                    let got = pop
+                        .serve_chunk(probe, B, seq)
+                        .map(|c| (c.available_at, c.encoded.len()));
+                    let expected = lands.filter(|&at| at <= probe).map(|at| {
+                        let len = origin[seq as usize].encoded.len();
+                        served += 1;
+                        bytes += len as u64;
+                        (at, len)
+                    });
+                    proptest::prop_assert_eq!(got, expected);
+                }
+                proptest::prop_assert_eq!(
+                    (pop.work.chunks_served, pop.work.bytes_served),
+                    (served, bytes)
+                );
             }
             proptest::prop_assert!(pop.work.playlist_rebuilds <= pop.work.polls_served);
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "indexed by seq")]
+    fn an_origin_whose_seq_is_not_its_index_panics() {
+        let mut pop = FastlyPop::new(DatacenterId(8));
+        let origin = vec![ready_chunk(0, 3), ready_chunk(2, 6)];
+        pop.poll(SimTime::from_secs(10), B, &origin, fixed_delay(1));
+    }
+
+    #[test]
+    #[should_panic(expected = "ready_at-ascending")]
+    fn an_origin_out_of_ready_order_panics() {
+        let mut pop = FastlyPop::new(DatacenterId(8));
+        let origin = vec![ready_chunk(0, 6), ready_chunk(1, 3)];
+        // At 4 s chunk 0 is not ready, so chunk 1 is not looked at yet.
+        pop.poll(SimTime::from_secs(4), B, &origin, fixed_delay(1));
+        pop.poll(SimTime::from_secs(10), B, &origin, fixed_delay(1));
     }
 
     #[test]

@@ -101,18 +101,17 @@ impl HighFreqProbe {
         }
         // Record availability for every chunk the POP now knows about
         // (including in-flight fetches this poll just triggered: their
-        // availability timestamp is already determined). The origin store
-        // is seq-ascending, so the chunks not yet observed are a suffix.
+        // availability timestamp is already determined). Origin seq `i`
+        // sits at index `i`, so the chunks not yet observed start at
+        // `seen + 1`.
         let state = cluster
             .control
             .broadcast(self.broadcast)
             .expect("probed broadcast exists");
         let origin = cluster.wowza[state.wowza_dc.0 as usize].origin_chunks(self.broadcast);
         let pop = &cluster.fastly[(self.pop.0 - 8) as usize];
-        let unseen_from = self.seen_through.map_or(0, |seen| {
-            origin.partition_point(|ready| ready.chunk.seq <= seen)
-        });
-        for ready in &origin[unseen_from..] {
+        let unseen_from = self.seen_through.map_or(0, |seen| seen as usize + 1);
+        for ready in origin.get(unseen_from..).unwrap_or_default() {
             let seq = ready.chunk.seq;
             if let Some(available) = pop.availability(self.broadcast, seq) {
                 self.observations.push(ChunkObservation {

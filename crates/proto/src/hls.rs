@@ -180,7 +180,10 @@ impl ChunkList {
     }
 
     /// Parses playlist text. Strict about the header, tolerant about
-    /// unknown `#`-comment lines (like real players).
+    /// unknown `#`-comment lines (like real players), and strict about what
+    /// [`ChunkList::from_chunks`] guarantees: every duration finite and
+    /// non-negative, chunk seqs strictly ascending, and `MEDIA-SEQUENCE`
+    /// the first entry's seq.
     pub fn parse(text: &str) -> Result<Self, WireError> {
         let mut lines = text.lines();
         if lines.next() != Some("#EXTM3U") {
@@ -206,8 +209,10 @@ impl ChunkList {
             } else if let Some(v) = line.strip_prefix("#EXTINF:") {
                 let dur = v
                     .trim_end_matches(',')
-                    .parse()
-                    .map_err(|_| WireError::Invalid("bad EXTINF duration"))?;
+                    .parse::<f64>()
+                    .ok()
+                    .filter(|d| d.is_finite() && *d >= 0.0)
+                    .ok_or(WireError::Invalid("bad EXTINF duration"))?;
                 pending_duration = Some(dur);
             } else if line.starts_with('#') {
                 continue; // unknown tag or comment
@@ -220,6 +225,12 @@ impl ChunkList {
                     .and_then(|s| s.strip_suffix(".lsc"))
                     .and_then(|s| s.parse().ok())
                     .ok_or(WireError::Invalid("unparseable chunk URI"))?;
+                if entries
+                    .last()
+                    .is_some_and(|prev: &ChunkEntry| prev.seq >= seq)
+                {
+                    return Err(WireError::Invalid("chunk seqs not ascending"));
+                }
                 entries.push(ChunkEntry {
                     seq,
                     duration_s,
@@ -229,6 +240,14 @@ impl ChunkList {
         }
         if pending_duration.is_some() {
             return Err(WireError::Invalid("EXTINF without URI"));
+        }
+        if entries
+            .first()
+            .is_some_and(|first| first.seq != media_sequence)
+        {
+            return Err(WireError::Invalid(
+                "MEDIA-SEQUENCE is not the first chunk's seq",
+            ));
         }
         Ok(ChunkList {
             target_duration_s,
@@ -406,6 +425,47 @@ mod tests {
         assert!(ChunkList::parse("#EXTM3U\n#EXTINF:3.0,\n").is_err()); // EXTINF w/o URI
         assert!(ChunkList::parse("#EXTM3U\n#EXTINF:xyz,\nchunk_1.lsc\n").is_err());
         assert!(ChunkList::parse("#EXTM3U\n#EXTINF:3.0,\nfoo_1.bar\n").is_err());
+    }
+
+    #[test]
+    fn chunklist_parse_rejects_what_from_chunks_never_emits() {
+        let list = |seq_tag: u64, body: &str| {
+            ChunkList::parse(&format!(
+                "#EXTM3U\n#EXT-X-TARGETDURATION:3\n#EXT-X-MEDIA-SEQUENCE:{seq_tag}\n{body}"
+            ))
+        };
+        let invalid = |text: Result<ChunkList, WireError>| {
+            assert!(matches!(text, Err(WireError::Invalid(_))), "{text:?}")
+        };
+        // Durations that are not a finite, non-negative number of seconds
+        // (`1e400` overflows to infinity).
+        for bad in ["NaN", "nan", "inf", "-inf", "infinity", "-3.0", "1e400"] {
+            invalid(list(4, &format!("#EXTINF:{bad},\nchunk_4.lsc\n")));
+        }
+        // A MEDIA-SEQUENCE that is not the first entry's seq, either way
+        // round and with the tag missing (it defaults to 0).
+        invalid(list(3, "#EXTINF:3.000,\nchunk_4.lsc\n"));
+        invalid(list(5, "#EXTINF:3.000,\nchunk_4.lsc\n"));
+        invalid(ChunkList::parse("#EXTM3U\n#EXTINF:3.000,\nchunk_4.lsc\n"));
+        // Descending and repeated seqs.
+        invalid(list(
+            5,
+            "#EXTINF:3.000,\nchunk_5.lsc\n#EXTINF:3.000,\nchunk_4.lsc\n",
+        ));
+        invalid(list(
+            5,
+            "#EXTINF:3.000,\nchunk_5.lsc\n#EXTINF:3.000,\nchunk_5.lsc\n",
+        ));
+        // The boundaries of each rule still parse: zero and tiny
+        // durations, gaps between ascending seqs, and any MEDIA-SEQUENCE
+        // on an empty list.
+        let ok = list(
+            4,
+            "#EXTINF:0.000,\nchunk_4.lsc\n#EXTINF:1e-9,\nchunk_9.lsc\n",
+        )
+        .unwrap();
+        assert_eq!(ok.entries.iter().map(|e| e.seq).collect::<Vec<_>>(), [4, 9]);
+        assert!(list(7, "").unwrap().entries.is_empty());
     }
 
     #[test]

@@ -93,6 +93,11 @@ pub trait EventCtx<S> {
     /// buffered per shard and merged into the attached
     /// telemetry sink in `(time, shard_id, seq)` order at the next barrier.
     fn emit(&mut self, event: TraceEvent);
+
+    /// Whether [`EventCtx::emit`] records anything (a telemetry sink is
+    /// attached). An event may skip building trace payloads when it is
+    /// false; it must not change anything else on that answer.
+    fn is_tracing(&self) -> bool;
 }
 
 /// Driver-side interface of [`crate::ShardedScheduler`].

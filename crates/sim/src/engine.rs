@@ -11,7 +11,7 @@ use std::collections::BinaryHeap;
 
 use livescope_telemetry::{CounterId, GaugeId, Telemetry, TraceEvent};
 
-use crate::time::{SimDuration, SimTime};
+use crate::time::{event_key, event_key_time, SimDuration, SimTime};
 
 /// How often (in fired events) the scheduler samples its queue depth into
 /// telemetry. A power of two so the check is a mask.
@@ -20,16 +20,22 @@ const QUEUE_SAMPLE_EVERY: u64 = 1024;
 type EventFn<S> = Box<dyn FnOnce(&mut Scheduler<S>, &mut S)>;
 
 struct Scheduled<S> {
-    at: SimTime,
-    seq: u64,
+    /// `(at, seq)` packed by [`event_key`].
+    key: u128,
     run: EventFn<S>,
+}
+
+impl<S> Scheduled<S> {
+    fn at(&self) -> SimTime {
+        event_key_time(self.key)
+    }
 }
 
 // The heap is a max-heap; invert the ordering to pop the earliest
 // (time, seq) first.
 impl<S> PartialEq for Scheduled<S> {
     fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
+        self.key == other.key
     }
 }
 impl<S> Eq for Scheduled<S> {}
@@ -40,7 +46,7 @@ impl<S> PartialOrd for Scheduled<S> {
 }
 impl<S> Ord for Scheduled<S> {
     fn cmp(&self, other: &Self) -> Ordering {
-        (other.at, other.seq).cmp(&(self.at, self.seq))
+        other.key.cmp(&self.key)
     }
 }
 
@@ -132,8 +138,7 @@ impl<S> Scheduler<S> {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.queue.push(Scheduled {
-            at,
-            seq,
+            key: event_key(at, seq),
             run: Box::new(event),
         });
     }
@@ -156,12 +161,12 @@ impl<S> Scheduler<S> {
     /// stays put if nothing fired). Returns the final instant.
     pub fn run_until(&mut self, horizon: SimTime, state: &mut S) -> SimTime {
         while let Some(head) = self.queue.peek() {
-            if head.at > horizon {
+            if head.at() > horizon {
                 break;
             }
             let ev = self.queue.pop().expect("peeked element vanished");
-            debug_assert!(ev.at >= self.now, "event queue went backwards");
-            self.now = ev.at;
+            debug_assert!(ev.at() >= self.now, "event queue went backwards");
+            self.now = ev.at();
             self.fired += 1;
             self.telemetry.add(self.c_fired, 1);
             #[cfg(feature = "profile")]
@@ -212,6 +217,43 @@ mod tests {
         let mut log = Vec::new();
         s.run(&mut log);
         assert_eq!(log, (0..100).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn queue_orders_like_time_then_seq_at_the_edges() {
+        // Pop order of the packed key against the `(SimTime, u64)` tuple
+        // it replaced, at the end of the clock and of the seq counter.
+        let queued = |at: u64, seq: u64| Scheduled::<()> {
+            key: event_key(SimTime::from_micros(at), seq),
+            run: Box::new(|_, _| {}),
+        };
+        let edges = [0, 1, u64::MAX - 1, u64::MAX];
+        let pairs: Vec<(u64, u64)> = edges
+            .iter()
+            .flat_map(|&at| edges.map(|seq| (at, seq)))
+            .collect();
+        for &a in &pairs {
+            for &b in &pairs {
+                // Max-heap order: the earlier pair is the greater element.
+                assert_eq!(
+                    queued(a.0, a.1).cmp(&queued(b.0, b.1)),
+                    b.cmp(&a),
+                    "{a:?} vs {b:?}"
+                );
+            }
+        }
+        // A run at the end of the clock with the seq counter near its end:
+        // equal times fire in insertion order, and `MAX` is reachable.
+        let mut s: Scheduler<Vec<u32>> = Scheduler::new();
+        s.next_seq = u64::MAX - 4;
+        let before_max = SimTime::from_micros(u64::MAX - 1);
+        s.schedule_at(SimTime::MAX, |_, log| log.push(3));
+        s.schedule_at(before_max, |_, log| log.push(1));
+        s.schedule_at(SimTime::MAX, |_, log| log.push(4));
+        s.schedule_at(before_max, |_, log| log.push(2));
+        let mut log = Vec::new();
+        assert_eq!(s.run(&mut log), SimTime::MAX);
+        assert_eq!(log, vec![1, 2, 3, 4]);
     }
 
     #[test]

@@ -64,19 +64,25 @@ use livescope_telemetry::{CounterId, GaugeId, Section, Telemetry, TraceEvent};
 use crate::backend::{BackendEvent, EventCtx, SchedulerBackend, ShardId};
 use crate::parts::run_parts;
 use crate::rng::RngPool;
-use crate::time::{SimDuration, SimTime};
+use crate::time::{event_key, event_key_time, SimDuration, SimTime};
 
 /// One queued event on a shard's local heap.
 struct Queued<S> {
-    at: SimTime,
-    seq: u64,
+    /// `(at, seq)` packed by [`event_key`].
+    key: u128,
     run: BackendEvent<S>,
+}
+
+impl<S> Queued<S> {
+    fn at(&self) -> SimTime {
+        event_key_time(self.key)
+    }
 }
 
 // Max-heap; invert so the earliest (time, seq) pops first.
 impl<S> PartialEq for Queued<S> {
     fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
+        self.key == other.key
     }
 }
 impl<S> Eq for Queued<S> {}
@@ -87,7 +93,7 @@ impl<S> PartialOrd for Queued<S> {
 }
 impl<S> Ord for Queued<S> {
     fn cmp(&self, other: &Self) -> Ordering {
-        (other.at, other.seq).cmp(&(self.at, self.seq))
+        other.key.cmp(&self.key)
     }
 }
 
@@ -125,7 +131,10 @@ impl<S> LaneCore<S> {
         let at = at.max(self.now);
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.queue.push(Queued { at, seq, run });
+        self.queue.push(Queued {
+            key: event_key(at, seq),
+            run,
+        });
     }
 }
 
@@ -190,6 +199,10 @@ impl<S> EventCtx<S> for LaneCtx<'_, S> {
                 .push((self.core.now.as_micros(), seq, event));
         }
     }
+
+    fn is_tracing(&self) -> bool {
+        self.core.tracing
+    }
 }
 
 /// Runs one shard's local events up to the barrier. The shard clock stops
@@ -200,13 +213,13 @@ impl<S> EventCtx<S> for LaneCtx<'_, S> {
 fn run_shard<S>(slot: &mut ShardSlot<S>, barrier: SimTime, inclusive: bool) {
     loop {
         let due = matches!(slot.core.queue.peek(),
-            Some(head) if head.at < barrier || (inclusive && head.at == barrier));
+            Some(head) if head.at() < barrier || (inclusive && head.at() == barrier));
         if !due {
             break;
         }
         let ev = slot.core.queue.pop().expect("peeked element vanished");
-        debug_assert!(ev.at >= slot.core.now, "shard clock went backwards");
-        slot.core.now = ev.at;
+        debug_assert!(ev.at() >= slot.core.now, "shard clock went backwards");
+        slot.core.now = ev.at();
         slot.core.fired += 1;
         slot.core.fired_epoch += 1;
         let mut ctx = LaneCtx {
@@ -541,13 +554,13 @@ impl<S: Send + 'static> ShardedScheduler<S> {
         let stamp = self.sec_lane_exec.begin();
         let slot = &mut self.shards[idx];
         loop {
-            let due = matches!(slot.core.queue.peek(), Some(head) if head.at <= horizon);
+            let due = matches!(slot.core.queue.peek(), Some(head) if head.at() <= horizon);
             if !due {
                 break;
             }
             let ev = slot.core.queue.pop().expect("peeked element vanished");
-            debug_assert!(ev.at >= slot.core.now, "shard clock went backwards");
-            slot.core.now = ev.at;
+            debug_assert!(ev.at() >= slot.core.now, "shard clock went backwards");
+            slot.core.now = ev.at();
             slot.core.fired += 1;
             slot.core.fired_epoch += 1;
             let mut ctx = LaneCtx {
@@ -596,11 +609,11 @@ impl<S: Send + 'static> SchedulerBackend<S> for ShardedScheduler<S> {
             let mut active_idx = 0usize;
             for (i, s) in self.shards.iter().enumerate() {
                 if let Some(h) = s.core.queue.peek() {
-                    if h.at <= horizon {
+                    if h.at() <= horizon {
                         active += 1;
                         active_idx = i;
                     }
-                    next = Some(next.map_or(h.at, |n: SimTime| n.min(h.at)));
+                    next = Some(next.map_or(h.at(), |n: SimTime| n.min(h.at())));
                 }
             }
             let Some(next) = next else { break };
@@ -680,6 +693,60 @@ mod tests {
         let log = &s.state(ShardId(0));
         let tags: Vec<&str> = log.iter().map(|(_, t)| t.as_str()).collect();
         assert_eq!(tags, vec!["a", "b", "c"]);
+    }
+
+    #[test]
+    fn queue_orders_like_time_then_seq_at_the_edges() {
+        // Pop order of the packed key against the `(SimTime, u64)` tuple
+        // it replaced, at the end of the clock and of the seq counter.
+        let queued = |at: u64, seq: u64| Queued::<()> {
+            key: event_key(SimTime::from_micros(at), seq),
+            run: Box::new(|_, _| {}),
+        };
+        let edges = [0, 1, u64::MAX - 1, u64::MAX];
+        let pairs: Vec<(u64, u64)> = edges
+            .iter()
+            .flat_map(|&at| edges.map(|seq| (at, seq)))
+            .collect();
+        for &a in &pairs {
+            for &b in &pairs {
+                // Max-heap order: the earlier pair is the greater element.
+                assert_eq!(
+                    queued(a.0, a.1).cmp(&queued(b.0, b.1)),
+                    b.cmp(&a),
+                    "{a:?} vs {b:?}"
+                );
+            }
+        }
+        // Both shards busy at the end of the clock (so the barrier path,
+        // not the sprint, runs them) with their seq counters near the end:
+        // equal times fire in insertion order, and `MAX` is reachable.
+        let mut s = two_shards(1);
+        for slot in &mut s.shards {
+            slot.core.next_seq = u64::MAX - 4;
+        }
+        let before_max = SimTime::from_micros(u64::MAX - 1);
+        for shard in [ShardId(0), ShardId(1)] {
+            for (at, tag) in [
+                (SimTime::MAX, "c"),
+                (before_max, "a"),
+                (SimTime::MAX, "d"),
+                (before_max, "b"),
+            ] {
+                s.schedule(
+                    shard,
+                    at,
+                    Box::new(move |ctx, log: &mut Vec<(u64, String)>| {
+                        log.push((ctx.now().as_micros(), tag.to_string()));
+                    }),
+                );
+            }
+        }
+        assert_eq!(s.run(), SimTime::MAX);
+        for shard in [ShardId(0), ShardId(1)] {
+            let tags: Vec<&str> = s.state(shard).iter().map(|(_, t)| t.as_str()).collect();
+            assert_eq!(tags, vec!["a", "b", "c", "d"], "{shard}");
+        }
     }
 
     #[test]

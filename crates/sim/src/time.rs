@@ -80,6 +80,19 @@ impl SimTime {
     }
 }
 
+/// The firing order of both kernels' event queues as one integer:
+/// `(at, seq)` packed as `(at << 64) | seq`. Both halves are full `u64`s
+/// in disjoint bits, so the key compares exactly like the tuple — and in
+/// one integer compare instead of a lexicographic two-field one.
+pub(crate) const fn event_key(at: SimTime, seq: u64) -> u128 {
+    ((at.0 as u128) << 64) | seq as u128
+}
+
+/// The instant half of an [`event_key`].
+pub(crate) const fn event_key_time(key: u128) -> SimTime {
+    SimTime((key >> 64) as u64)
+}
+
 impl SimDuration {
     /// The empty span.
     pub const ZERO: SimDuration = SimDuration(0);
@@ -284,6 +297,26 @@ mod tests {
         assert_eq!(SimDuration::from_millis(u64::MAX), SimDuration::MAX);
         // Unchecked, this one wrapped to an *earlier* instant in release.
         assert_eq!(SimTime::from_secs(u64::MAX / 10), SimTime::MAX);
+    }
+
+    #[test]
+    fn event_key_orders_like_the_tuple_at_the_edges() {
+        let times = [0, 1, u64::MAX / 2, u64::MAX - 1, u64::MAX].map(SimTime);
+        let seqs = [0, 1, u64::MAX - 1, u64::MAX];
+        let pairs: Vec<(SimTime, u64)> = times
+            .iter()
+            .flat_map(|&t| seqs.iter().map(move |&s| (t, s)))
+            .collect();
+        for &a in &pairs {
+            assert_eq!(event_key_time(event_key(a.0, a.1)), a.0);
+            for &b in &pairs {
+                assert_eq!(
+                    event_key(a.0, a.1).cmp(&event_key(b.0, b.1)),
+                    a.cmp(&b),
+                    "{a:?} vs {b:?}"
+                );
+            }
+        }
     }
 
     #[test]

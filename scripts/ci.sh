@@ -40,7 +40,7 @@ sidecars=$(find "$artifacts_dir" -type f | wc -l)
 rm -rf "$artifacts_dir"
 [ "$sidecars" -eq 43 ] || { echo "expected 43 sidecar files, got $sidecars"; exit 1; }
 
-echo "==> usage errors exit 2 before any work (unknown or retired subcommand, unknown or retired flag on an artifact, on the bench tools)"
+echo "==> usage errors exit 2 before any work (unknown or retired subcommand, unknown or retired flag on an artifact, on the bench tools; scripts/ab.sh missing an argument)"
 for probe in "no_such_command" "trace_summary" "fig11 --no-such-flag" "bench_replay --no-such-flag" \
     "bench_replay --smoke" "bench_shards --smoke"; do
     status=0
@@ -48,6 +48,9 @@ for probe in "no_such_command" "trace_summary" "fig11 --no-such-flag" "bench_rep
     livescope $probe >/dev/null 2>&1 || status=$?
     [ "$status" -eq 2 ] || { echo "livescope $probe: expected exit 2, got $status"; exit 1; }
 done
+status=0
+bash scripts/ab.sh HEAD HEAD >/dev/null 2>&1 || status=$?
+[ "$status" -eq 2 ] || { echo "scripts/ab.sh HEAD HEAD: expected exit 2, got $status"; exit 1; }
 
 # `bench_replay` and `bench_shards` only measure and are not run here:
 # the identities they print are pinned by `cargo test` above

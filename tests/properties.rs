@@ -56,6 +56,44 @@ fn arb_message() -> impl Strategy<Value = RtmpMessage> {
     ]
 }
 
+/// Playlist-shaped garbage, one line at a time: durations (finite, not,
+/// negative, overflowing), chunk URIs, `MEDIA-SEQUENCE` tags and
+/// printable noise, so appended lines reach every check of the parser.
+fn arb_playlist_garbage() -> impl Strategy<Value = String> {
+    let duration = prop_oneof![
+        "[0-9.]{1,6}",
+        "[0-9.e+-]{1,6}",
+        Just("NaN".to_string()),
+        Just("inf".to_string()),
+        Just("1e400".to_string()),
+        Just("-3.0".to_string()),
+    ];
+    let line = prop_oneof![
+        duration.prop_map(|d| format!("#EXTINF:{d},")),
+        (0u64..10_000).prop_map(|seq| format!("chunk_{seq}.lsc")),
+        (0u64..10_000).prop_map(|seq| format!("#EXT-X-MEDIA-SEQUENCE:{seq}")),
+        "[ -~]{0,12}",
+    ];
+    proptest::collection::vec(line, 0..8).prop_map(|lines| lines.join("\n"))
+}
+
+/// What `ChunkList::from_chunks` guarantees of every list it builds, which
+/// `ChunkList::parse` must therefore demand: finite, non-negative
+/// durations, strictly ascending seqs, `MEDIA-SEQUENCE` equal to the first
+/// seq — and text that parses and re-serializes to the same text.
+fn is_emittable(list: &ChunkList) -> bool {
+    let text = list.serialize();
+    list.entries
+        .iter()
+        .all(|e| e.duration_s.is_finite() && e.duration_s >= 0.0)
+        && list.entries.windows(2).all(|w| w[0].seq < w[1].seq)
+        && list
+            .entries
+            .first()
+            .is_none_or(|first| first.seq == list.media_sequence)
+        && ChunkList::parse(&text).map(|again| again.serialize()) == Ok(text)
+}
+
 proptest! {
     #[test]
     fn rtmp_messages_roundtrip(msg in arb_message()) {
@@ -137,6 +175,33 @@ proptest! {
         let list = ChunkList::from_chunks(&chunks, 20);
         let parsed = ChunkList::parse(&list.serialize()).unwrap();
         prop_assert_eq!(parsed, list);
+    }
+
+    #[test]
+    fn chunklist_truncations_and_trailing_garbage_fail_or_reserialize(
+        seqs in proptest::collection::btree_set(0u64..10_000, 0..8),
+        duration_ms in 0u64..10_000,
+        garbage in arb_playlist_garbage(),
+    ) {
+        // A cut-off or hostile playlist is a `WireError` or a list the
+        // serializer could have written; a truncation never invents an
+        // entry, and no input panics.
+        let chunks: Vec<Chunk> = seqs
+            .iter()
+            .map(|&s| Chunk { seq: s, start_ts_us: 0, duration_us: duration_ms * 1_000 + s, frames: vec![] })
+            .collect();
+        let text = ChunkList::from_chunks(&chunks, 20).serialize();
+        let whole = ChunkList::parse(&text).expect("a serialized list parses");
+        for cut in 0..=text.len() {
+            if let Ok(parsed) = ChunkList::parse(&text[..cut]) {
+                prop_assert!(is_emittable(&parsed), "cut at {cut}: {parsed:?}");
+                prop_assert!(whole.entries.starts_with(&parsed.entries), "cut at {cut}");
+            }
+        }
+        let hostile = format!("{text}{garbage}");
+        if let Ok(parsed) = ChunkList::parse(&hostile) {
+            prop_assert!(is_emittable(&parsed), "{hostile:?} parsed to {parsed:?}");
+        }
     }
 
     #[test]
