@@ -1,6 +1,6 @@
 //! Streaming-replay scale sweep: the Periscope study replayed at scale
 //! divisors 1000 → 100 → 10 → 1 on the single-pass generate → crawl →
-//! analyze path (DESIGN.md §10). Divisor 1 is the paper's own scale —
+//! analyze path (`crates/workload/DESIGN.md`). Divisor 1 is the paper's own scale —
 //! 12M users, ~19.6M broadcasts over 97 days — reachable since the
 //! two-phase CSR graph build (DESIGN.md §12) took the follow graph off
 //! the critical path. Results land in `BENCH_replay.json`
@@ -13,8 +13,8 @@
 //!
 //! This is the tool's one shape: it measures and writes. What gates a
 //! change is `cargo test` (this file's divisor-1000 pin below,
-//! `streaming_replay`, `parallel_replay`, `csr_regression`) and
-//! `bench_check` against `baselines/`.
+//! `parallel_replay`, `csr_regression`) and `bench_check` against
+//! `baselines/`.
 //!
 //! Each divisor records two phases. `graph_build` is the follow-graph
 //! construction: wall time, the generator's deterministic peak
@@ -29,17 +29,17 @@
 //! replay state* — `BroadcastStream::tracked_bytes()` +
 //! `StreamingCampaign::tracked_bytes()`, sampled during the fold. That
 //! state is O(users + days + sketch bins); the JSON also records what
-//! the old collect-then-scan path would have pinned in memory
+//! a collect-then-scan replay would have pinned in memory
 //! (`records × size_of::<BroadcastRecord>()`) so the gap is visible in
 //! one file.
 //!
 //! The full run also records two scaling curves. `workers` is the
-//! data-parallel replay curve (DESIGN.md §13): the divisor-10 campaign
-//! re-run through `run_campaign_sharded_with_graph` for K ∈ {1, 2, 4, 6}
-//! worker shards — **against the graph the divisor sweep already
-//! built** (one build per `(spec, seed)`, reused across every replay of
-//! that divisor) — asserted digest-identical to the sequential
-//! streaming path for every K. `graph_workers` is the phase-2 assembly
+//! data-parallel replay curve (`crates/crawler/DESIGN.md`): the
+//! divisor-10 campaign re-run through `run_campaign_sharded` for
+//! K ∈ {1, 2, 4, 6} worker shards — **over the graph the divisor sweep
+//! already built** (one build per `(spec, seed)`, reused across every
+//! replay of that divisor) — asserted digest-identical to the
+//! instrumented sequential fold for every K. `graph_workers` is the phase-2 assembly
 //! curve (DESIGN.md §12): the divisor-10 graph rebuilt with K ∈
 //! {2, 4, 6} assembly shards (the divisor sweep's own build is the K=1
 //! point), asserted checksum-identical to K=1 before the file is
@@ -67,7 +67,7 @@ use livescope_sim::rng::splitmix64;
 use livescope_telemetry::profile::SECTION_PREFIX;
 use livescope_telemetry::Telemetry;
 use livescope_workload::{
-    default_graph_seed, default_graph_spec, generate, generate_streaming_with_graph,
+    default_graph_seed, default_graph_spec, generate_streaming, generate_streaming_with_graph,
     BroadcastRecord, ScenarioConfig,
 };
 use serde::{Deserialize, Serialize};
@@ -199,6 +199,10 @@ struct ReplayDoc {
     bench: String,
     meta: Value,
     workload: Workload,
+    /// The divisor-1000 record checksum of the explicit-graph replay
+    /// equals that of the stream-owned-graph path (`owned_graph_digest`).
+    /// The key keeps the name it had when that path was a materialized
+    /// record vector.
     divisor_1000_matches_materialized: bool,
     profile_feature: bool,
     profile_top5: Vec<ProfileRow>,
@@ -209,9 +213,10 @@ struct ReplayDoc {
 
 /// One streaming replay of the Periscope campaign at `divisor`,
 /// instrumented with the record digest and the tracked-state watermark.
-/// This is `run_campaign_streaming` unrolled so the bench can observe
-/// the fold without perturbing it (same filter → observe/miss order,
-/// so the RNG and accumulator states are identical).
+/// This is a one-shard `run_campaign_sharded` unrolled record by record
+/// so the bench can observe the fold without perturbing it (same
+/// filter → observe/miss order, so the RNG and accumulator states are
+/// identical).
 ///
 /// The follow graph is built explicitly (same spec and seed as the
 /// stream's owned-graph path, so the workload is byte-identical) and
@@ -343,14 +348,11 @@ fn print_graph_run(r: &GraphBuildRun) {
     );
 }
 
-/// The materializing path at `divisor`, digested the same way. Uses the
-/// stream-owned graph path, so it also cross-checks the explicit
-/// `graph_build` construction above.
-fn materialized_digest(divisor: f64) -> u64 {
-    generate(&scaled_periscope(divisor))
-        .broadcasts
-        .iter()
-        .fold(0u64, |acc, r| acc.wrapping_add(record_digest(r)))
+/// The record checksum of the stream-owned-graph path at `divisor`, so
+/// it cross-checks the explicit `graph_build` construction above.
+fn owned_graph_digest(divisor: f64) -> u64 {
+    generate_streaming(&scaled_periscope(divisor))
+        .fold(0u64, |acc, r| acc.wrapping_add(record_digest(&r)))
 }
 
 /// Top-5 handler histograms by total wall time, as report lines and
@@ -437,14 +439,13 @@ pub fn run(mut args: Args, _results: &Path) -> Result<ExitCode, UsageError> {
     // report's fan-out workload lands on the same handle.
     let telemetry = Telemetry::recording(1024);
 
-    // Divisor 1000 is cross-checked against the materializing
-    // (stream-owned-graph) path.
+    // Divisor 1000 is cross-checked against the stream-owned-graph path.
     let (base, _, _) = replay(1_000.0, &telemetry);
     print_run(&base);
     assert_eq!(
         base.checksum,
-        hex(materialized_digest(1_000.0)),
-        "streaming generator diverged from the materializing path at divisor 1000"
+        hex(owned_graph_digest(1_000.0)),
+        "the explicit graph build diverged from the stream-owned graph at divisor 1000"
     );
 
     let mut runs = vec![base];
@@ -556,15 +557,15 @@ mod tests {
         serde_json::from_str::<super::ReplayDoc>(committed).expect("fits ReplayDoc");
     }
 
-    /// The divisor-1000 record checksum: the streaming generator equals
-    /// the materializing path **and** the committed value, so a change
-    /// that moves both paths together is still seen. The same divisor's
-    /// graph checksums are pinned in `csr_regression` (K = 1, 2, 6) and
-    /// `baselines/GRAPH_build.json`.
+    /// The divisor-1000 record checksum: the explicit-graph replay equals
+    /// the stream-owned-graph path **and** the committed value, so a
+    /// change that moves both paths together is still seen. The same
+    /// divisor's graph checksums are pinned in `csr_regression`
+    /// (K = 1, 2, 6) and `baselines/GRAPH_build.json`.
     #[test]
-    fn divisor_1000_record_checksum_matches_the_materialized_path_and_the_pin() {
+    fn divisor_1000_records_match_the_owned_graph_path_and_the_pin() {
         let (run, _, _) = replay(1_000.0, &Telemetry::disabled());
-        assert_eq!(run.checksum, hex(materialized_digest(1_000.0)));
+        assert_eq!(run.checksum, hex(owned_graph_digest(1_000.0)));
         assert_eq!(run.checksum, hex(0x364b4c5590d94b2b));
     }
 }

@@ -13,10 +13,10 @@
 use std::time::Instant;
 
 use livescope_crawler::streaming::{DatasetSummary, DEFAULT_EXEMPLARS};
-use livescope_crawler::{run_campaign_sharded_with_graph, CampaignConfig};
+use livescope_crawler::{run_campaign_sharded, CampaignConfig};
 use livescope_graph::DiGraph;
 use livescope_sim::rng::splitmix64;
-use livescope_workload::ScenarioConfig;
+use livescope_workload::{generate_streaming_with_graph, ScenarioConfig};
 
 /// Points per sketch series folded into [`summary_digest`]; matches the
 /// densest figure rendering so no rendered bin escapes the digest.
@@ -110,10 +110,10 @@ pub struct WorkerRun {
     pub digest: u64,
 }
 
-/// Runs the sharded Periscope campaign once per `K` in `workers` against
-/// a shared pre-built graph, digesting each result. Callers assert the
-/// digests are identical across the sweep; the wall/merge/barrier
-/// columns become the scaling curve.
+/// Runs the sharded Periscope campaign once per `K` in `workers`, each
+/// over a fresh stream on a shared pre-built graph, digesting each
+/// result. Callers assert the digests are identical across the sweep;
+/// the wall/merge/barrier columns become the scaling curve.
 pub fn worker_sweep(
     scenario: &ScenarioConfig,
     campaign: &CampaignConfig,
@@ -124,8 +124,8 @@ pub fn worker_sweep(
         .iter()
         .map(|&k| {
             let t0 = Instant::now();
-            let (summary, stats) =
-                run_campaign_sharded_with_graph(scenario, graph, campaign, k, DEFAULT_EXEMPLARS);
+            let stream = generate_streaming_with_graph(scenario, graph);
+            let (summary, stats) = run_campaign_sharded(stream, campaign, k, DEFAULT_EXEMPLARS);
             let wall_s = t0.elapsed().as_secs_f64();
             WorkerRun {
                 workers: k,
@@ -146,11 +146,10 @@ mod tests {
     use livescope_crawler::run_campaign_streaming;
     use livescope_workload::generate_streaming;
 
-    /// Absolute pins, captured on the commit before the guide-table pick
-    /// (PR 15): `streaming_replay` and `parallel_replay` compare paths
-    /// that all share the weighted pick, so only a committed value (here,
-    /// and `bench_replay`'s divisor-1000 record checksum) can see the pick
-    /// itself change.
+    /// Absolute pins, captured before the guide-table pick existed:
+    /// `parallel_replay` compares paths that all share the weighted pick,
+    /// so only a committed value (here, and `bench_replay`'s divisor-1000
+    /// record checksum) can see the pick itself change.
     /// Meerkat rides along because its propensity tables (σ = 1.0,
     /// 0.70 inactive creators) have a different shape from Periscope's.
     #[test]

@@ -5,9 +5,9 @@
 //! [`livescope_crawler::streaming::DatasetSummary`] the streaming
 //! campaign produced — including its imperfections (outage gap) — just
 //! like the paper worked off its crawl. [`run`] is the single-pass
-//! generate → crawl → analyze replay (DESIGN.md §10); the historical
-//! collect-then-scan path survives only as the oracle inside
-//! `tests/streaming_replay.rs`.
+//! generate → crawl → analyze replay (`crates/workload/DESIGN.md`); a
+//! record-by-record sequential fold survives only as the oracle inside
+//! `tests/parallel_replay.rs`.
 
 use livescope_analysis::{Figure, QuantileSketch, Series, Table};
 use livescope_crawler::campaign::CampaignConfig;
@@ -227,8 +227,8 @@ impl UsageReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use livescope_crawler::campaign::{anonymize, Dataset, MeasuredBroadcast};
-    use livescope_workload::{BroadcastRecord, DayStats};
+    use livescope_crawler::StreamingCampaign;
+    use livescope_workload::{BroadcastRecord, DayStats, WorkloadSummary};
 
     fn quick() -> UsageConfig {
         UsageConfig {
@@ -358,25 +358,18 @@ mod tests {
         // (hand-built datasets, truncated studies) panicked. The fold
         // must keep in-range days — including the final one — and skip
         // out-of-range days.
-        let record = |day: u32| {
-            let r = BroadcastRecord {
-                id: 1 + day as u64,
-                broadcaster: 0,
-                day,
-                start: livescope_sim::SimTime::from_secs(day as u64 * 86_400),
-                duration: livescope_sim::SimDuration::from_secs(60),
-                followers: 1,
-                viewers: 2,
-                mobile_viewers: 1,
-                hls_viewers: 0,
-                hearts: 3,
-                comments: 1,
-            };
-            MeasuredBroadcast {
-                broadcast_hash: anonymize(r.id, 1),
-                broadcaster_hash: anonymize(r.broadcaster as u64, 1 ^ 0xB),
-                record: r,
-            }
+        let record = |day: u32| BroadcastRecord {
+            id: 1 + day as u64,
+            broadcaster: 0,
+            day,
+            start: livescope_sim::SimTime::from_secs(day as u64 * 86_400),
+            duration: livescope_sim::SimDuration::from_secs(60),
+            followers: 1,
+            viewers: 2,
+            mobile_viewers: 1,
+            hls_viewers: 0,
+            hearts: 3,
+            comments: 1,
         };
         let daily: Vec<DayStats> = (0..3)
             .map(|day| DayStats {
@@ -386,15 +379,21 @@ mod tests {
                 active_broadcasters: 1,
             })
             .collect();
-        let dataset = Dataset {
-            // One record on the final in-range day, one past the window.
-            records: vec![record(2), record(3)],
+        let campaign = CampaignConfig::meerkat_study();
+        let mut acc = StreamingCampaign::new(&campaign, 3, 2, DEFAULT_EXEMPLARS);
+        // One record on the final in-range day, one past the window.
+        acc.observe(record(2));
+        acc.observe(record(3));
+        let summary = acc.finish(WorkloadSummary {
+            config: ScenarioConfig {
+                days: 3,
+                users: 2,
+                ..ScenarioConfig::meerkat_study()
+            },
             daily,
-            missed: 0,
             user_views: vec![1, 0],
             user_creates: vec![2, 0],
-        };
-        let summary = DatasetSummary::from_dataset(&dataset, &CampaignConfig::meerkat_study());
+        });
         let report = UsageReport {
             periscope: summary.clone(),
             meerkat: summary,

@@ -1,26 +1,40 @@
 //! Divisor-1000 byte-identity regression: the streaming replay must
 //! render Table 1 and every Fig 1–6 artifact byte-for-byte identical to
-//! the historical materializing path, at the default study scale
-//! (`scale_divisor` 1000 — the acceptance bar in DESIGN.md §10).
+//! a materializing replay, at the default study scale (`scale_divisor`
+//! 1000 — the acceptance bar in `crates/workload/DESIGN.md`).
 
 #![forbid(unsafe_code)]
 
 use livescope_core::usage::{run, UsageConfig, UsageReport};
-use livescope_crawler::campaign::run_campaign;
-use livescope_crawler::streaming::DatasetSummary;
-use livescope_workload::generate;
+use livescope_crawler::streaming::{DatasetSummary, DEFAULT_EXEMPLARS};
+use livescope_crawler::{CampaignConfig, OutageFilter, StreamingCampaign};
+use livescope_workload::{generate_streaming, BroadcastRecord, ScenarioConfig};
 
-/// The oracle: both campaigns on the historical materializing path —
-/// collect every record, crawl the full dataset, then fold it through
-/// the same accumulator the streaming path uses.
+/// One campaign on the materializing path: collect every record first,
+/// then crawl the full dataset and fold it through the same accumulator
+/// the streaming path uses.
+fn materialized(scenario: &ScenarioConfig, campaign: &CampaignConfig) -> DatasetSummary {
+    let mut stream = generate_streaming(scenario);
+    let records: Vec<BroadcastRecord> = (&mut stream).collect();
+    let summary = stream.into_summary();
+    let mut filter = OutageFilter::new(campaign);
+    let mut acc =
+        StreamingCampaign::new(campaign, scenario.days, scenario.users, DEFAULT_EXEMPLARS);
+    for record in records {
+        if filter.observes(record.day) {
+            acc.observe(record);
+        } else {
+            acc.miss();
+        }
+    }
+    acc.finish(summary)
+}
+
+/// The oracle: both campaigns on the materializing path.
 fn run_materialized(config: &UsageConfig) -> UsageReport {
-    let p = generate(&config.periscope);
-    let m = generate(&config.meerkat);
-    let p_ds = run_campaign(&p, &config.periscope_campaign);
-    let m_ds = run_campaign(&m, &config.meerkat_campaign);
     UsageReport {
-        periscope: DatasetSummary::from_dataset(&p_ds, &config.periscope_campaign),
-        meerkat: DatasetSummary::from_dataset(&m_ds, &config.meerkat_campaign),
+        periscope: materialized(&config.periscope, &config.periscope_campaign),
+        meerkat: materialized(&config.meerkat, &config.meerkat_campaign),
         periscope_scale: config.periscope.scale_divisor,
         meerkat_scale: config.meerkat.scale_divisor,
     }

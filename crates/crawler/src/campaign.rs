@@ -5,11 +5,11 @@
 //! Aug 7–9 communication outage ("roughly 4.5% of the broadcasts during
 //! this period") and stored only anonymized identifiers.
 //!
-//! Two things defined here carry the data-parallel replay's merge
-//! contract (DESIGN.md §13). [`OutageFilter`] is stateful — its loss
-//! coin flips consume a sequential RNG — so the sharded runner draws
-//! every verdict *once*, on the coordinator, in record-id order, and
-//! ships the boolean with the record; shards never touch the filter.
+//! Two things defined here carry the sharded replay's merge contract
+//! (`crates/crawler/DESIGN.md`). [`OutageFilter`] is stateful — its
+//! loss coin flips consume a sequential RNG — so the replay draws every
+//! verdict *once*, on the coordinator, in record-id order, and ships
+//! the boolean with the record; shards never touch the filter.
 //! [`MeasuredBroadcast`] identifiers come from stateless salted hashes
 //! of the record ids, so anonymization is shard-invariant by
 //! construction.
@@ -18,7 +18,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use livescope_sim::rng::splitmix64;
-use livescope_workload::{BroadcastRecord, DayStats, Workload};
+use livescope_workload::BroadcastRecord;
 
 /// Campaign knobs layered on a workload.
 #[derive(Clone, Copy, Debug)]
@@ -57,16 +57,29 @@ impl CampaignConfig {
             seed: 0xCAFE,
         }
     }
+
+    /// Sanity-checks the knobs; [`OutageFilter::new`] calls this first.
+    pub fn validate(&self) -> Result<(), String> {
+        if !(0.0..=1.0).contains(&self.outage_loss) {
+            return Err(format!(
+                "outage_loss must be in [0,1], got {}",
+                self.outage_loss
+            ));
+        }
+        if let Some((from, to)) = self.outage_days {
+            if from > to {
+                return Err(format!("outage_days must run forward, got ({from}, {to})"));
+            }
+        }
+        Ok(())
+    }
 }
 
 /// The crawler's observation filter: decides, per broadcast in stream
-/// order, whether the crawler recorded it or lost it to the outage.
-///
-/// Both [`run_campaign`] and the streaming fold
-/// ([`crate::streaming::run_campaign_streaming`]) drive this exact type,
-/// so their RNG consumption — one draw per in-outage broadcast, none
-/// outside the window — is identical by construction and the two paths
-/// observe the *same* subset of broadcasts for a given seed.
+/// order, whether the crawler recorded it or lost it to the outage. It
+/// makes one RNG draw per in-outage broadcast and none outside the
+/// window, so a given seed loses the same broadcasts however the fold
+/// behind it is sharded.
 #[derive(Clone, Debug)]
 pub struct OutageFilter {
     rng: SmallRng,
@@ -75,8 +88,9 @@ pub struct OutageFilter {
 }
 
 impl OutageFilter {
-    /// Sets up the filter for a campaign.
+    /// Sets up the filter for a campaign. Panics on an invalid config.
     pub fn new(config: &CampaignConfig) -> Self {
+        config.validate().expect("invalid CampaignConfig");
         OutageFilter {
             rng: SmallRng::seed_from_u64(config.seed),
             outage_days: config.outage_days,
@@ -96,7 +110,7 @@ impl OutageFilter {
 }
 
 /// One anonymized broadcast record in the measured dataset.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct MeasuredBroadcast {
     /// Anonymized broadcast id.
     pub broadcast_hash: u64,
@@ -106,135 +120,68 @@ pub struct MeasuredBroadcast {
     pub record: BroadcastRecord,
 }
 
-/// The crawler's dataset: what Table 1 and Figs 1–7 are computed from.
-#[derive(Clone, Debug)]
-pub struct Dataset {
-    /// Every broadcast the crawler recorded, in id order.
-    pub records: Vec<MeasuredBroadcast>,
-    /// Ground-truth per-day aggregates, carried from the generator.
-    pub daily: Vec<DayStats>,
-    /// Ground-truth broadcasts that the crawler missed.
-    pub missed: u64,
-    /// Views/creates per user, carried over (ids already opaque indexes).
-    pub user_views: Vec<u32>,
-    /// Broadcasts created per user.
-    pub user_creates: Vec<u32>,
-}
-
-/// Runs the campaign: observe `workload` through the crawler's
-/// limitations.
-pub fn run_campaign(workload: &Workload, config: &CampaignConfig) -> Dataset {
-    let mut filter = OutageFilter::new(config);
-    let mut records = Vec::with_capacity(workload.broadcasts.len());
-    let mut missed = 0u64;
-    for b in &workload.broadcasts {
-        if !filter.observes(b.day) {
-            missed += 1;
-            continue;
-        }
-        records.push(MeasuredBroadcast {
-            broadcast_hash: anonymize(b.id, config.anonymization_salt),
-            broadcaster_hash: anonymize(b.broadcaster as u64, config.anonymization_salt ^ 0xB),
-            record: b.clone(),
-        });
-    }
-    Dataset {
-        records,
-        daily: workload.daily.clone(),
-        missed,
-        user_views: workload.user_views.clone(),
-        user_creates: workload.user_creates.clone(),
-    }
-}
-
 /// Keyed one-way identifier hash. Not reversible without the salt; stable
 /// within a campaign so longitudinal analyses still link records.
 pub fn anonymize(id: u64, salt: u64) -> u64 {
     splitmix64(splitmix64(id ^ salt).wrapping_add(salt.rotate_left(23)))
 }
 
-impl Dataset {
-    /// Table 1: recorded broadcast count.
-    pub fn broadcasts(&self) -> u64 {
-        self.records.len() as u64
-    }
-
-    /// Table 1: distinct broadcasters in the recorded data.
-    pub fn broadcasters(&self) -> u64 {
-        let mut ids: Vec<u64> = self.records.iter().map(|r| r.broadcaster_hash).collect();
-        ids.sort_unstable();
-        ids.dedup();
-        ids.len() as u64
-    }
-
-    /// Table 1: total views across recorded broadcasts.
-    pub fn total_views(&self) -> u64 {
-        self.records.iter().map(|r| r.record.viewers).sum()
-    }
-
-    /// Table 1: mobile (registered) views.
-    pub fn mobile_views(&self) -> u64 {
-        self.records.iter().map(|r| r.record.mobile_viewers).sum()
-    }
-
-    /// Table 1: distinct registered viewers (from per-user tallies).
-    pub fn unique_viewers(&self) -> u64 {
-        self.user_views.iter().filter(|&&v| v > 0).count() as u64
-    }
-
-    /// Fraction of ground truth lost to the outage.
-    pub fn loss_fraction(&self, ground_truth: u64) -> f64 {
-        if ground_truth == 0 {
-            0.0
-        } else {
-            self.missed as f64 / ground_truth as f64
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use livescope_workload::{generate, ScenarioConfig};
+    use crate::streaming::{run_campaign_streaming, DatasetSummary};
+    use livescope_workload::{generate_streaming, ScenarioConfig, WorkloadSummary};
 
-    fn small_workload() -> Workload {
-        generate(&ScenarioConfig {
+    fn small_scenario() -> ScenarioConfig {
+        ScenarioConfig {
             days: 10,
             users: 1_000,
             base_daily_broadcasts: 50.0,
             ..ScenarioConfig::periscope_study()
-        })
+        }
+    }
+
+    /// Ground truth: every generated record and the stream's ledger.
+    fn ground_truth() -> (Vec<BroadcastRecord>, WorkloadSummary) {
+        let mut stream = generate_streaming(&small_scenario());
+        let records = (&mut stream).collect();
+        (records, stream.into_summary())
+    }
+
+    /// The crawler's view of the same study, keeping up to `exemplars`
+    /// measured records.
+    fn crawl(config: &CampaignConfig, exemplars: usize) -> DatasetSummary {
+        run_campaign_streaming(generate_streaming(&small_scenario()), config, exemplars)
     }
 
     #[test]
     fn no_outage_records_everything() {
-        let w = small_workload();
-        let d = run_campaign(&w, &CampaignConfig::meerkat_study());
-        assert_eq!(d.broadcasts(), w.total_broadcasts());
+        let (records, truth) = ground_truth();
+        let d = crawl(&CampaignConfig::meerkat_study(), 4);
+        assert_eq!(d.broadcasts(), truth.total_broadcasts());
         assert_eq!(d.missed, 0);
-        assert_eq!(d.total_views(), w.total_views());
-        assert_eq!(d.unique_viewers(), w.unique_viewers());
+        assert_eq!(
+            d.total_views(),
+            records.iter().map(|r| r.viewers).sum::<u64>()
+        );
+        assert_eq!(d.unique_viewers(), truth.unique_viewers());
     }
 
     #[test]
     fn outage_drops_roughly_the_configured_fraction() {
-        let w = small_workload();
+        let (records, truth) = ground_truth();
         let config = CampaignConfig {
             outage_days: Some((3, 5)),
             outage_loss: 0.5,
             ..CampaignConfig::periscope_study()
         };
-        let d = run_campaign(&w, &config);
-        let in_window: u64 = w
-            .broadcasts
-            .iter()
-            .filter(|b| (3..=5).contains(&b.day))
-            .count() as u64;
+        let d = crawl(&config, 4);
+        let in_window = records.iter().filter(|b| (3..=5).contains(&b.day)).count() as u64;
         assert!(in_window > 50, "window too small to test");
         let lost = d.missed as f64 / in_window as f64;
         assert!((lost - 0.5).abs() < 0.1, "window loss fraction {lost}");
         // Nothing outside the window is lost.
-        assert_eq!(d.broadcasts() + d.missed, w.total_broadcasts());
+        assert_eq!(d.broadcasts() + d.missed, truth.total_broadcasts());
     }
 
     #[test]
@@ -253,11 +200,12 @@ mod tests {
 
     #[test]
     fn raw_ids_do_not_appear_in_measured_records() {
-        let w = small_workload();
-        let d = run_campaign(&w, &CampaignConfig::periscope_study());
+        // A reservoir larger than the study keeps every measured record.
+        let d = crawl(&CampaignConfig::periscope_study(), 4_096);
+        assert_eq!(d.exemplars.len() as u64, d.broadcasts());
         // The hash must not equal the raw id for any realistic record (a
         // fixed point would mean an identifier leaked through).
-        for r in d.records.iter().take(1_000) {
+        for r in &d.exemplars {
             assert_ne!(r.broadcast_hash, r.record.id);
             assert_ne!(r.broadcaster_hash, r.record.broadcaster as u64);
         }
@@ -265,8 +213,56 @@ mod tests {
 
     #[test]
     fn distinct_broadcasters_match_ground_truth_without_outage() {
-        let w = small_workload();
-        let d = run_campaign(&w, &CampaignConfig::meerkat_study());
-        assert_eq!(d.broadcasters(), w.unique_broadcasters());
+        let (_, truth) = ground_truth();
+        let d = crawl(&CampaignConfig::meerkat_study(), 4);
+        assert_eq!(d.broadcasters(), truth.unique_broadcasters());
+    }
+
+    #[test]
+    fn study_presets_validate() {
+        CampaignConfig::periscope_study().validate().unwrap();
+        CampaignConfig::meerkat_study().validate().unwrap();
+    }
+
+    #[test]
+    fn outage_loss_outside_the_unit_interval_is_rejected() {
+        for loss in [1.5, -0.1, f64::NAN, f64::INFINITY] {
+            let config = CampaignConfig {
+                outage_loss: loss,
+                ..CampaignConfig::periscope_study()
+            };
+            let err = config.validate().unwrap_err();
+            assert!(err.contains("outage_loss"), "{loss}: {err}");
+        }
+        for loss in [0.0, 1.0] {
+            let config = CampaignConfig {
+                outage_loss: loss,
+                ..CampaignConfig::periscope_study()
+            };
+            config.validate().unwrap();
+        }
+    }
+
+    #[test]
+    fn inverted_outage_window_is_rejected() {
+        let config = CampaignConfig {
+            outage_days: Some((86, 84)),
+            ..CampaignConfig::periscope_study()
+        };
+        assert!(config.validate().unwrap_err().contains("outage_days"));
+        let one_day = CampaignConfig {
+            outage_days: Some((84, 84)),
+            ..CampaignConfig::periscope_study()
+        };
+        one_day.validate().unwrap();
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid CampaignConfig")]
+    fn outage_filter_refuses_an_invalid_config() {
+        OutageFilter::new(&CampaignConfig {
+            outage_loss: f64::NAN,
+            ..CampaignConfig::periscope_study()
+        });
     }
 }

@@ -11,17 +11,17 @@
 //!   simulation; reproduces the §3.1 calibration ("a refresh per 0.5 s
 //!   already captures all broadcasts") and quantifies discovery latency
 //!   vs. refresh rate;
-//! * [`campaign`] — turns a generated workload into the *measured*
-//!   dataset, applying crawler realities: the Aug 7–9 outage (≈4.5% of
-//!   that period's broadcasts lost) and anonymization;
-//! * [`streaming`] — the bounded-memory campaign: folds a
-//!   [`livescope_workload::BroadcastStream`] into mergeable aggregates
-//!   (`O(users + days + bins)`) instead of materializing records, the
-//!   path the longitudinal replay uses at low scale divisors;
-//! * [`sharded`] — the data-parallel campaign: the user space split into
-//!   K deterministic shards folding independently (on scoped worker
-//!   threads when K > 1) and merging in fixed shard order,
-//!   byte-identical to [`streaming`] for every K (DESIGN.md §13);
+//! * [`campaign`] — the crawler's realities applied to a generated
+//!   workload: the Aug 7–9 outage (≈4.5% of that period's broadcasts
+//!   lost) and anonymization;
+//! * [`streaming`] — the bounded-memory campaign accumulator: mergeable
+//!   aggregates (`O(users + days + bins)`) instead of materialized
+//!   records, and [`run_campaign_streaming`], the one-shard replay;
+//! * [`sharded`] — the campaign's one driver: a fresh
+//!   [`livescope_workload::BroadcastStream`] replayed over K
+//!   deterministic user-space shards folding independently (on scoped
+//!   worker threads when K > 1) and merging in fixed shard order,
+//!   byte-identical for every K (`crates/crawler/DESIGN.md`);
 //! * [`probe`] — the high-frequency HLS poller that measures
 //!   Wowza→Fastly chunk-transfer delay (the `⑪−⑦` of Fig 10(b)).
 
@@ -34,8 +34,8 @@ pub mod probe;
 pub mod sharded;
 pub mod streaming;
 
-pub use campaign::{CampaignConfig, Dataset, OutageFilter};
+pub use campaign::{CampaignConfig, OutageFilter};
 pub use coverage::{CoverageConfig, CoverageReport};
 pub use probe::HighFreqProbe;
-pub use sharded::{run_campaign_sharded_with_graph, ShardedRunStats};
+pub use sharded::{run_campaign_sharded, ShardedRunStats};
 pub use streaming::{run_campaign_streaming, DatasetSummary, StreamingCampaign};

@@ -1,10 +1,8 @@
-//! The streaming measurement campaign: bounded-memory replay of the
-//! crawl (DESIGN.md §10).
+//! The campaign accumulator: a bounded-memory fold of the crawl.
 //!
-//! [`run_campaign`](crate::campaign::run_campaign) materializes every
-//! [`MeasuredBroadcast`]; at the paper's scale (19.6M broadcasts) that is
-//! the memory wall the longitudinal replay hits first. This module folds
-//! the broadcast stream into a [`StreamingCampaign`] accumulator instead:
+//! Materializing every [`MeasuredBroadcast`] of the paper's 19.6M
+//! broadcasts is the memory wall the longitudinal replay hits first, so
+//! the crawl folds into a [`StreamingCampaign`] accumulator instead:
 //! daily recorded counts, scalar totals, a distinct-broadcaster bitset,
 //! four quantile sketches (the Figs 3–5 distributions), and a bounded
 //! min-hash reservoir of exemplar records for spot checks. Everything is
@@ -13,11 +11,11 @@
 //! # Merge semantics
 //!
 //! The accumulator is *mergeable*: outage decisions come from the
-//! sequential [`OutageFilter`], but once decided, observations can be
-//! folded into separate accumulators and [`StreamingCampaign::merge`]d
-//! without changing any aggregate byte — the contract the sharded replay
-//! ([`crate::sharded`], DESIGN.md §13) is built on. Every piece of
-//! accumulator state is one of three merge-exact shapes:
+//! sequential [`OutageFilter`](crate::OutageFilter), but once decided,
+//! observations can be folded into separate accumulators and
+//! [`StreamingCampaign::merge`]d without changing any aggregate byte —
+//! the contract the sharded replay ([`crate::sharded`]) is built on.
+//! Every piece of accumulator state is one of three merge-exact shapes:
 //!
 //! * **integer counters** (totals, per-day counts) — merge is `+`,
 //!   associative and commutative over `u64`;
@@ -39,7 +37,8 @@ use livescope_workload::{
     BroadcastRecord, BroadcastStream, DayStats, FixedBitset, WorkloadSummary,
 };
 
-use crate::campaign::{anonymize, CampaignConfig, Dataset, MeasuredBroadcast, OutageFilter};
+use crate::campaign::{anonymize, CampaignConfig, MeasuredBroadcast};
+use crate::sharded::run_campaign_sharded;
 
 /// Default bound on the exemplar reservoir.
 pub const DEFAULT_EXEMPLARS: usize = 64;
@@ -218,22 +217,10 @@ impl StreamingCampaign {
 
     /// Closes the campaign, attaching the generator-side aggregates.
     pub fn finish(self, summary: WorkloadSummary) -> DatasetSummary {
-        self.finish_parts(summary.daily, summary.user_views, summary.user_creates)
-    }
-
-    /// [`finish`](Self::finish) from bare aggregate vectors (used when the
-    /// ground truth came from a materialized [`Dataset`], which carries no
-    /// scenario config).
-    fn finish_parts(
-        self,
-        daily: Vec<DayStats>,
-        user_views: Vec<u32>,
-        user_creates: Vec<u32>,
-    ) -> DatasetSummary {
         DatasetSummary {
-            daily,
-            user_views,
-            user_creates,
+            daily: summary.daily,
+            user_views: summary.user_views,
+            user_creates: summary.user_creates,
             recorded_per_day: self.recorded_per_day,
             recorded: self.recorded,
             missed: self.missed,
@@ -266,9 +253,9 @@ impl StreamingCampaign {
     }
 }
 
-/// The bounded-memory counterpart of [`Dataset`]: every aggregate the
-/// Table 1 / Figs 1–6 analyses need, none of the per-broadcast records
-/// (beyond the exemplar reservoir).
+/// The crawler's dataset, as aggregates: everything the Table 1 /
+/// Figs 1–6 analyses need, none of the per-broadcast records (beyond
+/// the exemplar reservoir).
 #[derive(Clone, Debug)]
 pub struct DatasetSummary {
     /// Ground-truth per-day aggregates, carried from the generator.
@@ -340,68 +327,26 @@ impl DatasetSummary {
             self.missed as f64 / ground_truth as f64
         }
     }
-
-    /// Streams a materialized [`Dataset`] through the same fold, so both
-    /// replay paths compute figures from literally identical aggregates
-    /// (the divisor-1000 byte-identity regression test leans on this).
-    pub fn from_dataset(dataset: &Dataset, config: &CampaignConfig) -> Self {
-        let days = dataset.daily.len() as u32;
-        let users = dataset.user_views.len();
-        let mut acc = StreamingCampaign::new(config, days, users, DEFAULT_EXEMPLARS);
-        for r in &dataset.records {
-            acc.observe(r.record.clone());
-        }
-        acc.missed = dataset.missed;
-        acc.finish_parts(
-            dataset.daily.clone(),
-            dataset.user_views.clone(),
-            dataset.user_creates.clone(),
-        )
-    }
-
-    /// Bytes of heap + inline storage (replay memory accounting).
-    pub fn tracked_bytes(&self) -> usize {
-        std::mem::size_of::<Self>()
-            + self.daily.capacity() * std::mem::size_of::<DayStats>()
-            + self.user_views.capacity() * std::mem::size_of::<u32>()
-            + self.user_creates.capacity() * std::mem::size_of::<u32>()
-            + self.recorded_per_day.capacity() * std::mem::size_of::<u64>()
-            + self.duration_secs.tracked_bytes()
-            + self.viewers.tracked_bytes()
-            + self.hearts.tracked_bytes()
-            + self.comments.tracked_bytes()
-            + self.exemplars.capacity() * std::mem::size_of::<MeasuredBroadcast>()
-    }
 }
 
-/// Runs the measurement campaign over a broadcast stream without ever
-/// materializing the records: the single-pass generate → crawl → analyze
-/// replay. Peak state is the stream's `O(users + days)` plus the
+/// Runs the measurement campaign over a fresh broadcast stream: the
+/// single-pass generate → crawl → analyze replay, on one shard
+/// ([`run_campaign_sharded`] at `workers = 1`, folding on the caller's
+/// thread). Peak state is the stream's `O(users + days)` plus the
 /// accumulator's `O(users + days + bins)`.
 pub fn run_campaign_streaming(
-    mut stream: BroadcastStream<'_>,
+    stream: BroadcastStream<'_>,
     config: &CampaignConfig,
     exemplar_capacity: usize,
 ) -> DatasetSummary {
-    let days = stream.config().days;
-    let users = stream.config().users;
-    let mut filter = OutageFilter::new(config);
-    let mut acc = StreamingCampaign::new(config, days, users, exemplar_capacity);
-    for record in &mut stream {
-        if filter.observes(record.day) {
-            acc.observe(record);
-        } else {
-            acc.miss();
-        }
-    }
-    acc.finish(stream.into_summary())
+    run_campaign_sharded(stream, config, 1, exemplar_capacity).0
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::campaign::run_campaign;
-    use livescope_workload::{generate, generate_streaming, ScenarioConfig};
+    use crate::campaign::OutageFilter;
+    use livescope_workload::{generate_streaming, ScenarioConfig};
 
     fn small_config() -> ScenarioConfig {
         ScenarioConfig {
@@ -422,48 +367,52 @@ mod tests {
 
     #[test]
     fn streaming_fold_matches_materialized_campaign() {
+        // Materialize the study, crawl it record by record, and fold the
+        // crawl: the streaming campaign must produce the same dataset.
         let scenario = small_config();
         let campaign = outage_campaign();
-        let w = generate(&scenario);
-        let materialized = run_campaign(&w, &campaign);
+        let mut stream = generate_streaming(&scenario);
+        let records: Vec<BroadcastRecord> = (&mut stream).collect();
+        let truth = stream.into_summary();
+        let total = records.len() as u64;
+        let mut filter = OutageFilter::new(&campaign);
+        let mut acc =
+            StreamingCampaign::new(&campaign, scenario.days, scenario.users, DEFAULT_EXEMPLARS);
+        let mut recorded = Vec::new();
+        for r in records {
+            if filter.observes(r.day) {
+                recorded.push(r.clone());
+                acc.observe(r);
+            } else {
+                acc.miss();
+            }
+        }
+        let folded = acc.finish(truth);
         let streamed =
             run_campaign_streaming(generate_streaming(&scenario), &campaign, DEFAULT_EXEMPLARS);
-        assert_eq!(streamed.broadcasts(), materialized.broadcasts());
-        assert_eq!(streamed.missed, materialized.missed);
-        assert_eq!(streamed.broadcasters(), materialized.broadcasters());
-        assert_eq!(streamed.total_views(), materialized.total_views());
-        assert_eq!(streamed.mobile_views(), materialized.mobile_views());
-        assert_eq!(streamed.unique_viewers(), materialized.unique_viewers());
+        assert_eq!(streamed.broadcasts(), recorded.len() as u64);
+        assert_eq!(streamed.missed, total - recorded.len() as u64);
+        let views: u64 = recorded.iter().map(|r| r.viewers).sum();
+        assert_eq!(streamed.total_views(), views);
         // The per-day recorded series matches a scan of the records.
         for (day, &count) in streamed.recorded_per_day.iter().enumerate() {
-            let scanned = materialized
-                .records
-                .iter()
-                .filter(|r| r.record.day as usize == day)
-                .count() as u64;
-            assert_eq!(count, scanned, "day {day}");
+            let scanned = recorded.iter().filter(|r| r.day as usize == day).count();
+            assert_eq!(count, scanned as u64, "day {day}");
         }
-        // And the whole fold agrees with `from_dataset` exactly —
-        // sketches, reservoir and all.
-        let refolded = DatasetSummary::from_dataset(&materialized, &campaign);
+        // And the whole fold agrees exactly — tallies, sketches,
+        // reservoir and all.
+        assert_eq!(streamed.user_views, folded.user_views);
+        assert_eq!(streamed.user_creates, folded.user_creates);
+        assert_eq!(streamed.daily, folded.daily);
+        assert_eq!(streamed.broadcasters(), folded.broadcasters());
         assert_eq!(
             streamed.duration_secs.series(150),
-            refolded.duration_secs.series(150)
+            folded.duration_secs.series(150)
         );
-        assert_eq!(streamed.viewers.series(150), refolded.viewers.series(150));
-        assert_eq!(streamed.hearts.series(120), refolded.hearts.series(120));
-        assert_eq!(streamed.comments.series(120), refolded.comments.series(120));
-        let streamed_ids: Vec<u64> = streamed
-            .exemplars
-            .iter()
-            .map(|m| m.broadcast_hash)
-            .collect();
-        let refolded_ids: Vec<u64> = refolded
-            .exemplars
-            .iter()
-            .map(|m| m.broadcast_hash)
-            .collect();
-        assert_eq!(streamed_ids, refolded_ids);
+        assert_eq!(streamed.viewers.series(150), folded.viewers.series(150));
+        assert_eq!(streamed.hearts.series(120), folded.hearts.series(120));
+        assert_eq!(streamed.comments.series(120), folded.comments.series(120));
+        assert_eq!(streamed.exemplars, folded.exemplars);
         assert_eq!(streamed.exemplars.len(), DEFAULT_EXEMPLARS);
     }
 

@@ -1,15 +1,10 @@
-//! The workload integrator: turns a [`ScenarioConfig`] into broadcast
-//! records — either materialized as a full [`Workload`] or streamed one
-//! record at a time through [`BroadcastStream`], which is the
-//! bounded-memory path the longitudinal replay uses (DESIGN.md §10).
+//! The workload integrator: turns a [`ScenarioConfig`] into a
+//! [`BroadcastStream`] of broadcast records, the bounded-memory input of
+//! the longitudinal replay (`crates/workload/DESIGN.md`).
 //!
-//! Both paths are the *same* generator: [`generate_with_graph`] drains a
-//! [`BroadcastStream`] into a `Vec`, so record sequences, RNG
-//! consumption, and daily aggregates are identical by construction.
-//!
-//! The generator itself is split in two (DESIGN.md §13), so the replay
-//! campaign can be partitioned across worker shards without changing a
-//! single output byte:
+//! The generator is split in two (`crates/crawler/DESIGN.md`), so the
+//! replay campaign can be partitioned across worker shards without
+//! changing a single output byte:
 //!
 //! * [`ScheduleStream`] — the cheap, inherently sequential half: daily
 //!   Poisson broadcast counts and weighted creator picks, drawn from the
@@ -20,6 +15,11 @@
 //!   `pool.fork_indexed("record", id)`, so a record is a pure function of
 //!   `(seed, id, day, broadcaster, followers)` — independent of which
 //!   thread samples it, or in what order.
+//!
+//! [`GroundTruth`] is the one ledger both the stream and every replay
+//! shard count ground truth in.
+
+use std::borrow::Cow;
 
 use rand::rngs::SmallRng;
 
@@ -33,49 +33,24 @@ use crate::interactions::sample_interactions;
 use crate::pick::CumulativeTable;
 use crate::popularity::sample_audience;
 use crate::scenario::{App, ScenarioConfig};
-use crate::types::{BroadcastRecord, DayStats, Workload, WorkloadSummary};
+use crate::types::{BroadcastRecord, DayStats, WorkloadSummary};
 
 /// Pareto exponent of broadcast-creation propensity (Fig 6 "create" lines:
 /// a small cadre of users produces most broadcasts).
 const CREATOR_ALPHA: f64 = 1.30;
 
-/// Generates the complete workload for a scenario.
-pub fn generate(config: &ScenarioConfig) -> Workload {
-    generate_with_graph(config, None)
-}
-
-/// Like [`generate`] but accepts a pre-built follow graph (the Table 2 /
-/// Fig 7 experiments reuse one graph across analyses).
-pub fn generate_with_graph(config: &ScenarioConfig, graph: Option<&DiGraph>) -> Workload {
-    let mut stream = match graph {
-        Some(g) => generate_streaming_with_graph(config, g),
-        None => generate_streaming(config),
-    };
-    let mut broadcasts = Vec::new();
-    for record in &mut stream {
-        broadcasts.push(record);
-    }
-    let summary = stream.into_summary();
-    Workload {
-        config: summary.config,
-        broadcasts,
-        daily: summary.daily,
-        user_views: summary.user_views,
-        user_creates: summary.user_creates,
-    }
-}
-
-/// Streaming variant of [`generate`]: yields every [`BroadcastRecord`] in
-/// deterministic `(day, seq)` order without ever materializing the
-/// `broadcasts` vector. The stream owns its follow graph.
+/// Yields every [`BroadcastRecord`] of a scenario in deterministic
+/// `(day, seq)` order without ever materializing them. The stream owns
+/// its follow graph.
 pub fn generate_streaming(config: &ScenarioConfig) -> BroadcastStream<'static> {
     config.validate().expect("invalid ScenarioConfig");
     let pool = RngPool::new(config.seed);
     let graph = default_graph(config, &pool);
-    BroadcastStream::new(config, GraphRef::Owned(graph))
+    BroadcastStream::new(config, Cow::Owned(graph))
 }
 
-/// Like [`generate_streaming`] but borrowing a pre-built follow graph.
+/// Like [`generate_streaming`] but borrowing a pre-built follow graph
+/// (the Table 2 / Fig 7 experiments reuse one graph across analyses).
 pub fn generate_streaming_with_graph<'a>(
     config: &ScenarioConfig,
     graph: &'a DiGraph,
@@ -86,24 +61,7 @@ pub fn generate_streaming_with_graph<'a>(
         config.users,
         "supplied graph must cover the user population"
     );
-    BroadcastStream::new(config, GraphRef::Borrowed(graph))
-}
-
-/// Owned-or-borrowed follow graph behind a [`BroadcastStream`].
-enum GraphRef<'a> {
-    /// Graph built by the stream itself (the default path).
-    Owned(DiGraph),
-    /// Caller-supplied graph shared across analyses.
-    Borrowed(&'a DiGraph),
-}
-
-impl GraphRef<'_> {
-    fn get(&self) -> &DiGraph {
-        match self {
-            GraphRef::Owned(g) => g,
-            GraphRef::Borrowed(g) => g,
-        }
-    }
+    BroadcastStream::new(config, Cow::Borrowed(graph))
 }
 
 /// One slot in the broadcast schedule: the cheap, sequential half of a
@@ -129,7 +87,7 @@ pub struct ScheduledBroadcast {
 /// dependence; it holds `O(users)` state (the creator-propensity table)
 /// and emits a few dozen bytes per record, so a coordinator can drain it
 /// serially while [`RecordSampler`] does the heavy per-record sampling on
-/// worker shards (DESIGN.md §13).
+/// worker shards.
 pub struct ScheduleStream {
     config: ScenarioConfig,
     creators: CumulativeTable,
@@ -288,46 +246,138 @@ impl RecordSampler {
     }
 }
 
-/// An iterator of [`BroadcastRecord`]s in `(day, seq)` order.
+/// The ground-truth ledger: per-user view/create tallies, the days
+/// closed so far, and the open day's broadcast count and distinct-user
+/// bitsets — `O(users + days)`, however many records it counts.
 ///
-/// Composes a [`ScheduleStream`] and a [`RecordSampler`] with the
-/// ground-truth accounting (per-user tallies, per-day aggregates, two
-/// reusable [`FixedBitset`]s for distinct-user counting) — `O(users +
-/// days)` state total. Because every record draws from its own
-/// `fork_indexed("record", id)` stream, this single-threaded composition
-/// is byte-identical to the sharded fold for any worker count
-/// (DESIGN.md §13).
-///
-/// Drive it to exhaustion, then call [`BroadcastStream::into_summary`]
-/// for the daily/user aggregates (a [`WorkloadSummary`]).
-pub struct BroadcastStream<'a> {
-    schedule: ScheduleStream,
-    sampler: RecordSampler,
-    graph: GraphRef<'a>,
+/// A [`BroadcastStream`] counts in one; so does every shard of the
+/// sharded replay, whose shard 0 adopts the stream's, absorbs the other
+/// shards' open day at each day barrier, and adds their tallies at the
+/// end. Every piece merges exactly (integer addition, bitset union), so
+/// any partition of the records counts the same truth.
+#[derive(Clone, Debug)]
+pub struct GroundTruth {
     user_views: Vec<u32>,
     user_creates: Vec<u32>,
     daily: Vec<DayStats>,
+    day_broadcasts: u64,
     day_viewers: FixedBitset,
     day_broadcasters: FixedBitset,
-    /// Day whose aggregates are accumulating (== `daily.len()`).
-    acct_day: u32,
-    /// Records seen so far for `acct_day`.
-    day_count: u64,
+}
+
+impl GroundTruth {
+    /// An empty ledger for a scenario's population and study length.
+    pub fn new(config: &ScenarioConfig) -> GroundTruth {
+        GroundTruth {
+            user_views: vec![0; config.users],
+            user_creates: vec![0; config.users],
+            daily: Vec::with_capacity(config.days as usize),
+            day_broadcasts: 0,
+            day_viewers: FixedBitset::new(config.users),
+            day_broadcasters: FixedBitset::new(config.users),
+        }
+    }
+
+    /// Samples `slot` through `sampler`, counting it and every mobile
+    /// view it attributes into the open day.
+    pub fn sample(
+        &mut self,
+        sampler: &RecordSampler,
+        slot: ScheduledBroadcast,
+        followers: u64,
+    ) -> BroadcastRecord {
+        self.day_broadcasts += 1;
+        self.user_creates[slot.broadcaster as usize] += 1;
+        self.day_broadcasters.insert(slot.broadcaster);
+        let (user_views, day_viewers) = (&mut self.user_views, &mut self.day_viewers);
+        sampler.sample(slot, followers, |viewer| {
+            user_views[viewer as usize] += 1;
+            day_viewers.insert(viewer);
+        })
+    }
+
+    /// Days closed so far; the open day's index.
+    fn days_closed(&self) -> u32 {
+        self.daily.len() as u32
+    }
+
+    /// Closes the open day into its [`DayStats`] and opens the next,
+    /// keeping the bitsets' allocations.
+    pub fn close_day(&mut self) {
+        self.daily.push(DayStats {
+            day: self.days_closed(),
+            broadcasts: self.day_broadcasts,
+            active_viewers: self.day_viewers.len() as u64,
+            active_broadcasters: self.day_broadcasters.len() as u64,
+        });
+        self.day_broadcasts = 0;
+        self.day_viewers.clear();
+        self.day_broadcasters.clear();
+    }
+
+    /// Moves `other`'s open day into this ledger's open day, leaving
+    /// `other`'s empty.
+    pub fn absorb_day(&mut self, other: &mut GroundTruth) {
+        self.day_broadcasts += std::mem::take(&mut other.day_broadcasts);
+        self.day_viewers.union_with(&other.day_viewers);
+        self.day_broadcasters.union_with(&other.day_broadcasters);
+        other.day_viewers.clear();
+        other.day_broadcasters.clear();
+    }
+
+    /// Adds `other`'s per-user tallies to this ledger's.
+    pub fn merge_tallies(&mut self, other: &GroundTruth) {
+        for (mine, theirs) in self.user_views.iter_mut().zip(&other.user_views) {
+            *mine += theirs;
+        }
+        for (mine, theirs) in self.user_creates.iter_mut().zip(&other.user_creates) {
+            *mine += theirs;
+        }
+    }
+
+    /// The closed days and tallies, as the summary of `config`.
+    pub fn into_summary(self, config: ScenarioConfig) -> WorkloadSummary {
+        WorkloadSummary {
+            config,
+            daily: self.daily,
+            user_views: self.user_views,
+            user_creates: self.user_creates,
+        }
+    }
+
+    /// Bytes of heap + inline storage (replay memory accounting).
+    pub fn tracked_bytes(&self) -> usize {
+        std::mem::size_of::<Self>()
+            + (self.user_views.capacity() + self.user_creates.capacity())
+                * std::mem::size_of::<u32>()
+            + self.daily.capacity() * std::mem::size_of::<DayStats>()
+            + self.day_viewers.tracked_bytes()
+            + self.day_broadcasters.tracked_bytes()
+    }
+}
+
+/// An iterator of [`BroadcastRecord`]s in `(day, seq)` order.
+///
+/// Composes a [`ScheduleStream`], a [`RecordSampler`] and a
+/// [`GroundTruth`] ledger — `O(users + days)` state total. Drive it to
+/// exhaustion, then call [`BroadcastStream::into_summary`] for the
+/// daily/user aggregates (a [`WorkloadSummary`]); or hand a fresh one to
+/// the sharded replay, which drives its parts through
+/// [`BroadcastStream::into_parts`].
+pub struct BroadcastStream<'a> {
+    schedule: ScheduleStream,
+    sampler: RecordSampler,
+    graph: Cow<'a, DiGraph>,
+    truth: GroundTruth,
 }
 
 impl<'a> BroadcastStream<'a> {
-    fn new(config: &ScenarioConfig, graph: GraphRef<'a>) -> BroadcastStream<'a> {
+    fn new(config: &ScenarioConfig, graph: Cow<'a, DiGraph>) -> BroadcastStream<'a> {
         BroadcastStream {
             schedule: ScheduleStream::new(config),
             sampler: RecordSampler::new(config),
             graph,
-            user_views: vec![0u32; config.users],
-            user_creates: vec![0u32; config.users],
-            daily: Vec::with_capacity(config.days as usize),
-            day_viewers: FixedBitset::new(config.users),
-            day_broadcasters: FixedBitset::new(config.users),
-            acct_day: 0,
-            day_count: 0,
+            truth: GroundTruth::new(config),
         }
     }
 
@@ -336,51 +386,38 @@ impl<'a> BroadcastStream<'a> {
         self.schedule.config()
     }
 
-    /// The follow graph backing follower counts.
-    pub fn graph(&self) -> &DiGraph {
-        self.graph.get()
-    }
-
-    /// Closes out the accounting day: records its aggregates and resets
-    /// the distinct-user bitsets (keeping their allocations).
-    fn finish_day(&mut self) {
-        self.daily.push(DayStats {
-            day: self.acct_day,
-            broadcasts: self.day_count,
-            active_viewers: self.day_viewers.len() as u64,
-            active_broadcasters: self.day_broadcasters.len() as u64,
-        });
-        self.day_viewers.clear();
-        self.day_broadcasters.clear();
-        self.acct_day += 1;
-        self.day_count = 0;
-    }
-
     /// Consumes the stream, draining any unread records, and returns the
     /// accumulated aggregates.
     pub fn into_summary(mut self) -> WorkloadSummary {
         for _ in &mut self {}
-        WorkloadSummary {
-            config: self.schedule.config().clone(),
-            daily: self.daily,
-            user_views: self.user_views,
-            user_creates: self.user_creates,
-        }
+        let config = self.schedule.config().clone();
+        self.truth.into_summary(config)
     }
 
-    /// Bytes of heap + inline storage held by the stream's accumulators
-    /// and sampler tables — `O(users + days)`, independent of how many
+    /// Splits a stream that has yielded nothing into the schedule, the
+    /// sampler, the follow graph and the (empty) ledger, for a driver
+    /// that schedules, samples and counts the records itself.
+    ///
+    /// # Panics
+    /// Panics when the stream has already been advanced: its ledger
+    /// would count records the driver never sees.
+    pub fn into_parts(self) -> (ScheduleStream, RecordSampler, Cow<'a, DiGraph>, GroundTruth) {
+        assert!(
+            self.truth.days_closed() == 0 && self.truth.day_broadcasts == 0,
+            "the sharded replay needs a fresh BroadcastStream, not one that has yielded records"
+        );
+        (self.schedule, self.sampler, self.graph, self.truth)
+    }
+
+    /// Bytes of heap + inline storage held by the stream's ledger and
+    /// sampler tables — `O(users + days)`, independent of how many
     /// records have been yielded. The follow graph (an input, shared
     /// across paths) is accounted separately by the bench.
     pub fn tracked_bytes(&self) -> usize {
         std::mem::size_of::<Self>()
             + self.schedule.tracked_bytes()
             + self.sampler.tracked_bytes()
-            + self.user_views.capacity() * std::mem::size_of::<u32>()
-            + self.user_creates.capacity() * std::mem::size_of::<u32>()
-            + self.daily.capacity() * std::mem::size_of::<DayStats>()
-            + self.day_viewers.tracked_bytes()
-            + self.day_broadcasters.tracked_bytes()
+            + self.truth.tracked_bytes()
     }
 }
 
@@ -388,27 +425,20 @@ impl Iterator for BroadcastStream<'_> {
     type Item = BroadcastRecord;
 
     fn next(&mut self) -> Option<BroadcastRecord> {
+        let days = self.schedule.config().days;
         let Some(slot) = self.schedule.next() else {
             // Close every remaining day (including trailing zero-broadcast
             // days) exactly once; further calls fall through harmlessly.
-            while self.acct_day < self.schedule.config().days {
-                self.finish_day();
+            while self.truth.days_closed() < days {
+                self.truth.close_day();
             }
             return None;
         };
-        while slot.day > self.acct_day {
-            self.finish_day();
+        while slot.day > self.truth.days_closed() {
+            self.truth.close_day();
         }
-        self.day_count += 1;
-        self.user_creates[slot.broadcaster as usize] += 1;
-        self.day_broadcasters.insert(slot.broadcaster);
-        let followers = self.graph.get().in_degree(slot.broadcaster) as u64;
-        let (user_views, day_viewers) = (&mut self.user_views, &mut self.day_viewers);
-        let record = self.sampler.sample(slot, followers, |viewer| {
-            user_views[viewer as usize] += 1;
-            day_viewers.insert(viewer);
-        });
-        Some(record)
+        let followers = self.graph.in_degree(slot.broadcaster) as u64;
+        Some(self.truth.sample(&self.sampler, slot, followers))
     }
 }
 
@@ -457,55 +487,49 @@ mod tests {
         }
     }
 
-    #[test]
-    fn generation_is_deterministic() {
-        let config = small_periscope();
-        let a = generate(&config);
-        let b = generate(&config);
-        assert_eq!(a.total_broadcasts(), b.total_broadcasts());
-        assert_eq!(a.total_views(), b.total_views());
-        assert_eq!(a.user_views, b.user_views);
-        let mut c2 = config.clone();
-        c2.seed ^= 1;
-        let c = generate(&c2);
-        assert_ne!(a.total_views(), c.total_views());
+    /// Every record of a scenario, plus the ground truth the stream
+    /// counted while yielding them.
+    fn collect(config: &ScenarioConfig) -> (Vec<BroadcastRecord>, WorkloadSummary) {
+        let mut stream = generate_streaming(config);
+        let records = (&mut stream).collect();
+        (records, stream.into_summary())
     }
 
     #[test]
-    fn streaming_matches_materialized() {
-        // The materialized path is literally the drained stream, but pin
-        // the equivalence through the public APIs anyway: same records in
-        // the same order, same aggregates, for both apps.
+    fn generation_is_deterministic() {
+        let config = small_periscope();
+        let (a, a_truth) = collect(&config);
+        let (b, b_truth) = collect(&config);
+        assert_eq!(a, b);
+        assert_eq!(a_truth.user_views, b_truth.user_views);
+        let mut c2 = config.clone();
+        c2.seed ^= 1;
+        let (c, _) = collect(&c2);
+        let views = |records: &[BroadcastRecord]| records.iter().map(|r| r.viewers).sum::<u64>();
+        assert_ne!(views(&a), views(&c));
+    }
+
+    #[test]
+    fn owned_graph_stream_matches_borrowed_graph_stream() {
+        // The benches build the follow graph themselves and hand it in;
+        // that must generate exactly what the stream-owned graph does:
+        // same records in the same order, same aggregates, for both apps.
         for config in [small_periscope(), {
             let mut c = ScenarioConfig::meerkat_study();
             c.days = 12;
             c.users = 900;
             c
         }] {
-            let w = generate(&config);
-            let mut stream = generate_streaming(&config);
-            let mut streamed = 0usize;
-            for (i, record) in (&mut stream).enumerate() {
-                let b = &w.broadcasts[i];
-                assert_eq!(record.id, b.id);
-                assert_eq!(record.broadcaster, b.broadcaster);
-                assert_eq!(record.day, b.day);
-                assert_eq!(record.start, b.start);
-                assert_eq!(record.duration, b.duration);
-                assert_eq!(record.viewers, b.viewers);
-                assert_eq!(record.hearts, b.hearts);
-                streamed += 1;
-            }
-            assert_eq!(streamed as u64, w.total_broadcasts());
-            let summary = stream.into_summary();
-            assert_eq!(summary.user_views, w.user_views);
-            assert_eq!(summary.user_creates, w.user_creates);
-            assert_eq!(summary.daily.len(), w.daily.len());
-            for (s, m) in summary.daily.iter().zip(&w.daily) {
-                assert_eq!(s.broadcasts, m.broadcasts);
-                assert_eq!(s.active_viewers, m.active_viewers);
-                assert_eq!(s.active_broadcasters, m.active_broadcasters);
-            }
+            let (owned, owned_truth) = collect(&config);
+            let graph =
+                DiGraph::generate(&default_graph_spec(&config), default_graph_seed(&config));
+            let mut stream = generate_streaming_with_graph(&config, &graph);
+            let borrowed: Vec<BroadcastRecord> = (&mut stream).collect();
+            assert_eq!(owned, borrowed);
+            let truth = stream.into_summary();
+            assert_eq!(truth.user_views, owned_truth.user_views);
+            assert_eq!(truth.user_creates, owned_truth.user_creates);
+            assert_eq!(truth.daily, owned_truth.daily);
         }
     }
 
@@ -574,26 +598,27 @@ mod tests {
     fn summary_drains_unread_records() {
         // Taking the summary early must still account every record.
         let config = small_periscope();
-        let w = generate(&config);
+        let (records, truth) = collect(&config);
         let summary = generate_streaming(&config).into_summary();
-        assert_eq!(summary.total_broadcasts(), w.total_broadcasts());
-        assert_eq!(summary.mobile_views(), w.mobile_views());
-        assert_eq!(summary.unique_viewers(), w.unique_viewers());
-        assert_eq!(summary.unique_broadcasters(), w.unique_broadcasters());
+        assert_eq!(summary.total_broadcasts(), records.len() as u64);
+        assert_eq!(summary.user_views, truth.user_views);
+        assert_eq!(summary.user_creates, truth.user_creates);
+        assert_eq!(summary.daily, truth.daily);
     }
 
     #[test]
     fn record_invariants_hold() {
-        let w = generate(&small_periscope());
-        assert!(w.total_broadcasts() > 500);
+        let config = small_periscope();
+        let (records, _) = collect(&config);
+        assert!(records.len() > 500);
         let mut last_id = 0;
-        for b in &w.broadcasts {
+        for b in &records {
             assert!(b.id > last_id, "ids must be strictly increasing");
             last_id = b.id;
             assert!(b.mobile_viewers <= b.viewers);
             assert!(b.hls_viewers <= b.viewers);
-            assert!((b.broadcaster as usize) < w.config.users);
-            assert!(b.day < w.config.days);
+            assert!((b.broadcaster as usize) < config.users);
+            assert!(b.day < config.days);
             assert_eq!(
                 b.day as u64,
                 b.start.as_micros() / (arrivals::DAY_SECS * 1_000_000)
@@ -603,10 +628,12 @@ mod tests {
 
     #[test]
     fn daily_stats_are_consistent_with_records() {
-        let w = generate(&small_periscope());
-        for (day, stats) in w.daily.iter().enumerate() {
-            let records = w.broadcasts.iter().filter(|b| b.day == day as u32).count() as u64;
-            assert_eq!(stats.broadcasts, records, "day {day}");
+        let (records, truth) = collect(&small_periscope());
+        assert_eq!(truth.daily.len(), small_periscope().days as usize);
+        for (day, stats) in truth.daily.iter().enumerate() {
+            let scanned = records.iter().filter(|b| b.day == day as u32).count() as u64;
+            assert_eq!(stats.day, day as u32);
+            assert_eq!(stats.broadcasts, scanned, "day {day}");
             assert!(stats.active_broadcasters <= stats.broadcasts.max(1));
         }
     }
@@ -615,9 +642,9 @@ mod tests {
     fn viewer_to_broadcaster_ratio_is_near_ten() {
         // Fig 2's headline: daily active viewers ≈ 10× daily active
         // broadcasters on Periscope.
-        let w = generate(&small_periscope());
+        let (_, truth) = collect(&small_periscope());
         let (mut viewers, mut broadcasters) = (0.0, 0.0);
-        for d in &w.daily {
+        for d in &truth.daily {
             viewers += d.active_viewers as f64;
             broadcasters += d.active_broadcasters as f64;
         }
@@ -630,17 +657,21 @@ mod tests {
 
     #[test]
     fn user_tallies_match_broadcast_totals() {
-        let w = generate(&small_periscope());
-        let views_from_users: u64 = w.user_views.iter().map(|&v| v as u64).sum();
-        assert_eq!(views_from_users, w.mobile_views());
-        let creates_from_users: u64 = w.user_creates.iter().map(|&c| c as u64).sum();
-        assert_eq!(creates_from_users, w.total_broadcasts());
+        let (records, truth) = collect(&small_periscope());
+        let mobile_views: u64 = records.iter().map(|b| b.mobile_viewers).sum();
+        assert_eq!(truth.mobile_views(), mobile_views);
+        assert_eq!(truth.total_broadcasts(), records.len() as u64);
     }
 
     #[test]
     fn viewing_activity_is_skewed_like_fig6() {
-        let w = generate(&small_periscope());
-        let mut views: Vec<u32> = w.user_views.iter().copied().filter(|&v| v > 0).collect();
+        let (_, truth) = collect(&small_periscope());
+        let mut views: Vec<u32> = truth
+            .user_views
+            .iter()
+            .copied()
+            .filter(|&v| v > 0)
+            .collect();
         views.sort_unstable();
         let median = views[views.len() / 2] as f64;
         let top = views[(views.len() as f64 * 0.85) as usize] as f64;
@@ -655,9 +686,8 @@ mod tests {
         let mut config = ScenarioConfig::meerkat_study();
         config.days = 10;
         config.users = 800;
-        let w = generate(&config);
-        let zero = w.broadcasts.iter().filter(|b| b.viewers == 0).count() as f64
-            / w.total_broadcasts() as f64;
+        let (records, _) = collect(&config);
+        let zero = records.iter().filter(|b| b.viewers == 0).count() as f64 / records.len() as f64;
         assert!((0.5..0.7).contains(&zero), "zero fraction {zero}");
     }
 
@@ -665,12 +695,9 @@ mod tests {
     fn followers_correlate_with_viewers() {
         // Fig 7's qualitative claim, tested via rank buckets: broadcasts
         // by the most-followed decile must out-draw the least-followed.
-        let w = generate(&small_periscope());
-        let mut with_followers: Vec<(u64, u64)> = w
-            .broadcasts
-            .iter()
-            .map(|b| (b.followers, b.viewers))
-            .collect();
+        let (records, _) = collect(&small_periscope());
+        let mut with_followers: Vec<(u64, u64)> =
+            records.iter().map(|b| (b.followers, b.viewers)).collect();
         with_followers.sort_by_key(|&(f, _)| f);
         let n = with_followers.len();
         // Medians, not means: the organic power-law tail throws 10K-viewer
@@ -705,7 +732,9 @@ mod tests {
             },
             pool.stream_seed("x"),
         );
-        let result = std::panic::catch_unwind(|| generate_with_graph(&config, Some(&wrong)));
+        let result = std::panic::catch_unwind(|| {
+            generate_streaming_with_graph(&config, &wrong).count();
+        });
         assert!(result.is_err());
     }
 }

@@ -8,13 +8,13 @@
 //! | Paper result | Module | Mechanism |
 //! |---|---|---|
 //! | Fig 1 daily broadcasts (3× growth, weekend peaks, Android jump, Meerkat decline) | [`arrivals`] | exponential trend × weekly pattern × launch jump, Poisson day counts |
-//! | Fig 2 daily active users (≈10:1 viewer:broadcaster) | [`generate()`](generate::generate) | per-day distinct-user accounting |
+//! | Fig 2 daily active users (≈10:1 viewer:broadcaster) | [`GroundTruth`] | per-day distinct-user accounting |
 //! | Fig 3 broadcast length CDF (85% < 10 min) | [`duration`] | lognormal, Meerkat-heavier tail |
 //! | Fig 4 viewers per broadcast (Meerkat 60% zero; Periscope ≤100K) | [`popularity`] | zero-inflated truncated power law + follower-notification joins |
 //! | Fig 5 hearts & comments per broadcast (comment cap at ~100 commenters) | [`interactions`] | per-viewer heart process; commenter cap × per-commenter comments |
-//! | Fig 6 per-user activity skew | [`generate()`](generate::generate) + [`pick`] | heavy-tailed viewing/creation propensities, picked through a guide table |
+//! | Fig 6 per-user activity skew | [`RecordSampler`] + [`pick`] | heavy-tailed viewing/creation propensities, picked through a guide table |
 //! | Fig 7 followers vs. viewers correlation | [`popularity`] + `livescope-graph` | notification joins are binomial in follower count |
-//! | Table 1 dataset totals | [`scenario`] presets + [`generate()`](generate::generate) | everything above, integrated |
+//! | Table 1 dataset totals | [`scenario`] presets + [`BroadcastStream`] | everything above, integrated |
 //!
 //! Scaled-down by `ScenarioConfig::scale_divisor` (default 1000×) so a
 //! full "study" runs in seconds; per-broadcast distributions are *not*
@@ -35,10 +35,9 @@ pub mod types;
 
 pub use bitset::FixedBitset;
 pub use generate::{
-    default_graph_seed, default_graph_spec, generate, generate_streaming,
-    generate_streaming_with_graph, generate_with_graph, BroadcastStream, RecordSampler,
-    ScheduleStream, ScheduledBroadcast,
+    default_graph_seed, default_graph_spec, generate_streaming, generate_streaming_with_graph,
+    BroadcastStream, GroundTruth, RecordSampler, ScheduleStream, ScheduledBroadcast,
 };
 pub use pick::CumulativeTable;
 pub use scenario::{App, ScenarioConfig};
-pub use types::{BroadcastRecord, DayStats, Workload, WorkloadSummary};
+pub use types::{BroadcastRecord, DayStats, WorkloadSummary};

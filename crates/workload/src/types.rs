@@ -45,7 +45,7 @@ impl BroadcastRecord {
 }
 
 /// Per-day aggregates (Figs 1 and 2).
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct DayStats {
     /// Day index within the study window.
     pub day: u32,
@@ -57,12 +57,12 @@ pub struct DayStats {
     pub active_broadcasters: u64,
 }
 
-/// The bounded-memory residue of a generated study: everything
-/// [`Workload`] knows except the per-broadcast records themselves.
+/// The bounded-memory residue of a generated study: its ground truth
+/// without the per-broadcast records themselves.
 ///
-/// This is what [`crate::generate::BroadcastStream`] has accumulated once
-/// the record stream is exhausted — `O(users + days)` state, independent
-/// of how many broadcasts streamed through (DESIGN.md §10).
+/// This is what a [`crate::generate::GroundTruth`] ledger has counted
+/// once the record stream is exhausted — `O(users + days)` state,
+/// independent of how many broadcasts streamed through.
 #[derive(Clone, Debug)]
 pub struct WorkloadSummary {
     /// The scenario that was generated.
@@ -94,61 +94,6 @@ impl WorkloadSummary {
     /// Table 1 row: distinct registered viewers.
     pub fn unique_viewers(&self) -> u64 {
         self.user_views.iter().filter(|&&v| v > 0).count() as u64
-    }
-
-    /// Bytes of heap + inline storage (replay memory accounting).
-    pub fn tracked_bytes(&self) -> usize {
-        std::mem::size_of::<Self>()
-            + self.daily.capacity() * std::mem::size_of::<DayStats>()
-            + self.user_views.capacity() * std::mem::size_of::<u32>()
-            + self.user_creates.capacity() * std::mem::size_of::<u32>()
-    }
-}
-
-/// A complete generated study.
-#[derive(Clone, Debug)]
-pub struct Workload {
-    /// The scenario that produced this study.
-    pub config: ScenarioConfig,
-    /// Every broadcast record, in `(day, seq)` order.
-    pub broadcasts: Vec<BroadcastRecord>,
-    /// Per-day aggregates, one entry per study day.
-    pub daily: Vec<DayStats>,
-    /// Mobile views per registered user over the whole study (Fig 6).
-    pub user_views: Vec<u32>,
-    /// Broadcasts created per user over the whole study (Fig 6).
-    pub user_creates: Vec<u32>,
-}
-
-impl Workload {
-    /// Table 1 row: total broadcasts.
-    pub fn total_broadcasts(&self) -> u64 {
-        self.broadcasts.len() as u64
-    }
-
-    /// Table 1 row: distinct broadcasters.
-    pub fn unique_broadcasters(&self) -> u64 {
-        self.user_creates.iter().filter(|&&c| c > 0).count() as u64
-    }
-
-    /// Table 1 row: total views (mobile + web).
-    pub fn total_views(&self) -> u64 {
-        self.broadcasts.iter().map(|b| b.viewers).sum()
-    }
-
-    /// Total mobile (registered) views.
-    pub fn mobile_views(&self) -> u64 {
-        self.broadcasts.iter().map(|b| b.mobile_viewers).sum()
-    }
-
-    /// Table 1 row: distinct registered viewers.
-    pub fn unique_viewers(&self) -> u64 {
-        self.user_views.iter().filter(|&&v| v > 0).count() as u64
-    }
-
-    /// Broadcasts with at least one HLS viewer (paper: 5.77% of 19.6M).
-    pub fn broadcasts_with_hls(&self) -> u64 {
-        self.broadcasts.iter().filter(|b| b.hls_viewers > 0).count() as u64
     }
 }
 
@@ -184,26 +129,15 @@ mod tests {
 
     #[test]
     fn workload_aggregates() {
-        let mut b1 = record();
-        b1.viewers = 10;
-        b1.mobile_viewers = 7;
-        b1.hls_viewers = 2;
-        let mut b2 = record();
-        b2.id = 2;
-        b2.viewers = 5;
-        b2.mobile_viewers = 3;
-        let w = Workload {
+        let w = WorkloadSummary {
             config: crate::scenario::ScenarioConfig::periscope_study(),
-            broadcasts: vec![b1, b2],
             daily: vec![],
             user_views: vec![0, 3, 2, 0, 5],
             user_creates: vec![0, 2, 0, 0, 0],
         };
         assert_eq!(w.total_broadcasts(), 2);
-        assert_eq!(w.total_views(), 15);
         assert_eq!(w.mobile_views(), 10);
         assert_eq!(w.unique_viewers(), 3);
         assert_eq!(w.unique_broadcasters(), 1);
-        assert_eq!(w.broadcasts_with_hls(), 1);
     }
 }

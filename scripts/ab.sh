@@ -10,8 +10,9 @@
 # later invocations. Every pair runs both binaries under the allocator pin
 # of BENCHMARK.json's `command`, each from its own export root, and the
 # side that goes first alternates. Prints each side's median and
-# quartiles of `units_per_s`, how many pairs B won, and any run whose
-# digest checks failed. PAIRS defaults to 10, SECONDS to BENCHMARK.json's
+# quartiles of every end-to-end metric (`units_per_s`, `peak_rss_bytes`,
+# `setup_s`, all from the same runs), how many pairs B won on
+# `units_per_s`, and any run whose digest checks failed. PAIRS defaults to 10, SECONDS to BENCHMARK.json's
 # `run_seconds`, SEED to the benchmark's pinned default seed.
 set -euo pipefail
 
@@ -55,14 +56,16 @@ prepare() {
     fi
 }
 
-# One pinned run of revision $1; prints "units_per_s failed".
+# One pinned run of revision $1; prints
+# "units_per_s peak_rss_bytes setup_s failed".
 run() {
     local out result
     out=$(cd "$exports/$1" && "${pin[@]}" "$root/target/ab/$1/release/benchmark" \
         --workload "$workload" --seconds "$seconds" ${seed:+--seed "$seed"}) || true
-    result=$(tail -n 1 <<<"$out" | jq -r '"\(.metrics.units_per_s.value) \(.failed)"' 2>/dev/null) ||
-        result=
-    echo "${result:-0 crashed}"
+    result=$(tail -n 1 <<<"$out" | jq -r '.metrics as $m |
+        "\($m.units_per_s.value) \($m.peak_rss_bytes.value) \($m.setup_s.value) \(.failed)"' \
+        2>/dev/null) || result=
+    echo "${result:-0 0 0 crashed}"
 }
 
 prepare "$sha_a"
@@ -72,34 +75,49 @@ echo "A = ${sha_a:0:12} ($1), B = ${sha_b:0:12} ($2)"
 echo "$workload: $pairs pairs of ${seconds} s runs, seed ${seed:-default}"
 a_values=()
 b_values=()
+a_rss=()
+b_rss=()
+a_setup=()
+b_setup=()
 failures=()
 for ((i = 0; i < pairs; i++)); do
     if ((i % 2 == 0)); then
-        read -r a a_failed < <(run "$sha_a")
-        read -r b b_failed < <(run "$sha_b")
+        read -r a a_mem a_set a_failed < <(run "$sha_a")
+        read -r b b_mem b_set b_failed < <(run "$sha_b")
         first=A
     else
-        read -r b b_failed < <(run "$sha_b")
-        read -r a a_failed < <(run "$sha_a")
+        read -r b b_mem b_set b_failed < <(run "$sha_b")
+        read -r a a_mem a_set a_failed < <(run "$sha_a")
         first=B
     fi
     a_values+=("$a")
     b_values+=("$b")
+    a_rss+=("$a_mem")
+    b_rss+=("$b_mem")
+    a_setup+=("$a_set")
+    b_setup+=("$b_set")
     [ "$a_failed" = 0 ] || failures+=("pair $((i + 1)) A: failed $a_failed")
     [ "$b_failed" = 0 ] || failures+=("pair $((i + 1)) B: failed $b_failed")
     printf 'pair %2d (%s first): A %14.1f  B %14.1f  B/A %.3f\n' \
         $((i + 1)) "$first" "$a" "$b" "$(awk -v a="$a" -v b="$b" 'BEGIN { print b / a }')"
 done
 
-# Median and quartiles (linear interpolation between order statistics).
+# Median and quartiles (linear interpolation between order statistics)
+# of the values after $1, printed with $1 decimals.
 summary() {
-    printf '%s\n' "$@" | sort -g | awk '
+    local decimals=$1
+    shift
+    printf '%s\n' "$@" | sort -g | awk -v d="$decimals" '
         { x[NR - 1] = $1 }
         function q(p,   h, lo) { h = (NR - 1) * p; lo = int(h); return x[lo] + (h - lo) * (x[lo + 1] - x[lo]) }
-        END { printf "median %.1f  q1 %.1f  q3 %.1f  iqr %.1f", q(0.5), q(0.25), q(0.75), q(0.75) - q(0.25) }'
+        END { f = "%." d "f"; printf "median " f "  q1 " f "  q3 " f "  iqr " f, q(0.5), q(0.25), q(0.75), q(0.75) - q(0.25) }'
 }
-echo "A units_per_s: $(summary "${a_values[@]}")"
-echo "B units_per_s: $(summary "${b_values[@]}")"
+echo "A units_per_s:    $(summary 1 "${a_values[@]}")"
+echo "B units_per_s:    $(summary 1 "${b_values[@]}")"
+echo "A peak_rss_bytes: $(summary 0 "${a_rss[@]}")"
+echo "B peak_rss_bytes: $(summary 0 "${b_rss[@]}")"
+echo "A setup_s:        $(summary 3 "${a_setup[@]}")"
+echo "B setup_s:        $(summary 3 "${b_setup[@]}")"
 won=0
 ties=0
 for ((i = 0; i < pairs; i++)); do

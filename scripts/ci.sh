@@ -54,7 +54,7 @@ bash scripts/ab.sh HEAD HEAD >/dev/null 2>&1 || status=$?
 
 # `bench_replay` and `bench_shards` only measure and are not run here:
 # the identities they print are pinned by `cargo test` above
-# (csr_regression, parallel_replay, sharded_determinism, streaming_replay,
+# (csr_regression, parallel_replay, sharded_determinism,
 # bench_replay's divisor-1000 record checksum) and by `bench_check` below.
 # The bench code CI does run is the Criterion bodies. `cargo test` does
 # not put `--bench` in argv, so the vendored Criterion runs every bench

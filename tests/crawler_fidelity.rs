@@ -4,72 +4,106 @@
 
 #![forbid(unsafe_code)]
 
-use livescope_crawler::campaign::{run_campaign, CampaignConfig};
-use livescope_crawler::coverage::{run_coverage, CoverageConfig};
-use livescope_sim::SimDuration;
-use livescope_workload::{generate, ScenarioConfig};
+use std::collections::HashMap;
 
-fn workload() -> livescope_workload::Workload {
-    generate(&ScenarioConfig {
+use livescope_crawler::campaign::CampaignConfig;
+use livescope_crawler::coverage::{run_coverage, CoverageConfig};
+use livescope_crawler::run_campaign_streaming;
+use livescope_crawler::streaming::DatasetSummary;
+use livescope_sim::SimDuration;
+use livescope_workload::{generate_streaming, BroadcastRecord, ScenarioConfig, WorkloadSummary};
+
+fn scenario() -> ScenarioConfig {
+    ScenarioConfig {
         days: 14,
         users: 1_500,
         base_daily_broadcasts: 60.0,
         ..ScenarioConfig::periscope_study()
-    })
+    }
+}
+
+/// Ground truth: every generated record and the stream's ledger.
+fn ground_truth() -> (Vec<BroadcastRecord>, WorkloadSummary) {
+    let mut stream = generate_streaming(&scenario());
+    let records = (&mut stream).collect();
+    (records, stream.into_summary())
+}
+
+/// The crawler's dataset of the same study. The exemplar reservoir is
+/// larger than the study, so it holds every measured record.
+fn crawl(config: &CampaignConfig) -> DatasetSummary {
+    let d = run_campaign_streaming(generate_streaming(&scenario()), config, 4_096);
+    assert_eq!(
+        d.exemplars.len() as u64,
+        d.broadcasts(),
+        "reservoir too small"
+    );
+    d
 }
 
 #[test]
 fn dataset_equals_ground_truth_without_outage() {
-    let w = workload();
-    let d = run_campaign(&w, &CampaignConfig::meerkat_study());
-    assert_eq!(d.broadcasts(), w.total_broadcasts());
-    assert_eq!(d.total_views(), w.total_views());
-    assert_eq!(d.mobile_views(), w.mobile_views());
-    assert_eq!(d.unique_viewers(), w.unique_viewers());
-    assert_eq!(d.broadcasters(), w.unique_broadcasters());
+    let (records, truth) = ground_truth();
+    let d = crawl(&CampaignConfig::meerkat_study());
+    assert_eq!(d.broadcasts(), truth.total_broadcasts());
+    assert_eq!(
+        d.total_views(),
+        records.iter().map(|r| r.viewers).sum::<u64>()
+    );
+    assert_eq!(d.mobile_views(), truth.mobile_views());
+    assert_eq!(d.unique_viewers(), truth.unique_viewers());
+    assert_eq!(d.broadcasters(), truth.unique_broadcasters());
     assert_eq!(d.missed, 0);
 }
 
 #[test]
 fn outage_loss_is_confined_to_the_window_and_documented() {
-    let w = workload();
+    let (records, truth) = ground_truth();
     let config = CampaignConfig {
         outage_days: Some((5, 7)),
         outage_loss: 0.8,
         ..CampaignConfig::periscope_study()
     };
-    let d = run_campaign(&w, &config);
+    let d = crawl(&config);
     // Outside the window: byte-for-byte complete.
     for day in (0..14u32).filter(|d| !(5..=7).contains(d)) {
-        let truth = w.broadcasts.iter().filter(|b| b.day == day).count();
-        let measured = d.records.iter().filter(|r| r.record.day == day).count();
+        let truth: Vec<&BroadcastRecord> = records.iter().filter(|b| b.day == day).collect();
+        let mut measured: Vec<&BroadcastRecord> = d
+            .exemplars
+            .iter()
+            .map(|m| &m.record)
+            .filter(|r| r.day == day)
+            .collect();
+        measured.sort_by_key(|r| r.id);
         assert_eq!(truth, measured, "day {day}");
     }
     // Inside: losses accounted.
-    assert_eq!(d.broadcasts() + d.missed, w.total_broadcasts());
-    let truth_in_window = w
-        .broadcasts
-        .iter()
-        .filter(|b| (5..=7).contains(&b.day))
-        .count() as f64;
-    assert!((d.loss_fraction(w.total_broadcasts()) > 0.0));
+    assert_eq!(d.broadcasts() + d.missed, truth.total_broadcasts());
+    let truth_in_window = records.iter().filter(|b| (5..=7).contains(&b.day)).count() as f64;
+    assert!(d.loss_fraction(truth.total_broadcasts()) > 0.0);
     let window_loss = d.missed as f64 / truth_in_window;
     assert!((window_loss - 0.8).abs() < 0.1, "window loss {window_loss}");
 }
 
 #[test]
 fn anonymization_preserves_linkage_but_not_identity() {
-    let w = workload();
-    let d = run_campaign(&w, &CampaignConfig::periscope_study());
-    // Same broadcaster ⇒ same hash (longitudinal linkage survives).
-    use std::collections::HashMap;
+    let (records, _) = ground_truth();
+    let d = crawl(&CampaignConfig::periscope_study());
+    // Same broadcaster ⇒ same hash (longitudinal linkage survives), and
+    // the hash is not the raw id.
     let mut seen: HashMap<u32, u64> = HashMap::new();
-    for r in &d.records {
+    for r in &d.exemplars {
         let entry = seen
             .entry(r.record.broadcaster)
             .or_insert(r.broadcaster_hash);
         assert_eq!(*entry, r.broadcaster_hash, "hash must be stable per user");
+        assert_ne!(r.broadcaster_hash, r.record.broadcaster as u64);
     }
+    // Every generated broadcaster was measured at least once here.
+    let mut broadcasters: Vec<u32> = records.iter().map(|r| r.broadcaster).collect();
+    broadcasters.sort_unstable();
+    broadcasters.dedup();
+    assert_eq!(broadcasters.len(), seen.len());
     // Distinct broadcasters ⇒ distinct hashes (no collisions at this scale).
     let mut hashes: Vec<u64> = seen.values().copied().collect();
     hashes.sort_unstable();

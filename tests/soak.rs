@@ -10,7 +10,7 @@ use livescope_cdn::Cluster;
 use livescope_net::geo::GeoPoint;
 use livescope_sim::process::{Tick, Ticker};
 use livescope_sim::{RngPool, Scheduler, SimDuration, SimTime};
-use livescope_workload::{generate, ScenarioConfig};
+use livescope_workload::{generate_streaming, BroadcastRecord, ScenarioConfig};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -33,8 +33,7 @@ fn a_day_of_workload_runs_clean_through_the_cluster() {
         base_daily_broadcasts: 120.0,
         ..ScenarioConfig::periscope_study()
     };
-    let workload = generate(&scenario);
-    let broadcasts = &workload.broadcasts;
+    let broadcasts: Vec<BroadcastRecord> = generate_streaming(&scenario).collect();
     assert!(
         broadcasts.len() >= 60,
         "day too quiet: {}",
