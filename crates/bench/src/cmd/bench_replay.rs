@@ -48,9 +48,8 @@
 //! With `--features profile` the run finishes with the top-5 handler
 //! histograms by total wall time — the `handler.graph.{decide,rewire,
 //! assemble}_ns` build sections recorded by every graph build above,
-//! plus the celebrity fan-out workload's `handler.fanout.*` sections
-//! (and the single-threaded scheduler's `sim.event_wall_ns` when
-//! present).
+//! plus the celebrity fan-out workload's `handler.fanout.*` and
+//! `handler.sharded.*` sections.
 
 use std::path::Path;
 use std::process::ExitCode;
@@ -379,7 +378,7 @@ fn profile_report(telemetry: &Telemetry) -> (Vec<String>, Vec<ProfileRow>) {
     let mut hists: Vec<_> = snapshot
         .histograms
         .iter()
-        .filter(|(name, _)| name.starts_with(SECTION_PREFIX) || name == "sim.event_wall_ns")
+        .filter(|(name, _)| name.starts_with(SECTION_PREFIX))
         .collect();
     hists.sort_by(|a, b| b.1.sum.cmp(&a.1.sum).then_with(|| a.0.cmp(&b.0)));
     let mut lines = vec![format!(

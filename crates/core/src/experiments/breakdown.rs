@@ -21,7 +21,7 @@ use livescope_client::broadcaster::{capture_schedule, FrameSource, UplinkClass, 
 use livescope_client::playback::{emit_playout, simulate_playback};
 use livescope_client::viewer::{HlsViewer, RtmpViewer};
 use livescope_crawler::probe::HighFreqProbe;
-use livescope_net::datacenters::{self, DatacenterId, Provider};
+use livescope_net::datacenters::{self, Provider};
 use livescope_net::geo::GeoPoint;
 use livescope_net::AccessLink;
 use livescope_sim::{RngPool, SchedulerBackend, ShardId, ShardedScheduler, SimDuration, SimTime};
@@ -381,16 +381,6 @@ fn run_once(
         .end_broadcast(end, grant.id, &grant.token)
         .expect("live broadcast ends with its own token");
     (rtmp, hls)
-}
-
-/// Convenience accessor: which POP the HLS viewer of the default config
-/// lands on (used by docs and tests).
-pub fn default_viewer_pop() -> DatacenterId {
-    datacenters::nearest(
-        Provider::Fastly,
-        &BreakdownConfig::default().viewer_location,
-    )
-    .id
 }
 
 #[cfg(test)]

@@ -15,8 +15,10 @@ use rand::SeedableRng;
 use livescope_cdn::control::ControlServer;
 use livescope_cdn::ids::{BroadcastId, UserId};
 use livescope_net::geo::GeoPoint;
-use livescope_sim::process::{Tick, Ticker};
-use livescope_sim::{dist, RngPool, Scheduler, SimDuration, SimTime};
+use livescope_sim::process::{ticker, Tick};
+use livescope_sim::{
+    dist, BackendEvent, RngPool, SchedulerBackend, ShardId, ShardedScheduler, SimDuration, SimTime,
+};
 use livescope_telemetry::{CounterId, Telemetry, TraceEvent};
 
 /// Crawler-calibration scenario.
@@ -56,6 +58,34 @@ impl CoverageConfig {
     /// Effective refresh interval across all accounts.
     pub fn effective_refresh(&self) -> SimDuration {
         self.account_refresh / self.accounts.max(1) as u64
+    }
+
+    /// Sanity-checks the knobs; [`run_coverage_traced`] calls this first.
+    /// A zero refresh or a non-positive arrival rate would make the
+    /// simulation re-fire at one instant forever.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.accounts == 0 {
+            return Err("accounts must be at least 1".into());
+        }
+        if self.account_refresh.is_zero() {
+            return Err("account_refresh must be non-zero".into());
+        }
+        let positive = |name: &str, v: f64| {
+            if v.is_finite() && v > 0.0 {
+                Ok(())
+            } else {
+                Err(format!("{name} must be finite and > 0, got {v}"))
+            }
+        };
+        positive("arrivals_per_sec", self.arrivals_per_sec)?;
+        positive("duration_median_s", self.duration_median_s)?;
+        if !(self.duration_sigma.is_finite() && self.duration_sigma >= 0.0) {
+            return Err(format!(
+                "duration_sigma must be finite and >= 0, got {}",
+                self.duration_sigma
+            ));
+        }
+        Ok(())
     }
 }
 
@@ -98,13 +128,13 @@ pub fn run_coverage(config: &CoverageConfig) -> CoverageReport {
 
 /// Runs the calibration simulation, emitting query/discovery counters and
 /// a `BroadcastDiscovered` trace event the first time any account sees a
-/// broadcast.
+/// broadcast. Panics on an invalid config ([`CoverageConfig::validate`]).
 pub fn run_coverage_traced(config: &CoverageConfig, telemetry: &Telemetry) -> CoverageReport {
-    assert!(config.accounts > 0, "need at least one crawler account");
+    if let Err(e) = config.validate() {
+        panic!("invalid CoverageConfig: {e}");
+    }
     let pool = RngPool::new(config.seed);
-    let mut sched: Scheduler<World> = Scheduler::new();
-    sched.set_telemetry(telemetry);
-    let mut world = World {
+    let world = World {
         control: {
             let mut control =
                 ControlServer::new(SmallRng::seed_from_u64(pool.stream_seed("control")), 100);
@@ -126,91 +156,83 @@ pub fn run_coverage_traced(config: &CoverageConfig, telemetry: &Telemetry) -> Co
         c_discovered: telemetry.counter("crawler.broadcasts_discovered"),
     };
     let horizon = SimTime::ZERO + config.horizon;
+    let mut sched = ShardedScheduler::new(pool, vec![world], SimDuration::from_secs(1));
+    sched.set_telemetry(telemetry);
 
     // Broadcast arrival process: exponential inter-arrivals; each
     // broadcast schedules its own end.
-    fn schedule_next_arrival(sched: &mut Scheduler<World>, horizon: SimTime) {
-        sched.schedule_in(SimDuration::ZERO, move |sched, world: &mut World| {
-            arrive(sched, world, horizon);
-        });
+    fn arrive(horizon: SimTime) -> BackendEvent<World> {
+        Box::new(move |ctx, world: &mut World| {
+            let now = ctx.now();
+            if now >= horizon {
+                return;
+            }
+            if now > SimTime::ZERO {
+                let user = UserId(world.next_user);
+                world.next_user += 1;
+                let location = GeoPoint::new(37.77, -122.42);
+                let grant = world.control.create_broadcast(now, user, &location);
+                world.tokens.insert(grant.id, grant.token.clone());
+                world.started += 1;
+                world.start_times.insert(grant.id, now);
+                let duration = SimDuration::from_secs_f64(
+                    dist::log_normal(
+                        &mut world.rng,
+                        world.duration_median_s.ln(),
+                        world.duration_sigma,
+                    )
+                    .clamp(5.0, 3_600.0),
+                );
+                let id = grant.id;
+                ctx.schedule_in(
+                    duration,
+                    Box::new(move |ctx, world: &mut World| {
+                        let token = world.tokens[&id].clone();
+                        world
+                            .control
+                            .end_broadcast(ctx.now(), id, &token)
+                            .expect("broadcast ends once");
+                    }),
+                );
+            }
+            let gap = SimDuration::from_secs_f64(dist::exponential(
+                &mut world.rng,
+                1.0 / world.arrivals_per_sec,
+            ));
+            ctx.schedule_in(gap, arrive(horizon));
+        })
     }
-    fn arrive(sched: &mut Scheduler<World>, world: &mut World, horizon: SimTime) {
-        let now = sched.now();
-        if now >= horizon {
-            return;
-        }
-        if now > SimTime::ZERO {
-            let user = UserId(world.next_user);
-            world.next_user += 1;
-            let grant = world
-                .control
-                .create_broadcast(now, user, &GeoPoint::new(37.77, -122.42));
-            world.tokens.insert(grant.id, grant.token.clone());
-            world.started += 1;
-            world.start_times.insert(grant.id, now);
-            let duration = SimDuration::from_secs_f64(
-                dist::log_normal(
-                    &mut world.rng,
-                    world.duration_median_s.ln(),
-                    world.duration_sigma,
-                )
-                .clamp(5.0, 3_600.0),
-            );
-            let id = grant.id;
-            sched.schedule_in(duration, move |sched, world: &mut World| {
-                let token = world.tokens[&id].clone();
-                world
-                    .control
-                    .end_broadcast(sched.now(), id, &token)
-                    .expect("broadcast ends once");
-            });
-        }
-        let gap = SimDuration::from_secs_f64(dist::exponential(
-            &mut world.rng,
-            1.0 / world.arrivals_per_sec,
-        ));
-        sched.schedule_in(gap, move |sched, world: &mut World| {
-            arrive(sched, world, horizon);
-        });
-    }
-    schedule_next_arrival(&mut sched, horizon);
+    sched.schedule(ShardId(0), SimTime::ZERO, arrive(horizon));
 
     // Crawler accounts, staggered across the refresh period.
     for account in 0..config.accounts {
         let offset = config
             .account_refresh
             .mul_f64(account as f64 / config.accounts as f64);
-        Ticker::spawn(
-            &mut sched,
-            SimTime::ZERO + offset,
-            config.account_refresh,
-            move |sched, world: &mut World| {
-                let now = sched.now();
-                world.queries += 1;
-                world.telemetry.add(world.c_queries, 1);
-                for summary in world.control.global_list() {
-                    let id = BroadcastId(summary.broadcast_id);
-                    let start = world.start_times[&id];
-                    if let std::collections::btree_map::Entry::Vacant(slot) =
-                        world.discovery.entry(id)
-                    {
-                        slot.insert(now.saturating_since(start));
-                        world.telemetry.add(world.c_discovered, 1);
-                        world.telemetry.emit(
-                            now.as_micros(),
-                            TraceEvent::BroadcastDiscovered {
-                                broadcast: id.0,
-                                started_us: start.as_micros(),
-                            },
-                        );
-                    }
+        let poll = ticker(config.account_refresh, |ctx, world: &mut World| {
+            let now = ctx.now();
+            world.queries += 1;
+            world.telemetry.add(world.c_queries, 1);
+            for summary in world.control.global_list() {
+                let id = BroadcastId(summary.broadcast_id);
+                let start = world.start_times[&id];
+                if let std::collections::btree_map::Entry::Vacant(slot) = world.discovery.entry(id)
+                {
+                    slot.insert(now.saturating_since(start));
+                    world.telemetry.add(world.c_discovered, 1);
+                    ctx.emit(TraceEvent::BroadcastDiscovered {
+                        broadcast: id.0,
+                        started_us: start.as_micros(),
+                    });
                 }
-                Tick::Again
-            },
-        );
+            }
+            Tick::Again
+        });
+        sched.schedule(ShardId(0), SimTime::ZERO + offset, poll);
     }
 
-    sched.run_until(horizon, &mut world);
+    sched.run_until(horizon);
+    let world = sched.into_states().pop().expect("one shard");
 
     let discovered = world.discovery.len() as u64;
     let mean_latency = if discovered > 0 {
@@ -310,6 +332,93 @@ mod tests {
             "queries {}",
             report.queries
         );
+    }
+
+    #[test]
+    fn crawler_coverage_rows_are_pinned() {
+        // The five `crawler_coverage` artifact rows over
+        // `paper_production()`, pinned absolutely: (accounts, refresh s,
+        // started, discovered, queries, coverage bits, latency bits).
+        #[rustfmt::skip]
+        const ROWS: [(usize, u64, u64, u64, u64, u64, u64); 5] = [
+            (20, 5, 3550, 3545, 7201, 0x3feff47643c931c2, 0x4000476627e3dc55),
+            (10, 5, 3550, 3542, 3601, 0x3fefed8a060eb603, 0x400fd214646b36aa),
+            (4, 5, 3550, 3487, 1441, 0x3fef6e9eefb3d959, 0x40236a697162274c),
+            (1, 5, 3550, 3104, 361, 0x3febfaced1b42331, 0x40402917d540c216),
+            (1, 30, 3550, 1678, 61, 0x3fde405312e4bdcd, 0x40598481e85a9d4e),
+        ];
+        for (accounts, refresh_s, started, discovered, queries, coverage, latency) in ROWS {
+            let r = run_coverage(&CoverageConfig {
+                accounts,
+                account_refresh: SimDuration::from_secs(refresh_s),
+                ..CoverageConfig::paper_production()
+            });
+            let row = (accounts, refresh_s);
+            assert_eq!(r.started, started, "{row:?} started");
+            assert_eq!(r.discovered, discovered, "{row:?} discovered");
+            assert_eq!(r.queries, queries, "{row:?} queries");
+            assert_eq!(r.coverage.to_bits(), coverage, "{row:?} coverage");
+            assert_eq!(
+                r.mean_discovery_latency_s.to_bits(),
+                latency,
+                "{row:?} mean_discovery_latency_s"
+            );
+        }
+    }
+
+    #[test]
+    fn paper_production_validates() {
+        CoverageConfig::paper_production().validate().unwrap();
+    }
+
+    #[test]
+    fn validate_names_every_bad_arrival_rate() {
+        for rate in [0.0, -1.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let config = CoverageConfig {
+                arrivals_per_sec: rate,
+                ..CoverageConfig::paper_production()
+            };
+            let err = config.validate().unwrap_err();
+            assert!(err.contains("arrivals_per_sec"), "{rate}: {err}");
+        }
+    }
+
+    fn run_invalid(edit: impl FnOnce(&mut CoverageConfig)) {
+        let mut config = CoverageConfig::paper_production();
+        edit(&mut config);
+        run_coverage(&config);
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid CoverageConfig: accounts")]
+    fn zero_accounts_is_rejected() {
+        run_invalid(|c| c.accounts = 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid CoverageConfig: account_refresh")]
+    fn zero_refresh_is_rejected() {
+        run_invalid(|c| c.account_refresh = SimDuration::ZERO);
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid CoverageConfig: arrivals_per_sec")]
+    fn negative_arrival_rate_is_rejected() {
+        // Before validation this never returned: every inter-arrival gap
+        // was zero, so arrivals re-fired at one instant forever.
+        run_invalid(|c| c.arrivals_per_sec = -2.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid CoverageConfig: duration_median_s")]
+    fn non_finite_duration_median_is_rejected() {
+        run_invalid(|c| c.duration_median_s = f64::NAN);
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid CoverageConfig: duration_sigma")]
+    fn negative_duration_sigma_is_rejected() {
+        run_invalid(|c| c.duration_sigma = -0.5);
     }
 
     #[test]

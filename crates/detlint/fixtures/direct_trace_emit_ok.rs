@@ -1,6 +1,6 @@
 // Fixture: handler emission done right (through the EventCtx), plus a
-// legacy single-lane Ticker closure, which is *not* a handler and may
-// write its sink directly. Zero findings.
+// closure with no `ctx` parameter, which is *not* a scheduler handler and
+// may write its sink directly. Zero findings.
 
 fn schedule(sched: &mut ShardedScheduler, at: u64, pop: PopId) {
     sched.schedule(at, pop, Box::new(move |ctx, pop: &mut Pop| {
@@ -9,7 +9,7 @@ fn schedule(sched: &mut ShardedScheduler, at: u64, pop: PopId) {
     }));
 }
 
-fn legacy_ticker(runtime: &mut Runtime, at: u64) {
+fn plain_closure(runtime: &mut Runtime, at: u64) {
     runtime.spawn(move |sched, world: &mut World| {
         world.telemetry.emit(at, tick_event(sched.now()));
     });

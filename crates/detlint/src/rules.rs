@@ -157,8 +157,9 @@ mid-epoch — interleaving depends on lane timing and the trace stops
 being byte-stable.
 
 Fix: build the TraceEvent and pass it to the handler's EventCtx
-parameter. Legacy single-lane `Ticker` closures (`|sched, world|`) are
-not handlers and may emit directly.
+parameter. Every simulation runs on ShardedScheduler, so every event body
+and ticker callback is a handler; only code outside them (setup,
+teardown, plain methods) may emit on a telemetry handle directly.
 
 Suppress (needs a reason):
     // detlint::allow(direct-trace-emit) — <why this sink is lane-local>",

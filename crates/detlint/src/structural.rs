@@ -196,7 +196,7 @@ fn handler_ctx_name(ctx: &StructuralContext, scope_idx: usize) -> Option<String>
                     Some("_".to_string())
                 }
                 _ => {
-                    // Explicitly typed: `|c: &mut dyn EventCtx<S>, …|`.
+                    // Explicitly typed: `|c: &mut EventCtx<'_, S>, …|`.
                     if header
                         .iter()
                         .any(|t| t.kind == TokKind::Ident("EventCtx".into()))
@@ -209,7 +209,7 @@ fn handler_ctx_name(ctx: &StructuralContext, scope_idx: usize) -> Option<String>
             }
         }
         ScopeKind::Fn(_) => {
-            // A fn taking `name: &mut dyn EventCtx<…>`: find the parameter
+            // A fn taking `name: &mut EventCtx<…>`: find the parameter
             // declaration (`name :` — a single colon, not a `::` path)
             // whose type span mentions `EventCtx`.
             for j in 0..header.len() {
@@ -836,8 +836,9 @@ mod tests {
 
     #[test]
     fn emit_outside_handlers_is_not_flagged() {
-        // Legacy Scheduler tickers (`|sched, world|`) and plain methods
-        // write the sink directly by design.
+        // A closure without a `ctx` parameter (`|sched, world|`) is not a
+        // scheduler handler, and plain methods write the sink directly by
+        // design.
         let src = "fn f() { spawn(move |sched, world: &mut World| { world.telemetry.emit(t, ev); }); self.telemetry.emit(t, ev); }";
         assert!(rules_of("crates/crawler/src/x.rs", src).is_empty());
     }
@@ -845,7 +846,7 @@ mod tests {
     #[test]
     fn fn_taking_event_ctx_is_a_handler_scope() {
         let src =
-            "fn apply(c: &mut dyn EventCtx<S>, s: &mut S) { s.telemetry.emit(ev); c.emit(ev2); }";
+            "fn apply(c: &mut EventCtx<'_, S>, s: &mut S) { s.telemetry.emit(ev); c.emit(ev2); }";
         let out = run("src/x.rs", src);
         assert_eq!(out.findings.len(), 1, "{:?}", out.findings);
         assert!(out.findings[0].message.contains("c.emit"));

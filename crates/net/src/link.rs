@@ -69,12 +69,6 @@ impl Link {
         }
     }
 
-    /// Replaces the wide-area model (used by calibration sweeps).
-    pub fn with_latency_model(mut self, model: LatencyModel) -> Self {
-        self.wide_area = model;
-        self
-    }
-
     /// Installs fault injection on this link.
     pub fn with_faults(mut self, config: FaultConfig) -> Self {
         self.faults = FaultInjector::new(config);

@@ -13,36 +13,48 @@
 //!   milliseconds (one video frame is 40 ms) up to tens of seconds, and the
 //!   crawler polls every 100 ms; [`time::SimTime`] counts microseconds in a
 //!   `u64`, giving ~584k years of range with no floating-point drift.
-//! * **Simplicity over cleverness.** Following the smoltcp design ethos, the
-//!   kernel is a plain binary heap of boxed closures — no macros, no unsafe,
-//!   no trait gymnastics.
+//! * **Simplicity over cleverness.** Following the smoltcp design ethos,
+//!   each shard is a plain binary heap of boxed closures — no macros, no
+//!   unsafe.
 //!
 //! ## Quick tour
 //!
 //! ```
-//! use livescope_sim::{Scheduler, time::SimDuration};
+//! use livescope_sim::{RngPool, SchedulerBackend, ShardId, ShardedScheduler};
+//! use livescope_sim::{SimDuration, SimTime};
 //!
-//! let mut sched: Scheduler<Vec<u64>> = Scheduler::new();
-//! sched.schedule_in(SimDuration::from_millis(40), |sched, log| {
-//!     log.push(sched.now().as_micros());
-//! });
-//! let mut log = Vec::new();
-//! sched.run(&mut log);
-//! assert_eq!(log, vec![40_000]);
+//! let log: Vec<u64> = Vec::new();
+//! let mut sched = ShardedScheduler::new(RngPool::new(1), vec![log], SimDuration::from_secs(1));
+//! sched.schedule(
+//!     ShardId(0),
+//!     SimTime::ZERO,
+//!     Box::new(|ctx, _| {
+//!         ctx.schedule_in(
+//!             SimDuration::from_millis(40),
+//!             Box::new(|ctx, log| log.push(ctx.now().as_micros())),
+//!         );
+//!     }),
+//! );
+//! sched.run();
+//! assert_eq!(sched.into_states(), vec![vec![40_000]]);
 //! ```
 //!
-//! ## Two kernels, two jobs
+//! ## One kernel
 //!
-//! [`Scheduler`] is the closure-style single-queue kernel: events take
-//! `&mut Scheduler`, and the crawler's coverage model and [`Ticker`] run
-//! on it. [`ShardedScheduler`] runs everything written against
-//! [`BackendEvent`] — the delay-breakdown experiment and the per-POP
-//! fan-out. It partitions the world into per-datacenter shards with explicit
-//! mailboxes and epoch barriers under the same determinism contract
-//! (same seed ⇒ same trace bytes, any lane count); one lane runs inline,
-//! more run on scoped worker threads ([`run_parts`]). A one-shard run
-//! fires events in exactly the `(time, seq)` order [`Scheduler`] would.
-//! See the [`sharded`] module docs for the lane model and merge rules.
+//! [`ShardedScheduler`] runs every simulation in the tree, each written as
+//! [`BackendEvent`]s that see their shard through an [`EventCtx`]: the
+//! crawler's coverage model and [`ticker`]s on one shard, the
+//! delay-breakdown experiment on one shard, the celebrity fan-out on one
+//! shard per POP. It partitions the world into per-datacenter shards with
+//! explicit mailboxes and epoch barriers (same seed ⇒ same trace bytes,
+//! any lane count); one lane runs inline, more run on scoped worker
+//! threads ([`run_parts`]). A one-shard run fires events in plain
+//! `(time, seq)` order. See the [`sharded`] module docs for the lane model
+//! and merge rules. The closure-style [`Scheduler`] is kept only for the
+//! repository benchmark's single-queue rows and as the order oracle in
+//! `tests/properties.rs`.
+//!
+//! [`ticker`]: process::ticker
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -56,10 +68,9 @@ pub mod rng;
 pub mod sharded;
 pub mod time;
 
-pub use backend::{BackendEvent, EventCtx, SchedulerBackend, ShardId};
+pub use backend::{BackendEvent, SchedulerBackend, ShardId};
 pub use engine::Scheduler;
 pub use parts::run_parts;
-pub use process::Ticker;
 pub use rng::RngPool;
-pub use sharded::ShardedScheduler;
+pub use sharded::{EventCtx, ShardedScheduler};
 pub use time::{SimDuration, SimTime};

@@ -61,7 +61,7 @@ use std::collections::BinaryHeap;
 
 use livescope_telemetry::{CounterId, GaugeId, Section, Telemetry, TraceEvent};
 
-use crate::backend::{BackendEvent, EventCtx, SchedulerBackend, ShardId};
+use crate::backend::{BackendEvent, SchedulerBackend, ShardId};
 use crate::parts::run_parts;
 use crate::rng::RngPool;
 use crate::time::{event_key, event_key_time, SimDuration, SimTime};
@@ -143,29 +143,52 @@ struct ShardSlot<S> {
     state: S,
 }
 
-/// [`EventCtx`] view handed to events firing on a shard.
-struct LaneCtx<'a, S> {
+/// What a firing event is allowed to do: the view of its shard that
+/// [`ShardedScheduler`] hands to every [`BackendEvent`].
+///
+/// Everything here is shard-local except [`EventCtx::send_to`], which is
+/// the *only* way to reach another shard — the scheduler delivers it
+/// through a mailbox at the next epoch barrier, never by direct mutation.
+pub struct EventCtx<'a, S> {
     core: &'a mut LaneCore<S>,
 }
 
-impl<S> EventCtx<S> for LaneCtx<'_, S> {
-    fn now(&self) -> SimTime {
+impl<S> EventCtx<'_, S> {
+    /// Current simulated instant on this shard's clock.
+    pub fn now(&self) -> SimTime {
         self.core.now
     }
 
-    fn shard(&self) -> ShardId {
+    /// The shard this event is executing on.
+    pub fn shard(&self) -> ShardId {
         ShardId(self.core.id)
     }
 
-    fn pool(&self) -> RngPool {
+    /// This shard's deterministic RNG pool
+    /// (`root.child_indexed("shard", i)`).
+    pub fn pool(&self) -> RngPool {
         self.core.pool
     }
 
-    fn schedule_at(&mut self, at: SimTime, event: BackendEvent<S>) {
+    /// Schedules a follow-up on this shard at absolute time `at`
+    /// (clamped to `now`).
+    pub fn schedule_at(&mut self, at: SimTime, event: BackendEvent<S>) {
         self.core.push_local(at, event);
     }
 
-    fn send_to(&mut self, dest: ShardId, at: SimTime, event: BackendEvent<S>) {
+    /// Schedules a follow-up on this shard after `delay`.
+    pub fn schedule_in(&mut self, delay: SimDuration, event: BackendEvent<S>) {
+        let at = self.core.now + delay;
+        self.core.push_local(at, event);
+    }
+
+    /// Sends an event to `dest`, requesting delivery at `at`.
+    ///
+    /// Sending to the executing shard is exactly [`EventCtx::schedule_at`].
+    /// Sending to another shard goes through the mailbox: delivery is
+    /// deferred to `max(at, next epoch barrier)`, so cross-shard causality
+    /// never outruns the barrier. Panics if `dest` does not exist.
+    pub fn send_to(&mut self, dest: ShardId, at: SimTime, event: BackendEvent<S>) {
         assert!(
             dest.0 < self.core.shard_count,
             "send_to nonexistent {dest} (shard_count {})",
@@ -173,8 +196,7 @@ impl<S> EventCtx<S> for LaneCtx<'_, S> {
         );
         if dest.0 == self.core.id {
             // Mail to yourself is an ordinary local event: no barrier
-            // clamp, so a one-shard run matches `Scheduler`
-            // event-for-event (`tests/properties.rs`).
+            // clamp, so a one-shard run fires in plain `(time, seq)` order.
             self.core.push_local(at, event);
             return;
         }
@@ -190,7 +212,10 @@ impl<S> EventCtx<S> for LaneCtx<'_, S> {
         });
     }
 
-    fn emit(&mut self, event: TraceEvent) {
+    /// Emits a trace event stamped with the shard clock. The event is
+    /// buffered per shard and merged into the attached telemetry sink in
+    /// `(time, shard_id, seq)` order at the next barrier.
+    pub fn emit(&mut self, event: TraceEvent) {
         if self.core.tracing {
             let seq = self.core.emit_seq;
             self.core.emit_seq += 1;
@@ -200,7 +225,10 @@ impl<S> EventCtx<S> for LaneCtx<'_, S> {
         }
     }
 
-    fn is_tracing(&self) -> bool {
+    /// Whether [`EventCtx::emit`] records anything (a telemetry sink is
+    /// attached). An event may skip building trace payloads when it is
+    /// false; it must not change anything else on that answer.
+    pub fn is_tracing(&self) -> bool {
         self.core.tracing
     }
 }
@@ -208,8 +236,8 @@ impl<S> EventCtx<S> for LaneCtx<'_, S> {
 /// Runs one shard's local events up to the barrier. The shard clock stops
 /// at the last fired event (mail delivered at the barrier is clamped
 /// forward on insertion, so a lagging clock is harmless). `inclusive` is
-/// true only for the final partial epoch of a `run_until`, mirroring the
-/// legacy scheduler's inclusive horizon.
+/// true only for the final partial epoch of a `run_until`, whose horizon
+/// is inclusive.
 fn run_shard<S>(slot: &mut ShardSlot<S>, barrier: SimTime, inclusive: bool) {
     loop {
         let due = matches!(slot.core.queue.peek(),
@@ -222,7 +250,7 @@ fn run_shard<S>(slot: &mut ShardSlot<S>, barrier: SimTime, inclusive: bool) {
         slot.core.now = ev.at();
         slot.core.fired += 1;
         slot.core.fired_epoch += 1;
-        let mut ctx = LaneCtx {
+        let mut ctx = EventCtx {
             core: &mut slot.core,
         };
         (ev.run)(&mut ctx, &mut slot.state);
@@ -266,7 +294,6 @@ pub struct ShardedScheduler<S> {
     lanes: usize,
     epoch: SimDuration,
     now: SimTime,
-    epochs: u64,
     mail_delivered: u64,
     telemetry: Telemetry,
     c_fired: CounterId,
@@ -332,7 +359,6 @@ impl<S: Send + 'static> ShardedScheduler<S> {
             lanes: 1,
             epoch,
             now: SimTime::ZERO,
-            epochs: 0,
             mail_delivered: 0,
             telemetry: Telemetry::disabled(),
             c_fired: CounterId::INERT,
@@ -354,16 +380,6 @@ impl<S: Send + 'static> ShardedScheduler<S> {
     pub fn with_lanes(mut self, lanes: usize) -> Self {
         self.lanes = lanes.max(1);
         self
-    }
-
-    /// Worker-lane count.
-    pub fn lanes(&self) -> usize {
-        self.lanes
-    }
-
-    /// Barrier spacing.
-    pub fn epoch(&self) -> SimDuration {
-        self.epoch
     }
 
     /// Attaches telemetry. Counters are kept merged
@@ -401,19 +417,9 @@ impl<S: Send + 'static> ShardedScheduler<S> {
         self.telemetry = telemetry.clone();
     }
 
-    /// Events executed on one shard so far.
-    pub fn shard_events_fired(&self, shard: ShardId) -> u64 {
-        self.shards[shard.index()].core.fired
-    }
-
     /// Cross-shard messages delivered at barriers so far.
     pub fn mail_delivered(&self) -> u64 {
         self.mail_delivered
-    }
-
-    /// Epoch barriers processed so far.
-    pub fn epochs(&self) -> u64 {
-        self.epochs
     }
 
     /// Events still queued across all shards.
@@ -509,7 +515,6 @@ impl<S: Send + 'static> ShardedScheduler<S> {
         self.sec_trace_merge.end(trace_stamp);
 
         // --- counters -----------------------------------------------------
-        self.epochs += 1;
         self.telemetry.add(self.c_epochs, 1);
         let mut fired_total = 0;
         for (i, slot) in self.shards.iter_mut().enumerate() {
@@ -563,7 +568,7 @@ impl<S: Send + 'static> ShardedScheduler<S> {
             slot.core.now = ev.at();
             slot.core.fired += 1;
             slot.core.fired_epoch += 1;
-            let mut ctx = LaneCtx {
+            let mut ctx = EventCtx {
                 core: &mut slot.core,
             };
             (ev.run)(&mut ctx, &mut slot.state);
@@ -583,10 +588,6 @@ impl<S: Send + 'static> ShardedScheduler<S> {
 }
 
 impl<S: Send + 'static> SchedulerBackend<S> for ShardedScheduler<S> {
-    fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     fn now(&self) -> SimTime {
         self.now
     }
@@ -627,7 +628,7 @@ impl<S: Send + 'static> SchedulerBackend<S> for ShardedScheduler<S> {
             } else {
                 // The barrier closing the epoch that contains `next`. The
                 // final (partial) epoch ends exactly at the horizon and is
-                // inclusive, mirroring the legacy `run_until` semantics.
+                // inclusive.
                 let k = next.as_micros() / epoch_us;
                 let candidate = SimTime::from_micros((k + 1).saturating_mul(epoch_us));
                 let (barrier, inclusive) = if candidate >= horizon {
@@ -638,8 +639,8 @@ impl<S: Send + 'static> SchedulerBackend<S> for ShardedScheduler<S> {
                 self.run_epoch(barrier, inclusive);
             }
             // The backend clock is the max any shard reached: the time of
-            // the last fired event, like the legacy scheduler — not the
-            // barrier, which may lie beyond the final event.
+            // the last fired event — not the barrier, which may lie beyond
+            // the final event.
             let reached = self.shards.iter().map(|s| s.core.now).max();
             self.now = self.now.max(reached.unwrap_or(SimTime::ZERO));
         }
@@ -649,10 +650,6 @@ impl<S: Send + 'static> SchedulerBackend<S> for ShardedScheduler<S> {
 
     fn state(&self, shard: ShardId) -> &S {
         &self.shards[shard.index()].state
-    }
-
-    fn state_mut(&mut self, shard: ShardId) -> &mut S {
-        &mut self.shards[shard.index()].state
     }
 
     fn into_states(self) -> Vec<S> {

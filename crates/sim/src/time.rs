@@ -130,11 +130,6 @@ impl SimDuration {
         self.0 as f64 / MICROS_PER_SEC as f64
     }
 
-    /// Span as fractional milliseconds.
-    pub fn as_millis_f64(self) -> f64 {
-        self.0 as f64 / MICROS_PER_MILLI as f64
-    }
-
     /// True when the span is zero.
     pub const fn is_zero(self) -> bool {
         self.0 == 0

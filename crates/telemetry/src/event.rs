@@ -327,13 +327,6 @@ trace_events! {
         /// Span covered, in microseconds.
         duration_us: u64,
     },
-    /// Scheduler queue-depth sample (every N fired events).
-    QueueDepth = "queue_depth" {
-        /// Events pending in the queue.
-        depth: u64,
-        /// Total events fired so far.
-        fired: u64,
-    },
     /// The crawler's global-list sweep saw a broadcast for the first time.
     BroadcastDiscovered = "broadcast_discovered" {
         /// Broadcast (stream) id.
@@ -493,8 +486,6 @@ mod tests {
                 3_000_000, ChunkDelivered { broadcast: 1, viewer: 3, seq: 0, pop: 9, available_at_pop_us: 3_100_000, discovered_us: 3_400_000, arrival_us: 3_450_000, duration_us: 3_000_000 }),
             (r#"{"t":9000000,"type":"join_playout","broadcast":1,"viewer":3,"protocol":"hls","playback_start_us":12000000,"avg_buffering_us":6900000,"stall_us":250000,"stall_ratio_ppm":4200}"#,
                 9_000_000, JoinPlayout { broadcast: 1, viewer: 3, protocol: Protocol::Hls, playback_start_us: 12_000_000, avg_buffering_us: 6_900_000, stall_us: 250_000, stall_ratio_ppm: 4_200 }),
-            (r#"{"t":10,"type":"queue_depth","depth":12,"fired":1024}"#,
-                10, QueueDepth { depth: 12, fired: 1024 }),
             (r#"{"t":500000,"type":"span_open","id":6153317894576023040,"parent":16860738450190168606,"kind":"chunk_seal","broadcast":1,"subject":0,"site":3}"#,
                 500_000, SpanOpen { id: seal, parent: span::broadcast_span(1), kind: SpanKind::ChunkSeal, broadcast: 1, subject: 0, site: 3 }),
             (r#"{"t":3000000,"type":"span_close","id":6153317894576023040,"kind":"chunk_seal"}"#,
@@ -540,7 +531,7 @@ mod tests {
         let mut kinds: Vec<&str> = samples().iter().map(|e| e.event.kind()).collect();
         kinds.sort_unstable();
         kinds.dedup();
-        assert_eq!(kinds.len(), 20, "one sample per variant: {kinds:?}");
+        assert_eq!(kinds.len(), 19, "one sample per variant: {kinds:?}");
         for ((line, ..), sample) in golden().iter().zip(samples()) {
             assert_eq!(sample.to_json_line(), *line);
         }

@@ -38,10 +38,10 @@ clippy:
 test:
     cargo test --workspace -q
 
-# The sim crate's wall-clock event profiler is feature-gated; make sure
-# it keeps compiling.
+# The `profile` feature swaps telemetry's `Section` for its wall-clock
+# twin; test that twin and the sim crate's sharded barrier sections on it.
 test-profile:
-    cargo test -p livescope-sim --features profile -q
+    cargo test -p livescope-telemetry -p livescope-sim --features profile -q
 
 # Rustdoc gate: every public item documented, no broken intra-doc links.
 # Targets the livescope crates explicitly — vendor/* members are exempt.

@@ -18,8 +18,10 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo test --workspace -q"
 cargo test --workspace -q
 
-echo "==> cargo test -p livescope-sim --features profile -q"
-cargo test -p livescope-sim --features profile -q
+# The `profile` feature swaps `Section` for its wall-clock twin in
+# livescope-telemetry; sim's sharded barrier sections sit on top of it.
+echo "==> cargo test -p livescope-telemetry -p livescope-sim --features profile -q"
+cargo test -p livescope-telemetry -p livescope-sim --features profile -q
 
 echo "==> rustdoc gate (-D warnings; vendor/* exempt)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q \

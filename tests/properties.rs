@@ -400,22 +400,25 @@ proptest! {
 
     #[test]
     fn scheduler_fires_all_events_in_time_order(
-        times in proptest::collection::vec(0u64..100_000, 1..200),
+        // Quarter-second steps over ten seconds: ties are common and every
+        // fourth step is a one-second epoch boundary the sprint runs through.
+        steps in proptest::collection::vec(0u64..40, 1..200),
     ) {
-        use livescope_sim::{Scheduler, SimTime};
-        let mut sched: Scheduler<Vec<(u64, usize)>> = Scheduler::new();
+        use livescope_sim::{RngPool, SchedulerBackend, ShardId, ShardedScheduler};
+        type Log = Vec<(u64, usize)>;
+        let times: Vec<u64> = steps.iter().map(|s| s * 250_000).collect();
+        let mut sched = ShardedScheduler::new(RngPool::new(1), vec![Log::new()], SimDuration::from_secs(1));
         for (i, &t) in times.iter().enumerate() {
-            sched.schedule_at(SimTime::from_micros(t), move |sched, log: &mut Vec<(u64, usize)>| {
-                log.push((sched.now().as_micros(), i));
-            });
+            sched.schedule(ShardId(0), SimTime::from_micros(t), Box::new(move |ctx, log: &mut Log| {
+                log.push((ctx.now().as_micros(), i));
+            }));
         }
         // Stable by (time, insertion order) — the determinism contract.
-        let mut expected: Vec<(u64, usize)> =
-            times.iter().enumerate().map(|(i, &t)| (t, i)).collect();
+        let mut expected: Log = times.iter().enumerate().map(|(i, &t)| (t, i)).collect();
         expected.sort();
-        let mut log = Vec::new();
-        sched.run(&mut log);
-        prop_assert_eq!(log, expected);
+        sched.run();
+        prop_assert_eq!(sched.events_fired(), times.len() as u64);
+        prop_assert_eq!(sched.into_states().pop().expect("one shard"), expected);
     }
 
     #[test]
@@ -445,7 +448,7 @@ proptest! {
                 });
             }
         }
-        fn fire_sharded(ctx: &mut dyn EventCtx<Log>, log: &mut Log, chains: Chains, i: usize, depth: usize) {
+        fn fire_sharded(ctx: &mut EventCtx<'_, Log>, log: &mut Log, chains: Chains, i: usize, depth: usize) {
             log.push((ctx.now().as_micros(), i, depth));
             if let Some(&delay) = chains[i].get(depth) {
                 ctx.schedule_in(
