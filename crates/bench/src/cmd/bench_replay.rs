@@ -7,8 +7,7 @@
 //! (`just bench-replay`).
 //!
 //! ```sh
-//! cargo run --release -p livescope-bench --features profile \
-//!     -- bench_replay BENCH_replay.json
+//! cargo run --release -p livescope-bench -- bench_replay BENCH_replay.json
 //! ```
 //!
 //! This is the tool's one shape: it measures and writes. What gates a
@@ -45,11 +44,10 @@
 //! point), asserted checksum-identical to K=1 before the file is
 //! written.
 //!
-//! With `--features profile` the run finishes with the top-5 handler
-//! histograms by total wall time — the `handler.graph.{decide,rewire,
-//! assemble}_ns` build sections recorded by every graph build above,
-//! plus the celebrity fan-out workload's `handler.fanout.*` and
-//! `handler.sharded.*` sections.
+//! The run finishes with the top-5 handler histograms by total wall
+//! time — the `handler.graph.{decide,rewire,assemble}_ns` build sections
+//! recorded by every graph build above, plus the celebrity fan-out
+//! workload's `handler.sharded.*` barrier sections.
 
 use std::path::Path;
 use std::process::ExitCode;
@@ -203,7 +201,6 @@ struct ReplayDoc {
     /// The key keeps the name it had when that path was a materialized
     /// record vector.
     divisor_1000_matches_materialized: bool,
-    profile_feature: bool,
     profile_top5: Vec<ProfileRow>,
     runs: Vec<ReplayRun>,
     workers: WorkerCurve,
@@ -357,19 +354,9 @@ fn owned_graph_digest(divisor: f64) -> u64 {
 /// Top-5 handler histograms by total wall time, as report lines and
 /// JSON rows. `telemetry` already carries the `handler.graph.*`
 /// sections recorded by every graph build of the run; the celebrity
-/// fan-out workload is run on the same handle so its `handler.fanout.*`
-/// sections land in the same snapshot. Empty when the build lacks the
-/// `profile` feature.
+/// fan-out workload is run on the same handle so its `handler.sharded.*`
+/// sections land in the same snapshot.
 fn profile_report(telemetry: &Telemetry) -> (Vec<String>, Vec<ProfileRow>) {
-    if !cfg!(feature = "profile") {
-        return (
-            vec![
-                "profile feature off — rebuild with --features profile for handler histograms"
-                    .to_string(),
-            ],
-            Vec::new(),
-        );
-    }
     // The celebrity-broadcast workload of bench_shards, single-lane so
     // the single-threaded per-event numbers are comparable run to run.
     let config = super::bench_shards::workload();
@@ -519,7 +506,6 @@ pub fn run(mut args: Args, _results: &Path) -> Result<ExitCode, UsageError> {
             mem_sample_every: MEM_SAMPLE_EVERY,
         },
         divisor_1000_matches_materialized: true,
-        profile_feature: cfg!(feature = "profile"),
         profile_top5,
         runs,
         workers: WorkerCurve {

@@ -38,7 +38,7 @@ pub struct GraphBuildRun {
 
 /// Builds `spec` at `seed` with `workers` assembly shards, timing the
 /// whole build and recording the `handler.graph.*` phase sections on
-/// `telemetry` (inert without the `profile` feature).
+/// `telemetry` (inert when it is disabled).
 pub fn timed_build(
     spec: &GraphSpec,
     seed: u64,

@@ -29,7 +29,7 @@ use livescope_sim::{
     BackendEvent, RngPool, SchedulerBackend, ShardId, ShardedScheduler, SimDuration, SimTime,
 };
 use livescope_telemetry::span::{origin_fetch_span, viewer_deliver_span};
-use livescope_telemetry::{Section, SpanKind, Telemetry, TraceEvent};
+use livescope_telemetry::{SpanKind, Telemetry, TraceEvent};
 
 use crate::chunker::{Chunker, ReadyChunk};
 use crate::fastly::{FastlyPop, FetchPlan};
@@ -86,31 +86,6 @@ pub struct PopShard {
     viewers_done: u64,
     roams_out: u64,
     checksum: u64,
-    profile: PollSections,
-}
-
-/// Wall-clock sections of the poll handler (`handler.fanout.*_ns`),
-/// following the workspace `profile` convention: with the feature off
-/// these are zero-sized no-ops. Histogram recording is
-/// order-insensitive — bucket counts and saturating sums commute — so
-/// concurrent lanes recording into the shared registry cannot perturb
-/// the deterministic results; only the timings themselves vary run to
-/// run.
-#[derive(Clone)]
-struct PollSections {
-    origin_poll: Section,
-    serve_loop: Section,
-    reschedule: Section,
-}
-
-impl PollSections {
-    fn new(telemetry: &Telemetry) -> Self {
-        PollSections {
-            origin_poll: Section::new(telemetry, "fanout", "origin_poll"),
-            serve_loop: Section::new(telemetry, "fanout", "serve_loop"),
-            reschedule: Section::new(telemetry, "fanout", "reschedule"),
-        }
-    }
 }
 
 /// A viewer's poll-chain state; travels inside the event closure, so a
@@ -226,10 +201,7 @@ fn poll_event(mut viewer: Viewer) -> BackendEvent<PopShard> {
         }
         let fetch =
             |plan: &FetchPlan| SimDuration::from_millis(30 + (plan.total_bytes / 500_000) as u64);
-        let poll_stamp = shard.profile.origin_poll.begin();
         let resp = shard.pop.poll(now, shard.broadcast, &shard.origin, fetch);
-        shard.profile.origin_poll.end(poll_stamp);
-        let serve_stamp = shard.profile.serve_loop.begin();
         let pop_dc = shard.pop.datacenter();
         let tracing = ctx.is_tracing();
         for entry in &resp.chunklist.entries {
@@ -273,8 +245,6 @@ fn poll_event(mut viewer: Viewer) -> BackendEvent<PopShard> {
                 });
             }
         }
-        shard.profile.serve_loop.end(serve_stamp);
-        let resched_stamp = shard.profile.reschedule.begin();
         viewer.polls += 1;
         let jitter = SimDuration::from_micros(viewer.rng.gen_range(0..200_000));
         let next = now + shard.poll_interval + jitter;
@@ -285,7 +255,6 @@ fn poll_event(mut viewer: Viewer) -> BackendEvent<PopShard> {
         } else {
             ctx.schedule_at(next, poll_event(viewer));
         }
-        shard.profile.reschedule.end(resched_stamp);
     })
 }
 
@@ -302,7 +271,6 @@ pub fn run_fanout(config: &FanoutConfig, lanes: usize, telemetry: &Telemetry) ->
         + SimDuration::from_secs(config.stream_secs)
         + SimDuration::from_secs_f64(config.chunk_secs + config.poll_interval_s);
     let shard_count = config.pops.len() as u16;
-    let profile = PollSections::new(telemetry);
     let shards: Vec<PopShard> = config
         .pops
         .iter()
@@ -317,7 +285,6 @@ pub fn run_fanout(config: &FanoutConfig, lanes: usize, telemetry: &Telemetry) ->
             viewers_done: 0,
             roams_out: 0,
             checksum: 0,
-            profile: profile.clone(),
         })
         .collect();
     // Epoch = one poll interval: cross-POP roams quantize to poll

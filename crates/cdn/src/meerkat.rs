@@ -16,7 +16,6 @@
 //!   instead of Periscope's 3 s — slightly worse chunking delay.
 
 use bytes::Bytes;
-use rand::rngs::SmallRng;
 
 use livescope_net::datacenters::DatacenterId;
 use livescope_proto::hls::MEERKAT_CHUNK_SECS;
@@ -121,12 +120,6 @@ impl MeerkatServer {
     pub fn edge_work(&self) -> crate::fastly::EdgeWork {
         self.edge.work
     }
-
-    /// No-op placeholder for API symmetry with [`crate::WowzaServer`] —
-    /// Meerkat had no per-viewer push state to manage.
-    pub fn rtmp_subscribers(&self, _broadcast: BroadcastId) -> usize {
-        0
-    }
 }
 
 /// The latency floor of Meerkat's design: with no RTMP cohort, even the
@@ -136,14 +129,6 @@ impl MeerkatServer {
 /// dual-path numbers.
 pub fn latency_floor_s(poll_interval_s: f64, prebuffer_s: f64) -> f64 {
     MEERKAT_CHUNK_SECS + poll_interval_s / 2.0 + prebuffer_s
-}
-
-/// Unused-but-documented hook so the fault-injection suite can model a
-/// flaky upload: Meerkat's single POST means one connection reset drops
-/// the whole pipe until re-established (unlike per-frame RTMP messages).
-pub fn upload_reset_penalty(rng: &mut SmallRng) -> SimDuration {
-    use rand::Rng;
-    SimDuration::from_secs_f64(rng.gen_range(1.0..4.0))
 }
 
 #[cfg(test)]
@@ -189,7 +174,6 @@ mod tests {
     fn upload_is_one_connection_worth_of_bytes() {
         let s = streamed_server(100);
         assert_eq!(s.upload_bytes, 100 * 2_000);
-        assert_eq!(s.rtmp_subscribers(B), 0, "no push path exists");
     }
 
     #[test]
@@ -231,15 +215,5 @@ mod tests {
         let resp = s.poll(SimTime::from_secs(9), B);
         let text = resp.chunklist.serialize();
         assert!(ChunkList::parse(&text).is_ok());
-    }
-
-    #[test]
-    fn reset_penalty_is_seconds_scale() {
-        use rand::SeedableRng;
-        let mut rng = SmallRng::seed_from_u64(1);
-        for _ in 0..50 {
-            let p = upload_reset_penalty(&mut rng).as_secs_f64();
-            assert!((1.0..4.0).contains(&p));
-        }
     }
 }

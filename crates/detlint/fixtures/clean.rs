@@ -27,12 +27,6 @@ fn as_btree(m: &HashMap<u64, u64>) -> BTreeMap<u64, u64> {
     m.iter().map(|(k, v)| (*k, *v)).collect::<BTreeMap<u64, u64>>()
 }
 
-/// Profile-gated wall-clock is the sanctioned profiler path.
-fn profiled() {
-    #[cfg(feature = "profile")]
-    let _t0 = std::time::Instant::now();
-}
-
 /// Seeded RNG is the required idiom, not ambient RNG.
 fn seeded(seed: u64) -> SmallRng {
     SmallRng::seed_from_u64(seed)

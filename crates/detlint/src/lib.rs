@@ -17,7 +17,7 @@
 //! * [`scope`] + [`structural`] — a brace-matched scope tree (items,
 //!   impls, fns, closures — no full grammar) feeding the
 //!   merge-contract rules: `shared-mutable-state`, `direct-trace-emit`,
-//!   `section-discipline`, `unordered-float-merge`, and `span-balance`
+//!   `unordered-float-merge`, and `span-balance`
 //!   (per-site registry checks here; the cross-file open/close pairing
 //!   is assembled in [`scan`] from every file's span inventory);
 //! * [`config`] — the `detlint.toml` path-scoped allowlist

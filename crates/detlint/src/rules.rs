@@ -53,13 +53,13 @@ Suppress (needs a reason):
         explain: "\
 Simulation code must tell time with SimTime only. `Instant::now()`,
 `SystemTime`, and friends smuggle host wall-clock into results, so two
-runs of the same (config, seed) diverge. The only sanctioned uses are the
-`profile`-feature-gated event profiler (code under
-`#[cfg(feature = \"profile\")]` is exempt) and the bench binaries
-(exempted by path in detlint.toml).
+runs of the same (config, seed) diverge. The only sanctioned uses are
+`Section::time` in the telemetry crate's profiler, whose reading only
+ever feeds a histogram, and the bench binaries (both exempted by path in
+detlint.toml).
 
-Fix: thread `SimTime` from the scheduler; for performance measurement use
-the `profile` feature or a bench.
+Fix: thread `SimTime` from the scheduler; for performance measurement
+wrap the code in a profile `Section` or use a bench.
 
 Suppress (needs a reason):
     // detlint::allow(wall-clock) — <why this cannot affect a trace>",
@@ -185,24 +185,6 @@ pinned-id tests, and detlint's SPAN_REGISTRY together.
 
 Suppress (needs a reason):
     // detlint::allow(span-balance) — <why the id is correct anyway>",
-    },
-    RuleInfo {
-        name: "section-discipline",
-        summary: "a profile Section stamp is dropped immediately",
-        explain: "\
-`Section::begin()` returns a SectionStamp that must survive until the
-matching `.end(stamp)`: `let _ = sec.begin()` or a bare `sec.begin();`
-drops it on the same line, so the section records zero time (or, for
-RAII-style stamps, closes before the work runs) and the \u{00a7}10 profile
-report silently under-counts.
-
-Fix: bind the stamp to a named local (`let stamp = sec.begin();`) and
-pass it to `.end(stamp)`; returning the stamp or feeding it straight
-into `.end(…)` is fine.
-
-Suppress (needs a reason):
-    // detlint::allow(section-discipline) — <why dropping the stamp is
-    intended>",
     },
     RuleInfo {
         name: "unordered-float-merge",
@@ -337,7 +319,7 @@ pub(crate) fn statement_end(tokens: &[Tok], i: usize) -> usize {
 /// Index just past the previous `;`/`{`/`}` before `i` — the statement's
 /// first token, so escape scans see a `let x: BTreeMap<_, _> = …` type
 /// annotation that precedes the hazard.
-pub(crate) fn statement_start(tokens: &[Tok], i: usize) -> usize {
+fn statement_start(tokens: &[Tok], i: usize) -> usize {
     let mut at = i;
     while at > 0 {
         if matches!(punct(tokens, at - 1), Some(';') | Some('{') | Some('}')) {
@@ -355,8 +337,6 @@ fn span_has_ident(tokens: &[Tok], from: usize, to: usize, names: &[&str]) -> boo
 /// Attribute kinds the rules care about.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum AttrKind {
-    /// `#[cfg(feature = "profile")]` (possibly inside any/all).
-    ProfileGated,
     /// `#[cfg(test)]` or `#[test]`.
     TestOnly,
     Other,
@@ -380,25 +360,19 @@ pub fn guarded_ranges(tokens: &[Tok]) -> Vec<GuardedRange> {
             // Scan the attribute body to its closing `]`.
             let mut depth = 1usize;
             let mut at = i + 2;
-            let mut profile = false;
             let mut is_cfg_test = false;
             let mut is_test =
                 matches!(ident(tokens, i + 2), Some("test")) && punct(tokens, i + 3) == Some(']');
             let mut saw_cfg = false;
-            let mut saw_feature = false;
             let mut saw_not = false;
             while at < tokens.len() && depth > 0 {
                 match &tokens[at].kind {
                     TokKind::Punct('[') => depth += 1,
                     TokKind::Punct(']') => depth -= 1,
                     TokKind::Ident(s) if s == "cfg" => saw_cfg = true,
-                    TokKind::Ident(s) if s == "feature" => saw_feature = true,
                     TokKind::Ident(s) if s == "not" => saw_not = true,
                     TokKind::Ident(s) if s == "test" && saw_cfg && !saw_not => {
                         is_cfg_test = true;
-                    }
-                    TokKind::Str(s) if s == "profile" && saw_cfg && saw_feature && !saw_not => {
-                        profile = true;
                     }
                     _ => {}
                 }
@@ -447,9 +421,7 @@ pub fn guarded_ranges(tokens: &[Tok]) -> Vec<GuardedRange> {
                 }
                 k += 1;
             }
-            let kind = if profile {
-                AttrKind::ProfileGated
-            } else if is_test {
+            let kind = if is_test {
                 AttrKind::TestOnly
             } else {
                 AttrKind::Other
@@ -664,17 +636,14 @@ pub fn check_file(ctx: &FileContext) -> Vec<Finding> {
         let line = tokens[i].line;
         match ident(tokens, i) {
             // --- wall-clock ---------------------------------------------
-            Some("Instant")
-                if matches_path(tokens, i, &["Instant", "now"])
-                    && !in_range(&ranges, AttrKind::ProfileGated, i) =>
-            {
+            Some("Instant") if matches_path(tokens, i, &["Instant", "now"]) => {
                 emit(
                     "wall-clock",
                     line,
-                    "`Instant::now()` reads the host clock; use SimTime (or gate under the `profile` feature)".to_string(),
+                    "`Instant::now()` reads the host clock; use SimTime (or time it with a profile `Section`)".to_string(),
                 );
             }
-            Some("SystemTime") if !in_range(&ranges, AttrKind::ProfileGated, i) => {
+            Some("SystemTime") => {
                 emit(
                     "wall-clock",
                     line,
@@ -684,8 +653,7 @@ pub fn check_file(ctx: &FileContext) -> Vec<Finding> {
             Some("Utc") | Some("Local") | Some("Date")
                 if punct(tokens, i + 1) == Some(':')
                     && punct(tokens, i + 2) == Some(':')
-                    && ident(tokens, i + 3) == Some("now")
-                    && !in_range(&ranges, AttrKind::ProfileGated, i) =>
+                    && ident(tokens, i + 3) == Some("now") =>
             {
                 // `Utc::now` / `Local::now` / `Date::now`.
                 emit(
@@ -888,9 +856,9 @@ mod tests {
     }
 
     #[test]
-    fn wall_clock_exempts_profile_gated_code() {
+    fn wall_clock_has_no_feature_gate_exemption() {
         let src = "fn f() { #[cfg(feature = \"profile\")] let t = std::time::Instant::now(); }";
-        assert!(rules_of(src).is_empty());
+        assert_eq!(rules_of(src), vec!["wall-clock"]);
     }
 
     #[test]
@@ -980,7 +948,6 @@ mod tests {
             "shared-mutable-state",
             "direct-trace-emit",
             "span-balance",
-            "section-discipline",
             "unordered-float-merge",
             "stale-allowlist",
             "missing-reason",

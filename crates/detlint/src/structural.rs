@@ -9,17 +9,16 @@
 //! in one crate and closed in another).
 //!
 //! Per-file rules produced here: `shared-mutable-state`,
-//! `direct-trace-emit`, `section-discipline`, `unordered-float-merge`,
-//! and the per-site half of `span-balance` (helper/kind/arity checks
-//! against the `span.rs` registry). The cross-file half of
+//! `direct-trace-emit`, `unordered-float-merge`, and the per-site half
+//! of `span-balance` (helper/kind/arity checks against the `span.rs`
+//! registry). The cross-file half of
 //! `span-balance` — every kind opened somewhere must close somewhere —
 //! is assembled by [`crate::scan`] from the [`SpanSite`] inventory each
 //! file reports.
 
 use crate::lexer::{Comment, Tok, TokKind};
 use crate::rules::{
-    hash_bindings, ident, punct, statement_start, AttrKind, Finding, GuardedRange,
-    HASH_ITER_METHODS,
+    hash_bindings, ident, punct, AttrKind, Finding, GuardedRange, HASH_ITER_METHODS,
 };
 use crate::scope::{ScopeKind, ScopeTree};
 
@@ -96,7 +95,6 @@ pub fn check_file(ctx: &StructuralContext) -> StructuralOutput {
     };
     shared_mutable_state(ctx, &mut emit);
     direct_trace_emit(ctx, &mut emit);
-    section_discipline(ctx, &mut emit);
     unordered_float_merge(ctx, &mut emit);
     span_sites(ctx, &mut emit, &mut out.span_sites);
     out.findings
@@ -294,57 +292,6 @@ fn direct_trace_emit(ctx: &StructuralContext, emit: &mut impl FnMut(&'static str
                 RULE,
                 line,
                 format!("`{recv}.emit(…)` inside a scheduler handler writes the trace sink directly, racing the epoch-barrier merge; route through `{ctx_name}.emit(…)` (the EventCtx parameter)"),
-            );
-        }
-    }
-}
-
-// --- section-discipline --------------------------------------------------
-
-fn section_discipline(ctx: &StructuralContext, emit: &mut impl FnMut(&'static str, u32, String)) {
-    let tokens = ctx.tokens;
-    const RULE: &str = "section-discipline";
-    for i in 0..tokens.len() {
-        if ident(tokens, i) != Some("begin")
-            || punct(tokens, i + 1) != Some('(')
-            || i == 0
-            || punct(tokens, i - 1) != Some('.')
-        {
-            continue;
-        }
-        let line = tokens[i].line;
-        let start = statement_start(tokens, i);
-        if ident(tokens, start) == Some("let")
-            && ident(tokens, start + 1) == Some("_")
-            && punct(tokens, start + 2) == Some('=')
-        {
-            emit(
-                RULE,
-                line,
-                "`let _ = ….begin()` drops the SectionStamp immediately, recording a zero-length section; bind it (`let stamp = ….begin()`) and pass it to `.end(stamp)`".to_string(),
-            );
-            continue;
-        }
-        // Bare discard: a `….begin();` statement that neither binds nor
-        // feeds the stamp anywhere (`off.end(off.begin())` and
-        // `return ….begin()` are fine).
-        let mut end = i;
-        while end < tokens.len() && !matches!(punct(tokens, end), Some(';') | Some('}')) {
-            end += 1;
-        }
-        if punct(tokens, end) != Some(';') {
-            continue; // tail expression — the stamp is the value
-        }
-        let stmt = &tokens[start..end];
-        let feeds_stamp = stmt.iter().any(|t| {
-            matches!(&t.kind, TokKind::Ident(s) if s == "let" || s == "end" || s == "return")
-                || t.kind == TokKind::Punct('=')
-        });
-        if !feeds_stamp {
-            emit(
-                RULE,
-                line,
-                "`….begin();` discards the SectionStamp, so the section never records; bind the stamp and pass it to `.end(stamp)`".to_string(),
             );
         }
     }
@@ -850,29 +797,6 @@ mod tests {
         let out = run("src/x.rs", src);
         assert_eq!(out.findings.len(), 1, "{:?}", out.findings);
         assert!(out.findings[0].message.contains("c.emit"));
-    }
-
-    // --- section-discipline ----------------------------------------------
-
-    #[test]
-    fn discarded_and_bare_stamps_are_flagged() {
-        let src = "fn f(&mut self) { let _ = self.sec.begin(); self.sec.begin(); }";
-        assert_eq!(
-            rules_of("src/x.rs", src),
-            vec!["section-discipline", "section-discipline"]
-        );
-    }
-
-    #[test]
-    fn named_stamp_and_inline_end_are_fine() {
-        let src = "fn f(&mut self) { let stamp = self.sec.begin(); work(); self.sec.end(stamp); off.end(off.begin()); }";
-        assert!(rules_of("src/x.rs", src).is_empty());
-    }
-
-    #[test]
-    fn returned_stamp_is_fine() {
-        let src = "fn start(&self) -> SectionStamp { self.sec.begin() } fn alt(&self) -> SectionStamp { return self.sec.begin(); }";
-        assert!(rules_of("src/x.rs", src).is_empty());
     }
 
     // --- unordered-float-merge -------------------------------------------

@@ -177,10 +177,10 @@ impl GraphSpec {
 }
 
 /// The three build-phase profile sections
-/// (`handler.graph.{decide,rewire,assemble}_ns`). Zero-sized no-ops
-/// without the `profile` feature; with it, one sample per build phase
-/// lands on the attached telemetry handle so `profile_top5` shows where
-/// a build spends its wall clock.
+/// (`handler.graph.{decide,rewire,assemble}_ns`). Inert on a disabled
+/// telemetry handle; on a recording one, one sample per build phase
+/// lands on it so `profile_top5` shows where a build spends its wall
+/// clock.
 #[derive(Clone, Debug, Default)]
 pub struct BuildProfile {
     pub(crate) decide: Section,
@@ -202,13 +202,13 @@ impl BuildProfile {
 /// Execution knobs for [`DiGraph::generate_with`]. None of them change
 /// the emitted graph — `workers` only shards phase 2's counting-sort
 /// passes over disjoint target ranges (byte-identical for every value,
-/// DESIGN.md §12), and `profile` sections are inert unless the `profile`
-/// feature is on.
+/// DESIGN.md §12), and `profile` sections only time the phases, on a
+/// recording telemetry handle.
 #[derive(Clone, Debug)]
 pub struct BuildOptions {
     /// Assembly worker shards (≥ 1; clamped to the node count).
     pub workers: usize,
-    /// Build-phase timing sections (default: detached no-ops).
+    /// Build-phase timing sections (default: inert).
     pub profile: BuildProfile,
 }
 
@@ -353,8 +353,43 @@ fn build_follow(
     assert_pass_multiple("disassortative_passes", p.disassortative_passes);
     let mut rng = SmallRng::seed_from_u64(seed);
     let mut peak = PeakTracker::default();
-    let decide_stamp = options.profile.decide.begin();
+    let (estart, mut targets) = options
+        .profile
+        .decide
+        .time(|| follow_decide(nodes, p, &mut rng, &mut peak));
+    let swaps_applied = options
+        .profile
+        .rewire
+        .time(|| follow_rewire(nodes, p, &estart, &mut targets, &mut rng, &mut peak));
 
+    let workers = options.workers.max(1);
+    let g = options
+        .profile
+        .assemble
+        .time(|| build::assemble(nodes, estart, targets, workers, &mut peak));
+    let stats = GraphBuildStats {
+        nodes,
+        edges: g.edge_count(),
+        peak_bytes: peak.peak(),
+        swaps_applied,
+        workers,
+    };
+    (g, stats)
+}
+
+// The follow build's two RNG phases are functions, not closure bodies,
+// so their hot loops see `rng` as a `&mut` argument the optimizer may
+// keep in registers rather than a capture it must reload after every call.
+
+/// Phase 1 of the follow build: the RNG decision stream against the
+/// implicit urn, ending with every segment of the flat target array
+/// sorted. Returns `(estart, targets)`.
+fn follow_decide(
+    nodes: usize,
+    p: &FollowParams,
+    rng: &mut SmallRng,
+    peak: &mut PeakTracker,
+) -> (Vec<u64>, Vec<NodeId>) {
     // Phase 1: stream RNG decisions into a source-grouped flat target
     // array. `estart[m]` = out-edges of nodes < m (so node m's targets sit
     // at `targets[estart[m]..estart[m+1]]`, insertion-ordered for now —
@@ -369,7 +404,7 @@ fn build_follow(
     // the per-node follow count, and Periscope means ~19 follows).
     let mut chosen_sorted: Vec<NodeId> = Vec::new();
     for node in 1..nodes as NodeId {
-        let follows = dist::geometric(&mut rng, p.mean_follows).min(node as u64) as usize;
+        let follows = dist::geometric(rng, p.mean_follows).min(node as u64) as usize;
         chosen.clear();
         chosen_sorted.clear();
         // Bounded retries: duplicates are common when `node` is small.
@@ -422,14 +457,24 @@ fn build_follow(
     drop(guide);
     drop(chosen);
     drop(chosen_sorted);
-    let edge_total = targets.len();
 
     // Segment sort so the flat array matches CSR (and rewiring's edge
     // indexing, which walks edges in CSR order).
     sort_segments(&estart, &mut targets);
-    options.profile.decide.end(decide_stamp);
+    (estart, targets)
+}
 
-    let rewire_stamp = options.profile.rewire.begin();
+/// Disassortative target swaps in slot order over the flat target array,
+/// leaving every segment sorted again. Returns the swaps applied.
+fn follow_rewire(
+    nodes: usize,
+    p: &FollowParams,
+    estart: &Vec<u64>,
+    targets: &mut Vec<NodeId>,
+    rng: &mut SmallRng,
+    peak: &mut PeakTracker,
+) -> u64 {
+    let edge_total = targets.len();
     let swaps = (edge_total as f64 * p.disassortative_passes) as usize;
     let mut swaps_applied = 0u64;
     if swaps > 0 && edge_total >= 2 {
@@ -438,7 +483,7 @@ fn build_follow(
         for m in 0..nodes {
             degrees[m] += estart[m + 1] - estart[m];
         }
-        for &v in &targets {
+        for &v in targets.iter() {
             degrees[v as usize] += 1;
         }
         // `targets[i]` is the current target of flat edge slot i. Slot
@@ -449,7 +494,7 @@ fn build_follow(
         // geometric (size-biased mean ~2 × `mean_follows`, maximum
         // ~`mean_follows · ln V`), so that is the few cache lines the
         // `targets[i]` read just pulled in.
-        let scratch = CsrScratch::new(&estart);
+        let scratch = CsrScratch::new(estart);
         let segment = |u: NodeId| estart[u as usize] as usize..estart[u as usize + 1] as usize;
         peak.observe(
             estart.capacity() * 8
@@ -482,22 +527,9 @@ fn build_follow(
             targets[j] = b;
             swaps_applied += 1;
         }
-        sort_segments(&estart, &mut targets);
+        sort_segments(estart, targets);
     }
-    options.profile.rewire.end(rewire_stamp);
-
-    let workers = options.workers.max(1);
-    let assemble_stamp = options.profile.assemble.begin();
-    let g = build::assemble(nodes, estart, targets, workers, &mut peak);
-    options.profile.assemble.end(assemble_stamp);
-    let stats = GraphBuildStats {
-        nodes,
-        edges: g.edge_count(),
-        peak_bytes: peak.peak(),
-        swaps_applied,
-        workers,
-    };
-    (g, stats)
+    swaps_applied
 }
 
 /// Rejects a multiple-of-the-edge-count parameter that `as usize` would
@@ -547,76 +579,120 @@ fn build_friendship(
     assert_pass_multiple("closure_extra", p.closure_extra);
     let mut rng = SmallRng::seed_from_u64(seed);
     let mut peak = PeakTracker::default();
-    let decide_stamp = options.profile.decide.begin();
-    // Undirected edges as ordered pairs (min, max), in acceptance order —
-    // rewiring's RNG indexes into this order.
-    let mut edges: Vec<(NodeId, NodeId)> = Vec::new();
-    // Insertion-order adjacency: triadic-closure draws index into it.
-    let mut adjacency: Vec<Vec<NodeId>> = vec![Vec::new(); nodes];
-    // Sorted adjacency: the membership structure replacing the edge set.
-    let mut sorted_adj: Vec<Vec<NodeId>> = vec![Vec::new(); nodes];
-    let mut urn: Vec<NodeId> = vec![0, 1];
-    let push_edge = |u: NodeId,
-                     v: NodeId,
-                     edges: &mut Vec<(NodeId, NodeId)>,
-                     adjacency: &mut [Vec<NodeId>],
-                     sorted_adj: &mut [Vec<NodeId>],
-                     urn: &mut Vec<NodeId>|
-     -> bool {
-        if u == v || !sorted_insert(&mut sorted_adj[u as usize], v) {
-            return false;
-        }
-        sorted_insert(&mut sorted_adj[v as usize], u);
-        edges.push((u.min(v), u.max(v)));
-        adjacency[u as usize].push(v);
-        adjacency[v as usize].push(u);
-        urn.push(u);
-        urn.push(v);
-        true
-    };
-    // Seed friendship between the first two users.
-    push_edge(0, 1, &mut edges, &mut adjacency, &mut sorted_adj, &mut urn);
-    for node in 2..nodes as NodeId {
-        let friends = dist::geometric(&mut rng, p.mean_friends).min(node as u64) as usize;
-        let mut made = 0;
-        let mut attempts = 0;
-        while made < friends && attempts < friends * 20 {
-            attempts += 1;
-            let target = if made > 0 && rng.gen_bool(p.triadic_closure) {
-                // Friend of an existing friend: pick one of my neighbors,
-                // then one of theirs.
-                let my = &adjacency[node as usize];
-                let via = my[rng.gen_range(0..my.len())];
-                let theirs = &adjacency[via as usize];
-                theirs[rng.gen_range(0..theirs.len())]
-            } else if p.community_size > 0 && rng.gen_bool(p.community_bias) {
-                // A peer from my own community block.
-                let community = node as usize / p.community_size;
-                let lo = (community * p.community_size) as NodeId;
-                let hi = node.min(lo + p.community_size as NodeId);
-                if hi > lo {
-                    rng.gen_range(lo..hi)
+    let (mut edges, adjacency, mut sorted_adj, urn) = options.profile.decide.time(|| {
+        // Undirected edges as ordered pairs (min, max), in acceptance order —
+        // rewiring's RNG indexes into this order.
+        let mut edges: Vec<(NodeId, NodeId)> = Vec::new();
+        // Insertion-order adjacency: triadic-closure draws index into it.
+        let mut adjacency: Vec<Vec<NodeId>> = vec![Vec::new(); nodes];
+        // Sorted adjacency: the membership structure replacing the edge set.
+        let mut sorted_adj: Vec<Vec<NodeId>> = vec![Vec::new(); nodes];
+        let mut urn: Vec<NodeId> = vec![0, 1];
+        let push_edge = |u: NodeId,
+                         v: NodeId,
+                         edges: &mut Vec<(NodeId, NodeId)>,
+                         adjacency: &mut [Vec<NodeId>],
+                         sorted_adj: &mut [Vec<NodeId>],
+                         urn: &mut Vec<NodeId>|
+         -> bool {
+            if u == v || !sorted_insert(&mut sorted_adj[u as usize], v) {
+                return false;
+            }
+            sorted_insert(&mut sorted_adj[v as usize], u);
+            edges.push((u.min(v), u.max(v)));
+            adjacency[u as usize].push(v);
+            adjacency[v as usize].push(u);
+            urn.push(u);
+            urn.push(v);
+            true
+        };
+        // Seed friendship between the first two users.
+        push_edge(0, 1, &mut edges, &mut adjacency, &mut sorted_adj, &mut urn);
+        for node in 2..nodes as NodeId {
+            let friends = dist::geometric(&mut rng, p.mean_friends).min(node as u64) as usize;
+            let mut made = 0;
+            let mut attempts = 0;
+            while made < friends && attempts < friends * 20 {
+                attempts += 1;
+                let target = if made > 0 && rng.gen_bool(p.triadic_closure) {
+                    // Friend of an existing friend: pick one of my neighbors,
+                    // then one of theirs.
+                    let my = &adjacency[node as usize];
+                    let via = my[rng.gen_range(0..my.len())];
+                    let theirs = &adjacency[via as usize];
+                    theirs[rng.gen_range(0..theirs.len())]
+                } else if p.community_size > 0 && rng.gen_bool(p.community_bias) {
+                    // A peer from my own community block.
+                    let community = node as usize / p.community_size;
+                    let lo = (community * p.community_size) as NodeId;
+                    let hi = node.min(lo + p.community_size as NodeId);
+                    if hi > lo {
+                        rng.gen_range(lo..hi)
+                    } else {
+                        urn[rng.gen_range(0..urn.len())]
+                    }
                 } else {
                     urn[rng.gen_range(0..urn.len())]
+                };
+                if target < node
+                    && push_edge(
+                        node,
+                        target,
+                        &mut edges,
+                        &mut adjacency,
+                        &mut sorted_adj,
+                        &mut urn,
+                    )
+                {
+                    made += 1;
                 }
-            } else {
-                urn[rng.gen_range(0..urn.len())]
-            };
-            if target < node
-                && push_edge(
-                    node,
-                    target,
-                    &mut edges,
-                    &mut adjacency,
-                    &mut sorted_adj,
-                    &mut urn,
-                )
-            {
-                made += 1;
+            }
+            urn.push(node);
+            if node % 1024 == 0 {
+                peak.observe(
+                    urn.capacity() * 4
+                        + edges.capacity() * 8
+                        + adj_heap_bytes(&adjacency)
+                        + adj_heap_bytes(&sorted_adj),
+                );
             }
         }
-        urn.push(node);
-        if node % 1024 == 0 {
+        (edges, adjacency, sorted_adj, urn)
+    });
+    let swaps_applied = options.profile.rewire.time(|| {
+        let degrees: Vec<usize> = adjacency.iter().map(Vec::len).collect();
+        let swaps = (edges.len() as f64 * p.rewire_passes) as usize;
+        let swaps_applied =
+            rewire_assortative(&mut edges, &mut sorted_adj, &degrees, swaps, &mut rng);
+        // Post-rewiring triadic closure: rewiring sorts degrees but shreds
+        // triangles; close wedges on the rewired graph to restore clustering.
+        let extra = (edges.len() as f64 * p.closure_extra) as usize;
+        if extra > 0 {
+            // Static snapshot adjacency (not updated by the additions below —
+            // the wedge draws index into the rewired graph only).
+            let mut adjacency: Vec<Vec<NodeId>> = vec![Vec::new(); nodes];
+            for &(u, v) in &edges {
+                adjacency[u as usize].push(v);
+                adjacency[v as usize].push(u);
+            }
+            let mut added = 0;
+            let mut attempts = 0;
+            while added < extra && attempts < extra * 20 {
+                attempts += 1;
+                let center = rng.gen_range(0..nodes);
+                let neigh = &adjacency[center];
+                if neigh.len() < 2 {
+                    continue;
+                }
+                let x = neigh[rng.gen_range(0..neigh.len())];
+                let y = neigh[rng.gen_range(0..neigh.len())];
+                if x == y || !sorted_insert(&mut sorted_adj[x as usize], y) {
+                    continue;
+                }
+                sorted_insert(&mut sorted_adj[y as usize], x);
+                edges.push((x.min(y), x.max(y)));
+                added += 1;
+            }
             peak.observe(
                 urn.capacity() * 4
                     + edges.capacity() * 8
@@ -624,66 +700,25 @@ fn build_friendship(
                     + adj_heap_bytes(&sorted_adj),
             );
         }
-    }
-    options.profile.decide.end(decide_stamp);
-    let rewire_stamp = options.profile.rewire.begin();
-    let degrees: Vec<usize> = adjacency.iter().map(Vec::len).collect();
-    let swaps = (edges.len() as f64 * p.rewire_passes) as usize;
-    let swaps_applied = rewire_assortative(&mut edges, &mut sorted_adj, &degrees, swaps, &mut rng);
-    // Post-rewiring triadic closure: rewiring sorts degrees but shreds
-    // triangles; close wedges on the rewired graph to restore clustering.
-    let extra = (edges.len() as f64 * p.closure_extra) as usize;
-    if extra > 0 {
-        // Static snapshot adjacency (not updated by the additions below —
-        // the wedge draws index into the rewired graph only).
-        let mut adjacency: Vec<Vec<NodeId>> = vec![Vec::new(); nodes];
-        for &(u, v) in &edges {
-            adjacency[u as usize].push(v);
-            adjacency[v as usize].push(u);
-        }
-        let mut added = 0;
-        let mut attempts = 0;
-        while added < extra && attempts < extra * 20 {
-            attempts += 1;
-            let center = rng.gen_range(0..nodes);
-            let neigh = &adjacency[center];
-            if neigh.len() < 2 {
-                continue;
-            }
-            let x = neigh[rng.gen_range(0..neigh.len())];
-            let y = neigh[rng.gen_range(0..neigh.len())];
-            if x == y || !sorted_insert(&mut sorted_adj[x as usize], y) {
-                continue;
-            }
-            sorted_insert(&mut sorted_adj[y as usize], x);
-            edges.push((x.min(y), x.max(y)));
-            added += 1;
-        }
-        peak.observe(
-            urn.capacity() * 4
-                + edges.capacity() * 8
-                + adj_heap_bytes(&adjacency)
-                + adj_heap_bytes(&sorted_adj),
-        );
-    }
-    options.profile.rewire.end(rewire_stamp);
+        swaps_applied
+    });
     // Final assembly: `sorted_adj` already *is* the symmetric out-CSR,
     // segment-sorted; flatten and counting-sort the in-direction.
     let workers = options.workers.max(1);
-    let assemble_stamp = options.profile.assemble.begin();
-    let mut offsets: Vec<u64> = Vec::with_capacity(nodes + 1);
-    offsets.push(0);
-    let mut total = 0u64;
-    for list in &sorted_adj {
-        total += list.len() as u64;
-        offsets.push(total);
-    }
-    let mut flat: Vec<NodeId> = Vec::with_capacity(total as usize);
-    for list in &sorted_adj {
-        flat.extend_from_slice(list);
-    }
-    let g = build::assemble(nodes, offsets, flat, workers, &mut peak);
-    options.profile.assemble.end(assemble_stamp);
+    let g = options.profile.assemble.time(|| {
+        let mut offsets: Vec<u64> = Vec::with_capacity(nodes + 1);
+        offsets.push(0);
+        let mut total = 0u64;
+        for list in &sorted_adj {
+            total += list.len() as u64;
+            offsets.push(total);
+        }
+        let mut flat: Vec<NodeId> = Vec::with_capacity(total as usize);
+        for list in &sorted_adj {
+            flat.extend_from_slice(list);
+        }
+        build::assemble(nodes, offsets, flat, workers, &mut peak)
+    });
     let stats = GraphBuildStats {
         nodes,
         edges: g.edge_count(),

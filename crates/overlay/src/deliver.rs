@@ -37,8 +37,7 @@ pub struct OverlayNetwork {
     /// Cumulative per-server forward counts (Fig 14-style accounting).
     pub forwards: BTreeMap<DatacenterId, u64>,
     /// Wall-clock sections for the relay path (`handler.overlay.*_ns`);
-    /// no-ops unless the `profile` feature is on and a telemetry handle
-    /// is attached.
+    /// inert unless a recording telemetry handle is attached.
     sec_tree_walk: Section,
     sec_last_mile: Section,
 }
@@ -58,7 +57,7 @@ impl OverlayNetwork {
 
     /// Attaches telemetry: wall-clock sections over the two halves of
     /// [`OverlayNetwork::push_frame`] (the inter-server tree walk and the
-    /// per-viewer last-mile loop), recorded only in `profile` builds.
+    /// per-viewer last-mile loop), recorded when `telemetry` records.
     pub fn attach_telemetry(&mut self, telemetry: &Telemetry) {
         self.sec_tree_walk = Section::new(telemetry, "overlay", "tree_walk");
         self.sec_last_mile = Section::new(telemetry, "overlay", "last_mile");
@@ -107,45 +106,47 @@ impl OverlayNetwork {
     ) -> DeliveryOutcome {
         // Frame arrival at each server, walking edges in forwarding order
         // (the DFS guarantees parents precede children).
-        let walk_stamp = self.sec_tree_walk.begin();
         let mut at_server: HashMap<DatacenterId, SimTime> = HashMap::new();
         at_server.insert(tree.root(), now);
         let mut root_sends = 0;
         let mut total_sends = 0;
-        for (parent, child) in tree.edges() {
-            let parent_time = at_server[&parent];
-            let delay = self.server_delay(parent, child, bytes, parent_time);
-            at_server.insert(child, parent_time + delay);
-            *self.forwards.entry(parent).or_default() += 1;
-            total_sends += 1;
-            if parent == tree.root() {
-                root_sends += 1;
+        let tree_walk = self.sec_tree_walk.clone();
+        tree_walk.time(|| {
+            for (parent, child) in tree.edges() {
+                let parent_time = at_server[&parent];
+                let delay = self.server_delay(parent, child, bytes, parent_time);
+                at_server.insert(child, parent_time + delay);
+                *self.forwards.entry(parent).or_default() += 1;
+                total_sends += 1;
+                if parent == tree.root() {
+                    root_sends += 1;
+                }
             }
-        }
-        self.sec_tree_walk.end(walk_stamp);
+        });
         // Leaf → viewer last miles.
-        let last_mile_stamp = self.sec_last_mile.begin();
         let Self {
             rng,
             viewers,
             forwards,
+            sec_last_mile,
             ..
         } = self;
         let mut viewer_delays = Vec::with_capacity(viewers.len());
-        for (viewer, leaf, link) in viewers.iter_mut() {
-            let Some(&leaf_time) = at_server.get(leaf) else {
-                continue; // leaf not in this tree (viewer of another broadcast)
-            };
-            let delay = link
-                .transmit(rng, leaf_time, bytes)
-                .delay()
-                // A dropped push is retransmitted by TCP; model as slow.
-                .unwrap_or(SimDuration::from_millis(500));
-            *forwards.entry(*leaf).or_default() += 1;
-            total_sends += 1;
-            viewer_delays.push((*viewer, (leaf_time + delay).saturating_since(now)));
-        }
-        self.sec_last_mile.end(last_mile_stamp);
+        sec_last_mile.time(|| {
+            for (viewer, leaf, link) in viewers.iter_mut() {
+                let Some(&leaf_time) = at_server.get(leaf) else {
+                    continue; // leaf not in this tree (viewer of another broadcast)
+                };
+                let delay = link
+                    .transmit(rng, leaf_time, bytes)
+                    .delay()
+                    // A dropped push is retransmitted by TCP; model as slow.
+                    .unwrap_or(SimDuration::from_millis(500));
+                *forwards.entry(*leaf).or_default() += 1;
+                total_sends += 1;
+                viewer_delays.push((*viewer, (leaf_time + delay).saturating_since(now)));
+            }
+        });
         DeliveryOutcome {
             viewer_delays,
             root_sends,

@@ -309,8 +309,8 @@ pub struct ShardedScheduler<S> {
     /// (keeping the capacity), so memory stays bounded by one epoch's
     /// traffic and the sink lock is taken once per epoch, not per event.
     trace_pending: Vec<(u64, u16, u64, TraceEvent)>,
-    /// Wall-clock profile sections (`handler.sharded.*_ns`); no-ops
-    /// without the telemetry crate's `profile` feature. They time the
+    /// Wall-clock profile sections (`handler.sharded.*_ns`); live exactly
+    /// when the attached telemetry handle records. They time the
     /// phases the 0.81×-at-6-lanes result is made of: lane execution,
     /// the mailbox drain, and the trace merge at each epoch barrier.
     sec_lane_exec: Section,
@@ -388,9 +388,6 @@ impl<S: Send + 'static> ShardedScheduler<S> {
     /// per shard (`sim.shard.<i>.events_fired`, `sim.shard.<i>.mail_out`);
     /// trace events emitted by events via [`EventCtx::emit`] are merged
     /// into the sink at each barrier in `(time, shard_id, seq)` order.
-    ///
-    /// Per-shard metric names are interned with `Box::leak`: registration
-    /// is a bounded setup-path cost, never on the hot path.
     pub fn set_telemetry(&mut self, telemetry: &Telemetry) {
         // Deferred traces belong to the previous sink; hand them over
         // before swapping handles (a no-op outside `run_until`, which
@@ -402,9 +399,10 @@ impl<S: Send + 'static> ShardedScheduler<S> {
         self.g_depth = telemetry.gauge("sim.sharded.queue_depth");
         self.shard_counters = (0..self.shards.len())
             .map(|i| {
-                let fired: &'static str = Box::leak(format!("sim.shard.{i}.events_fired").into());
-                let mail: &'static str = Box::leak(format!("sim.shard.{i}.mail_out").into());
-                (telemetry.counter(fired), telemetry.counter(mail))
+                (
+                    telemetry.counter(format!("sim.shard.{i}.events_fired")),
+                    telemetry.counter(format!("sim.shard.{i}.mail_out")),
+                )
             })
             .collect();
         self.sec_lane_exec = Section::new(telemetry, "sharded", "lane_exec");
@@ -427,25 +425,21 @@ impl<S: Send + 'static> ShardedScheduler<S> {
         self.shards.iter().map(|s| s.core.queue.len()).sum()
     }
 
-    /// Runs all shards for the epoch ending at `barrier`, then performs
-    /// the single-threaded barrier merge.
+    /// Runs all shards for the epoch ending at `barrier` in contiguous
+    /// chunks, one per lane, then performs the single-threaded barrier
+    /// merge. Shards cannot observe each other within an epoch, so chunk
+    /// boundaries are unobservable.
     fn run_epoch(&mut self, barrier: SimTime, inclusive: bool) {
-        let stamp = self.sec_lane_exec.begin();
-        self.execute_lanes(barrier, inclusive);
-        self.sec_lane_exec.end(stamp);
-        self.barrier_merge(barrier);
-    }
-
-    /// Contiguous shard chunks, one per lane. Shards cannot observe each
-    /// other within an epoch, so chunk boundaries are unobservable.
-    fn execute_lanes(&mut self, barrier: SimTime, inclusive: bool) {
         let lanes = self.lanes.min(self.shards.len());
         let chunk = self.shards.len().div_ceil(lanes);
-        run_parts(self.shards.chunks_mut(chunk).collect(), |bucket| {
-            for slot in bucket {
-                run_shard(slot, barrier, inclusive);
-            }
+        self.sec_lane_exec.time(|| {
+            run_parts(self.shards.chunks_mut(chunk).collect(), |bucket| {
+                for slot in bucket {
+                    run_shard(slot, barrier, inclusive);
+                }
+            })
         });
+        self.barrier_merge(barrier);
     }
 
     /// The single-threaded barrier step: deliver mail in
@@ -453,66 +447,69 @@ impl<S: Send + 'static> ShardedScheduler<S> {
     /// `(time, shard, seq)` order, roll up counters.
     fn barrier_merge(&mut self, barrier: SimTime) {
         // --- mail ---------------------------------------------------------
-        let mail_stamp = self.sec_mail_merge.begin();
-        let mut mail = std::mem::take(&mut self.mail_scratch);
-        for slot in &mut self.shards {
-            mail.append(&mut slot.core.outbox);
-        }
-        // Explicit total order; `(clamped time, src, src_seq)` is unique
-        // per message. Iterating a map here instead would be exactly the
-        // hash-order bug detlint's `hash-iter` rule exists to catch. A
-        // single message is trivially ordered — skip the sort.
-        if mail.len() > 1 {
-            mail.sort_unstable_by_key(|m| (m.at.max(barrier), m.src, m.src_seq));
-        }
-        self.mail_delivered += mail.len() as u64;
-        self.telemetry.add(self.c_mail, mail.len() as u64);
-        for m in mail.drain(..) {
-            let deliver_at = m.at.max(barrier);
-            self.shards[m.dest as usize]
-                .core
-                .push_local(deliver_at, m.run);
-        }
-        self.mail_scratch = mail;
-        self.sec_mail_merge.end(mail_stamp);
+        // The sections borrow only their own fields, so the closures below
+        // can borrow the rest of `self`.
+        self.sec_mail_merge.time(|| {
+            let mut mail = std::mem::take(&mut self.mail_scratch);
+            for slot in &mut self.shards {
+                mail.append(&mut slot.core.outbox);
+            }
+            // Explicit total order; `(clamped time, src, src_seq)` is
+            // unique per message. Iterating a map here instead would be
+            // exactly the hash-order bug detlint's `hash-iter` rule exists
+            // to catch. A single message is trivially ordered — skip the
+            // sort.
+            if mail.len() > 1 {
+                mail.sort_unstable_by_key(|m| (m.at.max(barrier), m.src, m.src_seq));
+            }
+            self.mail_delivered += mail.len() as u64;
+            self.telemetry.add(self.c_mail, mail.len() as u64);
+            for m in mail.drain(..) {
+                let deliver_at = m.at.max(barrier);
+                self.shards[m.dest as usize]
+                    .core
+                    .push_local(deliver_at, m.run);
+            }
+            self.mail_scratch = mail;
+        });
 
         // --- traces -------------------------------------------------------
-        let trace_stamp = self.sec_trace_merge.begin();
-        if self.telemetry.is_enabled() {
-            let start = self.trace_pending.len();
-            let mut contributors = 0usize;
-            for slot in &mut self.shards {
-                if slot.core.trace.is_empty() {
-                    continue;
+        self.sec_trace_merge.time(|| {
+            if self.telemetry.is_enabled() {
+                let start = self.trace_pending.len();
+                let mut contributors = 0usize;
+                for slot in &mut self.shards {
+                    if slot.core.trace.is_empty() {
+                        continue;
+                    }
+                    contributors += 1;
+                    let id = slot.core.id;
+                    self.trace_pending.extend(
+                        slot.core
+                            .trace
+                            .drain(..)
+                            .map(|(t, seq, ev)| (t, id, seq, ev)),
+                    );
                 }
-                contributors += 1;
-                let id = slot.core.id;
-                self.trace_pending.extend(
-                    slot.core
-                        .trace
-                        .drain(..)
-                        .map(|(t, seq, ev)| (t, id, seq, ev)),
-                );
+                // One contributor's buffer is already `(time, seq)`-sorted
+                // (shard clocks and emit seqs are monotone), which with a
+                // single shard id *is* the merge order — only a real merge
+                // needs the sort.
+                if contributors > 1 {
+                    self.trace_pending[start..]
+                        .sort_unstable_by_key(|(t, shard, seq, _)| (*t, *shard, *seq));
+                }
+                // Hand the whole epoch block to the sink under one lock and
+                // drain it (capacity kept) — memory stays bounded by one
+                // epoch's traffic. Blocks from successive barriers are
+                // globally ordered: events run before a barrier carry
+                // timestamps no later than any event still queued behind it.
+                if !self.trace_pending.is_empty() {
+                    self.telemetry
+                        .emit_batch(self.trace_pending.drain(..).map(|(t, _, _, ev)| (t, ev)));
+                }
             }
-            // One contributor's buffer is already `(time, seq)`-sorted
-            // (shard clocks and emit seqs are monotone), which with a
-            // single shard id *is* the merge order — only a real merge
-            // needs the sort.
-            if contributors > 1 {
-                self.trace_pending[start..]
-                    .sort_unstable_by_key(|(t, shard, seq, _)| (*t, *shard, *seq));
-            }
-            // Hand the whole epoch block to the sink under one lock and
-            // drain it (capacity kept) — memory stays bounded by one
-            // epoch's traffic. Blocks from successive barriers are
-            // globally ordered: events run before a barrier carry
-            // timestamps no later than any event still queued behind it.
-            if !self.trace_pending.is_empty() {
-                self.telemetry
-                    .emit_batch(self.trace_pending.drain(..).map(|(t, _, _, ev)| (t, ev)));
-            }
-        }
-        self.sec_trace_merge.end(trace_stamp);
+        });
 
         // --- counters -----------------------------------------------------
         self.telemetry.add(self.c_epochs, 1);
@@ -540,10 +537,10 @@ impl<S: Send + 'static> ShardedScheduler<S> {
         if self.trace_pending.is_empty() {
             return;
         }
-        let stamp = self.sec_trace_merge.begin();
-        self.telemetry
-            .emit_batch(self.trace_pending.drain(..).map(|(t, _, _, ev)| (t, ev)));
-        self.sec_trace_merge.end(stamp);
+        self.sec_trace_merge.time(|| {
+            self.telemetry
+                .emit_batch(self.trace_pending.drain(..).map(|(t, _, _, ev)| (t, ev)))
+        });
     }
 
     /// Adaptive epoch length: when exactly one shard has events due by
@@ -556,33 +553,33 @@ impl<S: Send + 'static> ShardedScheduler<S> {
     /// the barrier closing the *sending event's* epoch cell — exactly
     /// where the non-sprinting scheduler would have released it.
     fn run_sprint(&mut self, idx: usize, horizon: SimTime, epoch_us: u64) {
-        let stamp = self.sec_lane_exec.begin();
-        let slot = &mut self.shards[idx];
-        loop {
-            let due = matches!(slot.core.queue.peek(), Some(head) if head.at() <= horizon);
-            if !due {
-                break;
+        let barrier = self.sec_lane_exec.time(|| {
+            let slot = &mut self.shards[idx];
+            loop {
+                let due = matches!(slot.core.queue.peek(), Some(head) if head.at() <= horizon);
+                if !due {
+                    break;
+                }
+                let ev = slot.core.queue.pop().expect("peeked element vanished");
+                debug_assert!(ev.at() >= slot.core.now, "shard clock went backwards");
+                slot.core.now = ev.at();
+                slot.core.fired += 1;
+                slot.core.fired_epoch += 1;
+                let mut ctx = EventCtx {
+                    core: &mut slot.core,
+                };
+                (ev.run)(&mut ctx, &mut slot.state);
+                if !slot.core.outbox.is_empty() {
+                    break;
+                }
             }
-            let ev = slot.core.queue.pop().expect("peeked element vanished");
-            debug_assert!(ev.at() >= slot.core.now, "shard clock went backwards");
-            slot.core.now = ev.at();
-            slot.core.fired += 1;
-            slot.core.fired_epoch += 1;
-            let mut ctx = EventCtx {
-                core: &mut slot.core,
-            };
-            (ev.run)(&mut ctx, &mut slot.state);
-            if !slot.core.outbox.is_empty() {
-                break;
+            if slot.core.outbox.is_empty() {
+                horizon
+            } else {
+                let k = slot.core.now.as_micros() / epoch_us;
+                SimTime::from_micros((k + 1).saturating_mul(epoch_us)).min(horizon)
             }
-        }
-        let barrier = if slot.core.outbox.is_empty() {
-            horizon
-        } else {
-            let k = slot.core.now.as_micros() / epoch_us;
-            SimTime::from_micros((k + 1).saturating_mul(epoch_us)).min(horizon)
-        };
-        self.sec_lane_exec.end(stamp);
+        });
         self.barrier_merge(barrier);
     }
 }
@@ -947,6 +944,30 @@ mod tests {
         assert_eq!(snap.counter("sim.shard.0.mail_out"), Some(1));
         assert_eq!(snap.counter("sim.sharded.mail_delivered"), Some(1));
         assert!(snap.counter("sim.sharded.epochs").unwrap() >= 1);
+    }
+
+    #[test]
+    fn reattaching_telemetry_registers_one_pair_per_shard() {
+        let t = Telemetry::recording(64);
+        let mut s = two_shards(1);
+        s.set_telemetry(&t);
+        s.set_telemetry(&t);
+        let snap = t.snapshot();
+        let shard_counters: Vec<&str> = snap
+            .counters
+            .iter()
+            .map(|(name, _)| name.as_str())
+            .filter(|name| name.starts_with("sim.shard."))
+            .collect();
+        assert_eq!(
+            shard_counters,
+            [
+                "sim.shard.0.events_fired",
+                "sim.shard.0.mail_out",
+                "sim.shard.1.events_fired",
+                "sim.shard.1.mail_out",
+            ]
+        );
     }
 
     #[test]

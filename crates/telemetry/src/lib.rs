@@ -34,13 +34,14 @@ pub mod span;
 
 pub use event::{Protocol, TimedEvent, TraceEvent};
 pub use ledger::{DelayLedger, DelayStage, StageDelays};
-pub use profile::{Section, SectionStamp};
+pub use profile::Section;
 pub use registry::{CounterId, GaugeId, HistogramId, MetricsSnapshot};
 pub use report::ObsReport;
 pub use span::SpanKind;
 
 use registry::Registry;
 use sink::TraceSink;
+use std::borrow::Cow;
 use std::io::Write;
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -119,26 +120,27 @@ impl Telemetry {
     // ---- registration (setup path; hashing/lookup allowed here) --------
 
     /// Registers (or re-finds) a counter. On a disabled handle the
-    /// returned id is inert.
-    pub fn counter(&self, name: &'static str) -> CounterId {
+    /// returned id is inert. The name may be a `&'static str` or a built
+    /// `String`; the registry owns it, so re-registering frees the copy.
+    pub fn counter(&self, name: impl Into<Cow<'static, str>>) -> CounterId {
         match &self.inner {
-            Some(inner) => locked(&inner.registry).counter(name),
+            Some(inner) => locked(&inner.registry).counter(name.into()),
             None => CounterId::INERT,
         }
     }
 
     /// Registers (or re-finds) a gauge.
-    pub fn gauge(&self, name: &'static str) -> GaugeId {
+    pub fn gauge(&self, name: impl Into<Cow<'static, str>>) -> GaugeId {
         match &self.inner {
-            Some(inner) => locked(&inner.registry).gauge(name),
+            Some(inner) => locked(&inner.registry).gauge(name.into()),
             None => GaugeId::INERT,
         }
     }
 
     /// Registers (or re-finds) a log-bucketed histogram.
-    pub fn histogram(&self, name: &'static str) -> HistogramId {
+    pub fn histogram(&self, name: impl Into<Cow<'static, str>>) -> HistogramId {
         match &self.inner {
-            Some(inner) => locked(&inner.registry).histogram(name),
+            Some(inner) => locked(&inner.registry).histogram(name.into()),
             None => HistogramId::INERT,
         }
     }
@@ -292,6 +294,21 @@ mod tests {
         );
         assert_eq!(t.events().len(), 1);
         assert_eq!(t.events()[0].t_us, 9);
+    }
+
+    #[test]
+    fn built_names_dedupe_like_static_ones() {
+        let t = Telemetry::recording(16);
+        let a = t.histogram(format!("shard.{}.depth", 3));
+        let b = t.histogram(format!("shard.{}.depth", 3));
+        assert_eq!(a, b);
+        assert_eq!(
+            t.counter("static.count"),
+            t.counter(String::from("static.count"))
+        );
+        let snap = t.snapshot();
+        assert_eq!(snap.histograms.len(), 1);
+        assert_eq!(snap.counters.len(), 1);
     }
 
     #[test]

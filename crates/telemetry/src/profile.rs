@@ -1,139 +1,98 @@
-//! The workspace-wide `profile` convention: wall-clock section
-//! histograms named `handler.<area>.<name>_ns`.
+//! The workspace-wide profile convention: wall-clock section histograms
+//! named `handler.<area>.<name>_ns`.
 //!
 //! Every crate that wants hot-path timing declares a [`Section`] per code
-//! region and brackets the region with [`Section::begin`] /
-//! [`Section::end`]. With the `profile` feature **off** (the default) a
-//! `Section` is a zero-sized no-op — no wall-clock is ever read, so
-//! traces stay a pure function of `(config, seed)`. With the feature on,
-//! each `end` records the elapsed nanoseconds into a log-bucketed
-//! histogram on the attached [`Telemetry`](crate::Telemetry) handle.
-//!
-//! Downstream crates forward their own `profile` feature to
-//! `livescope-telemetry/profile`, so one `--features profile` anywhere
-//! lights up every section in the dependency closure under a single
-//! naming scheme ([`SECTION_PREFIX`] … [`SECTION_SUFFIX`]); a reader
-//! picks the sections out of a
-//! [`MetricsSnapshot`](crate::registry::MetricsSnapshot) by that name.
+//! region and runs the region through [`Section::time`]. Whether a
+//! section records is decided by the [`Telemetry`] handle it was built
+//! on: on a recording handle each `time` reads the host clock around the
+//! closure and records the elapsed nanoseconds; on a disabled handle the
+//! section is inert and `time` just calls the closure. A section only
+//! ever feeds a histogram, never the event stream, so traces stay a pure
+//! function of `(config, seed)` either way. A reader picks the sections
+//! out of a [`MetricsSnapshot`](crate::registry::MetricsSnapshot) by
+//! [`SECTION_PREFIX`].
+
+use crate::registry::HistogramId;
+use crate::Telemetry;
 
 /// Prefix shared by every profile-section histogram.
 pub const SECTION_PREFIX: &str = "handler.";
 
-/// Suffix shared by every profile-section histogram.
-pub const SECTION_SUFFIX: &str = "_ns";
-
-#[cfg(feature = "profile")]
-mod imp {
-    use super::{SECTION_PREFIX, SECTION_SUFFIX};
-    use crate::registry::HistogramId;
-    use crate::Telemetry;
-
-    /// One wall-clock profile section (`handler.<area>.<name>_ns`).
-    #[derive(Clone, Debug, Default)]
-    pub struct Section {
-        telemetry: Telemetry,
-        hist: HistogramId,
-    }
-
-    /// An in-flight measurement started by [`Section::begin`].
-    #[derive(Debug)]
-    pub struct SectionStamp {
-        t0: std::time::Instant,
-    }
-
-    impl Section {
-        /// Registers the section histogram on `telemetry`. The name is
-        /// interned for the process lifetime (registration-time only).
-        pub fn new(telemetry: &Telemetry, area: &str, name: &str) -> Section {
-            let full = format!("{SECTION_PREFIX}{area}.{name}{SECTION_SUFFIX}");
-            let leaked: &'static str = Box::leak(full.into_boxed_str());
-            Section {
-                telemetry: telemetry.clone(),
-                hist: telemetry.histogram(leaked),
-            }
-        }
-
-        /// Starts timing the section.
-        #[inline]
-        pub fn begin(&self) -> SectionStamp {
-            SectionStamp {
-                t0: std::time::Instant::now(),
-            }
-        }
-
-        /// Stops timing and records the elapsed nanoseconds.
-        #[inline]
-        pub fn end(&self, stamp: SectionStamp) {
-            let ns = stamp.t0.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-            self.telemetry.record(self.hist, ns);
-        }
-    }
+/// One wall-clock profile section (`handler.<area>.<name>_ns`). The
+/// default value is inert.
+#[derive(Clone, Debug, Default)]
+pub struct Section {
+    live: Option<(Telemetry, HistogramId)>,
 }
 
-#[cfg(not(feature = "profile"))]
-mod imp {
-    use crate::Telemetry;
-
-    /// One wall-clock profile section; inert without the `profile`
-    /// feature (zero-sized, no clock reads, no registrations). The
-    /// private field keeps the struct non-unit so `Section::default()`
-    /// reads the same under both feature configurations.
-    #[derive(Clone, Copy, Debug, Default)]
-    pub struct Section {
-        _inert: (),
+impl Section {
+    /// Registers the section histogram on a recording `telemetry`; on a
+    /// disabled handle returns the inert section without building the name.
+    pub fn new(telemetry: &Telemetry, area: &str, name: &str) -> Section {
+        if !telemetry.is_enabled() {
+            return Section::default();
+        }
+        let hist = telemetry.histogram(format!("{SECTION_PREFIX}{area}.{name}_ns"));
+        Section {
+            live: Some((telemetry.clone(), hist)),
+        }
     }
 
-    /// An in-flight measurement started by [`Section::begin`]; inert
-    /// without the `profile` feature.
-    #[derive(Debug)]
-    pub struct SectionStamp;
-
-    impl Section {
-        /// No-op registration (the `profile` feature is off).
-        pub fn new(_telemetry: &Telemetry, _area: &str, _name: &str) -> Section {
-            Section::default()
+    /// Runs `f` and returns its value; a live section also records how
+    /// many wall-clock nanoseconds `f` took.
+    #[inline]
+    pub fn time<R>(&self, f: impl FnOnce() -> R) -> R {
+        // One call site for `f`, so a large closure body is not duplicated
+        // into an inert and a live copy.
+        let start = self
+            .live
+            .as_ref()
+            .map(|live| (live, std::time::Instant::now()));
+        let out = f();
+        if let Some(((telemetry, hist), t0)) = start {
+            let ns = t0.elapsed().as_nanos().min(u64::MAX as u128) as u64;
+            telemetry.record(*hist, ns);
         }
-
-        /// No-op begin.
-        #[inline]
-        pub fn begin(&self) -> SectionStamp {
-            SectionStamp
-        }
-
-        /// No-op end.
-        #[inline]
-        pub fn end(&self, _stamp: SectionStamp) {}
+        out
     }
 }
-
-pub use imp::{Section, SectionStamp};
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Telemetry;
+
+    fn section_counts(t: &Telemetry) -> Vec<(String, u64)> {
+        t.snapshot()
+            .histograms
+            .into_iter()
+            .filter(|(name, _)| name.starts_with(SECTION_PREFIX))
+            .map(|(name, h)| (name, h.count))
+            .collect()
+    }
 
     #[test]
-    fn section_helper_is_inert_or_recording_but_never_panics() {
+    fn recording_handle_records_one_sample_per_time() {
         let t = Telemetry::recording(16);
-        let sec = Section::new(&t, "test", "noop");
-        let stamp = sec.begin();
-        sec.end(stamp);
-        // With `profile` off this registered nothing; with it on, exactly
-        // one sample landed in the section histogram.
-        let recorded: u64 = t
-            .snapshot()
-            .histograms
-            .iter()
-            .filter(|(name, _)| name.starts_with(SECTION_PREFIX))
-            .map(|(_, h)| h.count)
-            .sum();
-        assert!(recorded <= 1);
-        if cfg!(feature = "profile") {
-            assert_eq!(recorded, 1);
-        }
-        // A disabled handle is always safe too.
-        let off = Section::new(&Telemetry::disabled(), "test", "off");
-        off.end(off.begin());
+        let sec = Section::new(&t, "test", "work");
+        assert_eq!(sec.time(|| 7), 7);
+        assert_eq!(sec.time(|| "twice"), "twice");
+        assert_eq!(section_counts(&t), vec![("handler.test.work_ns".into(), 2)]);
+    }
+
+    #[test]
+    fn disabled_handle_registers_nothing_and_runs_the_closure_once() {
+        let t = Telemetry::disabled();
+        let sec = Section::new(&t, "test", "off");
+        let mut calls = 0;
+        assert_eq!(
+            sec.time(|| {
+                calls += 1;
+                calls
+            }),
+            1
+        );
+        assert_eq!(calls, 1);
+        assert!(section_counts(&t).is_empty());
+        assert!(sec.live.is_none());
     }
 }

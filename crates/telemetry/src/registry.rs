@@ -7,6 +7,8 @@
 //! meaningless in another; components re-register when they attach to a
 //! new [`crate::Telemetry`] handle.
 
+use std::borrow::Cow;
+
 /// Handle to a registered counter (monotone u64).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CounterId(pub(crate) u32);
@@ -144,16 +146,16 @@ impl Histogram {
 
 #[derive(Default)]
 pub(crate) struct Registry {
-    counter_names: Vec<&'static str>,
+    counter_names: Vec<Cow<'static, str>>,
     counters: Vec<u64>,
-    gauge_names: Vec<&'static str>,
+    gauge_names: Vec<Cow<'static, str>>,
     gauges: Vec<i64>,
-    histogram_names: Vec<&'static str>,
+    histogram_names: Vec<Cow<'static, str>>,
     histograms: Vec<Histogram>,
 }
 
 impl Registry {
-    pub(crate) fn counter(&mut self, name: &'static str) -> CounterId {
+    pub(crate) fn counter(&mut self, name: Cow<'static, str>) -> CounterId {
         if let Some(i) = self.counter_names.iter().position(|n| *n == name) {
             return CounterId(i as u32);
         }
@@ -162,7 +164,7 @@ impl Registry {
         CounterId((self.counters.len() - 1) as u32)
     }
 
-    pub(crate) fn gauge(&mut self, name: &'static str) -> GaugeId {
+    pub(crate) fn gauge(&mut self, name: Cow<'static, str>) -> GaugeId {
         if let Some(i) = self.gauge_names.iter().position(|n| *n == name) {
             return GaugeId(i as u32);
         }
@@ -171,7 +173,7 @@ impl Registry {
         GaugeId((self.gauges.len() - 1) as u32)
     }
 
-    pub(crate) fn histogram(&mut self, name: &'static str) -> HistogramId {
+    pub(crate) fn histogram(&mut self, name: Cow<'static, str>) -> HistogramId {
         if let Some(i) = self.histogram_names.iter().position(|n| *n == name) {
             return HistogramId(i as u32);
         }
@@ -288,9 +290,9 @@ mod tests {
     #[test]
     fn registration_dedupes_by_name() {
         let mut r = Registry::default();
-        let a = r.counter("x");
-        let b = r.counter("x");
-        let c = r.counter("y");
+        let a = r.counter("x".into());
+        let b = r.counter("x".into());
+        let c = r.counter("y".into());
         assert_eq!(a, b);
         assert_ne!(a, c);
         r.add(a, 2);
@@ -349,9 +351,9 @@ mod tests {
     #[test]
     fn snapshot_renders_every_kind() {
         let mut r = Registry::default();
-        let c = r.counter("frames");
-        let g = r.gauge("depth");
-        let h = r.histogram("delay_us");
+        let c = r.counter("frames".into());
+        let g = r.gauge("depth".into());
+        let h = r.histogram("delay_us".into());
         r.add(c, 3);
         r.set_gauge(g, -2);
         r.record(h, 100);

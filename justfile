@@ -38,11 +38,6 @@ clippy:
 test:
     cargo test --workspace -q
 
-# The `profile` feature swaps telemetry's `Section` for its wall-clock
-# twin; test that twin and the sim crate's sharded barrier sections on it.
-test-profile:
-    cargo test -p livescope-telemetry -p livescope-sim --features profile -q
-
 # Rustdoc gate: every public item documented, no broken intra-doc links.
 # Targets the livescope crates explicitly — vendor/* members are exempt.
 doc:
@@ -69,11 +64,10 @@ bench-shards:
 # study): wall time, broadcasts/sec, and the peak tracked replay state
 # per divisor, plus the two worker scaling curves at divisor 10 (replay
 # shards and graph assembly shards, K ∈ {1,2,4,6} on real threads, each
-# asserted identical to K = 1 before the write) and the profile-feature
-# top-5 handler histograms under the celebrity fan-out. Writes
-# BENCH_replay.json.
+# asserted identical to K = 1 before the write) and the top-5 handler
+# histograms under the celebrity fan-out. Writes BENCH_replay.json.
 bench-replay:
-    cargo run --release -q -p livescope-bench --features profile -- bench_replay
+    cargo run --release -q -p livescope-bench -- bench_replay
 
 # Weighted-pick microbench (DESIGN.md §10): guide-table pick vs the
 # whole-table binary search it replaced, ns/pick at 300k / 1.2M / 12M

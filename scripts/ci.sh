@@ -18,11 +18,6 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo test --workspace -q"
 cargo test --workspace -q
 
-# The `profile` feature swaps `Section` for its wall-clock twin in
-# livescope-telemetry; sim's sharded barrier sections sit on top of it.
-echo "==> cargo test -p livescope-telemetry -p livescope-sim --features profile -q"
-cargo test -p livescope-telemetry -p livescope-sim --features profile -q
-
 echo "==> rustdoc gate (-D warnings; vendor/* exempt)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q \
     -p livescope-sim -p livescope-telemetry -p livescope-net \

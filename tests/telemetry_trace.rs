@@ -199,6 +199,47 @@ fn determinism_sweep_covers_breakdown_and_overlay_experiments() {
 }
 
 #[test]
+fn profile_sections_record_on_a_default_build_without_touching_the_trace() {
+    // Wall-clock sections are live on every recording handle; what keeps
+    // the trace a pure function of `(config, seed)` is that they only
+    // feed histograms, never the event stream.
+    let overlay_config = OverlayConfig {
+        audiences: vec![100],
+        frames: 20,
+        ..OverlayConfig::default()
+    };
+    let capture = || {
+        let buf = SharedBuffer::new();
+        let telemetry = Telemetry::to_jsonl(Box::new(buf.clone()));
+        run_traced(&quick(), &telemetry);
+        overlay_run_traced(&overlay_config, &telemetry);
+        telemetry.flush();
+        (buf.contents(), telemetry.snapshot())
+    };
+    let (bytes_a, snapshot) = capture();
+    let (bytes_b, _) = capture();
+    assert!(!bytes_a.is_empty());
+    assert_eq!(bytes_a, bytes_b, "live sections perturbed the trace");
+
+    let recorded = |prefix: &str| {
+        snapshot
+            .histograms
+            .iter()
+            .any(|(name, h)| name.starts_with(prefix) && h.count > 0)
+    };
+    assert!(
+        recorded("handler.sharded."),
+        "no sharded barrier section recorded: {:?}",
+        snapshot.histograms
+    );
+    assert!(
+        recorded("handler.overlay."),
+        "no overlay relay section recorded: {:?}",
+        snapshot.histograms
+    );
+}
+
+#[test]
 fn memory_sink_records_metrics_alongside_events() {
     let telemetry = Telemetry::recording(4096);
     let _ = run_traced(&quick(), &telemetry);
