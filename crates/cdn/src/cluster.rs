@@ -18,8 +18,7 @@ use livescope_proto::hls::Chunk;
 use livescope_proto::message::ChatEvent;
 use livescope_proto::rtmp::VideoFrame;
 use livescope_sim::{RngPool, SimDuration, SimTime};
-use livescope_telemetry::span::broadcast_span;
-use livescope_telemetry::{SpanKind, Telemetry, TraceEvent};
+use livescope_telemetry::{Span, Telemetry, TraceEvent};
 
 use crate::control::{ControlError, ControlServer, CreateGrant, JoinGrant};
 use crate::fastly::{FastlyPop, FetchPlan, PollResponse};
@@ -191,17 +190,8 @@ impl Cluster {
                 wowza: dc.0,
             },
         );
-        self.telemetry.emit(
-            now.as_micros(),
-            TraceEvent::SpanOpen {
-                id: broadcast_span(broadcast.0),
-                parent: 0,
-                kind: SpanKind::Broadcast,
-                broadcast: broadcast.0,
-                subject: 0,
-                site: dc.0,
-            },
-        );
+        self.telemetry
+            .emit(now.as_micros(), Span::broadcast(broadcast.0).open(dc.0));
         Ok(())
     }
 
@@ -362,13 +352,8 @@ impl Cluster {
         }
         self.wowza[Self::wowza_index(dc)].end_broadcast(now, broadcast);
         self.pubnub.close_channel(broadcast);
-        self.telemetry.emit(
-            now.as_micros(),
-            TraceEvent::SpanClose {
-                id: broadcast_span(broadcast.0),
-                kind: SpanKind::Broadcast,
-            },
-        );
+        self.telemetry
+            .emit(now.as_micros(), Span::broadcast(broadcast.0).close());
         Ok(())
     }
 

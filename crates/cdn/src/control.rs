@@ -11,8 +11,7 @@ use livescope_net::datacenters::{self, DatacenterId, Provider};
 use livescope_net::geo::GeoPoint;
 use livescope_proto::control::{BroadcastSummary, Scheme, StreamUrl};
 use livescope_sim::SimTime;
-use livescope_telemetry::span::{broadcast_span, viewer_session_span};
-use livescope_telemetry::{CounterId, GaugeId, SpanKind, Telemetry, TraceEvent};
+use livescope_telemetry::{CounterId, GaugeId, Span, Telemetry, TraceEvent};
 
 use crate::ids::{token_from_word, BroadcastId, UserId};
 
@@ -192,14 +191,7 @@ impl ControlServer {
         );
         self.telemetry.emit(
             now.as_micros(),
-            TraceEvent::SpanOpen {
-                id: viewer_session_span(broadcast.0, viewer.0),
-                parent: broadcast_span(broadcast.0),
-                kind: SpanKind::ViewerSession,
-                broadcast: broadcast.0,
-                subject: viewer.0,
-                site: pop.id.0,
-            },
+            Span::viewer_session(broadcast.0, viewer.0).open(pop.id.0),
         );
         if rtmp {
             state.rtmp_viewers += 1;

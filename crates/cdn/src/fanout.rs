@@ -28,8 +28,7 @@ use livescope_sim::rng::splitmix64;
 use livescope_sim::{
     BackendEvent, RngPool, SchedulerBackend, ShardId, ShardedScheduler, SimDuration, SimTime,
 };
-use livescope_telemetry::span::{origin_fetch_span, viewer_deliver_span};
-use livescope_telemetry::{SpanKind, Telemetry, TraceEvent};
+use livescope_telemetry::{Span, Telemetry, TraceEvent};
 
 use crate::chunker::{Chunker, ReadyChunk};
 use crate::fastly::{FastlyPop, FetchPlan};
@@ -230,19 +229,9 @@ fn poll_event(mut viewer: Viewer) -> BackendEvent<PopShard> {
                 // sharded merge orders them identically at any lane count.
                 // Open and close coincide here: on the fan-out path a
                 // download completes within the poll that discovered it.
-                let span = viewer_deliver_span(shard.broadcast.0, entry.seq, viewer.id);
-                ctx.emit(TraceEvent::SpanOpen {
-                    id: span,
-                    parent: origin_fetch_span(shard.broadcast.0, entry.seq, pop_dc.0),
-                    kind: SpanKind::ViewerDeliver,
-                    broadcast: shard.broadcast.0,
-                    subject: viewer.id,
-                    site: pop_dc.0,
-                });
-                ctx.emit(TraceEvent::SpanClose {
-                    id: span,
-                    kind: SpanKind::ViewerDeliver,
-                });
+                let span = Span::viewer_deliver(shard.broadcast.0, entry.seq, viewer.id);
+                ctx.emit(span.open(pop_dc.0));
+                ctx.emit(span.close());
             }
         }
         viewer.polls += 1;

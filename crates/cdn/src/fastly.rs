@@ -14,8 +14,7 @@ use std::sync::Arc;
 use livescope_net::datacenters::DatacenterId;
 use livescope_proto::hls::{Chunk, ChunkList};
 use livescope_sim::{SimDuration, SimTime};
-use livescope_telemetry::span::{chunk_seal_span, origin_fetch_span};
-use livescope_telemetry::{CounterId, HistogramId, SpanKind, Telemetry, TraceEvent};
+use livescope_telemetry::{CounterId, HistogramId, Span, Telemetry, TraceEvent};
 
 use crate::chunker::ReadyChunk;
 use crate::ids::BroadcastId;
@@ -266,25 +265,9 @@ impl FastlyPop {
                         batch,
                     },
                 );
-                let span = origin_fetch_span(broadcast.0, ready.chunk.seq, self.dc.0);
-                self.telemetry.emit(
-                    now.as_micros(),
-                    TraceEvent::SpanOpen {
-                        id: span,
-                        parent: chunk_seal_span(broadcast.0, ready.chunk.seq),
-                        kind: SpanKind::OriginFetch,
-                        broadcast: broadcast.0,
-                        subject: ready.chunk.seq,
-                        site: self.dc.0,
-                    },
-                );
-                self.telemetry.emit(
-                    available_at.as_micros(),
-                    TraceEvent::SpanClose {
-                        id: span,
-                        kind: SpanKind::OriginFetch,
-                    },
-                );
+                let span = Span::origin_fetch(broadcast.0, ready.chunk.seq, self.dc.0);
+                self.telemetry.emit(now.as_micros(), span.open(self.dc.0));
+                self.telemetry.emit(available_at.as_micros(), span.close());
             }
             self.work.origin_fetches += fetches_started as u64;
             self.telemetry

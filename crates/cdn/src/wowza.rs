@@ -16,8 +16,7 @@ use livescope_net::datacenters::DatacenterId;
 use livescope_net::Link;
 use livescope_proto::rtmp::{RtmpMessage, VideoFrame};
 use livescope_sim::{SimDuration, SimTime};
-use livescope_telemetry::span::{broadcast_span, chunk_seal_span};
-use livescope_telemetry::{CounterId, HistogramId, SpanKind, Telemetry, TraceEvent};
+use livescope_telemetry::{CounterId, HistogramId, Span, Telemetry, TraceEvent};
 
 use crate::chunker::{Chunker, ReadyChunk};
 use crate::ids::{BroadcastId, UserId};
@@ -143,25 +142,11 @@ impl WowzaServer {
     /// Emits the chunk-seal span pair for a just-completed chunk: open at
     /// the chunk's media start, close when the origin copy is servable.
     fn emit_seal_span(&self, broadcast: BroadcastId, ready: &ReadyChunk) {
-        let id = chunk_seal_span(broadcast.0, ready.chunk.seq);
-        self.telemetry.emit(
-            ready.chunk.start_ts_us,
-            TraceEvent::SpanOpen {
-                id,
-                parent: broadcast_span(broadcast.0),
-                kind: SpanKind::ChunkSeal,
-                broadcast: broadcast.0,
-                subject: ready.chunk.seq,
-                site: self.dc.0,
-            },
-        );
-        self.telemetry.emit(
-            ready.ready_at.as_micros(),
-            TraceEvent::SpanClose {
-                id,
-                kind: SpanKind::ChunkSeal,
-            },
-        );
+        let span = Span::chunk_seal(broadcast.0, ready.chunk.seq);
+        self.telemetry
+            .emit(ready.chunk.start_ts_us, span.open(self.dc.0));
+        self.telemetry
+            .emit(ready.ready_at.as_micros(), span.close());
     }
 
     /// Datacenter this server runs in.

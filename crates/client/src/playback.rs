@@ -24,8 +24,7 @@
 //! play-out gap, averaged over played units).
 
 use livescope_sim::{SimDuration, SimTime};
-use livescope_telemetry::span::viewer_session_span;
-use livescope_telemetry::{Protocol, SpanKind, Telemetry, TraceEvent};
+use livescope_telemetry::{Protocol, Span, Telemetry, TraceEvent};
 
 /// One received media unit: a frame (RTMP) or a chunk (HLS).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -160,10 +159,7 @@ pub fn emit_playout(
     // with).
     telemetry.emit(
         report.playback_start.as_micros(),
-        TraceEvent::SpanClose {
-            id: viewer_session_span(broadcast, viewer),
-            kind: SpanKind::ViewerSession,
-        },
+        Span::viewer_session(broadcast, viewer).close(),
     );
 }
 

@@ -13,8 +13,7 @@ use livescope_net::geo::GeoPoint;
 use livescope_net::{AccessLink, Link};
 use livescope_proto::rtmp::FrameMeta;
 use livescope_sim::{SimDuration, SimTime};
-use livescope_telemetry::span::{origin_fetch_span, viewer_deliver_span};
-use livescope_telemetry::{CounterId, HistogramId, SpanKind, Telemetry, TraceEvent};
+use livescope_telemetry::{CounterId, HistogramId, Span, Telemetry, TraceEvent};
 
 use crate::playback::ArrivedUnit;
 
@@ -227,25 +226,9 @@ impl HlsViewer {
                     duration_us: chunk.duration_us,
                 },
             );
-            let span = viewer_deliver_span(self.broadcast.0, chunk.seq, self.user.0);
-            self.telemetry.emit(
-                now.as_micros(),
-                TraceEvent::SpanOpen {
-                    id: span,
-                    parent: origin_fetch_span(self.broadcast.0, chunk.seq, self.pop.0),
-                    kind: SpanKind::ViewerDeliver,
-                    broadcast: self.broadcast.0,
-                    subject: self.user.0,
-                    site: self.pop.0,
-                },
-            );
-            self.telemetry.emit(
-                arrival.as_micros(),
-                TraceEvent::SpanClose {
-                    id: span,
-                    kind: SpanKind::ViewerDeliver,
-                },
-            );
+            let span = Span::viewer_deliver(self.broadcast.0, chunk.seq, self.user.0);
+            self.telemetry.emit(now.as_micros(), span.open(self.pop.0));
+            self.telemetry.emit(arrival.as_micros(), span.close());
             self.have_seq = Some(chunk.seq);
             new_chunks += 1;
         }

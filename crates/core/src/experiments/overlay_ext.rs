@@ -19,8 +19,7 @@ use livescope_net::datacenters::DatacenterId;
 use livescope_net::geo::GeoPoint;
 use livescope_overlay::{Hierarchy, MulticastTree, OverlayNetwork};
 use livescope_sim::{RngPool, SimTime};
-use livescope_telemetry::span::overlay_frame_span;
-use livescope_telemetry::{SpanKind, Telemetry, TraceEvent};
+use livescope_telemetry::{Span, Telemetry, TraceEvent};
 
 /// Audience mix used for all three architectures: world cities weighted
 /// toward North America, like the paper's traffic.
@@ -169,25 +168,9 @@ pub fn run_traced(config: &OverlayConfig, telemetry: &Telemetry) -> OverlayRepor
                 },
             );
             // The frame's multicast span: root push → slowest viewer.
-            let span = overlay_frame_span(audience as u64, i);
-            telemetry.emit(
-                now.as_micros(),
-                TraceEvent::SpanOpen {
-                    id: span,
-                    parent: 0,
-                    kind: SpanKind::OverlayFrame,
-                    broadcast: audience as u64,
-                    subject: i,
-                    site: 0,
-                },
-            );
-            telemetry.emit(
-                now.as_micros() + max_delay_us,
-                TraceEvent::SpanClose {
-                    id: span,
-                    kind: SpanKind::OverlayFrame,
-                },
-            );
+            let span = Span::overlay_frame(audience as u64, i);
+            telemetry.emit(now.as_micros(), span.open(0));
+            telemetry.emit(now.as_micros() + max_delay_us, span.close());
         }
         worst.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
         let p95 = worst[(worst.len() as f64 * 0.95) as usize - 1];

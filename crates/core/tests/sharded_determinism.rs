@@ -15,7 +15,7 @@
 use livescope_cdn::fanout::PopStats;
 use livescope_cdn::{run_fanout, FanoutConfig};
 use livescope_net::datacenters::DatacenterId;
-use livescope_telemetry::{event, SharedBuffer, Telemetry, TraceEvent};
+use livescope_telemetry::{event, ObsReport, SharedBuffer, Telemetry, TraceEvent};
 
 const LANE_SWEEP: [usize; 3] = [1, 2, 6];
 
@@ -38,28 +38,6 @@ fn fanout_trace(lanes: usize) -> Vec<u8> {
     buf.contents()
 }
 
-/// Counts `(span_open, span_close)` events in a raw JSONL trace, and
-/// checks every close names a previously opened span id.
-fn span_counts(bytes: &[u8]) -> (u64, u64) {
-    let events = event::parse_jsonl(std::str::from_utf8(bytes).expect("utf8")).expect("parses");
-    let mut opened = std::collections::HashSet::new();
-    let (mut opens, mut closes) = (0u64, 0u64);
-    for e in &events {
-        match &e.event {
-            TraceEvent::SpanOpen { id, .. } => {
-                opened.insert(*id);
-                opens += 1;
-            }
-            TraceEvent::SpanClose { id, .. } => {
-                assert!(opened.contains(id), "close of never-opened span {id:#x}");
-                closes += 1;
-            }
-            _ => {}
-        }
-    }
-    (opens, closes)
-}
-
 #[test]
 fn multi_shard_fanout_trace_bytes_are_identical_across_lane_counts() {
     // This workload exercises the mailbox path: viewers roam POP→POP every
@@ -68,9 +46,15 @@ fn multi_shard_fanout_trace_bytes_are_identical_across_lane_counts() {
     assert!(!reference.is_empty(), "instrumented run must emit events");
     // Fan-out spans go through the epoch-barrier merge: open and close
     // land together at delivery time, and both survive the byte compare.
-    let (opens, closes) = span_counts(&reference);
-    assert!(opens > 0, "fanout trace carries no span_open events");
-    assert_eq!(opens, closes, "fanout spans must be balanced");
+    let text = std::str::from_utf8(&reference).expect("utf8");
+    let spans = ObsReport::derive(&event::parse_jsonl(text).expect("parses")).spans;
+    assert!(spans.opens > 0, "fanout trace carries no span_open events");
+    assert_eq!(spans.opens, spans.closes, "fanout spans must be balanced");
+    assert_eq!(
+        (spans.unclosed, spans.unmatched_closes),
+        (0, 0),
+        "{spans:?}"
+    );
     for lanes in LANE_SWEEP {
         for run in 0..2 {
             let trace = fanout_trace(lanes);

@@ -1,14 +1,10 @@
-// Fixture: trace emission inside ShardedScheduler handlers that bypasses
-// the per-shard EventCtx buffer. Exactly two direct-trace-emit findings:
-// a captured telemetry handle's `.emit`, and a raw tracer `.span_open`.
+// Fixture: trace emission inside a ShardedScheduler handler that bypasses
+// the per-shard EventCtx buffer. Exactly one direct-trace-emit finding: a
+// captured telemetry handle's `.emit`.
 
 fn schedule(sched: &mut ShardedScheduler, at: u64, pop: PopId) {
     sched.schedule(at, pop, Box::new(move |ctx, pop: &mut Pop| {
         pop.telemetry.emit(at, chunk_event(pop));
         let _unused = ctx;
-    }));
-    sched.schedule(at + 1, pop, Box::new(move |ctx, pop: &mut Pop| {
-        pop.tracer.span_open(pop.current_span);
-        ctx.emit(chunk_event(pop));
     }));
 }

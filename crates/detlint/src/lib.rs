@@ -16,10 +16,8 @@
 //!   `todo-panic`, plus the `missing-reason` meta-rule;
 //! * [`scope`] + [`structural`] — a brace-matched scope tree (items,
 //!   impls, fns, closures — no full grammar) feeding the
-//!   merge-contract rules: `shared-mutable-state`, `direct-trace-emit`,
-//!   `unordered-float-merge`, and `span-balance`
-//!   (per-site registry checks here; the cross-file open/close pairing
-//!   is assembled in [`scan`] from every file's span inventory);
+//!   merge-contract rules: `shared-mutable-state`, `direct-trace-emit`
+//!   and `unordered-float-merge`;
 //! * [`config`] — the `detlint.toml` path-scoped allowlist
 //!   (`vendor/`, bench binaries, the fixture corpus), audited for
 //!   stale entries (`stale-allowlist`) on workspace scans;
@@ -102,7 +100,6 @@ pub fn scan(
     let forbid_roots = crate_roots(root)?;
 
     let mut outcome = ScanOutcome::default();
-    let mut span_sites: Vec<(String, structural::SpanSite)> = Vec::new();
     let mut scanned_rels: Vec<String> = Vec::new();
     for file in &files {
         let rel = file
@@ -112,15 +109,11 @@ pub fn scan(
             .replace('\\', "/");
         let text = fs::read_to_string(file).map_err(|e| format!("{}: {e}", file.display()))?;
         outcome.files_scanned += 1;
-        let (findings, sites) = analyze_file(&rel, &text, forbid_roots.contains(file));
-        span_sites.extend(sites.into_iter().map(|s| (rel.clone(), s)));
-        outcome.findings.extend(findings);
+        outcome
+            .findings
+            .extend(analyze_file(&rel, &text, forbid_roots.contains(file)));
         scanned_rels.push(rel);
     }
-
-    // Cross-file half of span-balance: every kind opened somewhere in the
-    // scan set must close somewhere, and vice versa.
-    outcome.findings.extend(span_balance_findings(&span_sites));
 
     // Path-scoped allowlist (workspace scans only), with per-entry credit
     // so the audit can spot entries that suppress nothing.
@@ -181,13 +174,8 @@ pub fn scan(
 
 /// Runs the full per-file pipeline: lex → token rules → scope tree →
 /// structural rules → suppression directives. Returns the file's findings
-/// (post-suppression, pre-allowlist) and its span open/close inventory
-/// for the cross-file balance pass.
-pub fn analyze_file(
-    path: &str,
-    text: &str,
-    requires_forbid: bool,
-) -> (Vec<Finding>, Vec<structural::SpanSite>) {
+/// (post-suppression, pre-allowlist).
+pub fn analyze_file(path: &str, text: &str, requires_forbid: bool) -> Vec<Finding> {
     let lexed = lexer::lex(text);
     let mut findings = rules::check_file(&rules::FileContext {
         path,
@@ -196,7 +184,7 @@ pub fn analyze_file(
     });
     let tree = scope::ScopeTree::build(&lexed.tokens);
     let ranges = rules::guarded_ranges(&lexed.tokens);
-    let structural_out = structural::check_file(&structural::StructuralContext {
+    let structural = structural::check_file(&structural::StructuralContext {
         path,
         tokens: &lexed.tokens,
         comments: &lexed.comments,
@@ -206,8 +194,7 @@ pub fn analyze_file(
     // Where the structural pass produced the sharper merge finding, drop
     // the token-level hash findings on the same line so one hazard isn't
     // double-reported.
-    let merge_lines: BTreeSet<u32> = structural_out
-        .findings
+    let merge_lines: BTreeSet<u32> = structural
         .iter()
         .filter(|f| f.rule == "unordered-float-merge")
         .map(|f| f.line)
@@ -215,7 +202,7 @@ pub fn analyze_file(
     findings.retain(|f| {
         !(matches!(f.rule, "hash-iter" | "unordered-float-sum") && merge_lines.contains(&f.line))
     });
-    findings.extend(structural_out.findings);
+    findings.extend(structural);
 
     // Apply per-line suppressions and report malformed ones.
     let suppressions = parse_suppressions(&lexed);
@@ -235,51 +222,7 @@ pub fn analyze_file(
         }
     }
     findings.sort_by(|a, b| (a.line, a.rule).cmp(&(b.line, b.rule)));
-    (findings, structural_out.span_sites)
-}
-
-/// The cross-file span-balance check over every file's emission
-/// inventory: a kind with opens but no closes (or closes but no opens)
-/// can never reconstruct into a span.
-fn span_balance_findings(sites: &[(String, structural::SpanSite)]) -> Vec<Finding> {
-    let kinds: BTreeSet<&str> = sites.iter().map(|(_, s)| s.kind.as_str()).collect();
-    let mut out = Vec::new();
-    for kind in kinds {
-        let opens: Vec<&(String, structural::SpanSite)> = sites
-            .iter()
-            .filter(|(_, s)| s.kind == kind && s.is_open)
-            .collect();
-        let closes: Vec<&(String, structural::SpanSite)> = sites
-            .iter()
-            .filter(|(_, s)| s.kind == kind && !s.is_open)
-            .collect();
-        // Files are visited in sorted order and sites in token order, so
-        // `first()` is the (path, line)-least site — a stable anchor.
-        if closes.is_empty() {
-            let (path, site) = opens.first().expect("kind came from some site");
-            out.push(Finding {
-                rule: "span-balance",
-                path: path.clone(),
-                line: site.line,
-                message: format!(
-                    "`SpanKind::{kind}` is opened here (and at {} other site(s) in the scan set) but closed nowhere — the span can never reconstruct (DESIGN.md §11)",
-                    opens.len() - 1
-                ),
-            });
-        } else if opens.is_empty() {
-            let (path, site) = closes.first().expect("kind came from some site");
-            out.push(Finding {
-                rule: "span-balance",
-                path: path.clone(),
-                line: site.line,
-                message: format!(
-                    "`SpanKind::{kind}` is closed here (and at {} other site(s) in the scan set) but opened nowhere — the close can never match an open (DESIGN.md §11)",
-                    closes.len() - 1
-                ),
-            });
-        }
-    }
-    out
+    findings
 }
 
 /// Recursively collects `.rs` files, skipping build/VCS/result dirs.
@@ -472,7 +415,7 @@ mod tests {
 
     fn scan_source(src: &str) -> Vec<Finding> {
         // Drive the per-file pipeline without touching the filesystem.
-        analyze_file("src/x.rs", src, false).0
+        analyze_file("src/x.rs", src, false)
     }
 
     #[test]
@@ -522,36 +465,5 @@ mod tests {
         let findings = scan_source(src);
         let rules: Vec<_> = findings.iter().map(|f| f.rule).collect();
         assert_eq!(rules, vec!["unordered-float-merge"], "{findings:?}");
-    }
-
-    #[test]
-    fn cross_file_span_balance_pairs_across_files() {
-        let (open_findings, open_sites) = analyze_file(
-            "src/a.rs",
-            "fn f() { t.emit(n, TraceEvent::SpanOpen { id: overlay_frame_span(a, s), parent: 0, kind: SpanKind::OverlayFrame, broadcast: a, subject: s, site: 0 }); }",
-            false,
-        );
-        let (close_findings, close_sites) = analyze_file(
-            "src/b.rs",
-            "fn g() { t.emit(n, TraceEvent::SpanClose { id: overlay_frame_span(a, s), kind: SpanKind::OverlayFrame }); }",
-            false,
-        );
-        assert!(open_findings.is_empty() && close_findings.is_empty());
-        let unbalanced: Vec<(String, structural::SpanSite)> = open_sites
-            .into_iter()
-            .map(|s| ("src/a.rs".to_string(), s))
-            .collect();
-        let balanced: Vec<(String, structural::SpanSite)> = unbalanced
-            .iter()
-            .cloned()
-            .chain(close_sites.into_iter().map(|s| ("src/b.rs".to_string(), s)))
-            .collect();
-        assert!(span_balance_findings(&balanced).is_empty());
-
-        let findings = span_balance_findings(&unbalanced);
-        assert_eq!(findings.len(), 1);
-        assert_eq!(findings[0].rule, "span-balance");
-        assert_eq!(findings[0].path, "src/a.rs");
-        assert!(findings[0].message.contains("closed nowhere"));
     }
 }

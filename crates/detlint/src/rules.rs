@@ -151,10 +151,10 @@ Suppress (needs a reason):
 Inside a ShardedScheduler handler (a closure or fn taking an `EventCtx`),
 trace events must go through `ctx.emit(…)`: the EventCtx buffers them
 per-shard so the epoch barrier can merge lanes into one deterministic
-stream. Calling `.emit(…)` on a captured telemetry handle, or
-`.span_open(…)`/`.span_close(…)` on a tracer, writes the global sink
-mid-epoch — interleaving depends on lane timing and the trace stops
-being byte-stable.
+stream. Calling `.emit(…)` on a captured telemetry handle writes the
+global sink mid-epoch — interleaving depends on lane timing and the
+trace stops being byte-stable. Span events are no exception: a `Span`
+builds its open and close as TraceEvents, which take the same route.
 
 Fix: build the TraceEvent and pass it to the handler's EventCtx
 parameter. Every simulation runs on ShardedScheduler, so every event body
@@ -163,28 +163,6 @@ teardown, plain methods) may emit on a telemetry handle directly.
 
 Suppress (needs a reason):
     // detlint::allow(direct-trace-emit) — <why this sink is lane-local>",
-    },
-    RuleInfo {
-        name: "span-balance",
-        summary: "span opens/closes don't pair, or ids drift from span.rs",
-        explain: "\
-Causal spans (DESIGN.md \u{00a7}11) only reconstruct if every `SpanOpen` has a
-matching `SpanClose` with the same id. detlint inventories every emission
-site across the scan set and checks (a) cross-file: each SpanKind opened
-somewhere is closed somewhere and vice versa; (b) per-site: the `id:`
-field is built by the registry helper for that kind
-(`viewer_session_span` for ViewerSession, …) — or by `span_id(kind, …)`
-with the same kind — with exactly the identity-field count the
-`crates/telemetry/src/span.rs` registry defines. A mismatched helper or
-arity means the open and close hash to different ids and the span never
-closes in analysis.
-
-Fix: use the registry helper for the event's kind, passing its documented
-identity fields; if the registry itself changed, update span.rs, its
-pinned-id tests, and detlint's SPAN_REGISTRY together.
-
-Suppress (needs a reason):
-    // detlint::allow(span-balance) — <why the id is correct anyway>",
     },
     RuleInfo {
         name: "unordered-float-merge",
@@ -947,7 +925,6 @@ mod tests {
             "todo-panic",
             "shared-mutable-state",
             "direct-trace-emit",
-            "span-balance",
             "unordered-float-merge",
             "stale-allowlist",
             "missing-reason",

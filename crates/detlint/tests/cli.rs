@@ -87,6 +87,10 @@ fn exit_codes_and_output_and_nothing_is_written() {
             "{flag}: {stderr}"
         );
     }
+    // A removed rule is unknown too.
+    let gone = detlint(&root, &["--explain", "span-balance"]);
+    assert_eq!(gone.status.code(), Some(2), "{gone:?}");
+    assert!(String::from_utf8_lossy(&gone.stderr).contains("unknown rule `span-balance`"));
 
     // The scans left the tree exactly as the test wrote it.
     assert_eq!(names(&root), ["src"]);

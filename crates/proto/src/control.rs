@@ -15,7 +15,8 @@ use std::fmt;
 use std::str::FromStr;
 
 use crate::wire::{
-    expect_eof, get_bytes, get_string, get_u32, get_u64, get_u8, put_bytes, put_string, WireError,
+    ensure, expect_eof, get_bytes, get_string, get_u32, get_u64, get_u8, put_bytes, put_string,
+    WireError,
 };
 
 /// Magic prefix of a sealed envelope ("LSS1").
@@ -151,6 +152,8 @@ const RESP_JOIN: u8 = 2;
 const RESP_LIST: u8 = 3;
 const RESP_OK: u8 = 4;
 const RESP_ERROR: u8 = 5;
+/// Wire size of one [`BroadcastSummary`]: three `u64`s.
+const SUMMARY_WIRE_LEN: usize = 24;
 
 fn put_url(out: &mut BytesMut, url: &StreamUrl) {
     put_string(out, &url.to_string());
@@ -311,6 +314,9 @@ impl ControlResponse {
                 if n > 100_000 {
                     return Err(WireError::OversizedField { len: n });
                 }
+                // Never reserve more than the buffer can fill: a summary
+                // is three `u64`s on the wire.
+                ensure(&buf, n * SUMMARY_WIRE_LEN)?;
                 let mut items = Vec::with_capacity(n);
                 for _ in 0..n {
                     items.push(BroadcastSummary {
@@ -524,6 +530,23 @@ mod tests {
         for resp in resps {
             assert_eq!(ControlResponse::decode(resp.encode()).unwrap(), resp);
         }
+    }
+
+    #[test]
+    fn global_list_count_is_checked_before_allocating() {
+        // Magic, tag, and a count of 100 000 summaries with no bodies.
+        let mut wire = BytesMut::new();
+        wire.put_u32(CONTROL_MAGIC);
+        wire.put_u8(RESP_LIST);
+        wire.put_u32(100_000);
+        assert_eq!(wire.len(), 9);
+        assert_eq!(
+            ControlResponse::decode(wire.freeze()),
+            Err(WireError::Truncated {
+                needed: 2_400_000,
+                available: 0
+            })
+        );
     }
 
     #[test]

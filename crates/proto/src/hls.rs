@@ -11,7 +11,7 @@ use std::fmt::Write as _;
 use bytes::{BufMut, Bytes};
 
 use crate::rtmp::VideoFrame;
-use crate::wire::{expect_eof, get_u16, get_u32, get_u64, WireError};
+use crate::wire::{ensure, expect_eof, get_u16, get_u32, get_u64, WireError};
 
 /// Magic prefix of a chunk container ("LSC1").
 pub const CHUNK_MAGIC: u32 = 0x4C53_4331;
@@ -26,6 +26,8 @@ pub const VOD_CHUNK_SECS: f64 = 10.0;
 /// Upper bound on frames per chunk accepted by the decoder (10 s of 40 ms
 /// frames, with headroom).
 pub const MAX_FRAMES_PER_CHUNK: usize = 1024;
+/// Smallest frame body on the wire: seq, timestamp, flags, payload length.
+const MIN_FRAME_BODY_LEN: usize = 8 + 8 + 1 + 4;
 
 /// A group of consecutive frames shipped as one HLS media segment.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -83,6 +85,7 @@ impl Chunk {
         if n > MAX_FRAMES_PER_CHUNK {
             return Err(WireError::OversizedField { len: n });
         }
+        ensure(&buf, n * MIN_FRAME_BODY_LEN)?;
         let mut frames = Vec::with_capacity(n);
         for _ in 0..n {
             frames.push(VideoFrame::decode_body(&mut buf)?);
@@ -332,6 +335,23 @@ mod tests {
             Chunk::decode(out.freeze()),
             Err(WireError::OversizedField { .. })
         ));
+    }
+
+    #[test]
+    fn frame_count_is_checked_before_allocating() {
+        let mut out = BytesMut::new();
+        out.put_u32(CHUNK_MAGIC);
+        out.put_u64(0);
+        out.put_u64(0);
+        out.put_u64(0);
+        out.put_u16(MAX_FRAMES_PER_CHUNK as u16);
+        assert_eq!(
+            Chunk::decode(out.freeze()),
+            Err(WireError::Truncated {
+                needed: MAX_FRAMES_PER_CHUNK * 21,
+                available: 0
+            })
+        );
     }
 
     #[test]

@@ -366,7 +366,7 @@ trace_events! {
     /// [`TraceEvent::SpanClose`] and any child spans carry the same id in
     /// every run and lane count.
     SpanOpen = "span_open" {
-        /// Deterministic span id (never 0; see [`crate::span::span_id`]).
+        /// Deterministic span id (never 0; see [`crate::Span::id`]).
         id: u64,
         /// Parent span id (0 = root).
         parent: u64,
@@ -468,15 +468,16 @@ fn parse_line(line: &str) -> Result<TimedEvent, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::span;
+    use crate::Span;
 
-    /// One row per variant: a sample and the exact line the parent's
-    /// hand-written encoder produced for it, so the table-generated
-    /// writer is checked against bytes, not against itself.
+    /// One row per variant (plus a `span_open` built by [`Span::open`]): a
+    /// sample and the exact line the parent's hand-written encoder produced
+    /// for it, so the table-generated writer is checked against bytes, not
+    /// against itself.
     #[rustfmt::skip]
     fn golden() -> Vec<(&'static str, u64, TraceEvent)> {
         use TraceEvent::*;
-        let seal = span::chunk_seal_span(1, 0);
+        let seal = Span::chunk_seal(1, 0).id();
         vec![
             (r#"{"t":0,"type":"join_started","broadcast":1,"viewer":2,"rtmp":true}"#,
                 0, JoinStarted { broadcast: 1, viewer: 2, rtmp: true }),
@@ -487,9 +488,12 @@ mod tests {
             (r#"{"t":9000000,"type":"join_playout","broadcast":1,"viewer":3,"protocol":"hls","playback_start_us":12000000,"avg_buffering_us":6900000,"stall_us":250000,"stall_ratio_ppm":4200}"#,
                 9_000_000, JoinPlayout { broadcast: 1, viewer: 3, protocol: Protocol::Hls, playback_start_us: 12_000_000, avg_buffering_us: 6_900_000, stall_us: 250_000, stall_ratio_ppm: 4_200 }),
             (r#"{"t":500000,"type":"span_open","id":6153317894576023040,"parent":16860738450190168606,"kind":"chunk_seal","broadcast":1,"subject":0,"site":3}"#,
-                500_000, SpanOpen { id: seal, parent: span::broadcast_span(1), kind: SpanKind::ChunkSeal, broadcast: 1, subject: 0, site: 3 }),
+                500_000, SpanOpen { id: seal, parent: Span::broadcast(1).id(), kind: SpanKind::ChunkSeal, broadcast: 1, subject: 0, site: 3 }),
             (r#"{"t":3000000,"type":"span_close","id":6153317894576023040,"kind":"chunk_seal"}"#,
                 3_000_000, SpanClose { id: seal, kind: SpanKind::ChunkSeal }),
+            // The same open, with `parent`, `broadcast` and `subject` derived by `Span`.
+            (r#"{"t":500000,"type":"span_open","id":6153317894576023040,"parent":16860738450190168606,"kind":"chunk_seal","broadcast":1,"subject":0,"site":3}"#,
+                500_000, Span::chunk_seal(1, 0).open(3)),
             (r#"{"t":3000001,"type":"chunk_completed","broadcast":1,"seq":2,"start_ts_us":6000000,"duration_us":3000000,"frames":75}"#,
                 3_000_001, ChunkCompleted { broadcast: 1, seq: 2, start_ts_us: 6_000_000, duration_us: 3_000_000, frames: 75 }),
             (r#"{"t":11,"type":"poll_hit","broadcast":1,"pop":16,"entries":4}"#,

@@ -37,7 +37,7 @@ pub use ledger::{DelayLedger, DelayStage, StageDelays};
 pub use profile::Section;
 pub use registry::{CounterId, GaugeId, HistogramId, MetricsSnapshot};
 pub use report::ObsReport;
-pub use span::SpanKind;
+pub use span::{Span, SpanKind};
 
 use registry::Registry;
 use sink::TraceSink;

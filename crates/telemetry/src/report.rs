@@ -553,7 +553,7 @@ impl ObsReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::span;
+    use crate::Span;
 
     fn t(t_us: u64, event: TraceEvent) -> TimedEvent {
         TimedEvent { t_us, event }
@@ -562,18 +562,9 @@ mod tests {
     /// One broadcast, one chunk sealed at t=3s, fetched by pop 9 at
     /// t=3.2s (servable 3.5s), delivered to viewer 3 at t=4.0s.
     fn journey_trace() -> Vec<TimedEvent> {
-        let seal = span::chunk_seal_span(1, 0);
-        let fetch = span::origin_fetch_span(1, 0, 9);
-        let deliver = span::viewer_deliver_span(1, 0, 3);
-        let open = |id, parent, kind, subject, site| TraceEvent::SpanOpen {
-            id,
-            parent,
-            kind,
-            broadcast: 1,
-            subject,
-            site,
-        };
-        let close = |id, kind| TraceEvent::SpanClose { id, kind };
+        let seal = Span::chunk_seal(1, 0);
+        let fetch = Span::origin_fetch(1, 0, 9);
+        let deliver = Span::viewer_deliver(1, 0, 3);
         vec![
             t(
                 0,
@@ -583,11 +574,8 @@ mod tests {
                     rtmp: false,
                 },
             ),
-            t(
-                0,
-                open(seal, span::broadcast_span(1), SpanKind::ChunkSeal, 0, 2),
-            ),
-            t(3_000_000, close(seal, SpanKind::ChunkSeal)),
+            t(0, seal.open(2)),
+            t(3_000_000, seal.close()),
             t(
                 3_000_000,
                 TraceEvent::ChunkCompleted {
@@ -598,13 +586,10 @@ mod tests {
                     frames: 75,
                 },
             ),
-            t(3_200_000, open(fetch, seal, SpanKind::OriginFetch, 0, 9)),
-            t(3_500_000, close(fetch, SpanKind::OriginFetch)),
-            t(
-                3_800_000,
-                open(deliver, fetch, SpanKind::ViewerDeliver, 3, 9),
-            ),
-            t(4_000_000, close(deliver, SpanKind::ViewerDeliver)),
+            t(3_200_000, fetch.open(9)),
+            t(3_500_000, fetch.close()),
+            t(3_800_000, deliver.open(9)),
+            t(4_000_000, deliver.close()),
             t(
                 4_000_000,
                 TraceEvent::ChunkDelivered {

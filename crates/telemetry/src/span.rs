@@ -10,18 +10,26 @@
 //! join an open to its close (and a child to its parent) across shard
 //! boundaries without any shared id-allocation state.
 //!
-//! The id determinism contract (`crates/telemetry/DESIGN.md`):
+//! A [`Span`] is a value holding a kind and that kind's identity fields;
+//! it has one constructor per kind and builds both of its events, so an
+//! open and its close cannot disagree on kind or id. The contract it
+//! implements (`crates/telemetry/DESIGN.md`):
 //!
-//! | kind             | identity fields                  | parent          |
-//! |------------------|----------------------------------|-----------------|
-//! | `broadcast`      | broadcast                        | root (0)        |
-//! | `viewer_session` | broadcast, viewer                | `broadcast`     |
-//! | `chunk_seal`     | broadcast, seq                   | `broadcast`     |
-//! | `origin_fetch`   | broadcast, seq, pop              | `chunk_seal`    |
-//! | `viewer_deliver` | broadcast, seq, viewer           | `origin_fetch`  |
-//! | `overlay_frame`  | audience, seq                    | root (0)        |
+//! | constructor                       | parent                            | subject |
+//! |-----------------------------------|-----------------------------------|---------|
+//! | `broadcast(b)`                    | root (0)                          | 0       |
+//! | `viewer_session(b, viewer)`       | `broadcast(b)`                    | viewer  |
+//! | `chunk_seal(b, seq)`              | `broadcast(b)`                    | seq     |
+//! | `origin_fetch(b, seq, pop)`       | `chunk_seal(b, seq)`              | seq     |
+//! | `viewer_deliver(b, seq, viewer)`  | `origin_fetch(b, seq, site)`      | viewer  |
+//! | `overlay_frame(audience, seq)`    | root (0)                          | seq     |
 //!
-//! [`span_id`] never returns 0; 0 is reserved for "no parent".
+//! The event's `broadcast` field is always the first identity field (the
+//! audience size for `overlay_frame`); `site` is the caller's locus,
+//! passed to [`Span::open`]. Ids are never 0; 0 is reserved for "no
+//! parent".
+
+use crate::TraceEvent;
 
 /// The span kinds of the causal model, in pipeline order.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -81,6 +89,15 @@ impl SpanKind {
             SpanKind::OverlayFrame => 6,
         }
     }
+
+    /// How many identity fields a span of this kind hashes.
+    fn arity(self) -> usize {
+        match self {
+            SpanKind::Broadcast => 1,
+            SpanKind::ViewerSession | SpanKind::ChunkSeal | SpanKind::OverlayFrame => 2,
+            SpanKind::OriginFetch | SpanKind::ViewerDeliver => 3,
+        }
+    }
 }
 
 /// SplitMix64 finalizer: a cheap, well-mixed 64-bit permutation.
@@ -93,7 +110,7 @@ fn mix(mut z: u64) -> u64 {
 
 /// Content-addressed span id: a pure hash of the kind plus its identity
 /// fields, folded left-to-right so `(a, b)` and `(b, a)` differ. Never 0.
-pub fn span_id(kind: SpanKind, fields: &[u64]) -> u64 {
+fn span_id(kind: SpanKind, fields: &[u64]) -> u64 {
     let mut h = mix(kind.salt());
     for &f in fields {
         h = mix(h ^ f);
@@ -105,34 +122,105 @@ pub fn span_id(kind: SpanKind, fields: &[u64]) -> u64 {
     }
 }
 
-/// Id of the broadcast-lifecycle span.
-pub fn broadcast_span(broadcast: u64) -> u64 {
-    span_id(SpanKind::Broadcast, &[broadcast])
+/// One causal span: a kind and that kind's identity fields (see the
+/// module table). It builds both of its trace events.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Span {
+    kind: SpanKind,
+    /// Identity fields in table order; the first `kind.arity()` count.
+    fields: [u64; 3],
 }
 
-/// Id of a viewer-session span.
-pub fn viewer_session_span(broadcast: u64, viewer: u64) -> u64 {
-    span_id(SpanKind::ViewerSession, &[broadcast, viewer])
-}
+impl Span {
+    /// The broadcast-lifecycle span.
+    pub fn broadcast(broadcast: u64) -> Span {
+        Span {
+            kind: SpanKind::Broadcast,
+            fields: [broadcast, 0, 0],
+        }
+    }
 
-/// Id of a chunk-seal span.
-pub fn chunk_seal_span(broadcast: u64, seq: u64) -> u64 {
-    span_id(SpanKind::ChunkSeal, &[broadcast, seq])
-}
+    /// A viewer-session span.
+    pub fn viewer_session(broadcast: u64, viewer: u64) -> Span {
+        Span {
+            kind: SpanKind::ViewerSession,
+            fields: [broadcast, viewer, 0],
+        }
+    }
 
-/// Id of an origin-fetch span (one per chunk per POP).
-pub fn origin_fetch_span(broadcast: u64, seq: u64, pop: u16) -> u64 {
-    span_id(SpanKind::OriginFetch, &[broadcast, seq, pop as u64])
-}
+    /// A chunk-seal span.
+    pub fn chunk_seal(broadcast: u64, seq: u64) -> Span {
+        Span {
+            kind: SpanKind::ChunkSeal,
+            fields: [broadcast, seq, 0],
+        }
+    }
 
-/// Id of a viewer-deliver span (one per chunk per viewer).
-pub fn viewer_deliver_span(broadcast: u64, seq: u64, viewer: u64) -> u64 {
-    span_id(SpanKind::ViewerDeliver, &[broadcast, seq, viewer])
-}
+    /// An origin-fetch span (one per chunk per POP).
+    pub fn origin_fetch(broadcast: u64, seq: u64, pop: u16) -> Span {
+        Span {
+            kind: SpanKind::OriginFetch,
+            fields: [broadcast, seq, pop as u64],
+        }
+    }
 
-/// Id of an overlay frame-delivery span.
-pub fn overlay_frame_span(audience: u64, seq: u64) -> u64 {
-    span_id(SpanKind::OverlayFrame, &[audience, seq])
+    /// A viewer-deliver span (one per chunk per viewer).
+    pub fn viewer_deliver(broadcast: u64, seq: u64, viewer: u64) -> Span {
+        Span {
+            kind: SpanKind::ViewerDeliver,
+            fields: [broadcast, seq, viewer],
+        }
+    }
+
+    /// An overlay frame-delivery span.
+    pub fn overlay_frame(audience: u64, seq: u64) -> Span {
+        Span {
+            kind: SpanKind::OverlayFrame,
+            fields: [audience, seq, 0],
+        }
+    }
+
+    /// The span's kind.
+    pub fn kind(self) -> SpanKind {
+        self.kind
+    }
+
+    /// The span's content-addressed id (never 0).
+    pub fn id(self) -> u64 {
+        span_id(self.kind, &self.fields[..self.kind.arity()])
+    }
+
+    /// The `span_open` event, observed at `site` (a Wowza or POP id; 0
+    /// when not applicable). A `viewer_deliver` span's parent is the
+    /// fetch that brought its chunk to `site`.
+    pub fn open(self, site: u16) -> TraceEvent {
+        let [broadcast, second, third] = self.fields;
+        let (parent, subject) = match self.kind {
+            SpanKind::Broadcast => (0, 0),
+            SpanKind::ViewerSession | SpanKind::ChunkSeal => {
+                (Span::broadcast(broadcast).id(), second)
+            }
+            SpanKind::OriginFetch => (Span::chunk_seal(broadcast, second).id(), second),
+            SpanKind::ViewerDeliver => (Span::origin_fetch(broadcast, second, site).id(), third),
+            SpanKind::OverlayFrame => (0, second),
+        };
+        TraceEvent::SpanOpen {
+            id: self.id(),
+            parent,
+            kind: self.kind,
+            broadcast,
+            subject,
+            site,
+        }
+    }
+
+    /// The `span_close` event.
+    pub fn close(self) -> TraceEvent {
+        TraceEvent::SpanClose {
+            id: self.id(),
+            kind: self.kind,
+        }
+    }
 }
 
 #[cfg(test)]
@@ -159,8 +247,8 @@ mod tests {
     #[test]
     fn ids_are_order_sensitive() {
         assert_ne!(
-            span_id(SpanKind::ViewerSession, &[1, 2]),
-            span_id(SpanKind::ViewerSession, &[2, 1])
+            Span::viewer_session(1, 2).id(),
+            Span::viewer_session(2, 1).id()
         );
     }
 
@@ -168,12 +256,29 @@ mod tests {
     fn ids_are_pinned() {
         // The id function is part of the trace format: changing it breaks
         // every committed baseline. These pins make that loud.
-        assert_eq!(broadcast_span(1), 0xe9fd_6049_d65a_f21e);
-        assert_eq!(viewer_session_span(1, 3), 0xc4b7_2f8c_e414_b6da);
-        assert_eq!(chunk_seal_span(1, 0), 0x5564_fa06_0042_2600);
-        assert_eq!(origin_fetch_span(1, 0, 9), 0xa5d4_2c04_33f1_8948);
-        assert_eq!(viewer_deliver_span(1, 0, 3), 0x3f6a_7165_1a74_e895);
-        assert_eq!(overlay_frame_span(100, 2), 0x8798_531c_f8ac_2bd9);
+        assert_eq!(Span::broadcast(1).id(), 0xe9fd_6049_d65a_f21e);
+        assert_eq!(Span::viewer_session(1, 3).id(), 0xc4b7_2f8c_e414_b6da);
+        assert_eq!(Span::chunk_seal(1, 0).id(), 0x5564_fa06_0042_2600);
+        assert_eq!(Span::origin_fetch(1, 0, 9).id(), 0xa5d4_2c04_33f1_8948);
+        assert_eq!(Span::viewer_deliver(1, 0, 3).id(), 0x3f6a_7165_1a74_e895);
+        assert_eq!(Span::overlay_frame(100, 2).id(), 0x8798_531c_f8ac_2bd9);
+    }
+
+    #[test]
+    fn opens_derive_parents_from_identity() {
+        let parent = |span: Span, site| match span.open(site) {
+            TraceEvent::SpanOpen { parent, .. } => parent,
+            other => panic!("not an open: {other:?}"),
+        };
+        let root = Span::broadcast(1).id();
+        assert_eq!(parent(Span::broadcast(1), 2), 0);
+        assert_eq!(parent(Span::viewer_session(1, 3), 9), root);
+        assert_eq!(parent(Span::chunk_seal(1, 0), 2), root);
+        let seal = Span::chunk_seal(1, 0).id();
+        assert_eq!(parent(Span::origin_fetch(1, 0, 9), 9), seal);
+        let fetch = Span::origin_fetch(1, 0, 9).id();
+        assert_eq!(parent(Span::viewer_deliver(1, 0, 3), 9), fetch);
+        assert_eq!(parent(Span::overlay_frame(100, 2), 0), 0);
     }
 
     #[test]

@@ -22,7 +22,7 @@ fmt:
 lint-det:
     cargo run -q -p livescope-detlint --bin detlint
 
-# Explain one detlint rule, e.g. `just lint-det-explain span-balance`.
+# Explain one detlint rule, e.g. `just lint-det-explain hash-iter`.
 lint-det-explain rule:
     cargo run -q -p livescope-detlint --bin detlint -- --explain {{rule}}
 

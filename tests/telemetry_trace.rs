@@ -13,10 +13,10 @@
 
 use livescope_core::experiments::breakdown::{run, run_traced, BreakdownConfig, BreakdownReport};
 use livescope_core::experiments::overlay_ext::{
-    run as overlay_run, run_traced as overlay_run_traced, OverlayConfig,
+    run as overlay_run, run_traced as overlay_run_traced, OverlayConfig, OverlayReport,
 };
 use livescope_telemetry::event::parse_jsonl;
-use livescope_telemetry::{ObsReport, SharedBuffer, Telemetry, TraceEvent};
+use livescope_telemetry::{ObsReport, SharedBuffer, SpanKind, Telemetry, TimedEvent, TraceEvent};
 
 fn quick() -> BreakdownConfig {
     BreakdownConfig {
@@ -34,6 +34,26 @@ fn capture_trace(config: &BreakdownConfig) -> (Vec<u8>, BreakdownReport) {
     (buf.contents(), report)
 }
 
+fn overlay_config() -> OverlayConfig {
+    OverlayConfig {
+        audiences: vec![100, 500],
+        frames: 40,
+        ..OverlayConfig::default()
+    }
+}
+
+fn capture_overlay(config: &OverlayConfig) -> (Vec<u8>, OverlayReport) {
+    let buf = SharedBuffer::new();
+    let telemetry = Telemetry::to_jsonl(Box::new(buf.clone()));
+    let report = overlay_run_traced(config, &telemetry);
+    telemetry.flush();
+    (buf.contents(), report)
+}
+
+fn parse(bytes: &[u8]) -> Vec<TimedEvent> {
+    parse_jsonl(std::str::from_utf8(bytes).expect("trace is UTF-8")).expect("trace parses back")
+}
+
 #[test]
 fn same_config_and_seed_yield_byte_identical_traces() {
     let (a, _) = capture_trace(&quick());
@@ -43,21 +63,41 @@ fn same_config_and_seed_yield_byte_identical_traces() {
         a, b,
         "same (config, seed) must reproduce the trace bit-for-bit"
     );
-    // The byte-compared trace must carry the causal spans — the
-    // determinism contract covers them, not just the legacy events.
-    let text = std::str::from_utf8(&a).expect("trace is UTF-8");
-    let events = parse_jsonl(text).expect("trace parses back");
-    assert!(
-        events
-            .iter()
-            .any(|e| matches!(e.event, TraceEvent::SpanOpen { .. })),
-        "breakdown trace carries no span_open events"
-    );
-    assert!(
-        events
-            .iter()
-            .any(|e| matches!(e.event, TraceEvent::SpanClose { .. })),
-        "breakdown trace carries no span_close events"
+}
+
+/// Every span kind is opened and closed on a real trace, and every open
+/// is closed: the breakdown carries the broadcast, session and
+/// chunk-journey kinds, the overlay experiment the frame kind. (The
+/// byte-compared traces above therefore carry the causal spans too.)
+#[test]
+fn every_span_kind_opens_and_closes() {
+    let (breakdown, _) = capture_trace(&quick());
+    let (overlay, _) = capture_overlay(&overlay_config());
+    let (mut opened, mut closed) = (Vec::new(), Vec::new());
+    for bytes in [breakdown, overlay] {
+        let events = parse(&bytes);
+        let spans = ObsReport::derive(&events).spans;
+        assert_eq!(
+            (spans.unclosed, spans.unmatched_closes),
+            (0, 0),
+            "{spans:?}"
+        );
+        for e in &events {
+            match e.event {
+                TraceEvent::SpanOpen { kind, .. } if !opened.contains(&kind) => opened.push(kind),
+                TraceEvent::SpanClose { kind, .. } if !closed.contains(&kind) => closed.push(kind),
+                _ => {}
+            }
+        }
+    }
+    let both: Vec<SpanKind> = SpanKind::all()
+        .into_iter()
+        .filter(|k| opened.contains(k) && closed.contains(k))
+        .collect();
+    assert_eq!(
+        both,
+        SpanKind::all(),
+        "opened {opened:?}, closed {closed:?}"
     );
 }
 
@@ -82,9 +122,7 @@ fn tracing_does_not_perturb_the_experiment() {
 #[test]
 fn trace_derived_breakdown_matches_analytic_report() {
     let (bytes, report) = capture_trace(&quick());
-    let text = std::str::from_utf8(&bytes).expect("trace is UTF-8");
-    let events = parse_jsonl(text).expect("trace parses back");
-    let derived = ObsReport::derive(&events).ledger;
+    let derived = ObsReport::derive(&parse(&bytes)).ledger;
 
     assert_eq!(
         derived.unmatched_chunks, 0,
@@ -158,29 +196,16 @@ fn determinism_sweep_covers_breakdown_and_overlay_experiments() {
         "breakdown trace drifted between runs"
     );
 
-    let overlay_config = OverlayConfig {
-        audiences: vec![100, 500],
-        frames: 40,
-        ..OverlayConfig::default()
-    };
-    let capture_overlay = || {
-        let buf = SharedBuffer::new();
-        let telemetry = Telemetry::to_jsonl(Box::new(buf.clone()));
-        let report = overlay_run_traced(&overlay_config, &telemetry);
-        telemetry.flush();
-        (buf.contents(), report)
-    };
-    let (overlay_a, report_a) = capture_overlay();
-    let (overlay_b, report_b) = capture_overlay();
+    let overlay_config = overlay_config();
+    let (overlay_a, report_a) = capture_overlay(&overlay_config);
+    let (overlay_b, report_b) = capture_overlay(&overlay_config);
     assert!(!overlay_a.is_empty(), "overlay trace must not be empty");
     assert_eq!(overlay_a, overlay_b, "overlay trace drifted between runs");
     assert_eq!(report_a.overlay.len(), report_b.overlay.len());
 
     // The overlay trace parses back and carries one frame event per
     // pushed frame, per audience.
-    let text = std::str::from_utf8(&overlay_a).expect("trace is UTF-8");
-    let events = parse_jsonl(text).expect("overlay trace parses back");
-    let frame_events = events
+    let frame_events = parse(&overlay_a)
         .iter()
         .filter(|e| e.event.kind() == "overlay_frame_delivered")
         .count() as u64;
