@@ -18,7 +18,6 @@
 //! plain `f64` seconds for delays so it never entangles with simulation
 //! types.
 
-#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 pub mod cdf;

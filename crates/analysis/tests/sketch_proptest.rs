@@ -2,8 +2,6 @@
 //! exact [`Cdf`] at the percentiles the paper reports, and the merge law
 //! the sharded campaign fold depends on.
 
-#![forbid(unsafe_code)]
-
 use livescope_analysis::{Cdf, QuantileSketch};
 use proptest::collection::vec;
 use proptest::{prop_assert, prop_assert_eq, proptest};

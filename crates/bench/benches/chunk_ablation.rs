@@ -3,8 +3,6 @@
 //! pressure. The bench measures the server-side cost of chunking and
 //! serving the same 30 s stream at each size.
 
-#![forbid(unsafe_code)]
-
 use bytes::Bytes;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use livescope_cdn::ids::BroadcastId;

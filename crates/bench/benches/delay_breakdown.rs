@@ -1,8 +1,6 @@
 //! Criterion bench over the Fig 11 controlled experiment: one full
 //! RTMP+HLS run through the simulated delivery system.
 
-#![forbid(unsafe_code)]
-
 use criterion::{criterion_group, criterion_main, Criterion};
 use livescope_core::breakdown::{run, BreakdownConfig};
 

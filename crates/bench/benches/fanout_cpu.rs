@@ -4,8 +4,6 @@
 //! edge POP). Expect RTMP to cost roughly an order of magnitude more per
 //! stream-second, with the gap growing in N.
 
-#![forbid(unsafe_code)]
-
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use livescope_core::scalability::{run_hls_cell, run_rtmp_cell, ScalabilityConfig};
 

@@ -4,8 +4,6 @@
 //! work is linear in RTMP subscribers, so doubling the threshold doubles
 //! the most expensive work in the system.
 
-#![forbid(unsafe_code)]
-
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use livescope_core::scalability::{run_rtmp_cell, ScalabilityConfig};
 

@@ -17,8 +17,6 @@
 //! Throughput is reported in edges (elements) so the two widths are
 //! directly comparable per pattern.
 
-#![forbid(unsafe_code)]
-
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use livescope_graph::{DiGraph, GraphSpec, NodeId};
 use livescope_sim::rng::splitmix64;

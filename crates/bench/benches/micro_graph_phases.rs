@@ -17,8 +17,6 @@
 //! micro_graph_phases` (one untimed execution per body) is a
 //! byte-identity gate of its own.
 
-#![forbid(unsafe_code)]
-
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use livescope_graph::{DiGraph, FollowParams, GraphKind, GraphSpec};
 

@@ -9,8 +9,6 @@
 //! the same seed, so they search for the same needles (asserted equal
 //! before timing); `ns/pick = 1000 / Melem/s`.
 
-#![forbid(unsafe_code)]
-
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use livescope_sim::dist;
 use livescope_workload::{CumulativeTable, ScenarioConfig};

@@ -2,8 +2,6 @@
 //! simulation per interval, plus the request-rate consequence (shorter
 //! intervals mean proportionally more requests to serve).
 
-#![forbid(unsafe_code)]
-
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use livescope_core::polling::{run, PollingConfig};
 use livescope_core::scalability::{run_hls_cell, ScalabilityConfig};

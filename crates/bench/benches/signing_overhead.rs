@@ -3,8 +3,6 @@
 //! trade-off: "we can further reduce overhead by signing only selective
 //! frames or signing hashes across multiple frames".
 
-#![forbid(unsafe_code)]
-
 use bytes::Bytes;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use livescope_proto::rtmp::VideoFrame;

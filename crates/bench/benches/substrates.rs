@@ -1,8 +1,6 @@
 //! Micro-benches of the substrate hot paths: wire codecs, SHA-256, the
 //! event scheduler, the chunker and graph generation.
 
-#![forbid(unsafe_code)]
-
 use bytes::Bytes;
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use livescope_graph::{DiGraph, GraphSpec};

@@ -146,6 +146,10 @@ struct GraphDoc {
 /// Fresh `GRAPH_build.json` artifact: the divisor-1000 replay graph
 /// (`bench_replay`'s base run) rebuilt through the same
 /// spec + seed path the workload uses, with every [`GRAPH_GATE`] input.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "graph_build.wall_s, the +/-300% anti-catastrophe canary"
+)]
 fn fresh_graph_doc() -> String {
     let scenario = ScenarioConfig::periscope_study();
     let t0 = Instant::now();

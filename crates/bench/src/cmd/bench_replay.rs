@@ -219,6 +219,10 @@ struct ReplayDoc {
 /// timed as its own `graph_build` phase — and **returned** with its
 /// build record, so callers needing further replays of the same divisor
 /// (the worker sweeps) reuse it instead of rebuilding per run.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the streaming-fold wall per divisor for BENCH_replay.json"
+)]
 fn replay(divisor: f64, telemetry: &Telemetry) -> (ReplayRun, GraphBuildRun, DiGraph) {
     let scenario = scaled_periscope(divisor);
     let campaign = CampaignConfig::periscope_study();

@@ -72,6 +72,10 @@ struct ShardsDoc {
     runs: Vec<LaneRun>,
 }
 
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the per-lane-count fan-out wall for BENCH_shards.json"
+)]
 fn bench_lanes(config: &FanoutConfig, lanes: usize) -> LaneRun {
     let mut samples: Vec<u64> = Vec::with_capacity(ITERATIONS);
     let mut report = None;

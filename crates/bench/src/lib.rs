@@ -10,8 +10,6 @@
 //! `cargo run -p livescope-bench --release -- fig11`; `-- all`
 //! regenerates every paper artifact.
 
-#![forbid(unsafe_code)]
-
 pub mod graphbench;
 pub mod obs;
 pub mod regress;

@@ -13,8 +13,6 @@
 //! missing/invalid value prints a usage line on stderr and exits 2
 //! before any work starts.
 
-#![forbid(unsafe_code)]
-
 mod args;
 mod cmd {
     pub mod artifacts;

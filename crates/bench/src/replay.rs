@@ -114,6 +114,10 @@ pub struct WorkerRun {
 /// over a fresh stream on a shared pre-built graph, digesting each
 /// result. Callers assert the digests are identical across the sweep;
 /// the wall/merge/barrier columns become the scaling curve.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "times each K-shard replay for the BENCH_replay.json scaling curve; measurement output, never an observable"
+)]
 pub fn worker_sweep(
     scenario: &ScenarioConfig,
     campaign: &CampaignConfig,

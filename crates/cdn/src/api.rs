@@ -9,7 +9,7 @@
 //! out naturally — everything here is opaque on-path, while the RTMP leg
 //! the *same tokens* later travel is not.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use livescope_net::geo::GeoPoint;
 use livescope_proto::control::{
@@ -34,7 +34,7 @@ pub struct Session {
 
 /// The wire-facing control API over a [`Cluster`].
 pub struct ControlApi {
-    sessions: HashMap<UserId, Session>,
+    sessions: BTreeMap<UserId, Session>,
     next_nonce: u64,
     /// Requests that failed to unseal or decode (attack observability).
     pub rejected_requests: u64,
@@ -44,7 +44,7 @@ impl ControlApi {
     /// An API with no sessions yet.
     pub fn new() -> Self {
         ControlApi {
-            sessions: HashMap::new(),
+            sessions: BTreeMap::new(),
             next_nonce: 1,
             rejected_requests: 0,
         }

@@ -3,7 +3,7 @@
 //! inter-datacenter links — including the co-located-gateway replication
 //! routing the paper infers in §5.3.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -92,7 +92,7 @@ pub struct Cluster {
     pub fastly: Vec<FastlyPop>,
     pub pubnub: PubNub,
     rng: SmallRng,
-    links: HashMap<(u16, u16), Link>,
+    links: BTreeMap<(u16, u16), Link>,
     /// Coordination overhead for non-gateway fetches, seconds.
     pub gateway_coordination_s: f64,
     telemetry: Telemetry,
@@ -117,7 +117,7 @@ impl Cluster {
             fastly,
             pubnub: PubNub::new(),
             rng: SmallRng::seed_from_u64(pool.stream_seed("cluster")),
-            links: HashMap::new(),
+            links: BTreeMap::new(),
             gateway_coordination_s: GATEWAY_COORDINATION_S,
             telemetry: Telemetry::disabled(),
             c_gateway_repl: livescope_telemetry::CounterId::INERT,
@@ -401,7 +401,7 @@ impl Cluster {
 }
 
 fn link_between(
-    links: &mut HashMap<(u16, u16), Link>,
+    links: &mut BTreeMap<(u16, u16), Link>,
     from: DatacenterId,
     to: DatacenterId,
 ) -> &mut Link {
@@ -421,7 +421,7 @@ fn link_between(
 ///   overhead, gateway → POP;
 /// * no gateway on the continent (São Paulo): direct + coordination.
 fn fetch_delay(
-    links: &mut HashMap<(u16, u16), Link>,
+    links: &mut BTreeMap<(u16, u16), Link>,
     rng: &mut SmallRng,
     now: SimTime,
     wowza_dc: DatacenterId,
@@ -432,7 +432,7 @@ fn fetch_delay(
     let wowza = datacenters::datacenter(wowza_dc);
     let pop = datacenters::datacenter(pop_dc);
     let gateway = datacenters::co_located_fastly(wowza);
-    let sample = |links: &mut HashMap<(u16, u16), Link>,
+    let sample = |links: &mut BTreeMap<(u16, u16), Link>,
                   rng: &mut SmallRng,
                   from: DatacenterId,
                   to: DatacenterId| {
@@ -454,7 +454,7 @@ fn fetch_delay(
 
 /// Jitter-free version of [`fetch_delay`] for calibration.
 fn expected_fetch_delay(
-    links: &mut HashMap<(u16, u16), Link>,
+    links: &mut BTreeMap<(u16, u16), Link>,
     wowza_dc: DatacenterId,
     pop_dc: DatacenterId,
     bytes: usize,
@@ -463,9 +463,10 @@ fn expected_fetch_delay(
     let wowza = datacenters::datacenter(wowza_dc);
     let pop = datacenters::datacenter(pop_dc);
     let gateway = datacenters::co_located_fastly(wowza);
-    let expected = |links: &mut HashMap<(u16, u16), Link>, from: DatacenterId, to: DatacenterId| {
-        link_between(links, from, to).expected_delay(bytes)
-    };
+    let expected =
+        |links: &mut BTreeMap<(u16, u16), Link>, from: DatacenterId, to: DatacenterId| {
+            link_between(links, from, to).expected_delay(bytes)
+        };
     match gateway {
         Some(gw) if gw.id == pop.id => expected(links, wowza_dc, pop_dc),
         Some(gw) => {

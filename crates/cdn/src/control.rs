@@ -2,7 +2,7 @@
 //! HLS handoff at the slot limit), the commenter cap, and the global
 //! broadcast list the crawler samples.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 
 use rand::rngs::SmallRng;
 use rand::Rng;
@@ -32,7 +32,7 @@ pub struct BroadcastState {
     /// Viewers handed to HLS.
     pub hls_viewers: u64,
     /// Users allowed to comment (== the RTMP-admitted set).
-    pub commenters: HashSet<UserId>,
+    pub commenters: BTreeSet<UserId>,
     pub hearts: u64,
     pub comments: u64,
 }
@@ -72,7 +72,7 @@ pub struct ControlServer {
     next_id: u64,
     rtmp_slots: u64,
     rng: SmallRng,
-    broadcasts: HashMap<BroadcastId, BroadcastState>,
+    broadcasts: BTreeMap<BroadcastId, BroadcastState>,
     live: Vec<BroadcastId>,
     telemetry: Telemetry,
     c_creates: CounterId,
@@ -88,7 +88,7 @@ impl ControlServer {
             next_id: 1,
             rtmp_slots,
             rng,
-            broadcasts: HashMap::new(),
+            broadcasts: BTreeMap::new(),
             live: Vec::new(),
             telemetry: Telemetry::disabled(),
             c_creates: CounterId::INERT,
@@ -131,7 +131,7 @@ impl ControlServer {
                 ended: None,
                 rtmp_viewers: 0,
                 hls_viewers: 0,
-                commenters: HashSet::new(),
+                commenters: BTreeSet::new(),
                 hearts: 0,
                 comments: 0,
             },
@@ -413,7 +413,7 @@ mod tests {
         }
         let list = c.global_list();
         assert_eq!(list.len(), GLOBAL_LIST_SAMPLE);
-        let distinct: std::collections::HashSet<u64> =
+        let distinct: std::collections::BTreeSet<u64> =
             list.iter().map(|s| s.broadcast_id).collect();
         assert_eq!(distinct.len(), GLOBAL_LIST_SAMPLE, "sample has duplicates");
     }
@@ -424,9 +424,9 @@ mod tests {
         for u in 0..500 {
             c.create_broadcast(SimTime::ZERO, UserId(u), &sf());
         }
-        let a: std::collections::HashSet<u64> =
+        let a: std::collections::BTreeSet<u64> =
             c.global_list().iter().map(|s| s.broadcast_id).collect();
-        let b: std::collections::HashSet<u64> =
+        let b: std::collections::BTreeSet<u64> =
             c.global_list().iter().map(|s| s.broadcast_id).collect();
         assert_ne!(a, b, "two queries returned the identical sample");
     }

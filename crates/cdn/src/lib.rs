@@ -31,8 +31,6 @@
 //! * plaintext-token ingest authentication — the §7 vulnerability — plus
 //!   an optional frame-verifier hook where the §7.2 defense plugs in.
 
-#![forbid(unsafe_code)]
-
 pub mod api;
 pub mod chunker;
 pub mod cluster;

@@ -29,7 +29,7 @@ use crate::ids::BroadcastId;
 /// Meerkat's single-server ingest + edge (one EC2 site did both jobs).
 pub struct MeerkatServer {
     dc: DatacenterId,
-    sessions: std::collections::HashMap<BroadcastId, MeerkatSession>,
+    sessions: std::collections::BTreeMap<BroadcastId, MeerkatSession>,
     edge: FastlyPop,
     /// Upload bytes consumed (one POST per broadcast — connection count
     /// stays 1 no matter how long the stream runs).
@@ -46,7 +46,7 @@ impl MeerkatServer {
     pub fn new(dc: DatacenterId) -> Self {
         MeerkatServer {
             dc,
-            sessions: std::collections::HashMap::new(),
+            sessions: std::collections::BTreeMap::new(),
             edge: FastlyPop::new(dc),
             upload_bytes: 0,
         }

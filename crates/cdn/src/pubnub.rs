@@ -2,7 +2,7 @@
 //! on a path entirely separate from video, fanned out to channel
 //! subscribers with per-subscriber delivery delays.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use rand::rngs::SmallRng;
 
@@ -25,7 +25,7 @@ pub struct MessageDelivery {
 /// The message bus.
 #[derive(Default)]
 pub struct PubNub {
-    channels: HashMap<BroadcastId, Vec<(UserId, Link)>>,
+    channels: BTreeMap<BroadcastId, Vec<(UserId, Link)>>,
     /// Events accepted for publication.
     pub published: u64,
     /// Deliveries attempted (events × subscribers).

@@ -7,7 +7,7 @@
 //! checked); RTMP viewers subscribe and receive every frame as soon as it
 //! arrives; a [`Chunker`] per broadcast feeds the HLS origin store.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use bytes::Bytes;
 use rand::rngs::SmallRng;
@@ -92,7 +92,7 @@ pub type FrameVerifier = Box<dyn Fn(&VideoFrame) -> bool + Send>;
 pub struct WowzaServer {
     dc: DatacenterId,
     chunk_duration: SimDuration,
-    sessions: HashMap<BroadcastId, Session>,
+    sessions: BTreeMap<BroadcastId, Session>,
     verifier: Option<FrameVerifier>,
     /// Cumulative work counters.
     pub work: WorkCounters,
@@ -110,7 +110,7 @@ impl WowzaServer {
         WowzaServer {
             dc,
             chunk_duration,
-            sessions: HashMap::new(),
+            sessions: BTreeMap::new(),
             verifier: None,
             work: WorkCounters::default(),
             telemetry: Telemetry::disabled(),

@@ -18,8 +18,6 @@
 //!   `livescope-cdn` [`livescope_cdn::Cluster`] and come back with
 //!   arrival traces ready for [`playback::simulate_playback`].
 
-#![forbid(unsafe_code)]
-
 pub mod broadcaster;
 pub mod playback;
 pub mod viewer;

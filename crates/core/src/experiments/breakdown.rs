@@ -339,7 +339,7 @@ fn run_once(
     };
 
     let receipts = hls_viewer.receipts();
-    let origin_ready: std::collections::HashMap<u64, SimTime> = {
+    let origin_ready: std::collections::BTreeMap<u64, SimTime> = {
         let state = cluster
             .control
             .broadcast(grant.id)

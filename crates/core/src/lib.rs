@@ -26,8 +26,6 @@
 //! | Overlay multicast (extension) | §8 sketch | [`experiments::overlay_ext`] |
 //! | Crawler calibration | §3.1 | re-exported from `livescope-crawler` |
 
-#![forbid(unsafe_code)]
-
 pub mod experiments;
 
 pub use experiments::breakdown;

@@ -5,8 +5,6 @@
 //! scale and divisor 100. K = 1 folds inline on the test thread, K > 1
 //! on scoped worker threads — which must not change a byte.
 
-#![forbid(unsafe_code)]
-
 use livescope_core::usage::{run, UsageConfig, UsageReport};
 use livescope_crawler::streaming::{DatasetSummary, DEFAULT_EXEMPLARS};
 use livescope_crawler::{run_campaign_sharded, CampaignConfig, OutageFilter, StreamingCampaign};

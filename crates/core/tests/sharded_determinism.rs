@@ -10,8 +10,6 @@
 //! `tests/telemetry_trace.rs`, and the kernel-level cross-check against
 //! `Scheduler` in `tests/properties.rs`.
 
-#![forbid(unsafe_code)]
-
 use livescope_cdn::fanout::PopStats;
 use livescope_cdn::{run_fanout, FanoutConfig};
 use livescope_net::datacenters::DatacenterId;

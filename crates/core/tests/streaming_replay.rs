@@ -3,8 +3,6 @@
 //! a materializing replay, at the default study scale (`scale_divisor`
 //! 1000 — the acceptance bar in `crates/workload/DESIGN.md`).
 
-#![forbid(unsafe_code)]
-
 use livescope_core::usage::{run, UsageConfig, UsageReport};
 use livescope_crawler::streaming::{DatasetSummary, DEFAULT_EXEMPLARS};
 use livescope_crawler::{CampaignConfig, OutageFilter, StreamingCampaign};

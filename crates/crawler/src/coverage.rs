@@ -7,7 +7,7 @@
 //! broadcasts with realistic lifetimes, run `accounts` staggered pollers,
 //! and report discovery coverage and latency.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -106,10 +106,10 @@ pub struct CoverageReport {
 
 struct World {
     control: ControlServer,
-    tokens: HashMap<BroadcastId, String>,
+    tokens: BTreeMap<BroadcastId, String>,
     started: u64,
     discovery: BTreeMap<BroadcastId, SimDuration>,
-    start_times: HashMap<BroadcastId, SimTime>,
+    start_times: BTreeMap<BroadcastId, SimTime>,
     queries: u64,
     rng: SmallRng,
     arrivals_per_sec: f64,
@@ -141,10 +141,10 @@ pub fn run_coverage_traced(config: &CoverageConfig, telemetry: &Telemetry) -> Co
             control.attach_telemetry(telemetry);
             control
         },
-        tokens: HashMap::new(),
+        tokens: BTreeMap::new(),
         started: 0,
         discovery: BTreeMap::new(),
-        start_times: HashMap::new(),
+        start_times: BTreeMap::new(),
         queries: 0,
         rng: SmallRng::seed_from_u64(pool.stream_seed("arrivals")),
         arrivals_per_sec: config.arrivals_per_sec,

@@ -25,7 +25,6 @@
 //! * [`probe`] — the high-frequency HLS poller that measures
 //!   Wowza→Fastly chunk-transfer delay (the `⑪−⑦` of Fig 10(b)).
 
-#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 pub mod campaign;

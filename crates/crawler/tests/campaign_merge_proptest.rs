@@ -5,8 +5,6 @@
 //! exemplar reservoir included. Mirrors the `QuantileSketch` merge
 //! proptests in `livescope-analysis`.
 
-#![forbid(unsafe_code)]
-
 use std::sync::OnceLock;
 
 use livescope_crawler::{CampaignConfig, StreamingCampaign};

@@ -4,8 +4,6 @@
 //! `run_campaign_sharded` must produce exactly the dataset of the
 //! sequential oracle, field by field, for every shard count.
 
-#![forbid(unsafe_code)]
-
 use livescope_crawler::streaming::DatasetSummary;
 use livescope_crawler::{run_campaign_sharded, CampaignConfig, OutageFilter, StreamingCampaign};
 use livescope_workload::{generate_streaming, ScenarioConfig};

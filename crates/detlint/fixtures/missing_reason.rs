@@ -1,9 +1,12 @@
 //! detlint fixture: exactly one `missing-reason` finding.
 //!
-//! The bare directive suppresses the underlying wall-clock finding but
-//! is itself reported, so the gate stays red until a reason is written.
+//! The bare directive suppresses the underlying direct-trace-emit
+//! finding but is itself reported, so the gate stays red until a reason
+//! is written.
 
-fn startup_stamp() -> bool {
-    let t0 = std::time::Instant::now(); // detlint::allow(wall-clock)
-    t0.elapsed().as_secs() == 0
+fn schedule(sched: &mut ShardedScheduler, at: u64, pop: PopId) {
+    sched.schedule(at, pop, Box::new(move |ctx, pop: &mut Pop| {
+        pop.telemetry.emit(at, chunk_event(pop)); // detlint::allow(direct-trace-emit)
+        let _unused = ctx;
+    }));
 }

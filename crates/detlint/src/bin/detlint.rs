@@ -1,5 +1,5 @@
-#![forbid(unsafe_code)]
-//! `detlint` — the determinism & safety lint CLI.
+//! `detlint` — the CLI for the determinism rule the compiler cannot check
+//! (`direct-trace-emit`, plus `missing-reason` for its own suppressions).
 //!
 //! ```text
 //! detlint [--root <dir>] [paths…]
@@ -10,17 +10,17 @@
 //!
 //! Exit status: 0 clean, 1 findings, 2 usage/IO error. Without explicit
 //! paths the whole workspace under `--root` (default: the nearest
-//! ancestor containing `detlint.toml`, else the current directory) is
-//! scanned and the `detlint.toml` allowlist applies (and is audited for
-//! stale entries); explicit paths bypass the allowlist so e.g. the
+//! ancestor whose `Cargo.toml` declares a `[workspace]`, else the current
+//! directory) is scanned, skipping `vendor/`, `benchmark/` and the
+//! fixture corpus; explicit paths are scanned as given, so e.g. the
 //! fixture corpus can be linted. Every run analyzes every file and
 //! writes nothing but its report: findings on stdout, one
 //! `path:line: [rule] message` per line, and a summary on stderr.
 
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::process::ExitCode;
 
-use livescope_detlint::{lexer, render_text, rule_info, scan, scope::ScopeTree, Config, RULES};
+use livescope_detlint::{lexer, render_text, rule_info, scan, scope::ScopeTree, RULES};
 
 struct Args {
     root: Option<PathBuf>,
@@ -65,26 +65,18 @@ fn parse_args() -> Result<Args, String> {
     Ok(args)
 }
 
-/// Walks up from the current directory to the first `detlint.toml`.
+/// Walks up from the current directory to the first workspace root.
 fn find_root() -> PathBuf {
     let mut dir = std::env::current_dir().unwrap_or_else(|_| PathBuf::from("."));
     loop {
-        if dir.join("detlint.toml").is_file() {
+        let manifest = std::fs::read_to_string(dir.join("Cargo.toml")).unwrap_or_default();
+        if manifest.lines().any(|l| l.trim() == "[workspace]") {
             return dir;
         }
         if !dir.pop() {
             return std::env::current_dir().unwrap_or_else(|_| PathBuf::from("."));
         }
     }
-}
-
-fn load_config(root: &Path) -> Result<Config, String> {
-    let path = root.join("detlint.toml");
-    if !path.is_file() {
-        return Ok(Config::default());
-    }
-    let text = std::fs::read_to_string(&path).map_err(|e| format!("{}: {e}", path.display()))?;
-    Config::parse(&text)
 }
 
 fn main() -> ExitCode {
@@ -132,19 +124,12 @@ fn main() -> ExitCode {
     }
 
     let root = args.root.clone().unwrap_or_else(find_root);
-    let config = match load_config(&root) {
-        Ok(config) => config,
-        Err(msg) => {
-            eprintln!("detlint: {msg}");
-            return ExitCode::from(2);
-        }
-    };
     let paths = if args.paths.is_empty() {
         None
     } else {
         Some(args.paths.as_slice())
     };
-    let outcome = match scan(&root, &config, paths) {
+    let outcome = match scan(&root, paths) {
         Ok(outcome) => outcome,
         Err(msg) => {
             eprintln!("detlint: {msg}");

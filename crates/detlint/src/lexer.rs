@@ -360,6 +360,22 @@ pub fn lex(src: &str) -> Lexed {
     .run()
 }
 
+/// The identifier at `tokens[i]`, if that token is one.
+pub(crate) fn ident(tokens: &[Tok], i: usize) -> Option<&str> {
+    match tokens.get(i).map(|t| &t.kind) {
+        Some(TokKind::Ident(s)) => Some(s),
+        _ => None,
+    }
+}
+
+/// The punctuation character at `tokens[i]`, if that token is one.
+pub(crate) fn punct(tokens: &[Tok], i: usize) -> Option<char> {
+    match tokens.get(i).map(|t| &t.kind) {
+        Some(TokKind::Punct(c)) => Some(*c),
+        _ => None,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -377,14 +393,14 @@ mod tests {
 
     #[test]
     fn identifiers_inside_strings_are_not_tokens() {
-        let src = r##"let x = "HashMap::iter() Instant::now()"; let y = r#"thread_rng"#;"##;
+        let src = r##"let x = "pop.telemetry.emit(ev) Instant::now()"; let y = r#"thread_rng"#;"##;
         let ids = idents(src);
         assert_eq!(ids, vec!["let", "x", "let", "y"]);
     }
 
     #[test]
     fn nested_block_comments_are_skipped() {
-        let src = "/* outer /* inner HashMap */ still comment */ fn main() {}";
+        let src = "/* outer /* inner pop.emit(ev) */ still comment */ fn main() {}";
         assert_eq!(idents(src), vec!["fn", "main"]);
     }
 

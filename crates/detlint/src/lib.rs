@@ -1,49 +1,45 @@
-#![forbid(unsafe_code)]
-//! # livescope-detlint — determinism & safety static analysis
+//! # livescope-detlint — the determinism rule the compiler cannot check
 //!
 //! The telemetry layer (DESIGN.md §8) promises byte-reproducible JSONL
-//! traces per `(config, seed)`. This crate *enforces* the constructs
-//! that promise depends on, as a workspace lint wired into `just ci` /
-//! `scripts/ci.sh` (design notes: `crates/detlint/DESIGN.md`). Two
-//! phases:
+//! traces per `(config, seed)`. The compiler enforces almost all of that
+//! promise: the workspace lint table (`[workspace.lints]` in the root
+//! `Cargo.toml` plus `clippy.toml`) bans hash containers, clock reads,
+//! ambient RNG, shared mutable state, `unsafe`, `todo!` and
+//! `unimplemented!` by type (design notes: `crates/detlint/DESIGN.md`).
+//! This crate checks the one rule that needs to know *where* code sits:
 //!
 //! * [`lexer`] — a small Rust lexer (nested block comments, raw/byte
-//!   strings, char literals vs lifetimes) so rules match real tokens,
-//!   never text inside a string;
-//! * [`rules`] — the token-stream rules: `hash-iter`, `wall-clock`,
-//!   `ambient-rng`, `unordered-float-sum`, `unsafe-code` (token ban
-//!   *and* `#![forbid(unsafe_code)]` required on every crate root), and
-//!   `todo-panic`, plus the `missing-reason` meta-rule;
+//!   strings, char literals vs lifetimes) so the rule matches real
+//!   tokens, never text inside a string or comment;
 //! * [`scope`] + [`structural`] — a brace-matched scope tree (items,
-//!   impls, fns, closures — no full grammar) feeding the
-//!   merge-contract rules: `shared-mutable-state`, `direct-trace-emit`
-//!   and `unordered-float-merge`;
-//! * [`config`] — the `detlint.toml` path-scoped allowlist
-//!   (`vendor/`, bench binaries, the fixture corpus), audited for
-//!   stale entries (`stale-allowlist`) on workspace scans;
-//! * per-line suppression: `// detlint::allow(<rule>) — <reason>`,
-//!   where the reason is mandatory.
+//!   impls, fns, closures — no full grammar) feeding `direct-trace-emit`:
+//!   no `.emit(…)` on a captured sink inside a scheduler handler;
+//! * per-line suppression: `// detlint::allow(<rule>) — <reason>`, where
+//!   the reason is mandatory (`missing-reason`, listed in [`rules`]).
 //!
-//! Every run analyzes every file: there is no cache and one output
-//! format (`path:line: [rule] message`). The `detlint` binary drives
-//! [`scan`] and exits nonzero on findings; `detlint --explain <rule>`
-//! documents each rule.
+//! Every run analyzes every file: there is no cache, no configuration
+//! file and one output format (`path:line: [rule] message`). The
+//! `detlint` binary drives [`scan`] and exits nonzero on findings;
+//! `detlint --explain <rule>` documents each rule.
 
-pub mod config;
 pub mod lexer;
 pub mod rules;
 pub mod scope;
 pub mod structural;
 
-use std::collections::BTreeSet;
 use std::fs;
 use std::path::{Path, PathBuf};
 
-pub use config::{AllowEntry, Config};
 pub use rules::{rule_info, Finding, RULES};
 
 /// Directories never scanned, wherever they appear.
 const SKIP_DIRS: &[&str] = &["target", ".git", "results"];
+
+/// Directories, relative to the scan root, that a walk skips: the
+/// vendored crates and the separate `benchmark/` workspace sit outside
+/// the workspace lint table, and the fixture corpus exists to contain
+/// findings. Naming one of them as an explicit path still lints it.
+const SKIP_PATHS: &[&str] = &["vendor", "benchmark", "crates/detlint/fixtures"];
 
 /// Result of a scan.
 #[derive(Clone, Debug, Default)]
@@ -66,19 +62,13 @@ struct Suppression {
 /// Scans `.rs` files and returns findings. Every file is analyzed on
 /// every call.
 ///
-/// With `paths = None` the whole tree under `root` is walked, the config
-/// allowlist applies and is audited for stale entries. With explicit
-/// `paths` (files or directories, as given on the CLI), the allowlist is
-/// bypassed — that is how the fixture corpus is linted deliberately.
-pub fn scan(
-    root: &Path,
-    config: &Config,
-    paths: Option<&[PathBuf]>,
-) -> Result<ScanOutcome, String> {
-    let explicit = paths.is_some();
+/// With `paths = None` the whole tree under `root` is walked. Explicit
+/// `paths` (files or directories, as given on the CLI) are walked as
+/// given — that is how the fixture corpus is linted deliberately.
+pub fn scan(root: &Path, paths: Option<&[PathBuf]>) -> Result<ScanOutcome, String> {
     let mut files = Vec::new();
     match paths {
-        None => collect_rs(root, &mut files)?,
+        None => collect_rs(root, root, &mut files)?,
         Some(list) => {
             for p in list {
                 let p = if p.is_absolute() {
@@ -87,7 +77,7 @@ pub fn scan(
                     root.join(p)
                 };
                 if p.is_dir() {
-                    collect_rs(&p, &mut files)?;
+                    collect_rs(root, &p, &mut files)?;
                 } else {
                     files.push(p);
                 }
@@ -97,10 +87,7 @@ pub fn scan(
     files.sort();
     files.dedup();
 
-    let forbid_roots = crate_roots(root)?;
-
     let mut outcome = ScanOutcome::default();
-    let mut scanned_rels: Vec<String> = Vec::new();
     for file in &files {
         let rel = file
             .strip_prefix(root)
@@ -109,62 +96,7 @@ pub fn scan(
             .replace('\\', "/");
         let text = fs::read_to_string(file).map_err(|e| format!("{}: {e}", file.display()))?;
         outcome.files_scanned += 1;
-        outcome
-            .findings
-            .extend(analyze_file(&rel, &text, forbid_roots.contains(file)));
-        scanned_rels.push(rel);
-    }
-
-    // Path-scoped allowlist (workspace scans only), with per-entry credit
-    // so the audit can spot entries that suppress nothing.
-    if !explicit {
-        let mut credited: BTreeSet<(usize, usize)> = BTreeSet::new();
-        outcome.findings.retain(|f| {
-            let path = f.path.replace('\\', "/");
-            let mut dropped = false;
-            for (ei, entry) in config.allow.iter().enumerate() {
-                if !path.starts_with(entry.prefix.as_str()) {
-                    continue;
-                }
-                for (ri, rule) in entry.rules.iter().enumerate() {
-                    if rule == "*" || rule == f.rule {
-                        credited.insert((ei, ri));
-                        dropped = true;
-                    }
-                }
-            }
-            !dropped
-        });
-        for (ei, entry) in config.allow.iter().enumerate() {
-            let prefix_hit = scanned_rels
-                .iter()
-                .any(|r| r.starts_with(entry.prefix.as_str()));
-            if !prefix_hit {
-                outcome.findings.push(Finding {
-                    rule: "stale-allowlist",
-                    path: "detlint.toml".to_string(),
-                    line: entry.line,
-                    message: format!(
-                        "allowlist entry `\"{}\"` matches no scanned file — delete it",
-                        entry.prefix
-                    ),
-                });
-                continue;
-            }
-            for (ri, rule) in entry.rules.iter().enumerate() {
-                if !credited.contains(&(ei, ri)) {
-                    outcome.findings.push(Finding {
-                        rule: "stale-allowlist",
-                        path: "detlint.toml".to_string(),
-                        line: entry.line,
-                        message: format!(
-                            "allowlist entry `\"{}\" = \"{rule}\"` suppresses zero findings — delete it (re-add with a reason if the hazard returns)",
-                            entry.prefix
-                        ),
-                    });
-                }
-            }
-        }
+        outcome.findings.extend(analyze_file(&rel, &text));
     }
     outcome
         .findings
@@ -172,37 +104,16 @@ pub fn scan(
     Ok(outcome)
 }
 
-/// Runs the full per-file pipeline: lex → token rules → scope tree →
-/// structural rules → suppression directives. Returns the file's findings
-/// (post-suppression, pre-allowlist).
-pub fn analyze_file(path: &str, text: &str, requires_forbid: bool) -> Vec<Finding> {
+/// Runs the full per-file pipeline: lex → scope tree → `direct-trace-emit`
+/// → suppression directives. Returns the file's findings.
+pub fn analyze_file(path: &str, text: &str) -> Vec<Finding> {
     let lexed = lexer::lex(text);
-    let mut findings = rules::check_file(&rules::FileContext {
-        path,
-        tokens: &lexed.tokens,
-        requires_forbid,
-    });
     let tree = scope::ScopeTree::build(&lexed.tokens);
-    let ranges = rules::guarded_ranges(&lexed.tokens);
-    let structural = structural::check_file(&structural::StructuralContext {
+    let mut findings = structural::check_file(&structural::StructuralContext {
         path,
         tokens: &lexed.tokens,
-        comments: &lexed.comments,
         tree: &tree,
-        ranges: &ranges,
     });
-    // Where the structural pass produced the sharper merge finding, drop
-    // the token-level hash findings on the same line so one hazard isn't
-    // double-reported.
-    let merge_lines: BTreeSet<u32> = structural
-        .iter()
-        .filter(|f| f.rule == "unordered-float-merge")
-        .map(|f| f.line)
-        .collect();
-    findings.retain(|f| {
-        !(matches!(f.rule, "hash-iter" | "unordered-float-sum") && merge_lines.contains(&f.line))
-    });
-    findings.extend(structural);
 
     // Apply per-line suppressions and report malformed ones.
     let suppressions = parse_suppressions(&lexed);
@@ -225,8 +136,9 @@ pub fn analyze_file(path: &str, text: &str, requires_forbid: bool) -> Vec<Findin
     findings
 }
 
-/// Recursively collects `.rs` files, skipping build/VCS/result dirs.
-fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> Result<(), String> {
+/// Recursively collects `.rs` files under `dir`, skipping build/VCS/result
+/// dirs anywhere and [`SKIP_PATHS`] relative to `root`.
+fn collect_rs(root: &Path, dir: &Path, out: &mut Vec<PathBuf>) -> Result<(), String> {
     let entries = fs::read_dir(dir).map_err(|e| format!("{}: {e}", dir.display()))?;
     let mut children: Vec<PathBuf> = Vec::new();
     for entry in entries {
@@ -240,86 +152,13 @@ fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> Result<(), String> {
             .map(|n| n.to_string_lossy().to_string())
             .unwrap_or_default();
         if path.is_dir() {
-            if SKIP_DIRS.contains(&name.as_str()) || name.starts_with('.') {
-                continue;
+            let skipped = SKIP_DIRS.contains(&name.as_str())
+                || name.starts_with('.')
+                || SKIP_PATHS.iter().any(|s| path == root.join(s));
+            if !skipped {
+                collect_rs(root, &path, out)?;
             }
-            collect_rs(&path, out)?;
         } else if name.ends_with(".rs") {
-            out.push(path);
-        }
-    }
-    Ok(())
-}
-
-/// Every crate-root file under `root`: the targets Cargo auto-discovers
-/// (`src/lib.rs`, `src/main.rs`, `src/bin/*.rs`, `benches/*.rs`,
-/// `examples/*.rs`, `tests/*.rs`) plus every explicit `path = "….rs"`
-/// in a `[package]` Cargo.toml. These files must carry
-/// `#![forbid(unsafe_code)]`.
-fn crate_roots(root: &Path) -> Result<BTreeSet<PathBuf>, String> {
-    let mut manifests = Vec::new();
-    collect_manifests(root, &mut manifests)?;
-    let mut roots = BTreeSet::new();
-    for manifest in manifests {
-        let text =
-            fs::read_to_string(&manifest).map_err(|e| format!("{}: {e}", manifest.display()))?;
-        if !text.contains("[package]") {
-            continue; // pure workspace manifest
-        }
-        let dir = manifest.parent().expect("manifest has a parent");
-        for fixed in ["src/lib.rs", "src/main.rs"] {
-            let p = dir.join(fixed);
-            if p.is_file() {
-                roots.insert(p);
-            }
-        }
-        for glob_dir in ["src/bin", "benches", "examples", "tests"] {
-            let d = dir.join(glob_dir);
-            if let Ok(entries) = fs::read_dir(&d) {
-                for entry in entries.flatten() {
-                    let p = entry.path();
-                    if p.extension().is_some_and(|e| e == "rs") {
-                        roots.insert(p);
-                    }
-                }
-            }
-        }
-        for line in text.lines() {
-            let line = line.trim();
-            if let Some(rest) = line.strip_prefix("path") {
-                let rest = rest.trim_start();
-                if let Some(value) = rest.strip_prefix('=') {
-                    let value = value.trim();
-                    if let Some(p) = value.strip_prefix('"').and_then(|v| v.split('"').next()) {
-                        if p.ends_with(".rs") {
-                            let p = dir.join(p);
-                            if p.is_file() {
-                                roots.insert(p);
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-    Ok(roots)
-}
-
-fn collect_manifests(dir: &Path, out: &mut Vec<PathBuf>) -> Result<(), String> {
-    let entries = fs::read_dir(dir).map_err(|e| format!("{}: {e}", dir.display()))?;
-    for entry in entries {
-        let entry = entry.map_err(|e| format!("{}: {e}", dir.display()))?;
-        let path = entry.path();
-        let name = path
-            .file_name()
-            .map(|n| n.to_string_lossy().to_string())
-            .unwrap_or_default();
-        if path.is_dir() {
-            if SKIP_DIRS.contains(&name.as_str()) || name.starts_with('.') {
-                continue;
-            }
-            collect_manifests(&path, out)?;
-        } else if name == "Cargo.toml" {
             out.push(path);
         }
     }
@@ -413,57 +252,58 @@ pub fn render_text(findings: &[Finding]) -> String {
 mod tests {
     use super::*;
 
+    /// One scheduler handler whose body is `body` (lines 2.. of the file).
+    fn handler(body: &str) -> String {
+        format!("fn f() {{ s.schedule(Box::new(move |ctx, pop: &mut Pop| {{\n{body}\n}})); }}\n")
+    }
+
     fn scan_source(src: &str) -> Vec<Finding> {
         // Drive the per-file pipeline without touching the filesystem.
-        analyze_file("src/x.rs", src, false)
+        analyze_file("src/x.rs", src)
     }
 
     #[test]
     fn trailing_suppression_with_reason_silences_the_line() {
-        let src =
-            "fn f() { let t = Instant::now(); } // detlint::allow(wall-clock) — CLI timing only\n";
-        assert!(scan_source(src).is_empty());
+        let src = handler(
+            "pop.telemetry.emit(ev); // detlint::allow(direct-trace-emit) — lane-local sink",
+        );
+        assert!(scan_source(&src).is_empty());
     }
 
     #[test]
     fn own_line_suppression_covers_the_next_code_line() {
-        let src = "// detlint::allow(ambient-rng) — interactive demo, reproducibility waived\n\
-                   fn f() { let r = thread_rng(); }\n";
-        assert!(scan_source(src).is_empty());
+        let src = handler(
+            "// detlint::allow(direct-trace-emit) — lane-local sink\npop.telemetry.emit(ev);",
+        );
+        assert!(scan_source(&src).is_empty());
     }
 
     #[test]
     fn suppression_without_reason_is_reported_and_counted_once() {
-        let src = "fn f() { let t = Instant::now(); } // detlint::allow(wall-clock)\n";
-        let findings = scan_source(src);
+        let src = handler("pop.telemetry.emit(ev); // detlint::allow(direct-trace-emit)");
+        let findings = scan_source(&src);
         assert_eq!(findings.len(), 1, "{findings:?}");
         assert_eq!(findings[0].rule, "missing-reason");
     }
 
     #[test]
     fn suppression_for_another_rule_does_not_silence() {
-        let src = "fn f() { let t = Instant::now(); } // detlint::allow(hash-iter) — wrong rule\n";
-        let findings = scan_source(src);
-        assert_eq!(findings.len(), 1);
-        assert_eq!(findings[0].rule, "wall-clock");
+        let src = handler("pop.telemetry.emit(ev); // detlint::allow(missing-reason) — wrong rule");
+        let findings = scan_source(&src);
+        assert_eq!(findings.len(), 1, "{findings:?}");
+        assert_eq!(findings[0].rule, "direct-trace-emit");
     }
 
     #[test]
     fn unknown_rule_name_in_directive_is_reported() {
-        let src = "fn f() {} // detlint::allow(wall-clok) — typo\n";
-        let findings = scan_source(src);
-        assert_eq!(findings.len(), 1);
-        assert_eq!(findings[0].rule, "missing-reason");
-        assert!(findings[0].message.contains("wall-clok"));
-    }
-
-    #[test]
-    fn structural_merge_finding_supersedes_token_findings_on_its_line() {
-        let src = "struct ObsReport { w: HashMap<u64, f64>, t: f64 }\n\
-                   impl ObsReport { fn merge(&mut self, o: &Self) {\n\
-                   for v in o.w.values() { self.t += v; }\n} }\n";
-        let findings = scan_source(src);
-        let rules: Vec<_> = findings.iter().map(|f| f.rule).collect();
-        assert_eq!(rules, vec!["unordered-float-merge"], "{findings:?}");
+        // `wall-clock` was a detlint rule; clippy's `disallowed_methods`
+        // enforces it now, so detlint no longer knows the name.
+        for name in ["direct-trace-emt", "wall-clock"] {
+            let src = format!("fn f() {{}} // detlint::allow({name}) — typo or retired\n");
+            let findings = scan_source(&src);
+            assert_eq!(findings.len(), 1, "{findings:?}");
+            assert_eq!(findings[0].rule, "missing-reason");
+            assert!(findings[0].message.contains(name));
+        }
     }
 }

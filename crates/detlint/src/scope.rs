@@ -1,9 +1,8 @@
 //! The brace-matched scope tree — detlint's second phase.
 //!
-//! The token rules in [`crate::rules`] are deliberately flat: they see a
-//! token stream and a line number. The merge-contract rules
-//! (`crates/detlint/DESIGN.md`) need more: *where* a token sits — inside which `fn`, which
-//! `impl`, which closure. This module builds just enough structure to
+//! The lexer sees a token stream and a line number. `direct-trace-emit`
+//! (`crates/detlint/DESIGN.md`) needs more: *where* a token sits — inside
+//! which `fn` or closure. This module builds just enough structure to
 //! answer that: a tree of brace-delimited scopes with classified
 //! headers (modules, fns, impls, type declarations, closures), no full
 //! Rust grammar.
@@ -16,15 +15,14 @@
 //!   by `-> Type`) — `Box::new(move |ctx, shard: &mut Pop| {` is the
 //!   canonical scheduler-handler shape;
 //! * an item, when the header carries `fn` / `impl` / `mod` / `struct` /
-//!   `enum` / `trait` (names and, for impls, the trait/type split are
-//!   extracted);
+//!   `enum` / `trait` (names are extracted, except for impls);
 //! * otherwise an anonymous block (control flow, match arms, struct
 //!   literals — the rules only need the nesting).
 //!
 //! Everything is index-based over the caller's token slice, so rules can
 //! ask "which scopes contain token `i`" and walk parents to the root.
 
-use crate::lexer::{Tok, TokKind};
+use crate::lexer::{ident, punct, Tok, TokKind};
 
 /// What a scope's header said it is.
 #[derive(Clone, Debug, PartialEq)]
@@ -36,12 +34,7 @@ pub enum ScopeKind {
     /// `fn name(…) { … }` (free fn or method).
     Fn(String),
     /// `impl [Trait for] Type { … }`.
-    Impl {
-        /// The implemented type's last path segment (`ShardedScheduler`).
-        type_name: String,
-        /// The trait's last path segment, for `impl Trait for Type`.
-        trait_name: Option<String>,
-    },
+    Impl,
     /// `struct Name { … }`.
     Struct(String),
     /// `enum Name { … }`.
@@ -80,20 +73,6 @@ pub struct Scope {
 pub struct ScopeTree {
     /// Every scope, in opening order (pre-order).
     pub scopes: Vec<Scope>,
-}
-
-fn ident(tokens: &[Tok], i: usize) -> Option<&str> {
-    match tokens.get(i).map(|t| &t.kind) {
-        Some(TokKind::Ident(s)) => Some(s),
-        _ => None,
-    }
-}
-
-fn punct(tokens: &[Tok], i: usize) -> Option<char> {
-    match tokens.get(i).map(|t| &t.kind) {
-        Some(TokKind::Punct(c)) => Some(*c),
-        _ => None,
-    }
 }
 
 impl ScopeTree {
@@ -172,14 +151,7 @@ impl ScopeTree {
                 ScopeKind::Root => "root".to_string(),
                 ScopeKind::Module(n) => format!("mod {n}"),
                 ScopeKind::Fn(n) => format!("fn {n}"),
-                ScopeKind::Impl {
-                    type_name,
-                    trait_name: Some(t),
-                } => format!("impl {t} for {type_name}"),
-                ScopeKind::Impl {
-                    type_name,
-                    trait_name: None,
-                } => format!("impl {type_name}"),
+                ScopeKind::Impl => "impl".to_string(),
                 ScopeKind::Struct(n) => format!("struct {n}"),
                 ScopeKind::Enum(n) => format!("enum {n}"),
                 ScopeKind::Trait(n) => format!("trait {n}"),
@@ -222,7 +194,7 @@ fn classify_header(header: &[Tok]) -> ScopeKind {
                 let name = ident(header, i + 1).unwrap_or("_").to_string();
                 return ScopeKind::Fn(name);
             }
-            Some("impl") => return classify_impl(&header[i + 1..]),
+            Some("impl") => return ScopeKind::Impl,
             Some("mod") => {
                 let name = ident(header, i + 1).unwrap_or("_").to_string();
                 return ScopeKind::Module(name);
@@ -250,49 +222,6 @@ fn classify_header(header: &[Tok]) -> ScopeKind {
         i += 1;
     }
     ScopeKind::Block
-}
-
-/// `impl [<generics>] [Trait for] Type` → the trait/type names. The
-/// header slice starts just after the `impl` keyword.
-fn classify_impl(header: &[Tok]) -> ScopeKind {
-    let mut angle = 0isize;
-    // Idents seen at angle-depth 0, split at a depth-0 `for`.
-    let mut before_for: Vec<String> = Vec::new();
-    let mut after_for: Vec<String> = Vec::new();
-    let mut saw_for = false;
-    for (i, tok) in header.iter().enumerate() {
-        match &tok.kind {
-            TokKind::Punct('<') => angle += 1,
-            TokKind::Punct('>') => angle -= 1,
-            TokKind::Ident(s) if angle == 0 => match s.as_str() {
-                "for" => saw_for = true,
-                "where" => break,
-                "dyn" | "mut" | "const" => {}
-                _ => {
-                    // Skip path-separator noise: `a::b` keeps only real
-                    // segments, which is what we collect anyway.
-                    let _ = i;
-                    if saw_for {
-                        after_for.push(s.clone());
-                    } else {
-                        before_for.push(s.clone());
-                    }
-                }
-            },
-            _ => {}
-        }
-    }
-    if saw_for {
-        ScopeKind::Impl {
-            type_name: after_for.last().cloned().unwrap_or_else(|| "_".into()),
-            trait_name: Some(before_for.last().cloned().unwrap_or_else(|| "_".into())),
-        }
-    } else {
-        ScopeKind::Impl {
-            type_name: before_for.last().cloned().unwrap_or_else(|| "_".into()),
-            trait_name: None,
-        }
-    }
 }
 
 /// If the header ends in a closure parameter list — `… |params|` or
@@ -364,30 +293,23 @@ mod tests {
         assert!(kinds.contains(&ScopeKind::Struct("S".into())));
         assert!(kinds.contains(&ScopeKind::Enum("E".into())));
         assert!(kinds.contains(&ScopeKind::Trait("T".into())));
-        assert!(kinds.contains(&ScopeKind::Impl {
-            type_name: "S".into(),
-            trait_name: Some("T".into()),
-        }));
+        assert!(kinds.contains(&ScopeKind::Impl));
         assert!(kinds.contains(&ScopeKind::Fn("f".into())));
     }
 
     #[test]
     fn inherent_impl_with_generics() {
+        // The generics' `<…>` holds no brace, so the impl is one scope
+        // with the method nested in it.
         let src = "impl<S: 'static> ShardedScheduler<S> { fn run(&mut self) { } }";
-        let kinds = kinds(src);
-        assert!(kinds.contains(&ScopeKind::Impl {
-            type_name: "ShardedScheduler".into(),
-            trait_name: None,
-        }));
-    }
-
-    #[test]
-    fn trait_impl_on_path_type_takes_last_segment() {
-        let src = "impl fmt::Display for report::ObsReport { fn fmt(&self) { } }";
-        assert!(kinds(src).contains(&ScopeKind::Impl {
-            type_name: "ObsReport".into(),
-            trait_name: Some("Display".into()),
-        }));
+        assert_eq!(
+            kinds(src),
+            [
+                ScopeKind::Root,
+                ScopeKind::Impl,
+                ScopeKind::Fn("run".into())
+            ]
+        );
     }
 
     #[test]
@@ -492,7 +414,7 @@ mod tests {
         assert_eq!(chain.len(), 3, "{}", t.render());
         assert_eq!(t.scopes[chain[0]].kind, ScopeKind::Block); // the for body
         assert_eq!(t.scopes[chain[1]].kind, ScopeKind::Fn("merge".into()));
-        assert!(matches!(t.scopes[chain[2]].kind, ScopeKind::Impl { .. }));
+        assert_eq!(t.scopes[chain[2]].kind, ScopeKind::Impl);
     }
 
     #[test]

@@ -1,12 +1,13 @@
-#![forbid(unsafe_code)]
-//! End-to-end tests of the `detlint` binary and the allowlist audit,
-//! each over a throwaway workspace under `CARGO_TARGET_TMPDIR`.
+//! End-to-end tests of the `detlint` binary, each over a throwaway
+//! workspace under `CARGO_TARGET_TMPDIR`.
 
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
-use livescope_detlint::{scan, Config};
+/// A one-line scheduler handler that writes a captured sink directly.
+const DIRECT_EMIT: &str =
+    "fn f(s: &mut S) { s.schedule(Box::new(move |ctx, pop: &mut Pop| { pop.telemetry.emit(ev); })); }\n";
 
 fn temp_root(name: &str) -> PathBuf {
     let root = Path::new(env!("CARGO_TARGET_TMPDIR")).join(name);
@@ -50,11 +51,7 @@ fn exit_codes_and_output_and_nothing_is_written() {
     assert!(clean.stdout.is_empty(), "{clean:?}");
 
     // An edit is seen by the very next run, and twice in a row.
-    fs::write(
-        root.join("src/a.rs"),
-        "fn f() { let t = Instant::now(); }\n",
-    )
-    .unwrap();
+    fs::write(root.join("src/a.rs"), DIRECT_EMIT).unwrap();
     for _ in 0..2 {
         let dirty = detlint(&root, &[]);
         assert_eq!(dirty.status.code(), Some(1), "{dirty:?}");
@@ -62,7 +59,7 @@ fn exit_codes_and_output_and_nothing_is_written() {
         let lines: Vec<&str> = stdout.lines().collect();
         assert_eq!(lines.len(), 1, "{stdout}");
         assert!(
-            lines[0].starts_with("src/a.rs:1: [wall-clock] "),
+            lines[0].starts_with("src/a.rs:1: [direct-trace-emit] "),
             "{stdout}"
         );
     }
@@ -87,10 +84,34 @@ fn exit_codes_and_output_and_nothing_is_written() {
             "{flag}: {stderr}"
         );
     }
-    // A removed rule is unknown too.
-    let gone = detlint(&root, &["--explain", "span-balance"]);
-    assert_eq!(gone.status.code(), Some(2), "{gone:?}");
-    assert!(String::from_utf8_lossy(&gone.stderr).contains("unknown rule `span-balance`"));
+    // Two rules are left; every retired one is unknown to `--explain`.
+    let listed = detlint(&root, &["--list-rules"]);
+    assert_eq!(listed.status.code(), Some(0), "{listed:?}");
+    let rules: Vec<String> = String::from_utf8_lossy(&listed.stdout)
+        .lines()
+        .map(|l| l.split_whitespace().next().unwrap_or_default().to_string())
+        .collect();
+    assert_eq!(rules, ["direct-trace-emit", "missing-reason"]);
+    for rule in [
+        "span-balance",
+        "hash-iter",
+        "unordered-float-sum",
+        "unordered-float-merge",
+        "wall-clock",
+        "ambient-rng",
+        "unsafe-code",
+        "todo-panic",
+        "shared-mutable-state",
+        "stale-allowlist",
+    ] {
+        let gone = detlint(&root, &["--explain", rule]);
+        assert_eq!(gone.status.code(), Some(2), "{rule}: {gone:?}");
+        let stderr = String::from_utf8_lossy(&gone.stderr);
+        assert!(
+            stderr.contains(&format!("unknown rule `{rule}`")),
+            "{stderr}"
+        );
+    }
 
     // The scans left the tree exactly as the test wrote it.
     assert_eq!(names(&root), ["src"]);
@@ -98,34 +119,17 @@ fn exit_codes_and_output_and_nothing_is_written() {
 }
 
 #[test]
-fn allowlist_audit_flags_dead_prefixes_and_dead_rules() {
-    let root = temp_root("detlint-audit");
-    fs::write(
-        root.join("src/a.rs"),
-        "fn f() { let t = Instant::now(); }\n",
-    )
-    .unwrap();
-    let config = Config::parse(
-        "[allow]\n\
-         \"ghost/\" = \"*\"\n\
-         \"src/\" = [\"wall-clock\", \"ambient-rng\"]\n",
-    )
-    .expect("config parses");
-
-    let audited = scan(&root, &config, None).expect("scan");
-    let stale: Vec<_> = audited
-        .findings
-        .iter()
-        .filter(|f| f.rule == "stale-allowlist")
-        .collect();
-    assert_eq!(stale.len(), 2, "{:#?}", audited.findings);
-    // `ghost/` matches no scanned file; its finding points at line 2.
-    assert!(stale[0].message.contains("ghost/") && stale[0].message.contains("no scanned file"));
-    assert_eq!((stale[0].path.as_str(), stale[0].line), ("detlint.toml", 2));
-    // `src/` matched and its wall-clock suppression earned credit, but
-    // ambient-rng suppressed nothing.
-    assert!(stale[1].message.contains("ambient-rng"));
-    assert_eq!(stale[1].line, 3);
-    // The credited suppression still applied: no wall-clock finding.
-    assert!(audited.findings.iter().all(|f| f.rule != "wall-clock"));
+fn workspace_walk_skips_vendor_benchmark_and_the_fixture_corpus() {
+    let root = temp_root("detlint-walk");
+    for dir in ["vendor/x/src", "benchmark/src", "crates/detlint/fixtures"] {
+        fs::create_dir_all(root.join(dir)).unwrap();
+        fs::write(root.join(dir).join("a.rs"), DIRECT_EMIT).unwrap();
+    }
+    let walked = detlint(&root, &[]);
+    assert_eq!(walked.status.code(), Some(0), "{walked:?}");
+    // Each skipped directory is still linted when named explicitly.
+    for dir in ["vendor", "benchmark", "crates/detlint/fixtures"] {
+        let named = detlint(&root, &[dir]);
+        assert_eq!(named.status.code(), Some(1), "{dir}: {named:?}");
+    }
 }

@@ -1,7 +1,5 @@
 //! Scratch calibration probe for the Table 2 generators.
 
-#![forbid(unsafe_code)]
-
 use livescope_graph::metrics::*;
 use livescope_graph::{DiGraph, GraphSpec};
 

@@ -167,7 +167,6 @@ fn prefix_sum(in_offsets: &mut [u64], workers: usize) {
 /// ~`E/K` in-edges — and fills the corresponding disjoint `in_sources`
 /// slice by scanning the full out-CSR in ascending-source order. See the
 /// module docs for the byte-identity argument.
-#[allow(clippy::too_many_arguments)]
 fn scatter(
     node_count: usize,
     out_offsets: &[u64],

@@ -35,8 +35,6 @@
 //! assert!(g.in_degree(top_broadcaster) > 50); // celebrity hub
 //! ```
 
-#![forbid(unsafe_code)]
-
 pub mod build;
 pub mod digraph;
 pub mod generate;

@@ -3,8 +3,6 @@
 //! counting-sort scatter, run on K scoped threads, must emit the *same
 //! bytes* as the sequential (K = 1, inline) build.
 
-#![forbid(unsafe_code)]
-
 use proptest::collection::vec;
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};

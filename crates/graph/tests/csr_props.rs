@@ -5,8 +5,6 @@
 //! single checksum. A `BTreeMap` oracle double-checks the adjacency
 //! against an independent implementation.
 
-#![forbid(unsafe_code)]
-
 use proptest::collection::vec;
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};

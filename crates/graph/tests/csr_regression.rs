@@ -9,8 +9,6 @@
 //! downstream figure (Table 2, the replay workload, Fig 7) — not merely
 //! its layout.
 
-#![forbid(unsafe_code)]
-
 use livescope_graph::{DiGraph, GraphSpec};
 use livescope_sim::RngPool;
 

@@ -195,8 +195,8 @@ mod tests {
     #[test]
     fn fastly_covers_four_continents() {
         // "covering North America, Europe, Asia, and Oceania".
-        use std::collections::HashSet;
-        let continents: HashSet<_> = by_provider(Provider::Fastly).map(|d| d.continent).collect();
+        use std::collections::BTreeSet;
+        let continents: BTreeSet<_> = by_provider(Provider::Fastly).map(|d| d.continent).collect();
         assert_eq!(continents.len(), 4);
         assert!(continents.contains(&Continent::NorthAmerica));
         assert!(continents.contains(&Continent::Europe));

@@ -48,7 +48,7 @@ impl fmt::Display for GeoPoint {
 
 /// Continent classification used by the Fig 15 distance-bucket analysis and
 /// the Fig 9 co-location summary.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub enum Continent {
     NorthAmerica,
     SouthAmerica,

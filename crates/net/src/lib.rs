@@ -22,8 +22,6 @@
 //! the scheduler, which keeps the layering simple and every sample unit
 //! testable.
 
-#![forbid(unsafe_code)]
-
 pub mod datacenters;
 pub mod fault;
 pub mod geo;

@@ -2,7 +2,7 @@
 //! edge, one per attached viewer at its leaf — with sampled link delays
 //! and per-node work accounting.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -31,7 +31,7 @@ pub struct DeliveryOutcome {
 /// and cumulative work counters.
 pub struct OverlayNetwork {
     rng: SmallRng,
-    links: HashMap<(u16, u16), Link>,
+    links: BTreeMap<(u16, u16), Link>,
     /// Viewer → (its leaf, its last-mile link), in registration order.
     viewers: Vec<(u64, DatacenterId, Link)>,
     /// Cumulative per-server forward counts (Fig 14-style accounting).
@@ -47,7 +47,7 @@ impl OverlayNetwork {
     pub fn new(pool: &RngPool) -> Self {
         OverlayNetwork {
             rng: SmallRng::seed_from_u64(pool.stream_seed("overlay")),
-            links: HashMap::new(),
+            links: BTreeMap::new(),
             viewers: Vec::new(),
             forwards: BTreeMap::new(),
             sec_tree_walk: Section::default(),
@@ -106,7 +106,7 @@ impl OverlayNetwork {
     ) -> DeliveryOutcome {
         // Frame arrival at each server, walking edges in forwarding order
         // (the DFS guarantees parents precede children).
-        let mut at_server: HashMap<DatacenterId, SimTime> = HashMap::new();
+        let mut at_server: BTreeMap<DatacenterId, SimTime> = BTreeMap::new();
         at_server.insert(tree.root(), now);
         let mut root_sends = 0;
         let mut total_sends = 0;

@@ -29,8 +29,6 @@
 //! the number of *continents with audience* regardless of audience size,
 //! while per-viewer delay stays push-grade — no 3 s chunks, no polling.
 
-#![forbid(unsafe_code)]
-
 pub mod deliver;
 pub mod hierarchy;
 pub mod tree;

@@ -27,8 +27,6 @@
 //!   wire, steals plaintext tokens, rewrites frames, and fails against
 //!   sealed control traffic and signed streams.
 
-#![forbid(unsafe_code)]
-
 pub mod attack;
 pub mod rsa;
 pub mod rtmps;

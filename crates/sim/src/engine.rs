@@ -59,7 +59,10 @@ pub struct Scheduler<S> {
 
 impl<S> Scheduler<S> {
     /// A fresh scheduler at time zero with an empty queue.
-    #[allow(clippy::new_without_default)] // every remaining caller names `new`
+    #[expect(
+        clippy::new_without_default,
+        reason = "every remaining caller names `new`"
+    )]
     pub fn new() -> Self {
         Scheduler {
             now: SimTime::ZERO,

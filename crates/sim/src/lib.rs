@@ -56,7 +56,6 @@
 //!
 //! [`ticker`]: process::ticker
 
-#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 pub mod backend;

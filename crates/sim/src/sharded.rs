@@ -455,10 +455,10 @@ impl<S: Send + 'static> ShardedScheduler<S> {
                 mail.append(&mut slot.core.outbox);
             }
             // Explicit total order; `(clamped time, src, src_seq)` is
-            // unique per message. Iterating a map here instead would be
-            // exactly the hash-order bug detlint's `hash-iter` rule exists
-            // to catch. A single message is trivially ordered — skip the
-            // sort.
+            // unique per message. Iterating a hash map here instead would
+            // be exactly the hash-order bug the workspace's ban on
+            // `HashMap` exists to prevent. A single message is trivially
+            // ordered — skip the sort.
             if mail.len() > 1 {
                 mail.sort_unstable_by_key(|m| (m.at.max(barrier), m.src, m.src_seq));
             }

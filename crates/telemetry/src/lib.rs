@@ -21,7 +21,6 @@
 //! trace parsing), so `sim`, `cdn`, `client`, and `crawler` can all
 //! depend on it without cycles.
 
-#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 pub mod event;
@@ -40,20 +39,41 @@ pub use report::ObsReport;
 pub use span::{Span, SpanKind};
 
 use registry::Registry;
+use shared::{locked, Inner};
 use sink::TraceSink;
 use std::borrow::Cow;
 use std::io::Write;
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::Arc;
 
-struct Inner {
-    registry: Mutex<Registry>,
-    sink: Mutex<TraceSink>,
-}
+/// A handle's registry and sink behind their locks: with [`SharedBuffer`],
+/// the workspace's only use of `Mutex`.
+#[expect(
+    clippy::disallowed_types,
+    reason = "the handle is shared across worker lanes; shards buffer their events and the sink is written only at the single-threaded epoch-barrier merge"
+)]
+mod shared {
+    use super::{Registry, TraceSink};
+    use std::sync::{Arc, Mutex, MutexGuard};
 
-/// Unwraps a mutex guard; a poisoned lock means another thread panicked
-/// mid-update, and continuing would record from inconsistent state.
-fn locked<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().expect("telemetry lock poisoned")
+    pub(crate) struct Inner {
+        pub(crate) registry: Mutex<Registry>,
+        pub(crate) sink: Mutex<TraceSink>,
+    }
+
+    impl Inner {
+        pub(crate) fn new(sink: TraceSink) -> Arc<Inner> {
+            Arc::new(Inner {
+                registry: Mutex::new(Registry::default()),
+                sink: Mutex::new(sink),
+            })
+        }
+    }
+
+    /// Unwraps a mutex guard; a poisoned lock means another thread panicked
+    /// mid-update, and continuing would record from inconsistent state.
+    pub(crate) fn locked<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+        m.lock().expect("telemetry lock poisoned")
+    }
 }
 
 /// Cheap, cloneable telemetry handle. Clones share one registry and sink.
@@ -89,10 +109,7 @@ impl Telemetry {
     /// beyond `capacity`) and metrics into a live registry.
     pub fn recording(capacity: usize) -> Self {
         Telemetry {
-            inner: Some(Arc::new(Inner {
-                registry: Mutex::new(Registry::default()),
-                sink: Mutex::new(TraceSink::memory(capacity)),
-            })),
+            inner: Some(Inner::new(TraceSink::memory(capacity))),
         }
     }
 
@@ -104,10 +121,7 @@ impl Telemetry {
     /// wrapper for disk capture.
     pub fn to_jsonl(out: Box<dyn Write + Send>) -> Self {
         Telemetry {
-            inner: Some(Arc::new(Inner {
-                registry: Mutex::new(Registry::default()),
-                sink: Mutex::new(TraceSink::jsonl(out)),
-            })),
+            inner: Some(Inner::new(TraceSink::jsonl(out))),
         }
     }
 
@@ -231,7 +245,11 @@ impl Telemetry {
 /// A `Write` target whose bytes stay readable after the telemetry handle
 /// is done with it — the standard way to capture a JSONL trace in memory.
 #[derive(Clone, Default)]
-pub struct SharedBuffer(Arc<Mutex<Vec<u8>>>);
+#[expect(
+    clippy::disallowed_types,
+    reason = "the writer half moves into a telemetry handle while the test or tool that made it keeps the reader half"
+)]
+pub struct SharedBuffer(Arc<std::sync::Mutex<Vec<u8>>>);
 
 impl SharedBuffer {
     /// An empty shared buffer.

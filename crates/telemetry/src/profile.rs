@@ -41,6 +41,10 @@ impl Section {
     /// Runs `f` and returns its value; a live section also records how
     /// many wall-clock nanoseconds `f` took.
     #[inline]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the profiler's one clock read: the nanoseconds only ever feed a handler.*_ns histogram, never the event stream, so traces stay a pure function of (config, seed)"
+    )]
     pub fn time<R>(&self, f: impl FnOnce() -> R) -> R {
         // One call site for `f`, so a large closure body is not duplicated
         // into an inert and a live copy.

@@ -14,7 +14,7 @@ use crate::event::{Protocol, TimedEvent, TraceEvent};
 use crate::ledger::{DelayLedger, DelayStage, StageDelays};
 use crate::registry::Histogram;
 use crate::span::SpanKind;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 /// How many chunk journeys the waterfall section keeps.
@@ -229,16 +229,16 @@ impl ObsReport {
         let (mut first_us, mut last_us) = (u64::MAX, 0u64);
         // (broadcast, seq) -> seal time, maintained streamingly so traces
         // holding several repetitions (which restart seq) join correctly.
-        let mut origin_ready: HashMap<(u64, u64), u64> = HashMap::new();
+        let mut origin_ready: BTreeMap<(u64, u64), u64> = BTreeMap::new();
         // (broadcast, viewer) -> admission time.
-        let mut join_started: HashMap<(u64, u64), u64> = HashMap::new();
+        let mut join_started: BTreeMap<(u64, u64), u64> = BTreeMap::new();
         // viewer -> last POP that served it (for buffering attribution).
-        let mut viewer_pop: HashMap<u64, u16> = HashMap::new();
+        let mut viewer_pop: BTreeMap<u64, u16> = BTreeMap::new();
         // Every span occurrence in open order, the current occurrence of
         // each id (lookup only — never iterated, so hash order is inert),
         // and which occurrences are deliveries, for the waterfalls.
         let mut spans: Vec<SpanRecord> = Vec::new();
-        let mut current: HashMap<u64, usize> = HashMap::new();
+        let mut current: BTreeMap<u64, usize> = BTreeMap::new();
         let mut delivers: Vec<usize> = Vec::new();
         let mut upload_hist = Histogram::default();
         let mut rtmp_last_mile_hist = Histogram::default();

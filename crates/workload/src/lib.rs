@@ -20,7 +20,6 @@
 //! full "study" runs in seconds; per-broadcast distributions are *not*
 //! scaled, so CDF shapes are comparable with the paper axis-for-axis.
 
-#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 pub mod arrivals;

@@ -6,8 +6,6 @@
 //! cargo run -p livescope-examples --release --bin buffer_tuning
 //! ```
 
-#![forbid(unsafe_code)]
-
 use livescope_core::buffering::{run, BufferingConfig};
 
 fn main() {

@@ -12,8 +12,6 @@
 //! cargo run -p livescope-examples --release --bin celebrity_broadcast -- --lanes 6
 //! ```
 
-#![forbid(unsafe_code)]
-
 use livescope_cdn::control::ControlError;
 use livescope_cdn::ids::UserId;
 use livescope_cdn::{run_fanout, Cluster, FanoutConfig};

@@ -7,8 +7,6 @@
 //! cargo run -p livescope-examples --release --bin crawler_campaign
 //! ```
 
-#![forbid(unsafe_code)]
-
 use livescope_core::usage::{run, UsageConfig};
 use livescope_crawler::coverage::{run_coverage, CoverageConfig};
 use livescope_sim::SimDuration;

@@ -7,8 +7,6 @@
 //! cargo run -p livescope-examples --release --bin future_architecture
 //! ```
 
-#![forbid(unsafe_code)]
-
 use livescope_core::overlay_ext::{run, OverlayConfig, VIEWER_CITIES};
 use livescope_net::datacenters::{self, DatacenterId};
 use livescope_net::geo::GeoPoint;

@@ -6,8 +6,6 @@
 //! cargo run -p livescope-examples --bin quickstart
 //! ```
 
-#![forbid(unsafe_code)]
-
 use livescope_cdn::ids::UserId;
 use livescope_cdn::Cluster;
 use livescope_client::broadcaster::{capture_schedule, FrameSource, UplinkClass, UplinkModel};

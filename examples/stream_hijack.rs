@@ -11,8 +11,6 @@
 //! cargo run -p livescope-examples --bin stream_hijack
 //! ```
 
-#![forbid(unsafe_code)]
-
 use livescope_core::security::{run, AttackSide, SecurityConfig};
 use livescope_security::SigningPolicy;
 

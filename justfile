@@ -1,9 +1,9 @@
 # Development commands. `just ci` is the gate every change must pass;
 # scripts/ci.sh is its one definition, runnable without `just`.
 
-# Run the full CI gate: format check, determinism lint, lints, tests,
-# rustdoc gate, `livescope all`, usage-error probes, one untimed pass of
-# the micro and hot-path benches, bench-regression gate.
+# Run the full CI gate: format check, detlint, clippy (the determinism
+# gate), tests, rustdoc gate, `livescope all`, usage-error probes, one
+# untimed pass of the micro and hot-path benches, bench-regression gate.
 ci:
     bash scripts/ci.sh
 
@@ -13,21 +13,20 @@ fmt-check:
 fmt:
     cargo fmt
 
-# The determinism & safety static-analysis pass
-# (crates/detlint/DESIGN.md): the two-phase (token + structural)
-# workspace scan must come back clean and the allowlist audit must find
-# no dead suppressions. Every file is analyzed on every run; nothing is
-# written. The fixture corpus must still trip every rule (detlint's own
-# self-test enforces the exact counts).
+# The one determinism rule the compiler cannot check, `direct-trace-emit`
+# (crates/detlint/DESIGN.md): the workspace scan must come back clean.
+# Every file is analyzed on every run; nothing is written. The fixture
+# corpus must still trip both rules (detlint's own self-test enforces the
+# exact counts). Everything else in the contract is `just clippy`.
 lint-det:
     cargo run -q -p livescope-detlint --bin detlint
 
-# Explain one detlint rule, e.g. `just lint-det-explain hash-iter`.
+# Explain one detlint rule, e.g. `just lint-det-explain direct-trace-emit`.
 lint-det-explain rule:
     cargo run -q -p livescope-detlint --bin detlint -- --explain {{rule}}
 
 # Dump the brace-matched scope tree detlint builds for one file — the
-# debugging view for the structural rules, e.g.
+# debugging view for `direct-trace-emit`, e.g.
 # `just lint-det-scopes crates/sim/src/engine.rs`.
 lint-det-scopes file:
     cargo run -q -p livescope-detlint --bin detlint -- --list-scopes {{file}}

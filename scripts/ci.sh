@@ -6,13 +6,18 @@ cd "$(dirname "$0")/.."
 echo "==> cargo fmt --check"
 cargo fmt --check
 
-# The determinism lint runs before clippy so its findings fail fast.
-# One run gates the tree (token + structural rules + allowlist audit);
-# every file is analyzed on every run and nothing is written.
-echo "==> detlint (determinism & safety static analysis + allowlist audit)"
+# detlint checks the one determinism rule the compiler cannot:
+# `direct-trace-emit` (no `.emit(…)` on a captured sink inside a scheduler
+# handler), plus reasons on its own `detlint::allow` directives. Every
+# file is analyzed on every run and nothing is written.
+echo "==> detlint (direct-trace-emit)"
 cargo run -q -p livescope-detlint --bin detlint
 
-echo "==> cargo clippy --workspace --all-targets -- -D warnings"
+# The determinism gate: `[workspace.lints]` in Cargo.toml and clippy.toml
+# ban hash containers, clock reads, ambient RNG, shared mutable state,
+# `unsafe`, `todo!` and `unimplemented!`; tests/lint_canary.rs makes a
+# dropped ban fail here as `unfulfilled_lint_expectations`.
+echo "==> cargo clippy --workspace --all-targets -- -D warnings (the determinism gate)"
 cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> cargo test --workspace -q"

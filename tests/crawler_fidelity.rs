@@ -2,9 +2,7 @@
 //! truth up to the documented losses, and coverage must improve
 //! monotonically with crawl rate.
 
-#![forbid(unsafe_code)]
-
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use livescope_crawler::campaign::CampaignConfig;
 use livescope_crawler::coverage::{run_coverage, CoverageConfig};
@@ -91,7 +89,7 @@ fn anonymization_preserves_linkage_but_not_identity() {
     let d = crawl(&CampaignConfig::periscope_study());
     // Same broadcaster ⇒ same hash (longitudinal linkage survives), and
     // the hash is not the raw id.
-    let mut seen: HashMap<u32, u64> = HashMap::new();
+    let mut seen: BTreeMap<u32, u64> = BTreeMap::new();
     for r in &d.exemplars {
         let entry = seen
             .entry(r.record.broadcaster)

@@ -1,8 +1,6 @@
 //! End-to-end integration: the full broadcast lifecycle across control
 //! plane, ingest, edge, message bus and clients.
 
-#![forbid(unsafe_code)]
-
 use livescope_cdn::ids::UserId;
 use livescope_client::viewer::HlsViewer;
 use livescope_net::datacenters::{self, DatacenterId, Provider};

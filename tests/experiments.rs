@@ -3,8 +3,6 @@
 //! "does the whole reproduction hang together" tests; the per-module unit
 //! tests cover the details.
 
-#![forbid(unsafe_code)]
-
 use livescope_core::{breakdown, buffering, geolocation, polling, scalability, social, usage};
 use livescope_crawler::coverage;
 use livescope_sim::SimDuration;

@@ -3,8 +3,6 @@
 //! results gracefully — never panic, never wedge, always keep the
 //! accounting consistent.
 
-#![forbid(unsafe_code)]
-
 use livescope_cdn::ids::UserId;
 use livescope_client::playback::{simulate_playback, ArrivedUnit};
 use livescope_net::geo::GeoPoint;

@@ -1,7 +1,5 @@
 //! Shared helpers for the cross-crate integration tests.
 
-#![forbid(unsafe_code)]
-
 use livescope_cdn::control::CreateGrant;
 use livescope_cdn::ids::UserId;
 use livescope_cdn::Cluster;

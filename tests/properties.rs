@@ -3,8 +3,6 @@
 //! metrics stay in range and respond monotonically to the pre-buffer, and
 //! the statistics toolkit keeps its promises.
 
-#![forbid(unsafe_code)]
-
 use bytes::Bytes;
 use proptest::prelude::*;
 

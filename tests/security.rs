@@ -1,8 +1,6 @@
 //! Security integration: the §7 attack surface exercised through public
 //! APIs only — token secrecy, replay, tampering, and the defense.
 
-#![forbid(unsafe_code)]
-
 use bytes::Bytes;
 use livescope_cdn::ids::UserId;
 use livescope_cdn::wowza::IngestError;

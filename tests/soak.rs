@@ -3,8 +3,6 @@
 //! polling — and check global invariants at the end. This is the "would a
 //! downstream user's service survive a day of traffic" test.
 
-#![forbid(unsafe_code)]
-
 use livescope_cdn::ids::{BroadcastId, UserId};
 use livescope_cdn::Cluster;
 use livescope_net::geo::GeoPoint;
@@ -23,7 +21,7 @@ struct SoakWorld {
     chunks_completed: u64,
     polls: u64,
     joins: u64,
-    live_tokens: std::collections::HashMap<BroadcastId, String>,
+    live_tokens: std::collections::BTreeMap<BroadcastId, String>,
 }
 
 #[test]
@@ -54,7 +52,7 @@ fn a_day_of_workload_runs_clean_through_the_cluster() {
         chunks_completed: 0,
         polls: 0,
         joins: 0,
-        live_tokens: std::collections::HashMap::new(),
+        live_tokens: std::collections::BTreeMap::new(),
     };
     let mut sched = ShardedScheduler::new(pool, vec![world], SimDuration::from_secs(1));
 

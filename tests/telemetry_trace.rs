@@ -9,8 +9,6 @@
 //!    [`ObsReport::derive`] (its `ledger`) agrees with the analytic numbers
 //!    `experiments::breakdown` computes from its own in-memory state.
 
-#![forbid(unsafe_code)]
-
 use livescope_core::experiments::breakdown::{run, run_traced, BreakdownConfig, BreakdownReport};
 use livescope_core::experiments::overlay_ext::{
     run as overlay_run, run_traced as overlay_run_traced, OverlayConfig, OverlayReport,
@@ -184,7 +182,7 @@ fn trace_derived_breakdown_matches_analytic_report() {
 
 #[test]
 fn determinism_sweep_covers_breakdown_and_overlay_experiments() {
-    // The dynamic counterpart of detlint's static pass: two experiments
+    // The dynamic counterpart of the static determinism lints: two experiments
     // on different code paths (CDN breakdown, §8 overlay multicast) each
     // run twice at a fixed seed and must reproduce their traces
     // byte-for-byte.
