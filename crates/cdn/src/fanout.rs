@@ -166,7 +166,7 @@ fn fan_frame(seq: u64) -> VideoFrame {
         seq,
         seq * 40_000,
         seq.is_multiple_of(50),
-        bytes::Bytes::from(vec![7u8; size]),
+        std::iter::repeat_n(7u8, size).collect::<bytes::Bytes>(),
     )
 }
 

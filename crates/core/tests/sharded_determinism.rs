@@ -12,7 +12,9 @@
 
 use livescope_cdn::fanout::PopStats;
 use livescope_cdn::{run_fanout, FanoutConfig};
+use livescope_core::experiments::breakdown::{run_traced, BreakdownConfig};
 use livescope_net::datacenters::DatacenterId;
+use livescope_sim::rng::splitmix64;
 use livescope_telemetry::{event, ObsReport, SharedBuffer, Telemetry, TraceEvent};
 
 const LANE_SWEEP: [usize; 3] = [1, 2, 6];
@@ -62,6 +64,50 @@ fn multi_shard_fanout_trace_bytes_are_identical_across_lane_counts() {
             );
         }
     }
+}
+
+/// An order-sensitive fingerprint of a trace: `splitmix64` folded over
+/// the length, then every 8-byte word (the last one zero-padded).
+fn fold_bytes(bytes: &[u8]) -> u64 {
+    bytes
+        .chunks(8)
+        .fold(splitmix64(bytes.len() as u64), |acc, word| {
+            let mut w = [0u8; 8];
+            w[..word.len()].copy_from_slice(word);
+            splitmix64(acc ^ u64::from_le_bytes(w))
+        })
+}
+
+/// The multi-shard fan-out's full trace, pinned absolutely: unlike the
+/// report's checksum, these bytes move if any two events swap places —
+/// within a shard, across the mail merge, or in the trace merge.
+#[test]
+fn fanout_trace_bytes_are_pinned() {
+    let trace = fanout_trace(1);
+    assert_eq!(
+        (trace.len(), fold_bytes(&trace)),
+        (173_994, 0x98ee_9c36_f7f5_2d4a)
+    );
+}
+
+/// The one-shard breakdown experiment's trace, pinned absolutely: every
+/// RTMP frame, chunk and poll of two 40 s repetitions in fire order.
+#[test]
+fn breakdown_trace_bytes_are_pinned() {
+    let config = BreakdownConfig {
+        repetitions: 2,
+        stream_secs: 40,
+        ..BreakdownConfig::default()
+    };
+    let buf = SharedBuffer::new();
+    let telemetry = Telemetry::to_jsonl(Box::new(buf.clone()));
+    run_traced(&config, &telemetry);
+    telemetry.flush();
+    let trace = buf.contents();
+    assert_eq!(
+        (trace.len(), fold_bytes(&trace)),
+        (562_370, 0x164b_ed8a_fb7b_5c43)
+    );
 }
 
 /// The untraced report at [`fanout_config`], pinned absolutely: lane-count

@@ -14,7 +14,8 @@
 //!   crawler polls every 100 ms; [`time::SimTime`] counts microseconds in a
 //!   `u64`, giving ~584k years of range with no floating-point drift.
 //! * **Simplicity over cleverness.** Following the smoltcp design ethos,
-//!   each shard is a plain binary heap of boxed closures — no macros, no
+//!   each shard is a queue of boxed closures — per-epoch buckets sorted
+//!   once, plus a binary heap for the current epoch — no macros, no
 //!   unsafe.
 //!
 //! ## Quick tour
@@ -63,6 +64,7 @@ pub mod dist;
 pub mod engine;
 pub mod parts;
 pub mod process;
+mod queue;
 pub mod rng;
 pub mod sharded;
 pub mod time;

@@ -3,22 +3,24 @@
 //! # Lane model
 //!
 //! A [`ShardedScheduler<S>`] owns a fixed set of shards. Each shard is a
-//! complete miniature scheduler: its own `(time, seq)`-ordered event heap,
-//! its own clock, its own deterministic RNG pool
-//! (`root.child_indexed("shard", i)`), its own outgoing mailbox, and its
-//! own trace buffer. During an *epoch* — a half-open window `[k·e, (k+1)·e)`
-//! on the simulated clock — every shard runs its local events independently
-//! of every other shard; the only cross-shard channel is the mailbox, and
-//! mailboxes are drained exclusively at the *epoch barrier*.
+//! complete miniature scheduler: its own `(time, seq)`-ordered event
+//! queue (an epoch-grid bucket queue, see below), its own clock, its own
+//! deterministic RNG pool (`root.child_indexed("shard", i)`), its own
+//! outgoing mailbox, and its own trace buffer. During an *epoch* — a
+//! half-open window `[k·e, (k+1)·e)` on the simulated clock — every shard
+//! runs its local events independently of every other shard; the only
+//! cross-shard channel is the mailbox, and mailboxes are drained
+//! exclusively at the *epoch barrier*.
 //!
 //! # The merge contract
 //!
 //! At each barrier, single-threaded code:
 //!
-//! 1. collects all outgoing mail and delivers it in
-//!    `(delivery time, source shard, source seq)` order — never in map or
-//!    thread-completion order — assigning destination-queue sequence
-//!    numbers in that deterministic order;
+//! 1. appends every outbox in shard order — each already in send order —
+//!    and pushes the mail into the destination queues in that order, never
+//!    in map or thread-completion order. A destination fires equal-time
+//!    events in push order, so delivery follows
+//!    `(delivery time, source shard, source seq)` with no sort;
 //! 2. merges per-shard trace buffers into the attached telemetry sink in
 //!    `(time, shard_id, seq)` order — a total order because `seq` is
 //!    monotone per shard.
@@ -40,82 +42,56 @@
 //! determinism sweep in `tests/sharded_determinism.rs` asserts byte
 //! equality across lane counts.
 //!
+//! # The queue
+//!
+//! A shard's queue is bucketed on the same epoch grid
+//! (the crate-private `queue::EpochQueue`): events for later epochs are
+//! appended unsorted to their epoch's bucket, and a bucket is sorted once,
+//! by a stable radix sort, when its epoch becomes current. Pushes into the
+//! current epoch go to a small `(time, seq)` heap beside it. In the
+//! celebrity fan-out — epoch = poll interval — nearly every event lands
+//! in the next cell, so a push is an append and a pop a cursor step.
+//!
 //! # Barrier cost
 //!
 //! The barrier itself is engineered to stay off the profile
 //! (`handler.sharded.{lane_exec,mail_merge,trace_merge}_ns` measure it):
 //! mail and trace merges reuse persistent scratch buffers instead of
-//! allocating per epoch, sorts are skipped when at most one shard
-//! contributed (a single shard's buffer is already in merged order),
-//! each epoch's merged trace block is handed to the telemetry sink in
-//! one batch — one sink lock per epoch rather than one per event, with
-//! memory bounded by a single epoch's traffic (sound because epochs
-//! partition simulated time, so successive blocks are already globally
-//! ordered), and when
-//! exactly one shard has events due the scheduler *sprints*: it runs that
-//! shard across grid cells without intermediate barriers until it drains
-//! or emits cross-shard mail — the only thing a barrier exists to order.
-
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+//! allocating per epoch, mail is never sorted (outboxes appended in shard
+//! order are already in delivery order), the trace sort is skipped when
+//! at most one shard contributed (a single shard's buffer is already in
+//! merged order), each epoch's merged trace block is handed to the
+//! telemetry sink in one batch — one sink lock per epoch rather than one
+//! per event, with memory bounded by a single epoch's traffic (sound
+//! because epochs partition simulated time, so successive blocks are
+//! already globally ordered), and when exactly one shard has events due
+//! the scheduler *sprints*: it runs that shard across grid cells without
+//! intermediate barriers until it drains or emits cross-shard mail — the
+//! only thing a barrier exists to order.
 
 use livescope_telemetry::{CounterId, GaugeId, Section, Telemetry, TraceEvent};
 
 use crate::backend::{BackendEvent, SchedulerBackend, ShardId};
 use crate::parts::run_parts;
+use crate::queue::EpochQueue;
 use crate::rng::RngPool;
-use crate::time::{event_key, event_key_time, SimDuration, SimTime};
-
-/// One queued event on a shard's local heap.
-struct Queued<S> {
-    /// `(at, seq)` packed by [`event_key`].
-    key: u128,
-    run: BackendEvent<S>,
-}
-
-impl<S> Queued<S> {
-    fn at(&self) -> SimTime {
-        event_key_time(self.key)
-    }
-}
-
-// Max-heap; invert so the earliest (time, seq) pops first.
-impl<S> PartialEq for Queued<S> {
-    fn eq(&self, other: &Self) -> bool {
-        self.key == other.key
-    }
-}
-impl<S> Eq for Queued<S> {}
-impl<S> PartialOrd for Queued<S> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<S> Ord for Queued<S> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        other.key.cmp(&self.key)
-    }
-}
+use crate::time::{SimDuration, SimTime};
 
 /// A cross-shard message awaiting the next epoch barrier.
 struct Mail<S> {
     /// Requested delivery time (clamped to the barrier on delivery).
     at: SimTime,
-    src: u16,
-    /// Send order within the source shard; the mail-merge tiebreaker.
-    src_seq: u64,
     dest: u16,
     run: BackendEvent<S>,
 }
 
-/// Everything a shard owns besides its state: heap, clock, RNG, mailbox,
+/// Everything a shard owns besides its state: queue, clock, RNG, mailbox,
 /// trace buffer, and counters.
 struct LaneCore<S> {
     id: u16,
     shard_count: u16,
     now: SimTime,
-    next_seq: u64,
-    queue: BinaryHeap<Queued<S>>,
+    queue: EpochQueue<BackendEvent<S>>,
     pool: RngPool,
     outbox: Vec<Mail<S>>,
     sent: u64,
@@ -128,13 +104,7 @@ struct LaneCore<S> {
 
 impl<S> LaneCore<S> {
     fn push_local(&mut self, at: SimTime, run: BackendEvent<S>) {
-        let at = at.max(self.now);
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.queue.push(Queued {
-            key: event_key(at, seq),
-            run,
-        });
+        self.queue.push(at.max(self.now), run);
     }
 }
 
@@ -200,13 +170,9 @@ impl<S> EventCtx<'_, S> {
             self.core.push_local(at, event);
             return;
         }
-        let at = at.max(self.core.now);
-        let src_seq = self.core.sent;
         self.core.sent += 1;
         self.core.outbox.push(Mail {
-            at,
-            src: self.core.id,
-            src_seq,
+            at: at.max(self.core.now),
             dest: dest.0,
             run: event,
         });
@@ -240,20 +206,20 @@ impl<S> EventCtx<'_, S> {
 /// is inclusive.
 fn run_shard<S>(slot: &mut ShardSlot<S>, barrier: SimTime, inclusive: bool) {
     loop {
-        let due = matches!(slot.core.queue.peek(),
-            Some(head) if head.at() < barrier || (inclusive && head.at() == barrier));
+        let due = matches!(slot.core.queue.peek_time(),
+            Some(at) if at < barrier || (inclusive && at == barrier));
         if !due {
             break;
         }
-        let ev = slot.core.queue.pop().expect("peeked element vanished");
-        debug_assert!(ev.at() >= slot.core.now, "shard clock went backwards");
-        slot.core.now = ev.at();
+        let (at, run) = slot.core.queue.pop().expect("peeked element vanished");
+        debug_assert!(at >= slot.core.now, "shard clock went backwards");
+        slot.core.now = at;
         slot.core.fired += 1;
         slot.core.fired_epoch += 1;
         let mut ctx = EventCtx {
             core: &mut slot.core,
         };
-        (ev.run)(&mut ctx, &mut slot.state);
+        run(&mut ctx, &mut slot.state);
     }
 }
 
@@ -310,9 +276,10 @@ pub struct ShardedScheduler<S> {
     /// traffic and the sink lock is taken once per epoch, not per event.
     trace_pending: Vec<(u64, u16, u64, TraceEvent)>,
     /// Wall-clock profile sections (`handler.sharded.*_ns`); live exactly
-    /// when the attached telemetry handle records. They time the
-    /// phases the 0.81×-at-6-lanes result is made of: lane execution,
-    /// the mailbox drain, and the trace merge at each epoch barrier.
+    /// when the attached telemetry handle records. They time the phases
+    /// behind `BENCH_shards.json`'s lane sweep (0.656× at 6 lanes on a
+    /// two-vCPU host): lane execution, the mailbox drain, and the trace
+    /// merge at each epoch barrier.
     sec_lane_exec: Section,
     sec_mail_merge: Section,
     sec_trace_merge: Section,
@@ -340,8 +307,7 @@ impl<S: Send + 'static> ShardedScheduler<S> {
                     id: i as u16,
                     shard_count,
                     now: SimTime::ZERO,
-                    next_seq: 0,
-                    queue: BinaryHeap::new(),
+                    queue: EpochQueue::new(epoch.as_micros()),
                     pool: pool.child_indexed("shard", i as u64),
                     outbox: Vec::new(),
                     sent: 0,
@@ -442,9 +408,9 @@ impl<S: Send + 'static> ShardedScheduler<S> {
         self.barrier_merge(barrier);
     }
 
-    /// The single-threaded barrier step: deliver mail in
-    /// `(time, src shard, src seq)` order, merge traces in
-    /// `(time, shard, seq)` order, roll up counters.
+    /// The single-threaded barrier step: deliver mail in shard order, then
+    /// send order (which fires in `(time, src shard, src seq)` order),
+    /// merge traces in `(time, shard, seq)` order, roll up counters.
     fn barrier_merge(&mut self, barrier: SimTime) {
         // --- mail ---------------------------------------------------------
         // The sections borrow only their own fields, so the closures below
@@ -454,14 +420,12 @@ impl<S: Send + 'static> ShardedScheduler<S> {
             for slot in &mut self.shards {
                 mail.append(&mut slot.core.outbox);
             }
-            // Explicit total order; `(clamped time, src, src_seq)` is
-            // unique per message. Iterating a hash map here instead would
-            // be exactly the hash-order bug the workspace's ban on
-            // `HashMap` exists to prevent. A single message is trivially
-            // ordered — skip the sort.
-            if mail.len() > 1 {
-                mail.sort_unstable_by_key(|m| (m.at.max(barrier), m.src, m.src_seq));
-            }
+            // Shard order, then send order: `(src, src_seq)` order with no
+            // sort. A destination fires equal-time events in push order and
+            // unequal ones by time, so delivery is in `(max(at, barrier),
+            // src, src_seq)` order by construction. Draining a hash map
+            // here instead would be exactly the hash-order bug the
+            // workspace's ban on `HashMap` exists to prevent.
             self.mail_delivered += mail.len() as u64;
             self.telemetry.add(self.c_mail, mail.len() as u64);
             for m in mail.drain(..) {
@@ -556,19 +520,19 @@ impl<S: Send + 'static> ShardedScheduler<S> {
         let barrier = self.sec_lane_exec.time(|| {
             let slot = &mut self.shards[idx];
             loop {
-                let due = matches!(slot.core.queue.peek(), Some(head) if head.at() <= horizon);
+                let due = matches!(slot.core.queue.peek_time(), Some(at) if at <= horizon);
                 if !due {
                     break;
                 }
-                let ev = slot.core.queue.pop().expect("peeked element vanished");
-                debug_assert!(ev.at() >= slot.core.now, "shard clock went backwards");
-                slot.core.now = ev.at();
+                let (at, run) = slot.core.queue.pop().expect("peeked element vanished");
+                debug_assert!(at >= slot.core.now, "shard clock went backwards");
+                slot.core.now = at;
                 slot.core.fired += 1;
                 slot.core.fired_epoch += 1;
                 let mut ctx = EventCtx {
                     core: &mut slot.core,
                 };
-                (ev.run)(&mut ctx, &mut slot.state);
+                run(&mut ctx, &mut slot.state);
                 if !slot.core.outbox.is_empty() {
                     break;
                 }
@@ -606,12 +570,12 @@ impl<S: Send + 'static> SchedulerBackend<S> for ShardedScheduler<S> {
             let mut active = 0usize;
             let mut active_idx = 0usize;
             for (i, s) in self.shards.iter().enumerate() {
-                if let Some(h) = s.core.queue.peek() {
-                    if h.at() <= horizon {
+                if let Some(at) = s.core.queue.peek_time() {
+                    if at <= horizon {
                         active += 1;
                         active_idx = i;
                     }
-                    next = Some(next.map_or(h.at(), |n: SimTime| n.min(h.at())));
+                    next = Some(next.map_or(at, |n: SimTime| n.min(at)));
                 }
             }
             let Some(next) = next else { break };
@@ -691,55 +655,33 @@ mod tests {
 
     #[test]
     fn queue_orders_like_time_then_seq_at_the_edges() {
-        // Pop order of the packed key against the `(SimTime, u64)` tuple
-        // it replaced, at the end of the clock and of the seq counter.
-        let queued = |at: u64, seq: u64| Queued::<()> {
-            key: event_key(SimTime::from_micros(at), seq),
-            run: Box::new(|_, _| {}),
-        };
-        let edges = [0, 1, u64::MAX - 1, u64::MAX];
-        let pairs: Vec<(u64, u64)> = edges
-            .iter()
-            .flat_map(|&at| edges.map(|seq| (at, seq)))
-            .collect();
-        for &a in &pairs {
-            for &b in &pairs {
-                // Max-heap order: the earlier pair is the greater element.
-                assert_eq!(
-                    queued(a.0, a.1).cmp(&queued(b.0, b.1)),
-                    b.cmp(&a),
-                    "{a:?} vs {b:?}"
-                );
-            }
-        }
         // Both shards busy at the end of the clock (so the barrier path,
-        // not the sprint, runs them) with their seq counters near the end:
-        // equal times fire in insertion order, and `MAX` is reachable.
+        // not the sprint, runs them): equal times fire in insertion order,
+        // `MAX` is reachable, and "a" pushes "e" into the epoch already
+        // being drained — the late heap — where it fires after the
+        // bucketed ties. `queue::tests` pins the packed key at the edges.
         let mut s = two_shards(1);
-        for slot in &mut s.shards {
-            slot.core.next_seq = u64::MAX - 4;
-        }
         let before_max = SimTime::from_micros(u64::MAX - 1);
+        let log = |tag: &'static str| -> BackendEvent<Vec<(u64, String)>> {
+            Box::new(move |ctx, log| log.push((ctx.now().as_micros(), tag.to_string())))
+        };
         for shard in [ShardId(0), ShardId(1)] {
-            for (at, tag) in [
-                (SimTime::MAX, "c"),
-                (before_max, "a"),
-                (SimTime::MAX, "d"),
-                (before_max, "b"),
-            ] {
-                s.schedule(
-                    shard,
-                    at,
-                    Box::new(move |ctx, log: &mut Vec<(u64, String)>| {
-                        log.push((ctx.now().as_micros(), tag.to_string()));
-                    }),
-                );
-            }
+            s.schedule(shard, SimTime::MAX, log("c"));
+            s.schedule(
+                shard,
+                before_max,
+                Box::new(move |ctx, trace: &mut Vec<(u64, String)>| {
+                    trace.push((ctx.now().as_micros(), "a".to_string()));
+                    ctx.schedule_at(SimTime::MAX, log("e"));
+                }),
+            );
+            s.schedule(shard, SimTime::MAX, log("d"));
+            s.schedule(shard, before_max, log("b"));
         }
         assert_eq!(s.run(), SimTime::MAX);
         for shard in [ShardId(0), ShardId(1)] {
             let tags: Vec<&str> = s.state(shard).iter().map(|(_, t)| t.as_str()).collect();
-            assert_eq!(tags, vec!["a", "b", "c", "d"], "{shard}");
+            assert_eq!(tags, vec!["a", "b", "c", "d", "e"], "{shard}");
         }
     }
 

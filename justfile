@@ -121,3 +121,10 @@ bench-hotpath:
 # edge_fanout 10 6 0xbeefff25` for shorter runs on another seed.
 ab rev_a rev_b workload *rest:
     bash scripts/ab.sh {{rev_a}} {{rev_b}} {{workload}} {{rest}}
+
+# Sampled "where the time went" profile of one revision's benchmark
+# workload: scripts/sigprof.c (an LD_PRELOAD SIGPROF sampler) plus
+# `addr2line -i`. E.g. `just profile HEAD edge_fanout 8
+# 'queue=queue\.rs' 'radix=^sort_bucket<'`.
+profile rev workload *rest:
+    bash scripts/profile.sh {{rev}} {{workload}} {{rest}}
