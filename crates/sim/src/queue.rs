@@ -3,8 +3,9 @@
 //! The sharded scheduler fires events in `(time, seq)` order, where `seq`
 //! is push order. Most events a shard schedules land in a *later* epoch
 //! cell of the scheduler's grid (a fan-out viewer re-polls one poll
-//! interval, i.e. one epoch, ahead), so the queue keeps those unsorted
-//! and sorts each cell once:
+//! interval, i.e. one epoch, ahead; `crates/sim/DESIGN.md` § "The shard
+//! queue" has the measured shares), so the queue keeps those unsorted and
+//! sorts each cell once:
 //!
 //! * **Later epochs** are buckets in a `BTreeMap` keyed by
 //!   `at_us / epoch_us`: append-only vectors in push order, plus their
@@ -39,9 +40,10 @@ type Slot<E> = Option<(SimTime, E)>;
 const DIGIT_BITS: u32 = 11;
 const RADIX: usize = 1 << DIGIT_BITS;
 
-/// Buckets up to this length are sorted by comparison: below it, the
-/// radix passes' counter sweeps cost more than the sort.
-const SMALL_BUCKET: usize = 256;
+/// Buckets up to this length are sorted by comparison. Measured on
+/// boxed-event slots, the two sorts break even at 96–112 events; at 64
+/// the radix passes' counter sweeps cost up to twice the sort.
+const SMALL_BUCKET: usize = 96;
 
 /// An unsorted later epoch: events in push order and their earliest
 /// instant.
@@ -94,9 +96,6 @@ pub(crate) struct EpochQueue<E> {
     /// Push order among late events (bucketed ones need none).
     late_seq: u64,
     later: BTreeMap<u64, Bucket<E>>,
-    /// One emptied vector, taken over by the next epoch's bucket when it
-    /// outgrows its own.
-    spare: Vec<Slot<E>>,
     len: usize,
 }
 
@@ -111,7 +110,6 @@ impl<E> EpochQueue<E> {
             late: BinaryHeap::new(),
             late_seq: 0,
             later: BTreeMap::new(),
-            spare: Vec::new(),
             len: 0,
         }
     }
@@ -131,17 +129,10 @@ impl<E> EpochQueue<E> {
             self.late.push(Late { key, ev });
             return;
         }
-        // Only the next epoch's bucket — the one that grows to a full
-        // epoch's worth — takes over the spare when it fills; a farther
-        // bucket holding a few stragglers would strand it.
-        let spare = match self.epoch {
-            Some(cur) if k - 1 == cur => Some(&mut self.spare),
-            _ => None,
-        };
         // Pushes in time order hit the newest bucket: skip the search.
         if let Some(mut last) = self.later.last_entry() {
             if *last.key() == k {
-                last.get_mut().push(at, ev, spare);
+                last.get_mut().push(at, ev);
                 return;
             }
         }
@@ -151,7 +142,7 @@ impl<E> EpochQueue<E> {
                 min: at,
                 slots: Vec::new(),
             })
-            .push(at, ev, spare);
+            .push(at, ev);
     }
 
     /// The instant of the next event [`EpochQueue::pop`] returns.
@@ -191,17 +182,12 @@ impl<E> EpochQueue<E> {
     }
 
     /// Makes the earliest later bucket current, sorting it. The drained
-    /// current vector is the radix scratch; what is left over after the
-    /// sort becomes the spare if it is the larger one.
+    /// current vector is the radix scratch.
     fn advance(&mut self) -> Option<()> {
         let (k, bucket) = self.later.pop_first()?;
         let mut slots = bucket.slots;
         let mut scratch = std::mem::take(&mut self.current);
         sort_bucket(&mut slots, &mut scratch, k * self.epoch_us);
-        scratch.clear();
-        if scratch.capacity() > self.spare.capacity() {
-            self.spare = scratch;
-        }
         self.current = slots;
         self.head = 0;
         self.epoch = Some(k);
@@ -210,16 +196,9 @@ impl<E> EpochQueue<E> {
 }
 
 impl<E> Bucket<E> {
-    /// Appends one event. A full bucket given a larger `spare` moves into
-    /// it instead of reallocating.
-    fn push(&mut self, at: SimTime, ev: E, spare: Option<&mut Vec<Slot<E>>>) {
+    /// Appends one event.
+    fn push(&mut self, at: SimTime, ev: E) {
         self.min = self.min.min(at);
-        if self.slots.len() == self.slots.capacity() {
-            if let Some(spare) = spare.filter(|s| s.capacity() > self.slots.len()) {
-                spare.append(&mut self.slots);
-                std::mem::swap(&mut self.slots, spare);
-            }
-        }
         self.slots.push(Some((at, ev)));
     }
 }

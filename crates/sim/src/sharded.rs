@@ -49,8 +49,9 @@
 //! appended unsorted to their epoch's bucket, and a bucket is sorted once,
 //! by a stable radix sort, when its epoch becomes current. Pushes into the
 //! current epoch go to a small `(time, seq)` heap beside it. In the
-//! celebrity fan-out — epoch = poll interval — nearly every event lands
-//! in the next cell, so a push is an append and a pop a cursor step.
+//! celebrity fan-out — epoch = poll interval — every push lands in a
+//! later cell (`edge_fanout` counted no late push), so a push is an
+//! append and a pop a cursor step.
 //!
 //! # Barrier cost
 //!

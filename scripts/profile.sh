@@ -20,9 +20,9 @@
 #   "function @ file:line", e.g. 'heap=binary_heap' or
 #   'radix=^sort_bucket<'.
 #
-# SIGPROF_HZ sets the sampling rate (default 1000; the kernel's timer
-# tick may cap it, e.g. at 250 Hz). The whole process is sampled, setup
-# and warm-ups included. Needs cc and addr2line.
+# The sampler asks for one sample per 1 ms of CPU time; the kernel's timer
+# tick may cap the rate (at 250 Hz, one per 4 ms). The whole process is
+# sampled, setup and warm-ups included. Needs cc and addr2line.
 set -euo pipefail
 
 usage() {
@@ -66,6 +66,10 @@ cc -O2 -fPIC -shared -o "$build/libsigprof.so" "$root/scripts/sigprof.c"
 (cd "$work" && "${pin[@]}" SIGPROF_OUT="$work/samples.txt" \
     LD_PRELOAD="$build/libsigprof.so" "$build/release/benchmark" \
     --workload "$workload" --seconds "$seconds" >/dev/null)
+[ -f "$work/samples.txt" ] || {
+    echo "the sampler wrote no output (see its message above)" >&2
+    exit 1
+}
 
 # One `addr2line -a -f -i -C` per module over its distinct addresses.
 while read -r _ index path; do
@@ -74,7 +78,7 @@ while read -r _ index path; do
         true
 done < <(grep '^M ' "$work/samples.txt")
 
-echo "${sha:0:12} $workload, ${seconds} s at ${SIGPROF_HZ:-1000} Hz"
+echo "${sha:0:12} $workload, ${seconds} s"
 # Emits "TOTAL n", "SELF count function" and "LABEL count name" lines.
 LABELS=$(printf '%s\n' "$@") awk '
     BEGIN {

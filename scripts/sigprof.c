@@ -1,6 +1,7 @@
 /*
  * A sampling profiler as an LD_PRELOAD shim: an ITIMER_PROF timer raises
- * SIGPROF every 1/SIGPROF_HZ s of process CPU time, and the handler
+ * SIGPROF every 1 ms of process CPU time (the kernel's timer tick may
+ * stretch that, e.g. to 4 ms at 250 Hz), and the handler
  * records the interrupted program counter plus the backtrace() of the
  * frames above it into a preallocated buffer. At exit the shim writes,
  * to the file named by SIGPROF_OUT:
@@ -15,8 +16,7 @@
  * aggregates the result.
  *
  * Build: cc -O2 -fPIC -shared -o libsigprof.so sigprof.c
- * Env:   SIGPROF_OUT (required), SIGPROF_HZ (default 1000),
- *        SIGPROF_MAX_SAMPLES (default 262144).
+ * Env:   SIGPROF_OUT, the output path; without it the shim does nothing.
  */
 #define _GNU_SOURCE
 #include <execinfo.h>
@@ -31,12 +31,14 @@
 #include <ucontext.h>
 #include <unistd.h>
 
+#define INTERVAL_US 1000
+/* Samples kept; later ones are counted as dropped. */
+#define CAPACITY 262144
 #define MAX_DEPTH 64
 /* One record: depth, then up to MAX_DEPTH addresses, leaf first. */
 #define RECORD (MAX_DEPTH + 1)
 
 static uintptr_t *samples;
-static size_t capacity;
 static size_t taken;
 static size_t dropped;
 static const char *out_path;
@@ -46,7 +48,7 @@ static void on_prof(int sig, siginfo_t *info, void *context)
     (void)sig;
     (void)info;
     size_t slot = __atomic_fetch_add(&taken, 1, __ATOMIC_RELAXED);
-    if (slot >= capacity) {
+    if (slot >= CAPACITY) {
         __atomic_fetch_add(&dropped, 1, __ATOMIC_RELAXED);
         return;
     }
@@ -136,7 +138,7 @@ __attribute__((destructor)) static void sigprof_stop(void)
             fprintf(out, "M %d %s\n", i, modules[i].path);
         }
     }
-    size_t n = taken < capacity ? taken : capacity;
+    size_t n = taken < CAPACITY ? taken : CAPACITY;
     for (size_t s = 0; s < n; s++) {
         const uintptr_t *rec = samples + s * RECORD;
         fputc('S', out);
@@ -169,16 +171,8 @@ __attribute__((constructor)) static void sigprof_start(void)
     if (!out_path || !out_path[0]) {
         return;
     }
-    const char *hz_env = getenv("SIGPROF_HZ");
-    const char *max_env = getenv("SIGPROF_MAX_SAMPLES");
-    long hz = hz_env ? atol(hz_env) : 1000;
-    capacity = max_env ? (size_t)atol(max_env) : 262144;
-    if (hz <= 0 || hz > 1000000 || capacity == 0) {
-        fprintf(stderr, "sigprof: bad SIGPROF_HZ or SIGPROF_MAX_SAMPLES\n");
-        return;
-    }
     /* Untouched pages cost no resident memory until a sample lands. */
-    void *buf = mmap(NULL, capacity * RECORD * sizeof(uintptr_t), PROT_READ | PROT_WRITE,
+    void *buf = mmap(NULL, (size_t)CAPACITY * RECORD * sizeof(uintptr_t), PROT_READ | PROT_WRITE,
                      MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
     if (buf == MAP_FAILED) {
         perror("sigprof: mmap");
@@ -195,10 +189,17 @@ __attribute__((constructor)) static void sigprof_start(void)
     sa.sa_sigaction = on_prof;
     sa.sa_flags = SA_SIGINFO | SA_RESTART;
     sigemptyset(&sa.sa_mask);
-    sigaction(SIGPROF, &sa, NULL);
+    if (sigaction(SIGPROF, &sa, NULL) != 0) {
+        perror("sigprof: sigaction");
+        samples = NULL;
+        return;
+    }
     struct itimerval every;
     every.it_interval.tv_sec = 0;
-    every.it_interval.tv_usec = 1000000 / hz;
+    every.it_interval.tv_usec = INTERVAL_US;
     every.it_value = every.it_interval;
-    setitimer(ITIMER_PROF, &every, NULL);
+    if (setitimer(ITIMER_PROF, &every, NULL) != 0) {
+        perror("sigprof: setitimer");
+        samples = NULL;
+    }
 }
