@@ -117,16 +117,6 @@ pub fn pearson(xs: &[f64], ys: &[f64]) -> f64 {
     }
 }
 
-/// Exact quantile of a mutable sample buffer (sorts in place). `q` in
-/// `[0, 1]`; nearest-rank convention.
-pub fn quantile_in_place(samples: &mut [f64], q: f64) -> f64 {
-    assert!(!samples.is_empty(), "quantile of empty sample set");
-    assert!((0.0..=1.0).contains(&q), "quantile order out of range");
-    samples.sort_by(|a, b| a.partial_cmp(b).expect("NaN in samples"));
-    let idx = ((samples.len() - 1) as f64 * q).floor() as usize;
-    samples[idx]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -198,19 +188,5 @@ mod tests {
         let constant = vec![5.0; 10];
         let varying: Vec<f64> = (0..10).map(|i| i as f64).collect();
         assert_eq!(pearson(&constant, &varying), 0.0);
-    }
-
-    #[test]
-    fn quantiles_hit_expected_ranks() {
-        let mut v: Vec<f64> = (1..=100).map(|i| i as f64).collect();
-        assert_eq!(quantile_in_place(&mut v, 0.0), 1.0);
-        assert_eq!(quantile_in_place(&mut v, 1.0), 100.0);
-        assert_eq!(quantile_in_place(&mut v, 0.5), 50.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "empty")]
-    fn quantile_of_empty_panics() {
-        quantile_in_place(&mut [], 0.5);
     }
 }

@@ -361,9 +361,16 @@ fn owned_graph_digest(divisor: f64) -> u64 {
 /// fan-out workload is run on the same handle so its `handler.sharded.*`
 /// sections land in the same snapshot.
 fn profile_report(telemetry: &Telemetry) -> (Vec<String>, Vec<ProfileRow>) {
-    // The celebrity-broadcast workload of bench_shards, single-lane so
-    // the single-threaded per-event numbers are comparable run to run.
-    let config = super::bench_shards::workload();
+    // A 1,500-viewer celebrity broadcast (the workload pinned by
+    // `sharded_determinism`'s lane-sweep test), single-lane so the
+    // per-event numbers are comparable run to run.
+    let config = livescope_cdn::FanoutConfig {
+        viewers_per_pop: 250,
+        stream_secs: 120,
+        roam_every: 5,
+        seed: 0xF1610,
+        ..livescope_cdn::FanoutConfig::default()
+    };
     livescope_cdn::run_fanout(&config, 1, telemetry);
     let snapshot = telemetry.snapshot();
     let mut hists: Vec<_> = snapshot

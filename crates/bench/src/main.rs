@@ -18,7 +18,6 @@ mod cmd {
     pub mod artifacts;
     pub mod bench_check;
     pub mod bench_replay;
-    pub mod bench_shards;
     pub mod fig14;
     pub mod obs_report;
 }
@@ -76,8 +75,6 @@ const COMMANDS: &[(&str, &str, Run)] = &[
     ("opt_polling", "Optimization study — adaptive chunk-cadence polling vs the fixed intervals of Figs 12–13", Artifact(a::opt_polling)),
     ("bench_replay", "streaming-replay scale sweep and worker curves (BENCH_replay.json)",
         Tool("[OUT.json]", cmd::bench_replay::run)),
-    ("bench_shards", "sharded fan-out lane-count sweep (BENCH_shards.json)",
-        Tool("[OUT.json]", cmd::bench_shards::run)),
     ("bench_check", "bench-regression gate: fresh artifacts vs baselines/",
         Tool("[--write-baselines]", cmd::bench_check::run)),
     ("obs_report", "causal observability report over the canonical workloads or a trace",
@@ -147,17 +144,17 @@ mod tests {
 
     #[test]
     fn every_surviving_former_binary_is_exactly_one_subcommand() {
-        let former = "bench_check bench_replay bench_shards chunk_tradeoff crawler_coverage \
+        let former = "bench_check bench_replay chunk_tradeoff crawler_coverage \
                       ext_overlay fig1 fig2 fig3 fig4 fig5 fig6 fig7 fig8 fig9 fig10 fig11 fig12 \
                       fig13 fig14 fig15 fig16 fig17 fig18 interactivity obs_report opt_polling \
                       tab1 tab2";
-        assert_eq!(former.split_whitespace().count(), 29);
+        assert_eq!(former.split_whitespace().count(), 28);
         for name in former.split_whitespace().chain(["all"]) {
             assert!(is_command(name), "{name} is not one row of COMMANDS");
         }
         assert_eq!(
             COMMANDS.len(),
-            30,
+            29,
             "a row beyond the former binaries and `all`"
         );
         let artifacts = COMMANDS.iter().filter(|c| matches!(c.2, Artifact(_)));
@@ -203,7 +200,6 @@ mod tests {
             ("bench_replay", "--smoke"),
             ("bench_replay", "--workers"),
             ("bench_replay", "--graph-only"),
-            ("bench_shards", "--smoke"),
         ] {
             let line = vec![flag.to_string(), out.clone()];
             let usage = dispatch(name, Args::new(line), &dir).expect_err("retired flag ran");

@@ -30,25 +30,26 @@
 //!   POP for HLS viewers (§5.3);
 //! * plaintext-token ingest authentication — the §7 vulnerability — plus
 //!   an optional frame-verifier hook where the §7.2 defense plugs in.
+//!
+//! Clients reach these servers through typed methods, not HTTP frames.
+//! Meerkat's §4.1 variant (one upload POST, HLS only, 3.6 s chunks) is
+//! not built here: the paper measures Meerkat through its usage, which
+//! `livescope-workload` reproduces.
 
-pub mod api;
 pub mod chunker;
 pub mod cluster;
 pub mod control;
 pub mod fanout;
 pub mod fastly;
 pub mod ids;
-pub mod meerkat;
 pub mod pubnub;
 pub mod wowza;
 
-pub use api::ControlApi;
 pub use chunker::{Chunker, ReadyChunk};
 pub use cluster::{CdnError, Cluster};
 pub use control::ControlServer;
 pub use fanout::{run_fanout, FanoutConfig, FanoutReport};
 pub use fastly::{FastlyPop, FetchPlan};
 pub use ids::{BroadcastId, UserId};
-pub use meerkat::MeerkatServer;
 pub use pubnub::PubNub;
 pub use wowza::WowzaServer;

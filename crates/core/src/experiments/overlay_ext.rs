@@ -190,18 +190,6 @@ pub fn run_traced(config: &OverlayConfig, telemetry: &Telemetry) -> OverlayRepor
     }
 }
 
-/// Convenience: an overlay delivery run without the sweep, for benches.
-pub fn push_frames(audience: usize, frames: u64, seed: u64) -> (f64, f64) {
-    let report = run(&OverlayConfig {
-        audiences: vec![audience],
-        frames,
-        seed,
-        ..OverlayConfig::default()
-    });
-    let cell = report.overlay[0];
-    (cell.origin_sends_per_frame, cell.mean_delay_s)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -255,13 +243,5 @@ mod tests {
         assert!(text.contains("RTMP origin"));
         assert!(text.contains("overlay delay"));
         assert!(text.contains("2000"));
-    }
-
-    #[test]
-    fn push_frames_helper_matches_sweep() {
-        let (sends, delay) = push_frames(100, 60, OverlayConfig::default().seed);
-        let report = quick();
-        assert!((sends - report.overlay[0].origin_sends_per_frame).abs() < 1e-9);
-        assert!((delay - report.overlay[0].mean_delay_s).abs() < 1e-9);
     }
 }

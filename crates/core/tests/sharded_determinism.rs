@@ -163,3 +163,25 @@ fn traced_and_untraced_fanout_reports_are_equal() {
     );
     assert_eq!(traced, untraced);
 }
+
+/// The 1,500-viewer lane-sweep workload (6 POPs × 250 viewers, 120 s,
+/// a roam every 5 polls), pinned absolutely at every lane count: the
+/// checksum folds every delivery, so any reorder or lost chunk moves it.
+#[test]
+fn lane_sweep_fanout_report_is_pinned() {
+    let config = FanoutConfig {
+        viewers_per_pop: 250,
+        stream_secs: 120,
+        roam_every: 5,
+        seed: 0xF1610,
+        ..FanoutConfig::default()
+    };
+    for lanes in LANE_SWEEP {
+        let report = run_fanout(&config, lanes, &Telemetry::disabled());
+        assert_eq!(
+            (report.checksum, report.chunks_served(), report.events_fired),
+            (0xe453_383f_136d_bcfa, 60_000, 66_617),
+            "lanes={lanes}"
+        );
+    }
+}

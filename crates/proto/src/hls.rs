@@ -19,10 +19,6 @@ pub const CHUNK_MAGIC: u32 = 0x4C53_4331;
 const CHUNK_HEADER_LEN: usize = 4 + 8 + 8 + 8 + 2;
 /// Default chunk duration used by Periscope and Facebook Live (seconds).
 pub const DEFAULT_CHUNK_SECS: f64 = 3.0;
-/// Meerkat's observed chunk duration (seconds).
-pub const MEERKAT_CHUNK_SECS: f64 = 3.6;
-/// Apple's VoD HLS chunk duration, the scalability-end anchor (seconds).
-pub const VOD_CHUNK_SECS: f64 = 10.0;
 /// Upper bound on frames per chunk accepted by the decoder (10 s of 40 ms
 /// frames, with headroom).
 pub const MAX_FRAMES_PER_CHUNK: usize = 1024;
@@ -499,7 +495,5 @@ mod tests {
     #[test]
     fn default_chunk_constants_match_paper() {
         assert_eq!(DEFAULT_CHUNK_SECS, 3.0);
-        assert_eq!(MEERKAT_CHUNK_SECS, 3.6);
-        assert_eq!(VOD_CHUNK_SECS, 10.0);
     }
 }

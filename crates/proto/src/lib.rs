@@ -11,8 +11,6 @@
 //!   signature (the §7.2 defense);
 //! * [`hls`] — chunk containers assembled from RTMP frames plus an
 //!   m3u8-style text chunklist that edge servers cache and viewers poll;
-//! * [`http`] — a minimal HTTP/1.1-shaped request/response framing used by
-//!   the HLS polling path and the crawler;
 //! * [`message`] — the PubNub-style side channel carrying hearts and
 //!   comments;
 //! * [`control`] — the HTTPS control-plane messages (broadcast creation,
@@ -27,7 +25,6 @@
 
 pub mod control;
 pub mod hls;
-pub mod http;
 pub mod message;
 pub mod rtmp;
 pub mod wire;

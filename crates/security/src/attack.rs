@@ -10,15 +10,13 @@
 //!    video for black frames while the broadcaster kept seeing their own
 //!    camera view.
 //!
-//! Against the sealed control channel the same interceptor gets nothing:
-//! it can observe ciphertext and corrupt it (detected), but not read or
-//! forge it. That asymmetry is the §7 story.
+//! Sealed control traffic does not decode as RTMP, so the interceptor can
+//! only forward it blind ([`InterceptAction::Opaque`]). That asymmetry is
+//! the §7 story.
 
 use bytes::Bytes;
 
-use livescope_proto::control::Sealed;
 use livescope_proto::rtmp::{RtmpMessage, VideoFrame};
-use livescope_proto::wire::WireError;
 
 /// The payload the paper's proof-of-concept injected: black frames.
 pub fn black_frame_payload(len: usize) -> Bytes {
@@ -114,28 +112,6 @@ impl Interceptor {
             }
         }
     }
-
-    /// What the attacker can do with sealed control traffic: observe bytes
-    /// and optionally flip one. Returns the (possibly corrupted) envelope.
-    /// It cannot decode it — demonstrated by the error this returns for
-    /// any key the attacker might guess.
-    pub fn process_sealed(
-        &mut self,
-        envelope: &Sealed,
-        corrupt_at: Option<usize>,
-        guessed_key: u64,
-    ) -> (Sealed, Result<Bytes, WireError>) {
-        let mut wire = envelope.wire().to_vec();
-        if let Some(at) = corrupt_at {
-            if let Some(b) = wire.get_mut(at) {
-                *b ^= 0x01;
-            }
-        }
-        let out = Sealed::from_wire(Bytes::from(wire));
-        let read_attempt = out.unseal(guessed_key);
-        self.forwarded += 1;
-        (out, read_attempt)
-    }
 }
 
 #[cfg(test)]
@@ -218,20 +194,5 @@ mod tests {
             RtmpMessage::decode(wire).unwrap(),
             RtmpMessage::Ack { sequence: 4 }
         );
-    }
-
-    #[test]
-    fn sealed_control_traffic_is_opaque_and_tamper_evident() {
-        let mut mitm = Interceptor::blackout();
-        let secret = b"token=very-secret";
-        let envelope = Sealed::seal(secret, 0x5EC12E7, 7);
-        // Attacker cannot read it with a guessed key.
-        let (_fwd, read) = mitm.process_sealed(&envelope, None, 0xBAD);
-        assert!(read.is_err(), "attacker read sealed traffic");
-        // Attacker can corrupt it, but the receiver detects that.
-        let (corrupted, _) = mitm.process_sealed(&envelope, Some(25), 0xBAD);
-        assert!(corrupted.unseal(0x5EC12E7).is_err());
-        // Untouched envelope still opens for the legitimate key holder.
-        assert_eq!(&envelope.unseal(0x5EC12E7).unwrap()[..], secret);
     }
 }

@@ -24,8 +24,8 @@
 //!   k-th frame, hash-chain over k frames) as signer/verifier state
 //!   machines;
 //! * [`attack`] — the man-in-the-middle interceptor: parses RTMP off the
-//!   wire, steals plaintext tokens, rewrites frames, and fails against
-//!   sealed control traffic and signed streams.
+//!   wire, steals plaintext tokens and rewrites frames; it forwards sealed
+//!   control traffic blind, and signed streams expose its rewrites.
 
 pub mod attack;
 pub mod rsa;

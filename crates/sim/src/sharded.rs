@@ -278,9 +278,8 @@ pub struct ShardedScheduler<S> {
     trace_pending: Vec<(u64, u16, u64, TraceEvent)>,
     /// Wall-clock profile sections (`handler.sharded.*_ns`); live exactly
     /// when the attached telemetry handle records. They time the phases
-    /// behind `BENCH_shards.json`'s lane sweep (0.656× at 6 lanes on a
-    /// two-vCPU host): lane execution, the mailbox drain, and the trace
-    /// merge at each epoch barrier.
+    /// of each epoch barrier: lane execution, the mailbox drain, and the
+    /// trace merge.
     sec_lane_exec: Section,
     sec_mail_merge: Section,
     sec_trace_merge: Section,

@@ -54,11 +54,6 @@ doc:
 artifacts:
     cargo run --release -q -p livescope-bench -- all
 
-# Lane-count wall-clock sweep over the sharded fan-out workload; writes
-# BENCH_shards.json (per-lane timings, checksum invariance, speedup).
-bench-shards:
-    cargo run --release -q -p livescope-bench -- bench_shards
-
 # Streaming-replay scale sweep (divisors 1000/100/10/1 of the Periscope
 # study): wall time, broadcasts/sec, and the peak tracked replay state
 # per divisor, plus the two worker scaling curves at divisor 10 (replay

@@ -42,9 +42,9 @@ sidecars=$(find "$artifacts_dir" -type f | wc -l)
 rm -rf "$artifacts_dir"
 [ "$sidecars" -eq 43 ] || { echo "expected 43 sidecar files, got $sidecars"; exit 1; }
 
-echo "==> usage errors exit 2 before any work (unknown or retired subcommand, unknown or retired flag on an artifact, on the bench tools; scripts/ab.sh and scripts/profile.sh missing an argument)"
-for probe in "no_such_command" "trace_summary" "fig11 --no-such-flag" "bench_replay --no-such-flag" \
-    "bench_replay --smoke" "bench_shards --smoke"; do
+echo "==> usage errors exit 2 before any work (unknown or retired subcommand, unknown or retired flag on an artifact, on the bench tool; scripts/ab.sh and scripts/profile.sh missing an argument)"
+for probe in "no_such_command" "trace_summary" "bench_shards" "fig11 --no-such-flag" \
+    "bench_replay --no-such-flag" "bench_replay --smoke"; do
     status=0
     # shellcheck disable=SC2086  # the probe is a command line, split on purpose
     livescope $probe >/dev/null 2>&1 || status=$?
@@ -57,10 +57,10 @@ status=0
 bash scripts/profile.sh HEAD >/dev/null 2>&1 || status=$?
 [ "$status" -eq 2 ] || { echo "scripts/profile.sh HEAD: expected exit 2, got $status"; exit 1; }
 
-# `bench_replay` and `bench_shards` only measure and are not run here:
-# the identities they print are pinned by `cargo test` above
-# (csr_regression, parallel_replay, sharded_determinism,
-# bench_replay's divisor-1000 record checksum) and by `bench_check` below.
+# `bench_replay` only measures and is not run here: the identities it
+# prints are pinned by `cargo test` above (csr_regression,
+# parallel_replay, bench_replay's divisor-1000 record checksum) and by
+# `bench_check` below.
 # The bench code CI does run is the Criterion bodies. `cargo test` does
 # not put `--bench` in argv, so the vendored Criterion runs every bench
 # body exactly once, untimed: what gates the PR is the checksum or count
