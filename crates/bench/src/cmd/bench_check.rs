@@ -204,24 +204,27 @@ fn fresh_replay_doc() -> String {
         &default_graph_spec(&scenario),
         default_graph_seed(&scenario),
     );
-    let runs = livescope_bench::replay::worker_sweep(&scenario, &campaign, &graph, &[1, 2, 6]);
-    for r in &runs {
+    let workers = [1, 2, 6];
+    let runs = livescope_bench::replay::worker_sweep(&scenario, &campaign, &graph, &workers);
+    let (records, digest) = runs[0];
+    for (k, run) in workers.iter().zip(&runs) {
         assert_eq!(
-            r.digest, runs[0].digest,
-            "K={} digest diverged within the fresh sweep",
-            r.workers
+            *run,
+            (records, digest),
+            "K={k} diverged within the fresh sweep"
         );
     }
     json_line(&ReplayDoc {
         bench: "replay_workers",
         replay_workers: ReplayWorkers {
             divisor: 1000,
-            records: runs[0].records,
-            runs: runs
+            records,
+            runs: workers
                 .iter()
-                .map(|r| WorkerDigest {
-                    workers: r.workers,
-                    digest: hex(r.digest),
+                .zip(&runs)
+                .map(|(&workers, &(_, digest))| WorkerDigest {
+                    workers,
+                    digest: hex(digest),
                 })
                 .collect(),
         },

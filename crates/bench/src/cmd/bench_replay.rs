@@ -18,9 +18,7 @@
 //! Each divisor records two phases. `graph_build` is the follow-graph
 //! construction: wall time, the generator's deterministic peak
 //! build-buffer bytes, the finished graph's `resident_bytes()`, its
-//! adjacency checksum, and the assembly worker count (always 1 in the
-//! divisor sweep; `meta.host_parallelism` says what the host could do,
-//! so single-core curves are self-describing). `replay` is the
+//! adjacency checksum, and the assembly worker count (always 1). `replay` is the
 //! streaming fold: wall time, broadcasts/sec, the mobile views
 //! attributed (`mobile_views`, one weighted viewer pick each) with the
 //! replay wall divided by them (`ns_per_mobile_view` — the whole fold's
@@ -32,17 +30,10 @@
 //! (`records × size_of::<BroadcastRecord>()`) so the gap is visible in
 //! one file.
 //!
-//! The full run also records two scaling curves. `workers` is the
-//! data-parallel replay curve (`crates/crawler/DESIGN.md`): the
-//! divisor-10 campaign re-run through `run_campaign_sharded` for
-//! K ∈ {1, 2, 4, 6} worker shards — **over the graph the divisor sweep
-//! already built** (one build per `(spec, seed)`, reused across every
-//! replay of that divisor) — asserted digest-identical to the
-//! instrumented sequential fold for every K. `graph_workers` is the phase-2 assembly
-//! curve (DESIGN.md §12): the divisor-10 graph rebuilt with K ∈
-//! {2, 4, 6} assembly shards (the divisor sweep's own build is the K=1
-//! point), asserted checksum-identical to K=1 before the file is
-//! written.
+//! The tool times no worker counts: thread scaling measured on a
+//! two-vCPU host means nothing. That every replay and graph-assembly
+//! shard count reproduces K = 1 is pinned by `parallel_replay`,
+//! `csr_parallel` and `baselines/REPLAY_workers.json`.
 //!
 //! The run finishes with the top-5 handler histograms by total wall
 //! time — the `handler.graph.{decide,rewire,assemble}_ns` build sections
@@ -53,13 +44,12 @@ use std::path::Path;
 use std::process::ExitCode;
 use std::time::Instant;
 
-use livescope_bench::graphbench::{timed_build, GraphBuildRun};
-use livescope_bench::replay::{scaled_periscope, summary_digest, worker_sweep};
+use livescope_bench::replay::{scaled_periscope, summary_digest};
 use livescope_bench::run_meta_json;
 use livescope_crawler::campaign::CampaignConfig;
 use livescope_crawler::streaming::DEFAULT_EXEMPLARS;
 use livescope_crawler::{OutageFilter, StreamingCampaign};
-use livescope_graph::DiGraph;
+use livescope_graph::{BuildOptions, BuildProfile, DiGraph};
 use livescope_sim::rng::splitmix64;
 use livescope_telemetry::profile::SECTION_PREFIX;
 use livescope_telemetry::Telemetry;
@@ -76,13 +66,6 @@ use crate::{hex, round_to, write_doc};
 const DIVISORS: [f64; 4] = [1_000.0, 100.0, 10.0, 1.0];
 /// Sampling stride for the peak-tracked-bytes watermark.
 const MEM_SAMPLE_EVERY: u64 = 4_096;
-/// Worker shard counts swept by the full run's scaling curves — replay
-/// shards and graph assembly shards use the same ladder (divisor 10;
-/// 6 matches the POP count of the fan-out benches).
-const WORKER_SWEEP: [usize; 4] = [1, 2, 4, 6];
-/// Divisor of the worker scaling curves: large enough (~2M broadcasts,
-/// ~23M edges) that per-record / per-edge work dominates the barriers.
-const WORKER_DIVISOR: f64 = 10.0;
 
 /// Order-insensitive digest of one generated record (the campaign's
 /// outage filter never sees it — the checksum pins the *generator*).
@@ -95,8 +78,7 @@ fn record_digest(r: &BroadcastRecord) -> u64 {
     )
 }
 
-/// The `graph_build` phase of one divisor (a [`GraphBuildRun`] in the
-/// document's key order; the degree checksum rides in `graph_workers`).
+/// The `graph_build` phase of one divisor.
 #[derive(Serialize, Deserialize)]
 struct GraphBuild {
     wall_s: f64,
@@ -133,45 +115,6 @@ struct ReplayRun {
     summary_digest: String,
 }
 
-/// One K of the replay scaling curve (a `replay::WorkerRun` that matched).
-#[derive(Serialize, Deserialize)]
-struct WorkerRow {
-    workers: usize,
-    wall_s: f64,
-    merge_wall_s: f64,
-    barrier_wall_s: f64,
-    records: u64,
-    peak_tracked_bytes: usize,
-    digest: String,
-    matches_streaming: bool,
-}
-
-#[derive(Serialize, Deserialize)]
-struct WorkerCurve {
-    divisor: f64,
-    runs: Vec<WorkerRow>,
-}
-
-/// One K of the assembly scaling curve (a [`GraphBuildRun`] that matched).
-#[derive(Serialize, Deserialize)]
-struct GraphWorkerRow {
-    workers: usize,
-    wall_s: f64,
-    peak_bytes: usize,
-    adjacency_checksum: String,
-    degree_checksum: String,
-    matches_sequential: bool,
-}
-
-/// `host_parallelism` rides along so a flat curve on a single-core host
-/// reads as "no cores", not "no speedup".
-#[derive(Serialize, Deserialize)]
-struct GraphWorkerCurve {
-    divisor: f64,
-    host_parallelism: usize,
-    runs: Vec<GraphWorkerRow>,
-}
-
 #[derive(Serialize, Deserialize)]
 struct ProfileRow {
     name: String,
@@ -203,8 +146,6 @@ struct ReplayDoc {
     divisor_1000_matches_materialized: bool,
     profile_top5: Vec<ProfileRow>,
     runs: Vec<ReplayRun>,
-    workers: WorkerCurve,
-    graph_workers: GraphWorkerCurve,
 }
 
 /// One streaming replay of the Periscope campaign at `divisor`,
@@ -216,23 +157,34 @@ struct ReplayDoc {
 ///
 /// The follow graph is built explicitly (same spec and seed as the
 /// stream's owned-graph path, so the workload is byte-identical) and
-/// timed as its own `graph_build` phase — and **returned** with its
-/// build record, so callers needing further replays of the same divisor
-/// (the worker sweeps) reuse it instead of rebuilding per run.
+/// timed as its own `graph_build` phase, recording the
+/// `handler.graph.*` phase sections on `telemetry` (inert when it is
+/// disabled). The graph crate itself reads no clock.
 #[expect(
     clippy::disallowed_methods,
-    reason = "the streaming-fold wall per divisor for BENCH_replay.json"
+    reason = "the graph-build and streaming-fold walls per divisor for BENCH_replay.json"
 )]
-fn replay(divisor: f64, telemetry: &Telemetry) -> (ReplayRun, GraphBuildRun, DiGraph) {
+fn replay(divisor: f64, telemetry: &Telemetry) -> ReplayRun {
     let scenario = scaled_periscope(divisor);
     let campaign = CampaignConfig::periscope_study();
 
-    let (graph, graph_build) = timed_build(
+    let options = BuildOptions::new().with_profile(BuildProfile::new(telemetry));
+    let t0 = Instant::now();
+    let (graph, build) = DiGraph::generate_with(
         &default_graph_spec(&scenario),
         default_graph_seed(&scenario),
-        1,
-        telemetry,
+        &options,
     );
+    let graph_build = GraphBuild {
+        wall_s: round_to(t0.elapsed().as_secs_f64(), 3),
+        peak_bytes: build.peak_bytes,
+        resident_bytes: graph.resident_bytes(),
+        edges: build.edges,
+        max_in_degree: graph.degrees().max_in_degree(),
+        swaps_applied: build.swaps_applied,
+        adjacency_checksum: hex(graph.adjacency_checksum()),
+        workers: build.workers,
+    };
 
     let t0 = Instant::now();
     let mut stream = generate_streaming_with_graph(&scenario, &graph);
@@ -259,19 +211,10 @@ fn replay(divisor: f64, telemetry: &Telemetry) -> (ReplayRun, GraphBuildRun, DiG
     peak = peak.max(stream.tracked_bytes() + acc.tracked_bytes());
     let summary = acc.finish(stream.into_summary());
     let wall_s = t0.elapsed().as_secs_f64();
-    let run = ReplayRun {
+    ReplayRun {
         divisor,
         users: scenario.users,
-        graph_build: GraphBuild {
-            wall_s: round_to(graph_build.wall_s, 3),
-            peak_bytes: graph_build.peak_bytes,
-            resident_bytes: graph_build.resident_bytes,
-            edges: graph_build.edges,
-            max_in_degree: graph_build.max_in_degree,
-            swaps_applied: graph_build.swaps_applied,
-            adjacency_checksum: hex(graph_build.adjacency_checksum),
-            workers: graph_build.workers,
-        },
+        graph_build,
         records,
         mobile_views,
         wall_s: round_to(wall_s, 3),
@@ -284,68 +227,7 @@ fn replay(divisor: f64, telemetry: &Telemetry) -> (ReplayRun, GraphBuildRun, DiG
         recorded: summary.broadcasts(),
         missed: summary.missed,
         summary_digest: hex(summary_digest(&summary)),
-    };
-    (run, graph_build, graph)
-}
-
-/// Runs the replay worker K-sweep at `divisor` against a shared
-/// pre-built graph, asserts every K reproduces `expected_digest`, and
-/// prints one line per K. Returns the rows of the JSON scaling curve.
-fn sweep_workers(
-    divisor: f64,
-    graph: &DiGraph,
-    workers: &[usize],
-    expected_digest: &str,
-) -> Vec<WorkerRow> {
-    let scenario = scaled_periscope(divisor);
-    let campaign = CampaignConfig::periscope_study();
-    let runs = worker_sweep(&scenario, &campaign, graph, workers);
-    for r in &runs {
-        assert_eq!(
-            hex(r.digest),
-            expected_digest,
-            "K={} sharded digest diverged from the sequential streaming path at divisor {divisor}",
-            r.workers
-        );
-        println!(
-            "workers={}: {} broadcasts in {:.2}s ({:.0}/s), merge {:.1}ms, \
-             barriers {:.1}ms, peak tracked {:.1} MiB, digest {:#018x}",
-            r.workers,
-            r.records,
-            r.wall_s,
-            r.records as f64 / r.wall_s.max(1e-9),
-            r.merge_wall_s * 1e3,
-            r.barrier_wall_s * 1e3,
-            r.peak_tracked_bytes as f64 / (1024.0 * 1024.0),
-            r.digest,
-        );
     }
-    runs.iter()
-        .map(|r| WorkerRow {
-            workers: r.workers,
-            wall_s: round_to(r.wall_s, 3),
-            merge_wall_s: round_to(r.merge_wall_s, 4),
-            barrier_wall_s: round_to(r.barrier_wall_s, 4),
-            records: r.records,
-            peak_tracked_bytes: r.peak_tracked_bytes,
-            digest: hex(r.digest),
-            matches_streaming: true,
-        })
-        .collect()
-}
-
-fn print_graph_run(r: &GraphBuildRun) {
-    println!(
-        "graph workers={}: {} edges in {:.2}s (peak build {:.1} MiB, resident {:.1} MiB), \
-         adjacency {:#018x}, degree {:#018x}",
-        r.workers,
-        r.edges,
-        r.wall_s,
-        r.peak_bytes as f64 / (1024.0 * 1024.0),
-        r.resident_bytes as f64 / (1024.0 * 1024.0),
-        r.adjacency_checksum,
-        r.degree_checksum,
-    );
 }
 
 /// The record checksum of the stream-owned-graph path at `divisor`, so
@@ -437,7 +319,7 @@ pub fn run(mut args: Args, _results: &Path) -> Result<ExitCode, UsageError> {
     let telemetry = Telemetry::recording(1024);
 
     // Divisor 1000 is cross-checked against the stream-owned-graph path.
-    let (base, _, _) = replay(1_000.0, &telemetry);
+    let base = replay(1_000.0, &telemetry);
     print_run(&base);
     assert_eq!(
         base.checksum,
@@ -446,60 +328,10 @@ pub fn run(mut args: Args, _results: &Path) -> Result<ExitCode, UsageError> {
     );
 
     let mut runs = vec![base];
-    // The worker-divisor graph is kept alive for both scaling curves —
-    // the replay K-sweep reuses it outright, and the graph K-sweep uses
-    // its build as the K=1 point.
-    let mut worker_graph: Option<(GraphBuildRun, DiGraph)> = None;
     for &divisor in &DIVISORS[1..] {
-        let (run, graph_build, graph) = replay(divisor, &telemetry);
+        let run = replay(divisor, &telemetry);
         print_run(&run);
         runs.push(run);
-        if divisor == WORKER_DIVISOR {
-            worker_graph = Some((graph_build, graph));
-        }
-    }
-
-    // Replay worker scaling curve at divisor 10, anchored to the
-    // sequential streaming digest the divisor sweep just produced, over
-    // the graph it already built.
-    let expected = runs
-        .iter()
-        .find(|r| r.divisor == WORKER_DIVISOR)
-        .expect("worker divisor is part of the sweep")
-        .summary_digest
-        .clone();
-    let (sequential_build, worker_graph) =
-        worker_graph.expect("worker divisor is part of the sweep");
-    let worker_runs = sweep_workers(WORKER_DIVISOR, &worker_graph, &WORKER_SWEEP, &expected);
-    drop(worker_graph);
-
-    // Graph assembly scaling curve at the same divisor: rebuilds at
-    // K ∈ {2, 4, 6} (each build is the thing being timed), with the
-    // divisor sweep's own K=1 build as the anchor point — asserted
-    // checksum-identical before anything is written.
-    let scenario = scaled_periscope(WORKER_DIVISOR);
-    let mut graph_runs = vec![sequential_build];
-    for &k in WORKER_SWEEP.iter().filter(|&&k| k != 1) {
-        let (_, r) = timed_build(
-            &default_graph_spec(&scenario),
-            default_graph_seed(&scenario),
-            k,
-            &telemetry,
-        );
-        assert_eq!(
-            r.adjacency_checksum, graph_runs[0].adjacency_checksum,
-            "K={k} assembly diverged from the sequential build (adjacency)"
-        );
-        assert_eq!(
-            r.degree_checksum, graph_runs[0].degree_checksum,
-            "K={k} assembly diverged from the sequential build (degree)"
-        );
-        assert_eq!(
-            r.peak_bytes, graph_runs[0].peak_bytes,
-            "K={k} peak_bytes diverged from the sequential build"
-        );
-        print_graph_run(&r);
-        graph_runs.push(r);
     }
 
     let (profile_lines, profile_top5) = profile_report(&telemetry);
@@ -519,25 +351,6 @@ pub fn run(mut args: Args, _results: &Path) -> Result<ExitCode, UsageError> {
         divisor_1000_matches_materialized: true,
         profile_top5,
         runs,
-        workers: WorkerCurve {
-            divisor: WORKER_DIVISOR,
-            runs: worker_runs,
-        },
-        graph_workers: GraphWorkerCurve {
-            divisor: WORKER_DIVISOR,
-            host_parallelism: std::thread::available_parallelism().map_or(1, |n| n.get()),
-            runs: graph_runs
-                .iter()
-                .map(|r| GraphWorkerRow {
-                    workers: r.workers,
-                    wall_s: round_to(r.wall_s, 3),
-                    peak_bytes: r.peak_bytes,
-                    adjacency_checksum: hex(r.adjacency_checksum),
-                    degree_checksum: hex(r.degree_checksum),
-                    matches_sequential: true,
-                })
-                .collect(),
-        },
     };
     write_doc(out.as_deref().unwrap_or("BENCH_replay.json"), &doc);
     Ok(ExitCode::SUCCESS)
@@ -560,7 +373,7 @@ mod tests {
     /// (K = 1, 2, 6) and `baselines/GRAPH_build.json`.
     #[test]
     fn divisor_1000_records_match_the_owned_graph_path_and_the_pin() {
-        let (run, _, _) = replay(1_000.0, &Telemetry::disabled());
+        let run = replay(1_000.0, &Telemetry::disabled());
         assert_eq!(run.checksum, hex(owned_graph_digest(1_000.0)));
         assert_eq!(run.checksum, hex(0x364b4c5590d94b2b));
     }

@@ -10,7 +10,6 @@
 //! `cargo run -p livescope-bench --release -- fig11`; `-- all`
 //! regenerates every paper artifact.
 
-pub mod graphbench;
 pub mod obs;
 pub mod regress;
 pub mod replay;

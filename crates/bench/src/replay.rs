@@ -1,7 +1,6 @@
 //! Shared helpers for the streaming-replay benches: the scaled Periscope
 //! scenario, a full-surface [`DatasetSummary`] digest, and the worker
-//! K-sweep behind the `workers` curve of `BENCH_replay.json` and the
-//! `REPLAY_workers.json` regression baseline.
+//! K-sweep behind the `REPLAY_workers.json` regression baseline.
 //!
 //! The digest deliberately folds *everything the figures can render* —
 //! every counter, both per-user tables, the daily series, all four
@@ -9,8 +8,6 @@
 //! with equal digests produce byte-identical Fig 1–6 / Table 1
 //! artifacts. That is what lets one `u64` per K stand in for the full
 //! byte-identity sweep in `tests/parallel_replay.rs`.
-
-use std::time::Instant;
 
 use livescope_crawler::streaming::{DatasetSummary, DEFAULT_EXEMPLARS};
 use livescope_crawler::{run_campaign_sharded, CampaignConfig};
@@ -92,54 +89,26 @@ pub fn summary_digest(s: &DatasetSummary) -> u64 {
     h
 }
 
-/// One point on the worker scaling curve.
-pub struct WorkerRun {
-    /// Worker shard count (`K`).
-    pub workers: usize,
-    /// End-to-end replay wall seconds (graph excluded — it is shared).
-    pub wall_s: f64,
-    /// Seconds in the final fixed-order accumulator merge.
-    pub merge_wall_s: f64,
-    /// Seconds in day barriers (bitset unions + day stats).
-    pub barrier_wall_s: f64,
-    /// Ground-truth broadcasts processed (recorded + missed).
-    pub records: u64,
-    /// Peak tracked replay state across all shards.
-    pub peak_tracked_bytes: usize,
-    /// [`summary_digest`] of the finished campaign.
-    pub digest: u64,
-}
-
-/// Runs the sharded Periscope campaign once per `K` in `workers`, each
-/// over a fresh stream on a shared pre-built graph, digesting each
-/// result. Callers assert the digests are identical across the sweep;
-/// the wall/merge/barrier columns become the scaling curve.
-#[expect(
-    clippy::disallowed_methods,
-    reason = "times each K-shard replay for the BENCH_replay.json scaling curve; measurement output, never an observable"
-)]
+/// Runs the sharded campaign once per `K` in `workers`, each over a
+/// fresh stream on a shared pre-built graph, and returns each finished
+/// campaign's ground-truth record count (`broadcasts() + missed`) and
+/// [`summary_digest`], in `workers` order. Callers assert the digests
+/// are identical across the sweep.
 pub fn worker_sweep(
     scenario: &ScenarioConfig,
     campaign: &CampaignConfig,
     graph: &DiGraph,
     workers: &[usize],
-) -> Vec<WorkerRun> {
+) -> Vec<(u64, u64)> {
     workers
         .iter()
         .map(|&k| {
-            let t0 = Instant::now();
             let stream = generate_streaming_with_graph(scenario, graph);
-            let (summary, stats) = run_campaign_sharded(stream, campaign, k, DEFAULT_EXEMPLARS);
-            let wall_s = t0.elapsed().as_secs_f64();
-            WorkerRun {
-                workers: k,
-                wall_s,
-                merge_wall_s: stats.merge_wall_s,
-                barrier_wall_s: stats.barrier_wall_s,
-                records: stats.records,
-                peak_tracked_bytes: stats.peak_tracked_bytes,
-                digest: summary_digest(&summary),
-            }
+            let summary = run_campaign_sharded(stream, campaign, k, DEFAULT_EXEMPLARS);
+            (
+                summary.broadcasts() + summary.missed,
+                summary_digest(&summary),
+            )
         })
         .collect()
 }

@@ -309,8 +309,10 @@ fn run_once(
         broadcast: grant.id,
     };
     let mut sched = ShardedScheduler::new(pool, vec![world], SimDuration::from_secs(1));
-    // The components emit on their own handles; the scheduler adds its
-    // counters and, on a recording handle, its barrier sections.
+    // The components emit on their own handles, which is sound because
+    // one shard runs inline on this thread (a handle refuses trace writes
+    // from any other); the scheduler adds its counters and, on a
+    // recording handle, its barrier sections.
     sched.set_telemetry(telemetry);
     seed_events(&mut sched, config, &arrivals, poll_phase, end);
     sched.run();

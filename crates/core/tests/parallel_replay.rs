@@ -86,7 +86,6 @@ fn assert_sharded_matches_sequential(config: &UsageConfig) -> UsageReport {
             k,
             DEFAULT_EXEMPLARS,
         )
-        .0
     };
     for k in [1usize, 2, 6] {
         for rep in 0..2 {

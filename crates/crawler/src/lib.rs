@@ -36,5 +36,5 @@ pub mod streaming;
 pub use campaign::{CampaignConfig, OutageFilter};
 pub use coverage::{CoverageConfig, CoverageReport};
 pub use probe::HighFreqProbe;
-pub use sharded::{run_campaign_sharded, ShardedRunStats};
+pub use sharded::run_campaign_sharded;
 pub use streaming::{run_campaign_streaming, DatasetSummary, StreamingCampaign};

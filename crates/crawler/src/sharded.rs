@@ -29,30 +29,11 @@
 //! each worker owns its private shard — so the workspace's ban on
 //! locks, cells and atomics holds by construction.
 
-use std::time::Instant;
-
 use livescope_sim::run_parts;
 use livescope_workload::{BroadcastStream, GroundTruth, ScheduledBroadcast};
 
 use crate::campaign::{CampaignConfig, OutageFilter};
 use crate::streaming::{DatasetSummary, StreamingCampaign};
-
-/// Wall-clock and memory facts from one sharded run, for the
-/// `workers` scaling curve of `BENCH_replay.json`.
-#[derive(Clone, Copy, Debug)]
-pub struct ShardedRunStats {
-    /// Worker shard count the campaign ran with.
-    pub workers: usize,
-    /// Ground-truth broadcasts processed (recorded + missed).
-    pub records: u64,
-    /// Seconds spent in the final fixed-order accumulator merge.
-    pub merge_wall_s: f64,
-    /// Seconds spent in day barriers (bitset unions + day stats).
-    pub barrier_wall_s: f64,
-    /// Peak bytes of tracked replay state across all shards, sampled at
-    /// day barriers (sampler tables, schedule, slates, accumulators).
-    pub peak_tracked_bytes: usize,
-}
 
 /// One shard's private slice of the campaign: the crawl it folds and
 /// the ground truth of the records it samples. Never shared across
@@ -85,20 +66,15 @@ type Slate = Vec<(ScheduledBroadcast, u64, bool)>;
 ///
 /// # Panics
 /// Panics when `stream` has already yielded a record.
-#[expect(
-    clippy::disallowed_methods,
-    reason = "ShardedRunStats reports merge/barrier wall seconds for the worker scaling curve; the readings feed the stats struct only, never the campaign fold"
-)]
 pub fn run_campaign_sharded(
     stream: BroadcastStream<'_>,
     campaign: &CampaignConfig,
     workers: usize,
     exemplar_capacity: usize,
-) -> (DatasetSummary, ShardedRunStats) {
+) -> DatasetSummary {
     let workers = workers.max(1);
     let scenario = stream.config().clone();
     let (schedule, sampler, graph, truth) = stream.into_parts();
-    let schedule_tracked = schedule.tracked_bytes();
     let mut schedule = schedule.peekable();
     let mut filter = OutageFilter::new(campaign);
     // Shard 0 adopts the stream's ledger; the others count afresh.
@@ -110,9 +86,6 @@ pub fn run_campaign_sharded(
         })
         .collect();
     let mut slates: Vec<Slate> = vec![Vec::new(); workers];
-    let mut records = 0u64;
-    let mut barrier_wall_s = 0.0f64;
-    let mut peak_tracked_bytes = 0usize;
 
     for day in 0..scenario.days {
         for slate in &mut slates {
@@ -124,7 +97,6 @@ pub fn run_campaign_sharded(
             let followers = graph.in_degree(slot.broadcaster) as u64;
             let observed = filter.observes(slot.day);
             slates[slot.broadcaster as usize % workers].push((slot, followers, observed));
-            records += 1;
         }
 
         // Shards are mutually independent within a day, so every part
@@ -146,49 +118,24 @@ pub fn run_campaign_sharded(
         // Day barrier: shard 0 absorbs shards 1..K in fixed order (union
         // is commutative — the fixed order is hygiene, not load-bearing)
         // and closes the day.
-        let t0 = Instant::now();
         let (first, rest) = shards.split_first_mut().expect("at least one shard");
         for shard in rest {
             first.truth.absorb_day(&mut shard.truth);
         }
         first.truth.close_day();
-        barrier_wall_s += t0.elapsed().as_secs_f64();
-
-        let tracked = schedule_tracked
-            + sampler.tracked_bytes()
-            + shards
-                .iter()
-                .map(|s| s.acc.tracked_bytes() + s.truth.tracked_bytes())
-                .sum::<usize>()
-            + slates
-                .iter()
-                .map(|s| s.capacity() * std::mem::size_of::<(ScheduledBroadcast, u64, bool)>())
-                .sum::<usize>();
-        peak_tracked_bytes = peak_tracked_bytes.max(tracked);
     }
 
     // Final merge, fixed shard order 0..K. Order *is* load-bearing here:
     // the exemplar reservoir merge is order-stable only under the
     // (priority, id) total order, and fixing the order makes the whole
     // pipeline's bytes independent of worker scheduling by construction.
-    let t0 = Instant::now();
     let mut iter = shards.into_iter();
     let mut first = iter.next().expect("at least one shard");
     for shard in iter {
         first.acc.merge(&shard.acc);
         first.truth.merge_tallies(&shard.truth);
     }
-    let merge_wall_s = t0.elapsed().as_secs_f64();
-
-    let summary = first.acc.finish(first.truth.into_summary(scenario));
-    let stats = ShardedRunStats {
-        workers,
-        records,
-        merge_wall_s,
-        barrier_wall_s,
-        peak_tracked_bytes,
-    };
-    (summary, stats)
+    first.acc.finish(first.truth.into_summary(scenario))
 }
 
 #[cfg(test)]
@@ -232,7 +179,7 @@ mod tests {
     }
 
     fn sharded(scenario: &ScenarioConfig, campaign: &CampaignConfig, k: usize) -> DatasetSummary {
-        run_campaign_sharded(generate_streaming(scenario), campaign, k, DEFAULT_EXEMPLARS).0
+        run_campaign_sharded(generate_streaming(scenario), campaign, k, DEFAULT_EXEMPLARS)
     }
 
     /// Every field of a summary; sketches as their rendered series (their
@@ -297,19 +244,6 @@ mod tests {
         let a = sharded(&scenario, &campaign, 4);
         let b = sharded(&scenario, &campaign, 4);
         assert_eq!(fields(&a), fields(&b));
-    }
-
-    #[test]
-    fn stats_account_every_record() {
-        let (summary, stats) = run_campaign_sharded(
-            generate_streaming(&small_config()),
-            &outage_campaign(),
-            3,
-            DEFAULT_EXEMPLARS,
-        );
-        assert_eq!(stats.records, summary.broadcasts() + summary.missed);
-        assert_eq!(stats.workers, 3);
-        assert!(stats.peak_tracked_bytes > 0);
     }
 
     #[test]

@@ -339,7 +339,7 @@ pub fn run_campaign_streaming(
     config: &CampaignConfig,
     exemplar_capacity: usize,
 ) -> DatasetSummary {
-    run_campaign_sharded(stream, config, 1, exemplar_capacity).0
+    run_campaign_sharded(stream, config, 1, exemplar_capacity)
 }
 
 #[cfg(test)]

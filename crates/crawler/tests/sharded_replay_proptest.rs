@@ -91,10 +91,9 @@ proptest! {
             ..CampaignConfig::periscope_study()
         };
         let oracle = sequential(&scenario, &campaign, exemplars);
-        let (sharded, stats) =
+        let sharded =
             run_campaign_sharded(generate_streaming(&scenario), &campaign, workers, exemplars);
         prop_assert_eq!(fields(&sharded), fields(&oracle));
-        prop_assert_eq!(stats.records, oracle.broadcasts() + oracle.missed);
         prop_assert_eq!(sharded.daily.len(), days as usize);
     }
 }

@@ -25,6 +25,15 @@
 //!    `(time, shard_id, seq)` order — a total order because `seq` is
 //!    monotone per shard.
 //!
+//! Step 2 holds only if every trace event goes through
+//! [`EventCtx::emit`]. A handler that writes to a telemetry handle
+//! directly, whether captured or owned by its shard state, would order
+//! the sink by thread timing. `Telemetry::emit` refuses that: it panics
+//! off the thread that created the handle, and at two or more lanes every
+//! epoch with two due shards runs its handlers on worker threads. So a
+//! traced run of a multi-shard world at lanes ≥ 2 is the check; each such
+//! world needs one in its tests.
+//!
 //! Because every observable (event order within a shard, mail delivery
 //! order, trace merge order, RNG streams) is derived from simulated time
 //! and shard identity alone, the run is a pure function of
@@ -112,6 +121,24 @@ impl<S> LaneCore<S> {
 struct ShardSlot<S> {
     core: LaneCore<S>,
     state: S,
+}
+
+impl<S> ShardSlot<S> {
+    /// Fires the shard's next queued event: advances the shard clock to
+    /// it, counts it, and runs it against the shard state. The caller has
+    /// peeked that an event is due.
+    #[inline]
+    fn fire_next(&mut self) {
+        let (at, run) = self.core.queue.pop().expect("peeked element vanished");
+        debug_assert!(at >= self.core.now, "shard clock went backwards");
+        self.core.now = at;
+        self.core.fired += 1;
+        self.core.fired_epoch += 1;
+        let mut ctx = EventCtx {
+            core: &mut self.core,
+        };
+        run(&mut ctx, &mut self.state);
+    }
 }
 
 /// What a firing event is allowed to do: the view of its shard that
@@ -212,16 +239,14 @@ fn run_shard<S>(slot: &mut ShardSlot<S>, barrier: SimTime, inclusive: bool) {
         if !due {
             break;
         }
-        let (at, run) = slot.core.queue.pop().expect("peeked element vanished");
-        debug_assert!(at >= slot.core.now, "shard clock went backwards");
-        slot.core.now = at;
-        slot.core.fired += 1;
-        slot.core.fired_epoch += 1;
-        let mut ctx = EventCtx {
-            core: &mut slot.core,
-        };
-        run(&mut ctx, &mut slot.state);
+        slot.fire_next();
     }
+}
+
+/// Hands a merged trace block to the sink in one batch and drains it,
+/// keeping its capacity.
+fn emit_merged(telemetry: &Telemetry, pending: &mut Vec<(u64, u16, u64, TraceEvent)>) {
+    telemetry.emit_batch(pending.drain(..).map(|(t, _, _, ev)| (t, ev)));
 }
 
 /// Multi-lane deterministic discrete-event scheduler.
@@ -469,8 +494,7 @@ impl<S: Send + 'static> ShardedScheduler<S> {
                 // globally ordered: events run before a barrier carry
                 // timestamps no later than any event still queued behind it.
                 if !self.trace_pending.is_empty() {
-                    self.telemetry
-                        .emit_batch(self.trace_pending.drain(..).map(|(t, _, _, ev)| (t, ev)));
+                    emit_merged(&self.telemetry, &mut self.trace_pending);
                 }
             }
         });
@@ -501,10 +525,8 @@ impl<S: Send + 'static> ShardedScheduler<S> {
         if self.trace_pending.is_empty() {
             return;
         }
-        self.sec_trace_merge.time(|| {
-            self.telemetry
-                .emit_batch(self.trace_pending.drain(..).map(|(t, _, _, ev)| (t, ev)))
-        });
+        self.sec_trace_merge
+            .time(|| emit_merged(&self.telemetry, &mut self.trace_pending));
     }
 
     /// Adaptive epoch length: when exactly one shard has events due by
@@ -524,15 +546,7 @@ impl<S: Send + 'static> ShardedScheduler<S> {
                 if !due {
                     break;
                 }
-                let (at, run) = slot.core.queue.pop().expect("peeked element vanished");
-                debug_assert!(at >= slot.core.now, "shard clock went backwards");
-                slot.core.now = at;
-                slot.core.fired += 1;
-                slot.core.fired_epoch += 1;
-                let mut ctx = EventCtx {
-                    core: &mut slot.core,
-                };
-                run(&mut ctx, &mut slot.state);
+                slot.fire_next();
                 if !slot.core.outbox.is_empty() {
                     break;
                 }
@@ -835,6 +849,33 @@ mod tests {
             })
             .collect();
         assert_eq!(pops, vec![0, 1, 2], "shard id breaks same-time ties");
+    }
+
+    #[test]
+    #[should_panic(expected = "trace written off the thread that created the handle")]
+    fn a_captured_handle_emitting_on_a_worker_lane_panics() {
+        let t = Telemetry::recording(64);
+        let mut s = two_shards(1).with_lanes(2);
+        s.set_telemetry(&t);
+        // Both shards are due in the same epoch, so each runs on its own
+        // worker thread rather than sprinting on this one.
+        for shard in [ShardId(0), ShardId(1)] {
+            let direct = t.clone();
+            s.schedule(
+                shard,
+                SimTime::ZERO,
+                Box::new(move |ctx, _| {
+                    direct.emit(
+                        ctx.now().as_micros(),
+                        TraceEvent::PollMiss {
+                            broadcast: 1,
+                            pop: ctx.shard().0,
+                        },
+                    );
+                }),
+            );
+        }
+        s.run();
     }
 
     #[test]

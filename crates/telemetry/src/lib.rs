@@ -49,15 +49,20 @@ use std::sync::Arc;
 /// the workspace's only use of `Mutex`.
 #[expect(
     clippy::disallowed_types,
-    reason = "the handle is shared across worker lanes; shards buffer their events and the sink is written only at the single-threaded epoch-barrier merge"
+    reason = "metrics commute, so any worker lane may add to a counter or histogram; the sink and gauges are written only by the owner thread"
 )]
 mod shared {
     use super::{Registry, TraceSink};
     use std::sync::{Arc, Mutex, MutexGuard};
+    use std::thread::ThreadId;
 
     pub(crate) struct Inner {
         pub(crate) registry: Mutex<Registry>,
         pub(crate) sink: Mutex<TraceSink>,
+        /// The thread that created the handle: the only one that may emit,
+        /// flush or set a gauge, since neither a trace's order nor a
+        /// gauge's last write commutes across threads.
+        owner: ThreadId,
     }
 
     impl Inner {
@@ -65,7 +70,19 @@ mod shared {
             Arc::new(Inner {
                 registry: Mutex::new(Registry::default()),
                 sink: Mutex::new(sink),
+                owner: std::thread::current().id(),
             })
+        }
+
+        /// Panics unless the caller runs on the owner thread.
+        #[track_caller]
+        pub(crate) fn assert_owner(&self) {
+            assert!(
+                std::thread::current().id() == self.owner,
+                "telemetry trace written off the thread that created the handle: \
+                 a scheduler handler traces through EventCtx::emit, whose buffer \
+                 the scheduler merges on its own thread"
+            );
         }
     }
 
@@ -83,9 +100,15 @@ mod shared {
 ///
 /// The handle is `Send + Sync` (internals are `Arc<Mutex<..>>`) so shard
 /// states that carry one can move across the worker threads of
-/// `livescope-sim`'s sharded backend. Determinism is unaffected: each shard
-/// buffers its trace locally and the merge happens single-threaded at epoch
-/// barriers.
+/// `livescope-sim`'s sharded backend, and any thread may add to a counter
+/// or record into a histogram: those commute. Trace writes and gauges do
+/// not, so [`Telemetry::emit`], [`Telemetry::emit_batch`],
+/// [`Telemetry::flush`] and [`Telemetry::set_gauge`] panic when called off
+/// the thread that created the handle. A scheduler handler traces through
+/// `EventCtx::emit` instead: each shard buffers its events and the merge
+/// happens single-threaded at epoch barriers. A direct emit from a
+/// handler fails whenever the handler runs on a worker lane: at two or
+/// more lanes, in an epoch with two or more shards due.
 #[derive(Clone, Default)]
 pub struct Telemetry {
     inner: Option<Arc<Inner>>,
@@ -169,10 +192,12 @@ impl Telemetry {
         }
     }
 
-    /// Sets a gauge to an absolute value.
+    /// Sets a gauge to an absolute value. Panics off the owner thread.
     #[inline]
+    #[track_caller]
     pub fn set_gauge(&self, id: GaugeId, value: i64) {
         if let Some(inner) = &self.inner {
+            inner.assert_owner();
             locked(&inner.registry).set_gauge(id, value);
         }
     }
@@ -186,9 +211,12 @@ impl Telemetry {
     }
 
     /// Emits a structured event stamped with sim-time microseconds.
+    /// Panics off the owner thread.
     #[inline]
+    #[track_caller]
     pub fn emit(&self, t_us: u64, event: TraceEvent) {
         if let Some(inner) = &self.inner {
+            inner.assert_owner();
             locked(&inner.sink).push(TimedEvent { t_us, event });
         }
     }
@@ -198,9 +226,11 @@ impl Telemetry {
     /// Equivalent to calling [`Telemetry::emit`] once per item, in
     /// iteration order, but amortizes the sink mutex over the whole
     /// batch — the fast path for barrier-style producers that buffer
-    /// events and flush them in bulk.
+    /// events and flush them in bulk. Panics off the owner thread.
+    #[track_caller]
     pub fn emit_batch(&self, events: impl IntoIterator<Item = (u64, TraceEvent)>) {
         if let Some(inner) = &self.inner {
+            inner.assert_owner();
             let mut sink = locked(&inner.sink);
             for (t_us, event) in events {
                 sink.push(TimedEvent { t_us, event });
@@ -234,9 +264,12 @@ impl Telemetry {
         }
     }
 
-    /// Flushes a streaming sink (no-op for memory/disabled).
+    /// Flushes a streaming sink (no-op for memory/disabled). Panics off
+    /// the owner thread.
+    #[track_caller]
     pub fn flush(&self) {
         if let Some(inner) = &self.inner {
+            inner.assert_owner();
             locked(&inner.sink).flush();
         }
     }
@@ -346,6 +379,85 @@ mod tests {
         assert_eq!(events[0].t_us, 3);
         assert_eq!(events[1].t_us, 4);
         assert_eq!(t.dropped_events(), 3);
+    }
+
+    fn miss() -> TraceEvent {
+        TraceEvent::PollMiss {
+            broadcast: 1,
+            pop: 8,
+        }
+    }
+
+    /// Runs `f` on a spawned thread; returns its panic message, if any.
+    fn panic_on_other_thread(f: impl FnOnce() + Send) -> Option<String> {
+        std::thread::scope(|scope| scope.spawn(f).join())
+            .err()
+            .map(|payload| {
+                payload
+                    .downcast_ref::<&str>()
+                    .map(|msg| msg.to_string())
+                    .unwrap_or_default()
+            })
+    }
+
+    #[test]
+    fn trace_writes_off_the_owner_thread_panic() {
+        let buf = SharedBuffer::new();
+        for t in [
+            Telemetry::recording(16),
+            Telemetry::to_jsonl(Box::new(buf.clone())),
+        ] {
+            let g = t.gauge("depth");
+            let writes: [&(dyn Fn() + Sync); 4] = [
+                &|| t.emit(1, miss()),
+                &|| t.emit_batch([(1, miss())]),
+                &|| t.flush(),
+                &|| t.set_gauge(g, 3),
+            ];
+            for write in writes {
+                let msg = panic_on_other_thread(write).expect("off-owner write must panic");
+                assert!(msg.contains("EventCtx::emit"), "{msg}");
+            }
+            // The owner thread still writes.
+            t.emit(2, miss());
+            t.set_gauge(g, 4);
+            t.flush();
+        }
+        assert!(buf.contents().starts_with(b"{"));
+    }
+
+    #[test]
+    fn metrics_count_from_any_thread() {
+        let t = Telemetry::recording(16);
+        let c = t.counter("lanes.count");
+        let h = t.histogram("lanes.ns");
+        assert_eq!(
+            panic_on_other_thread(|| {
+                t.add(c, 5);
+                t.record(h, 70);
+            }),
+            None
+        );
+        let snap = t.snapshot();
+        assert_eq!(snap.counter("lanes.count"), Some(5));
+        assert_eq!(snap.histograms[0].1.count, 1);
+        assert!(t.events().is_empty());
+    }
+
+    #[test]
+    fn disabled_handle_writes_from_any_thread() {
+        let t = Telemetry::disabled();
+        let g = t.gauge("depth");
+        assert_eq!(
+            panic_on_other_thread(|| {
+                t.emit(1, miss());
+                t.emit_batch([(2, miss())]);
+                t.set_gauge(g, 1);
+                t.flush();
+            }),
+            None
+        );
+        assert!(t.events().is_empty());
     }
 
     #[test]

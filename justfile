@@ -1,7 +1,7 @@
 # Development commands. `just ci` is the gate every change must pass;
 # scripts/ci.sh is its one definition, runnable without `just`.
 
-# Run the full CI gate: format check, detlint, clippy (the determinism
+# Run the full CI gate: format check, clippy (the determinism
 # gate), tests, rustdoc gate, `livescope all`, usage-error probes, one
 # untimed pass of the micro and hot-path benches, bench-regression gate.
 ci:
@@ -12,24 +12,6 @@ fmt-check:
 
 fmt:
     cargo fmt
-
-# The one determinism rule the compiler cannot check, `direct-trace-emit`
-# (crates/detlint/DESIGN.md): the workspace scan must come back clean.
-# Every file is analyzed on every run; nothing is written. The fixture
-# corpus must still trip both rules (detlint's own self-test enforces the
-# exact counts). Everything else in the contract is `just clippy`.
-lint-det:
-    cargo run -q -p livescope-detlint --bin detlint
-
-# Explain one detlint rule, e.g. `just lint-det-explain direct-trace-emit`.
-lint-det-explain rule:
-    cargo run -q -p livescope-detlint --bin detlint -- --explain {{rule}}
-
-# Dump the brace-matched scope tree detlint builds for one file — the
-# debugging view for `direct-trace-emit`, e.g.
-# `just lint-det-scopes crates/sim/src/engine.rs`.
-lint-det-scopes file:
-    cargo run -q -p livescope-detlint --bin detlint -- --list-scopes {{file}}
 
 clippy:
     cargo clippy --workspace --all-targets -- -D warnings
@@ -45,8 +27,7 @@ doc:
         -p livescope-proto -p livescope-graph -p livescope-workload \
         -p livescope-cdn -p livescope-client -p livescope-crawler \
         -p livescope-security -p livescope-analysis -p livescope-overlay \
-        -p livescope-core -p livescope-bench -p livescope-detlint \
-        -p livescope-examples
+        -p livescope-core -p livescope-bench -p livescope-examples
 
 # Regenerate all 25 paper artifacts (tab1, tab2, fig1…fig18 and the five
 # companion studies) under results/ — ~11 s in release. Any one of them:
@@ -55,11 +36,9 @@ artifacts:
     cargo run --release -q -p livescope-bench -- all
 
 # Streaming-replay scale sweep (divisors 1000/100/10/1 of the Periscope
-# study): wall time, broadcasts/sec, and the peak tracked replay state
-# per divisor, plus the two worker scaling curves at divisor 10 (replay
-# shards and graph assembly shards, K ∈ {1,2,4,6} on real threads, each
-# asserted identical to K = 1 before the write) and the top-5 handler
-# histograms under the celebrity fan-out. Writes BENCH_replay.json.
+# study): graph-build and replay wall time, broadcasts/sec, and the peak
+# tracked replay state per divisor, plus the top-5 handler histograms
+# under the celebrity fan-out. Writes BENCH_replay.json.
 bench-replay:
     cargo run --release -q -p livescope-bench -- bench_replay
 
