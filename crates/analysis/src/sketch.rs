@@ -389,6 +389,50 @@ mod tests {
     }
 
     #[test]
+    fn numeric_edges_land_in_the_end_bins() {
+        let tiniest = 5e-324; // the smallest subnormal
+        assert_eq!(QuantileSketch::bin_index(tiniest), 0);
+        assert_eq!(QuantileSketch::bin_index(f64::MIN_POSITIVE), 0);
+        assert_eq!(QuantileSketch::bin_index(f64::MAX), BINS - 1);
+
+        let mut s = QuantileSketch::new();
+        for v in [f64::MAX, tiniest, -0.0, f64::MIN_POSITIVE, 1.0] {
+            s.push(v);
+        }
+        assert_eq!(s.len(), 5);
+        assert_eq!(s.zero, 1, "-0.0 counts as zero");
+        assert_eq!(s.bins[0], 2);
+        assert_eq!(s.bins[BINS - 1], 1);
+        assert_eq!(s.min(), Some(0.0));
+        assert_eq!(s.max(), Some(f64::MAX));
+        let (lo, hi) = (s.min().unwrap(), s.max().unwrap());
+        for q in [0.0, 0.1, 0.25, 0.4, 0.5, 0.6, 0.75, 0.9, 1.0] {
+            let v = s.quantile(q);
+            assert!(lo <= v && v <= hi, "q={q}: {v} outside [{lo}, {hi}]");
+        }
+        assert_eq!(s.quantile(0.0), 0.0);
+        assert_eq!(s.quantile(1.0), f64::MAX);
+    }
+
+    #[test]
+    #[should_panic(expected = "finite and non-negative")]
+    fn nan_input_panics() {
+        QuantileSketch::new().push(f64::NAN);
+    }
+
+    #[test]
+    #[should_panic(expected = "finite and non-negative")]
+    fn infinite_input_panics() {
+        QuantileSketch::new().push(f64::INFINITY);
+    }
+
+    #[test]
+    #[should_panic(expected = "finite and non-negative")]
+    fn negative_infinite_input_panics() {
+        QuantileSketch::new().push(f64::NEG_INFINITY);
+    }
+
+    #[test]
     fn tracked_bytes_is_constant() {
         let mut s = QuantileSketch::new();
         let before = s.tracked_bytes();

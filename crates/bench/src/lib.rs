@@ -2,8 +2,8 @@
 //!
 //! One `livescope` binary with one subcommand per paper artifact
 //! (`tab1`, `tab2`, `fig1` … `fig18`, `crawler_coverage`, …) and per
-//! bench/observability tool, plus the Criterion micro-benches in
-//! `benches/`. Every artifact prints to stdout and drops
+//! bench/observability tool; `tests/paper_scale_pins.rs` holds the
+//! release-only paper-scale pins. Every artifact prints to stdout and drops
 //! machine-readable copies (CSV and, for figures, JSON) under `results/`.
 //!
 //! Run any of them with e.g.

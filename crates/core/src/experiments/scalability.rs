@@ -12,10 +12,10 @@
 //! POP. Two cost views are reported:
 //!
 //! * **operation counts and bytes** — exact, deterministic, machine-
-//!   independent (unit-tested);
-//! * **measured busy time** (used by the Criterion bench and the `fig14`
-//!   binary) — wall-clock cost of performing the work, whose *shape*
-//!   (RTMP ≫ HLS, gap widening with viewers) is the paper's result.
+//!   independent (unit-tested, and pinned at 100/300/500 viewers);
+//! * **measured busy time** (the `livescope fig14` table) — wall-clock
+//!   cost of performing the work, whose *shape* (RTMP ≫ HLS, gap
+//!   widening with viewers) is the paper's result.
 
 use bytes::Bytes;
 
@@ -313,6 +313,47 @@ mod tests {
         let report = run(&quick());
         assert!(report.peak_op_ratio() > 10.0);
         assert!(report.render().contains("op ratio"));
+    }
+
+    /// `(viewers, RTMP operations, HLS operations)` over the 10 s stream:
+    /// the exact, machine-independent half of Fig 14, so a change to the
+    /// push or poll path that alters what the servers do fails here
+    /// rather than showing up as a faster `fig14` busy time.
+    const PINNED_OPS: [(usize, u64, u64); 3] = [
+        (100, 25_000, 764),
+        (300, 75_000, 2_298),
+        (500, 125_000, 3_830),
+    ];
+
+    #[test]
+    fn fanout_operations_are_pinned() {
+        let config = ScalabilityConfig {
+            stream_secs: 10,
+            ..ScalabilityConfig::default()
+        };
+        for (viewers, rtmp_ops, hls_ops) in PINNED_OPS {
+            assert_eq!(run_rtmp_cell(&config, viewers).operations, rtmp_ops);
+            assert_eq!(run_hls_cell(&config, viewers).operations, hls_ops);
+        }
+    }
+
+    /// `(interval, operations)`: chunklist polls plus chunk serves a real
+    /// edge POP performs for 100 viewers of the 30 s Fig 14 stream at
+    /// each poll interval. The chunk serves are the same 900 every time,
+    /// so the spread is polls served — the request-rate consequence,
+    /// exact.
+    const PINNED_EDGE_OPS: [(f64, u64); 4] =
+        [(1.0, 4_200), (2.0, 2_550), (3.0, 2_000), (4.0, 1_721)];
+
+    #[test]
+    fn edge_operations_per_poll_interval_are_pinned() {
+        for (interval, edge_ops) in PINNED_EDGE_OPS {
+            let edge = ScalabilityConfig {
+                poll_interval_s: interval,
+                ..ScalabilityConfig::default()
+            };
+            assert_eq!(run_hls_cell(&edge, 100).operations, edge_ops);
+        }
     }
 
     #[test]

@@ -265,11 +265,9 @@ impl DiGraph {
     }
 
     /// Rewrites both offset arrays at `u64` width even when they would
-    /// narrow to `u32`. Layout-experiment hook for the traversal
-    /// microbenches (`benches/micro_adjacency.rs`): it quantifies what
-    /// the width-adaptive narrowing actually buys on identical topology.
-    /// Checksums and the neighbor-slice API are unaffected.
-    pub fn with_wide_offsets(mut self) -> DiGraph {
+    /// narrow to `u32`, so a real graph exercises `Offsets::U64`.
+    #[cfg(test)]
+    fn with_wide_offsets(mut self) -> DiGraph {
         fn widen(o: Offsets) -> Offsets {
             match o {
                 Offsets::U32(v) => Offsets::U64(v.iter().map(|&x| x as u64).collect()),
@@ -521,6 +519,27 @@ mod tests {
             Offsets::U64(v) => assert_eq!(v[1], u32::MAX as u64 + 1),
             Offsets::U32(_) => panic!("should have stayed wide"),
         }
+    }
+
+    #[test]
+    fn a_generated_graph_forced_wide_matches_its_narrow_twin() {
+        let narrow = DiGraph::generate(&crate::GraphSpec::periscope().with_nodes(2_000), 42);
+        let wide = narrow.clone().with_wide_offsets();
+        assert_eq!(narrow.out_csr().0.entry_bytes(), 4);
+        assert_eq!(narrow.in_csr().0.entry_bytes(), 4);
+        assert_eq!(wide.out_csr().0.entry_bytes(), 8);
+        assert_eq!(wide.in_csr().0.entry_bytes(), 8);
+        assert_eq!(wide.node_count(), narrow.node_count());
+        assert_eq!(wide.edge_count(), narrow.edge_count());
+        let (nd, wd) = (narrow.degrees(), wide.degrees());
+        for u in 0..narrow.node_count() as NodeId {
+            assert_eq!(wide.out_neighbors(u), narrow.out_neighbors(u));
+            assert_eq!(wide.in_neighbors(u), narrow.in_neighbors(u));
+            assert_eq!(wd.out_degree(u), nd.out_degree(u));
+            assert_eq!(wd.in_degree(u), nd.in_degree(u));
+        }
+        assert_eq!(wide.adjacency_checksum(), narrow.adjacency_checksum());
+        assert_eq!(wide.degree_checksum(), narrow.degree_checksum());
     }
 
     #[test]

@@ -30,9 +30,9 @@
 //! directly, whether captured or owned by its shard state, would order
 //! the sink by thread timing. `Telemetry::emit` refuses that: it panics
 //! off the thread that created the handle, and at two or more lanes every
-//! epoch with two due shards runs its handlers on worker threads. So a
-//! traced run of a multi-shard world at lanes ≥ 2 is the check; each such
-//! world needs one in its tests.
+//! handler runs on a worker thread, a lone due shard's sprint included.
+//! So a traced run of a multi-shard world at lanes ≥ 2 is the check; each
+//! such world needs one in its tests.
 //!
 //! Because every observable (event order within a shard, mail delivery
 //! order, trace merge order, RNG streams) is derived from simulated time
@@ -47,7 +47,8 @@
 //! (shards are split into `lanes` contiguous chunks, one worker per
 //! chunk). One lane runs every shard inline on the caller's thread in
 //! shard order; more lanes get one scoped worker thread each
-//! ([`run_parts`]). Every lane count produces identical output — the
+//! ([`run_parts`]), and a shard sprinting alone gets one of its own.
+//! Every lane count produces identical output — the
 //! determinism sweep in `tests/sharded_determinism.rs` asserts byte
 //! equality across lane counts.
 //!
@@ -240,6 +241,29 @@ fn run_shard<S>(slot: &mut ShardSlot<S>, barrier: SimTime, inclusive: bool) {
             break;
         }
         slot.fire_next();
+    }
+}
+
+/// Runs one shard alone until it drains by `horizon` or emits cross-shard
+/// mail, and returns the barrier to merge at: the horizon, or the one
+/// closing the epoch cell of the mail-producing event.
+#[inline]
+fn sprint<S>(slot: &mut ShardSlot<S>, horizon: SimTime, epoch_us: u64) -> SimTime {
+    loop {
+        let due = matches!(slot.core.queue.peek_time(), Some(at) if at <= horizon);
+        if !due {
+            break;
+        }
+        slot.fire_next();
+        if !slot.core.outbox.is_empty() {
+            break;
+        }
+    }
+    if slot.core.outbox.is_empty() {
+        horizon
+    } else {
+        let k = slot.core.now.as_micros() / epoch_us;
+        SimTime::from_micros((k + 1).saturating_mul(epoch_us)).min(horizon)
     }
 }
 
@@ -538,24 +562,24 @@ impl<S: Send + 'static> ShardedScheduler<S> {
     /// delivery byte-identical to the fixed grid: the mail is released at
     /// the barrier closing the *sending event's* epoch cell — exactly
     /// where the non-sprinting scheduler would have released it.
+    ///
+    /// At two or more lanes the sprint runs on one scoped worker thread,
+    /// as every multi-shard epoch does, so a handler that writes to a
+    /// telemetry handle directly trips the owner-thread check whether or
+    /// not its shard happens to run alone.
     fn run_sprint(&mut self, idx: usize, horizon: SimTime, epoch_us: u64) {
+        let on_worker = self.lanes.min(self.shards.len()) >= 2;
         let barrier = self.sec_lane_exec.time(|| {
             let slot = &mut self.shards[idx];
-            loop {
-                let due = matches!(slot.core.queue.peek_time(), Some(at) if at <= horizon);
-                if !due {
-                    break;
-                }
-                slot.fire_next();
-                if !slot.core.outbox.is_empty() {
-                    break;
-                }
-            }
-            if slot.core.outbox.is_empty() {
-                horizon
+            if on_worker {
+                std::thread::scope(|scope| {
+                    scope
+                        .spawn(|| sprint(slot, horizon, epoch_us))
+                        .join()
+                        .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
+                })
             } else {
-                let k = slot.core.now.as_micros() / epoch_us;
-                SimTime::from_micros((k + 1).saturating_mul(epoch_us)).min(horizon)
+                sprint(slot, horizon, epoch_us)
             }
         });
         self.barrier_merge(barrier);
@@ -875,6 +899,31 @@ mod tests {
                 }),
             );
         }
+        s.run();
+    }
+
+    #[test]
+    #[should_panic(expected = "trace written off the thread that created the handle")]
+    fn a_captured_handle_emitting_in_a_lone_sprint_at_two_lanes_panics() {
+        let t = Telemetry::recording(64);
+        let mut s = two_shards(1).with_lanes(2);
+        s.set_telemetry(&t);
+        // Only shard 1 has work, so the scheduler sprints it alone; at two
+        // lanes that sprint still runs on a worker thread.
+        let direct = t.clone();
+        s.schedule(
+            ShardId(1),
+            SimTime::ZERO,
+            Box::new(move |ctx, _| {
+                direct.emit(
+                    ctx.now().as_micros(),
+                    TraceEvent::PollMiss {
+                        broadcast: 1,
+                        pop: ctx.shard().0,
+                    },
+                );
+            }),
+        );
         s.run();
     }
 

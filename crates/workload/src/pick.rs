@@ -115,7 +115,7 @@ impl CumulativeTable {
     }
 
     /// The cumulative weights, one per user (the reference search of the
-    /// tests and of `benches/micro_weighted_pick.rs` runs over these).
+    /// tests and of the bench crate's `paper_scale_pins` runs over these).
     pub fn cumulative(&self) -> &[f64] {
         &self.cumulative
     }

@@ -2,8 +2,8 @@
 # scripts/ci.sh is its one definition, runnable without `just`.
 
 # Run the full CI gate: format check, clippy (the determinism
-# gate), tests, rustdoc gate, `livescope all`, usage-error probes, one
-# untimed pass of the micro and hot-path benches, bench-regression gate.
+# gate), tests, rustdoc gate, `livescope all`, usage-error probes, the
+# paper-scale pins, bench-regression gate.
 ci:
     bash scripts/ci.sh
 
@@ -42,19 +42,6 @@ artifacts:
 bench-replay:
     cargo run --release -q -p livescope-bench -- bench_replay
 
-# Weighted-pick microbench (DESIGN.md §10): guide-table pick vs the
-# whole-table binary search it replaced, ns/pick at 300k / 1.2M / 12M
-# users — the paper-scale effect without a divisor-1 replay.
-bench-pick:
-    cargo bench -p livescope-bench --bench micro_weighted_pick -- --bench
-
-# Follow-graph build phases (DESIGN.md §12): decide + assemble alone vs
-# the full build with rewiring, Periscope at 300k / 1.2M nodes and
-# Twitter at 300k; ns/edge = 1000 / Melem/s, ns/swap-proposal from the
-# difference of the two lines over the printed proposal count.
-bench-graph-phases:
-    cargo bench -p livescope-bench --bench micro_graph_phases -- --bench
-
 # Capture a JSONL trace of the breakdown experiment and fold it.
 trace out="results/trace.jsonl":
     cargo run --release -q -p livescope-bench -- obs_report --capture {{out}}
@@ -75,17 +62,6 @@ bench-check:
 # Refresh the committed baseline after a reviewed, intentional change.
 bench-check-write:
     cargo run --release -q -p livescope-bench -- bench_check --write-baselines
-
-# Hot-path Criterion benches (fan-out CPU, poll interval); both assert
-# their exact operation counts before timing. The end-to-end number for
-# this path is the repo benchmark's `edge_fanout` workload
-# (`cdn.poll_ns.*` / `cdn.download_ns.*` at 9,000 viewers), and the
-# exact counter that says whether a poll was a refcount bump or a
-# chunklist build is `fastly.playlist_rebuilds` (next to
-# `fastly.origin_fetches`; both follow the chunks, not the audience).
-bench-hotpath:
-    cargo bench -p livescope-bench --bench fanout_cpu -- --bench
-    cargo bench -p livescope-bench --bench poll_interval -- --bench
 
 # Alternated A/B pairs of the repo benchmark between two revisions, each
 # exported with `git archive` and built once into target/ab/<sha>: prints
