@@ -17,20 +17,21 @@
 //! Phase 2 is data-parallel over **disjoint target-node ranges**: with K
 //! workers, worker `w` owns the contiguous node range `[t_w, t_{w+1})`
 //! and fills exactly the in-CSR slice `in_sources[in_offsets[t_w] ..
-//! in_offsets[t_{w+1}]]` — a `split_at_mut` partition, so workers share
-//! no mutable state at the type level. Each worker scans the full
-//! out-CSR in ascending-source order and keeps only edges whose target
-//! falls in its range; within any single in-segment that is *the same
-//! stable visit order the sequential scatter uses*, so the output bytes
-//! are a pure function of the out-CSR, independent of K and of thread
-//! scheduling (one shard runs inline, more run on scoped threads via
-//! [`livescope_sim::run_parts`]). `tests/csr_parallel.rs` property-tests
-//! this partition invariance against the sequential path and the
-//! `BTreeMap` oracle.
+//! in_offsets[t_{w+1}]]`, writing through its own in-offset slots
+//! `in_offsets[t_w .. t_{w+1}]` as cursors — a `split_at_mut`
+//! partition, so workers share no mutable state at the type level. Each
+//! worker scans the full out-CSR in ascending-source order and keeps
+//! only edges whose target falls in its range; within any single
+//! in-segment that is *the same stable visit order the sequential
+//! scatter uses*, so the output bytes are a pure function of the
+//! out-CSR, independent of K and of thread scheduling (one shard runs
+//! inline, more run on scoped threads via [`livescope_sim::run_parts`]).
+//! `tests/csr_parallel.rs` property-tests this partition invariance
+//! against the sequential path and the `BTreeMap` oracle.
 
 use livescope_sim::run_parts;
 
-use crate::digraph::{DiGraph, NodeId, Offsets};
+use crate::digraph::{DiGraph, NodeId, OffsetWord, Offsets};
 
 /// Build-time statistics for one [`DiGraph::generate_with_stats`]
 /// (`crate::generate`) run. Everything here is deterministic for a given
@@ -84,14 +85,14 @@ fn node_bound(w: usize, workers: usize, n: usize) -> usize {
 /// `in_offsets[1..]`) and scans the full target array, counting only
 /// targets in its range. Commutative per-slot addition with a single
 /// writer per slot — identical to the sequential count for any K.
-fn count_in_degrees(
+fn count_in_degrees<O: OffsetWord>(
     node_count: usize,
     out_targets: &[NodeId],
-    in_offsets: &mut [u64],
+    in_offsets: &mut [O],
     workers: usize,
 ) {
-    let mut parts: Vec<(std::ops::Range<usize>, &mut [u64])> = Vec::with_capacity(workers);
-    let mut rest: &mut [u64] = &mut in_offsets[1..];
+    let mut parts: Vec<(std::ops::Range<usize>, &mut [O])> = Vec::with_capacity(workers);
+    let mut rest: &mut [O] = &mut in_offsets[1..];
     for w in 0..workers {
         let (start, end) = (
             node_bound(w, workers, node_count),
@@ -105,7 +106,7 @@ fn count_in_degrees(
         for &v in out_targets {
             let v = v as usize;
             if range.contains(&v) {
-                counts[v - range.start] += 1;
+                counts[v - range.start] += O::ONE;
             }
         }
     });
@@ -113,14 +114,14 @@ fn count_in_degrees(
 
 /// Parallel prefix pass over the per-node counts: independent in-place
 /// prefix sums per block, one sequential carry walk over the K block
-/// totals, then a parallel base-offset pass. Pure `u64` addition in a
+/// totals, then a parallel base-offset pass. Pure integer addition in a
 /// fixed association, so the result is bit-identical to the sequential
 /// prefix sum for any K.
-fn prefix_sum(in_offsets: &mut [u64], workers: usize) {
+fn prefix_sum<O: OffsetWord>(in_offsets: &mut [O], workers: usize) {
     let node_count = in_offsets.len() - 1;
-    fn split(in_offsets: &mut [u64], workers: usize, node_count: usize) -> Vec<&mut [u64]> {
-        let mut blocks: Vec<&mut [u64]> = Vec::with_capacity(workers);
-        let mut rest: &mut [u64] = &mut in_offsets[1..];
+    fn split<O>(in_offsets: &mut [O], workers: usize, node_count: usize) -> Vec<&mut [O]> {
+        let mut blocks: Vec<&mut [O]> = Vec::with_capacity(workers);
+        let mut rest: &mut [O] = &mut in_offsets[1..];
         for w in 0..workers {
             let len = node_bound(w + 1, workers, node_count) - node_bound(w, workers, node_count);
             let (head, tail) = std::mem::take(&mut rest).split_at_mut(len);
@@ -130,7 +131,7 @@ fn prefix_sum(in_offsets: &mut [u64], workers: usize) {
         blocks
     }
     run_parts(split(in_offsets, workers, node_count), |block| {
-        let mut acc = 0u64;
+        let mut acc = O::default();
         for x in block.iter_mut() {
             acc += *x;
             *x = acc;
@@ -139,7 +140,7 @@ fn prefix_sum(in_offsets: &mut [u64], workers: usize) {
     // Carry walk: block w's base is the sum of all earlier block totals
     // (each block's total now sits in its last element).
     let mut bases = Vec::with_capacity(workers);
-    let mut carry = 0u64;
+    let mut carry = O::default();
     for w in 0..workers {
         bases.push(carry);
         let end = node_bound(w + 1, workers, node_count);
@@ -153,7 +154,7 @@ fn prefix_sum(in_offsets: &mut [u64], workers: usize) {
             .zip(bases)
             .collect(),
         |(block, base)| {
-            if base != 0 {
+            if base.index() != 0 {
                 for x in block.iter_mut() {
                     *x += base;
                 }
@@ -165,60 +166,122 @@ fn prefix_sum(in_offsets: &mut [u64], workers: usize) {
 /// Parallel stable scatter: worker `w` owns target range
 /// `[tbounds[w], tbounds[w+1])` — boundaries chosen so each range holds
 /// ~`E/K` in-edges — and fills the corresponding disjoint `in_sources`
-/// slice by scanning the full out-CSR in ascending-source order. See the
-/// module docs for the byte-identity argument.
-fn scatter(
+/// slice by scanning the full out-CSR in ascending-source order. Its
+/// write cursors are its own in-offset slots, which it leaves one
+/// segment ahead (see [`transpose`]). See the module docs for the
+/// byte-identity argument.
+fn scatter<O: OffsetWord>(
     node_count: usize,
-    out_offsets: &[u64],
+    out_offsets: &[O],
     out_targets: &[NodeId],
-    in_offsets: &[u64],
-    cursor: &mut [u64],
+    in_offsets: &mut [O],
     in_sources: &mut [NodeId],
     workers: usize,
 ) {
-    let edge_total = in_offsets[node_count];
+    let edge_total = in_offsets[node_count].index();
     let mut tbounds = Vec::with_capacity(workers + 1);
     tbounds.push(0usize);
     for w in 1..workers {
-        let want = edge_total * w as u64 / workers as u64;
-        let t = in_offsets.partition_point(|&e| e < want);
+        let want = edge_total * w / workers;
+        let t = in_offsets.partition_point(|e| e.index() < want);
         tbounds.push(t.max(tbounds[w - 1]).min(node_count));
     }
     tbounds.push(node_count);
+    // Segment starts at the boundaries, read before the cursors move.
+    let starts: Vec<usize> = tbounds.iter().map(|&t| in_offsets[t].index()).collect();
 
-    type Part<'a> = (std::ops::Range<usize>, &'a mut [u64], &'a mut [NodeId], u64);
-    let mut parts: Vec<Part<'_>> = Vec::with_capacity(workers);
-    let mut cur_rest: &mut [u64] = &mut cursor[..node_count];
+    type Part<'a, O> = (std::ops::Range<usize>, &'a mut [O], &'a mut [NodeId], usize);
+    let mut parts: Vec<Part<'_, O>> = Vec::with_capacity(workers);
+    let mut cur_rest: &mut [O] = &mut in_offsets[..node_count];
     let mut src_rest: &mut [NodeId] = in_sources;
     for w in 0..workers {
         let (t0, t1) = (tbounds[w], tbounds[w + 1]);
         let (cur, cr) = std::mem::take(&mut cur_rest).split_at_mut(t1 - t0);
-        let (dst, sr) =
-            std::mem::take(&mut src_rest).split_at_mut((in_offsets[t1] - in_offsets[t0]) as usize);
-        parts.push((t0..t1, cur, dst, in_offsets[t0]));
+        let (dst, sr) = std::mem::take(&mut src_rest).split_at_mut(starts[w + 1] - starts[w]);
+        parts.push((t0..t1, cur, dst, starts[w]));
         cur_rest = cr;
         src_rest = sr;
     }
     run_parts(parts, |(range, cur, dst, base)| {
         for u in 0..node_count {
-            let (s, e) = (out_offsets[u] as usize, out_offsets[u + 1] as usize);
+            let (s, e) = (out_offsets[u].index(), out_offsets[u + 1].index());
             for &v in &out_targets[s..e] {
                 let vi = v as usize;
                 if range.contains(&vi) {
                     let c = &mut cur[vi - range.start];
-                    dst[(*c - base) as usize] = u as NodeId;
-                    *c += 1;
+                    dst[c.index() - base] = u as NodeId;
+                    *c += O::ONE;
                 }
             }
         }
     });
 }
 
+/// Moves every offset one slot right and zeroes slot 0. A counting
+/// sort that scatters through its own offsets leaves `offsets[k]` at the
+/// end of key `k`'s segment; this puts each end where it belongs, at
+/// `offsets[k + 1]`.
+pub(crate) fn shift_right<O: Copy + Default>(offsets: &mut [O]) {
+    let keys = offsets.len() - 1;
+    offsets.copy_within(0..keys, 1);
+    offsets[0] = O::default();
+}
+
+/// The in-direction of an out-CSR whose segments are sorted, by counting
+/// sort at offset width `O`: count each node's in-degree into
+/// `in_offsets[v + 1]`, prefix-sum, then scatter sources in ascending
+/// order with `in_offsets[v]` itself as node `v`'s write cursor, and
+/// [`shift_right`] the cursors back into offsets. Stable, so every
+/// in-list comes out sorted by source with no per-list sort. Returns
+/// `(in_offsets, in_sources)`, identical for every `workers` value and,
+/// entry for entry, for both widths.
+fn transpose<O: OffsetWord>(
+    node_count: usize,
+    out_offsets: &[O],
+    out_targets: &[NodeId],
+    workers: usize,
+) -> (Vec<O>, Vec<NodeId>) {
+    let mut in_offsets = vec![O::default(); node_count + 1];
+    let mut in_sources = vec![0 as NodeId; out_targets.len()];
+    if workers == 1 {
+        for &v in out_targets {
+            in_offsets[v as usize + 1] += O::ONE;
+        }
+        for i in 0..node_count {
+            let prev = in_offsets[i];
+            in_offsets[i + 1] += prev;
+        }
+        for u in 0..node_count {
+            let (s, e) = (out_offsets[u].index(), out_offsets[u + 1].index());
+            for &v in &out_targets[s..e] {
+                let c = &mut in_offsets[v as usize];
+                in_sources[c.index()] = u as NodeId;
+                *c += O::ONE;
+            }
+        }
+    } else {
+        count_in_degrees(node_count, out_targets, &mut in_offsets, workers);
+        prefix_sum(&mut in_offsets, workers);
+        scatter(
+            node_count,
+            out_offsets,
+            out_targets,
+            &mut in_offsets,
+            &mut in_sources,
+            workers,
+        );
+    }
+    shift_right(&mut in_offsets);
+    (in_offsets, in_sources)
+}
+
 /// Phase 2: assembles a [`DiGraph`] from an out-CSR whose segments are
-/// already sorted and deduplicated. The in-direction is built by counting
-/// sort: one counting pass over the targets, a prefix sum, and a stable
-/// scatter in ascending-source order (so in-lists are sorted by source
-/// with no per-list sort).
+/// already sorted and deduplicated, allocating nothing the graph does not
+/// keep: the target array is trimmed to its length, the out-offsets are
+/// narrowed to their final width (`u32` iff the edge total is at most
+/// `u32::MAX`, the [`Offsets::from_u64`] rule) before anything
+/// in-direction exists, and [`transpose`] builds the in-direction at that
+/// same width.
 ///
 /// `workers > 1` splits every pass over disjoint target-node ranges (see
 /// the module docs); the single-worker path keeps the branch-free
@@ -227,63 +290,41 @@ fn scatter(
 pub(crate) fn assemble(
     node_count: usize,
     out_offsets: Vec<u64>,
-    out_targets: Vec<NodeId>,
+    mut out_targets: Vec<NodeId>,
     workers: usize,
     peak: &mut PeakTracker,
 ) -> DiGraph {
     debug_assert_eq!(out_offsets.len(), node_count + 1);
-    let edge_total = *out_offsets.last().unwrap_or(&0) as usize;
-    debug_assert_eq!(edge_total, out_targets.len());
-    let workers = workers.clamp(1, node_count.max(1));
-
-    let mut in_offsets = vec![0u64; node_count + 1];
-    if workers == 1 {
-        for &v in &out_targets {
-            in_offsets[v as usize + 1] += 1;
-        }
-        for i in 0..node_count {
-            in_offsets[i + 1] += in_offsets[i];
-        }
-    } else {
-        count_in_degrees(node_count, &out_targets, &mut in_offsets, workers);
-        prefix_sum(&mut in_offsets, workers);
-    }
-
-    let mut cursor: Vec<u64> = in_offsets.clone();
-    let mut in_sources = vec![0 as NodeId; edge_total];
-    if workers == 1 {
-        for u in 0..node_count {
-            let (s, e) = (out_offsets[u] as usize, out_offsets[u + 1] as usize);
-            for &v in &out_targets[s..e] {
-                let c = &mut cursor[v as usize];
-                in_sources[*c as usize] = u as NodeId;
-                *c += 1;
-            }
-        }
-    } else {
-        scatter(
-            node_count,
-            &out_offsets,
-            &out_targets,
-            &in_offsets,
-            &mut cursor,
-            &mut in_sources,
-            workers,
-        );
-    }
-    peak.observe(
-        out_offsets.capacity() * 8
-            + out_targets.capacity() * std::mem::size_of::<NodeId>()
-            + in_offsets.capacity() * 8
-            + cursor.capacity() * 8
-            + in_sources.capacity() * std::mem::size_of::<NodeId>(),
+    debug_assert_eq!(
+        *out_offsets.last().unwrap_or(&0) as usize,
+        out_targets.len()
     );
-    drop(cursor);
+    let workers = workers.clamp(1, node_count.max(1));
+    out_targets.shrink_to_fit();
+    match Offsets::from_u64(out_offsets) {
+        Offsets::U32(out) => assemble_at(node_count, out, out_targets, workers, peak),
+        Offsets::U64(out) => assemble_at(node_count, out, out_targets, workers, peak),
+    }
+}
+
+/// [`assemble`] once the width is chosen.
+fn assemble_at<O: OffsetWord>(
+    node_count: usize,
+    out_offsets: Vec<O>,
+    out_targets: Vec<NodeId>,
+    workers: usize,
+    peak: &mut PeakTracker,
+) -> DiGraph {
+    let (in_offsets, in_sources) = transpose(node_count, &out_offsets, &out_targets, workers);
+    peak.observe(
+        (out_offsets.capacity() + in_offsets.capacity()) * std::mem::size_of::<O>()
+            + (out_targets.capacity() + in_sources.capacity()) * std::mem::size_of::<NodeId>(),
+    );
     DiGraph::from_parts(
         node_count,
-        Offsets::from_u64(out_offsets),
+        O::into_offsets(out_offsets),
         out_targets,
-        Offsets::from_u64(in_offsets),
+        O::into_offsets(in_offsets),
         in_sources,
     )
 }
@@ -412,6 +453,73 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Runs [`transpose`] on one out-CSR at both widths and workers 1, 2
+    /// and 6, asserting the same offset values and sources everywhere and
+    /// that they are `want`'s. No in-tree graph has more than `u32::MAX`
+    /// edges, so this is what reaches the `u64` instantiation.
+    fn assert_widths_agree(
+        node_count: usize,
+        out_offsets: &[u64],
+        targets: &[NodeId],
+        want: &DiGraph,
+    ) {
+        let narrow: Vec<u32> = out_offsets.iter().map(|&x| x as u32).collect();
+        let (want_off, want_src) = want.in_csr();
+        let want_off: Vec<u64> = (0..want_off.len()).map(|i| want_off.at(i) as u64).collect();
+        for workers in [1, 2, 6] {
+            let (off32, src32) = transpose::<u32>(node_count, &narrow, targets, workers);
+            let (off64, src64) = transpose::<u64>(node_count, out_offsets, targets, workers);
+            let off32: Vec<u64> = off32.into_iter().map(u64::from).collect();
+            assert_eq!(off32, off64, "workers={workers}");
+            assert_eq!(src32, src64, "workers={workers}");
+            assert_eq!(off64, want_off, "workers={workers}");
+            assert_eq!(src64, want_src, "workers={workers}");
+        }
+    }
+
+    /// The raw out-CSR of a built graph at `u64` width.
+    fn out_csr_u64(g: &DiGraph) -> (Vec<u64>, Vec<NodeId>) {
+        let (off, targets) = g.out_csr();
+        (
+            (0..off.len()).map(|i| off.at(i) as u64).collect(),
+            targets.to_vec(),
+        )
+    }
+
+    #[test]
+    fn transpose_is_width_invariant_on_a_generated_graph() {
+        let g = DiGraph::generate(&crate::GraphSpec::periscope().with_nodes(2_000), 42);
+        assert!(g.edge_count() > 10_000, "{}", g.edge_count());
+        let (offsets, targets) = out_csr_u64(&g);
+        assert_widths_agree(g.node_count(), &offsets, &targets, &g);
+    }
+
+    #[test]
+    fn transpose_is_width_invariant_on_an_edge_list() {
+        // Unsorted, with duplicates and self-loops for `from_edges_with`
+        // to drop: node u follows (7u + 3k) mod 300 for k < u mod 11.
+        let n = 300u32;
+        let edges: Vec<(NodeId, NodeId)> = (0..n)
+            .flat_map(|u| (0..u % 11).map(move |k| (u, (7 * u + 3 * k) % n)))
+            .chain([(5, 5), (9, 1), (9, 1)])
+            .rev()
+            .collect();
+        let g = DiGraph::from_edges_with(n as usize, &edges, 2);
+        assert!(g.edge_count() > 1_000, "{}", g.edge_count());
+        let (offsets, targets) = out_csr_u64(&g);
+        assert_widths_agree(g.node_count(), &offsets, &targets, &g);
+    }
+
+    #[test]
+    fn shift_right_turns_segment_ends_into_offsets() {
+        let mut ends = [3u32, 3, 5, 5];
+        shift_right(&mut ends);
+        assert_eq!(ends, [0, 3, 3, 5]);
+        let mut empty = [0u64];
+        shift_right(&mut empty);
+        assert_eq!(empty, [0]);
     }
 
     #[test]

@@ -31,10 +31,15 @@ pub(crate) enum Offsets {
 }
 
 impl Offsets {
-    /// Narrows a `u64` prefix-sum array to `u32` when every entry fits.
-    pub(crate) fn from_u64(raw: Vec<u64>) -> Offsets {
+    /// Narrows a `u64` prefix-sum array to `u32` when every entry fits
+    /// (the edge total is at most `u32::MAX`); a wide array is trimmed to
+    /// its length.
+    pub(crate) fn from_u64(mut raw: Vec<u64>) -> Offsets {
         match raw.last() {
-            Some(&total) if total > u32::MAX as u64 => Offsets::U64(raw),
+            Some(&total) if total > u32::MAX as u64 => {
+                raw.shrink_to_fit();
+                Offsets::U64(raw)
+            }
             _ => Offsets::U32(raw.iter().map(|&x| x as u32).collect()),
         }
     }
@@ -66,6 +71,48 @@ impl Offsets {
             Offsets::U32(v) => OffsetsView::U32(v),
             Offsets::U64(v) => OffsetsView::U64(v),
         }
+    }
+}
+
+/// One offset entry width, `u32` or `u64`: the arithmetic the CSR
+/// counting sort (`build::transpose`) runs in, and the [`Offsets`]
+/// variant that stores the result.
+pub(crate) trait OffsetWord:
+    Copy + Default + Send + Sync + std::ops::Add<Output = Self> + std::ops::AddAssign
+{
+    /// The count one edge adds.
+    const ONE: Self;
+
+    /// The entry as a slice index.
+    fn index(self) -> usize;
+
+    /// Wraps a finished offset array of this width.
+    fn into_offsets(raw: Vec<Self>) -> Offsets;
+}
+
+impl OffsetWord for u32 {
+    const ONE: u32 = 1;
+
+    #[inline]
+    fn index(self) -> usize {
+        self as usize
+    }
+
+    fn into_offsets(raw: Vec<u32>) -> Offsets {
+        Offsets::U32(raw)
+    }
+}
+
+impl OffsetWord for u64 {
+    const ONE: u64 = 1;
+
+    #[inline]
+    fn index(self) -> usize {
+        self as usize
+    }
+
+    fn into_offsets(raw: Vec<u64>) -> Offsets {
+        Offsets::U64(raw)
     }
 }
 
@@ -231,16 +278,17 @@ impl DiGraph {
         for i in 0..node_count {
             offsets[i + 1] += offsets[i];
         }
-        let mut cursor: Vec<u64> = offsets.clone();
+        // `offsets[u]` is u's write cursor; the scatter leaves it at the
+        // start of `u + 1`'s segment, which the shift puts back.
         let mut targets = vec![0 as NodeId; *offsets.last().unwrap_or(&0) as usize];
         for &(u, v) in edges {
             if u != v {
-                let c = &mut cursor[u as usize];
+                let c = &mut offsets[u as usize];
                 targets[*c as usize] = v;
                 *c += 1;
             }
         }
-        drop(cursor);
+        build::shift_right(&mut offsets);
         // Sort each segment, dedup in place, compact left.
         let mut write = 0usize;
         let mut deduped = Vec::with_capacity(node_count + 1);

@@ -939,6 +939,21 @@ mod tests {
         assert_eq!(stats.swaps_applied, stats2.swaps_applied);
     }
 
+    #[test]
+    fn the_build_peak_is_the_finished_graph() {
+        for spec in [GraphSpec::periscope(), GraphSpec::twitter()] {
+            let (g, stats) = DiGraph::generate_with_stats(&spec.with_nodes(2_000), 11);
+            // No growth slack survives assembly ...
+            assert_eq!(g.resident_bytes(), g.clone().resident_bytes());
+            // ... and nothing outlives it: the high-water mark is the
+            // graph's own four arrays.
+            assert_eq!(
+                stats.peak_bytes,
+                g.resident_bytes() - std::mem::size_of::<DiGraph>()
+            );
+        }
+    }
+
     const SMALL_FOLLOW: FollowParams = FollowParams {
         mean_follows: 2.0,
         preferential_bias: 0.75,

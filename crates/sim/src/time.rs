@@ -322,6 +322,66 @@ mod tests {
     }
 
     #[test]
+    fn subtracting_past_zero_from_an_instant_saturates() {
+        let d = SimDuration::from_secs(1);
+        assert_eq!(SimTime::ZERO - d, SimTime::ZERO);
+        assert_eq!(SimTime::from_micros(5) - d, SimTime::ZERO);
+    }
+
+    #[test]
+    fn duration_add_and_mul_saturate_at_max() {
+        let d = SimDuration::from_micros(1);
+        assert_eq!(SimDuration::MAX + d, SimDuration::MAX);
+        let mut acc = SimDuration::MAX;
+        acc += d;
+        assert_eq!(acc, SimDuration::MAX);
+        assert_eq!(SimDuration::MAX * 2, SimDuration::MAX);
+        assert_eq!(SimDuration::from_secs(1) * u64::MAX, SimDuration::MAX);
+    }
+
+    #[test]
+    #[should_panic(expected = "SimDuration subtraction underflow")]
+    fn duration_subtraction_underflow_panics() {
+        let _ = SimDuration::from_secs(1) - SimDuration::from_secs(2);
+    }
+
+    #[test]
+    #[should_panic(expected = "SimDuration subtraction underflow")]
+    fn duration_sub_assign_underflow_panics() {
+        let mut d = SimDuration::ZERO;
+        d -= SimDuration::from_micros(1);
+    }
+
+    #[test]
+    #[should_panic(expected = "divide by zero")]
+    fn duration_division_by_zero_panics() {
+        let _ = SimDuration::from_secs(1) / 0;
+    }
+
+    #[test]
+    fn from_secs_f64_clamps_infinities_and_huge_values() {
+        for s in [f64::INFINITY, 1e300] {
+            assert_eq!(SimTime::from_secs_f64(s), SimTime::MAX, "{s}");
+            assert_eq!(SimDuration::from_secs_f64(s), SimDuration::MAX, "{s}");
+        }
+        for s in [f64::NEG_INFINITY, -0.0] {
+            assert_eq!(SimTime::from_secs_f64(s), SimTime::ZERO, "{s}");
+            assert_eq!(SimDuration::from_secs_f64(s), SimDuration::ZERO, "{s}");
+        }
+    }
+
+    #[test]
+    fn mul_f64_by_infinity_saturates_a_nonzero_span() {
+        assert_eq!(
+            SimDuration::from_micros(1).mul_f64(f64::INFINITY),
+            SimDuration::MAX
+        );
+        assert_eq!(SimDuration::MAX.mul_f64(f64::INFINITY), SimDuration::MAX);
+        // 0 × ∞ is NaN, which the cast turns into 0.
+        assert_eq!(SimDuration::ZERO.mul_f64(f64::INFINITY), SimDuration::ZERO);
+    }
+
+    #[test]
     fn display_is_human_readable() {
         assert_eq!(format!("{}", SimDuration::from_millis(2800)), "2.800s");
         assert_eq!(format!("{}", SimTime::from_millis(1500)), "1.500s");

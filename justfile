@@ -65,8 +65,9 @@ bench-check-write:
 
 # Alternated A/B pairs of the repo benchmark between two revisions, each
 # exported with `git archive` and built once into target/ab/<sha>: prints
-# both sides' median and quartiles of `units_per_s`, the pairs B won, and
-# any run whose digest checks failed. E.g. `just ab HEAD~1 HEAD
+# every pair's three end-to-end metrics, both sides' median and quartiles
+# of each, the pairs B won on each (in BENCHMARK.json's `better`
+# direction), and any run whose digest checks failed. E.g. `just ab HEAD~1 HEAD
 # edge_fanout` (10 pairs of 24 s runs), or `just ab HEAD~1 HEAD
 # edge_fanout 10 6 0xbeefff25` for shorter runs on another seed.
 ab rev_a rev_b workload *rest:

@@ -9,11 +9,14 @@
 # `benchmark/` binary is built once into target/ab/<sha>/ and reused by
 # later invocations. Every pair runs both binaries under the allocator pin
 # of BENCHMARK.json's `command`, each from its own export root, and the
-# side that goes first alternates. Prints each side's median and
-# quartiles of every end-to-end metric (`units_per_s`, `peak_rss_bytes`,
-# `setup_s`, all from the same runs), how many pairs B won on
-# `units_per_s`, and any run whose digest checks failed. PAIRS defaults to 10, SECONDS to BENCHMARK.json's
-# `run_seconds`, SEED to the benchmark's pinned default seed.
+# side that goes first alternates. Every end-to-end metric of
+# BENCHMARK.json (`units_per_s`, `peak_rss_bytes`, `setup_s`, all from the
+# same runs) is printed on each pair's line; then each side's median and
+# quartiles per metric, how many pairs B won per metric in the direction
+# its `better` field gives (a tie counts for neither side), and any run
+# whose digest checks failed. PAIRS defaults to 10, SECONDS to
+# BENCHMARK.json's `run_seconds`, SEED to the benchmark's pinned default
+# seed.
 set -euo pipefail
 
 usage() {
@@ -56,16 +59,33 @@ prepare() {
     fi
 }
 
-# One pinned run of revision $1; prints
-# "units_per_s peak_rss_bytes setup_s failed".
+# The end-to-end metrics, their `better` directions and units, in
+# BENCHMARK.json's order.
+mapfile -t metrics < <(jq -r '.end_to_end[].name' "$root/BENCHMARK.json")
+mapfile -t better < <(jq -r '.end_to_end[].better' "$root/BENCHMARK.json")
+mapfile -t units < <(jq -r '.end_to_end[].unit' "$root/BENCHMARK.json")
+nmetrics=${#metrics[@]}
+
+# Decimals a value of metric $1 is printed with.
+decimals() {
+    case ${units[$1]} in
+    bytes) echo 0 ;;
+    s) echo 3 ;;
+    *) echo 1 ;;
+    esac
+}
+
+# One pinned run of revision $1; prints every metric's value, in
+# `metrics` order, then the run's failed digest count.
 run() {
     local out result
     out=$(cd "$exports/$1" && "${pin[@]}" "$root/target/ab/$1/release/benchmark" \
         --workload "$workload" --seconds "$seconds" ${seed:+--seed "$seed"}) || true
-    result=$(tail -n 1 <<<"$out" | jq -r '.metrics as $m |
-        "\($m.units_per_s.value) \($m.peak_rss_bytes.value) \($m.setup_s.value) \(.failed)"' \
-        2>/dev/null) || result=
-    echo "${result:-0 0 0 crashed}"
+    result=$(tail -n 1 <<<"$out" | jq -r --args '.metrics as $m |
+        [($ARGS.positional[] | $m[.].value), .failed] | map(tostring) | join(" ")' \
+        "${metrics[@]}" 2>/dev/null) || result=
+    [ -n "$result" ] || result="$(printf '0 %.0s' "${metrics[@]}")crashed"
+    echo "$result"
 }
 
 prepare "$sha_a"
@@ -73,33 +93,27 @@ prepare "$sha_a"
 
 echo "A = ${sha_a:0:12} ($1), B = ${sha_b:0:12} ($2)"
 echo "$workload: $pairs pairs of ${seconds} s runs, seed ${seed:-default}"
-a_values=()
-b_values=()
-a_rss=()
-b_rss=()
-a_setup=()
-b_setup=()
+# values[side,metric,pair]
+declare -A values
 failures=()
 for ((i = 0; i < pairs; i++)); do
-    if ((i % 2 == 0)); then
-        read -r a a_mem a_set a_failed < <(run "$sha_a")
-        read -r b b_mem b_set b_failed < <(run "$sha_b")
-        first=A
-    else
-        read -r b b_mem b_set b_failed < <(run "$sha_b")
-        read -r a a_mem a_set a_failed < <(run "$sha_a")
-        first=B
-    fi
-    a_values+=("$a")
-    b_values+=("$b")
-    a_rss+=("$a_mem")
-    b_rss+=("$b_mem")
-    a_setup+=("$a_set")
-    b_setup+=("$b_set")
-    [ "$a_failed" = 0 ] || failures+=("pair $((i + 1)) A: failed $a_failed")
-    [ "$b_failed" = 0 ] || failures+=("pair $((i + 1)) B: failed $b_failed")
-    printf 'pair %2d (%s first): A %14.1f  B %14.1f  B/A %.3f\n' \
-        $((i + 1)) "$first" "$a" "$b" "$(awk -v a="$a" -v b="$b" 'BEGIN { print b / a }')"
+    if ((i % 2 == 0)); then order=(A B); else order=(B A); fi
+    for side in "${order[@]}"; do
+        if [ "$side" = A ]; then sha=$sha_a; else sha=$sha_b; fi
+        read -r -a run_out < <(run "$sha")
+        for ((k = 0; k < nmetrics; k++)); do
+            values[$side,$k,$i]=${run_out[k]}
+        done
+        [ "${run_out[nmetrics]}" = 0 ] ||
+            failures+=("pair $((i + 1)) $side: failed ${run_out[nmetrics]}")
+    done
+    line=$(printf 'pair %2d (%s first):' $((i + 1)) "${order[0]}")
+    for ((k = 0; k < nmetrics; k++)); do
+        line+=$(awk -v name="${metrics[k]}" -v d="$(decimals "$k")" \
+            -v a="${values[A,$k,$i]}" -v b="${values[B,$k,$i]}" \
+            'BEGIN { f = "%." d "f"; printf "  %s A " f " B " f " B/A %.3f", name, a, b, (a != 0 ? b / a : 0) }')
+    done
+    echo "$line"
 done
 
 # Median and quartiles (linear interpolation between order statistics)
@@ -112,22 +126,28 @@ summary() {
         function q(p,   h, lo) { h = (NR - 1) * p; lo = int(h); return x[lo] + (h - lo) * (x[lo + 1] - x[lo]) }
         END { f = "%." d "f"; printf "median " f "  q1 " f "  q3 " f "  iqr " f, q(0.5), q(0.25), q(0.75), q(0.75) - q(0.25) }'
 }
-echo "A units_per_s:    $(summary 1 "${a_values[@]}")"
-echo "B units_per_s:    $(summary 1 "${b_values[@]}")"
-echo "A peak_rss_bytes: $(summary 0 "${a_rss[@]}")"
-echo "B peak_rss_bytes: $(summary 0 "${b_rss[@]}")"
-echo "A setup_s:        $(summary 3 "${a_setup[@]}")"
-echo "B setup_s:        $(summary 3 "${b_setup[@]}")"
-won=0
-ties=0
-for ((i = 0; i < pairs; i++)); do
-    if awk -v a="${a_values[i]}" -v b="${b_values[i]}" 'BEGIN { exit !(b > a) }'; then
-        won=$((won + 1))
-    elif awk -v a="${a_values[i]}" -v b="${b_values[i]}" 'BEGIN { exit !(b == a) }'; then
-        ties=$((ties + 1))
-    fi
+for ((k = 0; k < nmetrics; k++)); do
+    for side in A B; do
+        column=()
+        for ((i = 0; i < pairs; i++)); do column+=("${values[$side,$k,$i]}"); done
+        printf '%s %-16s %s\n' "$side" "${metrics[k]}:" "$(summary "$(decimals "$k")" "${column[@]}")"
+    done
 done
-echo "pairs won by B: $won of $pairs ($ties tied)"
+for ((k = 0; k < nmetrics; k++)); do
+    won=0
+    ties=0
+    for ((i = 0; i < pairs; i++)); do
+        a=${values[A,$k,$i]}
+        b=${values[B,$k,$i]}
+        if awk -v a="$a" -v b="$b" 'BEGIN { exit !(a == b) }'; then
+            ties=$((ties + 1))
+        elif awk -v a="$a" -v b="$b" -v dir="${better[k]}" \
+            'BEGIN { exit !(dir == "higher" ? b > a : b < a) }'; then
+            won=$((won + 1))
+        fi
+    done
+    echo "pairs won by B on ${metrics[k]} (${better[k]} is better): $won of $pairs ($ties tied)"
+done
 if [ ${#failures[@]} -eq 0 ]; then
     echo "runs with failed > 0: none"
 else

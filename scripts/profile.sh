@@ -14,7 +14,11 @@
 # pin; every sampled address is resolved with `addr2line -i`, so inlined
 # frames count. Printed, as Markdown tables:
 #
-# * the share of samples per innermost (inlined) function, top 25;
+# * the share of samples per innermost (inlined) function, top 25; a
+#   sample whose innermost frame lies outside the benchmark binary (libc,
+#   libm, the loader) is listed as "<module file> ← <innermost in-binary
+#   function>", since addr2line sees only a shared library's exported
+#   names and would file a memset under whichever export precedes it;
 # * for each LABEL=REGEX, the share of samples with any frame, inlined
 #   ones included, that matches REGEX (an awk extended regex) as the line
 #   "function @ file:line", e.g. 'heap=binary_heap' or
@@ -80,7 +84,7 @@ done < <(grep '^M ' "$work/samples.txt")
 
 echo "${sha:0:12} $workload, ${seconds} s"
 # Emits "TOTAL n", "SELF count function" and "LABEL count name" lines.
-LABELS=$(printf '%s\n' "$@") awk '
+LABELS=$(printf '%s\n' "$@") BINARY=$(readlink -f "$build/release/benchmark") awk '
     BEGIN {
         n = split(ENVIRON["LABELS"], spec, "\n")
         for (i = 1; i <= n; i++) {
@@ -118,21 +122,45 @@ LABELS=$(printf '%s\n' "$@") awk '
         }
         next
     }
+    # Loaded modules: "M <index> <path>"; remember which is the binary.
+    /^M / {
+        module_file[$2] = $3
+        sub(/.*\//, "", module_file[$2])
+        if ($3 == ENVIRON["BINARY"]) binary = $2
+        next
+    }
     /^S/ {
         total++
         funcs = ""
         for (i = 2; i <= NF; i++) {
             f = ($i in chain) ? chain[$i] : "??"
             funcs = funcs "\n" f
-            if (i == 2) {
-                leaf = f
-                sub(/ @ .*/, "", leaf)
-                self[leaf]++
-            }
         }
+        self[leaf_name()]++
         for (l = 1; l <= nlabels; l++) {
             if (funcs ~ regex[l]) hit[l]++
         }
+    }
+    # The innermost function of frame token $i ("module:address").
+    function innermost(i,   f) {
+        f = ($i in chain) ? chain[$i] : "??"
+        if (index(f, "\n")) f = substr(f, 1, index(f, "\n") - 1)
+        sub(/ @ .*/, "", f)
+        return f
+    }
+    # The leaf of the current sample: its innermost function when the
+    # leaf frame is in the binary, else "<module file> ← <the innermost
+    # function of the first frame in the binary>".
+    function leaf_name(   j, module, file) {
+        module = $2
+        sub(/:.*/, "", module)
+        if (module == binary) return innermost(2)
+        file = "?"
+        if (module in module_file) file = module_file[module]
+        for (j = 3; j <= NF; j++) {
+            if (index($j, binary ":") == 1) return file " ← " innermost(j)
+        }
+        return file " ← ??"
     }
     END {
         print "TOTAL\t" total + 0
