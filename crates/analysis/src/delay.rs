@@ -37,6 +37,19 @@ impl DelayComponent {
         ]
     }
 
+    /// Lowercase machine key (`last-mile`, …), as used by the
+    /// observability report's JSON members and table columns.
+    pub fn key(self) -> &'static str {
+        match self {
+            DelayComponent::Upload => "upload",
+            DelayComponent::Chunking => "chunking",
+            DelayComponent::Wowza2Fastly => "wowza2fastly",
+            DelayComponent::Polling => "polling",
+            DelayComponent::LastMile => "last-mile",
+            DelayComponent::Buffering => "buffering",
+        }
+    }
+
     /// Figure label.
     pub fn label(&self) -> &'static str {
         match self {
@@ -206,6 +219,25 @@ mod tests {
         assert!(row.contains("Buffering"));
         assert!(!row.contains("Chunking"));
         assert!(row.contains("1.40s"));
+    }
+
+    #[test]
+    fn component_keys_are_lowercase_and_in_pipeline_order() {
+        let keys: Vec<_> = DelayComponent::all().iter().map(|c| c.key()).collect();
+        assert_eq!(
+            keys,
+            [
+                "upload",
+                "chunking",
+                "wowza2fastly",
+                "polling",
+                "last-mile",
+                "buffering"
+            ]
+        );
+        for (i, c) in DelayComponent::all().into_iter().enumerate() {
+            assert_eq!(c as usize, i);
+        }
     }
 
     #[test]

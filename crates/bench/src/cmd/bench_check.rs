@@ -79,7 +79,8 @@ const GATE: &[MetricSpec] = &[
 
 /// The graph-build gate: every deterministic fact about the divisor-1000
 /// replay graph's two-phase construction, plus one wall-clock *canary*.
-/// `wall_s` is the sole exception to the no-wall-clock rule: its ±300%
+/// `wall_s` (the fastest of [`GRAPH_BUILD_RUNS`] builds) is the sole
+/// exception to the no-wall-clock rule: its ±300%
 /// tolerance cannot trip on scheduler jitter or a slower CI host — it
 /// exists so an accidental O(V·E) regression in the generator (the
 /// failure mode the redesign removed) fails loudly instead of quietly
@@ -143,21 +144,39 @@ struct GraphDoc {
     graph_build: GraphBuild,
 }
 
+/// Graph builds [`fresh_graph_doc`] times. `wall_s` is the fastest of
+/// them, so neither a baseline written at a quiet moment nor a check run
+/// at a busy one rests on a single sample.
+const GRAPH_BUILD_RUNS: usize = 3;
+
 /// Fresh `GRAPH_build.json` artifact: the divisor-1000 replay graph
-/// (`bench_replay`'s base run) rebuilt through the same
-/// spec + seed path the workload uses, with every [`GRAPH_GATE`] input.
+/// (`bench_replay`'s base run) rebuilt [`GRAPH_BUILD_RUNS`] times through
+/// the same spec + seed path the workload uses, with every
+/// [`GRAPH_GATE`] input. Every build must yield the same adjacency.
 #[expect(
     clippy::disallowed_methods,
     reason = "graph_build.wall_s, the +/-300% anti-catastrophe canary"
 )]
 fn fresh_graph_doc() -> String {
     let scenario = ScenarioConfig::periscope_study();
-    let t0 = Instant::now();
-    let (graph, stats) = DiGraph::generate_with_stats(
-        &default_graph_spec(&scenario),
-        default_graph_seed(&scenario),
+    let (spec, seed) = (default_graph_spec(&scenario), default_graph_seed(&scenario));
+    let builds: Vec<_> = (0..GRAPH_BUILD_RUNS)
+        .map(|_| {
+            let t0 = Instant::now();
+            let (graph, stats) = DiGraph::generate_with_stats(&spec, seed);
+            (t0.elapsed().as_secs_f64(), graph, stats)
+        })
+        .collect();
+    let checksums: Vec<u64> = builds
+        .iter()
+        .map(|(_, g, _)| g.adjacency_checksum())
+        .collect();
+    assert!(
+        checksums.windows(2).all(|w| w[0] == w[1]),
+        "repeated divisor-1000 graph builds differ: {checksums:#x?}"
     );
-    let wall_s = t0.elapsed().as_secs_f64();
+    let wall_s = builds.iter().map(|b| b.0).fold(f64::INFINITY, f64::min);
+    let (_, graph, stats) = &builds[0];
     json_line(&GraphDoc {
         bench: "graph_build",
         graph_build: GraphBuild {

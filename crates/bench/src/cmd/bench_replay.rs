@@ -360,21 +360,52 @@ pub fn run(mut args: Args, _results: &Path) -> Result<ExitCode, UsageError> {
 mod tests {
     use super::*;
 
+    const COMMITTED: &str = include_str!("../../../../BENCH_replay.json");
+
     #[test]
     fn committed_bench_replay_fits_the_writer() {
-        let committed = include_str!("../../../../BENCH_replay.json");
-        serde_json::from_str::<super::ReplayDoc>(committed).expect("fits ReplayDoc");
+        serde_json::from_str::<super::ReplayDoc>(COMMITTED).expect("fits ReplayDoc");
     }
 
-    /// The divisor-1000 record checksum: the explicit-graph replay equals
-    /// the stream-owned-graph path **and** the committed value, so a
-    /// change that moves both paths together is still seen. The same
-    /// divisor's graph checksums are pinned in `csr_regression`
-    /// (K = 1, 2, 6) and `baselines/GRAPH_build.json`.
+    /// The divisor-1000 replay: its record checksum equals the
+    /// stream-owned-graph path's, and every deterministic field equals
+    /// the committed `BENCH_replay.json` row, so a change that moves
+    /// both paths together — or moves what the file reports without
+    /// regenerating it — is seen. The same divisor's graph checksums are
+    /// also pinned in `csr_regression` (K = 1, 2, 6) and
+    /// `baselines/GRAPH_build.json`.
     #[test]
     fn divisor_1000_records_match_the_owned_graph_path_and_the_pin() {
         let run = replay(1_000.0, &Telemetry::disabled());
         assert_eq!(run.checksum, hex(owned_graph_digest(1_000.0)));
-        assert_eq!(run.checksum, hex(0x364b4c5590d94b2b));
+        let doc: ReplayDoc = serde_json::from_str(COMMITTED).expect("fits ReplayDoc");
+        let pin = doc
+            .runs
+            .iter()
+            .find(|r| r.divisor == 1_000.0)
+            .expect("a divisor-1000 row");
+        let replay_facts = |r: &ReplayRun| {
+            (
+                r.records,
+                r.mobile_views,
+                r.peak_tracked_bytes,
+                r.recorded,
+                r.missed,
+                r.checksum.clone(),
+                r.summary_digest.clone(),
+            )
+        };
+        assert_eq!(replay_facts(&run), replay_facts(pin));
+        let graph_facts = |g: &GraphBuild| {
+            (
+                g.peak_bytes,
+                g.resident_bytes,
+                g.edges,
+                g.max_in_degree,
+                g.swaps_applied,
+                g.adjacency_checksum.clone(),
+            )
+        };
+        assert_eq!(graph_facts(&run.graph_build), graph_facts(&pin.graph_build));
     }
 }

@@ -6,10 +6,11 @@
 //! configurations, the one capture path and the `OBS_report.json`
 //! document layout live here, in one place.
 
+use livescope_analysis::{DelayBreakdown, DelayComponent};
 use livescope_cdn::{run_fanout, FanoutConfig, FanoutReport};
 use livescope_core::experiments::breakdown::{self, BreakdownConfig};
 use livescope_telemetry::report::{QoeCohort, StageDist};
-use livescope_telemetry::{DelayStage, ObsReport, StageDelays, Telemetry, TimedEvent};
+use livescope_telemetry::{ObsReport, Telemetry, TimedEvent};
 use serde::Serialize;
 use serde_json::Value;
 
@@ -79,7 +80,7 @@ struct LedgerDoc {
     rtmp_units: u64,
     hls_chunks: u64,
     unmatched_chunks: u64,
-    /// Stage means keyed by `DelayStage::label()`, then `total`.
+    /// Stage means keyed by `DelayComponent::key()`, then `total`.
     rtmp: Value,
     hls: Value,
 }
@@ -104,7 +105,7 @@ struct PopDoc {
     pop: u16,
     chunks: u64,
     viewers: u64,
-    /// One [`StageDistDoc`] per stage, keyed by `DelayStage::label()`.
+    /// One [`StageDistDoc`] per stage, keyed by `DelayComponent::key()`.
     stages: Value,
     total_mean_s: f64,
 }
@@ -156,10 +157,10 @@ pub struct ReportDoc {
 }
 
 /// A JSON object with one member per delay stage, in pipeline order.
-fn by_stage(member: impl Fn(usize, DelayStage) -> Value) -> Vec<(String, Value)> {
-    let stages = DelayStage::all().into_iter().enumerate();
-    stages
-        .map(|(i, stage)| (stage.label().to_string(), member(i, stage)))
+fn by_stage(member: impl Fn(DelayComponent) -> Value) -> Vec<(String, Value)> {
+    DelayComponent::all()
+        .into_iter()
+        .map(|c| (c.key().to_string(), member(c)))
         .collect()
 }
 
@@ -170,8 +171,8 @@ impl ReportDoc {
             .counts
             .iter()
             .map(|(kind, n)| (kind.to_string(), n.to_value()));
-        let stage_means = |d: &StageDelays| {
-            let mut row = by_stage(|_, stage| secs(d.stage(stage)).to_value());
+        let stage_means = |d: &DelayBreakdown| {
+            let mut row = by_stage(|c| secs(d.get(c)).to_value());
             row.push(("total".to_string(), secs(d.total_s()).to_value()));
             Value::Object(row)
         };
@@ -191,7 +192,7 @@ impl ReportDoc {
             pop: p.pop,
             chunks: p.chunks,
             viewers: p.viewers,
-            stages: Value::Object(by_stage(|i, _| stage_dist(&p.stages[i]).to_value())),
+            stages: Value::Object(by_stage(|c| stage_dist(&p.stages[c as usize]).to_value())),
             total_mean_s: secs(p.total_mean_s()),
         });
         let waterfalls = r.waterfalls.iter().map(|w| WaterfallDoc {
@@ -282,7 +283,7 @@ mod tests {
             viewers: 1,
             ..PopBreakdown::default()
         };
-        pop.stages[DelayStage::LastMile as usize] = StageDist {
+        pop.stages[DelayComponent::LastMile as usize] = StageDist {
             count: 1,
             mean_s: 0.2,
             p95_s: 0.2000004,

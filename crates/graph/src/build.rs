@@ -2,10 +2,12 @@
 //!
 //! The generators in [`crate::generate`] stream their RNG decisions into a
 //! flat, source-grouped target array plus a `u64` prefix-sum of per-node
-//! out-degrees (phase 1). This module owns phase 2: turning that grouped
-//! edge list into both CSR directions with counting sort in `O(V + E)`,
-//! plus the slot-to-source index (`CsrScratch`) the follow rewiring
-//! loop reads once per edge it draws.
+//! out-degrees (phase 1). This module owns phase 2: narrowing that prefix
+//! sum to the graph's `u32` offsets (`narrow_offsets`, the one place a
+//! graph past `u32::MAX` edges is refused) and turning the grouped edge
+//! list into both CSR directions with counting sort in `O(V + E)`, plus
+//! the slot-to-source index (`CsrScratch`) the follow rewiring loop reads
+//! once per edge it draws.
 //!
 //! Determinism argument: counting sort is a *stable* scatter — sources are
 //! visited in ascending order, so every in-adjacency list comes out sorted
@@ -31,7 +33,7 @@
 
 use livescope_sim::run_parts;
 
-use crate::digraph::{DiGraph, NodeId, OffsetWord, Offsets};
+use crate::digraph::{DiGraph, NodeId};
 
 /// Build-time statistics for one [`DiGraph::generate_with_stats`]
 /// (`crate::generate`) run. Everything here is deterministic for a given
@@ -85,14 +87,14 @@ fn node_bound(w: usize, workers: usize, n: usize) -> usize {
 /// `in_offsets[1..]`) and scans the full target array, counting only
 /// targets in its range. Commutative per-slot addition with a single
 /// writer per slot — identical to the sequential count for any K.
-fn count_in_degrees<O: OffsetWord>(
+fn count_in_degrees(
     node_count: usize,
     out_targets: &[NodeId],
-    in_offsets: &mut [O],
+    in_offsets: &mut [u32],
     workers: usize,
 ) {
-    let mut parts: Vec<(std::ops::Range<usize>, &mut [O])> = Vec::with_capacity(workers);
-    let mut rest: &mut [O] = &mut in_offsets[1..];
+    let mut parts: Vec<(std::ops::Range<usize>, &mut [u32])> = Vec::with_capacity(workers);
+    let mut rest: &mut [u32] = &mut in_offsets[1..];
     for w in 0..workers {
         let (start, end) = (
             node_bound(w, workers, node_count),
@@ -106,7 +108,7 @@ fn count_in_degrees<O: OffsetWord>(
         for &v in out_targets {
             let v = v as usize;
             if range.contains(&v) {
-                counts[v - range.start] += O::ONE;
+                counts[v - range.start] += 1;
             }
         }
     });
@@ -117,11 +119,11 @@ fn count_in_degrees<O: OffsetWord>(
 /// totals, then a parallel base-offset pass. Pure integer addition in a
 /// fixed association, so the result is bit-identical to the sequential
 /// prefix sum for any K.
-fn prefix_sum<O: OffsetWord>(in_offsets: &mut [O], workers: usize) {
+fn prefix_sum(in_offsets: &mut [u32], workers: usize) {
     let node_count = in_offsets.len() - 1;
-    fn split<O>(in_offsets: &mut [O], workers: usize, node_count: usize) -> Vec<&mut [O]> {
-        let mut blocks: Vec<&mut [O]> = Vec::with_capacity(workers);
-        let mut rest: &mut [O] = &mut in_offsets[1..];
+    fn split(in_offsets: &mut [u32], workers: usize, node_count: usize) -> Vec<&mut [u32]> {
+        let mut blocks: Vec<&mut [u32]> = Vec::with_capacity(workers);
+        let mut rest: &mut [u32] = &mut in_offsets[1..];
         for w in 0..workers {
             let len = node_bound(w + 1, workers, node_count) - node_bound(w, workers, node_count);
             let (head, tail) = std::mem::take(&mut rest).split_at_mut(len);
@@ -131,7 +133,7 @@ fn prefix_sum<O: OffsetWord>(in_offsets: &mut [O], workers: usize) {
         blocks
     }
     run_parts(split(in_offsets, workers, node_count), |block| {
-        let mut acc = O::default();
+        let mut acc = 0;
         for x in block.iter_mut() {
             acc += *x;
             *x = acc;
@@ -140,7 +142,7 @@ fn prefix_sum<O: OffsetWord>(in_offsets: &mut [O], workers: usize) {
     // Carry walk: block w's base is the sum of all earlier block totals
     // (each block's total now sits in its last element).
     let mut bases = Vec::with_capacity(workers);
-    let mut carry = O::default();
+    let mut carry = 0;
     for w in 0..workers {
         bases.push(carry);
         let end = node_bound(w + 1, workers, node_count);
@@ -154,7 +156,7 @@ fn prefix_sum<O: OffsetWord>(in_offsets: &mut [O], workers: usize) {
             .zip(bases)
             .collect(),
         |(block, base)| {
-            if base.index() != 0 {
+            if base != 0 {
                 for x in block.iter_mut() {
                     *x += base;
                 }
@@ -170,29 +172,34 @@ fn prefix_sum<O: OffsetWord>(in_offsets: &mut [O], workers: usize) {
 /// write cursors are its own in-offset slots, which it leaves one
 /// segment ahead (see [`transpose`]). See the module docs for the
 /// byte-identity argument.
-fn scatter<O: OffsetWord>(
+fn scatter(
     node_count: usize,
-    out_offsets: &[O],
+    out_offsets: &[u32],
     out_targets: &[NodeId],
-    in_offsets: &mut [O],
+    in_offsets: &mut [u32],
     in_sources: &mut [NodeId],
     workers: usize,
 ) {
-    let edge_total = in_offsets[node_count].index();
+    let edge_total = in_offsets[node_count] as usize;
     let mut tbounds = Vec::with_capacity(workers + 1);
     tbounds.push(0usize);
     for w in 1..workers {
         let want = edge_total * w / workers;
-        let t = in_offsets.partition_point(|e| e.index() < want);
+        let t = in_offsets.partition_point(|&e| (e as usize) < want);
         tbounds.push(t.max(tbounds[w - 1]).min(node_count));
     }
     tbounds.push(node_count);
     // Segment starts at the boundaries, read before the cursors move.
-    let starts: Vec<usize> = tbounds.iter().map(|&t| in_offsets[t].index()).collect();
+    let starts: Vec<usize> = tbounds.iter().map(|&t| in_offsets[t] as usize).collect();
 
-    type Part<'a, O> = (std::ops::Range<usize>, &'a mut [O], &'a mut [NodeId], usize);
-    let mut parts: Vec<Part<'_, O>> = Vec::with_capacity(workers);
-    let mut cur_rest: &mut [O] = &mut in_offsets[..node_count];
+    type Part<'a> = (
+        std::ops::Range<usize>,
+        &'a mut [u32],
+        &'a mut [NodeId],
+        usize,
+    );
+    let mut parts: Vec<Part<'_>> = Vec::with_capacity(workers);
+    let mut cur_rest: &mut [u32] = &mut in_offsets[..node_count];
     let mut src_rest: &mut [NodeId] = in_sources;
     for w in 0..workers {
         let (t0, t1) = (tbounds[w], tbounds[w + 1]);
@@ -204,13 +211,13 @@ fn scatter<O: OffsetWord>(
     }
     run_parts(parts, |(range, cur, dst, base)| {
         for u in 0..node_count {
-            let (s, e) = (out_offsets[u].index(), out_offsets[u + 1].index());
+            let (s, e) = (out_offsets[u] as usize, out_offsets[u + 1] as usize);
             for &v in &out_targets[s..e] {
                 let vi = v as usize;
                 if range.contains(&vi) {
                     let c = &mut cur[vi - range.start];
-                    dst[c.index() - base] = u as NodeId;
-                    *c += O::ONE;
+                    dst[*c as usize - base] = u as NodeId;
+                    *c += 1;
                 }
             }
         }
@@ -221,42 +228,57 @@ fn scatter<O: OffsetWord>(
 /// sort that scatters through its own offsets leaves `offsets[k]` at the
 /// end of key `k`'s segment; this puts each end where it belongs, at
 /// `offsets[k + 1]`.
-pub(crate) fn shift_right<O: Copy + Default>(offsets: &mut [O]) {
+pub(crate) fn shift_right(offsets: &mut [u32]) {
     let keys = offsets.len() - 1;
     offsets.copy_within(0..keys, 1);
-    offsets[0] = O::default();
+    offsets[0] = 0;
+}
+
+/// Narrows a `u64` CSR prefix sum to the graph's `u32` offsets.
+///
+/// # Panics
+///
+/// If the edge total (the last entry) exceeds `u32::MAX`: no graph is
+/// built past that bound, which is ~18× the paper's Periscope graph.
+pub(crate) fn narrow_offsets(raw: Vec<u64>) -> Vec<u32> {
+    let total = raw.last().copied().unwrap_or(0);
+    assert!(
+        total <= u64::from(u32::MAX),
+        "a CSR of {total} edges exceeds the u32 offset limit of {} edges",
+        u32::MAX
+    );
+    raw.iter().map(|&x| x as u32).collect()
 }
 
 /// The in-direction of an out-CSR whose segments are sorted, by counting
-/// sort at offset width `O`: count each node's in-degree into
-/// `in_offsets[v + 1]`, prefix-sum, then scatter sources in ascending
-/// order with `in_offsets[v]` itself as node `v`'s write cursor, and
+/// sort: count each node's in-degree into `in_offsets[v + 1]`,
+/// prefix-sum, then scatter sources in ascending order with
+/// `in_offsets[v]` itself as node `v`'s write cursor, and
 /// [`shift_right`] the cursors back into offsets. Stable, so every
 /// in-list comes out sorted by source with no per-list sort. Returns
-/// `(in_offsets, in_sources)`, identical for every `workers` value and,
-/// entry for entry, for both widths.
-fn transpose<O: OffsetWord>(
+/// `(in_offsets, in_sources)`, identical for every `workers` value.
+fn transpose(
     node_count: usize,
-    out_offsets: &[O],
+    out_offsets: &[u32],
     out_targets: &[NodeId],
     workers: usize,
-) -> (Vec<O>, Vec<NodeId>) {
-    let mut in_offsets = vec![O::default(); node_count + 1];
+) -> (Vec<u32>, Vec<NodeId>) {
+    let mut in_offsets = vec![0u32; node_count + 1];
     let mut in_sources = vec![0 as NodeId; out_targets.len()];
     if workers == 1 {
         for &v in out_targets {
-            in_offsets[v as usize + 1] += O::ONE;
+            in_offsets[v as usize + 1] += 1;
         }
         for i in 0..node_count {
             let prev = in_offsets[i];
             in_offsets[i + 1] += prev;
         }
         for u in 0..node_count {
-            let (s, e) = (out_offsets[u].index(), out_offsets[u + 1].index());
+            let (s, e) = (out_offsets[u] as usize, out_offsets[u + 1] as usize);
             for &v in &out_targets[s..e] {
                 let c = &mut in_offsets[v as usize];
-                in_sources[c.index()] = u as NodeId;
-                *c += O::ONE;
+                in_sources[*c as usize] = u as NodeId;
+                *c += 1;
             }
         }
     } else {
@@ -276,12 +298,10 @@ fn transpose<O: OffsetWord>(
 }
 
 /// Phase 2: assembles a [`DiGraph`] from an out-CSR whose segments are
-/// already sorted and deduplicated, allocating nothing the graph does not
-/// keep: the target array is trimmed to its length, the out-offsets are
-/// narrowed to their final width (`u32` iff the edge total is at most
-/// `u32::MAX`, the [`Offsets::from_u64`] rule) before anything
-/// in-direction exists, and [`transpose`] builds the in-direction at that
-/// same width.
+/// already sorted and deduplicated (offsets narrowed by
+/// [`narrow_offsets`]), allocating nothing the graph does not keep: the
+/// target array is trimmed to its length before [`transpose`] builds the
+/// in-direction.
 ///
 /// `workers > 1` splits every pass over disjoint target-node ranges (see
 /// the module docs); the single-worker path keeps the branch-free
@@ -289,7 +309,7 @@ fn transpose<O: OffsetWord>(
 /// value.
 pub(crate) fn assemble(
     node_count: usize,
-    out_offsets: Vec<u64>,
+    out_offsets: Vec<u32>,
     mut out_targets: Vec<NodeId>,
     workers: usize,
     peak: &mut PeakTracker,
@@ -301,32 +321,12 @@ pub(crate) fn assemble(
     );
     let workers = workers.clamp(1, node_count.max(1));
     out_targets.shrink_to_fit();
-    match Offsets::from_u64(out_offsets) {
-        Offsets::U32(out) => assemble_at(node_count, out, out_targets, workers, peak),
-        Offsets::U64(out) => assemble_at(node_count, out, out_targets, workers, peak),
-    }
-}
-
-/// [`assemble`] once the width is chosen.
-fn assemble_at<O: OffsetWord>(
-    node_count: usize,
-    out_offsets: Vec<O>,
-    out_targets: Vec<NodeId>,
-    workers: usize,
-    peak: &mut PeakTracker,
-) -> DiGraph {
     let (in_offsets, in_sources) = transpose(node_count, &out_offsets, &out_targets, workers);
     peak.observe(
-        (out_offsets.capacity() + in_offsets.capacity()) * std::mem::size_of::<O>()
+        (out_offsets.capacity() + in_offsets.capacity()) * std::mem::size_of::<u32>()
             + (out_targets.capacity() + in_sources.capacity()) * std::mem::size_of::<NodeId>(),
     );
-    DiGraph::from_parts(
-        node_count,
-        O::into_offsets(out_offsets),
-        out_targets,
-        O::into_offsets(in_offsets),
-        in_sources,
-    )
+    DiGraph::from_parts(node_count, out_offsets, out_targets, in_offsets, in_sources)
 }
 
 /// Flat edges per `source_of` hint block (`1 << BLOCK_SHIFT`).
@@ -433,7 +433,7 @@ mod tests {
     #[test]
     fn parallel_assemble_matches_sequential_for_every_worker_count() {
         // 0→{1,2}, 1→{0,2,3}, 2→{1}, 3→{} plus heavy in-degree on 2.
-        let offsets = vec![0u64, 2, 5, 6, 6, 8, 10];
+        let offsets = vec![0u32, 2, 5, 6, 6, 8, 10];
         let targets = vec![1, 2, 0, 2, 3, 1, 2, 4, 2, 5];
         let mut peak = PeakTracker::default();
         let seq = assemble(6, offsets.clone(), targets.clone(), 1, &mut peak);
@@ -455,61 +455,20 @@ mod tests {
         }
     }
 
-    /// Runs [`transpose`] on one out-CSR at both widths and workers 1, 2
-    /// and 6, asserting the same offset values and sources everywhere and
-    /// that they are `want`'s. No in-tree graph has more than `u32::MAX`
-    /// edges, so this is what reaches the `u64` instantiation.
-    fn assert_widths_agree(
-        node_count: usize,
-        out_offsets: &[u64],
-        targets: &[NodeId],
-        want: &DiGraph,
-    ) {
-        let narrow: Vec<u32> = out_offsets.iter().map(|&x| x as u32).collect();
-        let (want_off, want_src) = want.in_csr();
-        let want_off: Vec<u64> = (0..want_off.len()).map(|i| want_off.at(i) as u64).collect();
-        for workers in [1, 2, 6] {
-            let (off32, src32) = transpose::<u32>(node_count, &narrow, targets, workers);
-            let (off64, src64) = transpose::<u64>(node_count, out_offsets, targets, workers);
-            let off32: Vec<u64> = off32.into_iter().map(u64::from).collect();
-            assert_eq!(off32, off64, "workers={workers}");
-            assert_eq!(src32, src64, "workers={workers}");
-            assert_eq!(off64, want_off, "workers={workers}");
-            assert_eq!(src64, want_src, "workers={workers}");
-        }
-    }
-
-    /// The raw out-CSR of a built graph at `u64` width.
-    fn out_csr_u64(g: &DiGraph) -> (Vec<u64>, Vec<NodeId>) {
-        let (off, targets) = g.out_csr();
-        (
-            (0..off.len()).map(|i| off.at(i) as u64).collect(),
-            targets.to_vec(),
-        )
+    #[test]
+    fn narrow_offsets_keeps_an_edge_total_of_u32_max() {
+        assert_eq!(
+            narrow_offsets(vec![0, u64::from(u32::MAX)]),
+            vec![0, u32::MAX]
+        );
     }
 
     #[test]
-    fn transpose_is_width_invariant_on_a_generated_graph() {
-        let g = DiGraph::generate(&crate::GraphSpec::periscope().with_nodes(2_000), 42);
-        assert!(g.edge_count() > 10_000, "{}", g.edge_count());
-        let (offsets, targets) = out_csr_u64(&g);
-        assert_widths_agree(g.node_count(), &offsets, &targets, &g);
-    }
-
-    #[test]
-    fn transpose_is_width_invariant_on_an_edge_list() {
-        // Unsorted, with duplicates and self-loops for `from_edges_with`
-        // to drop: node u follows (7u + 3k) mod 300 for k < u mod 11.
-        let n = 300u32;
-        let edges: Vec<(NodeId, NodeId)> = (0..n)
-            .flat_map(|u| (0..u % 11).map(move |k| (u, (7 * u + 3 * k) % n)))
-            .chain([(5, 5), (9, 1), (9, 1)])
-            .rev()
-            .collect();
-        let g = DiGraph::from_edges_with(n as usize, &edges, 2);
-        assert!(g.edge_count() > 1_000, "{}", g.edge_count());
-        let (offsets, targets) = out_csr_u64(&g);
-        assert_widths_agree(g.node_count(), &offsets, &targets, &g);
+    #[should_panic(
+        expected = "a CSR of 4294967296 edges exceeds the u32 offset limit of 4294967295"
+    )]
+    fn narrow_offsets_refuses_an_edge_total_past_u32_max() {
+        narrow_offsets(vec![0, u64::from(u32::MAX) + 1]);
     }
 
     #[test]
@@ -517,14 +476,14 @@ mod tests {
         let mut ends = [3u32, 3, 5, 5];
         shift_right(&mut ends);
         assert_eq!(ends, [0, 3, 3, 5]);
-        let mut empty = [0u64];
+        let mut empty = [0u32];
         shift_right(&mut empty);
         assert_eq!(empty, [0]);
     }
 
     #[test]
     fn parallel_assemble_peak_bytes_is_worker_invariant() {
-        let offsets = vec![0u64, 2, 5, 6, 6, 8, 10];
+        let offsets = vec![0u32, 2, 5, 6, 6, 8, 10];
         let targets = vec![1, 2, 0, 2, 3, 1, 2, 4, 2, 5];
         let mut peak1 = PeakTracker::default();
         assemble(6, offsets.clone(), targets.clone(), 1, &mut peak1);

@@ -6,11 +6,10 @@
 //! materialized because follower analyses need in-degree (who follows me)
 //! as cheaply as out-degree (whom I follow).
 //!
-//! Offsets are width-adaptive (DESIGN.md §12): graphs under 2³² edges —
-//! which includes the paper's 231M-edge Periscope graph — store `u32`
-//! offset arrays, half the resident bytes of the former `Vec<usize>`
-//! layout; larger graphs fall back to `u64` transparently behind the same
-//! slice API.
+//! CSR offsets are `u32` (DESIGN.md §12): the paper's 231M-edge Periscope
+//! graph uses about 5 % of their range, at half the resident bytes of
+//! `u64` offsets. A graph with more than `u32::MAX` edges is refused at
+//! assembly (`build::narrow_offsets`) rather than built at a second width.
 
 use livescope_sim::rng::splitmix64;
 
@@ -20,154 +19,14 @@ use crate::build::{self, PeakTracker};
 /// the scaled-down experiments and far smaller in memory than `usize`.
 pub type NodeId = u32;
 
-/// Width-adaptive CSR offset array: `u32` entries while the edge count
-/// fits, `u64` beyond.
-#[derive(Clone, Debug)]
-pub(crate) enum Offsets {
-    /// Narrow offsets (edge count < 2³²).
-    U32(Vec<u32>),
-    /// Wide offsets.
-    U64(Vec<u64>),
-}
-
-impl Offsets {
-    /// Narrows a `u64` prefix-sum array to `u32` when every entry fits
-    /// (the edge total is at most `u32::MAX`); a wide array is trimmed to
-    /// its length.
-    pub(crate) fn from_u64(mut raw: Vec<u64>) -> Offsets {
-        match raw.last() {
-            Some(&total) if total > u32::MAX as u64 => {
-                raw.shrink_to_fit();
-                Offsets::U64(raw)
-            }
-            _ => Offsets::U32(raw.iter().map(|&x| x as u32).collect()),
-        }
-    }
-
-    #[inline]
-    fn at(&self, i: usize) -> usize {
-        match self {
-            Offsets::U32(v) => v[i] as usize,
-            Offsets::U64(v) => v[i] as usize,
-        }
-    }
-
-    fn entries(&self) -> usize {
-        match self {
-            Offsets::U32(v) => v.len(),
-            Offsets::U64(v) => v.len(),
-        }
-    }
-
-    fn heap_bytes(&self) -> usize {
-        match self {
-            Offsets::U32(v) => v.capacity() * 4,
-            Offsets::U64(v) => v.capacity() * 8,
-        }
-    }
-
-    fn view(&self) -> OffsetsView<'_> {
-        match self {
-            Offsets::U32(v) => OffsetsView::U32(v),
-            Offsets::U64(v) => OffsetsView::U64(v),
-        }
-    }
-}
-
-/// One offset entry width, `u32` or `u64`: the arithmetic the CSR
-/// counting sort (`build::transpose`) runs in, and the [`Offsets`]
-/// variant that stores the result.
-pub(crate) trait OffsetWord:
-    Copy + Default + Send + Sync + std::ops::Add<Output = Self> + std::ops::AddAssign
-{
-    /// The count one edge adds.
-    const ONE: Self;
-
-    /// The entry as a slice index.
-    fn index(self) -> usize;
-
-    /// Wraps a finished offset array of this width.
-    fn into_offsets(raw: Vec<Self>) -> Offsets;
-}
-
-impl OffsetWord for u32 {
-    const ONE: u32 = 1;
-
-    #[inline]
-    fn index(self) -> usize {
-        self as usize
-    }
-
-    fn into_offsets(raw: Vec<u32>) -> Offsets {
-        Offsets::U32(raw)
-    }
-}
-
-impl OffsetWord for u64 {
-    const ONE: u64 = 1;
-
-    #[inline]
-    fn index(self) -> usize {
-        self as usize
-    }
-
-    fn into_offsets(raw: Vec<u64>) -> Offsets {
-        Offsets::U64(raw)
-    }
-}
-
-/// Borrowed view of one CSR offset array — the raw counterpart of the
-/// neighbor-slice API, for checksum/serialization paths that want to walk
-/// the layout without per-node iterator plumbing.
-#[derive(Clone, Copy, Debug)]
-pub enum OffsetsView<'a> {
-    /// Narrow offsets (edge count < 2³²).
-    U32(&'a [u32]),
-    /// Wide offsets.
-    U64(&'a [u64]),
-}
-
-impl OffsetsView<'_> {
-    /// Offset entry `i` (entry `u` is where node `u`'s segment starts;
-    /// entry `node_count` is the edge total).
-    #[inline]
-    pub fn at(self, i: usize) -> usize {
-        match self {
-            OffsetsView::U32(v) => v[i] as usize,
-            OffsetsView::U64(v) => v[i] as usize,
-        }
-    }
-
-    /// Number of entries (`node_count + 1`).
-    pub fn len(self) -> usize {
-        match self {
-            OffsetsView::U32(v) => v.len(),
-            OffsetsView::U64(v) => v.len(),
-        }
-    }
-
-    /// True when the array has no entries (never for a built graph).
-    pub fn is_empty(self) -> bool {
-        self.len() == 0
-    }
-
-    /// Bytes per stored entry (4 or 8) — the width the graph chose.
-    pub fn entry_bytes(self) -> usize {
-        match self {
-            OffsetsView::U32(_) => 4,
-            OffsetsView::U64(_) => 8,
-        }
-    }
-}
-
 /// O(1) degree lookups without the neighbor slices: both offset arrays,
 /// nothing else. This is what hot accounting paths (the replay's
 /// per-record follower lookup, the bench's degree statistics) should hold
 /// instead of re-deriving degrees from slice lengths.
 #[derive(Clone, Copy, Debug)]
 pub struct DegreeView<'a> {
-    out: OffsetsView<'a>,
-    inn: OffsetsView<'a>,
+    out: &'a [u32],
+    inn: &'a [u32],
 }
 
 impl DegreeView<'_> {
@@ -179,13 +38,13 @@ impl DegreeView<'_> {
     /// Follow count of `u` (out-degree).
     #[inline]
     pub fn out_degree(&self, u: NodeId) -> usize {
-        self.out.at(u as usize + 1) - self.out.at(u as usize)
+        (self.out[u as usize + 1] - self.out[u as usize]) as usize
     }
 
     /// Follower count of `u` (in-degree).
     #[inline]
     pub fn in_degree(&self, u: NodeId) -> usize {
-        self.inn.at(u as usize + 1) - self.inn.at(u as usize)
+        (self.inn[u as usize + 1] - self.inn[u as usize]) as usize
     }
 
     /// Total degree (in + out), the quantity undirected-style metrics use.
@@ -215,9 +74,9 @@ impl DegreeView<'_> {
 /// (in [`crate::generate`]) for the synthetic social-graph presets.
 #[derive(Clone, Debug)]
 pub struct DiGraph {
-    out_offsets: Offsets,
+    out_offsets: Vec<u32>,
     out_targets: Vec<NodeId>,
-    in_offsets: Offsets,
+    in_offsets: Vec<u32>,
     in_sources: Vec<NodeId>,
 }
 
@@ -225,13 +84,13 @@ impl DiGraph {
     /// Internal assembly entry point — parts must already be consistent.
     pub(crate) fn from_parts(
         node_count: usize,
-        out_offsets: Offsets,
+        out_offsets: Vec<u32>,
         out_targets: Vec<NodeId>,
-        in_offsets: Offsets,
+        in_offsets: Vec<u32>,
         in_sources: Vec<NodeId>,
     ) -> DiGraph {
-        debug_assert_eq!(out_offsets.entries(), node_count + 1);
-        debug_assert_eq!(in_offsets.entries(), node_count + 1);
+        debug_assert_eq!(out_offsets.len(), node_count + 1);
+        debug_assert_eq!(in_offsets.len(), node_count + 1);
         debug_assert_eq!(out_targets.len(), in_sources.len());
         DiGraph {
             out_offsets,
@@ -278,9 +137,10 @@ impl DiGraph {
         for i in 0..node_count {
             offsets[i + 1] += offsets[i];
         }
+        let mut offsets = build::narrow_offsets(offsets);
         // `offsets[u]` is u's write cursor; the scatter leaves it at the
         // start of `u + 1`'s segment, which the shift puts back.
-        let mut targets = vec![0 as NodeId; *offsets.last().unwrap_or(&0) as usize];
+        let mut targets = vec![0 as NodeId; offsets[node_count] as usize];
         for &(u, v) in edges {
             if u != v {
                 let c = &mut offsets[u as usize];
@@ -292,7 +152,7 @@ impl DiGraph {
         // Sort each segment, dedup in place, compact left.
         let mut write = 0usize;
         let mut deduped = Vec::with_capacity(node_count + 1);
-        deduped.push(0u64);
+        deduped.push(0u32);
         for u in 0..node_count {
             let (s, e) = (offsets[u] as usize, offsets[u + 1] as usize);
             targets[s..e].sort_unstable();
@@ -305,31 +165,16 @@ impl DiGraph {
                     prev = Some(v);
                 }
             }
-            deduped.push(write as u64);
+            deduped.push(write as u32);
         }
         targets.truncate(write);
         let mut peak = PeakTracker::default();
         build::assemble(node_count, deduped, targets, workers, &mut peak)
     }
 
-    /// Rewrites both offset arrays at `u64` width even when they would
-    /// narrow to `u32`, so a real graph exercises `Offsets::U64`.
-    #[cfg(test)]
-    fn with_wide_offsets(mut self) -> DiGraph {
-        fn widen(o: Offsets) -> Offsets {
-            match o {
-                Offsets::U32(v) => Offsets::U64(v.iter().map(|&x| x as u64).collect()),
-                wide => wide,
-            }
-        }
-        self.out_offsets = widen(self.out_offsets);
-        self.in_offsets = widen(self.in_offsets);
-        self
-    }
-
     /// Number of nodes.
     pub fn node_count(&self) -> usize {
-        self.out_offsets.entries() - 1
+        self.out_offsets.len() - 1
     }
 
     /// Number of directed edges.
@@ -340,13 +185,13 @@ impl DiGraph {
     /// Nodes `u` follows.
     pub fn out_neighbors(&self, u: NodeId) -> &[NodeId] {
         let u = u as usize;
-        &self.out_targets[self.out_offsets.at(u)..self.out_offsets.at(u + 1)]
+        &self.out_targets[self.out_offsets[u] as usize..self.out_offsets[u + 1] as usize]
     }
 
     /// Nodes following `u` (its followers).
     pub fn in_neighbors(&self, u: NodeId) -> &[NodeId] {
         let u = u as usize;
-        &self.in_sources[self.in_offsets.at(u)..self.in_offsets.at(u + 1)]
+        &self.in_sources[self.in_offsets[u] as usize..self.in_offsets[u + 1] as usize]
     }
 
     /// Follow count of `u` (out-degree).
@@ -367,23 +212,24 @@ impl DiGraph {
     /// Degree-only view over both offset arrays (no neighbor data).
     pub fn degrees(&self) -> DegreeView<'_> {
         DegreeView {
-            out: self.out_offsets.view(),
-            inn: self.in_offsets.view(),
+            out: &self.out_offsets,
+            inn: &self.in_offsets,
         }
     }
 
     /// Raw out-direction layout: `(offsets, targets)`. Node `u`'s follow
-    /// list is `targets[offsets.at(u)..offsets.at(u + 1)]`, sorted. This
-    /// is the zero-cost path for checksums and serialization — no
-    /// per-node `flat_map` iterator state.
-    pub fn out_csr(&self) -> (OffsetsView<'_>, &[NodeId]) {
-        (self.out_offsets.view(), &self.out_targets)
+    /// list is `targets[offsets[u] as usize..offsets[u + 1] as usize]`,
+    /// sorted. This is the zero-cost path for checksums and serialization
+    /// — no per-node `flat_map` iterator state.
+    pub fn out_csr(&self) -> (&[u32], &[NodeId]) {
+        (&self.out_offsets, &self.out_targets)
     }
 
     /// Raw in-direction layout: `(offsets, sources)`. Node `u`'s follower
-    /// list is `sources[offsets.at(u)..offsets.at(u + 1)]`, sorted.
-    pub fn in_csr(&self) -> (OffsetsView<'_>, &[NodeId]) {
-        (self.in_offsets.view(), &self.in_sources)
+    /// list is `sources[offsets[u] as usize..offsets[u + 1] as usize]`,
+    /// sorted.
+    pub fn in_csr(&self) -> (&[u32], &[NodeId]) {
+        (&self.in_offsets, &self.in_sources)
     }
 
     /// Iterates all edges as `(source, target)` in CSR (sorted) order.
@@ -391,12 +237,8 @@ impl DiGraph {
     /// this adapter exists for call sites that genuinely want one tuple
     /// at a time.
     pub fn edges(&self) -> impl Iterator<Item = (NodeId, NodeId)> + '_ {
-        let (offsets, targets) = self.out_csr();
-        (0..self.node_count() as NodeId).flat_map(move |u| {
-            targets[offsets.at(u as usize)..offsets.at(u as usize + 1)]
-                .iter()
-                .map(move |&v| (u, v))
-        })
+        (0..self.node_count() as NodeId)
+            .flat_map(move |u| self.out_neighbors(u).iter().map(move |&v| (u, v)))
     }
 
     /// True if the edge `u → v` exists (binary search; neighbor lists are
@@ -406,15 +248,15 @@ impl DiGraph {
     }
 
     /// Bytes of heap + inline storage held by the graph: both offset
-    /// arrays at their stored width plus both adjacency arrays. This is
+    /// arrays plus both adjacency arrays. This is
     /// the number replay benches must account for instead of footnoting
     /// the graph as untracked input.
     pub fn resident_bytes(&self) -> usize {
         std::mem::size_of::<Self>()
-            + self.out_offsets.heap_bytes()
-            + self.out_targets.capacity() * std::mem::size_of::<NodeId>()
-            + self.in_offsets.heap_bytes()
-            + self.in_sources.capacity() * std::mem::size_of::<NodeId>()
+            + (self.out_offsets.capacity() + self.in_offsets.capacity())
+                * std::mem::size_of::<u32>()
+            + (self.out_targets.capacity() + self.in_sources.capacity())
+                * std::mem::size_of::<NodeId>()
     }
 
     /// Order-sensitive digest of the full adjacency layout (offsets and
@@ -423,15 +265,13 @@ impl DiGraph {
     /// purposes; the regression suite pins generator outputs with this.
     pub fn adjacency_checksum(&self) -> u64 {
         let n = self.node_count();
-        let (out_off, out_t) = self.out_csr();
-        let (in_off, in_s) = self.in_csr();
         let mut acc = splitmix64(n as u64 ^ (self.edge_count() as u64).rotate_left(32));
-        for u in 0..n {
+        for u in 0..n as NodeId {
             acc = splitmix64(acc ^ u as u64);
-            for &v in &out_t[out_off.at(u)..out_off.at(u + 1)] {
+            for &v in self.out_neighbors(u) {
                 acc = splitmix64(acc.wrapping_add(v as u64 + 1));
             }
-            for &s in &in_s[in_off.at(u)..in_off.at(u + 1)] {
+            for &s in self.in_neighbors(u) {
                 acc = splitmix64(acc ^ (s as u64).rotate_left(17));
             }
         }
@@ -522,18 +362,16 @@ mod tests {
     fn raw_views_cover_the_same_layout() {
         let g = triangle_plus_tail();
         let (off, targets) = g.out_csr();
-        assert_eq!(off.len(), 5);
-        assert_eq!(off.at(4), g.edge_count());
-        assert_eq!(off.entry_bytes(), 4);
+        assert_eq!(off, &[0, 1, 2, 3, 4]);
         let mut rebuilt = Vec::new();
         for u in 0..g.node_count() {
-            for &v in &targets[off.at(u)..off.at(u + 1)] {
+            for &v in &targets[off[u] as usize..off[u + 1] as usize] {
                 rebuilt.push((u as NodeId, v));
             }
         }
         assert_eq!(rebuilt, g.edges().collect::<Vec<_>>());
         let (in_off, in_s) = g.in_csr();
-        assert_eq!(&in_s[in_off.at(0)..in_off.at(1)], &[2, 3]);
+        assert_eq!(&in_s[in_off[0] as usize..in_off[1] as usize], &[2, 3]);
     }
 
     #[test]
@@ -553,52 +391,12 @@ mod tests {
     }
 
     #[test]
-    fn offsets_narrow_to_u32_and_widen_past_u32() {
-        // All realistic graphs narrow.
-        let g = triangle_plus_tail();
-        let (off, _) = g.out_csr();
-        assert_eq!(off.entry_bytes(), 4);
-        // The enum itself must widen exactly past u32::MAX.
-        match Offsets::from_u64(vec![0, u32::MAX as u64]) {
-            Offsets::U32(v) => assert_eq!(v, vec![0, u32::MAX]),
-            Offsets::U64(_) => panic!("should have narrowed"),
-        }
-        match Offsets::from_u64(vec![0, u32::MAX as u64 + 1]) {
-            Offsets::U64(v) => assert_eq!(v[1], u32::MAX as u64 + 1),
-            Offsets::U32(_) => panic!("should have stayed wide"),
-        }
-    }
-
-    #[test]
-    fn a_generated_graph_forced_wide_matches_its_narrow_twin() {
-        let narrow = DiGraph::generate(&crate::GraphSpec::periscope().with_nodes(2_000), 42);
-        let wide = narrow.clone().with_wide_offsets();
-        assert_eq!(narrow.out_csr().0.entry_bytes(), 4);
-        assert_eq!(narrow.in_csr().0.entry_bytes(), 4);
-        assert_eq!(wide.out_csr().0.entry_bytes(), 8);
-        assert_eq!(wide.in_csr().0.entry_bytes(), 8);
-        assert_eq!(wide.node_count(), narrow.node_count());
-        assert_eq!(wide.edge_count(), narrow.edge_count());
-        let (nd, wd) = (narrow.degrees(), wide.degrees());
-        for u in 0..narrow.node_count() as NodeId {
-            assert_eq!(wide.out_neighbors(u), narrow.out_neighbors(u));
-            assert_eq!(wide.in_neighbors(u), narrow.in_neighbors(u));
-            assert_eq!(wd.out_degree(u), nd.out_degree(u));
-            assert_eq!(wd.in_degree(u), nd.in_degree(u));
-        }
-        assert_eq!(wide.adjacency_checksum(), narrow.adjacency_checksum());
-        assert_eq!(wide.degree_checksum(), narrow.degree_checksum());
-    }
-
-    #[test]
     fn resident_bytes_tracks_arrays() {
         let g = triangle_plus_tail();
-        // 2 offset arrays × 5 u32 entries + 2 adjacency arrays × 4 u32.
-        let floor = 2 * 5 * 4 + 2 * 4 * 4;
-        assert!(g.resident_bytes() >= floor, "{}", g.resident_bytes());
-        // u32 offsets: strictly smaller than the same layout at u64 width.
-        let u64_layout = floor + 2 * 5 * 4;
-        assert!(g.resident_bytes() < std::mem::size_of::<DiGraph>() + u64_layout + 1);
+        // 2 offset arrays × 5 u32 entries + 2 adjacency arrays × 4 u32,
+        // every array allocated at exactly its length.
+        let arrays = 2 * 5 * 4 + 2 * 4 * 4;
+        assert_eq!(g.resident_bytes(), std::mem::size_of::<DiGraph>() + arrays);
     }
 
     #[test]

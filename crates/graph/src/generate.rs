@@ -363,10 +363,10 @@ fn build_follow(
         .time(|| follow_rewire(nodes, p, &estart, &mut targets, &mut rng, &mut peak));
 
     let workers = options.workers.max(1);
-    let g = options
-        .profile
-        .assemble
-        .time(|| build::assemble(nodes, estart, targets, workers, &mut peak));
+    let g = options.profile.assemble.time(|| {
+        let estart = build::narrow_offsets(estart);
+        build::assemble(nodes, estart, targets, workers, &mut peak)
+    });
     let stats = GraphBuildStats {
         nodes,
         edges: g.edge_count(),
@@ -717,6 +717,7 @@ fn build_friendship(
         for list in &sorted_adj {
             flat.extend_from_slice(list);
         }
+        let offsets = build::narrow_offsets(offsets);
         build::assemble(nodes, offsets, flat, workers, &mut peak)
     });
     let stats = GraphBuildStats {

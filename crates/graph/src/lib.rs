@@ -6,8 +6,8 @@
 //! audience size. Re-running those analyses needs three things, all built
 //! here from scratch:
 //!
-//! * [`digraph`] — a compact CSR directed graph with width-adaptive
-//!   (`u32`/`u64`) offset arrays, O(1) degree lookups, cache-friendly
+//! * [`digraph`] — a compact CSR directed graph with `u32` offset
+//!   arrays, O(1) degree lookups, cache-friendly
 //!   neighbor slices, and raw `(offsets, targets)` views for checksum and
 //!   serialization paths;
 //! * [`generate`] — synthetic generators behind
@@ -41,7 +41,7 @@ pub mod generate;
 pub mod metrics;
 
 pub use build::GraphBuildStats;
-pub use digraph::{DegreeView, DiGraph, NodeId, OffsetsView};
+pub use digraph::{DegreeView, DiGraph, NodeId};
 pub use generate::{
     BuildOptions, BuildProfile, FollowParams, FriendshipParams, GraphKind, GraphSpec,
 };

@@ -209,7 +209,7 @@ pub fn assortativity(graph: &DiGraph) -> f64 {
     let deg = graph.degrees();
     for u in 0..graph.node_count() {
         let x = deg.degree(u as NodeId) as f64;
-        for &v in &targets[offsets.at(u)..offsets.at(u + 1)] {
+        for &v in &targets[offsets[u] as usize..offsets[u + 1] as usize] {
             let y = deg.degree(v) as f64;
             sx += x;
             sy += y;

@@ -81,17 +81,17 @@ proptest! {
         let d = g.degrees();
         let (out_off, out_t) = g.out_csr();
         let (in_off, in_s) = g.in_csr();
-        prop_assert_eq!(out_off.at(NODES), g.edge_count());
-        prop_assert_eq!(in_off.at(NODES), g.edge_count());
+        prop_assert_eq!(out_off[NODES] as usize, g.edge_count());
+        prop_assert_eq!(in_off[NODES] as usize, g.edge_count());
         for u in 0..NODES {
             prop_assert_eq!(d.out_degree(u as NodeId), g.out_degree(u as NodeId));
             prop_assert_eq!(d.in_degree(u as NodeId), g.in_degree(u as NodeId));
             prop_assert_eq!(
-                &out_t[out_off.at(u)..out_off.at(u + 1)],
+                &out_t[out_off[u] as usize..out_off[u + 1] as usize],
                 g.out_neighbors(u as NodeId)
             );
             prop_assert_eq!(
-                &in_s[in_off.at(u)..in_off.at(u + 1)],
+                &in_s[in_off[u] as usize..in_off[u + 1] as usize],
                 g.in_neighbors(u as NodeId)
             );
         }

@@ -44,9 +44,13 @@ impl SimTime {
     }
 
     /// Builds an instant from fractional seconds, rounding to the nearest
-    /// microsecond. Negative inputs clamp to zero.
+    /// microsecond. Negative inputs clamp to zero, huge ones to `MAX`.
+    ///
+    /// # Panics
+    ///
+    /// If `s` is NaN.
     pub fn from_secs_f64(s: f64) -> Self {
-        SimTime((s.max(0.0) * MICROS_PER_SEC as f64).round() as u64)
+        SimTime(micros_from_secs_f64("SimTime::from_secs_f64", s))
     }
 
     /// Raw microsecond count.
@@ -115,9 +119,13 @@ impl SimDuration {
     }
 
     /// Builds a span from fractional seconds, rounding to the nearest
-    /// microsecond. Negative inputs clamp to zero.
+    /// microsecond. Negative inputs clamp to zero, huge ones to `MAX`.
+    ///
+    /// # Panics
+    ///
+    /// If `s` is NaN.
     pub fn from_secs_f64(s: f64) -> Self {
-        SimDuration((s.max(0.0) * MICROS_PER_SEC as f64).round() as u64)
+        SimDuration(micros_from_secs_f64("SimDuration::from_secs_f64", s))
     }
 
     /// Raw microsecond count.
@@ -137,7 +145,15 @@ impl SimDuration {
 
     /// Scales the span by a non-negative factor, rounding to the nearest
     /// microsecond. Used by jitter models (`latency * 1.3`).
+    ///
+    /// # Panics
+    ///
+    /// If `factor` is NaN.
     pub fn mul_f64(self, factor: f64) -> Self {
+        assert!(
+            !factor.is_nan(),
+            "SimDuration::mul_f64 got a {factor} factor"
+        );
         SimDuration((self.0 as f64 * factor.max(0.0)).round() as u64)
     }
 
@@ -145,6 +161,14 @@ impl SimDuration {
     pub fn saturating_sub(self, other: SimDuration) -> SimDuration {
         SimDuration(self.0.saturating_sub(other.0))
     }
+}
+
+/// `s` seconds as whole microseconds: rounded, negative values clamped to
+/// zero and values past `u64::MAX` saturated (the float-to-int cast). A NaN
+/// `s` would silently become zero, so it panics, naming `caller`.
+fn micros_from_secs_f64(caller: &str, s: f64) -> u64 {
+    assert!(!s.is_nan(), "{caller} got {s} seconds");
+    (s.max(0.0) * MICROS_PER_SEC as f64).round() as u64
 }
 
 impl Add<SimDuration> for SimTime {
@@ -368,6 +392,24 @@ mod tests {
             assert_eq!(SimTime::from_secs_f64(s), SimTime::ZERO, "{s}");
             assert_eq!(SimDuration::from_secs_f64(s), SimDuration::ZERO, "{s}");
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "SimTime::from_secs_f64 got NaN seconds")]
+    fn sim_time_from_nan_seconds_panics() {
+        SimTime::from_secs_f64(f64::NAN);
+    }
+
+    #[test]
+    #[should_panic(expected = "SimDuration::from_secs_f64 got NaN seconds")]
+    fn sim_duration_from_nan_seconds_panics() {
+        SimDuration::from_secs_f64(f64::NAN);
+    }
+
+    #[test]
+    #[should_panic(expected = "SimDuration::mul_f64 got a NaN factor")]
+    fn mul_f64_by_nan_panics() {
+        SimDuration::from_secs(1).mul_f64(f64::NAN);
     }
 
     #[test]

@@ -1,5 +1,8 @@
-//! The delay ledger's vocabulary: the paper's six-component end-to-end
-//! delay breakdown (Figs 10–11) as plain types.
+//! The delay ledger: the paper's six-component end-to-end delay
+//! breakdown (Figs 10–11) as recovered from a trace, in
+//! `livescope_analysis`'s vocabulary
+//! ([`DelayComponent`](livescope_analysis::DelayComponent),
+//! [`DelayBreakdown`]).
 //!
 //! The analytic experiment (`experiments::breakdown`) computes the six
 //! numbers from in-memory viewer state; [`ObsReport::derive`] recovers
@@ -10,95 +13,18 @@
 //!
 //! [`ObsReport::derive`]: crate::ObsReport::derive
 
-/// The six delay components of the paper's Fig 10 pipeline.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum DelayStage {
-    /// Broadcaster capture to ingest arrival.
-    Upload,
-    /// Waiting for the chunker to seal a chunk.
-    Chunking,
-    /// Origin-to-edge propagation (gateway replication included).
-    Wowza2Fastly,
-    /// Waiting for the viewer's next poll to discover the chunk.
-    Polling,
-    /// Edge (or ingest) to viewer download.
-    LastMile,
-    /// Client-side pre-buffering before playout.
-    Buffering,
-}
-
-impl DelayStage {
-    /// All six stages in pipeline order.
-    pub fn all() -> [DelayStage; 6] {
-        [
-            DelayStage::Upload,
-            DelayStage::Chunking,
-            DelayStage::Wowza2Fastly,
-            DelayStage::Polling,
-            DelayStage::LastMile,
-            DelayStage::Buffering,
-        ]
-    }
-
-    /// Human-readable stage label used in tables and summaries.
-    pub fn label(self) -> &'static str {
-        match self {
-            DelayStage::Upload => "upload",
-            DelayStage::Chunking => "chunking",
-            DelayStage::Wowza2Fastly => "wowza2fastly",
-            DelayStage::Polling => "polling",
-            DelayStage::LastMile => "last-mile",
-            DelayStage::Buffering => "buffering",
-        }
-    }
-}
-
-/// Six per-stage mean delays (seconds) for one protocol.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct StageDelays {
-    /// Mean upload delay, seconds.
-    pub upload_s: f64,
-    /// Mean chunking delay, seconds.
-    pub chunking_s: f64,
-    /// Mean origin-to-edge delay, seconds.
-    pub wowza2fastly_s: f64,
-    /// Mean polling-discovery delay, seconds.
-    pub polling_s: f64,
-    /// Mean last-mile delay, seconds.
-    pub last_mile_s: f64,
-    /// Mean pre-buffering delay, seconds.
-    pub buffering_s: f64,
-}
-
-impl StageDelays {
-    /// The mean delay for one stage, seconds.
-    pub fn stage(&self, stage: DelayStage) -> f64 {
-        match stage {
-            DelayStage::Upload => self.upload_s,
-            DelayStage::Chunking => self.chunking_s,
-            DelayStage::Wowza2Fastly => self.wowza2fastly_s,
-            DelayStage::Polling => self.polling_s,
-            DelayStage::LastMile => self.last_mile_s,
-            DelayStage::Buffering => self.buffering_s,
-        }
-    }
-
-    /// Sum of all six stages: the end-to-end delay, seconds.
-    pub fn total_s(&self) -> f64 {
-        DelayStage::all().iter().map(|s| self.stage(*s)).sum()
-    }
-}
+use livescope_analysis::DelayBreakdown;
 
 /// The protocol-level section of an [`ObsReport`](crate::ObsReport): one
-/// [`StageDelays`] per protocol, plus the sample counts behind each mean
+/// [`DelayBreakdown`] per protocol, plus the sample counts behind each mean
 /// (zero counts mean the trace lacked the corresponding events, not that
 /// the delay was zero).
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct DelayLedger {
     /// Per-stage means for RTMP viewers.
-    pub rtmp: StageDelays,
+    pub rtmp: DelayBreakdown,
     /// Per-stage means for HLS viewers.
-    pub hls: StageDelays,
+    pub hls: DelayBreakdown,
     /// `RtmpUnitDelivered` events folded in.
     pub rtmp_units: u64,
     /// `ChunkDelivered` events folded in.
@@ -111,7 +37,6 @@ pub struct DelayLedger {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::event::{Protocol, TimedEvent, TraceEvent};
     use crate::ObsReport;
 
@@ -263,21 +188,5 @@ mod tests {
         assert_eq!(b.unmatched_chunks, 1);
         assert_eq!(b.hls.wowza2fastly_s, 0.0);
         assert!(b.hls.polling_s > 0.0);
-    }
-
-    #[test]
-    fn stage_labels_cover_all_six() {
-        let labels: Vec<_> = DelayStage::all().iter().map(|s| s.label()).collect();
-        assert_eq!(
-            labels,
-            [
-                "upload",
-                "chunking",
-                "wowza2fastly",
-                "polling",
-                "last-mile",
-                "buffering"
-            ]
-        );
     }
 }

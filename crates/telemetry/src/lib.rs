@@ -18,8 +18,9 @@
 //!    the span audit.
 //!
 //! The crate is foundation-level: it depends only on `serde_json` (for
-//! trace parsing), so `sim`, `cdn`, `client`, and `crawler` can all
-//! depend on it without cycles.
+//! trace parsing) and `livescope-analysis` (for the delay vocabulary,
+//! which itself depends on no livescope crate), so `sim`, `cdn`,
+//! `client`, and `crawler` can all depend on it without cycles.
 
 #![deny(missing_docs)]
 
@@ -32,7 +33,7 @@ pub mod sink;
 pub mod span;
 
 pub use event::{Protocol, TimedEvent, TraceEvent};
-pub use ledger::{DelayLedger, DelayStage, StageDelays};
+pub use ledger::DelayLedger;
 pub use profile::Section;
 pub use registry::{CounterId, GaugeId, HistogramId, MetricsSnapshot};
 pub use report::ObsReport;

@@ -11,9 +11,10 @@
 //! across lane counts for a fixed `(config, seed)`, so is the report.
 
 use crate::event::{Protocol, TimedEvent, TraceEvent};
-use crate::ledger::{DelayLedger, DelayStage, StageDelays};
+use crate::ledger::DelayLedger;
 use crate::registry::Histogram;
 use crate::span::SpanKind;
+use livescope_analysis::{DelayBreakdown, DelayComponent};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -50,7 +51,7 @@ pub struct PopBreakdown {
     pub chunks: u64,
     /// Distinct viewers this POP served.
     pub viewers: u64,
-    /// One distribution per [`DelayStage`], in `DelayStage::all()` order.
+    /// One distribution per [`DelayComponent`], in `DelayComponent::all()` order.
     pub stages: [StageDist; 6],
 }
 
@@ -196,11 +197,16 @@ impl QoeAcc {
     }
 }
 
-fn stage_index(stage: DelayStage) -> usize {
-    DelayStage::all()
-        .iter()
-        .position(|s| *s == stage)
-        .expect("stage is one of the six")
+/// The six stage keys as table columns, two spaces apart.
+fn stage_header() -> String {
+    DelayComponent::all().map(DelayComponent::key).join("  ")
+}
+
+/// Six seconds values right-aligned under [`stage_header`]'s columns.
+fn stage_cells(value: impl Fn(DelayComponent) -> f64) -> String {
+    DelayComponent::all()
+        .map(|c| format!("{:>w$.3}", value(c), w = c.key().len()))
+        .join("  ")
 }
 
 /// Mean of the samples pooled over `hists`, seconds (0 when empty).
@@ -284,16 +290,16 @@ impl ObsReport {
                     let acc = pops.entry(*pop).or_default();
                     acc.chunks += 1;
                     acc.viewers.insert(*viewer, ());
-                    acc.hists[stage_index(DelayStage::Chunking)].record(*duration_us);
+                    acc.hists[DelayComponent::Chunking as usize].record(*duration_us);
                     // No seal in the trace: the sample is left out here
                     // and surfaces as `DelayLedger::unmatched_chunks`.
                     if let Some(ready_us) = origin_ready.get(&(*broadcast, *seq)) {
-                        acc.hists[stage_index(DelayStage::Wowza2Fastly)]
+                        acc.hists[DelayComponent::Wowza2Fastly as usize]
                             .record(available_at_pop_us.saturating_sub(*ready_us));
                     }
-                    acc.hists[stage_index(DelayStage::Polling)]
+                    acc.hists[DelayComponent::Polling as usize]
                         .record(discovered_us.saturating_sub(*available_at_pop_us));
-                    acc.hists[stage_index(DelayStage::LastMile)]
+                    acc.hists[DelayComponent::LastMile as usize]
                         .record(arrival_us.saturating_sub(*discovered_us));
                 }
                 TraceEvent::JoinPlayout {
@@ -362,31 +368,31 @@ impl ObsReport {
         for (viewer, buffering_us) in &hls_buffering {
             if let Some(pop) = viewer_pop.get(viewer) {
                 if let Some(acc) = pops.get_mut(pop) {
-                    acc.hists[stage_index(DelayStage::Buffering)].record(*buffering_us);
+                    acc.hists[DelayComponent::Buffering as usize].record(*buffering_us);
                 }
             }
         }
         let hls_mean_s =
-            |stage| pooled_mean_s(pops.values().map(|acc| &acc.hists[stage_index(stage)]));
+            |c: DelayComponent| pooled_mean_s(pops.values().map(|acc| &acc.hists[c as usize]));
         let upload_dist = StageDist::from_hist(&upload_hist);
         let hls_chunks: u64 = pops.values().map(|acc| acc.chunks).sum();
         let matched_chunks: u64 = pops
             .values()
-            .map(|acc| acc.hists[stage_index(DelayStage::Wowza2Fastly)].count)
+            .map(|acc| acc.hists[DelayComponent::Wowza2Fastly as usize].count)
             .sum();
         let ledger = DelayLedger {
-            rtmp: StageDelays {
+            rtmp: DelayBreakdown {
                 upload_s: upload_dist.mean_s,
                 last_mile_s: rtmp_last_mile_hist.mean() / 1e6,
                 buffering_s: qoe_rtmp.buffering_mean_s(),
-                ..StageDelays::default()
+                ..DelayBreakdown::default()
             },
-            hls: StageDelays {
+            hls: DelayBreakdown {
                 upload_s: upload_dist.mean_s,
-                chunking_s: hls_mean_s(DelayStage::Chunking),
-                wowza2fastly_s: hls_mean_s(DelayStage::Wowza2Fastly),
-                polling_s: hls_mean_s(DelayStage::Polling),
-                last_mile_s: hls_mean_s(DelayStage::LastMile),
+                chunking_s: hls_mean_s(DelayComponent::Chunking),
+                wowza2fastly_s: hls_mean_s(DelayComponent::Wowza2Fastly),
+                polling_s: hls_mean_s(DelayComponent::Polling),
+                last_mile_s: hls_mean_s(DelayComponent::LastMile),
                 buffering_s: qoe_hls.buffering_mean_s(),
             },
             rtmp_units: upload_hist.count,
@@ -400,7 +406,7 @@ impl ObsReport {
                 for (i, h) in acc.hists.iter().enumerate() {
                     stages[i] = StageDist::from_hist(h);
                 }
-                stages[stage_index(DelayStage::Upload)] = upload_dist.clone();
+                stages[DelayComponent::Upload as usize] = upload_dist.clone();
                 PopBreakdown {
                     pop: *pop,
                     chunks: acc.chunks,
@@ -474,45 +480,33 @@ impl ObsReport {
         for (kind, n) in &self.counts {
             let _ = writeln!(out, "  {kind:<22} {n}");
         }
-        out.push_str(
-            "\ntrace-derived delay breakdown (s)\n\
-             protocol  upload  chunking  wowza2fastly  polling  last-mile  buffering  total\n",
+        let header = stage_header();
+        let _ = writeln!(
+            out,
+            "\ntrace-derived delay breakdown (s)\nprotocol  {header}  total"
         );
         for (name, d) in [("RTMP", &self.ledger.rtmp), ("HLS", &self.ledger.hls)] {
-            let _ = writeln!(
-                out,
-                "{name:<9} {:>6.3}  {:>8.3}  {:>12.3}  {:>7.3}  {:>9.3}  {:>9.3}  {:>5.3}",
-                d.upload_s,
-                d.chunking_s,
-                d.wowza2fastly_s,
-                d.polling_s,
-                d.last_mile_s,
-                d.buffering_s,
-                d.total_s(),
-            );
+            let cells = stage_cells(|c| d.get(c));
+            let _ = writeln!(out, "{name:<9} {cells}  {:>5.3}", d.total_s());
         }
         let _ = writeln!(
             out,
             "samples: {} rtmp units, {} hls chunks ({} unmatched)\n",
             self.ledger.rtmp_units, self.ledger.hls_chunks, self.ledger.unmatched_chunks
         );
-        out.push_str(
-            "per-POP six-component delay means, HLS path (s)\n\
-             pop                 chunks viewers  upload  chunking  wowza2fastly  polling  last-mile  buffering  total\n",
+        let _ = writeln!(
+            out,
+            "per-POP six-component delay means, HLS path (s)\n{:<19} chunks viewers  {header}  total",
+            "pop"
         );
         for p in &self.pops {
             let _ = writeln!(
                 out,
-                "{:<19} {:>6} {:>7}  {:>6.3}  {:>8.3}  {:>12.3}  {:>7.3}  {:>9.3}  {:>9.3}  {:>5.3}",
+                "{:<19} {:>6} {:>7}  {}  {:>5.3}",
                 format!("{} {}", p.pop, name_of(p.pop)),
                 p.chunks,
                 p.viewers,
-                p.stages[0].mean_s,
-                p.stages[1].mean_s,
-                p.stages[2].mean_s,
-                p.stages[3].mean_s,
-                p.stages[4].mean_s,
-                p.stages[5].mean_s,
+                stage_cells(|c| p.stages[c as usize].mean_s),
                 p.total_mean_s(),
             );
         }
@@ -624,12 +618,11 @@ mod tests {
         assert_eq!(r.pops.len(), 1);
         let p = &r.pops[0];
         assert_eq!((p.pop, p.chunks, p.viewers), (9, 1, 1));
-        let idx = |s| stage_index(s);
-        assert!((p.stages[idx(DelayStage::Chunking)].mean_s - 3.0).abs() < 1e-9);
-        assert!((p.stages[idx(DelayStage::Wowza2Fastly)].mean_s - 0.5).abs() < 1e-9);
-        assert!((p.stages[idx(DelayStage::Polling)].mean_s - 0.3).abs() < 1e-9);
-        assert!((p.stages[idx(DelayStage::LastMile)].mean_s - 0.2).abs() < 1e-9);
-        assert!((p.stages[idx(DelayStage::Buffering)].mean_s - 0.8).abs() < 1e-9);
+        assert!((p.stages[DelayComponent::Chunking as usize].mean_s - 3.0).abs() < 1e-9);
+        assert!((p.stages[DelayComponent::Wowza2Fastly as usize].mean_s - 0.5).abs() < 1e-9);
+        assert!((p.stages[DelayComponent::Polling as usize].mean_s - 0.3).abs() < 1e-9);
+        assert!((p.stages[DelayComponent::LastMile as usize].mean_s - 0.2).abs() < 1e-9);
+        assert!((p.stages[DelayComponent::Buffering as usize].mean_s - 0.8).abs() < 1e-9);
         assert_eq!(r.qoe_hls.sessions, 1);
         assert!((r.qoe_hls.join_mean_s - 4.0).abs() < 1e-9);
         assert!((r.qoe_hls.stall_mean_s - 0.12).abs() < 1e-9);
@@ -691,8 +684,8 @@ mod tests {
         events.retain(|e| !matches!(e.event, TraceEvent::ChunkCompleted { .. }));
         let r = ObsReport::derive(&events);
         let p = &r.pops[0];
-        assert_eq!(p.stages[stage_index(DelayStage::Wowza2Fastly)].count, 0);
-        assert_eq!(p.stages[stage_index(DelayStage::Polling)].count, 1);
+        assert_eq!(p.stages[DelayComponent::Wowza2Fastly as usize].count, 0);
+        assert_eq!(p.stages[DelayComponent::Polling as usize].count, 1);
         assert_eq!((r.ledger.hls_chunks, r.ledger.unmatched_chunks), (1, 1));
         assert_eq!(r.ledger.hls.wowza2fastly_s, 0.0);
         assert!((r.ledger.hls.polling_s - 0.3).abs() < 1e-9);

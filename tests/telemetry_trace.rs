@@ -9,6 +9,7 @@
 //!    [`ObsReport::derive`] (its `ledger`) agrees with the analytic numbers
 //!    `experiments::breakdown` computes from its own in-memory state.
 
+use livescope_analysis::DelayComponent;
 use livescope_core::experiments::breakdown::{run, run_traced, BreakdownConfig, BreakdownReport};
 use livescope_core::experiments::overlay_ext::{
     run as overlay_run, run_traced as overlay_run_traced, OverlayConfig, OverlayReport,
@@ -133,46 +134,18 @@ fn trace_derived_breakdown_matches_analytic_report() {
     // averages per unit; with equal-length repetitions the two only differ
     // by per-rep unit-count jitter, so a modest absolute tolerance holds.
     let tol = 0.25;
-    let checks = [
-        ("rtmp upload", derived.rtmp.upload_s, report.rtmp.upload_s),
-        (
-            "rtmp last-mile",
-            derived.rtmp.last_mile_s,
-            report.rtmp.last_mile_s,
-        ),
-        (
-            "rtmp buffering",
-            derived.rtmp.buffering_s,
-            report.rtmp.buffering_s,
-        ),
-        ("hls upload", derived.hls.upload_s, report.hls.upload_s),
-        (
-            "hls chunking",
-            derived.hls.chunking_s,
-            report.hls.chunking_s,
-        ),
-        (
-            "hls wowza2fastly",
-            derived.hls.wowza2fastly_s,
-            report.hls.wowza2fastly_s,
-        ),
-        ("hls polling", derived.hls.polling_s, report.hls.polling_s),
-        (
-            "hls last-mile",
-            derived.hls.last_mile_s,
-            report.hls.last_mile_s,
-        ),
-        (
-            "hls buffering",
-            derived.hls.buffering_s,
-            report.hls.buffering_s,
-        ),
-    ];
-    for (name, got, want) in checks {
-        assert!(
-            (got - want).abs() < tol,
-            "{name}: trace-derived {got:.4} vs analytic {want:.4}"
-        );
+    for (protocol, got, want) in [
+        ("rtmp", derived.rtmp, report.rtmp),
+        ("hls", derived.hls, report.hls),
+    ] {
+        for c in DelayComponent::all() {
+            let (got, want) = (got.get(c), want.get(c));
+            assert!(
+                (got - want).abs() < tol,
+                "{protocol} {}: trace-derived {got:.4} vs analytic {want:.4}",
+                c.key()
+            );
+        }
     }
     // RTMP never touches the chunk path; the trace must agree exactly.
     assert_eq!(derived.rtmp.chunking_s, 0.0);
