@@ -367,23 +367,18 @@ mod tests {
         serde_json::from_str::<super::ReplayDoc>(COMMITTED).expect("fits ReplayDoc");
     }
 
-    /// The divisor-1000 replay: its record checksum equals the
-    /// stream-owned-graph path's, and every deterministic field equals
-    /// the committed `BENCH_replay.json` row, so a change that moves
-    /// both paths together — or moves what the file reports without
-    /// regenerating it — is seen. The same divisor's graph checksums are
-    /// also pinned in `csr_regression` (K = 1, 2, 6) and
-    /// `baselines/GRAPH_build.json`.
-    #[test]
-    fn divisor_1000_records_match_the_owned_graph_path_and_the_pin() {
-        let run = replay(1_000.0, &Telemetry::disabled());
-        assert_eq!(run.checksum, hex(owned_graph_digest(1_000.0)));
+    /// Replays `divisor` and asserts that every deterministic field of
+    /// the committed `BENCH_replay.json` row equals the fresh run's, so a
+    /// change that moves what the file reports without regenerating it
+    /// is seen. Host times (`wall_s`, rates) are not compared.
+    fn assert_row_matches_a_fresh_run(divisor: f64) -> ReplayRun {
+        let run = replay(divisor, &Telemetry::disabled());
         let doc: ReplayDoc = serde_json::from_str(COMMITTED).expect("fits ReplayDoc");
         let pin = doc
             .runs
             .iter()
-            .find(|r| r.divisor == 1_000.0)
-            .expect("a divisor-1000 row");
+            .find(|r| r.divisor == divisor)
+            .unwrap_or_else(|| panic!("a divisor-{divisor} row"));
         let replay_facts = |r: &ReplayRun| {
             (
                 r.records,
@@ -395,7 +390,7 @@ mod tests {
                 r.summary_digest.clone(),
             )
         };
-        assert_eq!(replay_facts(&run), replay_facts(pin));
+        assert_eq!(replay_facts(&run), replay_facts(pin), "divisor {divisor}");
         let graph_facts = |g: &GraphBuild| {
             (
                 g.peak_bytes,
@@ -404,8 +399,35 @@ mod tests {
                 g.max_in_degree,
                 g.swaps_applied,
                 g.adjacency_checksum.clone(),
+                g.workers,
             )
         };
-        assert_eq!(graph_facts(&run.graph_build), graph_facts(&pin.graph_build));
+        assert_eq!(
+            graph_facts(&run.graph_build),
+            graph_facts(&pin.graph_build),
+            "divisor {divisor}"
+        );
+        run
+    }
+
+    /// The divisor-1000 replay: its record checksum equals the
+    /// stream-owned-graph path's, and its row equals the committed one,
+    /// so a change that moves both paths together is seen too. The same
+    /// divisor's graph checksums are also pinned in `csr_regression`
+    /// (K = 1, 2, 6) and `baselines/GRAPH_build.json`.
+    #[test]
+    fn divisor_1000_records_match_the_owned_graph_path_and_the_pin() {
+        let run = assert_row_matches_a_fresh_run(1_000.0);
+        assert_eq!(run.checksum, hex(owned_graph_digest(1_000.0)));
+    }
+
+    /// The divisor-100 row (120k users, ~200k records), the second scale
+    /// at which the committed file is held exact. About a second of build
+    /// and replay in release and far longer in debug, so the debug
+    /// `cargo test` leaves it out and `scripts/ci.sh` runs it in release.
+    #[test]
+    #[cfg_attr(debug_assertions, ignore = "release only: scripts/ci.sh runs it")]
+    fn divisor_100_row_matches_a_fresh_run() {
+        assert_row_matches_a_fresh_run(100.0);
     }
 }

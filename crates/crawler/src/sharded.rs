@@ -112,12 +112,16 @@ pub fn run_campaign_sharded(
                         shard.acc.miss();
                     }
                 }
+                // The ledger buffers its views; resolve the day's last
+                // batch here, on the shard's own thread.
+                shard.truth.flush(&sampler);
             },
         );
 
         // Day barrier: shard 0 absorbs shards 1..K in fixed order (union
         // is commutative — the fixed order is hygiene, not load-bearing)
-        // and closes the day.
+        // and closes the day. Every ledger was flushed above; absorbing
+        // or closing an unflushed one panics.
         let (first, rest) = shards.split_first_mut().expect("at least one shard");
         for shard in rest {
             first.truth.absorb_day(&mut shard.truth);

@@ -39,6 +39,13 @@ use crate::types::{BroadcastRecord, DayStats, WorkloadSummary};
 /// a small cadre of users produces most broadcasts).
 const CREATOR_ALPHA: f64 = 1.30;
 
+/// Mobile views a [`GroundTruth`] buffers as needles before it resolves
+/// them in one [`CumulativeTable::resolve`] pass: 512 KiB of needles
+/// plus as much scatter buffer. On `usage_replay` (300k users) 2^16
+/// adds about 1 MB of peak RSS; a 2^12 batch lost to resolving each view
+/// at once, and a 2^18 one cost +4.4 MB.
+const VIEW_BATCH: usize = 1 << 16;
+
 /// Yields every [`BroadcastRecord`] of a scenario in deterministic
 /// `(day, seq)` order without ever materializing them. The stream owns
 /// its follow graph.
@@ -216,13 +223,29 @@ impl RecordSampler {
         followers: u64,
         mut on_mobile_view: impl FnMut(u32),
     ) -> BroadcastRecord {
+        self.sample_with(slot, followers, |rng| {
+            on_mobile_view(self.viewers.pick(rng));
+        })
+    }
+
+    /// The one sampling path: `per_view` runs once per mobile view and
+    /// makes that view's pick from the record's stream — at once
+    /// ([`sample`](Self::sample)) or as a needle resolved later
+    /// ([`GroundTruth::sample`]). A pick is the record's last use of its
+    /// stream, so either way every other draw is the same.
+    fn sample_with(
+        &self,
+        slot: ScheduledBroadcast,
+        followers: u64,
+        mut per_view: impl FnMut(&mut SmallRng),
+    ) -> BroadcastRecord {
         let mut rng = self.pool.fork_indexed("record", slot.id);
         let start = arrivals::sample_start_time(&mut rng, slot.day);
         let dur = sample_duration(&mut rng, &self.config);
         let audience = sample_audience(&mut rng, &self.config, followers);
         let inter = sample_interactions(&mut rng, &self.config, audience.total, dur.as_secs_f64());
         for _ in 0..audience.mobile {
-            on_mobile_view(self.viewers.pick(&mut rng));
+            per_view(&mut rng);
         }
         BroadcastRecord {
             id: slot.id,
@@ -255,6 +278,19 @@ impl RecordSampler {
 /// shards' open day at each day barrier, and adds their tallies at the
 /// end. Every piece merges exactly (integer addition, bitset union), so
 /// any partition of the records counts the same truth.
+///
+/// Mobile views are counted late: [`sample`](Self::sample) only draws
+/// each view's needle into a fixed buffer of `VIEW_BATCH` (2^16), and a
+/// full buffer is resolved in needle order into the tallies and the
+/// open day's viewer bitset. Whoever closes, absorbs or merges a day
+/// must [`flush`](Self::flush) the ledger first; [`close_day`],
+/// [`absorb_day`], [`merge_tallies`] and [`into_summary`] panic on a
+/// ledger they would otherwise miscount.
+///
+/// [`close_day`]: Self::close_day
+/// [`absorb_day`]: Self::absorb_day
+/// [`merge_tallies`]: Self::merge_tallies
+/// [`into_summary`]: Self::into_summary
 #[derive(Clone, Debug)]
 pub struct GroundTruth {
     user_views: Vec<u32>,
@@ -263,11 +299,21 @@ pub struct GroundTruth {
     day_broadcasts: u64,
     day_viewers: FixedBitset,
     day_broadcasters: FixedBitset,
+    /// Needles of the open day's views not yet in `user_views` and
+    /// `day_viewers`; never longer than `scatter`.
+    pending: Vec<f64>,
+    /// The resolve pass's partition buffer; its length is the batch.
+    scatter: Vec<f64>,
 }
 
 impl GroundTruth {
     /// An empty ledger for a scenario's population and study length.
     pub fn new(config: &ScenarioConfig) -> GroundTruth {
+        GroundTruth::with_batch(config, VIEW_BATCH)
+    }
+
+    /// An empty ledger that resolves its views every `batch` needles.
+    fn with_batch(config: &ScenarioConfig, batch: usize) -> GroundTruth {
         GroundTruth {
             user_views: vec![0; config.users],
             user_creates: vec![0; config.users],
@@ -275,11 +321,15 @@ impl GroundTruth {
             day_broadcasts: 0,
             day_viewers: FixedBitset::new(config.users),
             day_broadcasters: FixedBitset::new(config.users),
+            pending: Vec::with_capacity(batch),
+            scatter: vec![0.0; batch],
         }
     }
 
-    /// Samples `slot` through `sampler`, counting it and every mobile
-    /// view it attributes into the open day.
+    /// Samples `slot` through `sampler`, counting it into the open day
+    /// and buffering a needle per mobile view it attributes. A full
+    /// buffer is resolved on the spot, mid-record if need be, so the
+    /// buffer never grows past its batch.
     pub fn sample(
         &mut self,
         sampler: &RecordSampler,
@@ -289,11 +339,41 @@ impl GroundTruth {
         self.day_broadcasts += 1;
         self.user_creates[slot.broadcaster as usize] += 1;
         self.day_broadcasters.insert(slot.broadcaster);
-        let (user_views, day_viewers) = (&mut self.user_views, &mut self.day_viewers);
-        sampler.sample(slot, followers, |viewer| {
-            user_views[viewer as usize] += 1;
-            day_viewers.insert(viewer);
+        let viewers = &sampler.viewers;
+        let GroundTruth {
+            user_views,
+            day_viewers,
+            pending,
+            scatter,
+            ..
+        } = self;
+        sampler.sample_with(slot, followers, |rng| {
+            pending.push(viewers.draw(rng));
+            if pending.len() == scatter.len() {
+                resolve_views(viewers, pending, scatter, user_views, day_viewers);
+            }
         })
+    }
+
+    /// Resolves every buffered view into the tallies and the open day,
+    /// through the table of `sampler`, the sampler that drew them.
+    pub fn flush(&mut self, sampler: &RecordSampler) {
+        resolve_views(
+            &sampler.viewers,
+            &mut self.pending,
+            &mut self.scatter,
+            &mut self.user_views,
+            &mut self.day_viewers,
+        );
+    }
+
+    /// Panics when views are still buffered: `what` would miscount them.
+    fn assert_flushed(&self, what: &str) {
+        assert!(
+            self.pending.is_empty(),
+            "GroundTruth::{what} with {} unresolved mobile views: flush the ledger first",
+            self.pending.len()
+        );
     }
 
     /// Days closed so far; the open day's index.
@@ -303,7 +383,11 @@ impl GroundTruth {
 
     /// Closes the open day into its [`DayStats`] and opens the next,
     /// keeping the bitsets' allocations.
+    ///
+    /// # Panics
+    /// Panics when the ledger holds unresolved views.
     pub fn close_day(&mut self) {
+        self.assert_flushed("close_day");
         self.daily.push(DayStats {
             day: self.days_closed(),
             broadcasts: self.day_broadcasts,
@@ -317,7 +401,11 @@ impl GroundTruth {
 
     /// Moves `other`'s open day into this ledger's open day, leaving
     /// `other`'s empty.
+    ///
+    /// # Panics
+    /// Panics when `other` holds unresolved views.
     pub fn absorb_day(&mut self, other: &mut GroundTruth) {
+        other.assert_flushed("absorb_day");
         self.day_broadcasts += std::mem::take(&mut other.day_broadcasts);
         self.day_viewers.union_with(&other.day_viewers);
         self.day_broadcasters.union_with(&other.day_broadcasters);
@@ -326,7 +414,11 @@ impl GroundTruth {
     }
 
     /// Adds `other`'s per-user tallies to this ledger's.
+    ///
+    /// # Panics
+    /// Panics when `other` holds unresolved views.
     pub fn merge_tallies(&mut self, other: &GroundTruth) {
+        other.assert_flushed("merge_tallies");
         for (mine, theirs) in self.user_views.iter_mut().zip(&other.user_views) {
             *mine += theirs;
         }
@@ -336,7 +428,11 @@ impl GroundTruth {
     }
 
     /// The closed days and tallies, as the summary of `config`.
+    ///
+    /// # Panics
+    /// Panics when the ledger holds unresolved views.
     pub fn into_summary(self, config: ScenarioConfig) -> WorkloadSummary {
+        self.assert_flushed("into_summary");
         WorkloadSummary {
             config,
             daily: self.daily,
@@ -345,7 +441,8 @@ impl GroundTruth {
         }
     }
 
-    /// Bytes of heap + inline storage (replay memory accounting).
+    /// Bytes of heap + inline storage (replay memory accounting),
+    /// including the view buffer and its scatter buffer.
     pub fn tracked_bytes(&self) -> usize {
         std::mem::size_of::<Self>()
             + (self.user_views.capacity() + self.user_creates.capacity())
@@ -353,7 +450,27 @@ impl GroundTruth {
             + self.daily.capacity() * std::mem::size_of::<DayStats>()
             + self.day_viewers.tracked_bytes()
             + self.day_broadcasters.tracked_bytes()
+            + (self.pending.capacity() + self.scatter.capacity()) * std::mem::size_of::<f64>()
     }
+}
+
+/// Resolves the buffered needles through `viewers`, counting each view
+/// in `user_views` and `day_viewers`, and empties the buffer.
+fn resolve_views(
+    viewers: &CumulativeTable,
+    pending: &mut Vec<f64>,
+    scatter: &mut [f64],
+    user_views: &mut [u32],
+    day_viewers: &mut FixedBitset,
+) {
+    if pending.is_empty() {
+        return;
+    }
+    viewers.resolve(pending, scatter, |viewer| {
+        user_views[viewer as usize] += 1;
+        day_viewers.insert(viewer);
+    });
+    pending.clear();
 }
 
 /// An iterator of [`BroadcastRecord`]s in `(day, seq)` order.
@@ -409,15 +526,24 @@ impl<'a> BroadcastStream<'a> {
         (self.schedule, self.sampler, self.graph, self.truth)
     }
 
-    /// Bytes of heap + inline storage held by the stream's ledger and
-    /// sampler tables — `O(users + days)`, independent of how many
-    /// records have been yielded. The follow graph (an input, shared
-    /// across paths) is accounted separately by the bench.
+    /// Bytes of heap + inline storage held by the stream's schedule,
+    /// sampler tables and ledger — `O(users + days)`, independent of how
+    /// many records have been yielded. Each part counts its own inline
+    /// bytes; the follow graph (an input, shared across paths) is
+    /// accounted separately by the bench, handle included.
     pub fn tracked_bytes(&self) -> usize {
-        std::mem::size_of::<Self>()
-            + self.schedule.tracked_bytes()
-            + self.sampler.tracked_bytes()
-            + self.truth.tracked_bytes()
+        self.schedule.tracked_bytes() + self.sampler.tracked_bytes() + self.truth.tracked_bytes()
+    }
+
+    /// Closes every open day before `day`, resolving the views buffered
+    /// in the ledger first.
+    fn close_days_before(&mut self, day: u32) {
+        if self.truth.days_closed() < day {
+            self.truth.flush(&self.sampler);
+            while self.truth.days_closed() < day {
+                self.truth.close_day();
+            }
+        }
     }
 }
 
@@ -429,14 +555,10 @@ impl Iterator for BroadcastStream<'_> {
         let Some(slot) = self.schedule.next() else {
             // Close every remaining day (including trailing zero-broadcast
             // days) exactly once; further calls fall through harmlessly.
-            while self.truth.days_closed() < days {
-                self.truth.close_day();
-            }
+            self.close_days_before(days);
             return None;
         };
-        while slot.day > self.truth.days_closed() {
-            self.truth.close_day();
-        }
+        self.close_days_before(slot.day);
         let followers = self.graph.in_degree(slot.broadcaster) as u64;
         Some(self.truth.sample(&self.sampler, slot, followers))
     }
@@ -477,6 +599,7 @@ pub fn default_graph(config: &ScenarioConfig, pool: &RngPool) -> DiGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bitset::FixedBitset;
 
     fn small_periscope() -> ScenarioConfig {
         ScenarioConfig {
@@ -714,6 +837,112 @@ mod tests {
             top >= bottom * 2.0,
             "top-decile median audience {top} vs bottom-half {bottom}"
         );
+    }
+
+    #[test]
+    fn deferred_views_match_the_per_view_ledger() {
+        // A 7-needle batch makes the buffer fill mid-record and carry
+        // views across day barriers; the tallies and `DayStats` must still
+        // equal a ledger counted view by view from `RecordSampler::sample`.
+        const BATCH: u64 = 7;
+        let config = small_periscope();
+        let graph = default_graph(&config, &RngPool::new(config.seed));
+        let sampler = RecordSampler::new(&config);
+        let mut truth = GroundTruth::with_batch(&config, BATCH as usize);
+
+        let mut user_views = vec![0u32; config.users];
+        let mut daily: Vec<DayStats> = Vec::new();
+        let (mut viewers, mut broadcasters) = (
+            FixedBitset::new(config.users),
+            FixedBitset::new(config.users),
+        );
+
+        let (mut mid_record, mut across_barrier) = (0, 0);
+        let mut slots = ScheduleStream::new(&config).peekable();
+        for day in 0..config.days {
+            let mut broadcasts = 0;
+            while let Some(slot) = slots.next_if(|s| s.day == day) {
+                let followers = graph.in_degree(slot.broadcaster) as u64;
+                let before = truth.pending.len() as u64;
+                let record = truth.sample(&sampler, slot, followers);
+                // The buffer filled before the record's last view; it was
+                // resolved there and never outgrew its batch.
+                mid_record += usize::from(before + record.mobile_viewers > BATCH);
+                assert!((truth.pending.len() as u64) < BATCH);
+                let expect = sampler.sample(slot, followers, |viewer| {
+                    user_views[viewer as usize] += 1;
+                    viewers.insert(viewer);
+                });
+                assert_eq!(record, expect);
+                broadcasts += 1;
+                broadcasters.insert(slot.broadcaster);
+            }
+            across_barrier += usize::from(!truth.pending.is_empty());
+            truth.flush(&sampler);
+            truth.close_day();
+            daily.push(DayStats {
+                day,
+                broadcasts,
+                active_viewers: viewers.len() as u64,
+                active_broadcasters: broadcasters.len() as u64,
+            });
+            viewers.clear();
+            broadcasters.clear();
+        }
+        assert!(mid_record > 100, "only {mid_record} mid-record flushes");
+        assert!(
+            across_barrier > 5,
+            "only {across_barrier} days ended unflushed"
+        );
+
+        let summary = truth.into_summary(config.clone());
+        assert_eq!(summary.user_views, user_views);
+        assert_eq!(summary.daily, daily);
+        // The stream, at the full batch, counts the same truth.
+        let streamed = generate_streaming(&config).into_summary();
+        assert_eq!(streamed.user_views, user_views);
+        assert_eq!(streamed.daily, daily);
+    }
+
+    #[test]
+    fn a_missed_flush_panics_instead_of_miscounting() {
+        let config = small_periscope();
+        let sampler = RecordSampler::new(&config);
+        // A ledger holding the unresolved views of a few records.
+        let unflushed = || {
+            let mut truth = GroundTruth::new(&config);
+            for slot in ScheduleStream::new(&config).take(20) {
+                truth.sample(&sampler, slot, 500);
+            }
+            assert!(!truth.pending.is_empty());
+            truth
+        };
+        let panics = |what: &str, f: &mut dyn FnMut()| {
+            let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f))
+                .expect_err("a missed flush must panic");
+            let message = err
+                .downcast_ref::<String>()
+                .expect("a formatted panic message");
+            assert!(
+                message.contains(&format!("GroundTruth::{what} with"))
+                    && message.contains("unresolved mobile views"),
+                "{message}"
+            );
+        };
+        let mut open = GroundTruth::new(&config);
+        panics("close_day", &mut || unflushed().close_day());
+        panics("absorb_day", &mut || open.absorb_day(&mut unflushed()));
+        panics("merge_tallies", &mut || open.merge_tallies(&unflushed()));
+        panics("into_summary", &mut || {
+            unflushed().into_summary(config.clone());
+        });
+        // Flushed, each of them goes through.
+        let mut flushed = unflushed();
+        flushed.flush(&sampler);
+        open.absorb_day(&mut flushed);
+        open.merge_tallies(&flushed);
+        flushed.close_day();
+        flushed.into_summary(config.clone());
     }
 
     #[test]

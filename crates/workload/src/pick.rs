@@ -9,6 +9,17 @@
 //! entries left. The scan is exact, not approximate: [`CumulativeTable::pick`]
 //! returns the index `partition_point(|c| c <= needle)` would, for every
 //! needle, so no generated byte depends on the guide.
+//!
+//! At paper scale even the guided pick is a random read into a 96 MB
+//! table, and the tally it feeds is another random write. A caller that
+//! only needs the multiset of picks — the ground-truth ledger, whose
+//! tallies and bitsets commute — can split a pick in two:
+//! `CumulativeTable::draw` makes exactly the draw `pick` makes, and
+//! `CumulativeTable::resolve` later resolves a batch of such needles
+//! in needle order. One counting pass partitions the batch into
+//! `RESOLVE_SLICES` equal slices of the total weight, so the guide, the
+//! table and the caller's per-user state are then walked nearly in
+//! ascending order (`crates/workload/DESIGN.md`).
 
 use rand::rngs::SmallRng;
 use rand::Rng;
@@ -19,6 +30,21 @@ use rand::Rng;
 /// (DESIGN.md §10), so the largest of the flat range: the guide costs
 /// one byte per user.
 const ENTRIES_PER_BUCKET: usize = 4;
+
+/// Slices of the total weight that [`CumulativeTable::resolve`]
+/// partitions a batch into. With a 2^16-needle batch a slice holds ~4
+/// needles, and at 12M users spans ~730 users (~6 KB of the table), so
+/// consecutive locates land a few lines apart. The offsets are 64 KiB of
+/// stack. One counting pass, not a full sort: a four-pass LSD radix sort
+/// plus a merge walk lost to it at 12k users (0.68×).
+const RESOLVE_SLICES: usize = 1 << 14;
+
+/// The partition slice of `needle`, given `RESOLVE_SLICES / total`.
+/// A needle just below `total` can round up to `RESOLVE_SLICES`, so the
+/// last slice is clamped.
+fn slice_of(needle: f64, slices_per_weight: f64) -> usize {
+    ((needle * slices_per_weight) as usize).min(RESOLVE_SLICES - 1)
+}
 
 /// Per-user propensity weights in cumulative form, plus the guide that
 /// makes a weighted pick `O(1)` expected.
@@ -91,7 +117,51 @@ impl CumulativeTable {
     /// Samples a user id proportional to its weight, from exactly one
     /// `rng.gen_range(0.0..total)` draw.
     pub fn pick(&self, rng: &mut SmallRng) -> u32 {
-        self.locate(rng.gen_range(0.0..self.total))
+        self.locate(self.draw(rng))
+    }
+
+    /// The needle a [`pick`](Self::pick) draws, exactly one
+    /// `rng.gen_range(0.0..total)`, for [`resolve`](Self::resolve) to
+    /// turn into the same user later.
+    pub(crate) fn draw(&self, rng: &mut SmallRng) -> f64 {
+        rng.gen_range(0.0..self.total)
+    }
+
+    /// Calls `on_pick` once per needle of `needles` (each drawn by
+    /// [`draw`](Self::draw)) with the user [`pick`](Self::pick) would
+    /// have returned for it. The calls come in needle order, slice by
+    /// slice, not in the order of `needles`: the multiset of picks is
+    /// the same, and the table is read nearly front to back.
+    ///
+    /// # Panics
+    /// Panics when `scratch` is shorter than `needles`.
+    pub(crate) fn resolve(
+        &self,
+        needles: &[f64],
+        scratch: &mut [f64],
+        mut on_pick: impl FnMut(u32),
+    ) {
+        assert!(needles.len() <= u32::MAX as usize, "slice offsets are u32");
+        let sorted = &mut scratch[..needles.len()];
+        let slices_per_weight = RESOLVE_SLICES as f64 / self.total;
+        let mut next = [0u32; RESOLVE_SLICES];
+        for &needle in needles {
+            next[slice_of(needle, slices_per_weight)] += 1;
+        }
+        let mut start = 0;
+        for slot in &mut next {
+            let count = *slot;
+            *slot = start;
+            start += count;
+        }
+        for &needle in needles {
+            let slot = &mut next[slice_of(needle, slices_per_weight)];
+            sorted[*slot as usize] = needle;
+            *slot += 1;
+        }
+        for &needle in sorted.iter() {
+            on_pick(self.locate(needle));
+        }
     }
 
     /// The first index whose cumulative weight exceeds `needle`, for a
@@ -309,6 +379,81 @@ mod tests {
         }
         assert_eq!(hits[1], 0);
         assert!((19_000..21_000).contains(&hits[2]), "{hits:?}");
+    }
+
+    /// `resolve` over `needles`, as a sorted multiset of user ids.
+    fn resolved(table: &CumulativeTable, needles: &[f64]) -> Vec<u32> {
+        let mut scratch = vec![0.0; needles.len()];
+        let mut ids = Vec::with_capacity(needles.len());
+        table.resolve(needles, &mut scratch, |id| ids.push(id));
+        ids.sort_unstable();
+        ids
+    }
+
+    proptest! {
+        #[test]
+        fn resolve_yields_the_oracle_multiset(w in weights(2..400), seed in 0u64..1_000) {
+            let table = table_of(&w);
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let mut needles = edge_needles(&table);
+            // The top needle, which can round into the clamped last slice.
+            needles.push(table.total.next_down());
+            needles.extend((0..256).map(|_| table.draw(&mut rng)));
+            let mut want: Vec<u32> = needles.iter().map(|&n| oracle(&table, n)).collect();
+            want.sort_unstable();
+            prop_assert_eq!(resolved(&table, &needles), want);
+        }
+    }
+
+    #[test]
+    fn draw_then_resolve_is_pick() {
+        // The same stream split in two: `draw` makes `pick`'s one draw.
+        let table = table_of(&[1.0, 0.0, 2.0, 1.0, 5.0, 0.25]);
+        let (mut a, mut b) = (SmallRng::seed_from_u64(9), SmallRng::seed_from_u64(9));
+        let mut picked: Vec<u32> = (0..5_000).map(|_| table.pick(&mut a)).collect();
+        let needles: Vec<f64> = (0..5_000).map(|_| table.draw(&mut b)).collect();
+        assert_eq!(a.gen::<u64>(), b.gen::<u64>(), "streams stay in step");
+        picked.sort_unstable();
+        assert_eq!(resolved(&table, &needles), picked);
+        // An empty batch resolves to nothing.
+        assert!(resolved(&table, &[]).is_empty());
+    }
+
+    #[test]
+    fn the_top_needle_stays_in_the_last_slice() {
+        // Whatever the total, the largest needle below it maps to the last
+        // slice; at a total of 0.9 the product rounds up to the slice count
+        // and only the clamp keeps it in range.
+        let mut clamped = 0;
+        for total in [
+            0.9,
+            1.0,
+            3.0,
+            7.0,
+            0.1,
+            1e-300,
+            1e300,
+            12_345.678,
+            2f64.powi(40) - 1.0,
+        ] {
+            let scale = RESOLVE_SLICES as f64 / total;
+            let needle = f64::next_down(total);
+            clamped += usize::from((needle * scale) as usize >= RESOLVE_SLICES);
+            assert_eq!(
+                slice_of(needle, scale),
+                RESOLVE_SLICES - 1,
+                "total {total:e}"
+            );
+            assert_eq!(slice_of(0.0, scale), 0);
+        }
+        assert!(clamped > 0, "no total exercised the clamp");
+    }
+
+    #[test]
+    #[should_panic]
+    fn resolve_needs_scratch_for_every_needle() {
+        let table = table_of(&[1.0, 2.0]);
+        table.resolve(&[0.5, 1.5], &mut [0.0], |_| {});
     }
 
     #[test]
