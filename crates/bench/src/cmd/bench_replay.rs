@@ -17,9 +17,8 @@
 //!
 //! Each divisor records two phases. `graph_build` is the follow-graph
 //! construction: wall time, the generator's deterministic peak
-//! build-buffer bytes, the finished graph's `resident_bytes()`, its
-//! adjacency checksum, and the assembly worker count (always 1). `replay` is the
-//! streaming fold: wall time, broadcasts/sec, the mobile views
+//! build-buffer bytes, the finished graph's `resident_bytes()` and its
+//! adjacency checksum. `replay` is the streaming fold: wall time, broadcasts/sec, the mobile views
 //! attributed (`mobile_views`, one weighted viewer pick each) with the
 //! replay wall divided by them (`ns_per_mobile_view` — the whole fold's
 //! cost per view, not the pick alone), and the *peak tracked
@@ -31,9 +30,9 @@
 //! one file.
 //!
 //! The tool times no worker counts: thread scaling measured on a
-//! two-vCPU host means nothing. That every replay and graph-assembly
-//! shard count reproduces K = 1 is pinned by `parallel_replay`,
-//! `csr_parallel` and `baselines/REPLAY_workers.json`.
+//! two-vCPU host means nothing. That every replay shard count
+//! reproduces K = 1 is pinned by `parallel_replay` and
+//! `baselines/REPLAY_workers.json`; the graph build has no shard count.
 //!
 //! The run finishes with the top-5 handler histograms by total wall
 //! time — the `handler.graph.{decide,rewire,assemble}_ns` build sections
@@ -88,7 +87,6 @@ struct GraphBuild {
     max_in_degree: usize,
     swaps_applied: u64,
     adjacency_checksum: String,
-    workers: usize,
 }
 
 /// One divisor of the sweep: a `runs` row of `BENCH_replay.json`.
@@ -183,7 +181,6 @@ fn replay(divisor: f64, telemetry: &Telemetry) -> ReplayRun {
         max_in_degree: graph.degrees().max_in_degree(),
         swaps_applied: build.swaps_applied,
         adjacency_checksum: hex(graph.adjacency_checksum()),
-        workers: build.workers,
     };
 
     let t0 = Instant::now();
@@ -399,7 +396,6 @@ mod tests {
                 g.max_in_degree,
                 g.swaps_applied,
                 g.adjacency_checksum.clone(),
-                g.workers,
             )
         };
         assert_eq!(
@@ -414,7 +410,7 @@ mod tests {
     /// stream-owned-graph path's, and its row equals the committed one,
     /// so a change that moves both paths together is seen too. The same
     /// divisor's graph checksums are also pinned in `csr_regression`
-    /// (K = 1, 2, 6) and `baselines/GRAPH_build.json`.
+    /// and `baselines/GRAPH_build.json`.
     #[test]
     fn divisor_1000_records_match_the_owned_graph_path_and_the_pin() {
         let run = assert_row_matches_a_fresh_run(1_000.0);

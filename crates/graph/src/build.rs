@@ -14,34 +14,16 @@
 //! by source without a comparison sort, and the output depends only on the
 //! input edge multiset, never on iteration order of any hashed container.
 //!
-//! ## Parallel assembly contract (DESIGN.md §12)
-//!
-//! Phase 2 is data-parallel over **disjoint target-node ranges**: with K
-//! workers, worker `w` owns the contiguous node range `[t_w, t_{w+1})`
-//! and fills exactly the in-CSR slice `in_sources[in_offsets[t_w] ..
-//! in_offsets[t_{w+1}]]`, writing through its own in-offset slots
-//! `in_offsets[t_w .. t_{w+1}]` as cursors — a `split_at_mut`
-//! partition, so workers share no mutable state at the type level. Each
-//! worker scans the full out-CSR in ascending-source order and keeps
-//! only edges whose target falls in its range; within any single
-//! in-segment that is *the same stable visit order the sequential
-//! scatter uses*, so the output bytes are a pure function of the
-//! out-CSR, independent of K and of thread scheduling (one shard runs
-//! inline, more run on scoped threads via [`livescope_sim::run_parts`]).
-//! `tests/csr_parallel.rs` property-tests this partition invariance
-//! against the sequential path and the `BTreeMap` oracle.
-
-use livescope_sim::run_parts;
+//! Phase 2 runs on one thread (DESIGN.md §12): it is about a tenth of a
+//! build, so the loops below are the only assembly path.
 
 use crate::digraph::{DiGraph, NodeId};
 
 /// Build-time statistics for one [`DiGraph::generate_with_stats`]
 /// (`crate::generate`) run. Everything here is deterministic for a given
 /// `(spec, seed)` pair — `peak_bytes` counts buffer capacities, which are
-/// fixed by the allocation pattern, not by the allocator or the worker
-/// count (per-worker state is carved out of shared arrays by
-/// `split_at_mut`, never allocated per shard) — so these values can be
-/// pinned in regression baselines.
+/// fixed by the allocation pattern, not by the allocator — so these
+/// values can be pinned in regression baselines.
 #[derive(Clone, Copy, Debug)]
 pub struct GraphBuildStats {
     /// Nodes in the finished graph.
@@ -54,9 +36,6 @@ pub struct GraphBuildStats {
     pub peak_bytes: usize,
     /// Degree-preserving rewiring swaps actually applied (not attempted).
     pub swaps_applied: u64,
-    /// Assembly worker shards the build ran with (≥ 1). An execution
-    /// knob, never an observable: every value produces identical graphs.
-    pub workers: usize,
 }
 
 /// Running high-water mark of build-buffer bytes.
@@ -77,151 +56,19 @@ impl PeakTracker {
     }
 }
 
-/// Even node-space boundary `w` of `K` over `n` nodes.
-fn node_bound(w: usize, workers: usize, n: usize) -> usize {
-    w * n / workers
-}
-
-/// Parallel in-degree count: worker `w` owns the count slots of node
-/// range `[node_bound(w), node_bound(w+1))` (a disjoint sub-slice of
-/// `in_offsets[1..]`) and scans the full target array, counting only
-/// targets in its range. Commutative per-slot addition with a single
-/// writer per slot — identical to the sequential count for any K.
-fn count_in_degrees(
-    node_count: usize,
-    out_targets: &[NodeId],
-    in_offsets: &mut [u32],
-    workers: usize,
-) {
-    let mut parts: Vec<(std::ops::Range<usize>, &mut [u32])> = Vec::with_capacity(workers);
-    let mut rest: &mut [u32] = &mut in_offsets[1..];
-    for w in 0..workers {
-        let (start, end) = (
-            node_bound(w, workers, node_count),
-            node_bound(w + 1, workers, node_count),
-        );
-        let (head, tail) = std::mem::take(&mut rest).split_at_mut(end - start);
-        parts.push((start..end, head));
-        rest = tail;
-    }
-    run_parts(parts, |(range, counts)| {
-        for &v in out_targets {
-            let v = v as usize;
-            if range.contains(&v) {
-                counts[v - range.start] += 1;
-            }
-        }
-    });
-}
-
-/// Parallel prefix pass over the per-node counts: independent in-place
-/// prefix sums per block, one sequential carry walk over the K block
-/// totals, then a parallel base-offset pass. Pure integer addition in a
-/// fixed association, so the result is bit-identical to the sequential
-/// prefix sum for any K.
-fn prefix_sum(in_offsets: &mut [u32], workers: usize) {
-    let node_count = in_offsets.len() - 1;
-    fn split(in_offsets: &mut [u32], workers: usize, node_count: usize) -> Vec<&mut [u32]> {
-        let mut blocks: Vec<&mut [u32]> = Vec::with_capacity(workers);
-        let mut rest: &mut [u32] = &mut in_offsets[1..];
-        for w in 0..workers {
-            let len = node_bound(w + 1, workers, node_count) - node_bound(w, workers, node_count);
-            let (head, tail) = std::mem::take(&mut rest).split_at_mut(len);
-            blocks.push(head);
-            rest = tail;
-        }
-        blocks
-    }
-    run_parts(split(in_offsets, workers, node_count), |block| {
-        let mut acc = 0;
-        for x in block.iter_mut() {
-            acc += *x;
-            *x = acc;
-        }
-    });
-    // Carry walk: block w's base is the sum of all earlier block totals
-    // (each block's total now sits in its last element).
-    let mut bases = Vec::with_capacity(workers);
-    let mut carry = 0;
-    for w in 0..workers {
-        bases.push(carry);
-        let end = node_bound(w + 1, workers, node_count);
-        if end > node_bound(w, workers, node_count) {
-            carry += in_offsets[end];
-        }
-    }
-    run_parts(
-        split(in_offsets, workers, node_count)
-            .into_iter()
-            .zip(bases)
-            .collect(),
-        |(block, base)| {
-            if base != 0 {
-                for x in block.iter_mut() {
-                    *x += base;
-                }
-            }
-        },
+/// Refuses a phase-2 worker count above one, for the two signatures
+/// that still take one (`BuildOptions::with_workers`,
+/// `DiGraph::from_edges_with`). Zero and one both mean the one path.
+///
+/// # Panics
+///
+/// If `workers > 1`: no caller should believe a larger value does
+/// anything.
+pub(crate) fn assert_one_worker(workers: usize) {
+    assert!(
+        workers <= 1,
+        "workers = {workers}: the parallel CSR assembly was removed; phase 2 runs on one thread"
     );
-}
-
-/// Parallel stable scatter: worker `w` owns target range
-/// `[tbounds[w], tbounds[w+1])` — boundaries chosen so each range holds
-/// ~`E/K` in-edges — and fills the corresponding disjoint `in_sources`
-/// slice by scanning the full out-CSR in ascending-source order. Its
-/// write cursors are its own in-offset slots, which it leaves one
-/// segment ahead (see [`transpose`]). See the module docs for the
-/// byte-identity argument.
-fn scatter(
-    node_count: usize,
-    out_offsets: &[u32],
-    out_targets: &[NodeId],
-    in_offsets: &mut [u32],
-    in_sources: &mut [NodeId],
-    workers: usize,
-) {
-    let edge_total = in_offsets[node_count] as usize;
-    let mut tbounds = Vec::with_capacity(workers + 1);
-    tbounds.push(0usize);
-    for w in 1..workers {
-        let want = edge_total * w / workers;
-        let t = in_offsets.partition_point(|&e| (e as usize) < want);
-        tbounds.push(t.max(tbounds[w - 1]).min(node_count));
-    }
-    tbounds.push(node_count);
-    // Segment starts at the boundaries, read before the cursors move.
-    let starts: Vec<usize> = tbounds.iter().map(|&t| in_offsets[t] as usize).collect();
-
-    type Part<'a> = (
-        std::ops::Range<usize>,
-        &'a mut [u32],
-        &'a mut [NodeId],
-        usize,
-    );
-    let mut parts: Vec<Part<'_>> = Vec::with_capacity(workers);
-    let mut cur_rest: &mut [u32] = &mut in_offsets[..node_count];
-    let mut src_rest: &mut [NodeId] = in_sources;
-    for w in 0..workers {
-        let (t0, t1) = (tbounds[w], tbounds[w + 1]);
-        let (cur, cr) = std::mem::take(&mut cur_rest).split_at_mut(t1 - t0);
-        let (dst, sr) = std::mem::take(&mut src_rest).split_at_mut(starts[w + 1] - starts[w]);
-        parts.push((t0..t1, cur, dst, starts[w]));
-        cur_rest = cr;
-        src_rest = sr;
-    }
-    run_parts(parts, |(range, cur, dst, base)| {
-        for u in 0..node_count {
-            let (s, e) = (out_offsets[u] as usize, out_offsets[u + 1] as usize);
-            for &v in &out_targets[s..e] {
-                let vi = v as usize;
-                if range.contains(&vi) {
-                    let c = &mut cur[vi - range.start];
-                    dst[*c as usize - base] = u as NodeId;
-                    *c += 1;
-                }
-            }
-        }
-    });
 }
 
 /// Moves every offset one slot right and zeroes slot 0. A counting
@@ -256,42 +103,28 @@ pub(crate) fn narrow_offsets(raw: Vec<u64>) -> Vec<u32> {
 /// `in_offsets[v]` itself as node `v`'s write cursor, and
 /// [`shift_right`] the cursors back into offsets. Stable, so every
 /// in-list comes out sorted by source with no per-list sort. Returns
-/// `(in_offsets, in_sources)`, identical for every `workers` value.
+/// `(in_offsets, in_sources)`.
 fn transpose(
     node_count: usize,
     out_offsets: &[u32],
     out_targets: &[NodeId],
-    workers: usize,
 ) -> (Vec<u32>, Vec<NodeId>) {
     let mut in_offsets = vec![0u32; node_count + 1];
     let mut in_sources = vec![0 as NodeId; out_targets.len()];
-    if workers == 1 {
-        for &v in out_targets {
-            in_offsets[v as usize + 1] += 1;
+    for &v in out_targets {
+        in_offsets[v as usize + 1] += 1;
+    }
+    for i in 0..node_count {
+        let prev = in_offsets[i];
+        in_offsets[i + 1] += prev;
+    }
+    for u in 0..node_count {
+        let (s, e) = (out_offsets[u] as usize, out_offsets[u + 1] as usize);
+        for &v in &out_targets[s..e] {
+            let c = &mut in_offsets[v as usize];
+            in_sources[*c as usize] = u as NodeId;
+            *c += 1;
         }
-        for i in 0..node_count {
-            let prev = in_offsets[i];
-            in_offsets[i + 1] += prev;
-        }
-        for u in 0..node_count {
-            let (s, e) = (out_offsets[u] as usize, out_offsets[u + 1] as usize);
-            for &v in &out_targets[s..e] {
-                let c = &mut in_offsets[v as usize];
-                in_sources[*c as usize] = u as NodeId;
-                *c += 1;
-            }
-        }
-    } else {
-        count_in_degrees(node_count, out_targets, &mut in_offsets, workers);
-        prefix_sum(&mut in_offsets, workers);
-        scatter(
-            node_count,
-            out_offsets,
-            out_targets,
-            &mut in_offsets,
-            &mut in_sources,
-            workers,
-        );
     }
     shift_right(&mut in_offsets);
     (in_offsets, in_sources)
@@ -302,16 +135,10 @@ fn transpose(
 /// [`narrow_offsets`]), allocating nothing the graph does not keep: the
 /// target array is trimmed to its length before [`transpose`] builds the
 /// in-direction.
-///
-/// `workers > 1` splits every pass over disjoint target-node ranges (see
-/// the module docs); the single-worker path keeps the branch-free
-/// sequential loops. Output bytes are identical for every `workers`
-/// value.
 pub(crate) fn assemble(
     node_count: usize,
     out_offsets: Vec<u32>,
     mut out_targets: Vec<NodeId>,
-    workers: usize,
     peak: &mut PeakTracker,
 ) -> DiGraph {
     debug_assert_eq!(out_offsets.len(), node_count + 1);
@@ -319,9 +146,8 @@ pub(crate) fn assemble(
         *out_offsets.last().unwrap_or(&0) as usize,
         out_targets.len()
     );
-    let workers = workers.clamp(1, node_count.max(1));
     out_targets.shrink_to_fit();
-    let (in_offsets, in_sources) = transpose(node_count, &out_offsets, &out_targets, workers);
+    let (in_offsets, in_sources) = transpose(node_count, &out_offsets, &out_targets);
     peak.observe(
         (out_offsets.capacity() + in_offsets.capacity()) * std::mem::size_of::<u32>()
             + (out_targets.capacity() + in_sources.capacity()) * std::mem::size_of::<NodeId>(),
@@ -423,36 +249,11 @@ mod tests {
     fn assemble_builds_sorted_in_lists() {
         let mut peak = PeakTracker::default();
         // 0→1, 0→2, 2→1 grouped by source with sorted segments.
-        let g = assemble(3, vec![0, 2, 2, 3], vec![1, 2, 1], 1, &mut peak);
+        let g = assemble(3, vec![0, 2, 2, 3], vec![1, 2, 1], &mut peak);
         assert_eq!(g.in_neighbors(1), &[0, 2]);
         assert_eq!(g.in_neighbors(2), &[0]);
         assert_eq!(g.out_neighbors(0), &[1, 2]);
         assert!(peak.peak() > 0);
-    }
-
-    #[test]
-    fn parallel_assemble_matches_sequential_for_every_worker_count() {
-        // 0→{1,2}, 1→{0,2,3}, 2→{1}, 3→{} plus heavy in-degree on 2.
-        let offsets = vec![0u32, 2, 5, 6, 6, 8, 10];
-        let targets = vec![1, 2, 0, 2, 3, 1, 2, 4, 2, 5];
-        let mut peak = PeakTracker::default();
-        let seq = assemble(6, offsets.clone(), targets.clone(), 1, &mut peak);
-        for workers in [2, 3, 4, 6, 9] {
-            let mut peak = PeakTracker::default();
-            let par = assemble(6, offsets.clone(), targets.clone(), workers, &mut peak);
-            assert_eq!(
-                seq.adjacency_checksum(),
-                par.adjacency_checksum(),
-                "workers={workers}"
-            );
-            for u in 0..6 {
-                assert_eq!(
-                    seq.in_neighbors(u),
-                    par.in_neighbors(u),
-                    "workers={workers}"
-                );
-            }
-        }
     }
 
     #[test]
@@ -479,16 +280,5 @@ mod tests {
         let mut empty = [0u32];
         shift_right(&mut empty);
         assert_eq!(empty, [0]);
-    }
-
-    #[test]
-    fn parallel_assemble_peak_bytes_is_worker_invariant() {
-        let offsets = vec![0u32, 2, 5, 6, 6, 8, 10];
-        let targets = vec![1, 2, 0, 2, 3, 1, 2, 4, 2, 5];
-        let mut peak1 = PeakTracker::default();
-        assemble(6, offsets.clone(), targets.clone(), 1, &mut peak1);
-        let mut peak6 = PeakTracker::default();
-        assemble(6, offsets, targets, 6, &mut peak6);
-        assert_eq!(peak1.peak(), peak6.peak());
     }
 }

@@ -110,18 +110,6 @@ impl DiGraph {
     /// property tests — which is the determinism contract that lets edge
     /// lists be produced by any pipeline shape.
     pub fn from_edges(node_count: usize, edges: &[(NodeId, NodeId)]) -> DiGraph {
-        DiGraph::from_edges_with(node_count, edges, 1)
-    }
-
-    /// As [`DiGraph::from_edges`], sharding the phase-2 assembly across
-    /// `workers` disjoint target-node ranges (DESIGN.md §12). The output
-    /// is byte-identical for every `workers` value — property-tested in
-    /// `tests/csr_parallel.rs`.
-    pub fn from_edges_with(
-        node_count: usize,
-        edges: &[(NodeId, NodeId)],
-        workers: usize,
-    ) -> DiGraph {
         assert!(
             node_count <= u32::MAX as usize,
             "too many nodes for u32 ids"
@@ -169,7 +157,23 @@ impl DiGraph {
         }
         targets.truncate(write);
         let mut peak = PeakTracker::default();
-        build::assemble(node_count, deduped, targets, workers, &mut peak)
+        build::assemble(node_count, deduped, targets, &mut peak)
+    }
+
+    /// [`DiGraph::from_edges`]. Kept only because `benchmark/` calls it
+    /// with `workers = 1`; phase 2 runs on one thread (DESIGN.md §12).
+    ///
+    /// # Panics
+    ///
+    /// As [`DiGraph::from_edges`], and if `workers > 1`: the parallel
+    /// assembly such a value selected is gone.
+    pub fn from_edges_with(
+        node_count: usize,
+        edges: &[(NodeId, NodeId)],
+        workers: usize,
+    ) -> DiGraph {
+        build::assert_one_worker(workers);
+        DiGraph::from_edges(node_count, edges)
     }
 
     /// Number of nodes.
@@ -301,6 +305,12 @@ mod tests {
     fn triangle_plus_tail() -> DiGraph {
         // 0→1, 1→2, 2→0 (cycle) and 3→0 (tail).
         DiGraph::from_edges(4, &[(0, 1), (1, 2), (2, 0), (3, 0)])
+    }
+
+    #[test]
+    #[should_panic(expected = "workers = 2: the parallel CSR assembly was removed")]
+    fn from_edges_with_refuses_more_than_one_worker() {
+        DiGraph::from_edges_with(4, &[(0, 1)], 2);
     }
 
     #[test]

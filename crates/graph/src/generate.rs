@@ -199,37 +199,30 @@ impl BuildProfile {
     }
 }
 
-/// Execution knobs for [`DiGraph::generate_with`]. None of them change
-/// the emitted graph — `workers` only shards phase 2's counting-sort
-/// passes over disjoint target ranges (byte-identical for every value,
-/// DESIGN.md §12), and `profile` sections only time the phases, on a
+/// Execution options for [`DiGraph::generate_with`]. They never change
+/// the emitted graph: `profile` sections only time the phases, on a
 /// recording telemetry handle.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct BuildOptions {
-    /// Assembly worker shards (≥ 1; clamped to the node count).
-    pub workers: usize,
     /// Build-phase timing sections (default: inert).
     pub profile: BuildProfile,
 }
 
-impl Default for BuildOptions {
-    fn default() -> BuildOptions {
-        BuildOptions {
-            workers: 1,
-            profile: BuildProfile::default(),
-        }
-    }
-}
-
 impl BuildOptions {
-    /// Sequential assembly, no profiling.
+    /// No profiling.
     pub fn new() -> BuildOptions {
         BuildOptions::default()
     }
 
-    /// Shards phase-2 assembly across `workers` disjoint target ranges.
-    pub fn with_workers(mut self, workers: usize) -> BuildOptions {
-        self.workers = workers.max(1);
+    /// Returns `self` unchanged. Kept only because `benchmark/` calls it
+    /// with 1; phase 2 runs on one thread (DESIGN.md §12).
+    ///
+    /// # Panics
+    ///
+    /// If `workers > 1`: the parallel assembly such a value selected is
+    /// gone.
+    pub fn with_workers(self, workers: usize) -> BuildOptions {
+        build::assert_one_worker(workers);
         self
     }
 
@@ -255,9 +248,8 @@ impl DiGraph {
     }
 
     /// As [`DiGraph::generate_with_stats`], with explicit execution
-    /// options (assembly worker count, build-phase profiling). The graph
-    /// and every deterministic stat are identical for all options — only
-    /// wall time and the `workers` stat field vary.
+    /// options (build-phase profiling). The graph and every stat are
+    /// identical for all options — only wall time varies.
     pub fn generate_with(
         spec: &GraphSpec,
         seed: u64,
@@ -362,17 +354,15 @@ fn build_follow(
         .rewire
         .time(|| follow_rewire(nodes, p, &estart, &mut targets, &mut rng, &mut peak));
 
-    let workers = options.workers.max(1);
     let g = options.profile.assemble.time(|| {
         let estart = build::narrow_offsets(estart);
-        build::assemble(nodes, estart, targets, workers, &mut peak)
+        build::assemble(nodes, estart, targets, &mut peak)
     });
     let stats = GraphBuildStats {
         nodes,
         edges: g.edge_count(),
         peak_bytes: peak.peak(),
         swaps_applied,
-        workers,
     };
     (g, stats)
 }
@@ -704,7 +694,6 @@ fn build_friendship(
     });
     // Final assembly: `sorted_adj` already *is* the symmetric out-CSR,
     // segment-sorted; flatten and counting-sort the in-direction.
-    let workers = options.workers.max(1);
     let g = options.profile.assemble.time(|| {
         let mut offsets: Vec<u64> = Vec::with_capacity(nodes + 1);
         offsets.push(0);
@@ -718,14 +707,13 @@ fn build_friendship(
             flat.extend_from_slice(list);
         }
         let offsets = build::narrow_offsets(offsets);
-        build::assemble(nodes, offsets, flat, workers, &mut peak)
+        build::assemble(nodes, offsets, flat, &mut peak)
     });
     let stats = GraphBuildStats {
         nodes,
         edges: g.edge_count(),
         peak_bytes: peak.peak(),
         swaps_applied,
-        workers,
     };
     (g, stats)
 }

@@ -21,7 +21,7 @@
 //! * [`build`] — the two-phase CSR assembly shared by the generators and
 //!   [`DiGraph::from_edges`](digraph::DiGraph::from_edges): phase 1
 //!   streams edge endpoints, phase 2 counting-sorts both directions in
-//!   O(V+E) (DESIGN.md §12);
+//!   O(V+E) on one thread (DESIGN.md §12);
 //! * [`metrics`] — average degree, sampled clustering coefficient, sampled
 //!   average shortest-path length, and degree assortativity.
 //!

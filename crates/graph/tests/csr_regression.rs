@@ -121,65 +121,6 @@ fn table2_calibration_graphs_match_old_generator() {
     }
 }
 
-/// The parallel-assembly path against the same goldens: the K-shard
-/// scatter (DESIGN.md §12 "parallel assembly contract") must reproduce
-/// every pinned checksum bit-for-bit at the divisor-1000 scale and all
-/// three Table 2 shapes, with the K shards on scoped worker threads.
-#[test]
-fn parallel_assembly_reproduces_pinned_checksums() {
-    use livescope_graph::BuildOptions;
-    let seed = RngPool::new(0x5ca1ab1e).stream_seed("graph");
-    let spec = GraphSpec::periscope().with_nodes(12_000);
-    for workers in [2usize, 6] {
-        let (g, stats) =
-            DiGraph::generate_with(&spec, seed, &BuildOptions::new().with_workers(workers));
-        assert_eq!(stats.workers, workers);
-        check(
-            &g,
-            &Golden {
-                name: "div1000-periscope (parallel)",
-                edges: 227_422,
-                adjacency: 0xd3d5723ae01c845b,
-                degree: 0x04e34b169564bc8c,
-            },
-        );
-    }
-    let table2 = [
-        (
-            GraphSpec::periscope(),
-            Golden {
-                name: "table2-periscope-6000 (parallel)",
-                edges: 114_401,
-                adjacency: 0xaa3dc681cee9d514,
-                degree: 0x59df4f8cc09a1346,
-            },
-        ),
-        (
-            GraphSpec::twitter(),
-            Golden {
-                name: "table2-twitter-6000 (parallel)",
-                edges: 41_614,
-                adjacency: 0x87d82eb8074f7441,
-                degree: 0x62dc306fd360399d,
-            },
-        ),
-        (
-            GraphSpec::facebook(),
-            Golden {
-                name: "table2-facebook-6000 (parallel)",
-                edges: 399_572,
-                adjacency: 0xedf69f4523843aa9,
-                degree: 0x420b26128f214f1e,
-            },
-        ),
-    ];
-    let six = BuildOptions::new().with_workers(6);
-    for (spec, golden) in table2 {
-        let (g, _) = DiGraph::generate_with(&spec.with_nodes(6_000), 5, &six);
-        check(&g, &golden);
-    }
-}
-
 /// Small fast pins for the shapes the unit tests exercise.
 #[test]
 fn small_graphs_match_old_generator() {

@@ -17,6 +17,16 @@ cargo fmt --check
 echo "==> cargo clippy --workspace --all-targets -- -D warnings (the determinism gate)"
 cargo clippy --workspace --all-targets -- -D warnings
 
+# `benchmark/` is its own cargo workspace that calls pinned library entry
+# points (benchmark/README.md § "Library entry points"); this catches a
+# signature change that would break it. Cargo rewrites its stale
+# Cargo.lock on the way, so the committed one is put back afterwards.
+echo "==> cargo check benchmark/ (its own workspace; Cargo.lock restored)"
+bench_lock=$(mktemp)
+cp benchmark/Cargo.lock "$bench_lock"
+trap 'cp "$bench_lock" benchmark/Cargo.lock; rm -f "$bench_lock"' EXIT
+cargo check --offline -q --manifest-path benchmark/Cargo.toml
+
 echo "==> cargo test --workspace -q"
 cargo test --workspace -q
 

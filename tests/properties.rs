@@ -9,7 +9,9 @@ use proptest::prelude::*;
 use livescope_analysis::Cdf;
 use livescope_cdn::Chunker;
 use livescope_client::playback::{simulate_playback, ArrivedUnit};
-use livescope_proto::control::{ControlRequest, ControlResponse, Scheme, Sealed, StreamUrl};
+use livescope_proto::control::{
+    BroadcastSummary, ControlRequest, ControlResponse, Scheme, Sealed, StreamUrl,
+};
 use livescope_proto::hls::{Chunk, ChunkList, CHUNK_MAGIC};
 use livescope_proto::message::{ChatEvent, EventKind};
 use livescope_proto::rtmp::{FrameMeta, Role, RtmpMessage, VideoFrame, RTMP_MAGIC, RTMP_VERSION};
@@ -51,6 +53,63 @@ fn arb_message() -> impl Strategy<Value = RtmpMessage> {
         arb_frame().prop_map(RtmpMessage::Frame),
         any::<u64>().prop_map(|sequence| RtmpMessage::Ack { sequence }),
         Just(RtmpMessage::Close),
+    ]
+}
+
+fn arb_url() -> impl Strategy<Value = StreamUrl> {
+    (any::<bool>(), any::<u16>(), any::<u64>()).prop_map(|(rtmp, dc, broadcast_id)| StreamUrl {
+        scheme: if rtmp { Scheme::Rtmp } else { Scheme::Hls },
+        dc,
+        broadcast_id,
+    })
+}
+
+fn arb_control_request() -> impl Strategy<Value = ControlRequest> {
+    prop_oneof![
+        any::<u64>().prop_map(|user_id| ControlRequest::CreateBroadcast { user_id }),
+        (any::<u64>(), "[ -~é€😀]{0,24}").prop_map(|(broadcast_id, token)| {
+            ControlRequest::EndBroadcast {
+                broadcast_id,
+                token,
+            }
+        }),
+        (any::<u64>(), any::<u64>()).prop_map(|(broadcast_id, user_id)| ControlRequest::Join {
+            broadcast_id,
+            user_id
+        }),
+        Just(ControlRequest::GlobalList),
+    ]
+}
+
+/// Every response variant; `JoinInfo` with and without its RTMP URL and
+/// `GlobalList` from empty to several summaries.
+fn arb_control_response() -> impl Strategy<Value = ControlResponse> {
+    let summary = (any::<u64>(), any::<u64>(), any::<u64>()).prop_map(
+        |(broadcast_id, broadcaster_id, started_ts_us)| BroadcastSummary {
+            broadcast_id,
+            broadcaster_id,
+            started_ts_us,
+        },
+    );
+    prop_oneof![
+        (any::<u64>(), "[ -~é€😀]{0,24}", arb_url(), arb_url()).prop_map(
+            |(broadcast_id, token, rtmp_url, hls_url)| ControlResponse::Created {
+                broadcast_id,
+                token,
+                rtmp_url,
+                hls_url,
+            }
+        ),
+        (proptest::option::of(arb_url()), arb_url(), any::<bool>()).prop_map(
+            |(rtmp_url, hls_url, can_comment)| ControlResponse::JoinInfo {
+                rtmp_url,
+                hls_url,
+                can_comment,
+            }
+        ),
+        proptest::collection::vec(summary, 0..6).prop_map(ControlResponse::GlobalList),
+        Just(ControlResponse::Ok),
+        "[ -~é€😀]{0,24}".prop_map(ControlResponse::Error),
     ]
 }
 
@@ -237,6 +296,31 @@ proptest! {
             can_comment: user.is_multiple_of(2),
         };
         prop_assert_eq!(ControlResponse::decode(resp.encode()).unwrap(), resp);
+    }
+
+    #[test]
+    fn every_truncation_of_a_control_message_or_its_envelope_is_an_error(
+        req in arb_control_request(),
+        resp in arb_control_response(),
+        key in any::<u64>(),
+        nonce in any::<u64>(),
+    ) {
+        let wire = req.encode();
+        prop_assert_eq!(ControlRequest::decode(wire.clone()), Ok(req));
+        for cut in 0..wire.len() {
+            prop_assert!(ControlRequest::decode(wire.slice(..cut)).is_err(), "request cut at {cut}");
+        }
+        let wire = resp.encode();
+        prop_assert_eq!(ControlResponse::decode(wire.clone()), Ok(resp));
+        for cut in 0..wire.len() {
+            prop_assert!(ControlResponse::decode(wire.slice(..cut)).is_err(), "response cut at {cut}");
+        }
+        let sealed = Sealed::seal(&wire, key, nonce).wire().clone();
+        prop_assert_eq!(Sealed::from_wire(sealed.clone()).unseal(key), Ok(wire));
+        for cut in 0..sealed.len() {
+            let cut_envelope = Sealed::from_wire(sealed.slice(..cut));
+            prop_assert!(cut_envelope.unseal(key).is_err(), "envelope cut at {cut}");
+        }
     }
 
     #[test]
