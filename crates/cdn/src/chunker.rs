@@ -6,20 +6,20 @@
 //! chunk duration appears verbatim as the "Chunking" bar of Fig 11 and why
 //! chunk size is the paper's primary scalability/latency tradeoff knob.
 
-use std::ops::Deref;
 use std::sync::Arc;
 
-use bytes::Bytes;
 use livescope_proto::hls::Chunk;
 use livescope_proto::rtmp::VideoFrame;
 use livescope_sim::{SimDuration, SimTime};
 
-/// Assembles frames into fixed-duration chunks for one broadcast.
+/// Assembles frames into fixed-duration chunks for one broadcast. Sealing
+/// moves the open chunk's frames, payloads untouched, into the published
+/// [`ReadyChunk`], and the next chunk reserves as many as the last held.
 #[derive(Debug)]
 pub struct Chunker {
     target: SimDuration,
     next_seq: u64,
-    /// Frames of the open chunk plus their arrival instants.
+    /// Frames of the open chunk, in arrival order.
     pending: Vec<VideoFrame>,
     open_since: Option<SimTime>,
     open_start_ts_us: u64,
@@ -27,28 +27,20 @@ pub struct Chunker {
 
 /// A chunk plus the server-side instant it became ready.
 ///
-/// One allocation seen two ways: `encoded` is the wire form, written once
-/// when the chunk closed, straight into an exactly-sized (~190 KB) shared
-/// block; `chunk` is that block decoded, so every frame payload and
-/// signature in it is a view of `encoded`, not a copy. Cloning a
-/// `ReadyChunk` bumps two reference counts, and every edge cache and
-/// client download shares the same block — which lives until the last
-/// view of it, a single retained frame payload included, is dropped.
+/// `chunk` holds the very frames the ingest server received: sealing
+/// moves them into the `Arc` and copies no payload, so every payload is
+/// still the block its frame arrived in. Cloning a `ReadyChunk` bumps one
+/// reference count, and every edge cache and client download shares the
+/// same `Arc<Chunk>`. Nothing downstream reads the container bytes, only
+/// their size, so the wire form is never built: `wire_len` is what
+/// [`Chunk::encode`] would produce, and what an edge bills per download.
 #[derive(Clone, Debug)]
 pub struct ReadyChunk {
     pub chunk: Arc<Chunk>,
-    /// Wire encoding of `chunk`, produced once at seal time.
-    pub encoded: Bytes,
+    /// `chunk.encoded_len()`, taken once at seal time.
+    pub wire_len: usize,
     /// When the chunk closed on the ingest server.
     pub ready_at: SimTime,
-}
-
-impl Deref for ReadyChunk {
-    type Target = Chunk;
-
-    fn deref(&self) -> &Chunk {
-        &self.chunk
-    }
 }
 
 impl Chunker {
@@ -117,21 +109,17 @@ impl Chunker {
     }
 
     fn seal(&mut self, opened: SimTime, now: SimTime) -> ReadyChunk {
-        let ingested = Chunk {
+        let held = self.pending.len();
+        let chunk = Chunk {
             seq: self.next_seq,
             start_ts_us: self.open_start_ts_us,
             duration_us: now.saturating_since(opened).as_micros(),
-            frames: std::mem::take(&mut self.pending),
+            frames: std::mem::replace(&mut self.pending, Vec::with_capacity(held)),
         };
         self.next_seq += 1;
-        let encoded = ingested.encode();
-        // The ingest-side payload blocks are released here: what is
-        // published is the encoded block read back, whose frames view it.
-        drop(ingested);
-        let chunk = Chunk::decode(encoded.clone()).expect("a chunk's own encoding decodes");
         ReadyChunk {
+            wire_len: chunk.encoded_len(),
             chunk: Arc::new(chunk),
-            encoded,
             ready_at: now,
         }
     }
@@ -171,6 +159,8 @@ mod tests {
         assert_eq!(chunks[0].chunk.frames.len(), 75);
         assert_eq!(chunks[1].chunk.frames.len(), 75);
         assert_eq!(ch.pending_frames(), 50);
+        // The open chunk reserved what the last one held.
+        assert_eq!(ch.pending.capacity(), 75);
     }
 
     #[test]
@@ -244,56 +234,21 @@ mod tests {
     }
 
     #[test]
-    fn seal_encodes_once_and_clones_share_the_allocation() {
+    fn seal_publishes_the_ingested_frames() {
+        // Sealing copies no payload: a caller that kept a clone of what it
+        // ingested shares that block with the chunk. The container is only
+        // sized, never built.
         let mut ch = Chunker::new(SimDuration::from_secs(3));
-        let chunks = feed(&mut ch, 80);
-        let rc = &chunks[0];
-        assert_eq!(rc.encoded, rc.chunk.encode(), "wire form matches");
-        let clone = rc.clone();
-        assert!(Arc::ptr_eq(&clone.chunk, &rc.chunk), "chunk is shared");
-        assert_eq!(
-            clone.encoded.as_ref().as_ptr(),
-            rc.encoded.as_ref().as_ptr(),
-            "encoded bytes are shared, not copied"
-        );
-    }
-
-    #[test]
-    fn sealed_frames_are_views_of_the_encoded_block() {
-        let mut ch = Chunker::new(SimDuration::from_secs(3));
-        for i in 0..76u64 {
-            let mut f = frame(i);
-            if i % 2 == 0 {
-                f.meta.signature = Some(Bytes::from(vec![i as u8; 32]));
-            }
-            let t = SimTime::from_millis(i * FRAME_INTERVAL_MS);
-            if let Some(rc) = ch.push(t, f) {
-                let block = rc.encoded.as_ptr_range();
-                assert_eq!(rc.chunk.frames.len(), 75);
-                for f in &rc.chunk.frames {
-                    assert!(block.contains(&f.payload.as_ptr()), "payload copied");
-                    if let Some(sig) = &f.meta.signature {
-                        assert!(block.contains(&sig.as_ptr()), "signature copied");
-                    }
-                }
-                return;
-            }
-        }
-        panic!("no chunk sealed");
-    }
-
-    #[test]
-    fn seal_releases_the_ingested_payload_blocks() {
-        // A caller that kept a clone of what it ingested owns that block
-        // alone once the chunk seals: the chunker keeps no second copy of
-        // the video, and the clone pins 8 bytes, not the chunk.
-        let mut ch = Chunker::new(SimDuration::from_secs(3));
-        let first = frame(0);
+        let mut first = frame(0);
+        first.meta.signature = Some(Bytes::from(vec![9u8; 32]));
         let held = first.payload.clone();
         assert!(ch.push(SimTime::ZERO, first).is_none());
-        assert!(!held.is_unique(), "pending frame shares the block");
-        let rc = ch.flush(SimTime::from_secs(1)).expect("one frame pending");
-        assert!(held.is_unique());
-        assert_eq!(rc.chunk.frames[0].payload, held);
+        assert!(ch.push(SimTime::from_millis(40), frame(1)).is_none());
+        let rc = ch.flush(SimTime::from_secs(1)).expect("two frames pending");
+        assert_eq!(rc.chunk.frames[0].payload.as_ptr(), held.as_ptr());
+        assert!(!held.is_unique(), "the sealed chunk shares the block");
+        assert_eq!(rc.wire_len, rc.chunk.encode().len());
+        let clone = rc.clone();
+        assert!(Arc::ptr_eq(&clone.chunk, &rc.chunk), "chunk is shared");
     }
 }

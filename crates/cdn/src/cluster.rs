@@ -344,9 +344,6 @@ impl Cluster {
         token: &str,
     ) -> Result<(), CdnError> {
         let dc = self.control.end_broadcast(now, broadcast, token)?;
-        // Edge copies go first: they share the origin's chunk buffers, so
-        // the ingest flush below can seal its tail chunk into the memory
-        // they free instead of raising the process's peak.
         for pop in &mut self.fastly {
             pop.evict(broadcast);
         }

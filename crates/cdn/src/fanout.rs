@@ -160,24 +160,28 @@ impl FanoutReport {
     }
 }
 
-fn fan_frame(seq: u64) -> VideoFrame {
-    let size = if seq.is_multiple_of(50) { 9_000 } else { 2_500 };
+/// Frame `seq` of the stream: a 2.5 KB delta frame or, every 50th, a 9 KB
+/// keyframe, whose payload is a clone of the matching shared `filler`.
+fn fan_frame(seq: u64, filler: &[bytes::Bytes; 2]) -> VideoFrame {
+    let keyframe = seq.is_multiple_of(50);
     VideoFrame::new(
         seq,
         seq * 40_000,
-        seq.is_multiple_of(50),
-        std::iter::repeat_n(7u8, size).collect::<bytes::Bytes>(),
+        keyframe,
+        filler[usize::from(keyframe)].clone(),
     )
 }
 
 /// Assembles the broadcast's origin chunk store by running the stream's
 /// frames through a real chunker (shared read-only by every POP shard).
+/// Every frame of a kind shares one payload block.
 pub fn build_origin(stream_secs: u64, chunk_secs: f64) -> Vec<ReadyChunk> {
+    let filler = [2_500, 9_000].map(|size| std::iter::repeat_n(7u8, size).collect());
     let mut chunker = Chunker::new(SimDuration::from_secs_f64(chunk_secs));
     let mut origin = Vec::new();
     for i in 0..stream_secs * 25 {
         let now = SimTime::from_millis(i * 40);
-        if let Some(ready) = chunker.push(now, fan_frame(i)) {
+        if let Some(ready) = chunker.push(now, fan_frame(i, &filler)) {
             origin.push(ready);
         }
     }

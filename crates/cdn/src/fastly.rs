@@ -58,12 +58,12 @@ pub struct CachedChunk {
     /// Wowza2Fastly measurement. Polls and downloads before this instant
     /// do not see the chunk.
     pub available_at: SimTime,
-    /// The origin's wire encoding, shared by refcount: the same `Bytes`
-    /// allocation travels Wowza → every POP → every viewer download, so a
-    /// serve is a pointer bump — the cheapness that makes HLS scale
-    /// (Fig 14).
-    pub encoded: bytes::Bytes,
-    /// The origin's decoded chunk, shared the same way.
+    /// Bytes one download of the chunk puts on the wire
+    /// ([`ReadyChunk::wire_len`]).
+    pub wire_len: usize,
+    /// The origin's chunk, shared by refcount: the same `Arc` travels
+    /// Wowza → every POP → every viewer download, so a serve is a pointer
+    /// bump — the cheapness that makes HLS scale (Fig 14).
     pub chunk: Arc<Chunk>,
 }
 
@@ -251,7 +251,7 @@ impl FastlyPop {
                 );
                 cache.chunks.push(CachedChunk {
                     available_at,
-                    encoded: ready.encoded.clone(),
+                    wire_len: ready.wire_len,
                     chunk: Arc::clone(&ready.chunk),
                 });
                 self.telemetry.emit(
@@ -315,9 +315,9 @@ impl FastlyPop {
     }
 
     /// Serves one chunk download (None if not yet available here) in one
-    /// cache lookup. Nothing is copied: the caller clones whichever shared
-    /// handle it wants — `encoded`, the allocation the origin sealed, or
-    /// `chunk`, the origin's decoded view — or just reads `available_at`.
+    /// cache lookup, billed at the chunk's `wire_len`. Nothing is copied:
+    /// the caller clones `chunk`, the origin's own `Arc`, or just reads
+    /// `available_at`.
     pub fn serve_chunk(
         &mut self,
         now: SimTime,
@@ -329,7 +329,7 @@ impl FastlyPop {
             return None;
         }
         self.work.chunks_served += 1;
-        self.work.bytes_served += cached.encoded.len() as u64;
+        self.work.bytes_served += cached.wire_len as u64;
         self.telemetry.add(self.c_chunks_served, 1);
         Some(cached)
     }
@@ -368,10 +368,9 @@ mod tests {
                 Bytes::from(vec![1u8; 100]),
             )],
         };
-        let encoded = chunk.encode();
         ReadyChunk {
+            wire_len: chunk.encoded_len(),
             chunk: Arc::new(chunk),
-            encoded,
             ready_at: SimTime::from_secs(ready_s),
         }
     }
@@ -467,21 +466,16 @@ mod tests {
 
     #[test]
     fn cached_chunk_shares_the_origin_allocation() {
-        // The zero-copy contract: the bytes a viewer downloads ARE the
-        // bytes the origin encoded at chunk close — same allocation, no
-        // copies anywhere on the poll → download path.
+        // The zero-copy contract: the chunk a viewer downloads IS the
+        // chunk the origin sealed — same allocation, no copies anywhere on
+        // the poll → download path.
         let mut pop = FastlyPop::new(DatacenterId(8));
         let origin = vec![ready_chunk(0, 3)];
         pop.poll(SimTime::from_secs(4), B, &origin, fixed_delay(1));
         let served = pop.serve_chunk(SimTime::from_secs(5), B, 0).unwrap();
-        assert_eq!(
-            served.encoded.as_ref().as_ptr(),
-            origin[0].encoded.as_ref().as_ptr(),
-            "served bytes must alias the origin encoding"
-        );
         assert!(
             Arc::ptr_eq(&served.chunk, &origin[0].chunk),
-            "decoded view must alias the origin chunk"
+            "served chunk must alias the origin chunk"
         );
     }
 
@@ -573,9 +567,9 @@ mod tests {
                     proptest::prop_assert_eq!(pop.availability(B, seq), lands);
                     let got = pop
                         .serve_chunk(probe, B, seq)
-                        .map(|c| (c.available_at, c.encoded.len()));
+                        .map(|c| (c.available_at, c.wire_len));
                     let expected = lands.filter(|&at| at <= probe).map(|at| {
-                        let len = origin[seq as usize].encoded.len();
+                        let len = origin[seq as usize].chunk.encode().len();
                         served += 1;
                         bytes += len as u64;
                         (at, len)

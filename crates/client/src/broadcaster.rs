@@ -15,14 +15,34 @@ pub const DELTA_FRAME_BYTES: usize = 2_500;
 /// Typical keyframe payload, bytes.
 pub const KEYFRAME_BYTES: usize = 9_000;
 
+/// Frames between repeats of the filler pattern; a multiple of
+/// [`KEYFRAME_EVERY`], so each slot is always a keyframe or always not.
+const FILL_PERIOD: u64 = 250;
+
 /// Generates the frame sequence of one broadcast.
-#[derive(Clone, Debug)]
+///
+/// Payloads are deterministic filler of realistic size, built once per
+/// slot of a 250-frame pattern and then shared: frames `seq` and
+/// `seq + 250` carry the same `Bytes` block, so a source holds at most
+/// 250 blocks, about 657 KB.
+#[derive(Clone)]
 pub struct FrameSource {
     next_seq: u64,
     /// Capture instant of frame 0 on the device clock, µs. The paper notes
     /// device clocks are not universal; keeping an explicit epoch makes
     /// that property visible in tests.
     device_epoch_us: u64,
+    /// The filler payloads built so far, indexed by `seq % FILL_PERIOD`.
+    fillers: Vec<Bytes>,
+}
+
+impl std::fmt::Debug for FrameSource {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("FrameSource")
+            .field("next_seq", &self.next_seq)
+            .field("device_epoch_us", &self.device_epoch_us)
+            .finish_non_exhaustive()
+    }
 }
 
 impl FrameSource {
@@ -31,28 +51,35 @@ impl FrameSource {
         FrameSource {
             next_seq: 0,
             device_epoch_us,
+            fillers: Vec::new(),
         }
     }
 
-    /// Produces the next frame. Payload bytes are deterministic filler of
-    /// realistic size — content doesn't matter, size and timing do.
+    /// Produces the next frame. Content doesn't matter, size and timing
+    /// do, so the payload is a shared filler block.
     pub fn next_frame(&mut self) -> VideoFrame {
         let seq = self.next_seq;
         self.next_seq += 1;
         let keyframe = seq.is_multiple_of(KEYFRAME_EVERY);
-        let size = if keyframe {
-            KEYFRAME_BYTES
-        } else {
-            DELTA_FRAME_BYTES
-        };
-        // Never zero: an all-zero payload would be indistinguishable from
-        // the black-frame tampering attack in the security experiments.
-        let fill = 1 + (seq % 250) as u8;
+        let slot = (seq % FILL_PERIOD) as usize;
+        // Sequences start at 0 and step by 1: a slot first comes up when
+        // it is the next one to build.
+        if slot == self.fillers.len() {
+            let size = if keyframe {
+                KEYFRAME_BYTES
+            } else {
+                DELTA_FRAME_BYTES
+            };
+            // Never zero: an all-zero payload would look like the
+            // black-frame tampering attack of the security experiments.
+            self.fillers
+                .push(std::iter::repeat_n(1 + slot as u8, size).collect());
+        }
         VideoFrame::new(
             seq,
-            self.device_epoch_us + seq * FRAME_INTERVAL_MS * 1_000,
+            self.capture_ts_us(seq),
             keyframe,
-            std::iter::repeat_n(fill, size).collect::<Bytes>(),
+            self.fillers[slot].clone(),
         )
     }
 
@@ -177,6 +204,21 @@ mod tests {
             assert_eq!(f.meta.capture_ts_us, 1_000_000 + i as u64 * 40_000);
         }
         assert_eq!(FrameSource::fps(), 25.0);
+    }
+
+    #[test]
+    fn filler_payloads_repeat_every_250_frames_and_share_storage() {
+        let mut src = FrameSource::new(0);
+        let frames: Vec<VideoFrame> = (0..=600).map(|_| src.next_frame()).collect();
+        for (seq, f) in frames.iter().enumerate() {
+            let size = [DELTA_FRAME_BYTES, KEYFRAME_BYTES][usize::from(seq % 50 == 0)];
+            let fill = 1 + (seq % 250) as u8;
+            assert!(f.payload[..] == vec![fill; size][..], "frame {seq}");
+            if let Some(earlier) = seq.checked_sub(250) {
+                assert_eq!(f.payload.as_ptr(), frames[earlier].payload.as_ptr());
+            }
+        }
+        assert!(format!("{src:?}").len() < 100, "Debug prints no payload");
     }
 
     #[test]

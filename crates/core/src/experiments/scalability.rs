@@ -203,8 +203,8 @@ pub fn run_hls_cell(config: &ScalabilityConfig, viewers: usize) -> FanoutCost {
                 if have[v].is_some_and(|h| entry.seq <= h) {
                     continue;
                 }
-                // Server-side cost only: serve the encoded container;
-                // decoding is client work and not billed to the POP.
+                // Server-side cost only: serve the chunk, billed at its
+                // wire length; decoding is client work, not the POP's.
                 if pop.serve_chunk(now, b, entry.seq).is_some() {
                     have[v] = Some(entry.seq);
                 }

@@ -44,6 +44,13 @@ impl Chunk {
         self.frames.iter().map(|f| f.payload.len()).sum()
     }
 
+    /// Size of the chunk container [`Chunk::encode`] writes, without
+    /// writing it: the header plus every frame's body.
+    pub fn encoded_len(&self) -> usize {
+        let body: usize = self.frames.iter().map(VideoFrame::encoded_len).sum();
+        CHUNK_HEADER_LEN + body
+    }
+
     /// Encodes the chunk container: sized exactly and written in the
     /// block it is shared from, so [`Chunk::decode`] of the result yields
     /// frames whose payloads are views of that one block.
@@ -52,8 +59,7 @@ impl Chunk {
             self.frames.len() <= MAX_FRAMES_PER_CHUNK,
             "chunk has too many frames to encode"
         );
-        let body: usize = self.frames.iter().map(VideoFrame::encoded_len).sum();
-        Bytes::build_exact(CHUNK_HEADER_LEN + body, |out| {
+        Bytes::build_exact(self.encoded_len(), |out| {
             out.put_u32(CHUNK_MAGIC);
             out.put_u64(self.seq);
             out.put_u64(self.start_ts_us);

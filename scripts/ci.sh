@@ -18,14 +18,20 @@ echo "==> cargo clippy --workspace --all-targets -- -D warnings (the determinism
 cargo clippy --workspace --all-targets -- -D warnings
 
 # `benchmark/` is its own cargo workspace that calls pinned library entry
-# points (benchmark/README.md § "Library entry points"); this catches a
-# signature change that would break it. Cargo rewrites its stale
+# points (benchmark/README.md § "Library entry points") and checks every
+# workload's output against pinned digests. One set-up pass of each
+# workload (`--seconds 0`) under BENCHMARK.json's allocator pin catches
+# both a signature change that would break it and a change that moves an
+# output: a digest mismatch exits non-zero. Cargo rewrites its stale
 # Cargo.lock on the way, so the committed one is put back afterwards.
-echo "==> cargo check benchmark/ (its own workspace; Cargo.lock restored)"
+echo "==> benchmark/ digests (release build, --workload all --seconds 0, allocator pinned; Cargo.lock restored)"
 bench_lock=$(mktemp)
 cp benchmark/Cargo.lock "$bench_lock"
 trap 'cp "$bench_lock" benchmark/Cargo.lock; rm -f "$bench_lock"' EXIT
-cargo check --offline -q --manifest-path benchmark/Cargo.toml
+cargo build --release --offline -q --manifest-path benchmark/Cargo.toml
+env MALLOC_MMAP_THRESHOLD_=1048576 MALLOC_TRIM_THRESHOLD_=268435456 \
+    cargo run --release --offline -q --manifest-path benchmark/Cargo.toml -- \
+    --workload all --seconds 0 | grep 'digest checks'
 
 echo "==> cargo test --workspace -q"
 cargo test --workspace -q

@@ -13,8 +13,9 @@ use livescope_proto::control::{
     BroadcastSummary, ControlRequest, ControlResponse, Scheme, Sealed, StreamUrl,
 };
 use livescope_proto::hls::{Chunk, ChunkList, CHUNK_MAGIC};
-use livescope_proto::message::{ChatEvent, EventKind};
+use livescope_proto::message::{ChatEvent, EventKind, MAX_COMMENT_LEN, MESSAGE_MAGIC};
 use livescope_proto::rtmp::{FrameMeta, Role, RtmpMessage, VideoFrame, RTMP_MAGIC, RTMP_VERSION};
+use livescope_proto::wire::WireError;
 use livescope_sim::{SimDuration, SimTime};
 
 fn arb_frame() -> impl Strategy<Value = VideoFrame> {
@@ -224,6 +225,17 @@ proptest! {
     }
 
     #[test]
+    fn chunk_encoded_len_is_the_length_of_its_encoding(
+        seq in any::<u64>(),
+        frames in proptest::collection::vec(arb_frame(), 0..8),
+    ) {
+        let chunk = Chunk { seq, start_ts_us: 0, duration_us: 0, frames };
+        prop_assert_eq!(chunk.encoded_len(), chunk.encode().len());
+        let empty = Chunk { frames: Vec::new(), ..chunk };
+        prop_assert_eq!(empty.encoded_len(), empty.encode().len());
+    }
+
+    #[test]
     fn chunklists_roundtrip(seqs in proptest::collection::btree_set(0u64..10_000, 0..12)) {
         let chunks: Vec<Chunk> = seqs
             .iter()
@@ -278,6 +290,57 @@ proptest! {
             },
         };
         prop_assert_eq!(ChatEvent::decode(event.encode()).unwrap(), event);
+    }
+
+    #[test]
+    fn every_truncation_of_a_chat_event_is_an_error(
+        broadcast in any::<u64>(),
+        user in any::<u64>(),
+        ts in any::<u64>(),
+        comment in proptest::option::of("[ -~é€😀]{0,600}"),
+        extra in "[é€😀]{1,8}",
+        trailing in any::<u8>(),
+    ) {
+        // Multi-byte text cut back to the longest prefix of whole
+        // characters that fits the cap.
+        let fit = |mut text: String| {
+            while text.len() > MAX_COMMENT_LEN {
+                text.pop();
+            }
+            text
+        };
+        let event = ChatEvent {
+            broadcast_id: broadcast,
+            user_id: user,
+            ts_us: ts,
+            kind: comment.clone().map_or(EventKind::Heart, |text| EventKind::Comment(fit(text))),
+        };
+        let wire = event.encode();
+        prop_assert_eq!(ChatEvent::decode(wire.clone()), Ok(event));
+        for cut in 0..wire.len() {
+            let cut_wire: Result<ChatEvent, WireError> = ChatEvent::decode(wire.slice(..cut));
+            prop_assert!(cut_wire.is_err(), "cut at {cut}");
+        }
+        let mut longer = wire.to_vec();
+        longer.push(trailing);
+        prop_assert!(ChatEvent::decode(Bytes::from(longer)).is_err(), "trailing byte");
+        // One over the cap: the encoder refuses it, so the wire is built by
+        // hand, and the decoder must name the field.
+        let mut text = fit(comment.unwrap_or_default());
+        while text.len() <= MAX_COMMENT_LEN {
+            text.push_str(&extra);
+        }
+        let mut oversized = MESSAGE_MAGIC.to_be_bytes().to_vec();
+        for field in [broadcast, user, ts] {
+            oversized.extend(field.to_be_bytes());
+        }
+        oversized.push(1);
+        oversized.extend((text.len() as u16).to_be_bytes());
+        oversized.extend(text.as_bytes());
+        prop_assert_eq!(
+            ChatEvent::decode(Bytes::from(oversized)),
+            Err(WireError::OversizedField { len: text.len() })
+        );
     }
 
     #[test]
