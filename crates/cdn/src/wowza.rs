@@ -42,7 +42,10 @@ pub enum IngestError {
 #[derive(Clone, Debug)]
 pub struct PushDelivery {
     pub viewer: UserId,
-    /// Encoded frame message as pushed on the wire.
+    /// Encoded frame message as pushed on the wire: a view of the
+    /// subscriber's send buffer. The buffer writes its next push over the
+    /// same block only if this view (and every clone of it) is gone by
+    /// then, so a kept `wire` keeps its bytes.
     pub wire: Bytes,
     /// Sampled server→viewer delay; `None` when the subscriber's link
     /// dropped the frame.
@@ -74,11 +77,21 @@ pub struct WorkCounters {
     pub frames_rejected: u64,
 }
 
+/// One RTMP viewer connection.
+struct Subscriber {
+    viewer: UserId,
+    link: Link,
+    /// The connection's send buffer: each push serializes the frame into
+    /// it ([`RtmpMessage::encode_frame_into`]), reusing its block once
+    /// the previous push's views are dropped.
+    send: Bytes,
+}
+
 /// Per-broadcast ingest session.
 struct Session {
     token: String,
     publishing: bool,
-    subscribers: Vec<(UserId, Link)>,
+    subscribers: Vec<Subscriber>,
     chunker: Chunker,
     /// HLS origin store: chunks with their ready times, in seq order.
     origin: Vec<ReadyChunk>,
@@ -199,14 +212,18 @@ impl WowzaServer {
             .sessions
             .get_mut(&broadcast)
             .ok_or(IngestError::UnknownBroadcast)?;
-        session.subscribers.push((viewer, link));
+        session.subscribers.push(Subscriber {
+            viewer,
+            link,
+            send: Bytes::new(),
+        });
         Ok(())
     }
 
     /// Removes an RTMP subscriber (no-op if absent).
     pub fn unsubscribe(&mut self, broadcast: BroadcastId, viewer: UserId) {
         if let Some(session) = self.sessions.get_mut(&broadcast) {
-            session.subscribers.retain(|(u, _)| *u != viewer);
+            session.subscribers.retain(|s| s.viewer != viewer);
         }
     }
 
@@ -260,18 +277,19 @@ impl WowzaServer {
         }
         self.work.frames_in += 1;
         // Push to every RTMP subscriber. The message is serialized *per
-        // connection* — that per-frame, per-viewer copy is exactly the
-        // work that makes RTMP expensive at scale (Fig 14); a real server
-        // frames (and on RTMPS, encrypts) each socket's stream separately.
+        // connection*, into that connection's send buffer — that
+        // per-frame, per-viewer copy is exactly the work that makes RTMP
+        // expensive at scale (Fig 14); a real server frames (and on
+        // RTMPS, encrypts) each socket's stream separately.
         let mut deliveries = Vec::with_capacity(session.subscribers.len());
-        for (viewer, link) in session.subscribers.iter_mut() {
-            let push_wire = RtmpMessage::encode_frame(&frame);
+        for sub in session.subscribers.iter_mut() {
+            RtmpMessage::encode_frame_into(&frame, &mut sub.send);
             self.work.frame_pushes += 1;
-            self.work.bytes_pushed += push_wire.len() as u64;
-            let delay = link.transmit(rng, now, push_wire.len()).delay();
+            self.work.bytes_pushed += sub.send.len() as u64;
+            let delay = sub.link.transmit(rng, now, sub.send.len()).delay();
             deliveries.push(PushDelivery {
-                viewer: *viewer,
-                wire: push_wire,
+                viewer: sub.viewer,
+                wire: sub.send.clone(),
                 delay,
             });
         }
@@ -456,6 +474,44 @@ mod tests {
         }
         assert_eq!(s.work.frame_pushes, 5);
         assert!(s.work.bytes_pushed > 0);
+    }
+
+    #[test]
+    fn a_subscriber_reuses_one_send_block_once_pushes_are_dropped() {
+        let mut s = publishing_server();
+        let mut r = rng();
+        s.subscribe(B, UserId(1), viewer_link()).unwrap();
+        let mut block = None;
+        for i in 0..10u64 {
+            let t = SimTime::from_millis(i * 40);
+            let out = s.ingest_frame(t, B, frame_wire(i), &mut r).unwrap();
+            let wire = &out.deliveries[0].wire;
+            assert_eq!(*wire, RtmpMessage::encode_frame(&frame(i)));
+            assert_eq!(
+                *block.get_or_insert(wire.as_ptr()),
+                wire.as_ptr(),
+                "push {i}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_kept_push_survives_later_pushes() {
+        let mut s = publishing_server();
+        let mut r = rng();
+        s.subscribe(B, UserId(1), viewer_link()).unwrap();
+        let first = s
+            .ingest_frame(SimTime::ZERO, B, frame_wire(0), &mut r)
+            .unwrap()
+            .deliveries
+            .remove(0)
+            .wire;
+        for i in 1..5u64 {
+            let t = SimTime::from_millis(i * 40);
+            let out = s.ingest_frame(t, B, frame_wire(i), &mut r).unwrap();
+            assert_ne!(out.deliveries[0].wire.as_ptr(), first.as_ptr());
+        }
+        assert_eq!(first, RtmpMessage::encode_frame(&frame(0)));
     }
 
     #[test]

@@ -1,5 +1,7 @@
 //! The broadcaster device: frame generation and the bursty uplink.
 
+use std::sync::LazyLock;
+
 use bytes::Bytes;
 use rand::rngs::SmallRng;
 use rand::Rng;
@@ -19,30 +21,36 @@ pub const KEYFRAME_BYTES: usize = 9_000;
 /// [`KEYFRAME_EVERY`], so each slot is always a keyframe or always not.
 const FILL_PERIOD: u64 = 250;
 
+/// The filler payload of every slot of the pattern, built once per
+/// process on first use and shared by every source: about 657 KB.
+static FILLERS: LazyLock<Vec<Bytes>> = LazyLock::new(|| {
+    (0..FILL_PERIOD)
+        .map(|slot| {
+            let size = if slot.is_multiple_of(KEYFRAME_EVERY) {
+                KEYFRAME_BYTES
+            } else {
+                DELTA_FRAME_BYTES
+            };
+            // Never zero: an all-zero payload would look like the
+            // black-frame tampering attack of the security experiments.
+            std::iter::repeat_n(1 + slot as u8, size).collect()
+        })
+        .collect()
+});
+
 /// Generates the frame sequence of one broadcast.
 ///
-/// Payloads are deterministic filler of realistic size, built once per
-/// slot of a 250-frame pattern and then shared: frames `seq` and
-/// `seq + 250` carry the same `Bytes` block, so a source holds at most
-/// 250 blocks, about 657 KB.
-#[derive(Clone)]
+/// Payloads are deterministic filler of realistic size from one
+/// process-wide 250-frame pattern of shared blocks (about 657 KB, built
+/// once): frame `seq` of any source carries the block of slot
+/// `seq % 250`, so a source allocates no payload at all.
+#[derive(Clone, Debug)]
 pub struct FrameSource {
     next_seq: u64,
     /// Capture instant of frame 0 on the device clock, µs. The paper notes
     /// device clocks are not universal; keeping an explicit epoch makes
     /// that property visible in tests.
     device_epoch_us: u64,
-    /// The filler payloads built so far, indexed by `seq % FILL_PERIOD`.
-    fillers: Vec<Bytes>,
-}
-
-impl std::fmt::Debug for FrameSource {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("FrameSource")
-            .field("next_seq", &self.next_seq)
-            .field("device_epoch_us", &self.device_epoch_us)
-            .finish_non_exhaustive()
-    }
 }
 
 impl FrameSource {
@@ -51,7 +59,6 @@ impl FrameSource {
         FrameSource {
             next_seq: 0,
             device_epoch_us,
-            fillers: Vec::new(),
         }
     }
 
@@ -60,26 +67,11 @@ impl FrameSource {
     pub fn next_frame(&mut self) -> VideoFrame {
         let seq = self.next_seq;
         self.next_seq += 1;
-        let keyframe = seq.is_multiple_of(KEYFRAME_EVERY);
-        let slot = (seq % FILL_PERIOD) as usize;
-        // Sequences start at 0 and step by 1: a slot first comes up when
-        // it is the next one to build.
-        if slot == self.fillers.len() {
-            let size = if keyframe {
-                KEYFRAME_BYTES
-            } else {
-                DELTA_FRAME_BYTES
-            };
-            // Never zero: an all-zero payload would look like the
-            // black-frame tampering attack of the security experiments.
-            self.fillers
-                .push(std::iter::repeat_n(1 + slot as u8, size).collect());
-        }
         VideoFrame::new(
             seq,
             self.capture_ts_us(seq),
-            keyframe,
-            self.fillers[slot].clone(),
+            seq.is_multiple_of(KEYFRAME_EVERY),
+            FILLERS[(seq % FILL_PERIOD) as usize].clone(),
         )
     }
 
@@ -217,6 +209,11 @@ mod tests {
             if let Some(earlier) = seq.checked_sub(250) {
                 assert_eq!(f.payload.as_ptr(), frames[earlier].payload.as_ptr());
             }
+        }
+        // One pattern per process: another source hands out the same blocks.
+        let mut other = FrameSource::new(5);
+        for f in &frames[..300] {
+            assert_eq!(other.next_frame().payload.as_ptr(), f.payload.as_ptr());
         }
         assert!(format!("{src:?}").len() < 100, "Debug prints no payload");
     }

@@ -169,11 +169,13 @@ struct RunWorld {
 }
 
 impl RunWorld {
-    fn frame_arrival(&mut self, now: SimTime, i: usize) {
+    /// The next frame reaches Wowza. Arrival events fire in frame order
+    /// (`arrival_times` is strictly increasing), so an event needs to
+    /// carry nothing: the frame's sequence number indexes its capture.
+    fn frame_arrival(&mut self, now: SimTime) {
         let frame = self.source.next_frame();
-        assert_eq!(frame.meta.sequence, i as u64, "frames arrive in order");
         let meta = frame.meta.clone();
-        let capture = self.captures[i];
+        let capture = self.captures[meta.sequence as usize];
         let outcome = self
             .cluster
             .ingest_decoded(now, self.broadcast, frame)
@@ -199,11 +201,11 @@ fn seed_events(
     poll_phase: SimDuration,
     end: SimTime,
 ) {
-    for (i, &arrival) in arrivals.iter().enumerate() {
+    for &arrival in arrivals {
         sched.schedule(
             ShardId(0),
             arrival,
-            Box::new(move |ctx, w: &mut RunWorld| w.frame_arrival(ctx.now(), i)),
+            Box::new(|ctx, w: &mut RunWorld| w.frame_arrival(ctx.now())),
         );
     }
     if config.with_probe {

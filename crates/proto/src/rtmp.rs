@@ -160,6 +160,12 @@ fn put_header(out: &mut impl BufMut, tag: u8) {
     out.put_u8(tag);
 }
 
+/// Writes a whole frame message: header, then body.
+fn put_frame(out: &mut impl BufMut, frame: &VideoFrame) {
+    put_header(out, TAG_FRAME);
+    frame.encode_body(out);
+}
+
 /// A complete RTMP-shaped message.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum RtmpMessage {
@@ -180,14 +186,24 @@ pub enum RtmpMessage {
 }
 
 impl RtmpMessage {
-    /// Encodes a frame message, header included, from a borrowed frame:
-    /// what a server pushing one frame to many sockets calls per socket.
-    /// Sized exactly and written in the block it is shared from.
+    /// Encodes a frame message, header included, from a borrowed frame,
+    /// sized exactly and written in the block it is shared from. A server
+    /// pushing one frame to many sockets calls [`Self::encode_frame_into`]
+    /// per socket instead; both write through the same writer.
     pub fn encode_frame(frame: &VideoFrame) -> Bytes {
         Bytes::build_exact(HEADER_LEN + frame.encoded_len(), |out| {
-            put_header(out, TAG_FRAME);
-            frame.encode_body(out);
+            put_frame(out, frame)
         })
+    }
+
+    /// Encodes a frame message into a connection's send buffer: the same
+    /// bytes as [`Self::encode_frame`], written over `send`'s own block
+    /// when no earlier push still holds it and the block is long enough
+    /// ([`Bytes::rebuild_exact`]), else into a fresh one.
+    pub fn encode_frame_into(frame: &VideoFrame, send: &mut Bytes) {
+        send.rebuild_exact(HEADER_LEN + frame.encoded_len(), |out| {
+            put_frame(out, frame)
+        });
     }
 
     /// Encodes the message, header included.
@@ -444,6 +460,9 @@ mod tests {
             let frame = sample_frame(signed);
             let wire = RtmpMessage::encode_frame(&frame);
             assert_eq!(wire.len(), 6 + frame.encoded_len());
+            let mut send = Bytes::new();
+            RtmpMessage::encode_frame_into(&frame, &mut send);
+            assert_eq!(send, wire, "one writer");
             assert_eq!(wire, RtmpMessage::Frame(frame).encode(), "one encoder");
         }
     }

@@ -75,7 +75,9 @@ ab rev_a rev_b workload *rest:
 
 # Sampled "where the time went" profile of one revision's benchmark
 # workload: scripts/sigprof.c (an LD_PRELOAD SIGPROF sampler) plus
-# `addr2line -i`. E.g. `just profile HEAD edge_fanout 8
-# 'queue=queue\.rs' 'radix=^sort_bucket<'`.
+# `addr2line -i`. Always prints the top-25 innermost functions and the
+# top-40 inclusive ones (share of samples with the function anywhere on
+# the stack, once per sample); each LABEL=REGEX adds a row. E.g. `just
+# profile HEAD edge_fanout 8 'queue=queue\.rs' 'radix=^sort_bucket<'`.
 profile rev workload *rest:
     bash scripts/profile.sh {{rev}} {{workload}} {{rest}}

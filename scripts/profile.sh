@@ -19,6 +19,14 @@
 #   libm, the loader) is listed as "<module file> ← <innermost in-binary
 #   function>", since addr2line sees only a shared library's exported
 #   names and would file a memset under whichever export precedes it;
+# * the inclusive share of every function, top 40: the share of samples
+#   with the function anywhere on the stack, inlined frames included,
+#   counted once per sample however often it recurs. The frames a sample
+#   has below its first in-binary frame count as their module file
+#   (libc.so.6), so that row is the share of samples spent in the
+#   library; a function on every sample (the process's entry frames) is
+#   left out. This is the table that says which caller a library's self
+#   time belongs to, with no label to guess;
 # * for each LABEL=REGEX, the share of samples with any frame, inlined
 #   ones included, that matches REGEX (an awk extended regex) as the line
 #   "function @ file:line", e.g. 'heap=binary_heap' or
@@ -83,7 +91,8 @@ while read -r _ index path; do
 done < <(grep '^M ' "$work/samples.txt")
 
 echo "${sha:0:12} $workload, ${seconds} s"
-# Emits "TOTAL n", "SELF count function" and "LABEL count name" lines.
+# Emits "TOTAL n", "SELF count function", "INCL count function" and
+# "LABEL count name" lines.
 LABELS=$(printf '%s\n' "$@") BINARY=$(readlink -f "$build/release/benchmark") awk '
     BEGIN {
         n = split(ENVIRON["LABELS"], spec, "\n")
@@ -137,8 +146,36 @@ LABELS=$(printf '%s\n' "$@") BINARY=$(readlink -f "$build/release/benchmark") aw
             funcs = funcs "\n" f
         }
         self[leaf_name()]++
+        split("", seen)
+        in_binary = 0
+        for (i = 2; i <= NF; i++) {
+            module = $i
+            sub(/:.*/, "", module)
+            if (module != binary) {
+                if (!in_binary) count_once((module in module_file) ? module_file[module] : "?")
+                continue
+            }
+            in_binary = 1
+            if (!($i in chain)) {
+                count_once("??")
+            } else {
+                levels = split(chain[$i], level, "\n")
+                for (k = 1; k <= levels; k++) {
+                    f = level[k]
+                    sub(/ @ .*/, "", f)
+                    count_once(f)
+                }
+            }
+        }
         for (l = 1; l <= nlabels; l++) {
             if (funcs ~ regex[l]) hit[l]++
+        }
+    }
+    # Counts `name` for the current sample unless it already has been.
+    function count_once(name) {
+        if (!(name in seen)) {
+            seen[name] = 1
+            incl[name]++
         }
     }
     # The innermost function of frame token $i ("module:address").
@@ -165,6 +202,7 @@ LABELS=$(printf '%s\n' "$@") BINARY=$(readlink -f "$build/release/benchmark") aw
     END {
         print "TOTAL\t" total + 0
         for (f in self) print "SELF\t" self[f] "\t" f
+        for (f in incl) print "INCL\t" incl[f] "\t" f
         for (l = 1; l <= nlabels; l++) print "LABEL\t" hit[l] + 0 "\t" name[l]
     }
 ' "$work"/resolved.* "$work/samples.txt" >"$work/counts.tsv"
@@ -179,6 +217,9 @@ share() {
 }
 printf '%s samples\n\n| share | innermost function |\n|---:|---|\n' "$total"
 grep '^SELF' "$work/counts.tsv" | sort -t $'\t' -k2,2 -n -r | awk 'NR <= 25' | share
+printf '\n| share | function (anywhere on the stack) |\n|---:|---|\n'
+grep '^INCL' "$work/counts.tsv" | awk -F '\t' -v total="$total" '$2 < total' |
+    sort -t $'\t' -k2,2 -n -r | awk 'NR <= 40' | share
 if [ $# -gt 0 ]; then
     printf '\n| share | label (any frame matches) |\n|---:|---|\n'
     grep '^LABEL' "$work/counts.tsv" | share

@@ -37,10 +37,12 @@ fn arb_frame() -> impl Strategy<Value = VideoFrame> {
         })
 }
 
-fn arb_message() -> impl Strategy<Value = RtmpMessage> {
+/// Every RTMP message but a frame, with tokens from the whole
+/// printable range plus multi-byte characters, in both roles.
+fn arb_rtmp_control() -> impl Strategy<Value = RtmpMessage> {
     prop_oneof![
         any::<u64>().prop_map(|nonce| RtmpMessage::Handshake { nonce }),
-        ("[ -~]{0,64}", any::<bool>(), any::<u64>()).prop_map(|(token, publisher, user_id)| {
+        ("[ -~é€😀]{0,64}", any::<bool>(), any::<u64>()).prop_map(|(token, publisher, user_id)| {
             RtmpMessage::Connect {
                 token,
                 role: if publisher {
@@ -51,10 +53,14 @@ fn arb_message() -> impl Strategy<Value = RtmpMessage> {
                 user_id,
             }
         }),
-        arb_frame().prop_map(RtmpMessage::Frame),
         any::<u64>().prop_map(|sequence| RtmpMessage::Ack { sequence }),
         Just(RtmpMessage::Close),
     ]
+}
+
+/// Every RTMP message; half of them frames.
+fn arb_message() -> impl Strategy<Value = RtmpMessage> {
+    prop_oneof![arb_rtmp_control(), arb_frame().prop_map(RtmpMessage::Frame)]
 }
 
 fn arb_url() -> impl Strategy<Value = StreamUrl> {
@@ -186,6 +192,41 @@ proptest! {
         prop_assert_eq!(wire.len(), 6 + frame.encoded_len());
         for cut in 0..wire.len() {
             prop_assert!(RtmpMessage::decode(wire.slice(..cut)).is_err(), "cut at {cut}");
+        }
+    }
+
+    #[test]
+    fn every_truncation_of_an_rtmp_control_message_is_an_error(
+        msg in arb_rtmp_control(),
+        trailing in any::<u8>(),
+    ) {
+        let wire = msg.encode();
+        prop_assert_eq!(RtmpMessage::decode(wire.clone()), Ok(msg));
+        for cut in 0..wire.len() {
+            prop_assert!(RtmpMessage::decode(wire.slice(..cut)).is_err(), "cut at {cut}");
+        }
+        let mut longer = wire.to_vec();
+        longer.push(trailing);
+        prop_assert!(RtmpMessage::decode(Bytes::from(longer)).is_err());
+    }
+
+    #[test]
+    fn a_send_buffer_never_rewrites_a_kept_push(
+        pushes in proptest::collection::vec((arb_frame(), any::<bool>()), 1..16),
+    ) {
+        // One connection's pushes, some of which a receiver keeps.
+        let mut send = Bytes::new();
+        let mut kept = Vec::new();
+        for (frame, keep) in &pushes {
+            RtmpMessage::encode_frame_into(frame, &mut send);
+            let expected = RtmpMessage::encode_frame(frame);
+            prop_assert_eq!(&send, &expected);
+            if *keep {
+                kept.push((send.clone(), expected));
+            }
+        }
+        for (view, expected) in kept {
+            prop_assert_eq!(view, expected);
         }
     }
 
