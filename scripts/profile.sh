@@ -30,7 +30,10 @@
 # * for each LABEL=REGEX, the share of samples with any frame, inlined
 #   ones included, that matches REGEX (an awk extended regex) as the line
 #   "function @ file:line", e.g. 'heap=binary_heap' or
-#   'radix=^sort_bucket<'.
+#   'radix=^sort_bucket<'. A sample's frames are joined by newlines,
+#   which awk's `.` matches: 'grow=finish_grow.*seed_events' counts the
+#   samples where finish_grow runs under seed_events. Write it that way;
+#   an alternation such as `(.|\n)*` makes awk backtrack for minutes.
 #
 # The sampler asks for one sample per 1 ms of CPU time; the kernel's timer
 # tick may cap the rate (at 250 Hz, one per 4 ms). The whole process is
