@@ -7,7 +7,7 @@
 //!
 //! * [`stats`] — streaming summaries (Welford), quantiles, correlation;
 //! * [`cdf`] — empirical CDFs with exact quantiles and downsampled series;
-//! * [`sketch`] — a mergeable log-binned quantile sketch with the same
+//! * [`sketch`] — a log-binned quantile sketch with the same
 //!   query surface as [`Cdf`], for bounded-memory streaming replay;
 //! * [`delay`] — the six-component end-to-end delay ledger of Fig 10/11;
 //! * [`table`] — ASCII table + CSV rendering;

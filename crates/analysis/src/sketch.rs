@@ -1,5 +1,5 @@
-//! Mergeable streaming quantile sketch — the bounded-memory counterpart
-//! of [`crate::Cdf`] for the longitudinal replay path.
+//! Streaming quantile sketch — the bounded-memory counterpart of
+//! [`crate::Cdf`] for the longitudinal replay path.
 //!
 //! [`QuantileSketch`] is a fixed-resolution log-binned histogram: each
 //! power-of-two octave of the value range is split into 128 equal-width
@@ -8,24 +8,14 @@
 //! bin midpoint (clamped to the exact observed min/max), which keeps the
 //! worst-case relative error under the 0.5% budget the paper's reported
 //! percentiles (p10/p50/p90/p99) need. Memory is a fixed ~50 KiB per
-//! sketch regardless of how many samples stream through, and two
-//! sketches merge by adding their bin counts — the property the sharded
-//! campaign fold relies on.
+//! sketch regardless of how many samples stream through; the campaign
+//! fold keeps one per Figs 3–5 distribution. `tests/sketch_proptest.rs`
+//! holds the error budget against the exact CDF.
 //!
-//! # Merge semantics
-//!
-//! [`QuantileSketch::merge`] is *exact*, not approximate: a bin count is
-//! a `u64` and addition is associative and commutative, so folding a
-//! sample stream through any partition into shard sketches and merging
-//! them yields bin-for-bin the state of one sequential fold — same
-//! quantiles, same rendered series, byte for byte. The only `f64`
-//! accumulator is the running `sum` backing [`QuantileSketch::mean`];
-//! the data-parallel replay (DESIGN.md §13) merges shards in fixed
-//! shard order so even that float addition happens in one canonical
-//! order, and no rendered figure reads `mean()` anyway. Min/max merge
-//! by `min`/`max`, which are order-free. The proptests in
-//! `tests/sketch_proptest.rs` pin the merge laws (commutativity,
-//! associativity, merge-equals-single-fold).
+//! Bin counts are `u64`s, so a sketch's quantiles and rendered series
+//! depend only on the multiset of samples pushed, not on their order.
+//! The only `f64` accumulator is the running `sum` backing
+//! [`QuantileSketch::mean`], and no rendered figure reads it.
 //!
 //! Binning is computed from the IEEE-754 bit pattern (exponent plus the
 //! top seven mantissa bits), not `log2`, so bin assignment is exact and
@@ -46,7 +36,7 @@ const MAX_EXP: i64 = 40;
 /// Total bin count: 50 octaves × 128 sub-bins.
 const BINS: usize = ((MAX_EXP - MIN_EXP) as usize) << SUB_BITS;
 
-/// A mergeable, fixed-memory quantile sketch over non-negative samples.
+/// A fixed-memory quantile sketch over non-negative samples.
 ///
 /// Mirrors the query surface of [`crate::Cdf`] (`quantile`,
 /// `fraction_at_or_below`, `series`, `mean`, `min`/`max`) so experiment
@@ -138,20 +128,6 @@ impl QuantileSketch {
         self.sum += v;
         self.min = self.min.min(v);
         self.max = self.max.max(v);
-    }
-
-    /// Folds another sketch into this one. `merge(a, b)` is equivalent to
-    /// feeding both input streams into a single sketch (bin counts add;
-    /// only `mean` can differ in the last ulps from summation order).
-    pub fn merge(&mut self, other: &QuantileSketch) {
-        self.zero += other.zero;
-        for (mine, theirs) in self.bins.iter_mut().zip(&other.bins) {
-            *mine += theirs;
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
     }
 
     /// Number of samples recorded.
@@ -325,32 +301,6 @@ mod tests {
         assert_eq!(s.fraction_at_or_below(0.0), 0.6);
         assert_eq!(s.fraction_at_or_below(-1.0), 0.0);
         assert_eq!(s.fraction_at_or_below(10.0), 1.0);
-    }
-
-    #[test]
-    fn merge_equals_single_stream() {
-        let a_vals: Vec<f64> = (1..500).map(|i| i as f64 * 3.7).collect();
-        let b_vals: Vec<f64> = (1..800).map(|i| i as f64 * 0.9 + 12.0).collect();
-        let mut merged = QuantileSketch::new();
-        let mut single = QuantileSketch::new();
-        let mut b = QuantileSketch::new();
-        for &v in &a_vals {
-            merged.push(v);
-            single.push(v);
-        }
-        for &v in &b_vals {
-            b.push(v);
-            single.push(v);
-        }
-        merged.merge(&b);
-        assert_eq!(merged.len(), single.len());
-        assert_eq!(merged.zero, single.zero);
-        assert_eq!(merged.bins, single.bins);
-        assert_eq!(merged.min(), single.min());
-        assert_eq!(merged.max(), single.max());
-        for q in [0.0, 0.25, 0.5, 0.75, 1.0] {
-            assert_eq!(merged.quantile(q), single.quantile(q));
-        }
     }
 
     #[test]

@@ -70,24 +70,6 @@ impl OnlineStats {
     pub fn max(&self) -> f64 {
         self.max
     }
-
-    /// Merges another accumulator (parallel sweeps combine shards).
-    pub fn merge(&mut self, other: &OnlineStats) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = *other;
-            return;
-        }
-        let total = self.count + other.count;
-        let delta = other.mean - self.mean;
-        self.m2 += other.m2 + delta * delta * self.count as f64 * other.count as f64 / total as f64;
-        self.mean += delta * other.count as f64 / total as f64;
-        self.count = total;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
 }
 
 /// Pearson correlation of paired samples. Returns 0 when either side is
@@ -140,36 +122,6 @@ mod tests {
         assert_eq!(s.mean(), 0.0);
         assert_eq!(s.variance(), 0.0);
         assert_eq!(s.count(), 0);
-    }
-
-    #[test]
-    fn merge_equals_sequential() {
-        let data: Vec<f64> = (0..100).map(|i| (i as f64).sin() * 10.0).collect();
-        let mut whole = OnlineStats::new();
-        data.iter().for_each(|&x| whole.push(x));
-        let mut a = OnlineStats::new();
-        let mut b = OnlineStats::new();
-        data[..37].iter().for_each(|&x| a.push(x));
-        data[37..].iter().for_each(|&x| b.push(x));
-        a.merge(&b);
-        assert_eq!(a.count(), whole.count());
-        assert!((a.mean() - whole.mean()).abs() < 1e-9);
-        assert!((a.variance() - whole.variance()).abs() < 1e-9);
-        assert_eq!(a.min(), whole.min());
-        assert_eq!(a.max(), whole.max());
-    }
-
-    #[test]
-    fn merge_with_empty_is_identity() {
-        let mut a = OnlineStats::new();
-        a.push(1.0);
-        a.push(3.0);
-        let before = (a.count(), a.mean());
-        a.merge(&OnlineStats::new());
-        assert_eq!((a.count(), a.mean()), before);
-        let mut empty = OnlineStats::new();
-        empty.merge(&a);
-        assert_eq!(empty.count(), 2);
     }
 
     #[test]

@@ -15,13 +15,9 @@
 //! two-phase CSR generator (DESIGN.md §12) that shifts the emitted graph
 //! *or its memory anatomy* fails CI with a named metric.
 //!
-//! The third artifact, `REPLAY_workers.json`, is the data-parallel
-//! replay's identity certificate (DESIGN.md §13): the divisor-1000
-//! Periscope campaign folded through K ∈ {1, 2, 6} worker shards, each
-//! digested over the full observable summary surface. The gate pins
-//! every per-K digest and the record count, so a merge-order or
-//! partition bug that shifts any figure input fails CI with the K that
-//! produced it.
+//! The campaign replay has no baseline here: its full-surface digest is
+//! pinned by `cargo test` (`replay::tests` and `bench_replay`'s
+//! divisor-1000 and divisor-100 rows).
 //!
 //! ```text
 //! livescope bench_check                     compare a fresh run against baselines/
@@ -95,22 +91,6 @@ const GRAPH_GATE: &[MetricSpec] = &[
     MetricSpec::exact("graph_build.peak_bytes"),
     MetricSpec::exact("graph_build.resident_bytes"),
     MetricSpec::rel("graph_build.wall_s", 3.0),
-];
-
-/// The worker-replay gate: the K-sweep's full-surface digests (hex
-/// strings — u64 exceeds f64's integer range) and the ground-truth
-/// record count. All three digests are asserted pairwise-equal at
-/// generation time; gating each against the baseline additionally pins
-/// the *value*, so the sharded fold cannot drift together with the
-/// sequential path unnoticed.
-const REPLAY_GATE: &[MetricSpec] = &[
-    MetricSpec::exact("replay_workers.records"),
-    MetricSpec::exact("replay_workers.runs.0.workers"),
-    MetricSpec::exact("replay_workers.runs.0.digest"),
-    MetricSpec::exact("replay_workers.runs.1.workers"),
-    MetricSpec::exact("replay_workers.runs.1.digest"),
-    MetricSpec::exact("replay_workers.runs.2.workers"),
-    MetricSpec::exact("replay_workers.runs.2.digest"),
 ];
 
 fn baselines_dir() -> PathBuf {
@@ -193,63 +173,6 @@ fn fresh_graph_doc() -> String {
     })
 }
 
-#[derive(Serialize)]
-struct WorkerDigest {
-    workers: usize,
-    digest: String,
-}
-
-#[derive(Serialize)]
-struct ReplayWorkers {
-    divisor: u64,
-    records: u64,
-    runs: Vec<WorkerDigest>,
-}
-
-#[derive(Serialize)]
-struct ReplayDoc {
-    bench: &'static str,
-    replay_workers: ReplayWorkers,
-}
-
-/// Fresh `REPLAY_workers.json` artifact: the divisor-1000 sharded
-/// replay K-sweep, digest per K (see [`REPLAY_GATE`]). The sweep is
-/// also asserted internally consistent: every K must reproduce the
-/// K = 1 digest before the document is even produced.
-fn fresh_replay_doc() -> String {
-    let scenario = livescope_bench::replay::scaled_periscope(1_000.0);
-    let campaign = livescope_crawler::CampaignConfig::periscope_study();
-    let graph = DiGraph::generate(
-        &default_graph_spec(&scenario),
-        default_graph_seed(&scenario),
-    );
-    let workers = [1, 2, 6];
-    let runs = livescope_bench::replay::worker_sweep(&scenario, &campaign, &graph, &workers);
-    let (records, digest) = runs[0];
-    for (k, run) in workers.iter().zip(&runs) {
-        assert_eq!(
-            *run,
-            (records, digest),
-            "K={k} diverged within the fresh sweep"
-        );
-    }
-    json_line(&ReplayDoc {
-        bench: "replay_workers",
-        replay_workers: ReplayWorkers {
-            divisor: 1000,
-            records,
-            runs: workers
-                .iter()
-                .zip(&runs)
-                .map(|(&workers, &(_, digest))| WorkerDigest {
-                    workers,
-                    digest: hex(digest),
-                })
-                .collect(),
-        },
-    })
-}
-
 /// Span leaks no baseline may enshrine: one line per workload whose
 /// `spans.unclosed` is not 0 in the fresh `doc`.
 fn leaks(doc: &Value) -> Vec<String> {
@@ -314,10 +237,9 @@ pub fn run(mut args: Args, _results: &Path) -> Result<ExitCode, UsageError> {
             return Ok(ExitCode::FAILURE);
         }
     }
-    let artifacts: [(&str, String, &[MetricSpec]); 3] = [
+    let artifacts: [(&str, String, &[MetricSpec]); 2] = [
         ("OBS_report.json", obs_doc, GATE),
         ("GRAPH_build.json", fresh_graph_doc(), GRAPH_GATE),
-        ("REPLAY_workers.json", fresh_replay_doc(), REPLAY_GATE),
     ];
     let mut violations = Vec::new();
     for (file, doc, gate) in &artifacts {

@@ -12,7 +12,7 @@
 //!
 //! This is the tool's one shape: it measures and writes. What gates a
 //! change is `cargo test` (this file's divisor-1000 pin below,
-//! `parallel_replay`, `csr_regression`) and `bench_check` against
+//! `replay::tests`, `csr_regression`) and `bench_check` against
 //! `baselines/`.
 //!
 //! Each divisor records two phases. `graph_build` is the follow-graph
@@ -29,10 +29,8 @@
 //! (`records × size_of::<BroadcastRecord>()`) so the gap is visible in
 //! one file.
 //!
-//! The tool times no worker counts: thread scaling measured on a
-//! two-vCPU host means nothing. That every replay shard count
-//! reproduces K = 1 is pinned by `parallel_replay` and
-//! `baselines/REPLAY_workers.json`; the graph build has no shard count.
+//! The tool times no worker counts: the campaign fold and the graph
+//! build each run on one thread.
 //!
 //! The run finishes with the top-5 handler histograms by total wall
 //! time — the `handler.graph.{decide,rewire,assemble}_ns` build sections
@@ -109,7 +107,7 @@ struct ReplayRun {
     recorded: u64,
     missed: u64,
     /// Full-surface digest of the finished campaign
-    /// ([`summary_digest`]); the worker sweep must reproduce it.
+    /// ([`summary_digest`]); `run_campaign_streaming` must reproduce it.
     summary_digest: String,
 }
 
@@ -148,10 +146,10 @@ struct ReplayDoc {
 
 /// One streaming replay of the Periscope campaign at `divisor`,
 /// instrumented with the record digest and the tracked-state watermark.
-/// This is a one-shard `run_campaign_sharded` unrolled record by record
-/// so the bench can observe the fold without perturbing it (same
-/// filter → observe/miss order, so the RNG and accumulator states are
-/// identical).
+/// This is `run_campaign_streaming`'s loop with a record digest and a
+/// memory watermark added, so the bench can observe the fold without
+/// perturbing it (same filter → observe/miss order, so the RNG and
+/// accumulator states are identical).
 ///
 /// The follow graph is built explicitly (same spec and seed as the
 /// stream's owned-graph path, so the workload is byte-identical) and

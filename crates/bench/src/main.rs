@@ -73,7 +73,7 @@ const COMMANDS: &[(&str, &str, Run)] = &[
     ("interactivity", "§1 interactivity — delayed hearts / missed votes through the measured delays", Artifact(a::interactivity)),
     ("ext_overlay", "Extension (§8) — overlay multicast vs RTMP and HLS on origin cost and delay", Artifact(a::ext_overlay)),
     ("opt_polling", "Optimization study — adaptive chunk-cadence polling vs the fixed intervals of Figs 12–13", Artifact(a::opt_polling)),
-    ("bench_replay", "streaming-replay scale sweep and worker curves (BENCH_replay.json)",
+    ("bench_replay", "streaming-replay scale sweep (BENCH_replay.json)",
         Tool("[OUT.json]", cmd::bench_replay::run)),
     ("bench_check", "bench-regression gate: fresh artifacts vs baselines/",
         Tool("[--write-baselines]", cmd::bench_check::run)),

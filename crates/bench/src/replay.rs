@@ -1,19 +1,16 @@
 //! Shared helpers for the streaming-replay benches: the scaled Periscope
-//! scenario, a full-surface [`DatasetSummary`] digest, and the worker
-//! K-sweep behind the `REPLAY_workers.json` regression baseline.
+//! scenario and a full-surface [`DatasetSummary`] digest.
 //!
 //! The digest deliberately folds *everything the figures can render* —
 //! every counter, both per-user tables, the daily series, all four
 //! sketch series, and the exemplar reservoir keys — so two summaries
 //! with equal digests produce byte-identical Fig 1–6 / Table 1
-//! artifacts. That is what lets one `u64` per K stand in for the full
-//! byte-identity sweep in `tests/parallel_replay.rs`.
+//! artifacts. That is what lets one committed `u64` pin the whole
+//! campaign fold.
 
-use livescope_crawler::streaming::{DatasetSummary, DEFAULT_EXEMPLARS};
-use livescope_crawler::{run_campaign_sharded, CampaignConfig};
-use livescope_graph::DiGraph;
+use livescope_crawler::streaming::DatasetSummary;
 use livescope_sim::rng::splitmix64;
-use livescope_workload::{generate_streaming_with_graph, ScenarioConfig};
+use livescope_workload::ScenarioConfig;
 
 /// Points per sketch series folded into [`summary_digest`]; matches the
 /// densest figure rendering so no rendered bin escapes the digest.
@@ -89,38 +86,15 @@ pub fn summary_digest(s: &DatasetSummary) -> u64 {
     h
 }
 
-/// Runs the sharded campaign once per `K` in `workers`, each over a
-/// fresh stream on a shared pre-built graph, and returns each finished
-/// campaign's ground-truth record count (`broadcasts() + missed`) and
-/// [`summary_digest`], in `workers` order. Callers assert the digests
-/// are identical across the sweep.
-pub fn worker_sweep(
-    scenario: &ScenarioConfig,
-    campaign: &CampaignConfig,
-    graph: &DiGraph,
-    workers: &[usize],
-) -> Vec<(u64, u64)> {
-    workers
-        .iter()
-        .map(|&k| {
-            let stream = generate_streaming_with_graph(scenario, graph);
-            let summary = run_campaign_sharded(stream, campaign, k, DEFAULT_EXEMPLARS);
-            (
-                summary.broadcasts() + summary.missed,
-                summary_digest(&summary),
-            )
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use livescope_crawler::run_campaign_streaming;
+    use livescope_crawler::streaming::DEFAULT_EXEMPLARS;
+    use livescope_crawler::{run_campaign_streaming, CampaignConfig};
     use livescope_workload::generate_streaming;
 
     /// Absolute pins, captured before the guide-table pick existed:
-    /// `parallel_replay` compares paths that all share the weighted pick,
+    /// the oracle tests compare paths that all share the weighted pick,
     /// so only a committed value (here, and `bench_replay`'s divisor-1000
     /// record checksum) can see the pick itself change.
     /// Meerkat rides along because its propensity tables (σ = 1.0,
@@ -152,6 +126,24 @@ mod tests {
             got.map(|d| format!("{d:#018x}")),
             ["0x453b34032a897cb8", "0xf7d40d8b0818f95a"],
             "[Periscope, Meerkat] replay digests drifted from the committed pins"
+        );
+    }
+
+    /// The campaign driver itself at the default study scale: the
+    /// divisor-1000 Periscope replay's full-surface digest and record
+    /// count, the values `BENCH_replay.json`'s divisor-1000 row holds for
+    /// `bench_replay`'s own record-by-record fold.
+    #[test]
+    fn divisor_1000_campaign_matches_the_committed_digest() {
+        let summary = run_campaign_streaming(
+            generate_streaming(&scaled_periscope(1_000.0)),
+            &CampaignConfig::periscope_study(),
+            DEFAULT_EXEMPLARS,
+        );
+        assert_eq!(summary.broadcasts() + summary.missed, 20_344);
+        assert_eq!(
+            format!("{:#018x}", summary_digest(&summary)),
+            "0x07f11cb34fce318d"
         );
     }
 }

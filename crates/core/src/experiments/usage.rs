@@ -5,9 +5,10 @@
 //! [`livescope_crawler::streaming::DatasetSummary`] the streaming
 //! campaign produced — including its imperfections (outage gap) — just
 //! like the paper worked off its crawl. [`run`] is the single-pass
-//! generate → crawl → analyze replay (`crates/workload/DESIGN.md`); a
-//! record-by-record sequential fold survives only as the oracle inside
-//! `tests/parallel_replay.rs`.
+//! generate → crawl → analyze replay (`crates/workload/DESIGN.md`):
+//! [`run_campaign_streaming`] reads each study's stream record by record.
+//! `tests/streaming_replay.rs` holds its rendered bytes equal to a fold
+//! over the materialized records.
 
 use livescope_analysis::{Figure, QuantileSketch, Series, Table};
 use livescope_crawler::campaign::CampaignConfig;

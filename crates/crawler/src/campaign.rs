@@ -5,14 +5,11 @@
 //! Aug 7–9 communication outage ("roughly 4.5% of the broadcasts during
 //! this period") and stored only anonymized identifiers.
 //!
-//! Two things defined here carry the sharded replay's merge contract
-//! (`crates/crawler/DESIGN.md`). [`OutageFilter`] is stateful — its
-//! loss coin flips consume a sequential RNG — so the replay draws every
-//! verdict *once*, on the coordinator, in record-id order, and ships
-//! the boolean with the record; shards never touch the filter.
-//! [`MeasuredBroadcast`] identifiers come from stateless salted hashes
-//! of the record ids, so anonymization is shard-invariant by
-//! construction.
+//! [`OutageFilter`] is stateful — its loss coin flips consume a
+//! sequential RNG — so the campaign fold asks it once per record, in
+//! record-id order (`crates/crawler/DESIGN.md`). [`MeasuredBroadcast`]
+//! identifiers come from stateless salted hashes of the record ids, so
+//! anonymization depends on nothing but the record.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -78,8 +75,7 @@ impl CampaignConfig {
 /// The crawler's observation filter: decides, per broadcast in stream
 /// order, whether the crawler recorded it or lost it to the outage. It
 /// makes one RNG draw per in-outage broadcast and none outside the
-/// window, so a given seed loses the same broadcasts however the fold
-/// behind it is sharded.
+/// window, so a given seed loses the same broadcasts on every run.
 #[derive(Clone, Debug)]
 pub struct OutageFilter {
     rng: SmallRng,

@@ -14,14 +14,11 @@
 //! * [`campaign`] — the crawler's realities applied to a generated
 //!   workload: the Aug 7–9 outage (≈4.5% of that period's broadcasts
 //!   lost) and anonymization;
-//! * [`streaming`] — the bounded-memory campaign accumulator: mergeable
-//!   aggregates (`O(users + days + bins)`) instead of materialized
-//!   records, and [`run_campaign_streaming`], the one-shard replay;
-//! * [`sharded`] — the campaign's one driver: a fresh
-//!   [`livescope_workload::BroadcastStream`] replayed over K
-//!   deterministic user-space shards folding independently (on scoped
-//!   worker threads when K > 1) and merging in fixed shard order,
-//!   byte-identical for every K (`crates/crawler/DESIGN.md`);
+//! * [`streaming`] — the bounded-memory campaign accumulator
+//!   (`O(users + days + bins)` aggregates instead of materialized
+//!   records) and [`run_campaign_streaming`], the campaign's one driver:
+//!   a fresh [`livescope_workload::BroadcastStream`] crawled and folded
+//!   record by record (`crates/crawler/DESIGN.md`);
 //! * [`probe`] — the high-frequency HLS poller that measures
 //!   Wowza→Fastly chunk-transfer delay (the `⑪−⑦` of Fig 10(b)).
 
@@ -30,11 +27,9 @@
 pub mod campaign;
 pub mod coverage;
 pub mod probe;
-pub mod sharded;
 pub mod streaming;
 
 pub use campaign::{CampaignConfig, OutageFilter};
 pub use coverage::{CoverageConfig, CoverageReport};
 pub use probe::HighFreqProbe;
-pub use sharded::run_campaign_sharded;
 pub use streaming::{run_campaign_streaming, DatasetSummary, StreamingCampaign};

@@ -1,4 +1,4 @@
-//! The campaign accumulator: a bounded-memory fold of the crawl.
+//! The campaign accumulator and the one campaign driver.
 //!
 //! Materializing every [`MeasuredBroadcast`] of the paper's 19.6M
 //! broadcasts is the memory wall the longitudinal replay hits first, so
@@ -8,48 +8,35 @@
 //! min-hash reservoir of exemplar records for spot checks. Everything is
 //! `O(users + days + bins + exemplars)` — independent of broadcast count.
 //!
-//! # Merge semantics
+//! [`run_campaign_streaming`] is the only code that runs a campaign: it
+//! reads a [`BroadcastStream`] record by record, asks the sequential
+//! [`OutageFilter`] whether the crawler saw each one, folds it with
+//! [`StreamingCampaign::observe`] or counts it with
+//! [`StreamingCampaign::miss`], and closes the fold with the stream's
+//! ground truth (`crates/crawler/DESIGN.md`).
 //!
-//! The accumulator is *mergeable*: outage decisions come from the
-//! sequential [`OutageFilter`](crate::OutageFilter), but once decided,
-//! observations can be folded into separate accumulators and
-//! [`StreamingCampaign::merge`]d without changing any aggregate byte —
-//! the contract the sharded replay ([`crate::sharded`]) is built on.
-//! Every piece of accumulator state is one of three merge-exact shapes:
-//!
-//! * **integer counters** (totals, per-day counts) — merge is `+`,
-//!   associative and commutative over `u64`;
-//! * **bitsets and log-binned sketches** — merge is set union /
-//!   elementwise bin addition, again integer-exact (the sketches' f64
-//!   `sum` is the one order-sensitive field, and nothing rendered reads
-//!   it — see `QuantileSketch::mean`);
-//! * **the exemplar reservoir** — a bounded "k smallest" selection under
-//!   the *total* order `(priority, record.id)`. The id tiebreak matters:
-//!   with priority alone, equal-priority records could surface in
-//!   shard-count-dependent order. Under a total order, the k smallest of
-//!   a union are exactly the k smallest of the merged k-smallest parts.
-//!
-//! Nothing here locks or shares: shards fold into private accumulators
-//! and merge at a barrier, in fixed shard order.
+//! The exemplar reservoir keeps the records that are smallest under the
+//! *total* order `(priority, record.id)`, so which exemplars survive is a
+//! function of the set of recorded broadcasts alone, ties included.
 
 use livescope_analysis::QuantileSketch;
 use livescope_workload::{
     BroadcastRecord, BroadcastStream, DayStats, FixedBitset, WorkloadSummary,
 };
 
-use crate::campaign::{anonymize, CampaignConfig, MeasuredBroadcast};
-use crate::sharded::run_campaign_sharded;
+use crate::campaign::{anonymize, CampaignConfig, MeasuredBroadcast, OutageFilter};
 
 /// Default bound on the exemplar reservoir.
 pub const DEFAULT_EXEMPLARS: usize = 64;
 
-/// Mergeable accumulator for a measurement campaign over a broadcast
-/// stream. Build with [`StreamingCampaign::new`], feed every crawler
-/// decision through [`observe`](Self::observe) / [`miss`](Self::miss),
-/// then close with [`finish`](Self::finish).
+/// Accumulator for a measurement campaign over a broadcast stream.
+/// Build with [`StreamingCampaign::new`], feed every crawler decision
+/// through [`observe`](Self::observe) / [`miss`](Self::miss), then close
+/// with [`finish`](Self::finish).
 #[derive(Clone, Debug)]
 pub struct StreamingCampaign {
     salt: u64,
+    /// Study length: the days `recorded_per_day` plots.
     days: u32,
     /// Broadcasts the crawler recorded, per study day (Fig 1). Records
     /// with out-of-range days are counted in totals but not plotted.
@@ -106,8 +93,8 @@ impl StreamingCampaign {
         // Out-of-range days (possible in hand-built or truncated
         // datasets) must not index past the study window — the latent
         // fig1 panic this fold replaces.
-        if let Some(slot) = self.recorded_per_day.get_mut(record.day as usize) {
-            *slot += 1;
+        if record.day < self.days {
+            self.recorded_per_day[record.day as usize] += 1;
         }
         self.total_views += record.viewers;
         self.mobile_views += record.mobile_viewers;
@@ -128,10 +115,8 @@ impl StreamingCampaign {
         };
         // Min-hash reservoir: keep the `exemplar_capacity` records that
         // are smallest under the total order (hash priority, record id).
-        // Deterministic (no RNG stream to disturb) and mergeable (under a
-        // total order, the k smallest of a union are among the k smallest
-        // of each part) — the id tiebreak is what makes ties, however
-        // unlikely, resolve identically for every shard count.
+        // Deterministic (no RNG stream to disturb); the id tiebreak makes
+        // ties, however unlikely, resolve by id rather than by arrival.
         let key = (measured.broadcast_hash, measured.record.id);
         if self.exemplars.len() < self.exemplar_capacity
             || self
@@ -150,69 +135,6 @@ impl StreamingCampaign {
     /// Notes one broadcast the crawler lost (outage window).
     pub fn miss(&mut self) {
         self.missed += 1;
-    }
-
-    /// Folds another accumulator (over a disjoint slice of the decision
-    /// stream) into this one. Equivalent to having observed both slices
-    /// in one accumulator.
-    ///
-    /// # Panics
-    /// Panics when the two accumulators were built for different studies
-    /// (day count, population, salt, or reservoir bound differ).
-    pub fn merge(&mut self, other: &StreamingCampaign) {
-        assert_eq!(self.salt, other.salt, "campaign salt mismatch");
-        assert_eq!(self.days, other.days, "study length mismatch");
-        assert_eq!(
-            self.exemplar_capacity, other.exemplar_capacity,
-            "reservoir bound mismatch"
-        );
-        for (mine, theirs) in self
-            .recorded_per_day
-            .iter_mut()
-            .zip(&other.recorded_per_day)
-        {
-            *mine += theirs;
-        }
-        self.recorded += other.recorded;
-        self.missed += other.missed;
-        self.total_views += other.total_views;
-        self.mobile_views += other.mobile_views;
-        self.hearts_total += other.hearts_total;
-        self.comments_total += other.comments_total;
-        self.zero_viewer_broadcasts += other.zero_viewer_broadcasts;
-        self.hls_broadcasts += other.hls_broadcasts;
-        self.broadcasters.union_with(&other.broadcasters);
-        self.duration_secs.merge(&other.duration_secs);
-        self.viewers.merge(&other.viewers);
-        self.hearts.merge(&other.hearts);
-        self.comments.merge(&other.comments);
-        let mut merged = Vec::with_capacity(self.exemplar_capacity);
-        let (mut a, mut b) = (self.exemplars.iter(), other.exemplars.iter());
-        let (mut next_a, mut next_b) = (a.next(), b.next());
-        while merged.len() < self.exemplar_capacity {
-            match (next_a, next_b) {
-                (Some(x), Some(y)) => {
-                    // Same (priority, id) total order as `observe`.
-                    if (x.0, x.1.record.id) <= (y.0, y.1.record.id) {
-                        merged.push(x.clone());
-                        next_a = a.next();
-                    } else {
-                        merged.push(y.clone());
-                        next_b = b.next();
-                    }
-                }
-                (Some(x), None) => {
-                    merged.push(x.clone());
-                    next_a = a.next();
-                }
-                (None, Some(y)) => {
-                    merged.push(y.clone());
-                    next_b = b.next();
-                }
-                (None, None) => break,
-            }
-        }
-        self.exemplars = merged;
     }
 
     /// Closes the campaign, attaching the generator-side aggregates.
@@ -330,22 +252,35 @@ impl DatasetSummary {
 }
 
 /// Runs the measurement campaign over a fresh broadcast stream: the
-/// single-pass generate → crawl → analyze replay, on one shard
-/// ([`run_campaign_sharded`] at `workers = 1`, folding on the caller's
-/// thread). Peak state is the stream's `O(users + days)` plus the
+/// single-pass generate → crawl → analyze replay. Each record is asked
+/// of the [`OutageFilter`] in stream order, then observed or missed;
+/// none is kept. Peak state is the stream's `O(users + days)` plus the
 /// accumulator's `O(users + days + bins)`.
+///
+/// The summary's ground truth covers every record of the stream, so a
+/// stream that has already yielded records would count some the fold
+/// never saw: pass a fresh one.
 pub fn run_campaign_streaming(
-    stream: BroadcastStream<'_>,
+    mut stream: BroadcastStream<'_>,
     config: &CampaignConfig,
     exemplar_capacity: usize,
 ) -> DatasetSummary {
-    run_campaign_sharded(stream, config, 1, exemplar_capacity)
+    let scenario = stream.config();
+    let mut acc = StreamingCampaign::new(config, scenario.days, scenario.users, exemplar_capacity);
+    let mut filter = OutageFilter::new(config);
+    for record in &mut stream {
+        if filter.observes(record.day) {
+            acc.observe(record);
+        } else {
+            acc.miss();
+        }
+    }
+    acc.finish(stream.into_summary())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::campaign::OutageFilter;
     use livescope_workload::{generate_streaming, ScenarioConfig};
 
     fn small_config() -> ScenarioConfig {
@@ -414,43 +349,6 @@ mod tests {
         assert_eq!(streamed.comments.series(120), folded.comments.series(120));
         assert_eq!(streamed.exemplars, folded.exemplars);
         assert_eq!(streamed.exemplars.len(), DEFAULT_EXEMPLARS);
-    }
-
-    #[test]
-    fn merged_accumulators_equal_single_fold() {
-        let scenario = small_config();
-        let campaign = outage_campaign();
-        let records: Vec<BroadcastRecord> = generate_streaming(&scenario).collect();
-        // Outage decisions are made once, sequentially…
-        let mut filter = OutageFilter::new(&campaign);
-        let decisions: Vec<bool> = records.iter().map(|r| filter.observes(r.day)).collect();
-        // …then the observation fold is sharded at an arbitrary split.
-        let days = scenario.days;
-        let users = scenario.users;
-        let mut single = StreamingCampaign::new(&campaign, days, users, 16);
-        let mut left = StreamingCampaign::new(&campaign, days, users, 16);
-        let mut right = StreamingCampaign::new(&campaign, days, users, 16);
-        let split = records.len() / 3;
-        for (i, (record, &observed)) in records.into_iter().zip(&decisions).enumerate() {
-            let shard = if i < split { &mut left } else { &mut right };
-            if observed {
-                single.observe(record.clone());
-                shard.observe(record);
-            } else {
-                single.miss();
-                shard.miss();
-            }
-        }
-        left.merge(&right);
-        assert_eq!(left.recorded, single.recorded);
-        assert_eq!(left.missed, single.missed);
-        assert_eq!(left.recorded_per_day, single.recorded_per_day);
-        assert_eq!(left.total_views, single.total_views);
-        assert_eq!(left.broadcasters.len(), single.broadcasters.len());
-        assert_eq!(left.viewers.series(150), single.viewers.series(150));
-        let merged_ids: Vec<u64> = left.exemplars.iter().map(|(p, _)| *p).collect();
-        let single_ids: Vec<u64> = single.exemplars.iter().map(|(p, _)| *p).collect();
-        assert_eq!(merged_ids, single_ids);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The workspace's one fork/join primitive.
 //!
-//! Every data-parallel job in livescope — sharded-scheduler lanes,
-//! replay shards, the buffering sweep — hands
+//! Every data-parallel job in livescope — sharded-scheduler lanes and
+//! the buffering sweep — hands
 //! [`run_parts`] a list of parts that own disjoint state and takes the
 //! results back in part order. Because results come back by position,
 //! never by completion, a caller whose parts are independent produces

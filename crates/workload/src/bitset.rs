@@ -68,23 +68,6 @@ impl FixedBitset {
         self.capacity
     }
 
-    /// Folds another set of the same capacity into this one (set union).
-    ///
-    /// # Panics
-    /// Panics when the capacities differ.
-    pub fn union_with(&mut self, other: &FixedBitset) {
-        assert_eq!(
-            self.capacity, other.capacity,
-            "bitset union requires equal capacities"
-        );
-        let mut ones = 0usize;
-        for (mine, theirs) in self.words.iter_mut().zip(&other.words) {
-            *mine |= theirs;
-            ones += mine.count_ones() as usize;
-        }
-        self.ones = ones;
-    }
-
     /// Empties the set, keeping its allocation for reuse.
     pub fn clear(&mut self) {
         self.words.fill(0);
@@ -126,22 +109,6 @@ mod tests {
         assert!(s.is_empty());
         assert_eq!(s.tracked_bytes(), bytes);
         assert!(s.insert(999));
-    }
-
-    #[test]
-    fn union_counts_distinct_members() {
-        let mut a = FixedBitset::new(200);
-        let mut b = FixedBitset::new(200);
-        for i in 0..100 {
-            a.insert(i);
-        }
-        for i in 50..150 {
-            b.insert(i);
-        }
-        a.union_with(&b);
-        assert_eq!(a.len(), 150);
-        assert!(a.contains(149));
-        assert!(!a.contains(150));
     }
 
     #[test]

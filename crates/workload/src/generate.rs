@@ -2,9 +2,8 @@
 //! [`BroadcastStream`] of broadcast records, the bounded-memory input of
 //! the longitudinal replay (`crates/workload/DESIGN.md`).
 //!
-//! The generator is split in two (`crates/crawler/DESIGN.md`), so the
-//! replay campaign can be partitioned across worker shards without
-//! changing a single output byte:
+//! The generator is split in two, so each half can be timed on its own
+//! and a record never depends on which records were sampled before it:
 //!
 //! * [`ScheduleStream`] — the cheap, inherently sequential half: daily
 //!   Poisson broadcast counts and weighted creator picks, drawn from the
@@ -13,11 +12,11 @@
 //!   broadcast (start, duration, audience, interactions, per-view viewer
 //!   picks), drawn from a *per-record* stream
 //!   `pool.fork_indexed("record", id)`, so a record is a pure function of
-//!   `(seed, id, day, broadcaster, followers)` — independent of which
-//!   thread samples it, or in what order.
+//!   `(seed, id, day, broadcaster, followers)` — independent of the
+//!   order slots are sampled in.
 //!
-//! [`GroundTruth`] is the one ledger both the stream and every replay
-//! shard count ground truth in.
+//! A private ground-truth ledger inside [`BroadcastStream`] counts the
+//! per-user and per-day truth of every record the stream yields.
 
 use std::borrow::Cow;
 
@@ -39,7 +38,7 @@ use crate::types::{BroadcastRecord, DayStats, WorkloadSummary};
 /// a small cadre of users produces most broadcasts).
 const CREATOR_ALPHA: f64 = 1.30;
 
-/// Mobile views a [`GroundTruth`] buffers as needles before it resolves
+/// Mobile views a `GroundTruth` buffers as needles before it resolves
 /// them in one [`CumulativeTable::resolve`] pass: 512 KiB of needles
 /// plus as much scatter buffer. On `usage_replay` (300k users) 2^16
 /// adds about 1 MB of peak RSS; a 2^12 batch lost to resolving each view
@@ -74,8 +73,8 @@ pub fn generate_streaming_with_graph<'a>(
 /// One slot in the broadcast schedule: the cheap, sequential half of a
 /// broadcast record — *who* broadcasts, *when* (which day), under *which*
 /// global id. [`RecordSampler::sample`] expands a slot into a full
-/// [`BroadcastRecord`] from the slot's own per-record RNG stream, so slots
-/// can be partitioned across shards freely.
+/// [`BroadcastRecord`] from the slot's own per-record RNG stream, so a
+/// slot expands the same whatever was sampled before it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ScheduledBroadcast {
     /// Global broadcast id, strictly increasing from 1 in schedule order.
@@ -92,9 +91,8 @@ pub struct ScheduledBroadcast {
 ///
 /// This is the *only* part of workload generation with cross-record RNG
 /// dependence; it holds `O(users)` state (the creator-propensity table)
-/// and emits a few dozen bytes per record, so a coordinator can drain it
-/// serially while [`RecordSampler`] does the heavy per-record sampling on
-/// worker shards.
+/// and emits a few dozen bytes per record; [`RecordSampler`] does the
+/// heavy per-record sampling.
 pub struct ScheduleStream {
     config: ScenarioConfig,
     creators: CumulativeTable,
@@ -170,19 +168,17 @@ impl Iterator for ScheduleStream {
     }
 }
 
-/// The data-parallel half of the generator: expands a
+/// The per-record half of the generator: expands a
 /// [`ScheduledBroadcast`] into a full [`BroadcastRecord`].
 ///
 /// Every draw (start time, duration, audience, interactions, per-view
 /// viewer picks) comes from the slot's *own* forked stream,
 /// `pool.fork_indexed("record", slot.id)`, making the record a pure
-/// function of `(seed, id, day, broadcaster, followers)`. Shards can
-/// therefore sample disjoint slot subsets in any order — on any thread —
-/// and produce exactly the bytes the sequential path produces.
+/// function of `(seed, id, day, broadcaster, followers)`: slots sampled
+/// in any order produce exactly the bytes the stream produces.
 ///
-/// The sampler is immutable (`sample` takes `&self`) and cheap to share
-/// across threads; it holds `O(users)` state (the viewer-propensity
-/// table).
+/// The sampler is immutable (`sample` takes `&self`); it holds
+/// `O(users)` state (the viewer-propensity table).
 pub struct RecordSampler {
     config: ScenarioConfig,
     viewers: CumulativeTable,
@@ -231,7 +227,7 @@ impl RecordSampler {
     /// The one sampling path: `per_view` runs once per mobile view and
     /// makes that view's pick from the record's stream — at once
     /// ([`sample`](Self::sample)) or as a needle resolved later
-    /// ([`GroundTruth::sample`]). A pick is the record's last use of its
+    /// (`GroundTruth::sample`). A pick is the record's last use of its
     /// stream, so either way every other draw is the same.
     fn sample_with(
         &self,
@@ -273,26 +269,16 @@ impl RecordSampler {
 /// closed so far, and the open day's broadcast count and distinct-user
 /// bitsets — `O(users + days)`, however many records it counts.
 ///
-/// A [`BroadcastStream`] counts in one; so does every shard of the
-/// sharded replay, whose shard 0 adopts the stream's, absorbs the other
-/// shards' open day at each day barrier, and adds their tallies at the
-/// end. Every piece merges exactly (integer addition, bitset union), so
-/// any partition of the records counts the same truth.
+/// Each [`BroadcastStream`] counts in its own.
 ///
-/// Mobile views are counted late: [`sample`](Self::sample) only draws
-/// each view's needle into a fixed buffer of `VIEW_BATCH` (2^16), and a
-/// full buffer is resolved in needle order into the tallies and the
-/// open day's viewer bitset. Whoever closes, absorbs or merges a day
-/// must [`flush`](Self::flush) the ledger first; [`close_day`],
-/// [`absorb_day`], [`merge_tallies`] and [`into_summary`] panic on a
-/// ledger they would otherwise miscount.
-///
-/// [`close_day`]: Self::close_day
-/// [`absorb_day`]: Self::absorb_day
-/// [`merge_tallies`]: Self::merge_tallies
-/// [`into_summary`]: Self::into_summary
+/// Mobile views are counted late: `sample` only draws each view's
+/// needle into a fixed buffer of `VIEW_BATCH` (2^16), and a full buffer
+/// is resolved in needle order into the tallies and the open day's
+/// viewer bitset. Whoever closes a day must `flush` the ledger first;
+/// `close_day` and `into_summary` panic on a ledger they would
+/// otherwise miscount.
 #[derive(Clone, Debug)]
-pub struct GroundTruth {
+struct GroundTruth {
     user_views: Vec<u32>,
     user_creates: Vec<u32>,
     daily: Vec<DayStats>,
@@ -308,7 +294,7 @@ pub struct GroundTruth {
 
 impl GroundTruth {
     /// An empty ledger for a scenario's population and study length.
-    pub fn new(config: &ScenarioConfig) -> GroundTruth {
+    fn new(config: &ScenarioConfig) -> GroundTruth {
         GroundTruth::with_batch(config, VIEW_BATCH)
     }
 
@@ -330,7 +316,7 @@ impl GroundTruth {
     /// and buffering a needle per mobile view it attributes. A full
     /// buffer is resolved on the spot, mid-record if need be, so the
     /// buffer never grows past its batch.
-    pub fn sample(
+    fn sample(
         &mut self,
         sampler: &RecordSampler,
         slot: ScheduledBroadcast,
@@ -357,7 +343,7 @@ impl GroundTruth {
 
     /// Resolves every buffered view into the tallies and the open day,
     /// through the table of `sampler`, the sampler that drew them.
-    pub fn flush(&mut self, sampler: &RecordSampler) {
+    fn flush(&mut self, sampler: &RecordSampler) {
         resolve_views(
             &sampler.viewers,
             &mut self.pending,
@@ -386,7 +372,7 @@ impl GroundTruth {
     ///
     /// # Panics
     /// Panics when the ledger holds unresolved views.
-    pub fn close_day(&mut self) {
+    fn close_day(&mut self) {
         self.assert_flushed("close_day");
         self.daily.push(DayStats {
             day: self.days_closed(),
@@ -399,39 +385,11 @@ impl GroundTruth {
         self.day_broadcasters.clear();
     }
 
-    /// Moves `other`'s open day into this ledger's open day, leaving
-    /// `other`'s empty.
-    ///
-    /// # Panics
-    /// Panics when `other` holds unresolved views.
-    pub fn absorb_day(&mut self, other: &mut GroundTruth) {
-        other.assert_flushed("absorb_day");
-        self.day_broadcasts += std::mem::take(&mut other.day_broadcasts);
-        self.day_viewers.union_with(&other.day_viewers);
-        self.day_broadcasters.union_with(&other.day_broadcasters);
-        other.day_viewers.clear();
-        other.day_broadcasters.clear();
-    }
-
-    /// Adds `other`'s per-user tallies to this ledger's.
-    ///
-    /// # Panics
-    /// Panics when `other` holds unresolved views.
-    pub fn merge_tallies(&mut self, other: &GroundTruth) {
-        other.assert_flushed("merge_tallies");
-        for (mine, theirs) in self.user_views.iter_mut().zip(&other.user_views) {
-            *mine += theirs;
-        }
-        for (mine, theirs) in self.user_creates.iter_mut().zip(&other.user_creates) {
-            *mine += theirs;
-        }
-    }
-
     /// The closed days and tallies, as the summary of `config`.
     ///
     /// # Panics
     /// Panics when the ledger holds unresolved views.
-    pub fn into_summary(self, config: ScenarioConfig) -> WorkloadSummary {
+    fn into_summary(self, config: ScenarioConfig) -> WorkloadSummary {
         self.assert_flushed("into_summary");
         WorkloadSummary {
             config,
@@ -443,7 +401,7 @@ impl GroundTruth {
 
     /// Bytes of heap + inline storage (replay memory accounting),
     /// including the view buffer and its scatter buffer.
-    pub fn tracked_bytes(&self) -> usize {
+    fn tracked_bytes(&self) -> usize {
         std::mem::size_of::<Self>()
             + (self.user_views.capacity() + self.user_creates.capacity())
                 * std::mem::size_of::<u32>()
@@ -475,12 +433,10 @@ fn resolve_views(
 
 /// An iterator of [`BroadcastRecord`]s in `(day, seq)` order.
 ///
-/// Composes a [`ScheduleStream`], a [`RecordSampler`] and a
-/// [`GroundTruth`] ledger — `O(users + days)` state total. Drive it to
-/// exhaustion, then call [`BroadcastStream::into_summary`] for the
-/// daily/user aggregates (a [`WorkloadSummary`]); or hand a fresh one to
-/// the sharded replay, which drives its parts through
-/// [`BroadcastStream::into_parts`].
+/// Composes a [`ScheduleStream`], a [`RecordSampler`] and a ground-truth
+/// ledger — `O(users + days)` state total. Drive it to exhaustion, then
+/// call [`BroadcastStream::into_summary`] for the daily/user aggregates
+/// (a [`WorkloadSummary`]).
 pub struct BroadcastStream<'a> {
     schedule: ScheduleStream,
     sampler: RecordSampler,
@@ -509,21 +465,6 @@ impl<'a> BroadcastStream<'a> {
         for _ in &mut self {}
         let config = self.schedule.config().clone();
         self.truth.into_summary(config)
-    }
-
-    /// Splits a stream that has yielded nothing into the schedule, the
-    /// sampler, the follow graph and the (empty) ledger, for a driver
-    /// that schedules, samples and counts the records itself.
-    ///
-    /// # Panics
-    /// Panics when the stream has already been advanced: its ledger
-    /// would count records the driver never sees.
-    pub fn into_parts(self) -> (ScheduleStream, RecordSampler, Cow<'a, DiGraph>, GroundTruth) {
-        assert!(
-            self.truth.days_closed() == 0 && self.truth.day_broadcasts == 0,
-            "the sharded replay needs a fresh BroadcastStream, not one that has yielded records"
-        );
-        (self.schedule, self.sampler, self.graph, self.truth)
     }
 
     /// Bytes of heap + inline storage held by the stream's schedule,
@@ -658,10 +599,9 @@ mod tests {
 
     #[test]
     fn records_are_pure_functions_of_their_slot() {
-        // The sharded replay's whole correctness story: expanding a slot
-        // must not depend on sampling order, interleaving, or which other
-        // slots were expanded. Sample the schedule forward and backward
-        // and get the same bytes.
+        // Expanding a slot must not depend on sampling order,
+        // interleaving, or which other slots were expanded. Sample the
+        // schedule forward and backward and get the same bytes.
         let config = small_periscope();
         let pool = RngPool::new(config.seed);
         let graph = default_graph(&config, &pool);
@@ -929,18 +869,13 @@ mod tests {
                 "{message}"
             );
         };
-        let mut open = GroundTruth::new(&config);
         panics("close_day", &mut || unflushed().close_day());
-        panics("absorb_day", &mut || open.absorb_day(&mut unflushed()));
-        panics("merge_tallies", &mut || open.merge_tallies(&unflushed()));
         panics("into_summary", &mut || {
             unflushed().into_summary(config.clone());
         });
         // Flushed, each of them goes through.
         let mut flushed = unflushed();
         flushed.flush(&sampler);
-        open.absorb_day(&mut flushed);
-        open.merge_tallies(&flushed);
         flushed.close_day();
         flushed.into_summary(config.clone());
     }

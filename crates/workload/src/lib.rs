@@ -8,7 +8,7 @@
 //! | Paper result | Module | Mechanism |
 //! |---|---|---|
 //! | Fig 1 daily broadcasts (3× growth, weekend peaks, Android jump, Meerkat decline) | [`arrivals`] | exponential trend × weekly pattern × launch jump, Poisson day counts |
-//! | Fig 2 daily active users (≈10:1 viewer:broadcaster) | [`GroundTruth`] | per-day distinct-user accounting |
+//! | Fig 2 daily active users (≈10:1 viewer:broadcaster) | [`BroadcastStream`] | per-day distinct-user accounting in its ground-truth ledger |
 //! | Fig 3 broadcast length CDF (85% < 10 min) | [`duration`] | lognormal, Meerkat-heavier tail |
 //! | Fig 4 viewers per broadcast (Meerkat 60% zero; Periscope ≤100K) | [`popularity`] | zero-inflated truncated power law + follower-notification joins |
 //! | Fig 5 hearts & comments per broadcast (comment cap at ~100 commenters) | [`interactions`] | per-viewer heart process; commenter cap × per-commenter comments |
@@ -35,7 +35,7 @@ pub mod types;
 pub use bitset::FixedBitset;
 pub use generate::{
     default_graph_seed, default_graph_spec, generate_streaming, generate_streaming_with_graph,
-    BroadcastStream, GroundTruth, RecordSampler, ScheduleStream, ScheduledBroadcast,
+    BroadcastStream, RecordSampler, ScheduleStream, ScheduledBroadcast,
 };
 pub use pick::CumulativeTable;
 pub use scenario::{App, ScenarioConfig};

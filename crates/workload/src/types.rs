@@ -60,9 +60,10 @@ pub struct DayStats {
 /// The bounded-memory residue of a generated study: its ground truth
 /// without the per-broadcast records themselves.
 ///
-/// This is what a [`crate::generate::GroundTruth`] ledger has counted
-/// once the record stream is exhausted — `O(users + days)` state,
-/// independent of how many broadcasts streamed through.
+/// This is what a [`BroadcastStream`](crate::BroadcastStream)'s
+/// ground-truth ledger has counted once the stream is exhausted —
+/// `O(users + days)` state, independent of how many broadcasts streamed
+/// through.
 #[derive(Clone, Debug)]
 pub struct WorkloadSummary {
     /// The scenario that was generated.

@@ -71,8 +71,9 @@ bash scripts/profile.sh HEAD >/dev/null 2>&1 || status=$?
 
 # `bench_replay` only measures and is not run here: the identities it
 # prints are pinned by `cargo test` above (csr_regression,
-# parallel_replay, bench_replay's divisor-1000 row), by the divisor-100
-# row in release below, and by `bench_check` below.
+# streaming_replay, the replay digest pin, bench_replay's divisor-1000
+# row), by the divisor-100 row in release below, and by `bench_check`
+# below.
 echo "==> BENCH_replay.json divisor-100 row (release: records, views, tracked bytes, digests, graph build)"
 cargo test --release -q -p livescope-bench --bin livescope -- --exact \
     cmd::bench_replay::tests::divisor_100_row_matches_a_fresh_run

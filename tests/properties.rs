@@ -158,6 +158,22 @@ fn is_emittable(list: &ChunkList) -> bool {
         && ChunkList::parse(&text).map(|again| again.serialize()) == Ok(text)
 }
 
+/// Every strict prefix of `wire` must decode to an error: a cut-off
+/// message is never mistaken for a shorter one.
+fn every_strict_prefix_fails<T, E>(
+    wire: &Bytes,
+    decode: impl Fn(Bytes) -> Result<T, E>,
+) -> Result<(), String> {
+    for cut in 0..wire.len() {
+        prop_assert!(
+            decode(wire.slice(..cut)).is_err(),
+            "cut at {cut} of {}",
+            wire.len()
+        );
+    }
+    Ok(())
+}
+
 proptest! {
     #[test]
     fn rtmp_messages_roundtrip(msg in arb_message()) {
@@ -190,9 +206,7 @@ proptest! {
     fn every_truncation_of_a_frame_message_is_an_error(frame in arb_frame()) {
         let wire = RtmpMessage::encode_frame(&frame);
         prop_assert_eq!(wire.len(), 6 + frame.encoded_len());
-        for cut in 0..wire.len() {
-            prop_assert!(RtmpMessage::decode(wire.slice(..cut)).is_err(), "cut at {cut}");
-        }
+        every_strict_prefix_fails(&wire, RtmpMessage::decode)?;
     }
 
     #[test]
@@ -202,9 +216,7 @@ proptest! {
     ) {
         let wire = msg.encode();
         prop_assert_eq!(RtmpMessage::decode(wire.clone()), Ok(msg));
-        for cut in 0..wire.len() {
-            prop_assert!(RtmpMessage::decode(wire.slice(..cut)).is_err(), "cut at {cut}");
-        }
+        every_strict_prefix_fails(&wire, RtmpMessage::decode)?;
         let mut longer = wire.to_vec();
         longer.push(trailing);
         prop_assert!(RtmpMessage::decode(Bytes::from(longer)).is_err());
@@ -235,9 +247,7 @@ proptest! {
         frames in proptest::collection::vec(arb_frame(), 0..6),
     ) {
         let wire = Chunk { seq: 1, start_ts_us: 2, duration_us: 3, frames }.encode();
-        for cut in 0..wire.len() {
-            prop_assert!(Chunk::decode(wire.slice(..cut)).is_err(), "cut at {cut}");
-        }
+        every_strict_prefix_fails(&wire, Chunk::decode)?;
     }
 
     #[test]
@@ -358,10 +368,7 @@ proptest! {
         };
         let wire = event.encode();
         prop_assert_eq!(ChatEvent::decode(wire.clone()), Ok(event));
-        for cut in 0..wire.len() {
-            let cut_wire: Result<ChatEvent, WireError> = ChatEvent::decode(wire.slice(..cut));
-            prop_assert!(cut_wire.is_err(), "cut at {cut}");
-        }
+        every_strict_prefix_fails(&wire, ChatEvent::decode)?;
         let mut longer = wire.to_vec();
         longer.push(trailing);
         prop_assert!(ChatEvent::decode(Bytes::from(longer)).is_err(), "trailing byte");
@@ -411,20 +418,13 @@ proptest! {
     ) {
         let wire = req.encode();
         prop_assert_eq!(ControlRequest::decode(wire.clone()), Ok(req));
-        for cut in 0..wire.len() {
-            prop_assert!(ControlRequest::decode(wire.slice(..cut)).is_err(), "request cut at {cut}");
-        }
+        every_strict_prefix_fails(&wire, ControlRequest::decode)?;
         let wire = resp.encode();
         prop_assert_eq!(ControlResponse::decode(wire.clone()), Ok(resp));
-        for cut in 0..wire.len() {
-            prop_assert!(ControlResponse::decode(wire.slice(..cut)).is_err(), "response cut at {cut}");
-        }
+        every_strict_prefix_fails(&wire, ControlResponse::decode)?;
         let sealed = Sealed::seal(&wire, key, nonce).wire().clone();
         prop_assert_eq!(Sealed::from_wire(sealed.clone()).unseal(key), Ok(wire));
-        for cut in 0..sealed.len() {
-            let cut_envelope = Sealed::from_wire(sealed.slice(..cut));
-            prop_assert!(cut_envelope.unseal(key).is_err(), "envelope cut at {cut}");
-        }
+        every_strict_prefix_fails(&sealed, |cut| Sealed::from_wire(cut).unseal(key))?;
     }
 
     #[test]
