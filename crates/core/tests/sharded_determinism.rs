@@ -13,6 +13,7 @@
 use livescope_cdn::fanout::PopStats;
 use livescope_cdn::{run_fanout, FanoutConfig};
 use livescope_core::experiments::breakdown::{run_traced, BreakdownConfig};
+use livescope_core::experiments::overlay_ext::{self, OverlayConfig};
 use livescope_net::datacenters::DatacenterId;
 use livescope_sim::rng::splitmix64;
 use livescope_telemetry::{event, ObsReport, SharedBuffer, Telemetry, TraceEvent};
@@ -107,6 +108,27 @@ fn breakdown_trace_bytes_are_pinned() {
     assert_eq!(
         (trace.len(), fold_bytes(&trace)),
         (562_370, 0x164b_ed8a_fb7b_5c43)
+    );
+}
+
+/// The §8 overlay experiment's trace, pinned absolutely: each frame's
+/// `overlay_frame_delivered` event and its span, for the two-audience
+/// sweep `tests/telemetry_trace.rs` also runs.
+#[test]
+fn overlay_trace_bytes_are_pinned() {
+    let config = OverlayConfig {
+        audiences: vec![100, 500],
+        frames: 40,
+        ..OverlayConfig::default()
+    };
+    let buf = SharedBuffer::new();
+    let telemetry = Telemetry::to_jsonl(Box::new(buf.clone()));
+    overlay_ext::run_traced(&config, &telemetry);
+    telemetry.flush();
+    let trace = buf.contents();
+    assert_eq!(
+        (trace.len(), fold_bytes(&trace)),
+        (26_589, 0x4568_f4e6_890d_a22f)
     );
 }
 
