@@ -84,7 +84,7 @@ fn fold_workload(celebrity: bool, capture: Option<&str>, json: bool) -> ExitCode
         obs::breakdown_trace()
     };
     if let Some(path) = capture {
-        let jsonl: String = events.iter().map(|e| e.to_json_line() + "\n").collect();
+        let jsonl = event::write_jsonl(&events);
         if let Err(err) = fs::write(path, &jsonl) {
             eprintln!("obs_report: cannot write {path}: {err}");
             return ExitCode::FAILURE;

@@ -16,7 +16,7 @@ use livescope_core::experiments::breakdown::{run_traced, BreakdownConfig};
 use livescope_core::experiments::overlay_ext::{self, OverlayConfig};
 use livescope_net::datacenters::DatacenterId;
 use livescope_sim::rng::splitmix64;
-use livescope_telemetry::{event, ObsReport, SharedBuffer, Telemetry, TraceEvent};
+use livescope_telemetry::{event, ObsReport, Telemetry, TraceEvent};
 
 const LANE_SWEEP: [usize; 3] = [1, 2, 6];
 
@@ -29,14 +29,21 @@ fn fanout_config() -> FanoutConfig {
     }
 }
 
-/// Runs the multi-shard fan-out with a JSONL sink and returns the raw
-/// trace bytes.
+/// Ring capacity above every event the traced runs here emit.
+const CAPTURE: usize = 1 << 18;
+
+/// Runs `workload` on a recording handle and renders its whole trace as
+/// JSONL bytes; the ring must not have dropped an event.
+fn capture<R>(workload: impl FnOnce(&Telemetry) -> R) -> Vec<u8> {
+    let telemetry = Telemetry::recording(CAPTURE);
+    workload(&telemetry);
+    assert_eq!(telemetry.dropped_events(), 0, "the capture ring overflowed");
+    event::write_jsonl(&telemetry.events()).into_bytes()
+}
+
+/// The multi-shard fan-out's trace bytes at `lanes`.
 fn fanout_trace(lanes: usize) -> Vec<u8> {
-    let buf = SharedBuffer::new();
-    let telemetry = Telemetry::to_jsonl(Box::new(buf.clone()));
-    run_fanout(&fanout_config(), lanes, &telemetry);
-    telemetry.flush();
-    buf.contents()
+    capture(|telemetry| run_fanout(&fanout_config(), lanes, telemetry))
 }
 
 #[test]
@@ -47,8 +54,9 @@ fn multi_shard_fanout_trace_bytes_are_identical_across_lane_counts() {
     assert!(!reference.is_empty(), "instrumented run must emit events");
     // Fan-out spans go through the epoch-barrier merge: open and close
     // land together at delivery time, and both survive the byte compare.
-    let text = std::str::from_utf8(&reference).expect("utf8");
-    let spans = ObsReport::derive(&event::parse_jsonl(text).expect("parses")).spans;
+    let trace = event::parse_jsonl_lossy(std::str::from_utf8(&reference).expect("utf8"));
+    assert_eq!(trace.skipped_lines, 0, "{}", trace.first_skip);
+    let spans = ObsReport::derive(&trace.events).spans;
     assert!(spans.opens > 0, "fanout trace carries no span_open events");
     assert_eq!(spans.opens, spans.closes, "fanout spans must be balanced");
     assert_eq!(
@@ -100,11 +108,7 @@ fn breakdown_trace_bytes_are_pinned() {
         stream_secs: 40,
         ..BreakdownConfig::default()
     };
-    let buf = SharedBuffer::new();
-    let telemetry = Telemetry::to_jsonl(Box::new(buf.clone()));
-    run_traced(&config, &telemetry);
-    telemetry.flush();
-    let trace = buf.contents();
+    let trace = capture(|telemetry| run_traced(&config, telemetry));
     assert_eq!(
         (trace.len(), fold_bytes(&trace)),
         (562_370, 0x164b_ed8a_fb7b_5c43)
@@ -121,15 +125,35 @@ fn overlay_trace_bytes_are_pinned() {
         frames: 40,
         ..OverlayConfig::default()
     };
-    let buf = SharedBuffer::new();
-    let telemetry = Telemetry::to_jsonl(Box::new(buf.clone()));
-    overlay_ext::run_traced(&config, &telemetry);
-    telemetry.flush();
-    let trace = buf.contents();
+    let trace = capture(|telemetry| overlay_ext::run_traced(&config, telemetry));
     assert_eq!(
         (trace.len(), fold_bytes(&trace)),
         (26_589, 0x4568_f4e6_890d_a22f)
     );
+}
+
+/// A ring far smaller than the fan-out's trace keeps exactly the newest
+/// events of an unbounded capture and counts the rest as dropped, at one
+/// lane and with worker threads. The barrier hands the ring whole merged
+/// blocks (8 of them here, of up to 231 events), each longer than the
+/// ring, so every batch overflows it.
+#[test]
+fn an_overflowing_ring_keeps_the_suffix_of_the_trace() {
+    const RING: usize = 40;
+    let unbounded = Telemetry::recording(CAPTURE);
+    run_fanout(&fanout_config(), 1, &unbounded);
+    let full = unbounded.events();
+    assert!(full.len() > 20 * RING, "{} events", full.len());
+    for lanes in [1, 2] {
+        let ring = Telemetry::recording(RING);
+        run_fanout(&fanout_config(), lanes, &ring);
+        assert_eq!(ring.events(), full[full.len() - RING..], "lanes={lanes}");
+        assert_eq!(
+            ring.dropped_events(),
+            (full.len() - RING) as u64,
+            "lanes={lanes}"
+        );
+    }
 }
 
 /// The untraced report at [`fanout_config`], pinned absolutely: lane-count

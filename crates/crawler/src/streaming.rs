@@ -36,10 +36,9 @@ pub const DEFAULT_EXEMPLARS: usize = 64;
 #[derive(Clone, Debug)]
 pub struct StreamingCampaign {
     salt: u64,
-    /// Study length: the days `recorded_per_day` plots.
-    days: u32,
-    /// Broadcasts the crawler recorded, per study day (Fig 1). Records
-    /// with out-of-range days are counted in totals but not plotted.
+    /// Broadcasts the crawler recorded, per study day (Fig 1); its length
+    /// is the study's. Records with out-of-range days are counted in
+    /// totals but not plotted.
     recorded_per_day: Vec<u64>,
     recorded: u64,
     missed: u64,
@@ -67,7 +66,6 @@ impl StreamingCampaign {
     pub fn new(config: &CampaignConfig, days: u32, users: usize, exemplar_capacity: usize) -> Self {
         StreamingCampaign {
             salt: config.anonymization_salt,
-            days,
             recorded_per_day: vec![0; days as usize],
             recorded: 0,
             missed: 0,
@@ -93,8 +91,8 @@ impl StreamingCampaign {
         // Out-of-range days (possible in hand-built or truncated
         // datasets) must not index past the study window — the latent
         // fig1 panic this fold replaces.
-        if record.day < self.days {
-            self.recorded_per_day[record.day as usize] += 1;
+        if let Some(count) = self.recorded_per_day.get_mut(record.day as usize) {
+            *count += 1;
         }
         self.total_views += record.viewers;
         self.mobile_views += record.mobile_viewers;

@@ -72,13 +72,14 @@
 //! order are already in delivery order), the trace sort is skipped when
 //! at most one shard contributed (a single shard's buffer is already in
 //! merged order), each epoch's merged trace block is handed to the
-//! telemetry sink in one batch — one sink lock per epoch rather than one
-//! per event, with memory bounded by a single epoch's traffic (sound
-//! because epochs partition simulated time, so successive blocks are
-//! already globally ordered), and when exactly one shard has events due
-//! the scheduler *sprints*: it runs that shard across grid cells without
-//! intermediate barriers until it drains or emits cross-shard mail — the
-//! only thing a barrier exists to order.
+//! telemetry handle's ring in one batch and drained in the same step —
+//! one sink lock per epoch rather than one per event, nothing held from
+//! one barrier to the next, and memory bounded by a single epoch's
+//! traffic (sound because epochs partition simulated time, so successive
+//! blocks are already globally ordered), and when exactly one shard has
+//! events due the scheduler *sprints*: it runs that shard across grid
+//! cells without intermediate barriers until it drains or emits
+//! cross-shard mail — the only thing a barrier exists to order.
 
 use livescope_telemetry::{CounterId, GaugeId, Section, Telemetry, TraceEvent};
 
@@ -267,12 +268,6 @@ fn sprint<S>(slot: &mut ShardSlot<S>, horizon: SimTime, epoch_us: u64) -> SimTim
     }
 }
 
-/// Hands a merged trace block to the sink in one batch and drains it,
-/// keeping its capacity.
-fn emit_merged(telemetry: &Telemetry, pending: &mut Vec<(u64, u16, u64, TraceEvent)>) {
-    telemetry.emit_batch(pending.drain(..).map(|(t, _, _, ev)| (t, ev)));
-}
-
 /// Multi-lane deterministic discrete-event scheduler.
 ///
 /// See the [module docs](self) for the lane model and merge contract. The
@@ -322,8 +317,9 @@ pub struct ShardedScheduler<S> {
     mail_scratch: Vec<Mail<S>>,
     /// Per-epoch trace-merge scratch: each barrier gathers and sorts its
     /// block here, then hands it to the sink in one batch and drains it
-    /// (keeping the capacity), so memory stays bounded by one epoch's
-    /// traffic and the sink lock is taken once per epoch, not per event.
+    /// (keeping the capacity), so it is empty between barriers, memory
+    /// stays bounded by one epoch's traffic and the sink lock is taken
+    /// once per epoch, not per event.
     trace_pending: Vec<(u64, u16, u64, TraceEvent)>,
     /// Wall-clock profile sections (`handler.sharded.*_ns`); live exactly
     /// when the attached telemetry handle records. They time the phases
@@ -404,10 +400,6 @@ impl<S: Send + 'static> ShardedScheduler<S> {
     /// trace events emitted by events via [`EventCtx::emit`] are merged
     /// into the sink at each barrier in `(time, shard_id, seq)` order.
     pub fn set_telemetry(&mut self, telemetry: &Telemetry) {
-        // Deferred traces belong to the previous sink; hand them over
-        // before swapping handles (a no-op outside `run_until`, which
-        // always flushes on exit).
-        self.flush_traces();
         self.c_fired = telemetry.counter("sim.sharded.events_fired");
         self.c_mail = telemetry.counter("sim.sharded.mail_delivered");
         self.c_epochs = telemetry.counter("sim.sharded.epochs");
@@ -489,7 +481,6 @@ impl<S: Send + 'static> ShardedScheduler<S> {
         // --- traces -------------------------------------------------------
         self.sec_trace_merge.time(|| {
             if self.telemetry.is_enabled() {
-                let start = self.trace_pending.len();
                 let mut contributors = 0usize;
                 for slot in &mut self.shards {
                     if slot.core.trace.is_empty() {
@@ -509,16 +500,18 @@ impl<S: Send + 'static> ShardedScheduler<S> {
                 // single shard id *is* the merge order — only a real merge
                 // needs the sort.
                 if contributors > 1 {
-                    self.trace_pending[start..]
+                    self.trace_pending
                         .sort_unstable_by_key(|(t, shard, seq, _)| (*t, *shard, *seq));
                 }
                 // Hand the whole epoch block to the sink under one lock and
                 // drain it (capacity kept) — memory stays bounded by one
-                // epoch's traffic. Blocks from successive barriers are
-                // globally ordered: events run before a barrier carry
-                // timestamps no later than any event still queued behind it.
+                // epoch's traffic, and no merged event outlives its
+                // barrier. Blocks from successive barriers are globally
+                // ordered: events run before a barrier carry timestamps no
+                // later than any event still queued behind it.
                 if !self.trace_pending.is_empty() {
-                    emit_merged(&self.telemetry, &mut self.trace_pending);
+                    self.telemetry
+                        .emit_batch(self.trace_pending.drain(..).map(|(t, _, _, ev)| (t, ev)));
                 }
             }
         });
@@ -538,19 +531,6 @@ impl<S: Send + 'static> ShardedScheduler<S> {
         self.telemetry.add(self.c_fired, fired_total);
         self.telemetry
             .set_gauge(self.g_depth, self.pending() as i64);
-    }
-
-    /// Safety-net flush: barriers normally hand their own block to the
-    /// sink and leave `trace_pending` empty, so this is a no-op on the
-    /// steady path. It exists so `set_telemetry` and `run_until` exit
-    /// can guarantee no merged-and-sorted trace ever outlives the sink
-    /// handle it was destined for.
-    fn flush_traces(&mut self) {
-        if self.trace_pending.is_empty() {
-            return;
-        }
-        self.sec_trace_merge
-            .time(|| emit_merged(&self.telemetry, &mut self.trace_pending));
     }
 
     /// Adaptive epoch length: when exactly one shard has events due by
@@ -643,7 +623,6 @@ impl<S: Send + 'static> SchedulerBackend<S> for ShardedScheduler<S> {
             let reached = self.shards.iter().map(|s| s.core.now).max();
             self.now = self.now.max(reached.unwrap_or(SimTime::ZERO));
         }
-        self.flush_traces();
         self.now
     }
 

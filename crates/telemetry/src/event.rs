@@ -417,13 +417,15 @@ impl TimedEvent {
     }
 }
 
-/// Parses a JSONL trace back into events. Unknown event types are an
-/// error: the trace format is versioned by this enum.
-pub fn parse_jsonl(text: &str) -> Result<Vec<TimedEvent>, String> {
-    text.lines()
-        .filter(|l| !l.trim().is_empty())
-        .map(parse_line)
-        .collect()
+/// Renders events as a JSONL trace: one [`TimedEvent::to_json_line`] per
+/// event, each ending in `\n`. The one writer of a trace file.
+pub fn write_jsonl(events: &[TimedEvent]) -> String {
+    let mut out = String::with_capacity(events.len() * 96);
+    for event in events {
+        out.push_str(&event.to_json_line());
+        out.push('\n');
+    }
+    out
 }
 
 /// A leniently parsed trace: the lines that decoded, plus an explicit
@@ -439,8 +441,9 @@ pub struct LossyTrace {
 }
 
 /// Parses a JSONL trace, skipping (and counting) lines this build does
-/// not understand — for summary tools that must survive traces written
-/// by a newer event vocabulary.
+/// not understand — a tool must survive a trace written by a newer event
+/// vocabulary or cut short by a crashed writer. The one reader of a
+/// trace file; a caller that needs every line checks `skipped_lines`.
 pub fn parse_jsonl_lossy(text: &str) -> LossyTrace {
     let mut out = LossyTrace::default();
     for line in text.lines().filter(|l| !l.trim().is_empty()) {
@@ -543,9 +546,13 @@ mod tests {
 
     #[test]
     fn jsonl_roundtrips_every_variant_shape() {
-        let text: String = samples().iter().map(|e| e.to_json_line() + "\n").collect();
-        let back = parse_jsonl(&text).unwrap();
-        assert_eq!(back, samples());
+        let text = write_jsonl(&samples());
+        let lines: Vec<&str> = golden().iter().map(|(line, ..)| *line).collect();
+        assert_eq!(text, lines.join("\n") + "\n", "one line per event");
+        let back = parse_jsonl_lossy(&text);
+        assert_eq!((back.skipped_lines, back.first_skip.as_str()), (0, ""));
+        assert_eq!(back.events, samples());
+        assert_eq!(write_jsonl(&[]), "");
     }
 
     /// A line cut anywhere (a crashed writer, a truncated file) is an
@@ -555,7 +562,6 @@ mod tests {
         for (line, ..) in golden() {
             for cut in 1..line.len() {
                 let prefix = &line[..cut];
-                assert!(parse_jsonl(prefix).is_err(), "accepted {prefix:?}");
                 let lossy = parse_jsonl_lossy(prefix);
                 assert!(lossy.events.is_empty(), "decoded {prefix:?}");
                 assert_eq!(lossy.skipped_lines, 1, "{prefix:?}");
@@ -565,22 +571,30 @@ mod tests {
 
     #[test]
     fn unknown_type_is_rejected() {
-        assert!(parse_jsonl(r#"{"t":0,"type":"mystery"}"#).is_err());
         // A value that does not fit its field is malformed, not narrowed.
-        let pop = parse_jsonl(r#"{"t":0,"type":"poll_miss","broadcast":1,"pop":70000}"#);
-        assert_eq!(pop.unwrap_err(), "poll_miss: pop out of range");
-        let subs = parse_jsonl(
-            r#"{"t":0,"type":"rtmp_frame_pushed","broadcast":1,"seq":0,"capture_us":0,"subscribers":4294967297}"#,
-        );
-        assert_eq!(
-            subs.unwrap_err(),
-            "rtmp_frame_pushed: subscribers out of range"
-        );
+        for (line, err) in [
+            (
+                r#"{"t":0,"type":"mystery"}"#,
+                r#"unknown event type "mystery""#,
+            ),
+            (
+                r#"{"t":0,"type":"poll_miss","broadcast":1,"pop":70000}"#,
+                "poll_miss: pop out of range",
+            ),
+            (
+                r#"{"t":0,"type":"rtmp_frame_pushed","broadcast":1,"seq":0,"capture_us":0,"subscribers":4294967297}"#,
+                "rtmp_frame_pushed: subscribers out of range",
+            ),
+        ] {
+            let lossy = parse_jsonl_lossy(line);
+            assert!(lossy.events.is_empty(), "decoded {line:?}");
+            assert_eq!((lossy.skipped_lines, lossy.first_skip.as_str()), (1, err));
+        }
     }
 
     #[test]
     fn lossy_parse_counts_skipped_lines() {
-        let mut text: String = samples().iter().map(|e| e.to_json_line() + "\n").collect();
+        let mut text = write_jsonl(&samples());
         text.push_str("{\"t\":0,\"type\":\"mystery\"}\n");
         text.push_str("not json at all\n");
         text.push_str("{\"t\":0,\"type\":\"poll_miss\",\"broadcast\":1,\"pop\":70000}\n");

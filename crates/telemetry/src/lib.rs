@@ -7,9 +7,10 @@
 //!    path is an array index plus an add: no hashing, no globals, and with
 //!    the sink disabled every call is a single branch on a `None`.
 //! 2. **Structured event tracing** ([`event`], [`sink`]) — sim-time-stamped
-//!    typed events ([`TraceEvent`]) emitted into a bounded in-memory ring or
-//!    a streaming JSONL writer. All timestamps are `SimTime` microseconds,
-//!    never wall clock, so a trace is bit-reproducible in `(config, seed)`.
+//!    typed events ([`TraceEvent`]) emitted into a bounded in-memory ring,
+//!    which [`event::write_jsonl`] renders and [`event::parse_jsonl_lossy`]
+//!    reads back. All timestamps are `SimTime` microseconds, never wall
+//!    clock, so a trace is bit-reproducible in `(config, seed)`.
 //! 3. **One fold** ([`report`]) — [`ObsReport::derive`] is the only reader
 //!    of a trace: per-kind counts, the paper's six-component delay
 //!    breakdown (Fig 10/11, the [`ledger`] types) so analytic numbers can
@@ -43,11 +44,10 @@ use registry::Registry;
 use shared::{locked, Inner};
 use sink::TraceSink;
 use std::borrow::Cow;
-use std::io::Write;
 use std::sync::Arc;
 
-/// A handle's registry and sink behind their locks: with [`SharedBuffer`],
-/// the workspace's only use of `Mutex`.
+/// A handle's registry and sink behind their locks: the workspace's only
+/// use of `Mutex`.
 #[expect(
     clippy::disallowed_types,
     reason = "metrics commute, so any worker lane may add to a counter or histogram; the sink and gauges are written only by the owner thread"
@@ -60,9 +60,9 @@ mod shared {
     pub(crate) struct Inner {
         pub(crate) registry: Mutex<Registry>,
         pub(crate) sink: Mutex<TraceSink>,
-        /// The thread that created the handle: the only one that may emit,
-        /// flush or set a gauge, since neither a trace's order nor a
-        /// gauge's last write commutes across threads.
+        /// The thread that created the handle: the only one that may emit
+        /// or set a gauge, since neither a trace's order nor a gauge's last
+        /// write commutes across threads.
         owner: ThreadId,
     }
 
@@ -103,9 +103,9 @@ mod shared {
 /// states that carry one can move across the worker threads of
 /// `livescope-sim`'s sharded backend, and any thread may add to a counter
 /// or record into a histogram: those commute. Trace writes and gauges do
-/// not, so [`Telemetry::emit`], [`Telemetry::emit_batch`],
-/// [`Telemetry::flush`] and [`Telemetry::set_gauge`] panic when called off
-/// the thread that created the handle. A scheduler handler traces through
+/// not, so [`Telemetry::emit`], [`Telemetry::emit_batch`] and
+/// [`Telemetry::set_gauge`] panic when called off the thread that created
+/// the handle. A scheduler handler traces through
 /// `EventCtx::emit` instead: each shard buffers its events and the merge
 /// happens single-threaded at epoch barriers. A direct emit from a
 /// handler fails whenever the handler runs on a worker lane: at two or
@@ -130,22 +130,13 @@ impl Telemetry {
     }
 
     /// Records events into a bounded in-memory buffer (oldest dropped
-    /// beyond `capacity`) and metrics into a live registry.
+    /// beyond `capacity`) and metrics into a live registry. To capture a
+    /// trace, size `capacity` above the run's event count, check
+    /// [`Telemetry::dropped_events`] is 0 and render
+    /// [`Telemetry::events`] with [`event::write_jsonl`].
     pub fn recording(capacity: usize) -> Self {
         Telemetry {
-            inner: Some(Inner::new(TraceSink::memory(capacity))),
-        }
-    }
-
-    /// Streams events as JSONL to `out` (one event object per line) and
-    /// keeps metrics in a live registry.
-    ///
-    /// The writer must be `Send` because the handle itself is — use
-    /// [`SharedBuffer`] to capture a trace in memory, or a `File`/`Vec<u8>`
-    /// wrapper for disk capture.
-    pub fn to_jsonl(out: Box<dyn Write + Send>) -> Self {
-        Telemetry {
-            inner: Some(Inner::new(TraceSink::jsonl(out))),
+            inner: Some(Inner::new(TraceSink::new(capacity))),
         }
     }
 
@@ -241,7 +232,7 @@ impl Telemetry {
 
     // ---- read-out ------------------------------------------------------
 
-    /// Copies out the buffered events (memory sink only; empty otherwise).
+    /// Copies out the buffered events, oldest first (empty when disabled).
     pub fn events(&self) -> Vec<TimedEvent> {
         match &self.inner {
             Some(inner) => locked(&inner.sink).buffered(),
@@ -263,48 +254,6 @@ impl Telemetry {
             Some(inner) => locked(&inner.registry).snapshot(),
             None => MetricsSnapshot::default(),
         }
-    }
-
-    /// Flushes a streaming sink (no-op for memory/disabled). Panics off
-    /// the owner thread.
-    #[track_caller]
-    pub fn flush(&self) {
-        if let Some(inner) = &self.inner {
-            inner.assert_owner();
-            locked(&inner.sink).flush();
-        }
-    }
-}
-
-/// A `Write` target whose bytes stay readable after the telemetry handle
-/// is done with it — the standard way to capture a JSONL trace in memory.
-#[derive(Clone, Default)]
-#[expect(
-    clippy::disallowed_types,
-    reason = "the writer half moves into a telemetry handle while the test or tool that made it keeps the reader half"
-)]
-pub struct SharedBuffer(Arc<std::sync::Mutex<Vec<u8>>>);
-
-impl SharedBuffer {
-    /// An empty shared buffer.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Copies out everything written so far.
-    pub fn contents(&self) -> Vec<u8> {
-        locked(&self.0).clone()
-    }
-}
-
-impl Write for SharedBuffer {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        locked(&self.0).extend_from_slice(buf);
-        Ok(buf.len())
-    }
-
-    fn flush(&mut self) -> std::io::Result<()> {
-        Ok(())
     }
 }
 
@@ -403,28 +352,28 @@ mod tests {
 
     #[test]
     fn trace_writes_off_the_owner_thread_panic() {
-        let buf = SharedBuffer::new();
-        for t in [
-            Telemetry::recording(16),
-            Telemetry::to_jsonl(Box::new(buf.clone())),
-        ] {
-            let g = t.gauge("depth");
-            let writes: [&(dyn Fn() + Sync); 4] = [
-                &|| t.emit(1, miss()),
-                &|| t.emit_batch([(1, miss())]),
-                &|| t.flush(),
-                &|| t.set_gauge(g, 3),
-            ];
-            for write in writes {
-                let msg = panic_on_other_thread(write).expect("off-owner write must panic");
-                assert!(msg.contains("EventCtx::emit"), "{msg}");
-            }
-            // The owner thread still writes.
-            t.emit(2, miss());
-            t.set_gauge(g, 4);
-            t.flush();
+        let t = Telemetry::recording(16);
+        let g = t.gauge("depth");
+        let writes: [&(dyn Fn() + Sync); 3] = [
+            &|| t.emit(1, miss()),
+            &|| t.emit_batch([(1, miss())]),
+            &|| t.set_gauge(g, 3),
+        ];
+        for write in writes {
+            let msg = panic_on_other_thread(write).expect("off-owner write must panic");
+            assert!(msg.contains("EventCtx::emit"), "{msg}");
         }
-        assert!(buf.contents().starts_with(b"{"));
+        // The owner thread still writes.
+        t.emit(2, miss());
+        t.set_gauge(g, 4);
+        assert_eq!(
+            t.events(),
+            [TimedEvent {
+                t_us: 2,
+                event: miss()
+            }]
+        );
+        assert_eq!(t.snapshot().gauge("depth"), Some(4));
     }
 
     #[test]
@@ -454,37 +403,9 @@ mod tests {
                 t.emit(1, miss());
                 t.emit_batch([(2, miss())]);
                 t.set_gauge(g, 1);
-                t.flush();
             }),
             None
         );
         assert!(t.events().is_empty());
-    }
-
-    #[test]
-    fn jsonl_sink_writes_one_line_per_event() {
-        let buf = SharedBuffer::new();
-        let t = Telemetry::to_jsonl(Box::new(buf.clone()));
-        t.emit(
-            1,
-            TraceEvent::PollMiss {
-                broadcast: 7,
-                pop: 8,
-            },
-        );
-        t.emit(
-            2,
-            TraceEvent::PollHit {
-                broadcast: 7,
-                pop: 8,
-                entries: 3,
-            },
-        );
-        t.flush();
-        let text = String::from_utf8(buf.contents()).unwrap();
-        assert_eq!(text.lines().count(), 2);
-        let parsed = event::parse_jsonl(&text).unwrap();
-        assert_eq!(parsed.len(), 2);
-        assert_eq!(parsed[1].t_us, 2);
     }
 }

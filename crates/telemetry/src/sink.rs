@@ -1,81 +1,44 @@
-//! Trace sinks: bounded in-memory ring or streaming JSONL writer.
+//! The trace sink: a bounded in-memory ring.
 
 use crate::event::TimedEvent;
 use std::collections::VecDeque;
-use std::io::Write;
 
-/// Where emitted events go.
-pub(crate) enum TraceSink {
-    /// Bounded ring buffer; once full the oldest event is dropped and the
-    /// drop counter incremented, so long runs stay memory-bounded.
-    Memory {
-        buf: VecDeque<TimedEvent>,
-        capacity: usize,
-        dropped: u64,
-    },
-    /// Each event is serialized to one JSON line as it arrives; nothing is
-    /// retained in memory.
-    Jsonl { out: Box<dyn Write + Send> },
+/// Where emitted events go: a bounded ring buffer; once full the oldest
+/// event is dropped and the drop counter incremented, so long runs stay
+/// memory-bounded. [`crate::event::write_jsonl`] renders what it kept.
+pub(crate) struct TraceSink {
+    buf: VecDeque<TimedEvent>,
+    capacity: usize,
+    dropped: u64,
 }
 
 impl TraceSink {
-    pub(crate) fn memory(capacity: usize) -> Self {
-        TraceSink::Memory {
+    pub(crate) fn new(capacity: usize) -> Self {
+        TraceSink {
             buf: VecDeque::with_capacity(capacity.min(4096)),
             capacity,
             dropped: 0,
         }
     }
 
-    pub(crate) fn jsonl(out: Box<dyn Write + Send>) -> Self {
-        TraceSink::Jsonl { out }
-    }
-
     pub(crate) fn push(&mut self, event: TimedEvent) {
-        match self {
-            TraceSink::Memory {
-                buf,
-                capacity,
-                dropped,
-            } => {
-                if *capacity == 0 {
-                    *dropped += 1;
-                    return;
-                }
-                if buf.len() == *capacity {
-                    buf.pop_front();
-                    *dropped += 1;
-                }
-                buf.push_back(event);
-            }
-            TraceSink::Jsonl { out } => {
-                let line = event.to_json_line();
-                // Trace output is best-effort: a closed pipe should not
-                // bring down the simulation.
-                let _ = out.write_all(line.as_bytes());
-                let _ = out.write_all(b"\n");
-            }
+        if self.capacity == 0 {
+            self.dropped += 1;
+            return;
         }
+        if self.buf.len() == self.capacity {
+            self.buf.pop_front();
+            self.dropped += 1;
+        }
+        self.buf.push_back(event);
     }
 
     pub(crate) fn buffered(&self) -> Vec<TimedEvent> {
-        match self {
-            TraceSink::Memory { buf, .. } => buf.iter().cloned().collect(),
-            TraceSink::Jsonl { .. } => Vec::new(),
-        }
+        self.buf.iter().cloned().collect()
     }
 
     pub(crate) fn dropped(&self) -> u64 {
-        match self {
-            TraceSink::Memory { dropped, .. } => *dropped,
-            TraceSink::Jsonl { .. } => 0,
-        }
-    }
-
-    pub(crate) fn flush(&mut self) {
-        if let TraceSink::Jsonl { out } = self {
-            let _ = out.flush();
-        }
+        self.dropped
     }
 }
 
@@ -96,7 +59,7 @@ mod tests {
 
     #[test]
     fn zero_capacity_buffer_only_counts() {
-        let mut sink = TraceSink::memory(0);
+        let mut sink = TraceSink::new(0);
         sink.push(ev(1));
         sink.push(ev(2));
         assert!(sink.buffered().is_empty());
@@ -105,7 +68,7 @@ mod tests {
 
     #[test]
     fn ring_keeps_newest() {
-        let mut sink = TraceSink::memory(3);
+        let mut sink = TraceSink::new(3);
         for t in 0..10 {
             sink.push(ev(t));
         }

@@ -54,6 +54,23 @@ sidecars=$(find "$artifacts_dir" -type f | wc -l)
 rm -rf "$artifacts_dir"
 [ "$sidecars" -eq 43 ] || { echo "expected 43 sidecar files, got $sidecars"; exit 1; }
 
+# The one trace writer and the one reader, end to end through the CLI:
+# folding a captured trace file must print the JSON the capture printed,
+# and must skip no line (a skip is reported on stderr).
+echo "==> obs_report capture-then-fold round trip (breakdown, celebrity)"
+trace_dir=$(mktemp -d)
+for workload in breakdown celebrity; do
+    livescope obs_report --json --workload "$workload" --capture "$trace_dir/trace.jsonl" \
+        >"$trace_dir/captured.json" 2>/dev/null
+    livescope obs_report --json "$trace_dir/trace.jsonl" \
+        >"$trace_dir/folded.json" 2>"$trace_dir/fold.err"
+    cmp -s "$trace_dir/captured.json" "$trace_dir/folded.json" ||
+        { echo "obs_report $workload: the folded trace reports differently"; exit 1; }
+    [ ! -s "$trace_dir/fold.err" ] ||
+        { echo "obs_report $workload: the fold skipped lines:"; cat "$trace_dir/fold.err"; exit 1; }
+done
+rm -rf "$trace_dir"
+
 echo "==> usage errors exit 2 before any work (unknown or retired subcommand, unknown or retired flag on an artifact, on the bench tool; scripts/ab.sh and scripts/profile.sh missing an argument)"
 for probe in "no_such_command" "trace_summary" "bench_shards" "fig11 --no-such-flag" \
     "bench_replay --no-such-flag" "bench_replay --smoke"; do

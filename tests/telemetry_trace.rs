@@ -14,8 +14,8 @@ use livescope_core::experiments::breakdown::{run, run_traced, BreakdownConfig, B
 use livescope_core::experiments::overlay_ext::{
     run as overlay_run, run_traced as overlay_run_traced, OverlayConfig, OverlayReport,
 };
-use livescope_telemetry::event::parse_jsonl;
-use livescope_telemetry::{ObsReport, SharedBuffer, SpanKind, Telemetry, TimedEvent, TraceEvent};
+use livescope_telemetry::event::{parse_jsonl_lossy, write_jsonl};
+use livescope_telemetry::{ObsReport, SpanKind, Telemetry, TimedEvent, TraceEvent};
 
 fn quick() -> BreakdownConfig {
     BreakdownConfig {
@@ -25,12 +25,17 @@ fn quick() -> BreakdownConfig {
     }
 }
 
+/// Runs `workload` on a recording handle whose ring holds every event,
+/// and returns its trace as JSONL bytes with the workload's result.
+fn capture<R>(workload: impl FnOnce(&Telemetry) -> R) -> (Vec<u8>, R) {
+    let telemetry = Telemetry::recording(1 << 18);
+    let result = workload(&telemetry);
+    assert_eq!(telemetry.dropped_events(), 0, "the capture ring overflowed");
+    (write_jsonl(&telemetry.events()).into_bytes(), result)
+}
+
 fn capture_trace(config: &BreakdownConfig) -> (Vec<u8>, BreakdownReport) {
-    let buf = SharedBuffer::new();
-    let telemetry = Telemetry::to_jsonl(Box::new(buf.clone()));
-    let report = run_traced(config, &telemetry);
-    telemetry.flush();
-    (buf.contents(), report)
+    capture(|telemetry| run_traced(config, telemetry))
 }
 
 fn overlay_config() -> OverlayConfig {
@@ -42,15 +47,14 @@ fn overlay_config() -> OverlayConfig {
 }
 
 fn capture_overlay(config: &OverlayConfig) -> (Vec<u8>, OverlayReport) {
-    let buf = SharedBuffer::new();
-    let telemetry = Telemetry::to_jsonl(Box::new(buf.clone()));
-    let report = overlay_run_traced(config, &telemetry);
-    telemetry.flush();
-    (buf.contents(), report)
+    capture(|telemetry| overlay_run_traced(config, telemetry))
 }
 
+/// Reads a captured trace back; every line must decode.
 fn parse(bytes: &[u8]) -> Vec<TimedEvent> {
-    parse_jsonl(std::str::from_utf8(bytes).expect("trace is UTF-8")).expect("trace parses back")
+    let trace = parse_jsonl_lossy(std::str::from_utf8(bytes).expect("trace is UTF-8"));
+    assert_eq!(trace.skipped_lines, 0, "{}", trace.first_skip);
+    trace.events
 }
 
 #[test]
@@ -204,16 +208,15 @@ fn profile_sections_record_on_a_default_build_without_touching_the_trace() {
         frames: 20,
         ..OverlayConfig::default()
     };
-    let capture = || {
-        let buf = SharedBuffer::new();
-        let telemetry = Telemetry::to_jsonl(Box::new(buf.clone()));
-        run_traced(&quick(), &telemetry);
-        overlay_run_traced(&overlay_config, &telemetry);
-        telemetry.flush();
-        (buf.contents(), telemetry.snapshot())
+    let capture_both = || {
+        capture(|telemetry| {
+            run_traced(&quick(), telemetry);
+            overlay_run_traced(&overlay_config, telemetry);
+            telemetry.snapshot()
+        })
     };
-    let (bytes_a, snapshot) = capture();
-    let (bytes_b, _) = capture();
+    let (bytes_a, snapshot) = capture_both();
+    let (bytes_b, _) = capture_both();
     assert!(!bytes_a.is_empty());
     assert_eq!(bytes_a, bytes_b, "live sections perturbed the trace");
 
