@@ -70,14 +70,8 @@ mod tests {
 
     #[test]
     fn flags_and_values_are_taken_from_anywhere_and_positionals_in_order() {
-        let mut a = args(&[
-            "--json",
-            "out.json",
-            "--workload",
-            "celebrity",
-            "--write-baselines",
-        ]);
-        assert!(a.flag("--write-baselines") && a.flag("--json") && !a.flag("--capture"));
+        let mut a = args(&["--json", "out.json", "--workload", "celebrity", "--verbose"]);
+        assert!(a.flag("--verbose") && a.flag("--json") && !a.flag("--capture"));
         assert_eq!(a.value("--workload").as_deref(), Some("celebrity"));
         assert_eq!(a.positional().as_deref(), Some("out.json"));
         assert_eq!(a.positional(), None);

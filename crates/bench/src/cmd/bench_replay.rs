@@ -11,9 +11,8 @@
 //! ```
 //!
 //! This is the tool's one shape: it measures and writes. What gates a
-//! change is `cargo test` (this file's divisor-1000 pin below,
-//! `replay::tests`, `csr_regression`) and `bench_check` against
-//! `baselines/`.
+//! change is `cargo test` (this file's divisor-1000 and, in release,
+//! divisor-100 row pins below, `replay::tests`, `csr_regression`).
 //!
 //! Each divisor records two phases. `graph_build` is the follow-graph
 //! construction: wall time, the generator's deterministic peak
@@ -365,13 +364,14 @@ mod tests {
     /// Replays `divisor` and asserts that every deterministic field of
     /// the committed `BENCH_replay.json` row equals the fresh run's, so a
     /// change that moves what the file reports without regenerating it
-    /// is seen. Host times (`wall_s`, rates) are not compared.
-    fn assert_row_matches_a_fresh_run(divisor: f64) -> ReplayRun {
+    /// is seen. Host times (`wall_s`, rates) are not compared here.
+    /// Returns the fresh run and the committed row.
+    fn assert_row_matches_a_fresh_run(divisor: f64) -> (ReplayRun, ReplayRun) {
         let run = replay(divisor, &Telemetry::disabled());
         let doc: ReplayDoc = serde_json::from_str(COMMITTED).expect("fits ReplayDoc");
         let pin = doc
             .runs
-            .iter()
+            .into_iter()
             .find(|r| r.divisor == divisor)
             .unwrap_or_else(|| panic!("a divisor-{divisor} row"));
         let replay_facts = |r: &ReplayRun| {
@@ -385,7 +385,7 @@ mod tests {
                 r.summary_digest.clone(),
             )
         };
-        assert_eq!(replay_facts(&run), replay_facts(pin), "divisor {divisor}");
+        assert_eq!(replay_facts(&run), replay_facts(&pin), "divisor {divisor}");
         let graph_facts = |g: &GraphBuild| {
             (
                 g.peak_bytes,
@@ -401,17 +401,17 @@ mod tests {
             graph_facts(&pin.graph_build),
             "divisor {divisor}"
         );
-        run
+        (run, pin)
     }
 
     /// The divisor-1000 replay: its record checksum equals the
     /// stream-owned-graph path's, and its row equals the committed one,
     /// so a change that moves both paths together is seen too. The same
-    /// divisor's graph checksums are also pinned in `csr_regression`
-    /// and `baselines/GRAPH_build.json`.
+    /// divisor's adjacency and degree checksums and edge count are also
+    /// pinned in `csr_regression`.
     #[test]
     fn divisor_1000_records_match_the_owned_graph_path_and_the_pin() {
-        let run = assert_row_matches_a_fresh_run(1_000.0);
+        let (run, _) = assert_row_matches_a_fresh_run(1_000.0);
         assert_eq!(run.checksum, hex(owned_graph_digest(1_000.0)));
     }
 
@@ -419,9 +419,19 @@ mod tests {
     /// at which the committed file is held exact. About a second of build
     /// and replay in release and far longer in debug, so the debug
     /// `cargo test` leaves it out and `scripts/ci.sh` runs it in release.
+    ///
+    /// Its graph build also carries the one wall-clock bound: at most 4×
+    /// the committed row's `graph_build.wall_s`. No host jitter comes
+    /// near that; an accidental complexity regression in the generator
+    /// does.
     #[test]
     #[cfg_attr(debug_assertions, ignore = "release only: scripts/ci.sh runs it")]
     fn divisor_100_row_matches_a_fresh_run() {
-        assert_row_matches_a_fresh_run(100.0);
+        let (run, pin) = assert_row_matches_a_fresh_run(100.0);
+        let (fresh, committed) = (run.graph_build.wall_s, pin.graph_build.wall_s);
+        assert!(
+            fresh <= 4.0 * committed,
+            "divisor-100 graph build took {fresh} s, over 4x the committed {committed} s"
+        );
     }
 }

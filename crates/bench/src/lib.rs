@@ -11,7 +11,6 @@
 //! regenerates every paper artifact.
 
 pub mod obs;
-pub mod regress;
 pub mod replay;
 
 use std::fs;
@@ -34,9 +33,9 @@ struct RunMeta {
 /// host parallelism, cargo profile, the workload seed, and the sim
 /// version. One helper so every writer agrees on the schema.
 ///
-/// These fields describe the *machine and build*, not the simulation —
-/// the bench-regression gate must never compare them across hosts
-/// (see [`regress`]).
+/// These fields describe the *machine and build*, not the simulation,
+/// so no pin may compare them across hosts: the `OBS_report.json` pin
+/// in [`obs`] drops this block from both sides before comparing.
 pub fn run_meta_json(seed: u64) -> Value {
     let meta = RunMeta {
         host_parallelism: std::thread::available_parallelism().map_or(1, |n| n.get()),

@@ -4,7 +4,6 @@
 //! ```sh
 //! cargo run --release -p livescope-bench -- fig11        # one artifact
 //! cargo run --release -p livescope-bench -- all          # all 25 of them
-//! cargo run --release -p livescope-bench -- bench_check   # the regression gate
 //! ```
 //!
 //! [`COMMANDS`] is the whole interface: a subcommand is a row of that
@@ -16,7 +15,6 @@
 mod args;
 mod cmd {
     pub mod artifacts;
-    pub mod bench_check;
     pub mod bench_replay;
     pub mod fig14;
     pub mod obs_report;
@@ -75,8 +73,6 @@ const COMMANDS: &[(&str, &str, Run)] = &[
     ("opt_polling", "Optimization study — adaptive chunk-cadence polling vs the fixed intervals of Figs 12–13", Artifact(a::opt_polling)),
     ("bench_replay", "streaming-replay scale sweep (BENCH_replay.json)",
         Tool("[OUT.json]", cmd::bench_replay::run)),
-    ("bench_check", "bench-regression gate: fresh artifacts vs baselines/",
-        Tool("[--write-baselines]", cmd::bench_check::run)),
     ("obs_report", "causal observability report over the canonical workloads or a trace",
         Tool("[--json] ([--workload breakdown|celebrity] [--capture PATH] | TRACE.jsonl)", cmd::obs_report::run)),
 ];
@@ -144,19 +140,21 @@ mod tests {
 
     #[test]
     fn every_surviving_former_binary_is_exactly_one_subcommand() {
-        let former = "bench_check bench_replay chunk_tradeoff crawler_coverage \
+        let former = "bench_replay chunk_tradeoff crawler_coverage \
                       ext_overlay fig1 fig2 fig3 fig4 fig5 fig6 fig7 fig8 fig9 fig10 fig11 fig12 \
                       fig13 fig14 fig15 fig16 fig17 fig18 interactivity obs_report opt_polling \
                       tab1 tab2";
-        assert_eq!(former.split_whitespace().count(), 28);
+        assert_eq!(former.split_whitespace().count(), 27);
         for name in former.split_whitespace().chain(["all"]) {
             assert!(is_command(name), "{name} is not one row of COMMANDS");
         }
         assert_eq!(
             COMMANDS.len(),
-            29,
+            28,
             "a row beyond the former binaries and `all`"
         );
+        // Retired: its gate is the `OBS_report.json` pin test in `obs.rs`.
+        assert!(!is_command("bench_check"), "bench_check is a command again");
         let artifacts = COMMANDS.iter().filter(|c| matches!(c.2, Artifact(_)));
         assert_eq!(artifacts.count(), 25, "`all` is the 25 paper artifacts");
     }

@@ -1,10 +1,13 @@
-//! Canonical observability workloads and the report documents, shared by
-//! the `obs_report` and `bench_check` subcommands.
+//! Canonical observability workloads and the report documents of the
+//! `obs_report` subcommand.
 //!
-//! Both must fold the *exact same* deterministic traces — the report
-//! bytes are the regression-gate currency — so the workload
-//! configurations, the one capture path and the `OBS_report.json`
-//! document layout live here, in one place.
+//! The workload configurations, the one capture path and the
+//! `OBS_report.json` document layout live here, in one place, beside the
+//! test that pins the document: [`obs_doc`] of [`canonical_reports`]
+//! must equal the committed `baselines/OBS_report.json` in every field
+//! but the host `meta` block, with no span left open. After a reviewed
+//! change to a model constant, `LIVESCOPE_RESULTS=baselines livescope
+//! obs_report` rewrites that file.
 
 use livescope_analysis::{DelayBreakdown, DelayComponent};
 use livescope_cdn::{run_fanout, FanoutConfig, FanoutReport};
@@ -253,7 +256,7 @@ struct ObsDoc {
 }
 
 /// The `OBS_report.json` document: run metadata (host-varying; never
-/// gated), then the two folded reports and the fan-out's deterministic
+/// pinned), then the two folded reports and the fan-out's deterministic
 /// counters.
 pub fn obs_doc(breakdown: &ObsReport, celebrity: &ObsReport, fanout: &FanoutReport) -> String {
     let doc = ObsDoc {
@@ -274,6 +277,61 @@ pub fn obs_doc(breakdown: &ObsReport, celebrity: &ObsReport, fanout: &FanoutRepo
 mod tests {
     use super::*;
     use livescope_telemetry::report::{PopBreakdown, Waterfall};
+
+    /// Every leaf of `doc` but the top-level `meta` block, as one
+    /// `path = value` line each in document order
+    /// (`breakdown.qoe.hls.join_mean_s = 10.505476`).
+    fn leaves(doc: &Value, path: &str, out: &mut Vec<String>) {
+        let dot = if path.is_empty() { "" } else { "." };
+        match doc {
+            Value::Object(members) => {
+                for (key, v) in members {
+                    if !(path.is_empty() && key == "meta") {
+                        leaves(v, &format!("{path}{dot}{key}"), out);
+                    }
+                }
+            }
+            Value::Array(items) => {
+                for (i, v) in items.iter().enumerate() {
+                    leaves(v, &format!("{path}{dot}{i}"), out);
+                }
+            }
+            leaf => out.push(format!("{path} = {}", serde_json::to_string(leaf).unwrap())),
+        }
+    }
+
+    /// The committed `baselines/OBS_report.json`, exactly: a change that
+    /// moves any field of either report or of the fan-out's counters
+    /// fails here, naming each moved field. Regenerate the file with
+    /// `LIVESCOPE_RESULTS=baselines livescope obs_report` once the move
+    /// is reviewed; no baseline may record a leaked span.
+    #[test]
+    fn canonical_reports_equal_the_committed_baseline_exactly() {
+        let (breakdown, celebrity, fanout) = canonical_reports();
+        for (workload, report) in [("breakdown", &breakdown), ("celebrity", &celebrity)] {
+            assert_eq!(report.spans.unclosed, 0, "{workload} leaks spans");
+        }
+        let lines = |text: &str| {
+            let mut out = Vec::new();
+            leaves(&serde_json::from_str(text).unwrap(), "", &mut out);
+            out
+        };
+        let fresh = lines(&obs_doc(&breakdown, &celebrity, &fanout));
+        let committed = lines(include_str!("../../../baselines/OBS_report.json"));
+        let moved: Vec<String> = committed
+            .iter()
+            .zip(&fresh)
+            .filter(|(c, f)| c != f)
+            .map(|(c, f)| format!("\n  committed {c}\n  fresh     {f}"))
+            .collect();
+        assert!(
+            moved.is_empty() && committed.len() == fresh.len(),
+            "OBS_report.json moved ({} committed fields, {} fresh):{}",
+            committed.len(),
+            fresh.len(),
+            moved.concat()
+        );
+    }
 
     #[test]
     fn json_rendering_is_stable_and_self_consistent() {

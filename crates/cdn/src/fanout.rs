@@ -253,7 +253,7 @@ fn poll_event(mut viewer: Viewer) -> BackendEvent<PopShard> {
 
 /// Runs the fan-out on a [`ShardedScheduler`], one shard per POP, with
 /// `lanes` worker lanes. Trace events (one [`TraceEvent::ChunkDelivered`]
-/// per download) are merged into `telemetry` in `(time, shard, seq)`
+/// per download) are merged into `telemetry` in `(time, shard, emission)`
 /// order, so the sink's bytes are identical for any `lanes` value.
 pub fn run_fanout(config: &FanoutConfig, lanes: usize, telemetry: &Telemetry) -> FanoutReport {
     assert!(!config.pops.is_empty(), "need at least one POP");

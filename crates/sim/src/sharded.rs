@@ -22,8 +22,9 @@
 //!    events in push order, so delivery follows
 //!    `(delivery time, source shard, source seq)` with no sort;
 //! 2. merges per-shard trace buffers into the attached telemetry sink in
-//!    `(time, shard_id, seq)` order — a total order because `seq` is
-//!    monotone per shard.
+//!    `(time, shard_id, emission)` order: the buffers, each in emission
+//!    order and so in time order, are appended in shard order and stably
+//!    sorted on time alone.
 //!
 //! Step 2 holds only if every trace event goes through
 //! [`EventCtx::emit`]. A handler that writes to a telemetry handle
@@ -69,17 +70,17 @@
 //! (`handler.sharded.{lane_exec,mail_merge,trace_merge}_ns` measure it):
 //! mail and trace merges reuse persistent scratch buffers instead of
 //! allocating per epoch, mail is never sorted (outboxes appended in shard
-//! order are already in delivery order), the trace sort is skipped when
-//! at most one shard contributed (a single shard's buffer is already in
-//! merged order), each epoch's merged trace block is handed to the
-//! telemetry handle's ring in one batch and drained in the same step —
-//! one sink lock per epoch rather than one per event, nothing held from
-//! one barrier to the next, and memory bounded by a single epoch's
-//! traffic (sound because epochs partition simulated time, so successive
-//! blocks are already globally ordered), and when exactly one shard has
-//! events due the scheduler *sprints*: it runs that shard across grid
-//! cells without intermediate barriers until it drains or emits
-//! cross-shard mail — the only thing a barrier exists to order.
+//! order are already in delivery order), the trace sort is a stable sort
+//! on time that merges the shards' already-sorted runs and is skipped
+//! when at most one shard contributed, each epoch's merged trace block is
+//! handed to the telemetry handle's ring in one batch and drained in the
+//! same step — one sink lock per epoch rather than one per event, nothing
+//! held from one barrier to the next, and memory bounded by a single
+//! epoch's traffic (sound because epochs partition simulated time, so
+//! successive blocks are already globally ordered), and when exactly one
+//! shard has events due the scheduler *sprints*: it runs that shard
+//! across grid cells without intermediate barriers until it drains or
+//! emits cross-shard mail — the only thing a barrier exists to order.
 
 use livescope_telemetry::{CounterId, GaugeId, Section, Telemetry, TraceEvent};
 
@@ -108,8 +109,7 @@ struct LaneCore<S> {
     outbox: Vec<Mail<S>>,
     sent: u64,
     tracing: bool,
-    trace: Vec<(u64, u64, TraceEvent)>,
-    emit_seq: u64,
+    trace: Vec<(u64, TraceEvent)>,
     fired: u64,
     fired_epoch: u64,
 }
@@ -209,15 +209,12 @@ impl<S> EventCtx<'_, S> {
     }
 
     /// Emits a trace event stamped with the shard clock. The event is
-    /// buffered per shard and merged into the attached telemetry sink in
-    /// `(time, shard_id, seq)` order at the next barrier.
+    /// buffered per shard and merged into the attached telemetry sink at
+    /// the next barrier: by time, equal times in shard order, then in the
+    /// order the shard emitted them.
     pub fn emit(&mut self, event: TraceEvent) {
         if self.core.tracing {
-            let seq = self.core.emit_seq;
-            self.core.emit_seq += 1;
-            self.core
-                .trace
-                .push((self.core.now.as_micros(), seq, event));
+            self.core.trace.push((self.core.now.as_micros(), event));
         }
     }
 
@@ -272,7 +269,7 @@ fn sprint<S>(slot: &mut ShardSlot<S>, horizon: SimTime, epoch_us: u64) -> SimTim
 ///
 /// See the [module docs](self) for the lane model and merge contract. The
 /// short version: shards only interact through epoch-barrier mailboxes, and
-/// every merge is ordered by `(time, shard_id, seq)` — so the trace is a
+/// every merge is ordered by `(time, shard_id, emission)` — so the trace is a
 /// pure function of `(states, seed, epoch)` regardless of `lanes` or
 /// thread scheduling.
 ///
@@ -320,7 +317,7 @@ pub struct ShardedScheduler<S> {
     /// (keeping the capacity), so it is empty between barriers, memory
     /// stays bounded by one epoch's traffic and the sink lock is taken
     /// once per epoch, not per event.
-    trace_pending: Vec<(u64, u16, u64, TraceEvent)>,
+    trace_pending: Vec<(u64, TraceEvent)>,
     /// Wall-clock profile sections (`handler.sharded.*_ns`); live exactly
     /// when the attached telemetry handle records. They time the phases
     /// of each epoch barrier: lane execution, the mailbox drain, and the
@@ -358,7 +355,6 @@ impl<S: Send + 'static> ShardedScheduler<S> {
                     sent: 0,
                     tracing: false,
                     trace: Vec::new(),
-                    emit_seq: 0,
                     fired: 0,
                     fired_epoch: 0,
                 },
@@ -398,7 +394,7 @@ impl<S: Send + 'static> ShardedScheduler<S> {
     /// `sim.sharded.epochs`, gauge `sim.sharded.queue_depth`) *and*
     /// per shard (`sim.shard.<i>.events_fired`, `sim.shard.<i>.mail_out`);
     /// trace events emitted by events via [`EventCtx::emit`] are merged
-    /// into the sink at each barrier in `(time, shard_id, seq)` order.
+    /// into the sink at each barrier in `(time, shard_id, emission)` order.
     pub fn set_telemetry(&mut self, telemetry: &Telemetry) {
         self.c_fired = telemetry.counter("sim.sharded.events_fired");
         self.c_mail = telemetry.counter("sim.sharded.mail_delivered");
@@ -451,7 +447,7 @@ impl<S: Send + 'static> ShardedScheduler<S> {
 
     /// The single-threaded barrier step: deliver mail in shard order, then
     /// send order (which fires in `(time, src shard, src seq)` order),
-    /// merge traces in `(time, shard, seq)` order, roll up counters.
+    /// merge traces in `(time, shard, emission)` order, roll up counters.
     fn barrier_merge(&mut self, barrier: SimTime) {
         // --- mail ---------------------------------------------------------
         // The sections borrow only their own fields, so the closures below
@@ -483,25 +479,18 @@ impl<S: Send + 'static> ShardedScheduler<S> {
             if self.telemetry.is_enabled() {
                 let mut contributors = 0usize;
                 for slot in &mut self.shards {
-                    if slot.core.trace.is_empty() {
-                        continue;
-                    }
-                    contributors += 1;
-                    let id = slot.core.id;
-                    self.trace_pending.extend(
-                        slot.core
-                            .trace
-                            .drain(..)
-                            .map(|(t, seq, ev)| (t, id, seq, ev)),
-                    );
+                    contributors += usize::from(!slot.core.trace.is_empty());
+                    self.trace_pending.append(&mut slot.core.trace);
                 }
-                // One contributor's buffer is already `(time, seq)`-sorted
-                // (shard clocks and emit seqs are monotone), which with a
-                // single shard id *is* the merge order — only a real merge
-                // needs the sort.
+                // Each shard's buffer is in emission order, which is time
+                // order (a shard's clock never runs back), and the buffers
+                // were appended in shard order. So a stable sort on time
+                // alone yields `(time, shard, emission)` order, and it does
+                // so by merging those sorted runs, not by sorting from
+                // scratch. A lone contributor's block is already in that
+                // order and skips even the pass over it.
                 if contributors > 1 {
-                    self.trace_pending
-                        .sort_unstable_by_key(|(t, shard, seq, _)| (*t, *shard, *seq));
+                    self.trace_pending.sort_by_key(|(t, _)| *t);
                 }
                 // Hand the whole epoch block to the sink under one lock and
                 // drain it (capacity kept) — memory stays bounded by one
@@ -510,8 +499,7 @@ impl<S: Send + 'static> ShardedScheduler<S> {
                 // ordered: events run before a barrier carry timestamps no
                 // later than any event still queued behind it.
                 if !self.trace_pending.is_empty() {
-                    self.telemetry
-                        .emit_batch(self.trace_pending.drain(..).map(|(t, _, _, ev)| (t, ev)));
+                    self.telemetry.emit_batch(self.trace_pending.drain(..));
                 }
             }
         });

@@ -2,8 +2,9 @@
 # scripts/ci.sh is its one definition, runnable without `just`.
 
 # Run the full CI gate: format check, clippy (the determinism
-# gate), tests, rustdoc gate, `livescope all`, usage-error probes, the
-# paper-scale pins, bench-regression gate.
+# gate), the benchmark digests, tests (the OBS_report.json pin among
+# them), rustdoc gate, `livescope all`, the obs_report round trip,
+# usage-error probes, the divisor-100 row and the paper-scale pins.
 ci:
     bash scripts/ci.sh
 
@@ -50,18 +51,10 @@ trace out="results/trace.jsonl":
 # the delay ledger, per-POP six-component delay distributions, QoE
 # session metrics, and the top-5 slowest chunk-journey waterfalls over
 # the breakdown + celebrity workloads.
-# Writes results/OBS_report.json.
+# Writes results/OBS_report.json; `LIVESCOPE_RESULTS=baselines just obs`
+# rewrites the committed baseline that `cargo test` pins exactly.
 obs:
     cargo run --release -q -p livescope-bench -- obs_report
-
-# Bench-regression gate: regenerate the deterministic observability
-# artifact and compare it metric-by-metric against baselines/.
-bench-check:
-    cargo run --release -q -p livescope-bench -- bench_check
-
-# Refresh the committed baseline after a reviewed, intentional change.
-bench-check-write:
-    cargo run --release -q -p livescope-bench -- bench_check --write-baselines
 
 # Alternated A/B pairs of the repo benchmark between two revisions, each
 # exported with `git archive` and built once into target/ab/<sha>: prints
