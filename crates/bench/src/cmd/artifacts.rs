@@ -30,6 +30,7 @@ use livescope_net::AccessLink;
 use livescope_proto::rtmp::VideoFrame;
 use livescope_security::SigningPolicy;
 use livescope_sim::{RngPool, SimDuration, SimTime};
+use livescope_telemetry::Telemetry;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
@@ -523,7 +524,7 @@ pub fn crawler_coverage(dir: &Path) {
             account_refresh: SimDuration::from_secs_f64(refresh_s),
             ..CoverageConfig::paper_production()
         };
-        let report = run_coverage(&config);
+        let report = run_coverage(&config, &Telemetry::disabled());
         table.row([
             accounts.to_string(),
             format!("{:.2}s", config.effective_refresh().as_secs_f64()),
@@ -557,7 +558,7 @@ pub fn interactivity(dir: &Path) {
 }
 
 pub fn ext_overlay(dir: &Path) {
-    let report = overlay_ext::run(&OverlayConfig::default());
+    let report = overlay_ext::run(&OverlayConfig::default(), &Telemetry::disabled());
     let ascii = report.render();
     emit(dir, "ext_overlay", &ascii, &[("txt", ascii.clone())]);
 }

@@ -116,8 +116,6 @@ struct ProfileRow {
     count: u64,
     total_ns: u64,
     mean_ns: f64,
-    p50_ns: f64,
-    p99_ns: f64,
     max_ns: u64,
 }
 
@@ -264,12 +262,10 @@ fn profile_report(telemetry: &Telemetry) -> (Vec<String>, Vec<ProfileRow>) {
     let mut json = Vec::new();
     for (name, h) in hists.into_iter().take(5) {
         lines.push(format!(
-            "  {name:<32} count={:>7} total={:>6.1}ms mean={:>7.0}ns p50={:>7.0}ns p99={:>8.0}ns max={}ns",
+            "  {name:<32} count={:>7} total={:>6.1}ms mean={:>7.0}ns max={}ns",
             h.count,
             h.sum as f64 / 1e6,
             h.mean(),
-            h.quantile(0.5),
-            h.quantile(0.99),
             h.max,
         ));
         json.push(ProfileRow {
@@ -277,8 +273,6 @@ fn profile_report(telemetry: &Telemetry) -> (Vec<String>, Vec<ProfileRow>) {
             count: h.count,
             total_ns: h.sum,
             mean_ns: round_to(h.mean(), 0),
-            p50_ns: round_to(h.quantile(0.5), 0),
-            p99_ns: round_to(h.quantile(0.99), 0),
             max_ns: h.max,
         });
     }

@@ -11,7 +11,7 @@ use livescope_net::datacenters::{self, DatacenterId, Provider};
 use livescope_net::geo::GeoPoint;
 use livescope_proto::control::{BroadcastSummary, Scheme, StreamUrl};
 use livescope_sim::SimTime;
-use livescope_telemetry::{CounterId, GaugeId, Span, Telemetry, TraceEvent};
+use livescope_telemetry::{CounterId, Span, Telemetry, TraceEvent};
 
 use crate::ids::{token_from_word, BroadcastId, UserId};
 
@@ -78,7 +78,6 @@ pub struct ControlServer {
     c_creates: CounterId,
     c_joins_rtmp: CounterId,
     c_joins_hls: CounterId,
-    g_live: GaugeId,
 }
 
 impl ControlServer {
@@ -94,17 +93,15 @@ impl ControlServer {
             c_creates: CounterId::INERT,
             c_joins_rtmp: CounterId::INERT,
             c_joins_hls: CounterId::INERT,
-            g_live: GaugeId::INERT,
         }
     }
 
-    /// Attaches telemetry: admission counters, a live-broadcast gauge, and
-    /// `JoinStarted` / `HandoffToHls` trace events.
+    /// Attaches telemetry: admission counters and `JoinStarted` /
+    /// `HandoffToHls` trace events.
     pub fn attach_telemetry(&mut self, telemetry: &Telemetry) {
         self.c_creates = telemetry.counter("control.broadcasts_created");
         self.c_joins_rtmp = telemetry.counter("control.joins_rtmp");
         self.c_joins_hls = telemetry.counter("control.joins_hls");
-        self.g_live = telemetry.gauge("control.live_broadcasts");
         self.telemetry = telemetry.clone();
     }
 
@@ -138,8 +135,6 @@ impl ControlServer {
         );
         self.live.push(id);
         self.telemetry.add(self.c_creates, 1);
-        self.telemetry
-            .set_gauge(self.g_live, self.live.len() as i64);
         CreateGrant {
             id,
             token,
@@ -270,8 +265,6 @@ impl ControlServer {
         state.ended = Some(now);
         let wowza_dc = state.wowza_dc;
         self.live.retain(|&b| b != broadcast);
-        self.telemetry
-            .set_gauge(self.g_live, self.live.len() as i64);
         Ok(wowza_dc)
     }
 

@@ -122,14 +122,10 @@ impl OverlayReport {
     }
 }
 
-/// Runs the sweep.
-pub fn run(config: &OverlayConfig) -> OverlayReport {
-    run_traced(config, &Telemetry::disabled())
-}
-
 /// Runs the sweep, emitting one `overlay_frame_delivered` trace event per
-/// pushed frame (origin cost plus the slowest viewer's delivery delay).
-pub fn run_traced(config: &OverlayConfig, telemetry: &Telemetry) -> OverlayReport {
+/// pushed frame (origin cost plus the slowest viewer's delivery delay)
+/// into `telemetry`; pass [`Telemetry::disabled`] to record nothing.
+pub fn run(config: &OverlayConfig, telemetry: &Telemetry) -> OverlayReport {
     let mut cells = Vec::with_capacity(config.audiences.len());
     for &audience in &config.audiences {
         // A fresh tree rooted at the Ashburn ingest site.
@@ -195,11 +191,14 @@ mod tests {
     use super::*;
 
     fn quick() -> OverlayReport {
-        run(&OverlayConfig {
-            audiences: vec![100, 2_000],
-            frames: 60,
-            ..OverlayConfig::default()
-        })
+        run(
+            &OverlayConfig {
+                audiences: vec![100, 2_000],
+                frames: 60,
+                ..OverlayConfig::default()
+            },
+            &Telemetry::disabled(),
+        )
     }
 
     #[test]

@@ -125,7 +125,7 @@ fn overlay_trace_bytes_are_pinned() {
         frames: 40,
         ..OverlayConfig::default()
     };
-    let trace = capture(|telemetry| overlay_ext::run_traced(&config, telemetry));
+    let trace = capture(|telemetry| overlay_ext::run(&config, telemetry));
     assert_eq!(
         (trace.len(), fold_bytes(&trace)),
         (26_589, 0x4568_f4e6_890d_a22f)

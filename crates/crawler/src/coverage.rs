@@ -60,7 +60,7 @@ impl CoverageConfig {
         self.account_refresh / self.accounts.max(1) as u64
     }
 
-    /// Sanity-checks the knobs; [`run_coverage_traced`] calls this first.
+    /// Sanity-checks the knobs; [`run_coverage`] calls this first.
     /// A zero refresh or a non-positive arrival rate would make the
     /// simulation re-fire at one instant forever.
     pub fn validate(&self) -> Result<(), String> {
@@ -121,15 +121,11 @@ struct World {
     c_discovered: CounterId,
 }
 
-/// Runs the calibration simulation with telemetry disabled.
-pub fn run_coverage(config: &CoverageConfig) -> CoverageReport {
-    run_coverage_traced(config, &Telemetry::disabled())
-}
-
 /// Runs the calibration simulation, emitting query/discovery counters and
 /// a `BroadcastDiscovered` trace event the first time any account sees a
-/// broadcast. Panics on an invalid config ([`CoverageConfig::validate`]).
-pub fn run_coverage_traced(config: &CoverageConfig, telemetry: &Telemetry) -> CoverageReport {
+/// broadcast into `telemetry` (pass [`Telemetry::disabled`] to record
+/// nothing). Panics on an invalid config ([`CoverageConfig::validate`]).
+pub fn run_coverage(config: &CoverageConfig, telemetry: &Telemetry) -> CoverageReport {
     if let Err(e) = config.validate() {
         panic!("invalid CoverageConfig: {e}");
     }
@@ -263,15 +259,18 @@ mod tests {
     use super::*;
 
     fn quick(accounts: usize, refresh_s: f64) -> CoverageReport {
-        run_coverage(&CoverageConfig {
-            accounts,
-            account_refresh: SimDuration::from_secs_f64(refresh_s),
-            arrivals_per_sec: 1.0,
-            duration_median_s: 90.0,
-            duration_sigma: 1.0,
-            horizon: SimDuration::from_secs(600),
-            seed: 7,
-        })
+        run_coverage(
+            &CoverageConfig {
+                accounts,
+                account_refresh: SimDuration::from_secs_f64(refresh_s),
+                arrivals_per_sec: 1.0,
+                duration_median_s: 90.0,
+                duration_sigma: 1.0,
+                horizon: SimDuration::from_secs(600),
+                seed: 7,
+            },
+            &Telemetry::disabled(),
+        )
     }
 
     #[test]
@@ -348,11 +347,14 @@ mod tests {
             (1, 30, 3550, 1678, 61, 0x3fde405312e4bdcd, 0x40598481e85a9d4e),
         ];
         for (accounts, refresh_s, started, discovered, queries, coverage, latency) in ROWS {
-            let r = run_coverage(&CoverageConfig {
-                accounts,
-                account_refresh: SimDuration::from_secs(refresh_s),
-                ..CoverageConfig::paper_production()
-            });
+            let r = run_coverage(
+                &CoverageConfig {
+                    accounts,
+                    account_refresh: SimDuration::from_secs(refresh_s),
+                    ..CoverageConfig::paper_production()
+                },
+                &Telemetry::disabled(),
+            );
             let row = (accounts, refresh_s);
             assert_eq!(r.started, started, "{row:?} started");
             assert_eq!(r.discovered, discovered, "{row:?} discovered");
@@ -386,7 +388,7 @@ mod tests {
     fn run_invalid(edit: impl FnOnce(&mut CoverageConfig)) {
         let mut config = CoverageConfig::paper_production();
         edit(&mut config);
-        run_coverage(&config);
+        run_coverage(&config, &Telemetry::disabled());
     }
 
     #[test]
@@ -429,19 +431,17 @@ mod tests {
 
     #[test]
     fn traced_coverage_emits_one_discovery_event_per_broadcast() {
+        let config = CoverageConfig {
+            accounts: 4,
+            account_refresh: SimDuration::from_secs(5),
+            arrivals_per_sec: 0.5,
+            duration_median_s: 90.0,
+            duration_sigma: 1.0,
+            horizon: SimDuration::from_secs(300),
+            seed: 9,
+        };
         let telemetry = Telemetry::recording(1 << 16);
-        let report = run_coverage_traced(
-            &CoverageConfig {
-                accounts: 4,
-                account_refresh: SimDuration::from_secs(5),
-                arrivals_per_sec: 0.5,
-                duration_median_s: 90.0,
-                duration_sigma: 1.0,
-                horizon: SimDuration::from_secs(300),
-                seed: 9,
-            },
-            &telemetry,
-        );
+        let report = run_coverage(&config, &telemetry);
         let discoveries = telemetry
             .events()
             .iter()
@@ -458,15 +458,7 @@ mod tests {
             Some(report.discovered)
         );
         // The traced run must not change the simulation itself.
-        let plain = run_coverage(&CoverageConfig {
-            accounts: 4,
-            account_refresh: SimDuration::from_secs(5),
-            arrivals_per_sec: 0.5,
-            duration_median_s: 90.0,
-            duration_sigma: 1.0,
-            horizon: SimDuration::from_secs(300),
-            seed: 9,
-        });
+        let plain = run_coverage(&config, &Telemetry::disabled());
         assert_eq!(plain.discovered, report.discovered);
         assert_eq!(plain.queries, report.queries);
     }

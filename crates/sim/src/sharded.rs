@@ -31,9 +31,9 @@
 //! directly, whether captured or owned by its shard state, would order
 //! the sink by thread timing. `Telemetry::emit` refuses that: it panics
 //! off the thread that created the handle, and at two or more lanes every
-//! handler runs on a worker thread, a lone due shard's sprint included.
-//! So a traced run of a multi-shard world at lanes ≥ 2 is the check; each
-//! such world needs one in its tests.
+//! handler of a multi-shard world runs on a worker thread, a lone due
+//! shard's included. So a traced run of a multi-shard world at lanes ≥ 2
+//! is the check; each such world needs one in its tests.
 //!
 //! Because every observable (event order within a shard, mail delivery
 //! order, trace merge order, RNG streams) is derived from simulated time
@@ -48,7 +48,9 @@
 //! (shards are split into `lanes` contiguous chunks, one worker per
 //! chunk). One lane runs every shard inline on the caller's thread in
 //! shard order; more lanes get one scoped worker thread each
-//! ([`run_parts`]), and a shard sprinting alone gets one of its own.
+//! ([`run_parts`]). Every step of `run_until` is one such epoch on the
+//! fixed grid: it jumps to the cell of the earliest pending event, so an
+//! empty cell costs nothing and a cell with events costs one barrier.
 //! Every lane count produces identical output — the
 //! determinism sweep in `tests/sharded_determinism.rs` asserts byte
 //! equality across lane counts.
@@ -77,12 +79,9 @@
 //! same step — one sink lock per epoch rather than one per event, nothing
 //! held from one barrier to the next, and memory bounded by a single
 //! epoch's traffic (sound because epochs partition simulated time, so
-//! successive blocks are already globally ordered), and when exactly one
-//! shard has events due the scheduler *sprints*: it runs that shard
-//! across grid cells without intermediate barriers until it drains or
-//! emits cross-shard mail — the only thing a barrier exists to order.
+//! successive blocks are already globally ordered).
 
-use livescope_telemetry::{CounterId, GaugeId, Section, Telemetry, TraceEvent};
+use livescope_telemetry::{CounterId, Section, Telemetry, TraceEvent};
 
 use crate::backend::{BackendEvent, SchedulerBackend, ShardId};
 use crate::parts::run_parts;
@@ -242,29 +241,6 @@ fn run_shard<S>(slot: &mut ShardSlot<S>, barrier: SimTime, inclusive: bool) {
     }
 }
 
-/// Runs one shard alone until it drains by `horizon` or emits cross-shard
-/// mail, and returns the barrier to merge at: the horizon, or the one
-/// closing the epoch cell of the mail-producing event.
-#[inline]
-fn sprint<S>(slot: &mut ShardSlot<S>, horizon: SimTime, epoch_us: u64) -> SimTime {
-    loop {
-        let due = matches!(slot.core.queue.peek_time(), Some(at) if at <= horizon);
-        if !due {
-            break;
-        }
-        slot.fire_next();
-        if !slot.core.outbox.is_empty() {
-            break;
-        }
-    }
-    if slot.core.outbox.is_empty() {
-        horizon
-    } else {
-        let k = slot.core.now.as_micros() / epoch_us;
-        SimTime::from_micros((k + 1).saturating_mul(epoch_us)).min(horizon)
-    }
-}
-
 /// Multi-lane deterministic discrete-event scheduler.
 ///
 /// See the [module docs](self) for the lane model and merge contract. The
@@ -307,7 +283,6 @@ pub struct ShardedScheduler<S> {
     c_fired: CounterId,
     c_mail: CounterId,
     c_epochs: CounterId,
-    g_depth: GaugeId,
     shard_counters: Vec<(CounterId, CounterId)>,
     /// Persistent mail-merge scratch: reused across barriers so the
     /// steady state allocates nothing per epoch.
@@ -371,7 +346,6 @@ impl<S: Send + 'static> ShardedScheduler<S> {
             c_fired: CounterId::INERT,
             c_mail: CounterId::INERT,
             c_epochs: CounterId::INERT,
-            g_depth: GaugeId::INERT,
             shard_counters: Vec::new(),
             mail_scratch: Vec::new(),
             trace_pending: Vec::new(),
@@ -391,15 +365,14 @@ impl<S: Send + 'static> ShardedScheduler<S> {
 
     /// Attaches telemetry. Counters are kept merged
     /// (`sim.sharded.events_fired`, `sim.sharded.mail_delivered`,
-    /// `sim.sharded.epochs`, gauge `sim.sharded.queue_depth`) *and*
-    /// per shard (`sim.shard.<i>.events_fired`, `sim.shard.<i>.mail_out`);
+    /// `sim.sharded.epochs`) *and* per shard
+    /// (`sim.shard.<i>.events_fired`, `sim.shard.<i>.mail_out`);
     /// trace events emitted by events via [`EventCtx::emit`] are merged
     /// into the sink at each barrier in `(time, shard_id, emission)` order.
     pub fn set_telemetry(&mut self, telemetry: &Telemetry) {
         self.c_fired = telemetry.counter("sim.sharded.events_fired");
         self.c_mail = telemetry.counter("sim.sharded.mail_delivered");
         self.c_epochs = telemetry.counter("sim.sharded.epochs");
-        self.g_depth = telemetry.gauge("sim.sharded.queue_depth");
         self.shard_counters = (0..self.shards.len())
             .map(|i| {
                 (
@@ -517,40 +490,6 @@ impl<S: Send + 'static> ShardedScheduler<S> {
             slot.core.fired_epoch = 0;
         }
         self.telemetry.add(self.c_fired, fired_total);
-        self.telemetry
-            .set_gauge(self.g_depth, self.pending() as i64);
-    }
-
-    /// Adaptive epoch length: when exactly one shard has events due by
-    /// the horizon, barriers have nothing to order — no other shard can
-    /// fire, so the only cross-shard channel is this shard's own outbox.
-    /// Sprint it across grid cells without intermediate barriers until it
-    /// drains (merge once at the horizon) or emits cross-shard mail.
-    /// Stopping immediately after the first mail-producing event keeps
-    /// delivery byte-identical to the fixed grid: the mail is released at
-    /// the barrier closing the *sending event's* epoch cell — exactly
-    /// where the non-sprinting scheduler would have released it.
-    ///
-    /// At two or more lanes the sprint runs on one scoped worker thread,
-    /// as every multi-shard epoch does, so a handler that writes to a
-    /// telemetry handle directly trips the owner-thread check whether or
-    /// not its shard happens to run alone.
-    fn run_sprint(&mut self, idx: usize, horizon: SimTime, epoch_us: u64) {
-        let on_worker = self.lanes.min(self.shards.len()) >= 2;
-        let barrier = self.sec_lane_exec.time(|| {
-            let slot = &mut self.shards[idx];
-            if on_worker {
-                std::thread::scope(|scope| {
-                    scope
-                        .spawn(|| sprint(slot, horizon, epoch_us))
-                        .join()
-                        .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
-                })
-            } else {
-                sprint(slot, horizon, epoch_us)
-            }
-        });
-        self.barrier_merge(barrier);
     }
 }
 
@@ -570,41 +509,26 @@ impl<S: Send + 'static> SchedulerBackend<S> for ShardedScheduler<S> {
     fn run_until(&mut self, horizon: SimTime) -> SimTime {
         let epoch_us = self.epoch.as_micros().max(1);
         loop {
-            // One scan: the earliest pending event and how many shards
-            // have anything due by the horizon.
-            let mut next = None::<SimTime>;
-            let mut active = 0usize;
-            let mut active_idx = 0usize;
-            for (i, s) in self.shards.iter().enumerate() {
-                if let Some(at) = s.core.queue.peek_time() {
-                    if at <= horizon {
-                        active += 1;
-                        active_idx = i;
-                    }
-                    next = Some(next.map_or(at, |n: SimTime| n.min(at)));
-                }
-            }
+            let next = self
+                .shards
+                .iter()
+                .filter_map(|s| s.core.queue.peek_time())
+                .min();
             let Some(next) = next else { break };
             if next > horizon {
                 break;
             }
-            if active == 1 {
-                // Adaptive epoch: a lone active shard sprints past grid
-                // barriers (see `run_sprint` for the identity argument).
-                self.run_sprint(active_idx, horizon, epoch_us);
+            // The barrier closing the epoch that contains `next`. The
+            // final (partial) epoch ends exactly at the horizon and is
+            // inclusive.
+            let k = next.as_micros() / epoch_us;
+            let candidate = SimTime::from_micros((k + 1).saturating_mul(epoch_us));
+            let (barrier, inclusive) = if candidate >= horizon {
+                (horizon, true)
             } else {
-                // The barrier closing the epoch that contains `next`. The
-                // final (partial) epoch ends exactly at the horizon and is
-                // inclusive.
-                let k = next.as_micros() / epoch_us;
-                let candidate = SimTime::from_micros((k + 1).saturating_mul(epoch_us));
-                let (barrier, inclusive) = if candidate >= horizon {
-                    (horizon, true)
-                } else {
-                    (candidate, false)
-                };
-                self.run_epoch(barrier, inclusive);
-            }
+                (candidate, false)
+            };
+            self.run_epoch(barrier, inclusive);
             // The backend clock is the max any shard reached: the time of
             // the last fired event — not the barrier, which may lie beyond
             // the final event.
@@ -660,10 +584,9 @@ mod tests {
 
     #[test]
     fn queue_orders_like_time_then_seq_at_the_edges() {
-        // Both shards busy at the end of the clock (so the barrier path,
-        // not the sprint, runs them): equal times fire in insertion order,
-        // `MAX` is reachable, and "a" pushes "e" into the epoch already
-        // being drained — the late heap — where it fires after the
+        // Both shards busy at the end of the clock: equal times fire in
+        // insertion order, `MAX` is reachable, and "a" pushes "e" into the
+        // epoch already being drained — the late heap — where it fires after the
         // bucketed ties. `queue::tests` pins the packed key at the edges.
         let mut s = two_shards(1);
         let before_max = SimTime::from_micros(u64::MAX - 1);
@@ -849,7 +772,7 @@ mod tests {
         let mut s = two_shards(1).with_lanes(2);
         s.set_telemetry(&t);
         // Both shards are due in the same epoch, so each runs on its own
-        // worker thread rather than sprinting on this one.
+        // worker thread.
         for shard in [ShardId(0), ShardId(1)] {
             let direct = t.clone();
             s.schedule(
@@ -871,12 +794,12 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "trace written off the thread that created the handle")]
-    fn a_captured_handle_emitting_in_a_lone_sprint_at_two_lanes_panics() {
+    fn a_captured_handle_in_a_lone_due_shard_at_two_lanes_panics() {
         let t = Telemetry::recording(64);
         let mut s = two_shards(1).with_lanes(2);
         s.set_telemetry(&t);
-        // Only shard 1 has work, so the scheduler sprints it alone; at two
-        // lanes that sprint still runs on a worker thread.
+        // Only shard 1 has work, but at two lanes the epoch still hands it
+        // to a worker thread as one of the world's two parts.
         let direct = t.clone();
         s.schedule(
             ShardId(1),
@@ -892,6 +815,44 @@ mod tests {
             }),
         );
         s.run();
+    }
+
+    #[test]
+    fn a_one_shard_run_merges_once_per_epoch_cell_with_events() {
+        // Events in cells 0, 2 (three of them, one scheduled by another
+        // in the same cell), 3 (a follow-up from cell 2) and 7; cells 1
+        // and 4–6 stay empty and cost no barrier.
+        let t = Telemetry::recording(64);
+        let mut s = ShardedScheduler::new(
+            RngPool::new(5),
+            vec![Vec::<u64>::new()],
+            SimDuration::from_secs(1),
+        );
+        s.set_telemetry(&t);
+        let log: fn(&mut EventCtx<'_, Vec<u64>>, &mut Vec<u64>) =
+            |ctx, fired| fired.push(ctx.now().as_micros());
+        for ms in [100, 2_000, 2_900, 7_500] {
+            s.schedule(ShardId(0), SimTime::from_millis(ms), Box::new(log));
+        }
+        s.schedule(
+            ShardId(0),
+            SimTime::from_millis(2_100),
+            Box::new(move |ctx, fired: &mut Vec<u64>| {
+                fired.push(ctx.now().as_micros());
+                ctx.schedule_in(SimDuration::from_millis(200), Box::new(log));
+                ctx.schedule_in(SimDuration::from_millis(1_000), Box::new(log));
+            }),
+        );
+        s.run();
+        let fired = s.state(ShardId(0));
+        assert_eq!(fired.len(), 7);
+        let mut cells: Vec<u64> = fired.iter().map(|us| us / 1_000_000).collect();
+        cells.dedup();
+        assert_eq!(cells, [0, 2, 3, 7]);
+        assert_eq!(
+            t.snapshot().counter("sim.sharded.epochs"),
+            Some(cells.len() as u64)
+        );
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //!
 //! Three instruments, one handle:
 //!
-//! 1. **Metrics registry** ([`registry`]) — counters, gauges, and
-//!    log-bucketed histograms behind pre-registered `Copy` handles. The hot
+//! 1. **Metrics registry** ([`registry`]) — counters and log-bucketed
+//!    histograms behind pre-registered `Copy` handles. The hot
 //!    path is an array index plus an add: no hashing, no globals, and with
 //!    the sink disabled every call is a single branch on a `None`.
 //! 2. **Structured event tracing** ([`event`], [`sink`]) — sim-time-stamped
@@ -36,7 +36,7 @@ pub mod span;
 pub use event::{Protocol, TimedEvent, TraceEvent};
 pub use ledger::DelayLedger;
 pub use profile::Section;
-pub use registry::{CounterId, GaugeId, HistogramId, MetricsSnapshot};
+pub use registry::{CounterId, HistogramId, MetricsSnapshot};
 pub use report::ObsReport;
 pub use span::{Span, SpanKind};
 
@@ -50,7 +50,7 @@ use std::sync::Arc;
 /// use of `Mutex`.
 #[expect(
     clippy::disallowed_types,
-    reason = "metrics commute, so any worker lane may add to a counter or histogram; the sink and gauges are written only by the owner thread"
+    reason = "metrics commute, so any worker lane may add to a counter or histogram; the sink is written only by the owner thread"
 )]
 mod shared {
     use super::{Registry, TraceSink};
@@ -60,9 +60,8 @@ mod shared {
     pub(crate) struct Inner {
         pub(crate) registry: Mutex<Registry>,
         pub(crate) sink: Mutex<TraceSink>,
-        /// The thread that created the handle: the only one that may emit
-        /// or set a gauge, since neither a trace's order nor a gauge's last
-        /// write commutes across threads.
+        /// The thread that created the handle: the only one that may emit,
+        /// since a trace's order does not commute across threads.
         owner: ThreadId,
     }
 
@@ -102,14 +101,13 @@ mod shared {
 /// The handle is `Send + Sync` (internals are `Arc<Mutex<..>>`) so shard
 /// states that carry one can move across the worker threads of
 /// `livescope-sim`'s sharded backend, and any thread may add to a counter
-/// or record into a histogram: those commute. Trace writes and gauges do
-/// not, so [`Telemetry::emit`], [`Telemetry::emit_batch`] and
-/// [`Telemetry::set_gauge`] panic when called off the thread that created
-/// the handle. A scheduler handler traces through
-/// `EventCtx::emit` instead: each shard buffers its events and the merge
-/// happens single-threaded at epoch barriers. A direct emit from a
-/// handler fails whenever the handler runs on a worker lane: at two or
-/// more lanes, in an epoch with two or more shards due.
+/// or record into a histogram: those commute. Trace writes do not, so
+/// [`Telemetry::emit`] and [`Telemetry::emit_batch`] panic when called
+/// off the thread that created the handle. A scheduler handler traces
+/// through `EventCtx::emit` instead: each shard buffers its events and
+/// the merge happens single-threaded at epoch barriers. A direct emit
+/// from a handler fails whenever the handler runs on a worker lane: at
+/// two or more lanes, in any epoch of a world with two or more shards.
 #[derive(Clone, Default)]
 pub struct Telemetry {
     inner: Option<Arc<Inner>>,
@@ -158,14 +156,6 @@ impl Telemetry {
         }
     }
 
-    /// Registers (or re-finds) a gauge.
-    pub fn gauge(&self, name: impl Into<Cow<'static, str>>) -> GaugeId {
-        match &self.inner {
-            Some(inner) => locked(&inner.registry).gauge(name.into()),
-            None => GaugeId::INERT,
-        }
-    }
-
     /// Registers (or re-finds) a log-bucketed histogram.
     pub fn histogram(&self, name: impl Into<Cow<'static, str>>) -> HistogramId {
         match &self.inner {
@@ -181,16 +171,6 @@ impl Telemetry {
     pub fn add(&self, id: CounterId, n: u64) {
         if let Some(inner) = &self.inner {
             locked(&inner.registry).add(id, n);
-        }
-    }
-
-    /// Sets a gauge to an absolute value. Panics off the owner thread.
-    #[inline]
-    #[track_caller]
-    pub fn set_gauge(&self, id: GaugeId, value: i64) {
-        if let Some(inner) = &self.inner {
-            inner.assert_owner();
-            locked(&inner.registry).set_gauge(id, value);
         }
     }
 
@@ -353,19 +333,14 @@ mod tests {
     #[test]
     fn trace_writes_off_the_owner_thread_panic() {
         let t = Telemetry::recording(16);
-        let g = t.gauge("depth");
-        let writes: [&(dyn Fn() + Sync); 3] = [
-            &|| t.emit(1, miss()),
-            &|| t.emit_batch([(1, miss())]),
-            &|| t.set_gauge(g, 3),
-        ];
+        let writes: [&(dyn Fn() + Sync); 2] =
+            [&|| t.emit(1, miss()), &|| t.emit_batch([(1, miss())])];
         for write in writes {
             let msg = panic_on_other_thread(write).expect("off-owner write must panic");
             assert!(msg.contains("EventCtx::emit"), "{msg}");
         }
         // The owner thread still writes.
         t.emit(2, miss());
-        t.set_gauge(g, 4);
         assert_eq!(
             t.events(),
             [TimedEvent {
@@ -373,7 +348,6 @@ mod tests {
                 event: miss()
             }]
         );
-        assert_eq!(t.snapshot().gauge("depth"), Some(4));
     }
 
     #[test]
@@ -397,12 +371,10 @@ mod tests {
     #[test]
     fn disabled_handle_writes_from_any_thread() {
         let t = Telemetry::disabled();
-        let g = t.gauge("depth");
         assert_eq!(
             panic_on_other_thread(|| {
                 t.emit(1, miss());
                 t.emit_batch([(2, miss())]);
-                t.set_gauge(g, 1);
             }),
             None
         );

@@ -1,4 +1,4 @@
-//! Metrics registry: counters, gauges, and log-bucketed histograms behind
+//! Metrics registry: counters and log-bucketed histograms behind
 //! pre-registered `Copy` handles.
 //!
 //! Registration happens at component-construction time and may hash/scan
@@ -13,10 +13,6 @@ use std::borrow::Cow;
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CounterId(pub(crate) u32);
 
-/// Handle to a registered gauge (last-write-wins i64).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct GaugeId(pub(crate) u32);
-
 /// Handle to a registered log-bucketed histogram.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct HistogramId(pub(crate) u32);
@@ -24,11 +20,6 @@ pub struct HistogramId(pub(crate) u32);
 impl CounterId {
     /// Id handed out by disabled telemetry; never indexes anything.
     pub const INERT: CounterId = CounterId(u32::MAX);
-}
-
-impl GaugeId {
-    /// Id handed out by disabled telemetry; never indexes anything.
-    pub const INERT: GaugeId = GaugeId(u32::MAX);
 }
 
 impl HistogramId {
@@ -41,12 +32,6 @@ impl HistogramId {
 impl Default for CounterId {
     fn default() -> Self {
         CounterId::INERT
-    }
-}
-
-impl Default for GaugeId {
-    fn default() -> Self {
-        GaugeId::INERT
     }
 }
 
@@ -148,8 +133,6 @@ impl Histogram {
 pub(crate) struct Registry {
     counter_names: Vec<Cow<'static, str>>,
     counters: Vec<u64>,
-    gauge_names: Vec<Cow<'static, str>>,
-    gauges: Vec<i64>,
     histogram_names: Vec<Cow<'static, str>>,
     histograms: Vec<Histogram>,
 }
@@ -162,15 +145,6 @@ impl Registry {
         self.counter_names.push(name);
         self.counters.push(0);
         CounterId((self.counters.len() - 1) as u32)
-    }
-
-    pub(crate) fn gauge(&mut self, name: Cow<'static, str>) -> GaugeId {
-        if let Some(i) = self.gauge_names.iter().position(|n| *n == name) {
-            return GaugeId(i as u32);
-        }
-        self.gauge_names.push(name);
-        self.gauges.push(0);
-        GaugeId((self.gauges.len() - 1) as u32)
     }
 
     pub(crate) fn histogram(&mut self, name: Cow<'static, str>) -> HistogramId {
@@ -190,13 +164,6 @@ impl Registry {
     }
 
     #[inline]
-    pub(crate) fn set_gauge(&mut self, id: GaugeId, value: i64) {
-        if let Some(slot) = self.gauges.get_mut(id.0 as usize) {
-            *slot = value;
-        }
-    }
-
-    #[inline]
     pub(crate) fn record(&mut self, id: HistogramId, value: u64) {
         if let Some(h) = self.histograms.get_mut(id.0 as usize) {
             h.record(value);
@@ -209,12 +176,6 @@ impl Registry {
                 .counter_names
                 .iter()
                 .zip(&self.counters)
-                .map(|(n, v)| (n.to_string(), *v))
-                .collect(),
-            gauges: self
-                .gauge_names
-                .iter()
-                .zip(&self.gauges)
                 .map(|(n, v)| (n.to_string(), *v))
                 .collect(),
             histograms: self
@@ -232,8 +193,6 @@ impl Registry {
 pub struct MetricsSnapshot {
     /// `(name, value)` per counter.
     pub counters: Vec<(String, u64)>,
-    /// `(name, value)` per gauge.
-    pub gauges: Vec<(String, i64)>,
     /// `(name, histogram)` per histogram.
     pub histograms: Vec<(String, Histogram)>,
 }
@@ -247,39 +206,12 @@ impl MetricsSnapshot {
             .map(|(_, v)| *v)
     }
 
-    /// Looks up a gauge by name.
-    pub fn gauge(&self, name: &str) -> Option<i64> {
-        self.gauges.iter().find(|(n, _)| n == name).map(|(_, v)| *v)
-    }
-
     /// Looks up a histogram by name.
     pub fn histogram(&self, name: &str) -> Option<&Histogram> {
         self.histograms
             .iter()
             .find(|(n, _)| n == name)
             .map(|(_, h)| h)
-    }
-
-    /// One metric per line, `name value` / `name count=.. mean=.. p50=..`.
-    pub fn render_ascii(&self) -> String {
-        let mut out = String::new();
-        for (name, v) in &self.counters {
-            out.push_str(&format!("counter   {name} = {v}\n"));
-        }
-        for (name, v) in &self.gauges {
-            out.push_str(&format!("gauge     {name} = {v}\n"));
-        }
-        for (name, h) in &self.histograms {
-            out.push_str(&format!(
-                "histogram {name} count={} mean={:.1} p50={:.0} p99={:.0} max={}\n",
-                h.count,
-                h.mean(),
-                h.quantile(0.5),
-                h.quantile(0.99),
-                if h.count == 0 { 0 } else { h.max },
-            ));
-        }
-        out
     }
 }
 
@@ -304,7 +236,6 @@ mod tests {
     fn inert_ids_do_not_index() {
         let mut r = Registry::default();
         r.add(CounterId::INERT, 10);
-        r.set_gauge(GaugeId::INERT, 10);
         r.record(HistogramId::INERT, 10);
         let snap = r.snapshot();
         assert!(snap.counters.is_empty());
@@ -346,20 +277,5 @@ mod tests {
         // log-bucket approximation: p50 of 1..=1000 is within its 512..1023
         // neighbourhood, i.e. a factor-2 band around 500.
         assert!((250.0..=1000.0).contains(&q50), "p50 {q50}");
-    }
-
-    #[test]
-    fn snapshot_renders_every_kind() {
-        let mut r = Registry::default();
-        let c = r.counter("frames".into());
-        let g = r.gauge("depth".into());
-        let h = r.histogram("delay_us".into());
-        r.add(c, 3);
-        r.set_gauge(g, -2);
-        r.record(h, 100);
-        let text = r.snapshot().render_ascii();
-        assert!(text.contains("frames = 3"));
-        assert!(text.contains("depth = -2"));
-        assert!(text.contains("delay_us count=1"));
     }
 }

@@ -10,6 +10,7 @@
 use livescope_core::usage::{run, UsageConfig};
 use livescope_crawler::coverage::{run_coverage, CoverageConfig};
 use livescope_sim::SimDuration;
+use livescope_telemetry::Telemetry;
 
 fn main() {
     // 1. Calibrate the crawler like the paper did: confirm that an
@@ -17,11 +18,14 @@ fn main() {
     //    broadcasts before committing to the production 0.25 s.
     println!("crawler calibration (synthetic live service):");
     for accounts in [1usize, 10, 20] {
-        let report = run_coverage(&CoverageConfig {
-            accounts,
-            account_refresh: SimDuration::from_secs(5),
-            ..CoverageConfig::paper_production()
-        });
+        let report = run_coverage(
+            &CoverageConfig {
+                accounts,
+                account_refresh: SimDuration::from_secs(5),
+                ..CoverageConfig::paper_production()
+            },
+            &Telemetry::disabled(),
+        );
         println!(
             "  {accounts:>2} accounts (refresh every {:.2}s): coverage {:>6.2}%, \
              mean discovery latency {:.1}s",

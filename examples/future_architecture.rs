@@ -11,6 +11,7 @@ use livescope_core::overlay_ext::{run, OverlayConfig, VIEWER_CITIES};
 use livescope_net::datacenters::{self, DatacenterId};
 use livescope_net::geo::GeoPoint;
 use livescope_overlay::{Hierarchy, MulticastTree};
+use livescope_telemetry::Telemetry;
 
 fn main() {
     // 1. Show the forwarding hierarchy the tree grows over.
@@ -45,7 +46,7 @@ fn main() {
 
     // 3. The quantified comparison against the paper's two real paths.
     println!();
-    let report = run(&OverlayConfig::default());
+    let report = run(&OverlayConfig::default(), &Telemetry::disabled());
     println!("{}", report.render());
     println!(
         "The §8 trade: RTMP-grade delay at any audience size, paid for with\n\

@@ -21,14 +21,12 @@ test:
     cargo test --workspace -q
 
 # Rustdoc gate: every public item documented, no broken intra-doc links.
-# Targets the livescope crates explicitly — vendor/* members are exempt.
+# Every workspace member but the vendor/* crates, so a new member is
+# gated by default.
 doc:
-    RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q \
-        -p livescope-sim -p livescope-telemetry -p livescope-net \
-        -p livescope-proto -p livescope-graph -p livescope-workload \
-        -p livescope-cdn -p livescope-client -p livescope-crawler \
-        -p livescope-security -p livescope-analysis -p livescope-overlay \
-        -p livescope-core -p livescope-bench -p livescope-examples
+    RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q --workspace \
+        --exclude bytes --exclude proptest --exclude rand \
+        --exclude serde --exclude serde_derive --exclude serde_json
 
 # Regenerate all 25 paper artifacts (tab1, tab2, fig1…fig18 and the five
 # companion studies) under results/ — ~11 s in release. Any one of them:

@@ -37,12 +37,9 @@ echo "==> cargo test --workspace -q"
 cargo test --workspace -q
 
 echo "==> rustdoc gate (-D warnings; vendor/* exempt)"
-RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q \
-    -p livescope-sim -p livescope-telemetry -p livescope-net \
-    -p livescope-proto -p livescope-graph -p livescope-workload \
-    -p livescope-cdn -p livescope-client -p livescope-crawler \
-    -p livescope-security -p livescope-analysis -p livescope-overlay \
-    -p livescope-core -p livescope-bench -p livescope-examples
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q --workspace \
+    --exclude bytes --exclude proptest --exclude rand \
+    --exclude serde --exclude serde_derive --exclude serde_json
 
 # Every paper artifact and bench tool is a subcommand of this one binary.
 livescope() { cargo run --release -q -p livescope-bench -- "$@"; }

@@ -9,6 +9,7 @@ use livescope_crawler::coverage::{run_coverage, CoverageConfig};
 use livescope_crawler::run_campaign_streaming;
 use livescope_crawler::streaming::DatasetSummary;
 use livescope_sim::SimDuration;
+use livescope_telemetry::Telemetry;
 use livescope_workload::{generate_streaming, BroadcastRecord, ScenarioConfig, WorkloadSummary};
 
 fn scenario() -> ScenarioConfig {
@@ -112,15 +113,18 @@ fn anonymization_preserves_linkage_but_not_identity() {
 #[test]
 fn coverage_rises_monotonically_with_crawl_rate() {
     let coverage_at = |accounts: usize| {
-        run_coverage(&CoverageConfig {
-            accounts,
-            account_refresh: SimDuration::from_secs(60),
-            arrivals_per_sec: 1.5,
-            duration_median_s: 60.0,
-            duration_sigma: 0.8,
-            horizon: SimDuration::from_secs(500),
-            seed: 99,
-        })
+        run_coverage(
+            &CoverageConfig {
+                accounts,
+                account_refresh: SimDuration::from_secs(60),
+                arrivals_per_sec: 1.5,
+                duration_median_s: 60.0,
+                duration_sigma: 0.8,
+                horizon: SimDuration::from_secs(500),
+                seed: 99,
+            },
+            &Telemetry::disabled(),
+        )
         .coverage
     };
     let slow = coverage_at(1);
@@ -138,15 +142,18 @@ fn coverage_rises_monotonically_with_crawl_rate() {
 #[test]
 fn discovery_latency_scales_with_effective_refresh() {
     let latency_at = |accounts: usize| {
-        run_coverage(&CoverageConfig {
-            accounts,
-            account_refresh: SimDuration::from_secs(20),
-            arrivals_per_sec: 1.0,
-            duration_median_s: 300.0,
-            duration_sigma: 0.5,
-            horizon: SimDuration::from_secs(600),
-            seed: 5,
-        })
+        run_coverage(
+            &CoverageConfig {
+                accounts,
+                account_refresh: SimDuration::from_secs(20),
+                arrivals_per_sec: 1.0,
+                duration_median_s: 300.0,
+                duration_sigma: 0.5,
+                horizon: SimDuration::from_secs(600),
+                seed: 5,
+            },
+            &Telemetry::disabled(),
+        )
         .mean_discovery_latency_s
     };
     let one = latency_at(1); // effective 20 s

@@ -6,6 +6,7 @@
 use livescope_core::{breakdown, buffering, geolocation, polling, scalability, social, usage};
 use livescope_crawler::coverage;
 use livescope_sim::SimDuration;
+use livescope_telemetry::Telemetry;
 
 #[test]
 fn fig11_hls_vs_rtmp_delay_gap() {
@@ -138,12 +139,15 @@ fn table1_and_growth_trends() {
 
 #[test]
 fn crawler_calibration_half_second_suffices() {
-    let fast = coverage::run_coverage(&coverage::CoverageConfig {
-        accounts: 10,
-        account_refresh: SimDuration::from_secs(5),
-        horizon: SimDuration::from_secs(400),
-        ..coverage::CoverageConfig::paper_production()
-    });
+    let fast = coverage::run_coverage(
+        &coverage::CoverageConfig {
+            accounts: 10,
+            account_refresh: SimDuration::from_secs(5),
+            horizon: SimDuration::from_secs(400),
+            ..coverage::CoverageConfig::paper_production()
+        },
+        &Telemetry::disabled(),
+    );
     // Short horizon truncates discovery of broadcasts born at the very
     // end; 98%+ here corresponds to the paper's "exhaustive" at full span.
     assert!(fast.coverage > 0.98, "coverage {}", fast.coverage);

@@ -587,7 +587,7 @@ proptest! {
     #[test]
     fn scheduler_fires_all_events_in_time_order(
         // Quarter-second steps over ten seconds: ties are common and every
-        // fourth step is a one-second epoch boundary the sprint runs through.
+        // fourth step is a one-second epoch boundary.
         steps in proptest::collection::vec(0u64..40, 1..200),
     ) {
         use livescope_sim::{RngPool, SchedulerBackend, ShardId, ShardedScheduler};

@@ -11,9 +11,7 @@
 
 use livescope_analysis::DelayComponent;
 use livescope_core::experiments::breakdown::{run, run_traced, BreakdownConfig, BreakdownReport};
-use livescope_core::experiments::overlay_ext::{
-    run as overlay_run, run_traced as overlay_run_traced, OverlayConfig, OverlayReport,
-};
+use livescope_core::experiments::overlay_ext::{self, OverlayConfig, OverlayReport};
 use livescope_telemetry::event::{parse_jsonl_lossy, write_jsonl};
 use livescope_telemetry::{ObsReport, SpanKind, Telemetry, TimedEvent, TraceEvent};
 
@@ -47,7 +45,7 @@ fn overlay_config() -> OverlayConfig {
 }
 
 fn capture_overlay(config: &OverlayConfig) -> (Vec<u8>, OverlayReport) {
-    capture(|telemetry| overlay_run_traced(config, telemetry))
+    capture(|telemetry| overlay_ext::run(config, telemetry))
 }
 
 /// Reads a captured trace back; every line must decode.
@@ -190,7 +188,7 @@ fn determinism_sweep_covers_breakdown_and_overlay_experiments() {
     );
 
     // Tracing must not perturb the overlay experiment either.
-    let plain = overlay_run(&overlay_config);
+    let plain = overlay_ext::run(&overlay_config, &Telemetry::disabled());
     for (t, p) in report_a.overlay.iter().zip(plain.overlay.iter()) {
         assert_eq!(t.audience, p.audience);
         assert!((t.origin_sends_per_frame - p.origin_sends_per_frame).abs() < 1e-12);
@@ -211,7 +209,7 @@ fn profile_sections_record_on_a_default_build_without_touching_the_trace() {
     let capture_both = || {
         capture(|telemetry| {
             run_traced(&quick(), telemetry);
-            overlay_run_traced(&overlay_config, telemetry);
+            overlay_ext::run(&overlay_config, telemetry);
             telemetry.snapshot()
         })
     };
